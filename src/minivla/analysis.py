@@ -114,11 +114,10 @@ def _digest(*objs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _train_and_eval(model_cfg: ModelConfig, stats: dp.DepthStats,
-                    dataset: list[sim.Trajectory], train_cfg: TrainConfig,
-                    env_cfg: EnvConfig, label: str) -> tuple[SuccessTable, pol.Model]:
-    model = pol.init_model(model_cfg, stats)
-    tr.train_run(dataset, model, train_cfg)
+def _train_and_eval(model: pol.Model, dataset: list[sim.Trajectory],
+                    train_cfg: TrainConfig, env_cfg: EnvConfig, label: str,
+                    encoded=None) -> SuccessTable:
+    tr.train_run(dataset, model, train_cfg, encoded=encoded)
     results = run_chain_eval(pol.PolicyAgent(model), env_cfg.n_chains,
                              env_cfg.eval_palette, env_cfg.n_chains * 100 + 17,
                              families=env_cfg.families, variant=env_cfg.variant,
@@ -127,7 +126,7 @@ def _train_and_eval(model_cfg: ModelConfig, stats: dp.DepthStats,
                                     train_split="".join(env_cfg.palettes),
                                     test_split=env_cfg.eval_palette,
                                     enriched=env_cfg.enrich)
-    return table, model
+    return table
 
 
 def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
@@ -137,17 +136,17 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
     """Shared vs separate resamplers from identical initialization.
 
     Both variants see the same data order and the same chain seeds; the
-    report records that their evaluations agree before any update.
+    report records that their evaluations agree before any update. They
+    share the frozen encoder, so the dataset is encoded once for both.
     """
     import dataclasses
 
-    shared_cfg = dataclasses.replace(model_cfg, sep_resampler=False)
-    sep_cfg = dataclasses.replace(model_cfg, sep_resampler=True)
+    models = {label: pol.init_model(dataclasses.replace(model_cfg, sep_resampler=sep), stats)
+              for label, sep in (("shared", False), ("separate", True))}
 
     eval_seed = env_cfg.n_chains * 100 + 17
     init_results = {}
-    for label, cfg in (("shared", shared_cfg), ("separate", sep_cfg)):
-        model = pol.init_model(cfg, stats)
+    for label, model in models.items():
         results = run_chain_eval(pol.PolicyAgent(model), min(env_cfg.n_chains, 5),
                                  env_cfg.eval_palette, eval_seed,
                                  families=env_cfg.families, variant=env_cfg.variant,
@@ -155,11 +154,16 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
         init_results[label] = [r.successes for r in results]
     init_identical = init_results["shared"] == init_results["separate"]
 
+    shared, separate = models.values()
+    if (tr.frozen_checksum(shared) != tr.frozen_checksum(separate)
+            or shared.depth_stats != separate.depth_stats):
+        raise ContractError("ablation arms differ in frozen weights or depth statistics; "
+                            "they cannot share one encoding of the dataset")
+    encoded = tr.encode_dataset(shared, dataset)
     tables = {}
     param_counts = {}
-    for label, cfg in (("shared", shared_cfg), ("separate", sep_cfg)):
-        table, model = _train_and_eval(cfg, stats, dataset, train_cfg, env_cfg, label)
-        tables[label] = table
+    for label, model in models.items():
+        tables[label] = _train_and_eval(model, dataset, train_cfg, env_cfg, label, encoded)
         param_counts[label] = sum(
             t.size for n, t in model.params.items() if n.startswith("resampler."))
 
@@ -190,8 +194,8 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
         )
     tables = {}
     for label, stats in (("narrow", stats_narrow), ("wide", stats_wide)):
-        table, _ = _train_and_eval(model_cfg, stats, dataset, train_cfg, env_cfg, label)
-        tables[label] = table
+        tables[label] = _train_and_eval(pol.init_model(model_cfg, stats), dataset,
+                                        train_cfg, env_cfg, label)
 
     pairs = consecutive_depth_pairs(dataset, limit=20)
     sensitivity = depth_sensitivity_report(

@@ -120,7 +120,11 @@ def self_attention_block(xh: Tensor, layer: dict[str, Tensor]) -> Tensor:
 
 
 def decode(x: Tensor, xvde: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
-    """Apply every (cross, self) fusion layer in order."""
+    """Apply every (cross, self) fusion layer in order.
+
+    xvde may carry a leading time axis, (T, 2K, d); the (M, d) language
+    tokens are then shared by every step and the output is (T, M, d).
+    """
     if not layers:
         raise ContractError("decoder stack needs at least one layer")
     for layer in layers:

@@ -176,13 +176,17 @@ def _square_tiles(n_rows: int, k: int) -> list[np.ndarray]:
 
 
 def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Compress N input tokens to the K latent queries' attention readout."""
+    """Compress N input tokens to the K latent queries' attention readout.
+
+    (N, d_in) -> (K, d); a leading time axis, (T, N, d_in) -> (T, K, d),
+    resamples every step of a trajectory in one pass.
+    """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    if x.data.ndim != 2:
-        raise DimensionError(f"resample expects (N, d_in) tokens, got {x.shape}")
-    if x.shape[1] != wk.shape[0]:
+    if x.data.ndim not in (2, 3):
+        raise DimensionError(f"resample expects (N, d_in) or (T, N, d_in) tokens, got {x.shape}")
+    if x.shape[-1] != wk.shape[0]:
         raise DimensionError(
-            f"token width {x.shape[1]} does not match resampler input {wk.shape[0]}"
+            f"token width {x.shape[-1]} does not match resampler input {wk.shape[0]}"
         )
     keys = nm.matmul(x, wk)
     values = nm.matmul(x, wv)
@@ -190,7 +194,7 @@ def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 
 
 def fuse_concat(xv: Tensor, xde: Tensor) -> Tensor:
-    """RGB tokens first, depth tokens second."""
+    """RGB tokens first, depth tokens second (per step when batched)."""
     if xv.shape[-1] != xde.shape[-1]:
         raise DimensionError(
             f"fused token widths disagree: {xv.shape} vs {xde.shape}"

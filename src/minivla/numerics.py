@@ -2,7 +2,10 @@
 
 The op vocabulary is exactly what the policy stack needs: matmul,
 elementwise arithmetic, tanh/sigmoid, row softmax, concat/slice,
-column max, reductions, and logit-form binary cross-entropy. Arrays
+reshape, column max, reductions, and logit-form binary cross-entropy.
+matmul, transpose, softmax_rows, scaled_dot_attention, concat_rows and
+max_over_rows also take a leading batch axis (a trajectory's time
+steps), so one recorded op covers every step of a stateless stage. Arrays
 are float64 in memory; a built graph belongs to one execution context
 and `backward` visits each node exactly once, so gradients are
 bitwise reproducible for a fixed graph.
@@ -74,31 +77,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -217,38 +195,67 @@ def _sigmoid(x: Array) -> Array:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    """a @ b on 2-D operands; either or both may carry a leading batch axis.
+
+    A 2-D operand is shared by every batch entry, so its gradient is
+    summed over that axis. Each batch entry's product is the same BLAS
+    call as the 2-D op on that entry, hence bitwise equal to it.
+    """
+    if a.data.ndim not in (2, 3) or b.data.ndim not in (2, 3):
         raise DimensionError(
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}"
+            f"matmul expects 2-D operands (or batches of them), got {a.shape} and {b.shape}"
         )
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
+    if a.data.ndim == b.data.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise DimensionError(f"matmul batch sizes disagree: {a.shape} x {b.shape}")
     out = a.data @ b.data
     ad, bd = a.data, b.data
 
     def vjp(g: Array):
-        return g @ bd.T, ad.T @ g
+        # Constant operands (frozen tokens, instruction embeddings) get no
+        # gradient, which skips the largest products of the backward pass.
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to(g @ bd.swapaxes(-1, -2), a.shape)
+        if b.requires_grad:
+            if ad.ndim > bd.ndim:  # a shared weight: one GEMM over all batch rows
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _reduce_to(ad.swapaxes(-1, -2) @ g, b.shape)
+        return ga, gb
 
     return _result(out, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes (the matrix transpose of every batch entry)."""
     def vjp(g: Array):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
 
-    return _result(a.data.T, (a,), vjp)
+    return _result(a.data.swapaxes(-1, -2), (a,), vjp)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    out = a.data.reshape(shape)
+    in_shape = a.shape
+
+    def vjp(g: Array):
+        return (g.reshape(in_shape),)
+
+    return _result(out, (a,), vjp)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction."""
+    """Softmax over the last axis with per-row max subtraction."""
     if not np.isfinite(a.data).all():
         raise NumericInputError("softmax_rows: input contains non-finite values")
     x = np.atleast_2d(a.data)
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     p = p.reshape(a.shape)
 
     def vjp(g: Array):
@@ -259,18 +266,22 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ / sqrt(d)) v with single-head 2-D operands."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise DimensionError("attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1]:
+    """softmax(q kᵀ / sqrt(d)) v, single head.
+
+    Operands are 2-D or carry a leading batch axis; a 2-D operand is
+    shared by every batch entry (e.g. learned latent queries).
+    """
+    if q.data.ndim not in (2, 3) or k.data.ndim not in (2, 3) or v.data.ndim not in (2, 3):
+        raise DimensionError("attention expects 2-D q, k, v (or batches of them)")
+    if q.shape[-1] != k.shape[-1]:
         raise DimensionError(
             f"attention feature dims disagree: q {q.shape} vs k {k.shape}"
         )
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise DimensionError(
             f"attention key/value counts disagree: k {k.shape} vs v {v.shape}"
         )
-    scale = 1.0 / np.sqrt(q.shape[1])
+    scale = 1.0 / np.sqrt(q.shape[-1])
     scores = mul(matmul(q, transpose(k)), as_tensor(scale))
     return matmul(softmax_rows(scores), v)
 
@@ -281,19 +292,23 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Stack parts along the row axis (the second to last); any leading
+    batch axis must agree."""
     if not parts:
         raise ContractError("concat_rows: empty part list")
-    width = parts[0].shape[-1]
+    lead, width = parts[0].shape[:-2], parts[0].shape[-1]
     for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != width:
+        if p.data.ndim not in (2, 3) or p.shape[:-2] != lead or p.shape[-1] != width:
+            want = ", ".join([*map(str, lead), "*", str(width)])
             raise DimensionError(
-                f"concat_rows: incompatible part shape {p.shape}, want (*, {width})"
+                f"concat_rows: incompatible part shape {p.shape}, want ({want})"
             )
-    out = np.concatenate([p.data for p in parts], axis=0)
-    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
+    out = np.concatenate([p.data for p in parts], axis=-2)
 
     def vjp(g: Array):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=0))
+        splits = np.cumsum([p.shape[-2] for p in parts])[:-1]
+        return tuple(np.ascontiguousarray(piece)
+                     for piece in np.split(g, splits, axis=-2))
 
     return _result(out, tuple(parts), vjp)
 
@@ -331,16 +346,17 @@ def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
 
 
 def max_over_rows(a: Tensor) -> Tensor:
-    """Column-wise max over rows; gradient routes to the first argmax."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"max_over_rows expects 2-D input, got {a.shape}")
-    idx = np.argmax(a.data, axis=0)
-    out = a.data[idx, np.arange(a.shape[1])].reshape(1, -1)
-    shape = a.shape
+    """Column-wise max over rows, (..., M, d) -> (..., 1, d); gradient
+    routes to the first argmax."""
+    if a.data.ndim not in (2, 3):
+        raise DimensionError(f"max_over_rows expects 2-D input (or a batch), got {a.shape}")
+    ad = a.data
+    out = ad.max(axis=-2, keepdims=True)
 
     def vjp(g: Array):
-        full = np.zeros(shape)
-        full[idx, np.arange(shape[1])] = g.reshape(-1)
+        full = np.zeros(ad.shape)
+        idx = np.expand_dims(np.argmax(ad, axis=-2), -2)
+        np.put_along_axis(full, idx, g, axis=-2)
         return (full,)
 
     return _result(out, (a,), vjp)
@@ -395,7 +411,7 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with a row-broadcast bias."""
+    """x @ w + b with a row-broadcast bias; x may carry a batch axis."""
     return add(matmul(x, w), b)
 
 

@@ -125,6 +125,8 @@ def load_checkpoint(path: str | Path,
             payload_len = max(payload_len, e["offset"] + 4 * int(np.prod(e["shape"] or [1])))
         payload = _read_exact(f, payload_len, "payload")
         (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
+        if f.read(1):
+            raise CorruptionError(f"trailing bytes after the checksum in {path}")
     if zlib.crc32(payload) != crc_stored:
         raise CorruptionError(f"payload CRC mismatch in {path}")
 

@@ -3,11 +3,17 @@
 A Model bundles every parameter (frozen encoder/backbone entries plus
 the trainable resampler, cross-attention, and head entries) in one
 ParamSet, the closed vocabulary, and the depth statistics the pipeline
-normalizes against. The per-step policy composes:
+normalizes against. The policy composes:
 
     depth preprocessing -> frozen patch encoder -> resampler ->
     fused tokens -> gated cross-attention stack -> token max-pool ->
     LSTM -> pose / gripper MLP heads
+
+Only the LSTM carries state from step to step. policy_core therefore
+takes a trajectory's frozen tokens stacked over time, (T, 2N, d), and
+runs resampler -> decoder -> max-pool and the action heads once over
+all T steps; only the LSTM recurrence loops per step. A rollout step is
+the same call with T = 1.
 
 Relative pose output is tanh-squashed and scaled to the per-step clip
 bound; the gripper logit binarizes at probability 0.5 with ties
@@ -62,13 +68,21 @@ class Model:
         self.vocab_index = {w: i for i, w in enumerate(vocab)}
         self.depth_stats = depth_stats
         self._instr_cache: dict[str, Instruction] = {}
+        # The ParamSet's tensors are fixed once the model is built (training
+        # and loading replace their data, never the tensors), so the views a
+        # policy step needs are grouped once here instead of on every step.
+        self._vit = self._group("vit.")
+        self._decoder_layers = [self._group(f"decoder.{l}.")
+                                for l in range(cfg.decoder_layers)]
+
+    def _group(self, prefix: str) -> dict[str, Tensor]:
+        return {name[len(prefix):]: t for name, t in self.params.items()
+                if name.startswith(prefix)}
 
     # -- parameter views ----------------------------------------------------
 
     def vit_arrays(self) -> dict[str, Array]:
-        prefix = "vit."
-        return {name[len(prefix):]: t.data
-                for name, t in self.params.items() if name.startswith(prefix)}
+        return {key: t.data for key, t in self._vit.items()}
 
     def resampler_tensors(self, modality: str) -> dict[str, Tensor]:
         prefix = ("resampler.shared."
@@ -76,13 +90,7 @@ class Model:
         return {key: self.params[prefix + key] for key in ("latents", "wk", "wv")}
 
     def decoder_layers(self) -> list[dict[str, Tensor]]:
-        layers = []
-        for l in range(self.cfg.decoder_layers):
-            prefix = f"decoder.{l}."
-            layer = {name[len(prefix):]: t for name, t in self.params.items()
-                     if name.startswith(prefix)}
-            layers.append(layer)
-        return layers
+        return [dict(layer) for layer in self._decoder_layers]
 
     def embedding_table(self) -> Array:
         return self.params["embed.table"].data
@@ -167,8 +175,9 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
 
 
 def maxpool_tokens(tokens: Tensor) -> Tensor:
-    """Column-wise max over the token dimension; (M, d) -> (1, d)."""
-    return nm.max_over_rows(tokens)
+    """Column-wise max over the token dimension; (T, M, d) -> (T, d),
+    and (M, d) -> (1, d)."""
+    return nm.reshape(nm.max_over_rows(tokens), (-1, tokens.shape[-1]))
 
 
 def lstm_step(x: Tensor, prev: list[tuple[Tensor, Tensor]], model: Model
@@ -205,7 +214,8 @@ def lstm_step(x: Tensor, prev: list[tuple[Tensor, Tensor]], model: Model
 
 
 def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
-    """(pose (1,6) scaled into the clip bound, raw gripper logit (1,1))."""
+    """(pose (T,6) scaled into the clip bound, raw gripper logit (T,1))
+    from the stacked top hidden states (T, r)."""
     p = model.params
     pose = nm.mul(
         nm.tanh(nm.mlp2(h_top, p["head.pose.w1"], p["head.pose.b1"],
@@ -249,7 +259,13 @@ def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array
     return x_rgb, x_depth
 
 
-# --- full per-step policy -------------------------------------------------------
+def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
+    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d)."""
+    steps = [encode_observation(model, obs) for obs in observations]
+    return tuple(np.stack(modality) for modality in zip(*steps))
+
+
+# --- the policy over a trajectory ------------------------------------------------
 
 
 def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
@@ -265,16 +281,28 @@ def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
 def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
                 hidden: list[tuple[Tensor, Tensor]]
                 ) -> tuple[Tensor, Tensor, list[tuple[Tensor, Tensor]]]:
-    """Differentiable step: returns (pose (1,6), gripper logit (1,1), state)."""
+    """Differentiable pass over T consecutive steps.
+
+    encoded: (X_rgb, X_depth), each (T, 2N, d). Returns (pose (T, 6),
+    gripper logit (T, 1), the LSTM state after step T). Everything but
+    the LSTM recurrence is recorded once for all T steps.
+    """
     with _stage("resampler"):
+        if any(np.ndim(x) != 3 for x in encoded):
+            raise DimensionError(
+                f"policy_core expects (T, 2N, d) tokens, got {[np.shape(x) for x in encoded]}"
+            )
         xvde = fused_tokens(model, encoded)
     with _stage("fusion_decoder"):
         x = dec.decode(Tensor(instr.embedded), xvde, model.decoder_layers())
     with _stage("policy_head"):
         pooled = maxpool_tokens(x)
-        h_top, new_hidden = lstm_step(pooled, hidden, model)
-        pose, logit = action_heads(h_top, model)
-    return pose, logit, new_hidden
+        tops = []
+        for t in range(pooled.shape[0]):
+            h_top, hidden = lstm_step(nm.slice_rows(pooled, t, t + 1), hidden, model)
+            tops.append(h_top)
+        pose, logit = action_heads(nm.concat_rows(tops), model)
+    return pose, logit, hidden
 
 
 def policy_step(model: Model, obs: sim.Observation, instruction,
@@ -283,7 +311,7 @@ def policy_step(model: Model, obs: sim.Observation, instruction,
     """Observation + instruction -> executable action (gripper binarized)."""
     instr = instruction if isinstance(instruction, Instruction) \
         else model.instruction(instruction)
-    encoded = encode_observation(model, obs)
+    encoded = encode_trajectory(model, [obs])
     pose, logit, new_hidden = policy_core(model, encoded, instr, hidden)
     closed = logit.item() > 0.0  # p > 0.5; an exact tie stays open
     return sim.Action(pose.data.reshape(6).copy(), closed), new_hidden

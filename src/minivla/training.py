@@ -9,6 +9,13 @@ one Adam update runs per batch of trajectories (batch size 1 by
 default). Only the resampler(s), the cross-attention sublayers with
 their gates, and the policy head ever receive updates; the encoder,
 self-attention blocks, and embedding table stay frozen.
+
+Under teacher forcing every stage but the LSTM depends only on its own
+step's frames, so a trajectory's loss is recorded with time as a batch
+axis: the frozen tokens are encoded once per dataset and stored stacked,
+(T, 2N, d) per modality; resampler -> decoder -> max-pool, the action
+heads and the imitation loss each run once over all T steps; only the
+LSTM recurrence is a per-step loop (see policy.policy_core).
 """
 
 from __future__ import annotations
@@ -46,26 +53,24 @@ def frozen_checksum(model: pol.Model) -> tuple[float, ...]:
 def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(total, pose_mse_sum, gripper_bce_sum) over one trajectory.
 
-    preds: per-step (pose (1,6) Tensor, gripper logit (1,1) Tensor).
+    preds: (pose (T,6) Tensor, gripper logit (T,1) Tensor), one row per step.
     demo: per-step expert sim.Action.
     """
-    if len(preds) != len(demo):
+    pose, logit = preds
+    if pose.shape[0] != len(demo):
         raise ContractError(
-            f"prediction/demonstration length mismatch: {len(preds)} vs {len(demo)}"
+            f"prediction/demonstration length mismatch: {pose.shape[0]} vs {len(demo)}"
         )
-    if not preds:
+    if not demo:
         raise ContractError("imitation loss needs at least one step")
     if lam < 0:
         raise ContractError(f"lambda_gripper must be >= 0, got {lam}")
-    mse_sum = None
-    bce_sum = None
-    for (pose, logit), action in zip(preds, demo):
-        target = Tensor(np.asarray(action.pose, dtype=np.float64).reshape(1, 6))
-        label = Tensor([[1.0 if action.gripper_closed else 0.0]])
-        step_mse = nm.mse(pose, target)
-        step_bce = nm.bce_with_logits(logit, label)
-        mse_sum = step_mse if mse_sum is None else nm.add(mse_sum, step_mse)
-        bce_sum = step_bce if bce_sum is None else nm.add(bce_sum, step_bce)
+    target = Tensor(np.stack([np.asarray(a.pose, dtype=np.float64) for a in demo]))
+    labels = Tensor([[1.0 if a.gripper_closed else 0.0] for a in demo])
+    err = nm.sub(pose, target)
+    # Per step the mean over the pose dims, summed over steps.
+    mse_sum = nm.mul(nm.sum_all(nm.mul(err, err)), nm.as_tensor(1.0 / pose.shape[1]))
+    bce_sum = nm.bce_with_logits(logit, labels)
     total = nm.add(mse_sum, nm.mul(nm.as_tensor(lam), bce_sum))
     return total, mse_sum, bce_sum
 
@@ -130,31 +135,34 @@ class TrainReport:
 
 def encode_dataset(model: pol.Model, dataset: list[sim.Trajectory]):
     """Precompute the frozen token sequences once; they never change
-    under teacher forcing."""
+    under teacher forcing.
+
+    Per trajectory: (instruction, (X_rgb, X_depth) each (T, 2N, d),
+    expert actions). Models with equal frozen_checksum, depth statistics
+    and depth_input encode a dataset identically and may share the result.
+    """
     encoded = []
     for traj in dataset:
         instr = model.instruction(traj.instruction)
-        steps = [pol.encode_observation(model, obs) for obs, _ in traj.steps]
+        tokens = pol.encode_trajectory(model, [obs for obs, _ in traj.steps])
         actions = [action for _, action in traj.steps]
-        encoded.append((instr, steps, actions))
+        encoded.append((instr, tokens, actions))
     return encoded
 
 
-def _trajectory_loss(model: pol.Model, instr, enc_steps, actions, lam: float):
-    hidden = pol.reset_hidden(model)
-    preds = []
-    for encoded in enc_steps:
-        pose, logit, hidden = pol.policy_core(model, encoded, instr, hidden)
-        preds.append((pose, logit))
-    return imitation_loss(preds, actions, lam)
+def _trajectory_loss(model: pol.Model, instr, tokens, actions, lam: float):
+    pose, logit, _ = pol.policy_core(model, tokens, instr, pol.reset_hidden(model))
+    return imitation_loss((pose, logit), actions, lam)
 
 
 def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
-              on_epoch=None) -> TrainReport:
+              on_epoch=None, encoded=None) -> TrainReport:
     """Seed-fixed shuffled epochs of per-batch updates; deterministic.
 
     on_epoch(epoch_index, EpochStats) fires after each epoch (checkpoint
-    hooks plug in there). Raises DivergedTrainingError (with the epoch
+    hooks plug in there). encoded, when given, is encode_dataset's result
+    for this dataset under an encoder identical to this model's; it is
+    computed here otherwise. Raises DivergedTrainingError (with the epoch
     index) if the loss goes non-finite.
     """
     if not dataset:
@@ -163,7 +171,12 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
     trainables = trainable_parameter_set(model)
     optimizer = Adam(cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
-    encoded = encode_dataset(model, dataset)
+    if encoded is None:
+        encoded = encode_dataset(model, dataset)
+    elif len(encoded) != len(dataset):
+        raise ContractError(
+            f"encoded dataset has {len(encoded)} trajectories, dataset {len(dataset)}"
+        )
 
     report = TrainReport()
     for epoch in range(cfg.epochs):
@@ -175,9 +188,9 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
             trainables.zero_grads()
             totals = []
             for idx in batch:
-                instr, enc_steps, actions = encoded[idx]
+                instr, tokens, actions = encoded[idx]
                 total, mse_t, bce_t = _trajectory_loss(
-                    model, instr, enc_steps, actions, cfg.lambda_gripper)
+                    model, instr, tokens, actions, cfg.lambda_gripper)
                 if not np.isfinite(total.data):
                     raise DivergedTrainingError(f"loss diverged at epoch {epoch}")
                 totals.append(total)
@@ -243,10 +256,10 @@ def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult
         pose[:3] = rng.uniform(-0.06, 0.06, size=3)
         actions.append(sim.Action(pose, bool(rng.random() < 0.5)))
     instr = model.instruction("lift the red block")
-    encoded = [pol.encode_observation(model, o) for o in observations]
+    tokens = pol.encode_trajectory(model, observations)
 
     def f(params):
-        total, _, _ = _trajectory_loss(model, instr, encoded, actions, 1.0)
+        total, _, _ = _trajectory_loss(model, instr, tokens, actions, 1.0)
         return total
 
     return nm.grad_check(f, trainable_parameter_set(model), eps=eps)

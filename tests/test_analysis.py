@@ -7,6 +7,7 @@ from minivla import analysis as an
 from minivla import depth as dp
 from minivla import policy as pol
 from minivla import sim
+from minivla import training as tr
 from minivla.config import EnvConfig, TrainConfig
 from minivla.errors import ContractError
 
@@ -81,10 +82,19 @@ def quick_setup(variant="standard"):
 
 
 class TestSepResamplerAblation:
-    def test_harness_pairs_variants(self):
+    def test_harness_pairs_variants(self, monkeypatch):
+        encoded_for = []
+        encode_dataset = tr.encode_dataset
+
+        def counting_encode(model, dataset):
+            encoded_for.append(model.cfg.sep_resampler)
+            return encode_dataset(model, dataset)
+
+        monkeypatch.setattr(tr, "encode_dataset", counting_encode)
         data, stats, model_cfg, train_cfg, env_cfg = quick_setup()
         report = an.run_sep_resampler_ablation(model_cfg, stats, data,
                                                train_cfg, env_cfg)
+        assert len(encoded_for) == 1  # one encoding serves both arms
         assert set(report.tables) == {"shared", "separate"}
         assert report.extras["init_evaluations_identical"] is True
         counts = report.extras["resampler_param_counts"]

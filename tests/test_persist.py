@@ -63,6 +63,14 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="CRC"):
             persist.load_checkpoint(bad)
 
+    def test_trailing_byte_is_corruption_error(self, tmp_path):
+        model = small_model()
+        path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
+        bad = tmp_path / "long.rfpx"
+        bad.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CorruptionError, match="trailing"):
+            persist.load_checkpoint(bad)
+
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "junk.rfpx"
         p.write_bytes(b"PNG...............")

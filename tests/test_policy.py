@@ -189,7 +189,7 @@ class TestPolicyStep:
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.3)
         obs = synthetic_obs(rng, 8)
-        encoded = pol.encode_observation(model, obs)
+        encoded = pol.encode_trajectory(model, [obs])
         instr = model.instruction("lift the red block")
         target_pose = Tensor(rng.uniform(-0.05, 0.05, size=(1, 6)))
         label = Tensor([[1.0]])
@@ -209,7 +209,7 @@ class TestFrozenContract:
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.4)
         obs = synthetic_obs(rng, 8)
-        encoded = pol.encode_observation(model, obs)
+        encoded = pol.encode_trajectory(model, [obs])
         instr = model.instruction("lift the red block")
         pose, logit, _ = pol.policy_core(model, encoded, instr, pol.reset_hidden(model))
         nm.backward(nm.sum_all(nm.add(pose, nm.mul(logit, logit))), model.params)

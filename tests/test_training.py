@@ -12,8 +12,10 @@ from minivla.errors import ContractError, DivergedTrainingError
 from minivla.numerics import ParamSet, Tensor
 
 
-def fake_pred(pose, logit):
-    return Tensor(np.asarray(pose, dtype=float).reshape(1, 6)), Tensor([[float(logit)]])
+def fake_preds(poses, logits):
+    """Stacked per-step predictions: pose (T, 6), gripper logit (T, 1)."""
+    return (Tensor(np.asarray(poses, dtype=float).reshape(-1, 6)),
+            Tensor(np.asarray(logits, dtype=float).reshape(-1, 1)))
 
 
 def fake_action(pose, closed):
@@ -25,7 +27,7 @@ ZERO6 = np.zeros(6)
 
 class TestImitationLoss:
     def test_perfect_pose_lambda_zero(self):
-        preds = [fake_pred(ZERO6, 3.0)]
+        preds = fake_preds([ZERO6], [3.0])
         demo = [fake_action(ZERO6, True)]
         total, mse, bce = tr.imitation_loss(preds, demo, 0.0)
         assert total.item() == 0.0
@@ -34,7 +36,7 @@ class TestImitationLoss:
     def test_single_pose_error_mean_over_dims(self):
         # error (0.1, 0, 0, 0, 0, 0): mse = 0.01 / 6.
         pose = np.array([0.1, 0, 0, 0, 0, 0])
-        preds = [fake_pred(pose, 50.0)]  # near-certain correct gripper
+        preds = fake_preds([pose], [50.0])  # near-certain correct gripper
         demo = [fake_action(ZERO6, True)]
         total, mse, bce = tr.imitation_loss(preds, demo, 1.0)
         np.testing.assert_allclose(mse.item(), 0.01 / 6, atol=1e-12)
@@ -42,13 +44,13 @@ class TestImitationLoss:
         assert bce.item() < 1e-20
 
     def test_uncertain_gripper_costs_ln2(self):
-        preds = [fake_pred(ZERO6, 0.0)]
+        preds = fake_preds([ZERO6], [0.0])
         demo = [fake_action(ZERO6, True)]
         total, mse, bce = tr.imitation_loss(preds, demo, 1.0)
         np.testing.assert_allclose(total.item(), np.log(2.0), atol=1e-12)
 
     def test_sums_over_time(self):
-        preds = [fake_pred(ZERO6, 0.0)] * 3
+        preds = fake_preds([ZERO6] * 3, [0.0] * 3)
         demo = [fake_action(ZERO6, False)] * 3
         total, mse, bce = tr.imitation_loss(preds, demo, 2.0)
         np.testing.assert_allclose(bce.item(), 3 * np.log(2.0), atol=1e-12)
@@ -56,7 +58,7 @@ class TestImitationLoss:
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            tr.imitation_loss([fake_pred(ZERO6, 0.0)], [], 1.0)
+            tr.imitation_loss(fake_preds([ZERO6], [0.0]), [], 1.0)
 
 
 class TestTrainableParameterSet:
@@ -210,12 +212,11 @@ class TestTrainRun:
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.25)
         traj = data[0]
-        encoded = tr.encode_dataset(model, [traj])[0]
-        instr, enc_steps, actions = encoded
-        enc_steps, actions = enc_steps[:2], actions[:2]
+        instr, tokens, actions = tr.encode_dataset(model, [traj])[0]
+        tokens, actions = tuple(x[:2] for x in tokens), actions[:2]
 
         def f(params):
-            total, _, _ = tr._trajectory_loss(model, instr, enc_steps, actions, 1.0)
+            total, _, _ = tr._trajectory_loss(model, instr, tokens, actions, 1.0)
             return total
 
         res = nm.grad_check(f, tr.trainable_parameter_set(model))

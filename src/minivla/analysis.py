@@ -114,12 +114,17 @@ def _digest(*objs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _eval_seed(env_cfg: EnvConfig) -> int:
+    """First chain seed of every evaluation in an ablation."""
+    return env_cfg.n_chains * 100 + 17
+
+
 def _train_and_eval(model: pol.Model, dataset: list[sim.Trajectory],
                     train_cfg: TrainConfig, env_cfg: EnvConfig, label: str,
                     encoded=None) -> SuccessTable:
     tr.train_run(dataset, model, train_cfg, encoded=encoded)
     results = run_chain_eval(pol.PolicyAgent(model), env_cfg.n_chains,
-                             env_cfg.eval_palette, env_cfg.n_chains * 100 + 17,
+                             env_cfg.eval_palette, _eval_seed(env_cfg),
                              families=env_cfg.families, variant=env_cfg.variant,
                              enrich=env_cfg.enrich, horizon=env_cfg.horizon)
     table = aggregate_chain_metrics(results, model_label=label,
@@ -144,7 +149,7 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
     models = {label: pol.init_model(dataclasses.replace(model_cfg, sep_resampler=sep), stats)
               for label, sep in (("shared", False), ("separate", True))}
 
-    eval_seed = env_cfg.n_chains * 100 + 17
+    eval_seed = _eval_seed(env_cfg)
     init_results = {}
     for label, model in models.items():
         results = run_chain_eval(pol.PolicyAgent(model), min(env_cfg.n_chains, 5),

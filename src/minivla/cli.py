@@ -8,13 +8,10 @@ ablate depth-extremes, sensitivity, gradcheck. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis as an
 from . import depth as dp
@@ -30,10 +27,6 @@ def _split_csv(text):
     return [t.strip() for t in text.split(",") if t.strip()] if text else None
 
 
-def _variant(args) -> str:
-    return "tall_short" if getattr(args, "depth_critical", False) else args.variant
-
-
 # --- subcommand bodies -----------------------------------------------------------
 
 
@@ -41,12 +34,11 @@ def cmd_gen_data(args) -> int:
     out = resolve_out(args.out)
     palettes = _split_csv(args.palettes) or ["A", "B", "C"]
     families = _split_csv(args.families)
-    variant = _variant(args)
     data = sim.generate_dataset(args.n, args.seed, palettes, families=families,
-                                variant=variant, enrich=args.enrich)
+                                variant=args.variant, enrich=args.enrich)
     persist.save_dataset(data, out, meta={
         "seed": args.seed, "palettes": palettes, "families": families,
-        "variant": variant, "enriched": args.enrich,
+        "variant": args.variant, "enriched": args.enrich,
     })
     steps = sum(len(t.steps) for t in data)
     print(f"wrote {len(data)} trajectories ({steps} steps) to {out}")
@@ -66,12 +58,12 @@ def cmd_stats(args) -> int:
 def _load_run_config(args) -> RunConfig:
     overrides: dict = {}
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
         overrides.setdefault("model", {})["seed"] = args.seed
         overrides.setdefault("train", {})["seed"] = args.seed
     for section, names in (("train", ("epochs", "learning_rate", "lambda_gripper",
                                       "batch_size", "ckpt_every")),
-                           ("model", ("sep_resampler", "depth_input"))):
+                           ("model", ("sep_resampler", "depth_input")),
+                           ("env", ("n_chains",))):
         for name in names:
             value = getattr(args, name, None)
             if value is not None:
@@ -114,9 +106,8 @@ def cmd_eval(args) -> int:
     model = persist.load_checkpoint(resolve_out(args.checkpoint))
     agent = pol.PolicyAgent(model)
     families = _split_csv(args.families)
-    variant = _variant(args)
     results = an.run_chain_eval(agent, args.chains, args.palette, args.seed,
-                                families=families, variant=variant,
+                                families=families, variant=args.variant,
                                 enrich=args.enrich, horizon=args.horizon)
     table = an.aggregate_chain_metrics(
         results, model_label=args.label, train_split=args.train_label,
@@ -134,7 +125,6 @@ def cmd_ablate_sep_resampler(args) -> int:
     data = persist.load_dataset(resolve_out(args.data))
     stats = _stats_for(args, data)
     env = cfg.env
-    env.n_chains = args.chains
     env.families = _split_csv(args.families) or env.families
     report = an.run_sep_resampler_ablation(cfg.model, stats, data, cfg.train, env)
     _write_ablation(report, run_dir)
@@ -148,7 +138,6 @@ def cmd_ablate_depth_extremes(args) -> int:
     narrow = dp.DepthStats.from_json(Path(resolve_out(args.narrow)).read_text())
     wide = dp.DepthStats.from_json(Path(resolve_out(args.wide)).read_text())
     env = cfg.env
-    env.n_chains = args.chains
     env.families = _split_csv(args.families) or env.families
     report = an.run_depth_extremes_ablation(cfg.model, narrow, wide, data,
                                             cfg.train, env)
@@ -215,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--palettes", default="A,B,C")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
-    g.add_argument("--depth-critical", action="store_true",
-                   help="shorthand for --variant tall_short")
     g.add_argument("--enrich", action="store_true",
                    help="sample instruction paraphrases")
     g.set_defaults(func=cmd_gen_data)
@@ -252,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=1000)
     e.add_argument("--horizon", type=int, default=64)
     e.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
-    e.add_argument("--depth-critical", action="store_true")
     e.add_argument("--enrich", action="store_true")
     e.add_argument("--label", default="ours")
     e.add_argument("--train-label", default="ABC")
@@ -269,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument("--stats", default=None)
         ap.add_argument("--seed", type=int, default=None)
         ap.add_argument("--epochs", type=int, default=None)
-        ap.add_argument("--chains", type=int, default=20)
+        ap.add_argument("--chains", dest="n_chains", type=int, default=None)
         ap.add_argument("--families", default=None)
     a1.set_defaults(func=cmd_ablate_sep_resampler)
     a2.add_argument("--narrow", required=True, help="narrow-range stats JSON")

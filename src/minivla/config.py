@@ -81,9 +81,8 @@ class EnvConfig:
     eval_palette: str = "D"
     families: list[str] | None = None
     variant: str = "standard"
-    n_chains: int = 200
+    n_chains: int = 20           # chains per ablation arm
     horizon: int = 64            # per-task step budget
-    n_trajectories: int = 200
     enrich: bool = False
 
     def validate(self):
@@ -98,7 +97,7 @@ class EnvConfig:
                     raise ConfigRangeError(f"env.families entry {f!r} not one of {FAMILIES}")
         if self.variant not in ("standard", "tall_short"):
             raise ConfigRangeError(f"env.variant must be standard or tall_short")
-        if self.n_chains < 1 or self.horizon < 1 or self.n_trajectories < 1:
+        if self.n_chains < 1 or self.horizon < 1:
             raise ConfigRangeError("env counts must be positive")
 
 
@@ -107,7 +106,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
-    seed: int = 0
 
     def validate(self):
         self.model.validate()
@@ -146,9 +144,6 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
         sources.append(overrides)
     for source in sources:
         for section, data in source.items():
-            if section == "seed":
-                cfg.seed = data
-                continue
             if section not in ("model", "train", "env"):
                 raise ConfigError(f"unknown config key: {section}")
             _apply_section(getattr(cfg, section), section, data)
@@ -165,15 +160,11 @@ def echo_config(cfg: RunConfig, run_dir: str | Path) -> Path:
     return out
 
 
-def load_echoed_config(path: str | Path) -> RunConfig:
-    return parse_config(path)
-
-
 def resolve_out(path: str | Path) -> Path:
-    """Resolve an output path; MINIVLA_RUN_DIR / RFPX_RUN_DIR override the
-    root for relative paths."""
+    """Resolve an output path; MINIVLA_RUN_DIR overrides the root for
+    relative paths."""
     p = Path(path)
     if p.is_absolute():
         return p
-    root = os.environ.get("RFPX_RUN_DIR") or os.environ.get("MINIVLA_RUN_DIR")
+    root = os.environ.get("MINIVLA_RUN_DIR")
     return (Path(root) / p) if root else p

@@ -154,13 +154,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    def vjp(g: Array):
-        return (-g,)
-
-    return _result(-a.data, (a,), vjp)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
 

@@ -32,7 +32,7 @@ from . import sim
 from .analysis import SuccessTable
 from .config import ModelConfig
 from .depth import DepthStats
-from .errors import CompatibilityError, ContractError, CorruptionError
+from .errors import CompatibilityError, CorruptionError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -85,66 +85,62 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
     return path
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CorruptionError(f"checkpoint truncated while reading {what}")
-    return data
+def _parse_checkpoint(raw: bytes, path) -> tuple[dict, bytes]:
+    """(header, payload) of a checkpoint's bytes, after checking the magic,
+    the exact file length and the payload CRC."""
+    head = len(MAGIC) + 8
+    if len(raw) < head:
+        raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} bytes")
+    if raw[:len(MAGIC)] != MAGIC:
+        raise CorruptionError(f"bad magic in {path}; not a checkpoint")
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    if len(raw) < head + hlen:
+        raise CorruptionError(f"checkpoint {path} truncated inside its header")
+    try:
+        header = json.loads(raw[head:head + hlen])
+    except ValueError as e:
+        raise CorruptionError(f"unreadable checkpoint header: {e}") from e
+    payload_len = max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
+                       for e in header["entries"]), default=0)
+    end = head + hlen + payload_len
+    if len(raw) < end + 4:
+        raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} of {end + 4} bytes")
+    if len(raw) > end + 4:
+        raise CorruptionError(f"trailing bytes after the checksum in {path}")
+    payload = raw[head + hlen:end]
+    if zlib.crc32(payload) != struct.unpack_from("<I", raw, end)[0]:
+        raise CorruptionError(f"payload CRC mismatch in {path}")
+    return header, payload
 
 
 def read_checkpoint_header(path: str | Path) -> dict:
-    with open(path, "rb") as f:
-        if _read_exact(f, len(MAGIC), "magic") != MAGIC:
-            raise CorruptionError(f"bad magic in {path}; not a checkpoint")
-        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
-        if hlen > 100_000_000:
-            raise CorruptionError(f"implausible header length {hlen}")
-        try:
-            return json.loads(_read_exact(f, hlen, "header"))
-        except json.JSONDecodeError as e:
-            raise CorruptionError(f"unreadable checkpoint header: {e}") from e
+    return _parse_checkpoint(Path(path).read_bytes(), path)[0]
 
 
 def load_checkpoint(path: str | Path,
                     expect_model_cfg: ModelConfig | None = None) -> Model:
     """Rebuild a model from a checkpoint; verifies CRC and the manifest.
 
-    When expect_model_cfg is given, the stored parameter names must match
-    the names that configuration would create; otherwise the embedded
-    configuration is used as-is.
+    When expect_model_cfg is given, the model is built from it and the
+    stored parameter names must match the names it creates; otherwise the
+    embedded configuration is used as-is.
     """
-    path = Path(path)
-    header = read_checkpoint_header(path)
-    with open(path, "rb") as f:
-        f.seek(len(MAGIC))
-        (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
-        _read_exact(f, hlen, "header")
-        entries = header["entries"]
-        payload_len = 0
-        for e in entries:
-            payload_len = max(payload_len, e["offset"] + 4 * int(np.prod(e["shape"] or [1])))
-        payload = _read_exact(f, payload_len, "payload")
-        (crc_stored,) = struct.unpack("<I", _read_exact(f, 4, "checksum"))
-        if f.read(1):
-            raise CorruptionError(f"trailing bytes after the checksum in {path}")
-    if zlib.crc32(payload) != crc_stored:
-        raise CorruptionError(f"payload CRC mismatch in {path}")
-
+    header, payload = _parse_checkpoint(Path(path).read_bytes(), path)
     meta = header.get("meta", {})
-    cfg = ModelConfig(**meta["model_config"])
+    cfg = (expect_model_cfg if expect_model_cfg is not None
+           else ModelConfig(**meta["model_config"]))
     stats = DepthStats(**meta["depth_stats"]) if meta.get("depth_stats") else None
-    if expect_model_cfg is not None:
-        _check_manifest_names(entries, expect_model_cfg, stats)
-        cfg = expect_model_cfg
-
     model = init_model(cfg, stats)
-    stored = {e["name"]: e for e in entries}
+
+    stored = {e["name"]: e for e in header["entries"]}
     model_names = set(model.params.names())
     if set(stored) != model_names:
         missing = sorted(model_names - set(stored))
         extra = sorted(set(stored) - model_names)
+        prefix = min(missing + extra).rsplit(".", 1)[0] + "."
         raise CompatibilityError(
-            f"manifest does not match model: missing {missing[:3]}, unexpected {extra[:3]}"
+            f"checkpoint does not match the model config: prefix {prefix!r} "
+            f"(missing {missing[:3]}, unexpected {extra[:3]})"
         )
     for name, tensor in model.params.items():
         e = stored[name]
@@ -158,20 +154,6 @@ def load_checkpoint(path: str | Path,
         tensor.data = arr.reshape(tensor.data.shape)
         tensor.requires_grad = bool(e["trainable"])
     return model
-
-
-def _check_manifest_names(entries, cfg: ModelConfig, stats):
-    expected = set(init_model(cfg, stats).params.names())
-    stored = {e["name"] for e in entries}
-    if stored == expected:
-        return
-    missing = sorted(expected - stored)
-    extra = sorted(stored - expected)
-    prefix = (missing or extra)[0].rsplit(".", 1)[0] + "."
-    raise CompatibilityError(
-        f"checkpoint incompatible with requested config: prefix {prefix!r} "
-        f"(missing {missing[:3]}, unexpected {extra[:3]})"
-    )
 
 
 # --- dataset container -----------------------------------------------------------

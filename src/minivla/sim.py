@@ -453,24 +453,14 @@ def _find_bin(state: WorldState) -> Obj:
     raise TaskError("scene has no bin")
 
 
-def _canonical_instruction(family: str, color: str, size: str | None) -> str:
-    qual = f"{size} {color}" if size else color
-    return {
-        "lift": f"lift the {qual} block",
-        "push": f"push the {qual} block right",
-        "press": f"press the {qual} button",
-        "place": f"put the {qual} block in the bin",
-        "slide": f"slide the {qual} slider right",
-    }[family]
-
-
 def make_task(state: WorldState, family: str, target: Obj) -> TaskSpec:
     """Instantiate a task against a live scene, snapshotting what the
     success predicate needs."""
     size = _size_of(target) if family == "lift" and _is_ambiguous(state, target) else None
     x0 = float(target.pos[0]) if family == "push" else None
+    qual = f"{size} {target.color}" if size else target.color
     return TaskSpec(family, target.color, size,
-                    _canonical_instruction(family, target.color, size), x0)
+                    PARAPHRASE_BANK[family][0].format(t=qual), x0)
 
 
 def _is_ambiguous(state: WorldState, block: Obj) -> bool:

@@ -34,9 +34,6 @@ from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
 
-FROZEN_PREFIXES = ("vit.", "embed.")
-
-
 def trainable_parameter_set(model: pol.Model) -> ParamSet:
     """Exactly the resampler(s), cross-attention (incl. gates), and head."""
     return model.params.subset(lambda name: model.params[name].requires_grad)
@@ -128,10 +125,6 @@ class EpochStats:
 class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        return self.epochs[-1].loss if self.epochs else float("nan")
-
 
 def encode_dataset(model: pol.Model, dataset: list[sim.Trajectory]):
     """Precompute the frozen token sequences once; they never change
@@ -158,6 +151,12 @@ def _trajectory_loss(model: pol.Model, instr, tokens, actions, lam: float):
 def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
               on_epoch=None, encoded=None) -> TrainReport:
     """Seed-fixed shuffled epochs of per-batch updates; deterministic.
+
+    A batch's gradient is the mean of its trajectories' gradients, since
+    only the LSTM carries state and it restarts per trajectory. Each
+    trajectory's loss graph is therefore backpropagated, scaled by
+    1 / batch size, as soon as it is built and then freed; leaf gradients
+    accumulate across the batch and one Adam step follows it.
 
     on_epoch(epoch_index, EpochStats) fires after each epoch (checkpoint
     hooks plug in there). encoded, when given, is encode_dataset's result
@@ -186,22 +185,18 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             trainables.zero_grads()
-            totals = []
+            weight = nm.as_tensor(1.0 / len(batch))
             for idx in batch:
                 instr, tokens, actions = encoded[idx]
                 total, mse_t, bce_t = _trajectory_loss(
                     model, instr, tokens, actions, cfg.lambda_gripper)
                 if not np.isfinite(total.data):
                     raise DivergedTrainingError(f"loss diverged at epoch {epoch}")
-                totals.append(total)
                 loss_sum += total.item()
                 mse_sum += mse_t.item()
                 bce_sum += bce_t.item()
-            batch_loss = totals[0] if len(totals) == 1 else nm.mul(
-                nm.as_tensor(1.0 / len(totals)),
-                _sum_tensors(totals),
-            )
-            nm.backward(batch_loss, trainables)
+                nm.backward(nm.mul(total, weight), trainables)
+                del total, mse_t, bce_t  # free this graph before the next is built
             optimizer.step(trainables)
         n = len(encoded)
         stats = EpochStats(epoch, loss_sum / n, mse_sum / n, bce_sum / n,
@@ -210,13 +205,6 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
         if on_epoch is not None:
             on_epoch(epoch, stats)
     return report
-
-
-def _sum_tensors(tensors):
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = nm.add(acc, t)
-    return acc
 
 
 def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult:

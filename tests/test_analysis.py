@@ -77,7 +77,7 @@ def quick_setup(variant="standard"):
     model_cfg = tiny_config(image_hw=32, patch=8)
     train_cfg = TrainConfig(epochs=1, seed=0)
     env_cfg = EnvConfig(palettes=["A"], eval_palette="D", families=["lift"],
-                        variant=variant, n_chains=3, horizon=16, n_trajectories=6)
+                        variant=variant, n_chains=3, horizon=16)
     return data, stats, model_cfg, train_cfg, env_cfg
 
 

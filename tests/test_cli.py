@@ -1,0 +1,81 @@
+import json
+
+import pytest
+
+from minivla import cli
+
+TINY_MODEL = dict(image_hw=32, patch=8, d_model=16, vit_blocks=1, resampler_k=2,
+                  decoder_layers=1, lstm_layers=1, lstm_width=8)
+
+
+def write_config(tmp_path, **sections):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(sections))
+    return str(path)
+
+
+@pytest.fixture
+def run_dir(tmp_path, monkeypatch):
+    """MINIVLA_RUN_DIR roots every relative path below at tmp_path/runs."""
+    root = tmp_path / "runs"
+    monkeypatch.setenv("MINIVLA_RUN_DIR", str(root))
+    return root
+
+
+@pytest.fixture
+def dataset(run_dir):
+    assert cli.dispatch(["gen-data", "--out", "data", "--n", "2", "--families", "lift",
+                         "--palettes", "A", "--seed", "3"]) == 0
+    return run_dir / "data"
+
+
+def cli_config(tmp_path, **env):
+    return write_config(tmp_path, model=TINY_MODEL, train={"epochs": 1},
+                        env={"palettes": ["A"], "families": ["lift"], "horizon": 4, **env})
+
+
+def test_pipeline_writes_every_artifact(tmp_path, run_dir, dataset):
+    assert sorted(p.name for p in dataset.iterdir()) == [
+        "index.json", "traj_00000.bin", "traj_00001.bin"]
+
+    assert cli.dispatch(["stats", "--data", "data", "--out", "stats.json"]) == 0
+    assert (run_dir / "stats.json").is_file()
+
+    config = cli_config(tmp_path)
+    assert cli.dispatch(["train", "--data", "data", "--out", "train", "--config", config,
+                         "--stats", "stats.json", "--seed", "5"]) == 0
+    train = run_dir / "train"
+    for name in ("config_echo.json", "stats.json", "train_log.csv",
+                 "train_summary.json", "checkpoint.rfpx"):
+        assert (train / name).is_file(), name
+    echo = json.loads((train / "config_echo.json").read_text())
+    assert echo["model"]["seed"] == echo["train"]["seed"] == 5
+    assert "seed" not in echo
+
+    assert cli.dispatch(["eval", "--checkpoint", "train/checkpoint.rfpx", "--out", "eval",
+                         "--chains", "1", "--horizon", "4"]) == 0
+    for name in ("chains.jsonl", "metrics.csv", "metrics.jsonl"):
+        assert (run_dir / "eval" / name).is_file(), name
+
+    assert cli.dispatch(["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
+                         "--config", config, "--chains", "1"]) == 0
+    report = json.loads((run_dir / "ablate" / "ablation_sep_resampler.json").read_text())
+    assert set(report["tables"]) == {"shared", "separate"}
+    assert (run_dir / "ablate" / "metrics.csv").is_file()
+
+
+@pytest.mark.parametrize("flag, expected", [([], 2), (["--chains", "1"], 1)])
+def test_ablate_chains_flag_overrides_config_only_when_given(tmp_path, dataset, run_dir,
+                                                             flag, expected):
+    config = cli_config(tmp_path, n_chains=2)
+    assert cli.dispatch(["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
+                         "--config", config, *flag]) == 0
+    report = json.loads((run_dir / "ablate" / "ablation_sep_resampler.json").read_text())
+    assert {t["n_chains"] for t in report["tables"].values()} == {expected}
+
+
+@pytest.mark.parametrize("sections", [{"model": {"bogus": 1}}, {"seed": 3}])
+def test_unknown_config_key_exits_1(tmp_path, dataset, sections):
+    config = write_config(tmp_path, **sections)
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--config", config]) == 1

@@ -319,10 +319,15 @@ class TestParaphrase:
         assert a == b
 
     def test_canonical_is_in_bank(self):
+        state = sim.make_env(0, "A")
+        kinds = {"lift": "block", "push": "block", "place": "block",
+                 "press": "button", "slide": "slider"}
         for family in sim.FAMILIES:
-            canon = sim._canonical_instruction(family, "red", None)
-            bank = [t.format(t="red") for t in sim.PARAPHRASE_BANK[family]]
-            assert canon in bank
+            target = next(o for o in state.objects if o.kind == kinds[family])
+            task = sim.make_task(state, family, target)
+            qual = f"{task.size} {task.color}" if task.size else task.color
+            bank = [t.format(t=qual) for t in sim.PARAPHRASE_BANK[family]]
+            assert task.instruction in bank
 
     def test_bank_sizes(self):
         for family, bank in sim.PARAPHRASE_BANK.items():

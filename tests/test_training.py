@@ -200,6 +200,34 @@ class TestTrainRun:
 
         np.testing.assert_array_equal(run(False), run(True))
 
+    def test_batch_update_is_adam_step_on_mean_gradient(self):
+        # No clipping: a clipped update hardly depends on the gradient's
+        # scale, so it would not tell the mean from the sum.
+        cfg = TrainConfig(epochs=1, batch_size=3, seed=4, clip_norm=1e9)
+        model, data = small_model(seed=4)
+        data = data[:3]
+        reference, _ = small_model(seed=4)
+        trainables = tr.trainable_parameter_set(reference)
+        grads = []
+        for instr, tokens, actions in tr.encode_dataset(reference, data):
+            trainables.zero_grads()
+            total, _, _ = tr._trajectory_loss(reference, instr, tokens, actions,
+                                              cfg.lambda_gripper)
+            nm.backward(total, trainables)
+            grads.append({n: t.grad.copy() for n, t in trainables.trainable_items()})
+        for name, t in trainables.trainable_items():
+            t.grad = (grads[0][name] + grads[1][name] + grads[2][name]) / 3
+        tr.Adam(cfg).step(trainables)
+
+        start = {n: t.data.copy() for n, t in model.params.items()}
+        tr.train_run(data, model, cfg)
+        moved = 0
+        for name, t in model.params.items():
+            np.testing.assert_allclose(t.data, reference.params[name].data,
+                                       rtol=0, atol=1e-12, err_msg=name)
+            moved += not np.array_equal(t.data, start[name])
+        assert moved == len(list(trainables.trainable_items()))
+
     def test_empty_dataset_rejected(self):
         model, _ = small_model()
         with pytest.raises(ContractError):

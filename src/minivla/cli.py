@@ -19,7 +19,7 @@ from . import persist
 from . import policy as pol
 from . import sim
 from . import training as tr
-from .config import RunConfig, echo_config, parse_config, resolve_out
+from .config import EnvConfig, RunConfig, echo_config, parse_config, resolve_out
 from .errors import MinivlaError, ValidationError
 
 
@@ -102,16 +102,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    env = EnvConfig(eval_palette=args.palette, families=_split_csv(args.families),
+                    variant=args.variant, n_chains=args.chains, horizon=args.horizon,
+                    enrich=args.enrich)
+    env.validate()
     run_dir = resolve_out(args.out)
     model = persist.load_checkpoint(resolve_out(args.checkpoint))
     agent = pol.PolicyAgent(model)
-    families = _split_csv(args.families)
-    results = an.run_chain_eval(agent, args.chains, args.palette, args.seed,
-                                families=families, variant=args.variant,
-                                enrich=args.enrich, horizon=args.horizon)
+    results = an.run_chain_eval(agent, env.n_chains, env.eval_palette, args.seed,
+                                families=env.families, variant=env.variant,
+                                enrich=env.enrich, horizon=env.horizon)
     table = an.aggregate_chain_metrics(
         results, model_label=args.label, train_split=args.train_label,
-        test_split=args.palette, enriched=args.enrich)
+        test_split=env.eval_palette, enriched=env.enrich)
     persist.write_chain_results(results, run_dir / "chains.jsonl")
     persist.write_metrics(table, run_dir)
     print("task rates:", " ".join(f"{r:.3f}" for r in table.rates),
@@ -252,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument("--data", required=True)
         ap.add_argument("--out", required=True)
         ap.add_argument("--config", default=None)
-        ap.add_argument("--stats", default=None)
         ap.add_argument("--seed", type=int, default=None)
         ap.add_argument("--epochs", type=int, default=None)
         ap.add_argument("--chains", dest="n_chains", type=int, default=None)
         ap.add_argument("--families", default=None)
+    a1.add_argument("--stats", default=None, help="depth stats JSON (else computed)")
     a1.set_defaults(func=cmd_ablate_sep_resampler)
     a2.add_argument("--narrow", required=True, help="narrow-range stats JSON")
     a2.add_argument("--wide", required=True, help="wide-range stats JSON")

@@ -81,7 +81,7 @@ class EnvConfig:
     eval_palette: str = "D"
     families: list[str] | None = None
     variant: str = "standard"
-    n_chains: int = 20           # chains per ablation arm
+    n_chains: int = 20           # chains per evaluation or ablation arm
     horizon: int = 64            # per-task step budget
     enrich: bool = False
 

@@ -179,7 +179,11 @@ def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Compress N input tokens to the K latent queries' attention readout.
 
     (N, d_in) -> (K, d); a leading time axis, (T, N, d_in) -> (T, K, d),
-    resamples every step of a trajectory in one pass.
+    resamples every step of a trajectory in one pass. The products are
+    associated so that the projections meet the K latents instead of the
+    N tokens: softmax((latents wkᵀ) xᵀ / sqrt(d)) x wv. That equals
+    attention over keys x wk and values x wv, but the projections cost
+    K·d_in·d per step instead of 2·N·d_in·d.
     """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     if x.data.ndim not in (2, 3):
@@ -188,9 +192,10 @@ def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         raise DimensionError(
             f"token width {x.shape[-1]} does not match resampler input {wk.shape[0]}"
         )
-    keys = nm.matmul(x, wk)
-    values = nm.matmul(x, wv)
-    return nm.scaled_dot_attention(latents, keys, values)
+    queries = nm.matmul(latents, nm.transpose(wk))  # (K, d_in), shared by every step
+    scale = nm.as_tensor(1.0 / np.sqrt(latents.shape[-1]))
+    weights = nm.softmax_rows(nm.mul(nm.matmul(queries, nm.transpose(x)), scale))
+    return nm.matmul(nm.matmul(weights, x), wv)
 
 
 def fuse_concat(xv: Tensor, xde: Tensor) -> Tensor:

@@ -2,10 +2,12 @@
 
 The op vocabulary is exactly what the policy stack needs: matmul,
 elementwise arithmetic, tanh/sigmoid, row softmax, concat/slice,
-reshape, column max, reductions, and logit-form binary cross-entropy.
-matmul, transpose, softmax_rows, scaled_dot_attention, concat_rows and
-max_over_rows also take a leading batch axis (a trajectory's time
-steps), so one recorded op covers every step of a stateless stage. Arrays
+reshape, column max, reductions, logit-form binary cross-entropy, and
+lstm_layer, one LSTM layer over a trajectory's rows. matmul, transpose,
+softmax_rows, scaled_dot_attention, concat_rows and max_over_rows also
+take a leading batch axis (a trajectory's time steps), so one recorded
+op covers every step of a stateless stage; lstm_layer records the
+recurrence as one op per layer in the same way. Arrays
 are float64 in memory; a built graph belongs to one execution context
 and `backward` visits each node exactly once, so gradients are
 bitwise reproducible for a fixed graph.
@@ -401,6 +403,75 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
         return _reduce_to(dz, lshape), _reduce_to(float(g) * (-z), tshape)
 
     return _result(out, (logits, labels), vjp)
+
+
+def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
+               b: Tensor) -> Tensor:
+    """One LSTM layer run over the T rows of x, recorded as one tape node.
+
+    x: (T, d_in); h0, c0: (1, r); wx: (d_in, 4r); wh: (r, 4r); b: (4r,),
+    gates in the order input, forget, cell, output. Step t computes
+    z = (x[t] wx + h wh) + b, then c = f*c + i*g and h = o*tanh(c), in
+    that order, so a one-row call is bitwise the one-step formula.
+    Returns (T, 2r) whose row t is [h_t | c_t]. The input projection is
+    one GEMM over all T rows; only h @ wh loops. The VJP runs BPTT and
+    forms each weight gradient with one GEMM over all T steps.
+    """
+    n_steps, r = x.shape[0], h0.shape[-1]
+    if x.data.ndim != 2 or n_steps < 1 or h0.shape != (1, r) or c0.shape != (1, r):
+        raise DimensionError(
+            f"lstm_layer expects x (T, d_in), h0 and c0 (1, r); got {x.shape}, "
+            f"{h0.shape}, {c0.shape}"
+        )
+    if wx.shape != (x.shape[1], 4 * r) or wh.shape != (r, 4 * r) or b.shape != (4 * r,):
+        raise DimensionError(
+            f"lstm_layer weights {wx.shape}, {wh.shape}, {b.shape} do not fit "
+            f"input width {x.shape[1]} and state width {r}"
+        )
+    xd, h0d, c0d, whd, bd = x.data, h0.data, c0.data, wh.data, b.data
+    xw = xd @ wx.data
+    gates = np.empty((n_steps, 4 * r))  # activated i, f, g, o per step
+    out = np.empty((n_steps, 2 * r))
+    h, c = h0d, c0d
+    for t in range(n_steps):
+        z = (xw[t:t + 1] + h @ whd) + bd
+        act = gates[t:t + 1]
+        act[:] = _sigmoid(z)
+        act[:, 2 * r:3 * r] = np.tanh(z[:, 2 * r:3 * r])
+        c = act[:, r:2 * r] * c + act[:, :r] * act[:, 2 * r:3 * r]
+        h = act[:, 3 * r:] * np.tanh(c)
+        out[t:t + 1, :r] = h
+        out[t:t + 1, r:] = c
+
+    def vjp(g: Array):
+        i, f, gc, o = (gates[:, k * r:(k + 1) * r] for k in range(4))
+        hs, cs = out[:, :r], out[:, r:]
+        c_prev = np.concatenate([c0d, cs[:-1]])
+        tc = np.tanh(cs)
+        # Every factor that does not depend on the incoming state gradient.
+        d_o = tc * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tc * tc)
+        d_ifg = np.concatenate([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
+                                i * (1.0 - gc * gc)], axis=1).reshape(n_steps, 3, r)
+        dz = np.empty((n_steps, 4 * r))
+        dz3 = dz.reshape(n_steps, 4, r)
+        wh_t = whd.T.copy()
+        dh_next = np.zeros(r)
+        dc_next = np.zeros(r)
+        for t in range(n_steps - 1, -1, -1):
+            dh = g[t, :r] + dh_next
+            dc = g[t, r:] + dc_next + dh * dc_from_h[t]
+            dz3[t, :3] = dc * d_ifg[t]
+            dz3[t, 3] = dh * d_o[t]
+            dc_next = dc * f[t]
+            dh_next = dz[t] @ wh_t
+        gx = dz @ wx.data.T if x.requires_grad else None
+        gwx = xd.T @ dz if wx.requires_grad else None
+        gwh = np.concatenate([h0d, hs[:-1]]).T @ dz if wh.requires_grad else None
+        gb = dz.sum(axis=0) if b.requires_grad else None
+        return gx, dh_next.reshape(1, r), dc_next.reshape(1, r), gwx, gwh, gb
+
+    return _result(out, (x, h0, c0, wx, wh, b), vjp)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -14,14 +14,19 @@ Parameters are float64 in memory and float32 on disk, so save->load
 round-trips exactly to f32 precision and save->load->save is
 byte-identical. Datasets are a directory with an index.json plus one
 raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step). Metrics append to a CSV with the evaluation-table column
-layout and to a JSONL stream; appends never rewrite history.
+row per step). Checkpoints, trajectory files and the index are each
+written to a sibling temporary file and renamed over the target, so a
+failed write leaves the previous file intact; the index is written
+last, so a dataset never lists an incomplete trajectory file. Metrics
+append to a CSV with the evaluation-table column layout and to a JSONL
+stream; appends never rewrite history.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -40,6 +45,21 @@ MAGIC = b"RFPX1"
 FORMAT_VERSION = 1
 
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
+
+
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the byte chunks to a temporary file beside path, then rename it
+    over path; on any failure the temporary file is removed and path keeps
+    its previous contents."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -76,12 +96,8 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
             if model.depth_stats else None,
         },
     })
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    _write_atomic(path, [MAGIC, struct.pack("<Q", len(header)), header, payload,
+                         struct.pack("<I", zlib.crc32(payload))])
     return path
 
 
@@ -163,6 +179,20 @@ def _traj_filename(i: int) -> str:
     return f"traj_{i:05d}.bin"
 
 
+def _trajectory_chunks(traj: sim.Trajectory):
+    """A trajectory file's bytes, step by step: both RGB frames as planes,
+    both depth frames, then the 7-float action row."""
+    for obs, action in traj.steps:
+        yield np.ascontiguousarray(obs.rgb_static.transpose(2, 0, 1), dtype="<f4").tobytes()
+        yield np.ascontiguousarray(obs.rgb_gripper.transpose(2, 0, 1), dtype="<f4").tobytes()
+        yield np.asarray(obs.depth_static, dtype="<f4").tobytes()
+        yield np.asarray(obs.depth_gripper, dtype="<f4").tobytes()
+        row = np.empty(7, dtype="<f4")
+        row[:6] = action.pose
+        row[6] = 1.0 if action.gripper_closed else 0.0
+        yield row.tobytes()
+
+
 def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
                  meta: dict | None = None) -> Path:
     out_dir = Path(out_dir)
@@ -176,18 +206,7 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
     }
     for i, traj in enumerate(trajectories):
         fname = _traj_filename(i)
-        with open(out_dir / fname, "wb") as f:
-            for obs, action in traj.steps:
-                f.write(np.ascontiguousarray(obs.rgb_static.transpose(2, 0, 1),
-                                             dtype="<f4").tobytes())
-                f.write(np.ascontiguousarray(obs.rgb_gripper.transpose(2, 0, 1),
-                                             dtype="<f4").tobytes())
-                f.write(np.asarray(obs.depth_static, dtype="<f4").tobytes())
-                f.write(np.asarray(obs.depth_gripper, dtype="<f4").tobytes())
-                row = np.empty(7, dtype="<f4")
-                row[:6] = action.pose
-                row[6] = 1.0 if action.gripper_closed else 0.0
-                f.write(row.tobytes())
+        _write_atomic(out_dir / fname, _trajectory_chunks(traj))
         index["trajectories"].append({
             "file": fname,
             "instruction": traj.instruction,
@@ -197,7 +216,8 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
             "variant": traj.variant,
             "n_steps": len(traj.steps),
         })
-    (out_dir / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out_dir / "index.json",
+                  [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
     return out_dir
 
 

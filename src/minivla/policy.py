@@ -12,8 +12,9 @@ normalizes against. The policy composes:
 Only the LSTM carries state from step to step. policy_core therefore
 takes a trajectory's frozen tokens stacked over time, (T, 2N, d), and
 runs resampler -> decoder -> max-pool and the action heads once over
-all T steps; only the LSTM recurrence loops per step. A rollout step is
-the same call with T = 1.
+all T steps. The LSTM is one nm.lstm_layer op per layer over all T
+steps, whose recurrence loops inside the op, not on the tape. A rollout
+step is the same call with T = 1.
 
 Relative pose output is tanh-squashed and scaled to the per-step clip
 bound; the gripper logit binarizes at probability 0.5 with ties
@@ -182,34 +183,24 @@ def maxpool_tokens(tokens: Tensor) -> Tensor:
 
 def lstm_step(x: Tensor, prev: list[tuple[Tensor, Tensor]], model: Model
               ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """Standard stacked LSTM recurrence; returns (top h, new state)."""
+    """Standard stacked LSTM over the T rows of x (T, d), one nm.lstm_layer
+    per layer; returns (top h (T, r), the state after row T)."""
     cfg = model.cfg
     if len(prev) != cfg.lstm_layers:
         raise DimensionError(
             f"hidden state has {len(prev)} layers, model expects {cfg.lstm_layers}"
         )
     r = cfg.lstm_width
+    n_steps = x.shape[0]
     new_state: list[tuple[Tensor, Tensor]] = []
     inp = x
     for i, (h, c) in enumerate(prev):
-        if h.shape != (1, r) or c.shape != (1, r):
-            raise DimensionError(f"hidden slot {i} has shape {h.shape}, want (1, {r})")
-        wx = model.params[f"head.lstm.{i}.wx"]
-        wh = model.params[f"head.lstm.{i}.wh"]
-        b = model.params[f"head.lstm.{i}.b"]
-        if inp.shape[1] != wx.shape[0]:
-            raise DimensionError(
-                f"lstm layer {i} input width {inp.shape[1]} vs weights {wx.shape}"
-            )
-        z = nm.add(nm.add(nm.matmul(inp, wx), nm.matmul(h, wh)), b)
-        i_gate = nm.sigmoid(nm.slice_cols(z, 0, r))
-        f_gate = nm.sigmoid(nm.slice_cols(z, r, 2 * r))
-        g_cell = nm.tanh(nm.slice_cols(z, 2 * r, 3 * r))
-        o_gate = nm.sigmoid(nm.slice_cols(z, 3 * r, 4 * r))
-        c_new = nm.add(nm.mul(f_gate, c), nm.mul(i_gate, g_cell))
-        h_new = nm.mul(o_gate, nm.tanh(c_new))
-        new_state.append((h_new, c_new))
-        inp = h_new
+        layer = f"head.lstm.{i}."
+        out = nm.lstm_layer(inp, h, c, model.params[layer + "wx"],
+                            model.params[layer + "wh"], model.params[layer + "b"])
+        last = nm.slice_rows(out, n_steps - 1, n_steps)
+        new_state.append((nm.slice_cols(last, 0, r), nm.slice_cols(last, r, 2 * r)))
+        inp = nm.slice_cols(out, 0, r)
     return inp, new_state
 
 
@@ -284,8 +275,8 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
     """Differentiable pass over T consecutive steps.
 
     encoded: (X_rgb, X_depth), each (T, 2N, d). Returns (pose (T, 6),
-    gripper logit (T, 1), the LSTM state after step T). Everything but
-    the LSTM recurrence is recorded once for all T steps.
+    gripper logit (T, 1), the LSTM state after step T). Every stage is
+    recorded once for all T steps.
     """
     with _stage("resampler"):
         if any(np.ndim(x) != 3 for x in encoded):
@@ -296,12 +287,8 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
     with _stage("fusion_decoder"):
         x = dec.decode(Tensor(instr.embedded), xvde, model.decoder_layers())
     with _stage("policy_head"):
-        pooled = maxpool_tokens(x)
-        tops = []
-        for t in range(pooled.shape[0]):
-            h_top, hidden = lstm_step(nm.slice_rows(pooled, t, t + 1), hidden, model)
-            tops.append(h_top)
-        pose, logit = action_heads(nm.concat_rows(tops), model)
+        h_top, hidden = lstm_step(maxpool_tokens(x), hidden, model)
+        pose, logit = action_heads(h_top, model)
     return pose, logit, hidden
 
 

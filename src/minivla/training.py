@@ -14,8 +14,9 @@ Under teacher forcing every stage but the LSTM depends only on its own
 step's frames, so a trajectory's loss is recorded with time as a batch
 axis: the frozen tokens are encoded once per dataset and stored stacked,
 (T, 2N, d) per modality; resampler -> decoder -> max-pool, the action
-heads and the imitation loss each run once over all T steps; only the
-LSTM recurrence is a per-step loop (see policy.policy_core).
+heads and the imitation loss each run once over all T steps, and the
+LSTM recurrence is one tape op per layer over all T steps, not a
+per-step loop (see policy.policy_core and numerics.lstm_layer).
 """
 
 from __future__ import annotations

@@ -2,9 +2,12 @@
 
 Teacher forcing records resampler -> decoder -> max-pool, the action
 heads and the loss once per trajectory with time as a leading batch
-axis. These tests pin that down: every batched op's VJP against finite
-differences, its forward bitwise against the 2-D op on each batch entry,
-the batched loss against a per-step loop, and the tape size per step.
+axis, and the LSTM as one lstm_layer op per layer. These tests pin that
+down: every batched op's VJP against finite differences, its forward
+bitwise against the 2-D op on each batch entry, lstm_layer against the
+per-step cell and against chained one-row calls, the reassociated
+resampler against the key/value formula, the batched loss against a
+per-step loop, and a tape size that does not grow with T.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import tiny_config
 
 from minivla import depth as dp
+from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla import policy as pol
 from minivla import sim
@@ -167,6 +171,95 @@ class TestBatchedForwardIsStackedSteps:
         assert_stacks_per_entry(nm.mlp2, [q], shared=weights)
 
 
+# --- the LSTM layer and the resampler association ---------------------------------
+
+
+def lstm_cell(x, h, c, wx, wh, b):
+    """One step of the LSTM as separate tape ops; the reference for lstm_layer."""
+    r = h.shape[1]
+    z = nm.add(nm.add(nm.matmul(x, wx), nm.matmul(h, wh)), b)
+    i_gate = nm.sigmoid(nm.slice_cols(z, 0, r))
+    f_gate = nm.sigmoid(nm.slice_cols(z, r, 2 * r))
+    g_cell = nm.tanh(nm.slice_cols(z, 2 * r, 3 * r))
+    o_gate = nm.sigmoid(nm.slice_cols(z, 3 * r, 4 * r))
+    c_new = nm.add(nm.mul(f_gate, c), nm.mul(i_gate, g_cell))
+    return nm.mul(o_gate, nm.tanh(c_new)), c_new
+
+
+def lstm_arrays(rng, t, d_in, r):
+    """x, h0, c0, wx, wh, b for one layer of width r over t rows."""
+    return [rng.normal(size=(t, d_in)), rng.normal(size=(1, r)), rng.normal(size=(1, r)),
+            rng.normal(0.0, d_in ** -0.5, size=(d_in, 4 * r)),
+            rng.normal(0.0, r ** -0.5, size=(r, 4 * r)), rng.normal(size=4 * r)]
+
+
+class TestLstmLayer:
+    @property_settings
+    @given(t=dims, d_in=dims, r=dims, seed=seeds)
+    def test_vjp(self, t, d_in, r, seed):
+        fd_check(nm.lstm_layer, lstm_arrays(np.random.default_rng(seed), t, d_in, r), seed)
+
+    @property_settings
+    @given(d_in=dims, r=dims, seed=seeds)
+    def test_one_row_is_the_cell_bitwise(self, d_in, r, seed):
+        inputs = [Tensor(a) for a in lstm_arrays(np.random.default_rng(seed), 1, d_in, r)]
+        with nm.no_grad():
+            out = nm.lstm_layer(*inputs).data
+            h, c = lstm_cell(*inputs)
+        assert np.array_equal(out, np.concatenate([h.data, c.data], axis=1))
+
+    @property_settings
+    @given(t=st.integers(1, 6), layers=st.integers(1, 2), seed=seeds)
+    def test_rows_at_once_equal_chained_rows(self, t, layers, seed):
+        model = pol.init_model(tiny_config(lstm_layers=layers))
+        rng = np.random.default_rng(seed)
+        r = model.cfg.lstm_width
+        x = rng.normal(size=(t, model.cfg.d_model))
+        start = [(Tensor(rng.normal(size=(1, r))), Tensor(rng.normal(size=(1, r))))
+                 for _ in range(layers)]
+        whole, state = pol.lstm_step(Tensor(x), start, model)
+        rows, chained = [], start
+        for k in range(t):
+            h_top, chained = pol.lstm_step(Tensor(x[k:k + 1]), chained, model)
+            rows.append(h_top.data)
+        assert whole.shape == (t, r)
+        np.testing.assert_allclose(whole.data, np.concatenate(rows), rtol=0, atol=1e-12)
+        for (h, c), (h_ref, c_ref) in zip(state, chained):
+            np.testing.assert_allclose(h.data, h_ref.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c.data, c_ref.data, rtol=0, atol=1e-12)
+
+
+def resample_by_keys_and_values(x, latents, wk, wv):
+    """Attention over the projected tokens x wk and x wv; the reference for
+    enc.resample's association."""
+    return nm.scaled_dot_attention(latents, nm.matmul(x, wk), nm.matmul(x, wv))
+
+
+class TestResampleAssociation:
+    @property_settings
+    @given(t=dims, n=dims, k=dims, d_in=dims, d=dims, batched=st.booleans(), seed=seeds)
+    def test_matches_keys_and_values(self, t, n, k, d_in, d, batched, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(t, n, d_in) if batched else (n, d_in)))
+        arrays = {"latents": rng.normal(size=(k, d)), "wk": rng.normal(size=(d_in, d)),
+                  "wv": rng.normal(size=(d_in, d))}
+        w = rng.normal(size=(t, k, d) if batched else (k, d))
+
+        def run(resample):
+            params = ParamSet()
+            p = {name: params.add(name, a, trainable=True) for name, a in arrays.items()}
+            out = resample(x, p["latents"], p["wk"], p["wv"])
+            nm.backward(nm.sum_all(nm.mul(out, Tensor(w))), params)
+            return out.data, {name: t.grad for name, t in p.items()}
+
+        got, got_grads = run(enc.resample)
+        want, want_grads = run(resample_by_keys_and_values)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=0,
+                                       atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+
 # --- the trajectory loss ---------------------------------------------------------
 
 
@@ -240,20 +333,15 @@ def tape_nodes(root) -> int:
 
 class TestTapeSize:
     def test_per_step_nodes_are_the_recurrence_only(self):
-        # The per-step share of the tape is one lstm_step plus the slice
-        # that feeds it; resampler, decoder, max-pool, heads and loss are
-        # a constant per trajectory, whatever its length.
+        # The recurrence is one lstm_layer op per layer, recorded once for
+        # all T steps like resampler, decoder, max-pool, heads and loss, so
+        # the tape of a trajectory's loss does not grow with its length.
         model, traj = lift_model()
         instr, tokens, actions = tr.encode_dataset(model, [traj])[0]
-        x = Tensor(np.zeros((1, model.cfg.d_model)), requires_grad=True)
-        h_top, _ = pol.lstm_step(x, pol.reset_hidden(model), model)
-        per_step = tape_nodes(h_top) + 1
 
         def nodes(t):
             total, _, _ = tr._trajectory_loss(model, instr, tuple(a[:t] for a in tokens),
                                               actions[:t], 1.0)
             return tape_nodes(total)
 
-        counts = [nodes(t) for t in (1, 2, 3)]
-        assert counts[1] - counts[0] == per_step
-        assert counts[2] - counts[1] == per_step
+        assert nodes(1) == nodes(2) == nodes(3)

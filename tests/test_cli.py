@@ -79,3 +79,19 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, sections):
     config = write_config(tmp_path, **sections)
     assert cli.dispatch(["train", "--data", "data", "--out", "train",
                          "--config", config]) == 1
+
+
+@pytest.mark.parametrize("flag", [["--chains", "0"], ["--horizon", "0"], ["--palette", "Z"],
+                                  ["--families", "fly"]])
+def test_eval_rejects_bad_flags_before_loading(run_dir, flag):
+    # The checkpoint does not exist: validation must fail first, with exit 1.
+    assert cli.dispatch(["eval", "--checkpoint", "missing.rfpx", "--out", "eval",
+                         *flag]) == 1
+    assert not (run_dir / "eval").exists()
+
+
+def test_depth_extremes_has_no_stats_flag(run_dir, capsys):
+    assert cli.dispatch(["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
+                         "--narrow", "narrow.json", "--wide", "wide.json",
+                         "--stats", "does/not/exist.json"]) == 1
+    assert "unrecognized arguments: --stats" in capsys.readouterr().err

@@ -19,6 +19,30 @@ def small_model(**kw):
     return pol.init_model(tiny_config(**kw), synthetic_stats())
 
 
+def fail_writes_from_third_chunk(monkeypatch):
+    """Make every file persist opens raise OSError on its third write."""
+    real_open = open
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f, self.chunks = f, 0
+
+        def write(self, data):
+            self.chunks += 1
+            if self.chunks >= 3:
+                raise OSError("disk full")
+            return self.f.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    monkeypatch.setattr(persist, "open", lambda *a, **kw: FailingFile(real_open(*a, **kw)),
+                        raising=False)
+
+
 class TestCheckpoint:
     def test_round_trip_to_f32_precision(self, tmp_path):
         model = small_model()
@@ -76,6 +100,17 @@ class TestCheckpoint:
         p.write_bytes(b"PNG...............")
         with pytest.raises(CorruptionError, match="magic"):
             persist.load_checkpoint(p)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model = small_model()
+        path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
+        before = path.read_bytes()
+        model.params["head.pose.b2"].data += 1.0
+        fail_writes_from_third_chunk(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            persist.save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.rfpx"]
 
     def test_sep_checkpoint_into_shared_config_names_prefix(self, tmp_path):
         sep_model = pol.init_model(
@@ -145,6 +180,15 @@ class TestDatasetContainer:
         persist.save_dataset(data, tmp_path / "ds")
         f = tmp_path / "ds" / "traj_00000.bin"
         f.write_bytes(f.read_bytes()[:-8])
+        with pytest.raises(CorruptionError):
+            persist.load_dataset(tmp_path / "ds")
+
+    def test_failed_save_leaves_no_index_and_no_temp_file(self, tmp_path, monkeypatch):
+        data = sim.generate_dataset(1, 0, ["A"], families=["lift"])
+        fail_writes_from_third_chunk(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            persist.save_dataset(data, tmp_path / "ds")
+        assert list((tmp_path / "ds").iterdir()) == []
         with pytest.raises(CorruptionError):
             persist.load_dataset(tmp_path / "ds")
 

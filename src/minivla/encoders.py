@@ -4,10 +4,13 @@ One shared frozen patch transformer (random but seed-fixed, standing in
 for a pretrained backbone) encodes both RGB frames and replicated
 standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
-the autodiff tape starts. The resampler holds K learnable latent query
-tokens and compresses an N-token sequence to K tokens via single-head
-scaled dot-product attention, so its output is invariant to input-token
-order.
+the autodiff tape starts. Because a frame's tokens depend only on the
+frame, vit_encode_pair can take a memo that reuses the tokens of a frame
+byte-equal to the last one from the same camera slot; a memo is valid
+only for the frozen weights that filled it. The resampler holds K
+learnable latent query tokens and compresses an N-token sequence to K
+tokens via single-head scaled dot-product attention, so its output is
+invariant to input-token order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .errors import DimensionError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
+# Camera slot -> (the last frame encoded in that slot, its tokens).
+FrameMemo = dict[int, tuple[Array, Array]]
 
 
 # --- frozen patch transformer (numpy only) -----------------------------------
@@ -107,18 +112,38 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
     return x
 
 
-def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int) -> Array:
-    """Encode the two camera frames independently and concatenate tokens."""
+def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
+                    memo: FrameMemo | None = None) -> Array:
+    """Encode the two camera frames independently and concatenate tokens.
+
+    With a memo, a frame byte-equal to the last frame encoded in its
+    camera slot reuses that frame's tokens. Byte-equal means the same
+    dtype, shape and bytes, so -0.0 and 0.0 differ. Any other frame is
+    encoded, and a copy of it replaces the slot's entry. Tokens depend
+    only on the frame and the frozen weights, so reuse is exact as long
+    as the memo serves one set of weights.
+    """
     arr_a = np.asarray(a)
     arr_b = np.asarray(b)
     if arr_a.shape != arr_b.shape:
         raise DimensionError(
             f"camera frames differ in extent: {arr_a.shape} vs {arr_b.shape}"
         )
-    return np.concatenate([
-        vit_encode_image(arr_a, vit, patch, blocks, camera=0),
-        vit_encode_image(arr_b, vit, patch, blocks, camera=1),
-    ], axis=0)
+    return np.concatenate([_encode_slot(arr, camera, vit, patch, blocks, memo)
+                           for camera, arr in enumerate((arr_a, arr_b))], axis=0)
+
+
+def _encode_slot(frame: Array, camera: int, vit: dict[str, Array], patch: int,
+                 blocks: int, memo: FrameMemo | None) -> Array:
+    if memo is None:
+        return vit_encode_image(frame, vit, patch, blocks, camera=camera)
+    last = memo.get(camera)
+    if (last is not None and last[0].dtype == frame.dtype
+            and last[0].shape == frame.shape and last[0].tobytes() == frame.tobytes()):
+        return last[1]
+    tokens = vit_encode_image(frame, vit, patch, blocks, camera=camera)
+    memo[camera] = (frame.copy(), tokens)
+    return tokens
 
 
 # --- trainable resampler (on the tape) ---------------------------------------

@@ -175,13 +175,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: Array) -> Array:
-    # Stable in both tails.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Stable in both tails: exp only ever sees -|x|.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Parameters are float64 in memory and float32 on disk, so save->load
 round-trips exactly to f32 precision and save->load->save is
 byte-identical. Datasets are a directory with an index.json plus one
 raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step). Checkpoints, trajectory files and the index are each
-written to a sibling temporary file and renamed over the target, so a
-failed write leaves the previous file intact; the index is written
-last, so a dataset never lists an incomplete trajectory file. Metrics
+row per step). A checkpoint is written to a sibling temporary file and
+renamed over the target; a dataset is written whole into a sibling
+temporary directory that then takes the place of the old one. Either
+way a failed save leaves the previous checkpoint or dataset intact.
+No fsync is done, so a power loss can still lose the newest save. Metrics
 append to a CSV with the evaluation-table column layout and to a JSONL
 stream; appends never rewrite history.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -37,7 +39,7 @@ from . import sim
 from .analysis import SuccessTable
 from .config import ModelConfig
 from .depth import DepthStats
-from .errors import CompatibilityError, CorruptionError
+from .errors import CompatibilityError, CorruptionError, ValidationError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -47,15 +49,19 @@ FORMAT_VERSION = 1
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
 
+def _write_chunks(path: Path, chunks) -> None:
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+
+
 def _write_atomic(path: Path, chunks) -> None:
     """Write the byte chunks to a temporary file beside path, then rename it
     over path; on any failure the temporary file is removed and path keeps
     its previous contents."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
+        _write_chunks(tmp, chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -193,10 +199,34 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
+def _is_dataset_file(name: str) -> bool:
+    return name == "index.json" or (name.startswith("traj_") and name.endswith(".bin"))
+
+
 def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
                  meta: dict | None = None) -> Path:
+    """Write the dataset into a sibling temporary directory, then swap it
+    in for out_dir, so a failed save leaves the previous dataset whole.
+
+    An existing out_dir is replaced as a whole, so it may hold only a
+    dataset's files, and it may not be or contain the working directory;
+    either is refused with ValidationError.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    target = out_dir.resolve()  # through a symlink, swap the directory it names
+    cwd = Path.cwd()
+    if target == cwd or target in cwd.parents:
+        raise ValidationError(
+            f"refusing to replace {out_dir}: it holds the working directory; "
+            f"name a directory of its own for the dataset"
+        )
+    foreign = sorted(p.name for p in out_dir.iterdir() if not _is_dataset_file(p.name))
+    if foreign:
+        raise ValidationError(
+            f"refusing to replace {out_dir}: it holds files that are not part of a "
+            f"dataset: {', '.join(foreign[:5])}"
+        )
     hw = sim.IMAGE_HW
     index = {
         "version": 1,
@@ -204,20 +234,36 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
         "meta": meta or {},
         "trajectories": [],
     }
-    for i, traj in enumerate(trajectories):
-        fname = _traj_filename(i)
-        _write_atomic(out_dir / fname, _trajectory_chunks(traj))
-        index["trajectories"].append({
-            "file": fname,
-            "instruction": traj.instruction,
-            "family": traj.family,
-            "palette": traj.palette,
-            "seed": traj.seed,
-            "variant": traj.variant,
-            "n_steps": len(traj.steps),
-        })
-    _write_atomic(out_dir / "index.json",
-                  [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    old = target.with_name(f".{target.name}.{os.getpid()}.old")
+    try:
+        tmp.mkdir()
+        for i, traj in enumerate(trajectories):
+            fname = _traj_filename(i)
+            _write_chunks(tmp / fname, _trajectory_chunks(traj))
+            index["trajectories"].append({
+                "file": fname,
+                "instruction": traj.instruction,
+                "family": traj.family,
+                "palette": traj.palette,
+                "seed": traj.seed,
+                "variant": traj.variant,
+                "n_steps": len(traj.steps),
+            })
+        _write_chunks(tmp / "index.json",
+                      [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
+        # Two renames: a crash between them leaves the previous dataset
+        # under `old`; an exception moves it back.
+        os.replace(target, old)
+        try:
+            os.replace(tmp, target)
+        except BaseException:
+            os.replace(old, target)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old)
     return out_dir
 
 

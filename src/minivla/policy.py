@@ -16,6 +16,13 @@ all T steps. The LSTM is one nm.lstm_layer op per layer over all T
 steps, whose recurrence loops inside the op, not on the tape. A rollout
 step is the same call with T = 1.
 
+The frozen encoder skips frames that did not change: encode_observation
+takes one frame memo per modality (see enc.vit_encode_pair), and a frame
+byte-equal to the last one from its camera slot reuses that frame's
+tokens. A memo is valid only for one model's frozen weights and depth
+statistics. encode_trajectory uses a fresh pair per call; a PolicyAgent
+owns its pair and empties it in reset().
+
 Relative pose output is tanh-squashed and scaled to the per-step clip
 bound; the gripper logit binarizes at probability 0.5 with ties
 resolving to open.
@@ -227,13 +234,37 @@ def reset_hidden(model: Model) -> list[tuple[Tensor, Tensor]]:
 # --- observation encoding (frozen; numpy only) ---------------------------------
 
 
-def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
-    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64."""
+FrameMemos = tuple[enc.FrameMemo, enc.FrameMemo]  # (RGB, depth)
+
+
+def new_frame_memos() -> FrameMemos:
+    """Empty frame memos for encode_observation: (RGB, depth)."""
+    return {}, {}
+
+
+def encode_observation(model: Model, obs: sim.Observation,
+                       memos: FrameMemos | None = None
+                       ) -> tuple[Array, Array]:
+    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64.
+
+    memos, from new_frame_memos(), lets unchanged frames reuse their
+    tokens; it must stay with this model, whose weights and depth
+    statistics filled it.
+    """
     cfg = model.cfg
+    hw = (cfg.image_hw, cfg.image_hw)
+    for name in ("rgb_static", "rgb_gripper", "depth_static", "depth_gripper"):
+        extent = np.shape(getattr(obs, name))[:2]
+        if extent != hw:
+            raise DimensionError(
+                f"observation {name} is {'x'.join(map(str, extent))} px but the model "
+                f"expects {cfg.image_hw}x{cfg.image_hw} (model.image_hw)"
+            )
+    rgb_memo, depth_memo = memos if memos is not None else (None, None)
     vit = model.vit_arrays()
     with _stage("depth_pipeline"):
         if cfg.depth_input == "constant":
-            flat = np.full((cfg.image_hw, cfg.image_hw), sim.Z_CAM)
+            flat = np.full(hw, sim.Z_CAM)
             d_static = d_gripper = flat
         else:
             d_static = np.asarray(obs.depth_static, dtype=np.float64)
@@ -244,15 +275,21 @@ def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array
         depth_b = dp.preprocess_depth(d_gripper, model.depth_stats)
     with _stage("encoder"):
         x_rgb = enc.vit_encode_pair(obs.rgb_static, obs.rgb_gripper, vit,
-                                    cfg.patch, cfg.vit_blocks)
+                                    cfg.patch, cfg.vit_blocks, rgb_memo)
         x_depth = enc.vit_encode_pair(depth_a, depth_b, vit,
-                                      cfg.patch, cfg.vit_blocks)
+                                      cfg.patch, cfg.vit_blocks, depth_memo)
     return x_rgb, x_depth
 
 
-def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
-    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d)."""
-    steps = [encode_observation(model, obs) for obs in observations]
+def encode_trajectory(model: Model, observations,
+                      memos: FrameMemos | None = None
+                      ) -> tuple[Array, Array]:
+    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d).
+
+    Steps share memos, a fresh pair unless the caller passes its own.
+    """
+    memos = new_frame_memos() if memos is None else memos
+    steps = [encode_observation(model, obs, memos) for obs in observations]
     return tuple(np.stack(modality) for modality in zip(*steps))
 
 
@@ -293,31 +330,40 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
 
 
 def policy_step(model: Model, obs: sim.Observation, instruction,
-                hidden: list[tuple[Tensor, Tensor]]
+                hidden: list[tuple[Tensor, Tensor]],
+                memos: FrameMemos | None = None
                 ) -> tuple[sim.Action, list[tuple[Tensor, Tensor]]]:
-    """Observation + instruction -> executable action (gripper binarized)."""
+    """Observation + instruction -> executable action (gripper binarized).
+
+    memos carries the frame memos from step to step (encode_observation).
+    """
     instr = instruction if isinstance(instruction, Instruction) \
         else model.instruction(instruction)
-    encoded = encode_trajectory(model, [obs])
+    encoded = encode_trajectory(model, [obs], memos)
     pose, logit, new_hidden = policy_core(model, encoded, instr, hidden)
     closed = logit.item() > 0.0  # p > 0.5; an exact tie stays open
     return sim.Action(pose.data.reshape(6).copy(), closed), new_hidden
 
 
 class PolicyAgent:
-    """Pixels-only rollout adapter around a Model (no world-state access)."""
+    """Pixels-only rollout adapter around a Model (no world-state access).
+
+    The agent owns the frame memos its steps share; reset() empties them.
+    """
 
     def __init__(self, model: Model):
         self.model = model
-        self._hidden = reset_hidden(model)
+        self.reset()
 
     def reset(self):
         self._hidden = reset_hidden(self.model)
+        self._memos = new_frame_memos()
 
     def begin_task(self, task, instruction: str):
         pass
 
     def act(self, obs: sim.Observation, instruction: str, state=None) -> sim.Action:
         with nm.no_grad():
-            action, self._hidden = policy_step(self.model, obs, instruction, self._hidden)
+            action, self._hidden = policy_step(self.model, obs, instruction,
+                                               self._hidden, self._memos)
         return action

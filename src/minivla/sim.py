@@ -365,7 +365,7 @@ def _paint(state: WorldState, cx: float, cy: float, window: float, res: int):
     tints = state.scene_colors or COLORS
     xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
     ys = cy - window / 2 + (np.arange(res) + 0.5) * window / res
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = xs[None, :], ys[:, None]  # the grid's coordinates, by broadcasting
 
     color = np.empty((res, res, 3))
     color[:] = table

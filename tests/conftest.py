@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minivla import depth as dp
+from minivla import encoders as enc
 from minivla import sim
 from minivla.config import ModelConfig
 
@@ -26,6 +27,19 @@ def synthetic_obs(rng: np.random.Generator, hw: int) -> sim.Observation:
 
 def synthetic_stats() -> dp.DepthStats:
     return dp.DepthStats(0.6, 1.0, 0.5, 0.29)
+
+
+def count_encodes(monkeypatch) -> list[int]:
+    """Record the camera slot of every frame the frozen encoder runs on."""
+    cameras = []
+    real = enc.vit_encode_image
+
+    def counting(img, vit, patch, blocks, camera=0):
+        cameras.append(camera)
+        return real(img, vit, patch, blocks, camera=camera)
+
+    monkeypatch.setattr(enc, "vit_encode_image", counting)
+    return cameras
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import count_encodes
+
 from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla.errors import DimensionError
@@ -88,6 +90,66 @@ class TestVitEncode:
         with pytest.raises(DimensionError):
             enc.vit_encode_pair(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
                                 vit, patch, blocks)
+
+
+class TestFrameMemo:
+    def test_repeated_pair_reuses_tokens(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        expect = enc.vit_encode_pair(a, b, vit, patch, blocks)
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        for _ in range(3):
+            got = enc.vit_encode_pair(a.copy(), b.copy(), vit, patch, blocks, memo)
+            assert got.tobytes() == expect.tobytes()
+        assert cameras == [0, 1]
+
+    @pytest.mark.parametrize("change", ["one byte", "negative zero", "dtype"])
+    def test_changed_frame_is_encoded_again(self, rng, monkeypatch, change):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        a[5, 5, 1] = 0.0
+        if change == "one byte":
+            a2 = a.copy()
+            a2.reshape(-1).view(np.uint8)[1000] ^= 1  # the low byte of one value
+        elif change == "negative zero":
+            a2 = a.copy()
+            a2[5, 5, 1] = -0.0
+            assert np.array_equal(a2, a)  # equal as numbers, not as bytes
+        else:
+            a = np.zeros((32, 32, 3))
+            a2 = np.zeros((32, 32, 3), dtype=np.int64)  # the same bytes
+            assert a2.tobytes() == a.tobytes()
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
+        got = enc.vit_encode_pair(a2, b, vit, patch, blocks, memo)
+        assert cameras == [0, 1, 0]
+        assert got.tobytes() == enc.vit_encode_pair(a2, b, vit, patch, blocks).tobytes()
+
+    def test_slots_are_remembered_separately(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        steps = [(a, b), (a, a), (b, a), (b, a)]
+        got = [enc.vit_encode_pair(x, y, vit, patch, blocks, memo) for x, y in steps]
+        # (a, a): slot 0 repeats, slot 1 changed and must not borrow slot 0's
+        # tokens; (b, a): only slot 0 changed; the last step repeats both.
+        assert cameras == [0, 1, 1, 0]
+        for (x, y), tokens in zip(steps, got):
+            assert tokens.tobytes() == enc.vit_encode_pair(x, y, vit, patch, blocks).tobytes()
+
+    def test_memo_holds_a_copy_of_the_frame(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
+        a[0, 0, 0] += 1.0  # the caller reuses its buffer for the next frame
+        got = enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
+        assert cameras == [0, 1, 0]
+        assert got.tobytes() == enc.vit_encode_pair(a, b, vit, patch, blocks).tobytes()
 
 
 def make_resampler(rng, k=4, d_in=16, d=16, trainable=True):

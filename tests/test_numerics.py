@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minivla import numerics as nm
 from minivla.errors import (
@@ -305,6 +307,34 @@ class TestElementwiseGradients:
             z.copy(),
         )
         np.testing.assert_allclose(tz.grad, ref, rtol=1e-6, atol=1e-9)
+
+
+def _two_mask_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The earlier nm._sigmoid: separate masked passes for each sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoidKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+                      elements=st.floats(allow_nan=False, allow_infinity=True)))
+    def test_bitwise_equal_to_two_mask_formula(self, x):
+        expect = _two_mask_sigmoid(x)
+        got = nm._sigmoid(x)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    def test_edges(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan])
+        got = nm._sigmoid(x)
+        assert got[:6].tobytes() == _two_mask_sigmoid(x)[:6].tobytes()
+        np.testing.assert_array_equal(got[:6], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
+        assert np.isnan(got[6])
 
 
 class TestShapeOps:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_obs, synthetic_stats, tiny_config
+from conftest import count_encodes, synthetic_obs, synthetic_stats, tiny_config
 
 from minivla import numerics as nm
 from minivla import policy as pol
@@ -226,6 +226,89 @@ class TestFrozenContract:
             expect = (name.startswith(("resampler.", "head."))
                       or ".cross." in name)
             assert t.requires_grad is expect, name
+
+
+class TestObservationBoundary:
+    def test_frame_size_must_match_image_hw(self, rng, monkeypatch):
+        model = pol.init_model(tiny_config(image_hw=64, patch=8), synthetic_stats())
+
+        def never(*a, **kw):
+            raise AssertionError("reached depth preprocessing or the encoder")
+
+        monkeypatch.setattr(pol.dp, "preprocess_depth", never)
+        monkeypatch.setattr(pol.enc, "vit_encode_pair", never)
+        with pytest.raises(DimensionError, match=r"32x32 px .* expects 64x64"):
+            pol.encode_observation(model, synthetic_obs(rng, 32))
+
+
+class TestFrameMemo:
+    """Frozen tokens are reused for frames byte-equal to their slot's last one."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        return count_encodes(monkeypatch)
+
+    @staticmethod
+    def rollout_model(**overrides):
+        model = pol.init_model(tiny_config(image_hw=32, patch=8, **overrides),
+                               synthetic_stats())
+        for layer in model.decoder_layers():
+            layer["cross.alpha"].data = np.asarray(0.5)
+        return model
+
+    def test_agent_matches_an_agent_without_reuse(self, encodes):
+        model = self.rollout_model()
+        agent = pol.PolicyAgent(model)
+        hidden = pol.reset_hidden(model)
+        state = sim.make_env(0, "D")
+        text = "lift the red block"
+        n_steps = 12
+        for _ in range(n_steps):
+            obs = sim.render_observation(state)
+            action = agent.act(obs, text)
+            with nm.no_grad():  # a fresh memo on every step: nothing reused
+                expect, hidden = pol.policy_step(model, obs, text, hidden)
+            assert action.pose.tobytes() == expect.pose.tobytes()
+            assert action.gripper_closed == expect.gripper_closed
+            state = sim.step_env(state, action)
+        # The reference encodes all 4 frames of every step; the agent, fewer.
+        agent_encodes = len(encodes) - 4 * n_steps
+        assert agent_encodes < 4 * n_steps
+
+    def test_trajectory_matches_steps_encoded_alone(self, rng, encodes):
+        model = tiny_model()
+        o1, o2 = synthetic_obs(rng, 8), synthetic_obs(rng, 8)
+        mixed = sim.Observation(o1.rgb_static, o2.rgb_gripper, o2.depth_static,
+                                o1.depth_gripper)
+        observations = [o1, o1, o2, mixed, mixed, o1]
+        x_rgb, x_depth = pol.encode_trajectory(model, observations)
+        assert len(encodes) < 4 * len(observations)
+        del encodes[:]
+        for t, obs in enumerate(observations):
+            alone_rgb, alone_depth = pol.encode_observation(model, obs)
+            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
+            assert x_depth[t].tobytes() == alone_depth.tobytes()
+        assert len(encodes) == 4 * len(observations)
+
+    def test_reset_empties_the_memo(self, rng, encodes):
+        model = tiny_model()
+        agent = pol.PolicyAgent(model)
+        obs = synthetic_obs(rng, 8)
+        agent.act(obs, "lift the red block")
+        agent.act(obs, "lift the red block")
+        assert len(encodes) == 4
+        agent.reset()
+        agent.act(obs, "lift the red block")
+        assert len(encodes) == 8
+
+    def test_constant_depth_is_encoded_once_per_agent(self, rng, encodes):
+        model = tiny_model(depth_input="constant")
+        agent = pol.PolicyAgent(model)
+        n_steps = 5
+        for _ in range(n_steps):
+            agent.act(synthetic_obs(rng, 8), "lift the red block")
+        # Every RGB frame is new; the two flat depth frames are encoded once.
+        assert len(encodes) == 2 * n_steps + 2
 
 
 class TestAgents:

@@ -227,6 +227,64 @@ class TestRender:
         assert np.allclose(obs_open.rgb_static[16, 16], sim.GRIPPER_OPEN_COLOR)
         assert np.allclose(obs_closed.rgb_static[16, 16], sim.GRIPPER_CLOSED_COLOR)
 
+    @staticmethod
+    def _paint_on_meshgrid(state, cx, cy, window, res):
+        """sim._paint as it was with a full np.meshgrid, kept as the reference."""
+        table = state.table_color or sim.PALETTES[state.palette].table_color
+        tints = state.scene_colors or sim.COLORS
+        xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
+        ys = cy - window / 2 + (np.arange(res) + 0.5) * window / res
+        gx, gy = np.meshgrid(xs, ys)
+        color = np.empty((res, res, 3))
+        color[:] = table
+        height = np.zeros((res, res))
+
+        def stamp(px, py, half_x, half_y, h, rgb):
+            mask = (np.abs(gx - px) <= half_x) & (np.abs(gy - py) <= half_y) & (h > height)
+            color[mask] = rgb
+            height[mask] = h
+
+        for obj in state.objects:
+            if obj.kind == "slider":
+                rx0, rx1 = obj.rail
+                stamp((rx0 + rx1) / 2, obj.pos[1], (rx1 - rx0) / 2 + sim.SLIDER_HALF, 0.015,
+                      0.005, sim.RAIL_COLOR)
+        for obj in state.objects:
+            h = sim._effective_height(obj, state)
+            if obj.kind == "block":
+                stamp(obj.pos[0], obj.pos[1], sim.BLOCK_HALF, sim.BLOCK_HALF, h, tints[obj.color])
+            elif obj.kind == "button":
+                rgb = 0.45 * np.array(tints[obj.color]) + 0.55
+                if obj.pressed:
+                    rgb = rgb * 0.55
+                stamp(obj.pos[0], obj.pos[1], sim.BUTTON_HALF, sim.BUTTON_HALF, h, tuple(rgb))
+            elif obj.kind == "slider":
+                rgb = 0.55 * np.array(tints[obj.color])
+                stamp(obj.pos[0], obj.pos[1], sim.SLIDER_HALF, sim.SLIDER_HALF, h, tuple(rgb))
+            elif obj.kind == "bin":
+                stamp(obj.pos[0], obj.pos[1], sim.BIN_HALF, sim.BIN_HALF, h, sim.BIN_COLOR)
+        g = state.gripper_pos
+        marker = (np.abs(gx - g[0]) <= sim.GRIPPER_HALF) & (np.abs(gy - g[1]) <= sim.GRIPPER_HALF)
+        color[marker] = sim.GRIPPER_OPEN_COLOR if state.gripper_open else sim.GRIPPER_CLOSED_COLOR
+        height[marker] = g[2]
+        return color.astype(np.float32), (sim.Z_CAM - height).astype(np.float32)
+
+    @pytest.mark.parametrize("seed,palette", [(0, "A"), (3, "B"), (11, "C"), (42, "D")])
+    def test_broadcast_grid_matches_meshgrid(self, seed, palette):
+        # Both camera windows of a scene, before and after random moves of
+        # the gripper, must be byte-identical to the meshgrid painter.
+        state = sim.make_env(seed, palette)
+        agent = RandomAgent(seed)
+        for _ in range(3):
+            g = state.gripper_pos
+            for window in ((0.5, 0.5, 1.0), (float(g[0]), float(g[1]), sim.GRIPPER_CAM_WINDOW)):
+                got = sim._paint(state, *window, sim.IMAGE_HW)
+                expect = self._paint_on_meshgrid(state, *window, sim.IMAGE_HW)
+                for a, b in zip(got, expect):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for _ in range(4):
+                state = sim.step_env(state, agent.act(None, ""))
+
     def test_render_deterministic(self):
         s = sim.make_env(9, "B")
         a = sim.render_observation(s)

@@ -116,12 +116,12 @@ def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
                     memo: FrameMemo | None = None) -> Array:
     """Encode the two camera frames independently and concatenate tokens.
 
-    With a memo, a frame byte-equal to the last frame encoded in its
-    camera slot reuses that frame's tokens. Byte-equal means the same
-    dtype, shape and bytes, so -0.0 and 0.0 differ. Any other frame is
-    encoded, and a copy of it replaces the slot's entry. Tokens depend
-    only on the frame and the frozen weights, so reuse is exact as long
-    as the memo serves one set of weights.
+    A frame byte-equal to the last frame encoded in its camera slot of the
+    memo reuses that frame's tokens. Byte-equal means the same dtype, shape
+    and bytes, so -0.0 and 0.0 differ. Any other frame is encoded, and a
+    copy of it replaces the slot's entry. Tokens depend only on the frame
+    and the frozen weights, so reuse is exact as long as the memo serves
+    one set of weights. Without a memo, both frames are encoded.
     """
     arr_a = np.asarray(a)
     arr_b = np.asarray(b)
@@ -129,14 +129,13 @@ def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
         raise DimensionError(
             f"camera frames differ in extent: {arr_a.shape} vs {arr_b.shape}"
         )
+    memo = {} if memo is None else memo
     return np.concatenate([_encode_slot(arr, camera, vit, patch, blocks, memo)
                            for camera, arr in enumerate((arr_a, arr_b))], axis=0)
 
 
 def _encode_slot(frame: Array, camera: int, vit: dict[str, Array], patch: int,
-                 blocks: int, memo: FrameMemo | None) -> Array:
-    if memo is None:
-        return vit_encode_image(frame, vit, patch, blocks, camera=camera)
+                 blocks: int, memo: FrameMemo) -> Array:
     last = memo.get(camera)
     if (last is not None and last[0].dtype == frame.dtype
             and last[0].shape == frame.shape and last[0].tobytes() == frame.tobytes()):

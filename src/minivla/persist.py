@@ -14,11 +14,13 @@ Parameters are float64 in memory and float32 on disk, so save->load
 round-trips exactly to f32 precision and save->load->save is
 byte-identical. Datasets are a directory with an index.json plus one
 raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step). A checkpoint is written to a sibling temporary file and
-renamed over the target; a dataset is written whole into a sibling
-temporary directory that then takes the place of the old one. Either
-way a failed save leaves the previous checkpoint or dataset intact.
-No fsync is done, so a power loss can still lose the newest save. Metrics
+row per step). Checkpoints, trajectory files and the index are each
+written to a sibling temporary file and renamed over the target, so a
+failed write leaves the previous file intact. A dataset save writes its
+trajectory files under names the current index does not list and the
+index last, then deletes the files only the old index listed, so a
+failed save leaves the previous dataset whole. No fsync is done, so a
+power loss can still lose the newest save. Metrics
 append to a CSV with the evaluation-table column layout and to a JSONL
 stream; appends never rewrite history.
 """
@@ -28,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -39,7 +40,7 @@ from . import sim
 from .analysis import SuccessTable
 from .config import ModelConfig
 from .depth import DepthStats
-from .errors import CompatibilityError, CorruptionError, ValidationError
+from .errors import CompatibilityError, CorruptionError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -49,19 +50,15 @@ FORMAT_VERSION = 1
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
 
-def _write_chunks(path: Path, chunks) -> None:
-    with open(path, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk)
-
-
 def _write_atomic(path: Path, chunks) -> None:
     """Write the byte chunks to a temporary file beside path, then rename it
     over path; on any failure the temporary file is removed and path keeps
     its previous contents."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        _write_chunks(tmp, chunks)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -181,8 +178,8 @@ def load_checkpoint(path: str | Path,
 # --- dataset container -----------------------------------------------------------
 
 
-def _traj_filename(i: int) -> str:
-    return f"traj_{i:05d}.bin"
+def _traj_filename(i: int, generation: int = 0) -> str:
+    return f"traj_{i:05d}.bin" if generation == 0 else f"traj_{i:05d}_{generation}.bin"
 
 
 def _trajectory_chunks(traj: sim.Trajectory):
@@ -199,34 +196,29 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
-def _is_dataset_file(name: str) -> bool:
-    return name == "index.json" or (name.startswith("traj_") and name.endswith(".bin"))
+def _listed_files(out_dir: Path) -> set[str]:
+    """The trajectory files the dataset in out_dir lists; none without a
+    readable index, since then there is no dataset to keep."""
+    try:
+        index = json.loads((out_dir / "index.json").read_text())
+        return {rec["file"] for rec in index["trajectories"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
 
 
 def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
                  meta: dict | None = None) -> Path:
-    """Write the dataset into a sibling temporary directory, then swap it
-    in for out_dir, so a failed save leaves the previous dataset whole.
+    """Write a dataset; a failed save leaves the previous one in out_dir whole.
 
-    An existing out_dir is replaced as a whole, so it may hold only a
-    dataset's files, and it may not be or contain the working directory;
-    either is refused with ValidationError.
+    The trajectory files take names the current index does not list, and
+    the index, written last, is what switches to the new dataset.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir.resolve()  # through a symlink, swap the directory it names
-    cwd = Path.cwd()
-    if target == cwd or target in cwd.parents:
-        raise ValidationError(
-            f"refusing to replace {out_dir}: it holds the working directory; "
-            f"name a directory of its own for the dataset"
-        )
-    foreign = sorted(p.name for p in out_dir.iterdir() if not _is_dataset_file(p.name))
-    if foreign:
-        raise ValidationError(
-            f"refusing to replace {out_dir}: it holds files that are not part of a "
-            f"dataset: {', '.join(foreign[:5])}"
-        )
+    old_files = _listed_files(out_dir)
+    generation = 0
+    while any(_traj_filename(i, generation) in old_files for i in range(len(trajectories))):
+        generation += 1
     hw = sim.IMAGE_HW
     index = {
         "version": 1,
@@ -234,13 +226,12 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
         "meta": meta or {},
         "trajectories": [],
     }
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    old = target.with_name(f".{target.name}.{os.getpid()}.old")
+    written = []
     try:
-        tmp.mkdir()
         for i, traj in enumerate(trajectories):
-            fname = _traj_filename(i)
-            _write_chunks(tmp / fname, _trajectory_chunks(traj))
+            fname = _traj_filename(i, generation)
+            _write_atomic(out_dir / fname, _trajectory_chunks(traj))
+            written.append(fname)
             index["trajectories"].append({
                 "file": fname,
                 "instruction": traj.instruction,
@@ -250,20 +241,15 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
                 "variant": traj.variant,
                 "n_steps": len(traj.steps),
             })
-        _write_chunks(tmp / "index.json",
+        _write_atomic(out_dir / "index.json",
                       [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
-        # Two renames: a crash between them leaves the previous dataset
-        # under `old`; an exception moves it back.
-        os.replace(target, old)
-        try:
-            os.replace(tmp, target)
-        except BaseException:
-            os.replace(old, target)
-            raise
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        for fname in written:
+            (out_dir / fname).unlink(missing_ok=True)
         raise
-    shutil.rmtree(old)
+    for fname in old_files:  # now unlisted; only plain trajectory names in out_dir
+        if fname.startswith("traj_") and Path(fname).name == fname:
+            (out_dir / fname).unlink(missing_ok=True)
     return out_dir
 
 

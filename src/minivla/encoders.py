@@ -6,8 +6,10 @@ standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts. Because a frame's tokens depend only on the
 frame, vit_encode_pair can take a memo that reuses the tokens of a frame
-byte-equal to the last one from the same camera slot; a memo is valid
-only for the frozen weights that filled it. The resampler holds K
+byte-equal to the last one from the same camera slot (memo_hit, the one
+reuse rule); a memo is valid only for the frozen weights that filled it.
+vit_encode_image also takes a batch of frames from one camera slot, whose
+tokens are bitwise those of each frame encoded alone. The resampler holds K
 learnable latent query tokens and compresses an N-token sequence to K
 tokens via single-head scaled dot-product attention, so its output is
 invariant to input-token order.
@@ -63,47 +65,76 @@ def init_vit_arrays(image_hw: int, patch: int, d: int, blocks: int,
 
 def patchify(img, patch: int, proj: Array, pos: Array) -> Array:
     """Non-overlapping patches, flattened, projected, with the positional
-    embedding in the reserved top channel band."""
+    embedding in the reserved top channel band.
+
+    img is one (H, W, 3) frame, (N, d) tokens out, or a batch of frames
+    (B, H, W, 3), (B, N, d) tokens out.
+    """
     arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise DimensionError(f"patchify expects an (H, W, 3) image, got {arr.shape}")
-    h, w, _ = arr.shape
+    if arr.ndim not in (3, 4) or arr.shape[-1] != 3:
+        raise DimensionError(
+            f"patchify expects an (H, W, 3) image or a batch of them, got {arr.shape}")
+    *lead, h, w, _ = arr.shape
     if h % patch or w % patch:
         raise DimensionError(f"image extents {h}x{w} are not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    flat = (arr.reshape(gh, patch, gw, patch, 3)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(gh * gw, 3 * patch * patch))
-    if flat.shape[1] != proj.shape[0]:
+    flat = (arr.reshape(*lead, gh, patch, gw, patch, 3)
+            .swapaxes(-4, -3)
+            .reshape(*lead, gh * gw, 3 * patch * patch))
+    if flat.shape[-1] != proj.shape[0]:
         raise DimensionError(
-            f"patch width {flat.shape[1]} does not match projection {proj.shape}"
+            f"patch width {flat.shape[-1]} does not match projection {proj.shape}"
         )
     if pos.shape[0] != gh * gw:
         raise DimensionError(
             f"positional rows {pos.shape[0]} do not match {gh * gw} patches"
         )
-    return np.concatenate([flat @ proj, pos], axis=1)
+    return np.concatenate([flat @ proj, np.broadcast_to(pos, (*lead, *pos.shape))],
+                          axis=-1)
 
 
-def _np_softmax_rows(x: Array) -> Array:
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+# The frozen forward updates its own temporaries in place: fewer arrays
+# allocated per frame, and the same elementwise ops in the same order, so
+# the same bits.
+
+
+def _np_softmax_rows_in_place(x: Array) -> Array:
+    """Softmax over the last axis, computed in x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _np_attention(q: Array, k: Array, v: Array) -> Array:
-    scores = q @ k.T / np.sqrt(q.shape[1])
-    return _np_softmax_rows(scores) @ v
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= np.sqrt(q.shape[-1])
+    return _np_softmax_rows_in_place(scores) @ v
 
 
 def _np_block(x: Array, vit: dict[str, Array], b: int) -> Array:
     att = _np_attention(x @ vit[f"block{b}.wq"], x @ vit[f"block{b}.wk"],
                         x @ vit[f"block{b}.wv"])
-    h = np.tanh(att @ vit[f"block{b}.mlp_w1"] + vit[f"block{b}.mlp_b1"])
-    return h @ vit[f"block{b}.mlp_w2"] + vit[f"block{b}.mlp_b2"] + x
+    h = att @ vit[f"block{b}.mlp_w1"]
+    h += vit[f"block{b}.mlp_b1"]
+    np.tanh(h, out=h)
+    out = h @ vit[f"block{b}.mlp_w2"]
+    out += vit[f"block{b}.mlp_b2"]
+    out += x
+    return out
 
 
 def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
                      camera: int = 0) -> Array:
+    """Frozen tokens of one (H, W, 3) frame, (N, d), or of a batch of
+    frames from one camera slot, (B, H, W, 3) -> (B, N, d).
+
+    A batch runs every numpy op once over all B frames: each matmul is one
+    BLAS call per frame on that frame's operands, and the softmax, tanh
+    and sums work along rows, so every frame's tokens are bitwise those of
+    encoding it alone. Batches make each op longer, which lets frames on
+    several threads overlap (numpy releases the GIL inside each op).
+    """
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2
     x = patchify(img, patch, vit["patch_proj"], pos[camera * n:(camera + 1) * n])
@@ -134,12 +165,25 @@ def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
                            for camera, arr in enumerate((arr_a, arr_b))], axis=0)
 
 
-def _encode_slot(frame: Array, camera: int, vit: dict[str, Array], patch: int,
-                 blocks: int, memo: FrameMemo) -> Array:
+def memo_hit(memo: dict, camera: int, frame: Array):
+    """The memo's entry for frame in camera's slot when it can be reused, else None.
+
+    This is the one reuse rule of the frozen encoder: reuse when the slot's
+    last frame is byte-equal to frame (same dtype, shape and bytes, so -0.0
+    and 0.0 differ). memo maps a slot to (last frame, what to reuse).
+    """
     last = memo.get(camera)
     if (last is not None and last[0].dtype == frame.dtype
             and last[0].shape == frame.shape and last[0].tobytes() == frame.tobytes()):
         return last[1]
+    return None
+
+
+def _encode_slot(frame: Array, camera: int, vit: dict[str, Array], patch: int,
+                 blocks: int, memo: FrameMemo) -> Array:
+    hit = memo_hit(memo, camera, frame)
+    if hit is not None:
+        return hit
     tokens = vit_encode_image(frame, vit, patch, blocks, camera=camera)
     memo[camera] = (frame.copy(), tokens)
     return tokens

@@ -124,13 +124,17 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> tuple[int, ...]:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
+# A constant operand (requires_grad False: a scale, a target, frozen tokens)
+# gets None from the VJP, as in matmul; backward would discard its gradient.
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add")
     out = a.data + b.data
 
     def vjp(g: Array):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return (_reduce_to(g, a.shape) if a.requires_grad else None,
+                _reduce_to(g, b.shape) if b.requires_grad else None)
 
     return _result(out, (a, b), vjp)
 
@@ -140,7 +144,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def vjp(g: Array):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return (_reduce_to(g, a.shape) if a.requires_grad else None,
+                _reduce_to(-g, b.shape) if b.requires_grad else None)
 
     return _result(out, (a, b), vjp)
 
@@ -151,7 +156,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g: Array):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return (_reduce_to(g * bd, a.shape) if a.requires_grad else None,
+                _reduce_to(g * ad, b.shape) if b.requires_grad else None)
 
     return _result(out, (a, b), vjp)
 
@@ -396,7 +402,8 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
 
     def vjp(g: Array):
         dz = float(g) * (_sigmoid(z) - y)
-        return _reduce_to(dz, lshape), _reduce_to(float(g) * (-z), tshape)
+        return (_reduce_to(dz, lshape),
+                _reduce_to(float(g) * (-z), tshape) if labels.requires_grad else None)
 
     return _result(out, (logits, labels), vjp)
 

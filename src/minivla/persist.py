@@ -14,14 +14,15 @@ Parameters are float64 in memory and float32 on disk, so save->load
 round-trips exactly to f32 precision and save->load->save is
 byte-identical. Datasets are a directory with an index.json plus one
 raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step). Checkpoints, trajectory files and the index are each
-written to a sibling temporary file and renamed over the target, so a
-failed write leaves the previous file intact. A dataset save writes its
-trajectory files under names the current index does not list and the
-index last, then deletes the files only the old index listed, so a
-failed save leaves the previous dataset whole. No fsync is done, so a
-power loss can still lose the newest save. Metrics
-append to a CSV with the evaluation-table column layout and to a JSONL
+row per step); the index stores each binary's length in steps and its
+CRC32, and loading verifies both. Checkpoints, trajectory files and the
+index are each written to a sibling temporary file and renamed over the
+target, so a failed write leaves the previous file intact. A dataset
+save writes its trajectory files under names the current index does not
+list and the index last, then deletes the files only the old index
+listed, so a failed save leaves the previous dataset whole. No fsync is
+done, so a power loss can still lose the newest save. Metrics append to
+a CSV with the evaluation-table column layout and to a JSONL
 stream; appends never rewrite history.
 """
 
@@ -46,6 +47,7 @@ from .training import TrainReport
 
 MAGIC = b"RFPX1"
 FORMAT_VERSION = 1
+DATASET_VERSION = 2  # version 1 stored no CRC32 per trajectory file
 
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
@@ -196,6 +198,15 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
+def _with_crc(chunks, record: dict):
+    """Pass the byte chunks through, then store their CRC32 in record["crc32"]."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    record["crc32"] = crc
+
+
 def _listed_files(out_dir: Path) -> set[str]:
     """The trajectory files the dataset in out_dir lists; none without a
     readable index, since then there is no dataset to keep."""
@@ -221,7 +232,7 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
         generation += 1
     hw = sim.IMAGE_HW
     index = {
-        "version": 1,
+        "version": DATASET_VERSION,
         "image_hw": hw,
         "meta": meta or {},
         "trajectories": [],
@@ -230,9 +241,7 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
     try:
         for i, traj in enumerate(trajectories):
             fname = _traj_filename(i, generation)
-            _write_atomic(out_dir / fname, _trajectory_chunks(traj))
-            written.append(fname)
-            index["trajectories"].append({
+            record = {
                 "file": fname,
                 "instruction": traj.instruction,
                 "family": traj.family,
@@ -240,7 +249,10 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
                 "seed": traj.seed,
                 "variant": traj.variant,
                 "n_steps": len(traj.steps),
-            })
+            }
+            _write_atomic(out_dir / fname, _with_crc(_trajectory_chunks(traj), record))
+            written.append(fname)
+            index["trajectories"].append(record)
         _write_atomic(out_dir / "index.json",
                       [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
     except BaseException:
@@ -263,12 +275,20 @@ def load_dataset(in_dir: str | Path) -> list[sim.Trajectory]:
     step_floats = 2 * 3 * hw * hw + 2 * hw * hw + 7
     out = []
     for rec in index["trajectories"]:
+        if "crc32" not in rec:
+            raise CorruptionError(
+                f"{index_path} stores no CRC32 for {rec['file']} (dataset version "
+                f"{index.get('version')}); a dataset without CRCs cannot be verified, "
+                f"so regenerate it"
+            )
         raw = (in_dir / rec["file"]).read_bytes()
         expect = rec["n_steps"] * step_floats * 4
         if len(raw) != expect:
             raise CorruptionError(
                 f"{rec['file']}: {len(raw)} bytes, expected {expect}"
             )
+        if zlib.crc32(raw) != rec["crc32"]:
+            raise CorruptionError(f"{rec['file']}: CRC32 mismatch, the file is corrupt")
         flat = np.frombuffer(raw, dtype="<f4")
         steps = []
         pos = 0

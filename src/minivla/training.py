@@ -17,6 +17,13 @@ axis: the frozen tokens are encoded once per dataset and stored stacked,
 heads and the imitation loss each run once over all T steps, and the
 LSTM recurrence is one tape op per layer over all T steps, not a
 per-step loop (see policy.policy_core and numerics.lstm_layer).
+
+encode_dataset is the one part that runs in parallel: per trajectory,
+policy.encode_trajectory encodes the frames its frame memo cannot reuse
+on every usable CPU, then joins its threads before returning. The frozen
+tokens are bitwise those of a serial pass (see the policy module), so
+seed-fixed training stays bitwise reproducible; everything after the
+encode (forward, backward, Adam) runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -104,8 +111,12 @@ class Adam:
         c2 = 1.0 - self.b2 ** self.t
         for name, tensor, g in grads:
             g = g * scale
-            m = self._m.setdefault(name, np.zeros_like(tensor.data))
-            v = self._v.setdefault(name, np.zeros_like(tensor.data))
+            m = self._m.get(name)
+            if m is None:  # first update: both moments start at zero
+                m = self._m[name] = np.zeros_like(tensor.data)
+                v = self._v[name] = np.zeros_like(tensor.data)
+            else:
+                v = self._v[name]
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2

@@ -30,12 +30,13 @@ def synthetic_stats() -> dp.DepthStats:
 
 
 def count_encodes(monkeypatch) -> list[int]:
-    """Record the camera slot of every frame the frozen encoder runs on."""
+    """Record the camera slot of every frame the frozen encoder runs on,
+    one entry per frame of a batch."""
     cameras = []
     real = enc.vit_encode_image
 
     def counting(img, vit, patch, blocks, camera=0):
-        cameras.append(camera)
+        cameras.extend([camera] * (len(img) if np.ndim(img) == 4 else 1))
         return real(img, vit, patch, blocks, camera=camera)
 
     monkeypatch.setattr(enc, "vit_encode_image", counting)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from minivla import numerics as nm
@@ -462,3 +462,83 @@ class TestNoGrad:
         with nm.no_grad():
             y = nm.mul(x, x)
         assert y.is_leaf and not y.requires_grad
+
+
+# --- property tests: elementwise ops, slices and reductions vs finite differences ---
+
+small_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+matrices = hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+                      elements=small_floats)
+
+
+def weighted_fd_check(op, x: np.ndarray, seed: int) -> None:
+    """d/dx of sum(w * op(x)) for random weights w: the tape against central
+    differences of the same forward, run through numpy under no_grad."""
+    with nm.no_grad():
+        shape = op(Tensor(x)).shape
+    w = np.random.default_rng(seed).normal(size=shape)
+    params = ParamSet()
+    leaf = params.add("x", x, trainable=True)
+    nm.backward(nm.sum_all(nm.mul(op(leaf), Tensor(w))), params)
+
+    def f(z):
+        with nm.no_grad():
+            return float((op(Tensor(z)).data * w).sum())
+
+    np.testing.assert_allclose(leaf.grad, finite_diff(f, x.copy(), eps=1e-6),
+                               rtol=1e-5, atol=1e-7)
+
+
+class TestElementwiseProperties:
+    """Each op's VJP against finite differences; binary ops take one constant."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=matrices, data=st.data(), seed=st.integers(0, 2**16),
+           op=st.sampled_from([nm.add, nm.sub, nm.mul]),
+           constant_first=st.booleans(), broadcast=st.sampled_from(["full", "row", "scalar"]))
+    def test_binary_op_with_one_constant(self, x, data, seed, op, constant_first, broadcast):
+        shape = {"full": x.shape, "row": x.shape[1:], "scalar": ()}[broadcast]
+        c = data.draw(hnp.arrays(np.float64, shape, elements=small_floats))
+        const = Tensor(c)
+
+        def apply(t):
+            return op(const, t) if constant_first else op(t, const)
+
+        weighted_fd_check(apply, x, seed)
+        leaf = Tensor(x, requires_grad=True)
+        out = apply(leaf)
+        grads = out._vjp(np.ones(out.shape))
+        const_slot, leaf_slot = (0, 1) if constant_first else (1, 0)
+        assert grads[const_slot] is None  # nothing computed for the constant
+        assert grads[leaf_slot].shape == x.shape
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=matrices, seed=st.integers(0, 2**16), op=st.sampled_from([nm.tanh, nm.sigmoid]))
+    def test_unary(self, x, seed, op):
+        weighted_fd_check(op, x, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=matrices, data=st.data(), seed=st.integers(0, 2**16))
+    def test_slices(self, x, data, seed):
+        rows, cols = x.shape
+        i0 = data.draw(st.integers(0, rows - 1))
+        i1 = data.draw(st.integers(i0 + 1, rows))
+        j0 = data.draw(st.integers(0, cols - 1))
+        j1 = data.draw(st.integers(j0 + 1, cols))
+        weighted_fd_check(lambda t: nm.slice_rows(t, i0, i1), x, seed)
+        weighted_fd_check(lambda t: nm.slice_cols(t, j0, j1), x, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=matrices, seed=st.integers(0, 2**16),
+           op=st.sampled_from([nm.sum_all, nm.mean_all]))
+    def test_reductions(self, x, seed, op):
+        weighted_fd_check(op, x, seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=matrices, seed=st.integers(0, 2**16))
+    def test_max_over_rows(self, x, seed):
+        # Finite differences need a unique maximum per column that a 1e-6
+        # step cannot overtake.
+        top2 = np.sort(x, axis=0)[-2:] if x.shape[0] > 1 else None
+        assume(top2 is None or np.all(top2[1] - top2[0] > 1e-3))
+        weighted_fd_check(nm.max_over_rows, x, seed)

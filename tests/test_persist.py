@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -249,6 +250,36 @@ class TestDatasetContainer:
             assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == \
                 dataset_bytes(persist.load_dataset(tmp_path / "fresh"))
         assert (tmp_path / "ds" / "notes.txt").read_text() == "keep me"
+
+    def test_flipped_byte_fails_the_crc_naming_the_file(self, tmp_path):
+        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
+                             tmp_path / "ds")
+        f = tmp_path / "ds" / "traj_00001.bin"
+        raw = bytearray(f.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        f.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match=r"traj_00001\.bin: CRC32 mismatch"):
+            persist.load_dataset(tmp_path / "ds")
+
+    def test_index_stores_a_crc_per_file(self, tmp_path):
+        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
+                             tmp_path / "ds")
+        index = json.loads((tmp_path / "ds" / "index.json").read_text())
+        assert index["version"] == persist.DATASET_VERSION == 2
+        for rec in index["trajectories"]:
+            assert rec["crc32"] == zlib.crc32((tmp_path / "ds" / rec["file"]).read_bytes())
+
+    def test_index_without_crcs_is_rejected(self, tmp_path):
+        persist.save_dataset(sim.generate_dataset(1, 0, ["A"], families=["lift"]),
+                             tmp_path / "ds")
+        index_path = tmp_path / "ds" / "index.json"
+        index = json.loads(index_path.read_text())
+        index["version"] = 1
+        for rec in index["trajectories"]:
+            del rec["crc32"]
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(CorruptionError, match=r"no CRC32 for traj_00000\.bin"):
+            persist.load_dataset(tmp_path / "ds")
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CorruptionError):

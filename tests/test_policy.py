@@ -1,11 +1,17 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import count_encodes, synthetic_obs, synthetic_stats, tiny_config
 
+from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla import policy as pol
 from minivla import sim
+from minivla import training as tr
 from minivla.errors import ContractError, DimensionError
 from minivla.numerics import Tensor
 
@@ -317,6 +323,186 @@ class TestFrameMemo:
                 agent.act(synthetic_obs(rng, 8), "lift the red block")
         # Every RGB frame is new; the two flat depth frames are encoded once.
         assert len(encodes) == 2 * 2 * n_steps + 2
+
+
+def copy_obs(obs: sim.Observation) -> sim.Observation:
+    return sim.Observation(obs.rgb_static.copy(), obs.rgb_gripper.copy(),
+                           obs.depth_static.copy(), obs.depth_gripper.copy())
+
+
+def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
+    """8x8 steps with repeats, a -0.0 swap, one-byte changes and mixed steps."""
+    fresh = [synthetic_obs(rng, 8) for _ in range(n_fresh)]
+    o1, o2 = fresh[0], fresh[1]
+    zero = copy_obs(o1)
+    zero.rgb_static[0, 0, 0] = 0.0
+    neg_zero = copy_obs(zero)
+    neg_zero.rgb_static[0, 0, 0] = -0.0  # equal values, other bytes
+    nudged = copy_obs(o2)
+    nudged.depth_gripper.reshape(-1).view(np.uint8)[5] ^= 1
+    nudged.rgb_static.reshape(-1).view(np.uint8)[9] ^= 1
+    mixed = sim.Observation(o1.rgb_static, o2.rgb_gripper, o2.depth_static,
+                            o1.depth_gripper)
+    return [o1, o1, o2, zero, neg_zero, zero, nudged, o2, mixed, mixed,
+            *fresh[2:], o1, *fresh[2:4], fresh[-1]]
+
+
+def memo_state(model) -> list:
+    return [{camera: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
+             for camera, (frame, tokens) in memo.items()}
+            for memo in model._frame_memos]
+
+
+def thread_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads through /proc")
+
+
+class TestParallelTrajectoryEncode:
+    """encode_trajectory encodes on worker threads; the result is the serial one."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        return count_encodes(monkeypatch)
+
+    def test_trajectory_equals_steps_encoded_alone(self, rng, encodes):
+        model, serial = tiny_model(), tiny_model()
+        observations = varied_observations(rng)
+        # The second call starts with a repeat of the first call's last step,
+        # so it reuses tokens that the memos hold from before it.
+        first = pol.encode_trajectory(model, observations[:9])
+        second = pol.encode_trajectory(model, observations[9:])
+        x_rgb, x_depth = (np.concatenate(pair) for pair in zip(first, second))
+        parallel_encodes = len(encodes)
+        del encodes[:]
+        for obs in observations:
+            pol.encode_observation(serial, obs)
+        assert parallel_encodes == len(encodes) < 4 * len(observations)
+        for t, obs in enumerate(observations):
+            clear_frame_memos(serial)
+            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
+            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
+            assert x_depth[t].tobytes() == alone_depth.tobytes()
+
+    def test_dataset_equals_steps_encoded_alone(self, rng, encodes):
+        model, serial = tiny_model(), tiny_model()
+        observations = varied_observations(rng)
+        action = sim.Action(np.zeros(6), False)
+        dataset = [sim.Trajectory("lift the red block", "lift", "A", i,
+                                  [(obs, action) for obs in part])
+                   for i, part in enumerate((observations[:7], observations[7:]))]
+        encoded = tr.encode_dataset(model, dataset)
+        parallel_encodes = len(encodes)
+        del encodes[:]
+        for obs in observations:
+            pol.encode_observation(serial, obs)
+        assert parallel_encodes == len(encodes)
+        steps = [(x_rgb[t], x_depth[t]) for _, (x_rgb, x_depth), _ in encoded
+                 for t in range(len(x_rgb))]
+        assert len(steps) == len(observations)
+        for (x_rgb, x_depth), obs in zip(steps, observations):
+            clear_frame_memos(serial)
+            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
+            assert x_rgb.tobytes() == alone_rgb.tobytes()
+            assert x_depth.tobytes() == alone_depth.tobytes()
+
+    def test_memos_end_as_after_a_serial_pass(self, rng):
+        model, serial = tiny_model(), tiny_model()
+        observations = varied_observations(rng)
+        x_rgb, x_depth = pol.encode_trajectory(model, observations)
+        for obs in observations:
+            pol.encode_observation(serial, obs)
+        assert memo_state(model) == memo_state(serial)
+        for memo in model._frame_memos:  # copies, not views of inputs or outputs
+            for frame, tokens in memo.values():
+                assert not any(np.shares_memory(frame, getattr(obs, plane))
+                               for obs in observations
+                               for plane in ("rgb_static", "rgb_gripper"))
+                assert not np.shares_memory(tokens, x_rgb)
+                assert not np.shares_memory(tokens, x_depth)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_encodes_run_on_several_threads(self, rng, monkeypatch):
+        threads = []
+        meet = threading.Barrier(2, timeout=10.0)
+        real = enc.vit_encode_image
+
+        def meeting(img, vit, patch, blocks, camera=0):
+            threads.append(threading.get_ident())
+            if len(threads) <= 2:
+                meet.wait()  # the first two encoder calls must run at once
+            return real(img, vit, patch, blocks, camera=camera)
+
+        monkeypatch.setattr(enc, "vit_encode_image", meeting)
+        pol.encode_trajectory(tiny_model(), [synthetic_obs(rng, 8) for _ in range(12)])
+        assert len(set(threads)) >= 2
+
+    def test_more_workers_than_cores_with_a_short_switch_interval(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        model, serial = tiny_model(), tiny_model()
+        observations = [synthetic_obs(rng, 8) for _ in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            x_rgb, x_depth = pol.encode_trajectory(model, observations)
+        finally:
+            sys.setswitchinterval(interval)
+        for t, obs in enumerate(observations):
+            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
+            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
+            assert x_depth[t].tobytes() == alone_depth.tobytes()
+
+    @needs_proc
+    def test_no_thread_outlives_the_call(self, rng):
+        model = tiny_model()
+        before = thread_count()
+        for _ in range(20):
+            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(6)])
+            assert thread_count() == before
+
+    @needs_proc
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_encoder_error_reaches_the_caller(self, rng, monkeypatch, where):
+        if where == "helper" and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs for a helper thread")
+        model = tiny_model()
+        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        memos = memo_state(model)
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        cropped = []
+        real = enc.vit_encode_image
+
+        def cropping(img, vit, patch, blocks, camera=0):
+            on_caller = threading.get_ident() == caller
+            if where == "helper" and on_caller:
+                assert helper_started.wait(10.0)  # a helper takes a job first
+            elif where == "helper":
+                helper_started.set()
+            if on_caller == (where == "caller") and not cropped:
+                cropped.append(camera)
+                img = img[..., :-1, :, :]  # a frame one row short reaches the encoder
+            return real(img, vit, patch, blocks, camera=camera)
+
+        monkeypatch.setattr(enc, "vit_encode_image", cropping)
+        before = thread_count()
+        with pytest.raises(DimensionError, match="not divisible by patch") as err:
+            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(8)])
+        assert type(err.value) is DimensionError and cropped
+        assert thread_count() == before
+        assert memo_state(model) == memos  # a failed call changes no memo
+
+    @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),
+                                             ("depth_static", (8, 8, 1))])
+    def test_frame_shape_is_checked_before_encoding(self, rng, encodes, plane, shape):
+        bad = synthetic_obs(rng, 8)
+        setattr(bad, plane, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(DimensionError, match=rf"{plane} has shape"):
+            pol.encode_trajectory(tiny_model(), [synthetic_obs(rng, 8), bad])
+        assert encodes == []
 
 
 class TestAgents:

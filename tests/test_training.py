@@ -127,6 +127,48 @@ class TestAdam:
         assert w.data[0] != 1.0
 
 
+    def test_updates_match_the_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        params = ParamSet()
+        tensors = [params.add("a", rng.normal(size=(3, 2)), trainable=True),
+                   params.add("b", rng.normal(size=4), trainable=True)]
+        cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.5)
+        opt = tr.Adam(cfg)
+        b1, b2 = cfg.betas
+        expect = [t.data.copy() for t in tensors]
+        m = [np.zeros_like(e) for e in expect]
+        v = [np.zeros_like(e) for e in expect]
+        for step in range(1, 5):
+            grads = [rng.normal(size=t.shape) for t in tensors]
+            for t, g in zip(tensors, grads):
+                t.grad = g.copy()
+            opt.step(params)
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+            scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
+            for i, g in enumerate(grads):
+                g = g * scale
+                m[i] *= b1
+                m[i] += (1.0 - b1) * g
+                v[i] *= b2
+                v[i] += (1.0 - b2) * g * g
+                expect[i] -= cfg.learning_rate * (m[i] / (1.0 - b1 ** step)) / (
+                    np.sqrt(v[i] / (1.0 - b2 ** step)) + cfg.adam_eps)
+            for t, e in zip(tensors, expect):
+                assert t.data.tobytes() == e.tobytes()
+
+    def test_moments_are_allocated_on_the_first_update_only(self, monkeypatch):
+        params = ParamSet()
+        for name in ("a", "b", "c"):
+            params.add(name, np.ones(3), trainable=True).grad = np.full(3, 0.1)
+        opt = tr.Adam(TrainConfig())
+        opt.step(params)
+        calls = []
+        real = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        opt.step(params)
+        assert calls == []
+
+
 def lift_dataset(n=4, seed=0, palettes=("A",)):
     return sim.generate_dataset(n, seed, list(palettes), families=["lift"])
 

@@ -356,8 +356,8 @@ def _encode_frames(todo, vit: dict[str, Array], cfg: ModelConfig, n: int) -> Non
     enc.vit_encode_image), and each job writes only its own rows. The
     calling thread works instead of waiting, which saves the wake-ups of a
     waiting caller. The pool lives only for this call, and a job's
-    exception reaches the caller as raised. Only enc.vit_encode_image runs
-    on the helpers.
+    exception reaches the caller as raised. The helpers call nothing but
+    enc.vit_encode_image and numpy.
     """
     jobs = [(camera, frames[i:i + FRAMES_PER_JOB])
             for camera, frames in enumerate(todo)

@@ -247,6 +247,11 @@ class TestObservationBoundary:
             pol.encode_observation(model, synthetic_obs(rng, 32))
 
 
+@pytest.fixture
+def encodes(monkeypatch):
+    return count_encodes(monkeypatch)
+
+
 def clear_frame_memos(model):
     for memo in model._frame_memos:
         memo.clear()
@@ -254,10 +259,6 @@ def clear_frame_memos(model):
 
 class TestFrameMemo:
     """Frozen tokens are reused for frames byte-equal to their slot's last one."""
-
-    @pytest.fixture
-    def encodes(self, monkeypatch):
-        return count_encodes(monkeypatch)
 
     @staticmethod
     def rollout_model(**overrides):
@@ -363,10 +364,6 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
 
 class TestParallelTrajectoryEncode:
     """encode_trajectory encodes on worker threads; the result is the serial one."""
-
-    @pytest.fixture
-    def encodes(self, monkeypatch):
-        return count_encodes(monkeypatch)
 
     def test_trajectory_equals_steps_encoded_alone(self, rng, encodes):
         model, serial = tiny_model(), tiny_model()

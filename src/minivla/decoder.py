@@ -39,10 +39,6 @@ def tokenize(text: str, vocab: list[str] | dict[str, int]) -> list[int]:
     return [index.get(w, UNK_ID) for w in text.lower().split()]
 
 
-def detokenize(ids, vocab: list[str]) -> str:
-    return " ".join(vocab[i] for i in ids)
-
-
 def init_embedding_array(vocab_size: int, d: int, rng: np.random.Generator) -> Array:
     return rng.normal(0.0, 0.5, size=(vocab_size, d))
 

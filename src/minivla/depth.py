@@ -1,4 +1,4 @@
-"""Depth-map preprocessing: replicate, normalize, standardize, quantize.
+"""Depth-map preprocessing: normalize, standardize, replicate, quantize.
 
 Raw depth frames arrive in meters. Normalization maps them through the
 global extremes of a reference dataset (clamping anything outside),
@@ -56,12 +56,6 @@ class DepthStats:
     def from_json(cls, text: str) -> "DepthStats":
         obj = json.loads(text)
         return cls(obj["d_min"], obj["d_max"], obj["mu"], obj["sigma"])
-
-
-def replicate3(depth) -> Array:
-    """Stack a depth map into three identical channels, shape (H, W, 3)."""
-    d = _as_depth(depth)
-    return np.repeat(d[:, :, None], 3, axis=2)
 
 
 def compute_stats(dataset: Iterable) -> DepthStats:

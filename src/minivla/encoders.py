@@ -4,18 +4,28 @@ One shared frozen patch transformer (random but seed-fixed, standing in
 for a pretrained backbone) encodes both RGB frames and replicated
 standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
-the autodiff tape starts. Because a frame's tokens depend only on the
-frame, vit_encode_pair can take a memo that reuses the tokens of a frame
-byte-equal to the last one from the same camera slot (memo_hit, the one
-reuse rule); a memo is valid only for the frozen weights that filled it.
-vit_encode_image also takes a batch of frames from one camera slot, whose
-tokens are bitwise those of each frame encoded alone. The resampler holds K
-learnable latent query tokens and compresses an N-token sequence to K
-tokens via single-head scaled dot-product attention, so its output is
-invariant to input-token order.
+the autodiff tape starts.
+
+vit_encode_pair runs it on T steps of two camera slots, for a rollout
+step (T = 1) and a whole dataset alike, and alone decides reuse, writes
+the memo, forms batches and starts threads. A frame byte-equal to the
+previous frame of its slot reuses that frame's tokens, which is exact
+because tokens depend only on the frame and the frozen weights (a memo
+serves one set of weights). The other frames are encoded in batches of
+up to FRAMES_PER_JOB frames of one slot, bitwise equal to each frame
+encoded alone; only a call with at least two full batches starts helper
+threads, which end before it returns. A failed call leaves the memo as
+it was.
+
+The resampler holds K learnable latent query tokens and compresses an
+N-token sequence to K tokens via single-head scaled dot-product
+attention, so its output is invariant to input-token order.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -145,48 +155,119 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
 
 def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
                     memo: FrameMemo | None = None) -> Array:
-    """Encode the two camera frames independently and concatenate tokens.
+    """Frozen tokens of T steps of two camera slots, (T, 2N, d): slot a's
+    frames give the first N tokens of each step, slot b's the last N.
 
-    A frame byte-equal to the last frame encoded in its camera slot of the
-    memo reuses that frame's tokens. Byte-equal means the same dtype, shape
-    and bytes, so -0.0 and 0.0 differ. Any other frame is encoded, and a
-    copy of it replaces the slot's entry. Tokens depend only on the frame
-    and the frozen weights, so reuse is exact as long as the memo serves
-    one set of weights. Without a memo, both frames are encoded.
+    a and b each hold T frames, as a list or a (T, H, W, 3) array. A frame
+    byte-equal to the previous frame of its slot (same dtype, shape and
+    bytes, so -0.0 and 0.0 differ; before step 0, the slot's memo entry)
+    copies that frame's tokens; the rest are encoded (see _run_jobs).
+    After a successful call each slot's memo entry holds copies of its
+    last frame and that frame's tokens.
     """
-    arr_a = np.asarray(a)
-    arr_b = np.asarray(b)
-    if arr_a.shape != arr_b.shape:
-        raise DimensionError(
-            f"camera frames differ in extent: {arr_a.shape} vs {arr_b.shape}"
-        )
+    slots = ([np.asarray(f) for f in a], [np.asarray(f) for f in b])
+    if len(slots[0]) != len(slots[1]):
+        raise DimensionError(f"camera slots hold {len(slots[0])} and {len(slots[1])} frames")
+    shapes = {frame.shape for frames in slots for frame in frames}
+    if len(shapes) > 1:
+        raise DimensionError(f"camera frames differ in extent: {sorted(shapes)}")
     memo = {} if memo is None else memo
-    return np.concatenate([_encode_slot(arr, camera, vit, patch, blocks, memo)
-                           for camera, arr in enumerate((arr_a, arr_b))], axis=0)
+    pos = vit["pos_embed"]
+    n = pos.shape[0] // 2  # tokens per frame
+    out = np.empty((len(slots[0]), 2 * n, vit["patch_proj"].shape[1] + pos.shape[1]))
+    fresh: tuple[list[int], list[int]] = ([], [])   # per slot: the steps to encode
+    reused: tuple[list[int], list[int]] = ([], [])  # and the steps that repeat
+    for camera, frames in enumerate(slots):
+        prev = memo.get(camera, (None,))[0]
+        for t, frame in enumerate(frames):
+            (reused if _same_frame(prev, frame) else fresh)[camera].append(t)
+            prev = frame
+    jobs = [(camera, steps[i:i + FRAMES_PER_JOB])
+            for camera, steps in enumerate(fresh)
+            for i in range(0, len(steps), FRAMES_PER_JOB)]
+
+    def encode(job):
+        camera, steps = job
+        frames = slots[camera]
+        batch = (frames[steps[0]][None] if len(steps) == 1
+                 else np.stack([frames[t] for t in steps]))
+        out[steps, camera * n:(camera + 1) * n] = vit_encode_image(
+            batch, vit, patch, blocks, camera=camera)
+
+    _run_jobs(jobs, encode)
+    for camera, (steps, repeats) in enumerate(zip(fresh, reused)):
+        rows = slice(camera * n, (camera + 1) * n)
+        for t in repeats:  # in step order, so step t - 1 is filled already
+            out[t, rows] = out[t - 1, rows] if t else memo[camera][1]
+        if steps:
+            memo[camera] = (slots[camera][-1].copy(), out[-1, rows].copy())
+    return out
 
 
-def memo_hit(memo: dict, camera: int, frame: Array):
-    """The memo's entry for frame in camera's slot when it can be reused, else None.
+def _same_frame(prev: Array | None, frame: Array) -> bool:
+    """The reuse rule: the same dtype, shape and bytes (so -0.0 and 0.0 differ)."""
+    return (prev is not None and prev.dtype == frame.dtype
+            and prev.shape == frame.shape and prev.tobytes() == frame.tobytes())
 
-    This is the one reuse rule of the frozen encoder: reuse when the slot's
-    last frame is byte-equal to frame (same dtype, shape and bytes, so -0.0
-    and 0.0 differ). memo maps a slot to (last frame, what to reuse).
+
+# Frames per encoder call: long enough numpy ops that two threads overlap
+# instead of trading the GIL, short enough to balance the threads' shares.
+FRAMES_PER_JOB = 4
+
+
+def _run_jobs(jobs: list, work) -> None:
+    """Run work(job) for every (camera, steps) job: on the calling thread,
+    and with at least two full batches also on helper threads, one thread
+    per usable CPU in all. numpy releases the GIL inside BLAS and ufunc
+    loops, so the threads overlap. The caller works instead of waiting;
+    the helpers end before this returns, and a job's exception reaches
+    the caller as raised.
     """
-    last = memo.get(camera)
-    if (last is not None and last[0].dtype == frame.dtype
-            and last[0].shape == frame.shape and last[0].tobytes() == frame.tobytes()):
-        return last[1]
-    return None
+    full = sum(len(steps) == FRAMES_PER_JOB for _, steps in jobs)
+    helpers = min(len(os.sched_getaffinity(0)), len(jobs)) - 1 if full >= 2 else 0
+    if helpers < 1:
+        for job in jobs:
+            work(job)
+        return
+    # Imported here: concurrent.futures loads logging (about 10 ms), which a
+    # process that never encodes a batch on helpers should not pay on import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = iter(jobs[1:])  # jobs[0] is the caller's, so the caller always works
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                job = next(pending, None)
+            if job is None:
+                return
+            work(job)
+
+    native_ids: list[int] = []
+    try:
+        with ThreadPoolExecutor(
+                helpers, initializer=lambda: native_ids.append(threading.get_native_id())
+        ) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            work(jobs[0])
+            drain()
+        for future in futures:
+            future.result()
+    finally:
+        _await_thread_exit(native_ids)
 
 
-def _encode_slot(frame: Array, camera: int, vit: dict[str, Array], patch: int,
-                 blocks: int, memo: FrameMemo) -> Array:
-    hit = memo_hit(memo, camera, frame)
-    if hit is not None:
-        return hit
-    tokens = vit_encode_image(frame, vit, patch, blocks, camera=camera)
-    memo[camera] = (frame.copy(), tokens)
-    return tokens
+def _await_thread_exit(native_ids: list[int]) -> None:
+    """Wait until the joined threads have left the process.
+
+    Before Python 3.13, joining a thread returns when it has finished its
+    Python work, a moment before the OS thread exits; until then it is
+    still listed in /proc/self/task. Without /proc this returns at once.
+    """
+    for tid in native_ids:
+        while os.path.exists(f"/proc/self/task/{tid}"):
+            os.sched_yield()
 
 
 # --- trainable resampler (on the tape) ---------------------------------------

@@ -41,7 +41,7 @@ from . import sim
 from .analysis import SuccessTable
 from .config import ModelConfig
 from .depth import DepthStats
-from .errors import CompatibilityError, CorruptionError
+from .errors import CompatibilityError, CorruptionError, DimensionError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -222,15 +222,25 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
     """Write a dataset; a failed save leaves the previous one in out_dir whole.
 
     The trajectory files take names the current index does not list, and
-    the index, written last, is what switches to the new dataset.
+    the index, written last, is what switches to the new dataset. Frames
+    must be sim.IMAGE_HW square, as the index says; that is checked first.
     """
+    hw = sim.IMAGE_HW
+    planes = {"rgb_static": (hw, hw, 3), "rgb_gripper": (hw, hw, 3),
+              "depth_static": (hw, hw), "depth_gripper": (hw, hw)}
+    for i, traj in enumerate(trajectories):
+        for t, (obs, _) in enumerate(traj.steps):
+            for plane, want in planes.items():
+                shape = np.shape(getattr(obs, plane))
+                if shape != want:
+                    raise DimensionError(f"trajectory {i}, step {t}: {plane} has "
+                                         f"shape {shape}, expected {want}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     old_files = _listed_files(out_dir)
     generation = 0
     while any(_traj_filename(i, generation) in old_files for i in range(len(trajectories))):
         generation += 1
-    hw = sim.IMAGE_HW
     index = {
         "version": DATASET_VERSION,
         "image_hw": hw,

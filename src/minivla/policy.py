@@ -16,24 +16,14 @@ all T steps. The LSTM is one nm.lstm_layer op per layer over all T
 steps, whose recurrence loops inside the op, not on the tape. A rollout
 step is the same call with T = 1.
 
-The frozen encoder skips frames that did not change: each Model owns one
-frame memo per modality (see enc.vit_encode_pair), and a frame byte-equal
-to the last one from its camera slot reuses that frame's tokens, across
-steps, trajectories and agents alike. The memo is valid only for its
-model's frozen weights, which never change once the model is built; the
-depth memo holds preprocessed frames, so the depth statistics are part
-of what it compares.
-
-A rollout step encodes its one observation on the calling thread
-(encode_observation). encode_trajectory, the teacher-forced pass behind
-training.encode_dataset, decides reuse on the calling thread in step
-order with the same rule, then encodes the remaining frames in batches
-on the calling thread and on helper threads that live only for the call,
-one thread per usable CPU. Its output is still
-bitwise the serial one: a frame's tokens depend only on the frame and
-the frozen weights, a batch computes every frame with the same per-frame
-BLAS calls and row-wise numpy ops as a lone frame, and each worker writes
-disjoint rows of preallocated outputs.
+The frozen encode is one enc.vit_encode_pair call per modality, for a
+rollout step (encode_observation, T = 1) and a teacher-forced trajectory
+(encode_trajectory) alike, which decides reuse, batching and threads.
+This module checks and preprocesses the frames and supplies the model's
+memos: one per modality, so reuse spans steps, trajectories and agents.
+They stay valid because the frozen weights never change once the model
+is built; the depth memo holds preprocessed frames, so the depth
+statistics are part of what it compares.
 
 Relative pose output is tanh-squashed and scaled to the per-step clip
 bound; the gripper logit binarizes at probability 0.5 with ties
@@ -43,8 +33,6 @@ resolving to open.
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,127 +275,31 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[tuple[Array, Arr
 
 
 def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
-    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64.
-
-    Frames byte-equal to the last ones from their camera slots reuse
-    their tokens from the model's memos.
-    """
-    cfg = model.cfg
-    vit = model.vit_arrays()
-    pairs = _camera_frames(model, obs)
-    with _stage("encoder"):
-        return tuple(enc.vit_encode_pair(a, b, vit, cfg.patch, cfg.vit_blocks, memo)
-                     for (a, b), memo in zip(pairs, model._frame_memos))
+    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64:
+    encode_trajectory of one step."""
+    x_rgb, x_depth = encode_trajectory(model, [obs])
+    return x_rgb[0], x_depth[0]
 
 
 def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
-    """encode_observation of each step, stacked: (X_rgb, X_depth), each (T, 2N, d).
+    """Frozen token sequences of T steps, (X_rgb, X_depth), each (T, 2N, d).
 
-    The output and the model's memos afterwards are bitwise those of
-    encode_observation called step by step. The reuse decisions are made
-    here, in step order, with the same rule (enc.memo_hit); only the frames
-    that rule sends to the encoder are encoded, on this thread and helper
-    threads (see _encode_frames). A call that fails leaves the memos as they were.
+    Every frame is checked before any is encoded. Then one
+    enc.vit_encode_pair call per modality encodes all T steps against a
+    copy of the model's memo for that modality; the copies replace the
+    memos only when both calls succeed, so a failed call changes neither.
     """
     cfg = model.cfg
     steps = [_camera_frames(model, obs) for obs in observations]
     vit = model.vit_arrays()
-    n = vit["pos_embed"].shape[0] // 2  # tokens per frame
-    out = tuple(np.empty((len(steps), 2 * n, cfg.d_model)) for _ in model._frame_memos)
-    todo: tuple[list, list] = ([], [])  # per camera slot: (output, step, frame) to encode
-    copies = []  # (output, step, camera, reused tokens or the step that encodes them)
-    plans = []   # per modality: slot -> (last frame, its tokens or the step encoding it)
-    for x, memo, pairs in zip(out, model._frame_memos, zip(*steps)):
-        plan = dict(memo)
-        for t, pair in enumerate(pairs):
-            for camera, frame in enumerate(pair):
-                hit = enc.memo_hit(plan, camera, frame)
-                if hit is None:
-                    todo[camera].append((x, t, frame))
-                    plan[camera] = (frame, t)
-                else:
-                    copies.append((x, t, camera, hit))
-        plans.append(plan)
+    memos = tuple(dict(memo) for memo in model._frame_memos)
     with _stage("encoder"):
-        _encode_frames(todo, vit, cfg, n)
-    for x, t, camera, source in copies:
-        rows = slice(camera * n, (camera + 1) * n)
-        x[t, rows] = x[source, rows] if isinstance(source, int) else source
-    for x, memo, plan in zip(out, model._frame_memos, plans):
-        for camera, (frame, source) in plan.items():
-            if isinstance(source, int):  # encoded in this call
-                memo[camera] = (frame.copy(), x[source, camera * n:(camera + 1) * n].copy())
-    return out
-
-
-# Frames per encoder call: long enough numpy ops that two threads overlap
-# instead of trading the GIL, short enough to balance the threads' shares.
-FRAMES_PER_JOB = 4
-
-
-def _encode_frames(todo, vit: dict[str, Array], cfg: ModelConfig, n: int) -> None:
-    """Encode the frames todo lists per camera slot into their output rows.
-
-    Frames are independent once the weights are frozen, and numpy releases
-    the GIL inside BLAS and ufunc loops, so batches of up to FRAMES_PER_JOB
-    frames of one slot are shared out between the calling thread and a pool
-    of helper threads, one thread per usable CPU in all. A batch's tokens
-    are bitwise those of its frames encoded one by one (see
-    enc.vit_encode_image), and each job writes only its own rows. The
-    calling thread works instead of waiting, which saves the wake-ups of a
-    waiting caller. The pool lives only for this call, and a job's
-    exception reaches the caller as raised. The helpers call nothing but
-    enc.vit_encode_image and numpy.
-    """
-    jobs = [(camera, frames[i:i + FRAMES_PER_JOB])
-            for camera, frames in enumerate(todo)
-            for i in range(0, len(frames), FRAMES_PER_JOB)]
-    pending = iter(jobs)
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                job = next(pending, None)
-            if job is None:
-                return
-            camera, frames = job
-            tokens = enc.vit_encode_image(np.stack([frame for _, _, frame in frames]),
-                                          vit, cfg.patch, cfg.vit_blocks, camera=camera)
-            for (x, t, _), tok in zip(frames, tokens):
-                x[t, camera * n:(camera + 1) * n] = tok
-
-    helpers = min(len(os.sched_getaffinity(0)), len(jobs)) - 1
-    if helpers < 1:
-        drain()
-        return
-    # Imported here: concurrent.futures loads logging (about 10 ms), which a
-    # process that never encodes a trajectory should not pay on import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    native_ids: list[int] = []
-    try:
-        with ThreadPoolExecutor(
-                helpers, initializer=lambda: native_ids.append(threading.get_native_id())
-        ) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-        for future in futures:
-            future.result()
-    finally:
-        _await_thread_exit(native_ids)
-
-
-def _await_thread_exit(native_ids: list[int]) -> None:
-    """Wait until the joined threads have left the process.
-
-    Before Python 3.13, joining a thread returns when it has finished its
-    Python work, a moment before the OS thread exits; until then it is
-    still listed in /proc/self/task. Without /proc this returns at once.
-    """
-    for tid in native_ids:
-        while os.path.exists(f"/proc/self/task/{tid}"):
-            os.sched_yield()
+        encoded = tuple(enc.vit_encode_pair([step[m][0] for step in steps],
+                                            [step[m][1] for step in steps],
+                                            vit, cfg.patch, cfg.vit_blocks, memo)
+                        for m, memo in enumerate(memos))
+    model._frame_memos = memos
+    return encoded
 
 
 # --- the policy over a trajectory ------------------------------------------------

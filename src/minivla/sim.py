@@ -807,8 +807,7 @@ def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
         target = resolve_target(state, template)
         task = replace(template, x0=float(target.pos[0]))
         text = paraphrase_instruction(task, para_rng) if enrich else task.instruction
-        if hasattr(agent, "begin_task"):
-            agent.begin_task(task, text)
+        agent.begin_task(task, text)
         ok = False
         for _ in range(max_steps_per_task):
             obs = render_observation(state)

@@ -18,12 +18,11 @@ heads and the imitation loss each run once over all T steps, and the
 LSTM recurrence is one tape op per layer over all T steps, not a
 per-step loop (see policy.policy_core and numerics.lstm_layer).
 
-encode_dataset is the one part that runs in parallel: per trajectory,
-policy.encode_trajectory encodes the frames its frame memo cannot reuse
-on every usable CPU, then joins its threads before returning. The frozen
-tokens are bitwise those of a serial pass (see the policy module), so
-seed-fixed training stays bitwise reproducible; everything after the
-encode (forward, backward, Adam) runs on the calling thread.
+encode_dataset is one enc.vit_encode_pair call per modality over the
+whole dataset, which encodes on every usable CPU and joins its threads
+before returning. Its tokens are bitwise those of each frame encoded
+alone, so seed-fixed training stays bitwise reproducible; everything
+after it (forward, backward, Adam) runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -143,15 +142,22 @@ def encode_dataset(model: pol.Model, dataset: list[sim.Trajectory]):
     under teacher forcing.
 
     Per trajectory: (instruction, (X_rgb, X_depth) each (T, 2N, d),
-    expert actions). Models with equal frozen_checksum, depth statistics
-    and depth_input encode a dataset identically and may share the result.
+    expert actions). Instructions are resolved first, so bad text fails
+    before any encode; then one encode_trajectory call, whose memos carry
+    across trajectories as across steps, is sliced per trajectory. Models
+    with equal frozen_checksum, depth statistics and depth_input encode a
+    dataset identically and may share the result.
     """
+    instructions = [model.instruction(traj.instruction) for traj in dataset]
+    x_rgb, x_depth = pol.encode_trajectory(
+        model, [obs for traj in dataset for obs, _ in traj.steps])
     encoded = []
-    for traj in dataset:
-        instr = model.instruction(traj.instruction)
-        tokens = pol.encode_trajectory(model, [obs for obs, _ in traj.steps])
-        actions = [action for _, action in traj.steps]
-        encoded.append((instr, tokens, actions))
+    start = 0
+    for instr, traj in zip(instructions, dataset):
+        stop = start + len(traj.steps)
+        encoded.append((instr, (x_rgb[start:stop], x_depth[start:stop]),
+                        [action for _, action in traj.steps]))
+        start = stop
     return encoded
 
 

@@ -22,7 +22,7 @@ class TestTokenize:
     def test_round_trip_up_to_case(self):
         text = "Lift The RED block"
         ids = dec.tokenize(text, VOCAB)
-        assert dec.detokenize(ids, VOCAB) == text.lower()
+        assert " ".join(VOCAB[i] for i in ids) == text.lower()
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInstructionError):

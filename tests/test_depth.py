@@ -7,28 +7,14 @@ from minivla import depth as dp
 from minivla.errors import ContractError, DegenerateRangeError, DimensionError
 
 
-class TestReplicate3:
-    def test_three_identical_channels(self):
-        d = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = dp.replicate3(d)
-        assert out.shape == (2, 2, 3)
-        for c in range(3):
-            np.testing.assert_array_equal(out[:, :, c], d)
-
-    def test_random_map_channels_equal(self):
-        rng = np.random.default_rng(0)
-        d = rng.random((5, 7))
-        out = dp.replicate3(d)
-        assert np.array_equal(out[:, :, 0], out[:, :, 1])
-        assert np.array_equal(out[:, :, 1], out[:, :, 2])
-
+class TestPreprocessDepth:
     def test_invalid_maps_rejected(self):
-        with pytest.raises(ContractError):
-            dp.replicate3([[np.nan, 1.0]])
-        with pytest.raises(ContractError):
-            dp.replicate3([[-0.5, 1.0]])
-        with pytest.raises(DimensionError):
-            dp.replicate3([1.0, 2.0])
+        stats = dp.DepthStats(0.0, 1.0, 0.5, 0.5)
+        for depth, error in (([[np.nan, 1.0]], ContractError),
+                             ([[-0.5, 1.0]], ContractError),
+                             ([1.0, 2.0], DimensionError)):
+            with pytest.raises(error):
+                dp.preprocess_depth(depth, stats)
 
 
 class TestComputeStats:

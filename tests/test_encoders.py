@@ -13,6 +13,20 @@ def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
     return enc.init_vit_arrays(hw, patch, d, blocks, rng), patch, blocks
 
 
+def encode_step(a, b, vit, patch, blocks, memo=None):
+    """vit_encode_pair of one step: (2N, d)."""
+    return enc.vit_encode_pair([a], [b], vit, patch, blocks, memo)[0]
+
+
+ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
+
+
+def encoded_alone(a, b, vit, patch, blocks):
+    """The reference for one step: each camera's frame encoded on its own."""
+    return np.concatenate([ENCODE_IMAGE(a, vit, patch, blocks, camera=0),
+                           ENCODE_IMAGE(b, vit, patch, blocks, camera=1)])
+
+
 class TestPatchify:
     def test_token_count_32x32_p8(self, rng):
         vit, patch, _ = small_vit(rng)
@@ -57,14 +71,14 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        out = enc.vit_encode_pair(a, b, vit, patch, blocks)
+        out = encode_step(a, b, vit, patch, blocks)
         assert out.shape == (32, 16)
 
     def test_pair_is_independent_encoding(self, rng):
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        pair = enc.vit_encode_pair(a, b, vit, patch, blocks)
+        pair = encode_step(a, b, vit, patch, blocks)
         solo_a = enc.vit_encode_image(a, vit, patch, blocks, camera=0)
         solo_b = enc.vit_encode_image(b, vit, patch, blocks, camera=1)
         np.testing.assert_array_equal(pair[:16], solo_a)
@@ -81,14 +95,14 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        one = enc.vit_encode_pair(a, b, vit, patch, blocks)
-        two = enc.vit_encode_pair(a, b, vit, patch, blocks)
+        one = encode_step(a, b, vit, patch, blocks)
+        two = encode_step(a, b, vit, patch, blocks)
         assert np.array_equal(one, two)
 
     def test_extent_mismatch_rejected(self, rng):
         vit, patch, blocks = small_vit(rng)
         with pytest.raises(DimensionError):
-            enc.vit_encode_pair(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
+            encode_step(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
                                 vit, patch, blocks)
 
 
@@ -96,11 +110,11 @@ class TestFrameMemo:
     def test_repeated_pair_reuses_tokens(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
-        expect = enc.vit_encode_pair(a, b, vit, patch, blocks)
+        expect = encoded_alone(a, b, vit, patch, blocks)
         cameras = count_encodes(monkeypatch)
         memo = {}
         for _ in range(3):
-            got = enc.vit_encode_pair(a.copy(), b.copy(), vit, patch, blocks, memo)
+            got = encode_step(a.copy(), b.copy(), vit, patch, blocks, memo)
             assert got.tobytes() == expect.tobytes()
         assert cameras == [0, 1]
 
@@ -122,10 +136,10 @@ class TestFrameMemo:
             assert a2.tobytes() == a.tobytes()
         cameras = count_encodes(monkeypatch)
         memo = {}
-        enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
-        got = enc.vit_encode_pair(a2, b, vit, patch, blocks, memo)
+        encode_step(a, b, vit, patch, blocks, memo)
+        got = encode_step(a2, b, vit, patch, blocks, memo)
         assert cameras == [0, 1, 0]
-        assert got.tobytes() == enc.vit_encode_pair(a2, b, vit, patch, blocks).tobytes()
+        assert got.tobytes() == encoded_alone(a2, b, vit, patch, blocks).tobytes()
 
     def test_slots_are_remembered_separately(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
@@ -133,23 +147,44 @@ class TestFrameMemo:
         cameras = count_encodes(monkeypatch)
         memo = {}
         steps = [(a, b), (a, a), (b, a), (b, a)]
-        got = [enc.vit_encode_pair(x, y, vit, patch, blocks, memo) for x, y in steps]
+        got = [encode_step(x, y, vit, patch, blocks, memo) for x, y in steps]
         # (a, a): slot 0 repeats, slot 1 changed and must not borrow slot 0's
         # tokens; (b, a): only slot 0 changed; the last step repeats both.
         assert cameras == [0, 1, 1, 0]
         for (x, y), tokens in zip(steps, got):
-            assert tokens.tobytes() == enc.vit_encode_pair(x, y, vit, patch, blocks).tobytes()
+            assert tokens.tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
 
     def test_memo_holds_a_copy_of_the_frame(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         cameras = count_encodes(monkeypatch)
         memo = {}
-        enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
+        encode_step(a, b, vit, patch, blocks, memo)
         a[0, 0, 0] += 1.0  # the caller reuses its buffer for the next frame
-        got = enc.vit_encode_pair(a, b, vit, patch, blocks, memo)
+        got = encode_step(a, b, vit, patch, blocks, memo)
         assert cameras == [0, 1, 0]
-        assert got.tobytes() == enc.vit_encode_pair(a, b, vit, patch, blocks).tobytes()
+        assert got.tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+
+    def test_repeats_inside_one_call_are_encoded_once(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        slot0 = [a, a.copy(), b, b.copy()]
+        slot1 = [b, b.copy(), a, a.copy()]  # the same frames, the other camera
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        got = enc.vit_encode_pair(slot0, slot1, vit, patch, blocks, memo)
+        assert sorted(cameras) == [0, 0, 1, 1]
+        for t, (x, y) in enumerate(zip(slot0, slot1)):
+            assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+        stepwise = {}
+        for x, y in zip(slot0, slot1):
+            encode_step(x, y, vit, patch, blocks, stepwise)
+        assert memo.keys() == stepwise.keys() == {0, 1}
+        for camera in (0, 1):
+            frame, tokens = memo[camera]
+            assert frame.tobytes() == stepwise[camera][0].tobytes()
+            assert tokens.tobytes() == stepwise[camera][1].tobytes()
+            assert not np.shares_memory(tokens, got)
 
 
 def make_resampler(rng, k=4, d_in=16, d=16, trainable=True):

@@ -13,7 +13,7 @@ from minivla import sim
 from minivla import training as tr
 from minivla.analysis import SuccessTable
 from minivla.config import TrainConfig
-from minivla.errors import CompatibilityError, CorruptionError
+from minivla.errors import CompatibilityError, CorruptionError, DimensionError
 
 
 def small_model(**kw):
@@ -235,6 +235,23 @@ class TestDatasetContainer:
         monkeypatch.undo()
         assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == before
         assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == files
+
+    @pytest.mark.parametrize("plane,shape", [("depth_gripper", (8, 8)),
+                                             ("rgb_static", (32, 32, 4))])
+    def test_frames_of_another_extent_are_rejected_before_writing(self, tmp_path,
+                                                                  plane, shape):
+        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
+                             tmp_path / "ds")
+        before = dataset_bytes(persist.load_dataset(tmp_path / "ds"))
+        files = sorted(p.name for p in (tmp_path / "ds").iterdir())
+        newer = sim.generate_dataset(2, 5, ["B"], families=["press"])
+        obs, _ = newer[1].steps[3]
+        setattr(obs, plane, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(DimensionError,
+                           match=rf"trajectory 1, step 3: {plane} has shape"):
+            persist.save_dataset(newer, tmp_path / "ds")
+        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == files
+        assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == before
 
     def test_resaves_replace_the_whole_dataset(self, tmp_path):
         (tmp_path / "ds").mkdir()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import sys
 import threading
@@ -7,12 +8,13 @@ import pytest
 
 from conftest import count_encodes, synthetic_obs, synthetic_stats, tiny_config
 
+from minivla import depth as dp
 from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla import policy as pol
 from minivla import sim
 from minivla import training as tr
-from minivla.errors import ContractError, DimensionError
+from minivla.errors import ContractError, DimensionError, EmptyInstructionError
 from minivla.numerics import Tensor
 
 
@@ -252,9 +254,29 @@ def encodes(monkeypatch):
     return count_encodes(monkeypatch)
 
 
-def clear_frame_memos(model):
-    for memo in model._frame_memos:
-        memo.clear()
+ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
+
+
+def encoded_alone(model, obs) -> tuple[np.ndarray, np.ndarray]:
+    """The reference (X_rgb, X_depth) of one step, each (2N, d): every frame
+    preprocessed and encoded on its own, with no memo."""
+    cfg, vit = model.cfg, model.vit_arrays()
+    rgb = (obs.rgb_static, obs.rgb_gripper)
+    depth = tuple(dp.preprocess_depth(d, model.depth_stats)
+                  for d in (obs.depth_static, obs.depth_gripper))
+    return tuple(np.concatenate([ENCODE_IMAGE(frame, vit, cfg.patch, cfg.vit_blocks,
+                                              camera=camera)
+                                 for camera, frame in enumerate(pair)])
+                 for pair in (rgb, depth))
+
+
+def assert_rows_encoded_alone(model, encoded, observations):
+    x_rgb, x_depth = encoded
+    assert len(x_rgb) == len(x_depth) == len(observations)
+    for t, obs in enumerate(observations):
+        alone_rgb, alone_depth = encoded_alone(model, obs)
+        assert x_rgb[t].tobytes() == alone_rgb.tobytes()
+        assert x_depth[t].tobytes() == alone_depth.tobytes()
 
 
 class TestFrameMemo:
@@ -269,23 +291,23 @@ class TestFrameMemo:
         return model
 
     def test_agent_matches_an_agent_without_reuse(self, encodes):
-        model, reference = self.rollout_model(), self.rollout_model()
+        model = self.rollout_model()
         agent = pol.PolicyAgent(model)
-        hidden = pol.reset_hidden(reference)
+        hidden = pol.reset_hidden(model)
         state = sim.make_env(0, "D")
         text = "lift the red block"
         n_steps = 12
         for _ in range(n_steps):
             obs = sim.render_observation(state)
             action = agent.act(obs, text)
-            clear_frame_memos(reference)  # nothing to reuse: all 4 frames encoded
+            encoded = tuple(x[None] for x in encoded_alone(model, obs))
             with nm.no_grad():
-                expect, hidden = pol.policy_step(reference, obs, text, hidden)
-            assert action.pose.tobytes() == expect.pose.tobytes()
-            assert action.gripper_closed == expect.gripper_closed
+                pose, logit, hidden = pol.policy_core(model, encoded,
+                                                      model.instruction(text), hidden)
+            assert action.pose.tobytes() == pose.data.reshape(6).tobytes()
+            assert action.gripper_closed == (logit.item() > 0.0)
             state = sim.step_env(state, action)
-        agent_encodes = len(encodes) - 4 * n_steps
-        assert agent_encodes < 4 * n_steps
+        assert len(encodes) < 4 * n_steps
 
     def test_trajectory_matches_steps_encoded_alone(self, rng, encodes):
         model = tiny_model()
@@ -293,15 +315,9 @@ class TestFrameMemo:
         mixed = sim.Observation(o1.rgb_static, o2.rgb_gripper, o2.depth_static,
                                 o1.depth_gripper)
         observations = [o1, o1, o2, mixed, mixed, o1]
-        x_rgb, x_depth = pol.encode_trajectory(model, observations)
+        encoded = pol.encode_trajectory(model, observations)
         assert len(encodes) < 4 * len(observations)
-        del encodes[:]
-        for t, obs in enumerate(observations):
-            clear_frame_memos(model)
-            alone_rgb, alone_depth = pol.encode_observation(model, obs)
-            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
-            assert x_depth[t].tobytes() == alone_depth.tobytes()
-        assert len(encodes) == 4 * len(observations)
+        assert_rows_encoded_alone(model, encoded, observations)
 
     def test_each_model_has_its_own_memo(self, rng, encodes):
         first, second = tiny_model(seed=0), tiny_model(seed=1)
@@ -311,10 +327,7 @@ class TestFrameMemo:
         assert len(encodes) == 4
         got = pol.encode_observation(second, obs)  # other frozen weights
         assert len(encodes) == 8
-        clear_frame_memos(second)
-        expect = pol.encode_observation(second, obs)
-        assert got[0].tobytes() == expect[0].tobytes()
-        assert got[1].tobytes() == expect[1].tobytes()
+        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
 
     def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
         model = tiny_model(depth_input="constant")
@@ -362,8 +375,17 @@ needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                 reason="counts threads through /proc")
 
 
+def trajectories(observations, *cuts) -> list[sim.Trajectory]:
+    action = sim.Action(np.zeros(6), False)
+    bounds = [0, *cuts, len(observations)]
+    return [sim.Trajectory("lift the red block", "lift", "A", i,
+                           [(obs, action) for obs in observations[start:stop]])
+            for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+
+
 class TestParallelTrajectoryEncode:
-    """encode_trajectory encodes on worker threads; the result is the serial one."""
+    """encode_trajectory encodes on worker threads; every row is that of
+    its frames encoded alone."""
 
     def test_trajectory_equals_steps_encoded_alone(self, rng, encodes):
         model, serial = tiny_model(), tiny_model()
@@ -372,39 +394,63 @@ class TestParallelTrajectoryEncode:
         # so it reuses tokens that the memos hold from before it.
         first = pol.encode_trajectory(model, observations[:9])
         second = pol.encode_trajectory(model, observations[9:])
-        x_rgb, x_depth = (np.concatenate(pair) for pair in zip(first, second))
+        encoded = tuple(np.concatenate(pair) for pair in zip(first, second))
         parallel_encodes = len(encodes)
         del encodes[:]
         for obs in observations:
             pol.encode_observation(serial, obs)
         assert parallel_encodes == len(encodes) < 4 * len(observations)
-        for t, obs in enumerate(observations):
-            clear_frame_memos(serial)
-            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
-            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
-            assert x_depth[t].tobytes() == alone_depth.tobytes()
+        assert_rows_encoded_alone(model, encoded, observations)
 
     def test_dataset_equals_steps_encoded_alone(self, rng, encodes):
         model, serial = tiny_model(), tiny_model()
         observations = varied_observations(rng)
-        action = sim.Action(np.zeros(6), False)
-        dataset = [sim.Trajectory("lift the red block", "lift", "A", i,
-                                  [(obs, action) for obs in part])
-                   for i, part in enumerate((observations[:7], observations[7:]))]
-        encoded = tr.encode_dataset(model, dataset)
+        encoded = tr.encode_dataset(model, trajectories(observations, 7))
         parallel_encodes = len(encodes)
         del encodes[:]
         for obs in observations:
             pol.encode_observation(serial, obs)
         assert parallel_encodes == len(encodes)
-        steps = [(x_rgb[t], x_depth[t]) for _, (x_rgb, x_depth), _ in encoded
-                 for t in range(len(x_rgb))]
-        assert len(steps) == len(observations)
-        for (x_rgb, x_depth), obs in zip(steps, observations):
-            clear_frame_memos(serial)
-            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
-            assert x_rgb.tobytes() == alone_rgb.tobytes()
-            assert x_depth.tobytes() == alone_depth.tobytes()
+        steps = tuple(np.concatenate(xs) for xs in zip(*(x for _, x, _ in encoded)))
+        assert_rows_encoded_alone(model, steps, observations)
+
+    def test_dataset_is_one_encode_per_modality(self, rng, monkeypatch):
+        model, per_trajectory = tiny_model(), tiny_model()
+        observations = varied_observations(rng)
+        dataset = trajectories(observations, 3, 7, 7, 12)  # one trajectory is empty
+        calls = []
+        real = enc.vit_encode_pair
+
+        def counting(a, b, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(enc, "vit_encode_pair", counting)
+        encoded = tr.encode_dataset(model, dataset)
+        assert calls == [len(observations)] * 2
+        for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
+            expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
+            assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
+            assert [x.shape for x in tokens] == [x.shape for x in expect]
+            assert instr.text == traj.instruction
+            assert all(a is b for a, (_, b) in zip(actions, traj.steps, strict=True))
+        assert memo_state(model) == memo_state(per_trajectory)
+
+    def test_bad_instruction_fails_before_any_encode(self, rng, encodes):
+        dataset = trajectories([synthetic_obs(rng, 8) for _ in range(4)], 2)
+        dataset[1].instruction = " "
+        with pytest.raises(EmptyInstructionError):
+            tr.encode_dataset(tiny_model(), dataset)
+        assert encodes == []
+
+    def test_no_steps_give_empty_tokens_and_keep_the_memos(self, rng):
+        model = tiny_model()
+        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        memos = memo_state(model)
+        encoded = pol.encode_trajectory(model, [])
+        n_tokens = 2 * (8 // 4) ** 2
+        assert [x.shape for x in encoded] == [(0, n_tokens, 16)] * 2
+        assert memo_state(model) == memos
 
     def test_memos_end_as_after_a_serial_pass(self, rng):
         model, serial = tiny_model(), tiny_model()
@@ -439,7 +485,7 @@ class TestParallelTrajectoryEncode:
 
     def test_more_workers_than_cores_with_a_short_switch_interval(self, rng, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        model, serial = tiny_model(), tiny_model()
+        model = tiny_model()
         observations = [synthetic_obs(rng, 8) for _ in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -447,10 +493,26 @@ class TestParallelTrajectoryEncode:
             x_rgb, x_depth = pol.encode_trajectory(model, observations)
         finally:
             sys.setswitchinterval(interval)
-        for t, obs in enumerate(observations):
-            alone_rgb, alone_depth = pol.encode_observation(serial, obs)
-            assert x_rgb[t].tobytes() == alone_rgb.tobytes()
-            assert x_depth[t].tobytes() == alone_depth.tobytes()
+        assert_rows_encoded_alone(model, (x_rgb, x_depth), observations)
+
+    def test_threads_start_only_for_two_full_batches(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        pools = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        class Recording(real):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        model = tiny_model()
+        pol.encode_observation(model, synthetic_obs(rng, 8))  # a rollout step
+        pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(3)])
+        assert pools == []
+        # One full batch per slot: two per modality, so one helper each.
+        pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(4)])
+        assert pools == [1, 1]
 
     @needs_proc
     def test_no_thread_outlives_the_call(self, rng):
@@ -491,6 +553,22 @@ class TestParallelTrajectoryEncode:
         assert type(err.value) is DimensionError and cropped
         assert thread_count() == before
         assert memo_state(model) == memos  # a failed call changes no memo
+
+    def test_failed_depth_encode_keeps_the_rgb_memo(self, rng, monkeypatch):
+        model = tiny_model()
+        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        memos = memo_state(model)
+        real = enc.vit_encode_image
+
+        def failing_on_depth(img, vit, patch, blocks, camera=0):
+            if img.dtype == np.float64:  # preprocessed depth; the RGB frames are float32
+                raise DimensionError("depth frame rejected")
+            return real(img, vit, patch, blocks, camera=camera)
+
+        monkeypatch.setattr(enc, "vit_encode_image", failing_on_depth)
+        with pytest.raises(DimensionError, match="depth frame rejected"):
+            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(3)])
+        assert memo_state(model) == memos
 
     @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),
                                              ("depth_static", (8, 8, 1))])

@@ -32,8 +32,9 @@ def make_data(n, seed0):
     for i in range(n):
         state = minimal_env(seed0 + i)
         task = sim.make_task(state, "lift", state.objects[0])
-        _, steps = sim.run_expert_episode(state, task, record=True)
-        out.append(sim.Trajectory(task.instruction, "lift", "A", seed0 + i, steps))
+        _, steps = sim.run_expert_episode(state, task)
+        out.append(sim.Trajectory(task.instruction, "lift", "A", seed0 + i,
+                                  [(sim.render_observation(s), a) for s, a in steps]))
     return out
 
 

@@ -4,11 +4,16 @@ Instructions are lowercased, whitespace-tokenized against a closed
 vocabulary (index 0 is the unknown-word id), and embedded through a
 frozen table. Each fusion layer runs a gated cross-attention sublayer
 (language tokens query the fused visual/depth tokens; the residual
-branch is scaled by tanh of a learnable scalar gate, initialized to 0
-so the stack starts as the frozen language path) followed by a frozen
-self-attention sublayer. Both sublayers are residual and use a
+branch is scaled by tanh of a learnable scalar gate) followed by a
+frozen self-attention sublayer. Both sublayers are residual and use a
 two-layer tanh MLP of hidden width 4d; there is no masking and no
 normalization.
+
+Every gate starts at GATE_INIT = 0.5, not at Flamingo's 0. A zero gate
+would start the stack as the pure frozen language path, but every
+cross-attention weight's gradient is scaled by tanh(gate), so at this
+scale those weights would never receive usable gradients. A gate set to
+zero still makes a layer the exact language path.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ Array = np.ndarray
 
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
+GATE_INIT = 0.5  # initial cross-attention gate pre-activation; see above
 
 
 def build_vocab(words) -> list[str]:
@@ -31,11 +37,11 @@ def build_vocab(words) -> list[str]:
     return [UNK_TOKEN] + normal
 
 
-def tokenize(text: str, vocab: list[str] | dict[str, int]) -> list[int]:
-    """Lowercase, whitespace split, map through the vocabulary (UNK id 0)."""
+def tokenize(text: str, index: dict[str, int]) -> list[int]:
+    """Lowercase, whitespace split, map through the vocabulary's word ->
+    id index (UNK id 0)."""
     if not text or not text.strip():
         raise EmptyInstructionError("instruction text is empty")
-    index = vocab if isinstance(vocab, dict) else {w: i for i, w in enumerate(vocab)}
     return [index.get(w, UNK_ID) for w in text.lower().split()]
 
 
@@ -54,16 +60,9 @@ def embed_ids(table: Array, ids) -> Array:
     return table[np.asarray(ids, dtype=np.intp)].copy()
 
 
-def init_decoder_layer_arrays(d: int, rng: np.random.Generator,
-                              gate_init: float = 0.5) -> dict[str, Array]:
+def init_decoder_layer_arrays(d: int, rng: np.random.Generator) -> dict[str, Array]:
     """One fusion layer; 'cross.*' entries train, 'self.*' stay frozen.
-
-    gate_init = 0 makes the layer start as the pure language path, but at
-    small scale the cross weights then never receive usable gradients
-    (they are all scaled by tanh(gate)), so the default opens the gate
-    slightly. The gate-identity property is still exact whenever the
-    gate value is zero.
-    """
+    The gate starts at GATE_INIT."""
     def attn():
         return {
             "wq": rng.normal(0.0, d ** -0.5, size=(d, d)),
@@ -76,7 +75,7 @@ def init_decoder_layer_arrays(d: int, rng: np.random.Generator,
         }
 
     arrays = {f"cross.{k}": v for k, v in attn().items()}
-    arrays["cross.alpha"] = np.asarray(float(gate_init))
+    arrays["cross.alpha"] = np.asarray(GATE_INIT)
     arrays.update({f"self.{k}": v for k, v in attn().items()})
     return arrays
 

@@ -273,27 +273,20 @@ def _await_thread_exit(native_ids: list[int]) -> None:
 # --- trainable resampler (on the tape) ---------------------------------------
 
 
-def init_resampler_arrays(k: int, d_in: int, d: int, rng: np.random.Generator,
-                          pos_embed: Array | None = None) -> dict[str, Array]:
-    """Latent queries, key/value projections.
+def init_resampler_arrays(k: int, d: int, rng: np.random.Generator,
+                          pos_embed: Array) -> dict[str, Array]:
+    """Latent queries, key/value projections, for tokens of width d.
 
-    When the positional table is supplied (and dims are square), the
-    start is a spatial pooler: keys project onto the positional band,
-    values pass tokens through, and latent j is the scaled mean of the
-    j-th positional tile. Attention then tiles the token sequence at
-    initialization, preserving coarse content-position binding; training
-    sharpens it from there. Without a table the init is plain random.
+    The start is a spatial pooler over the encoder's positional table:
+    keys project onto the positional band, values pass tokens through,
+    and latent j is the scaled mean of the j-th positional tile.
+    Attention then tiles the token sequence at initialization, preserving
+    coarse content-position binding; training sharpens it from there.
     """
-    if pos_embed is None or d_in != d:
-        return {
-            "latents": rng.normal(0.0, 0.5, size=(k, d)),
-            "wk": rng.normal(0.0, d_in ** -0.5, size=(d_in, d)),
-            "wv": rng.normal(0.0, d_in ** -0.5, size=(d_in, d)),
-        }
     pd = pos_embed.shape[1]
-    wk = rng.normal(0.0, 0.02, size=(d_in, d))
-    wk[d_in - pd:, d - pd:] += np.eye(pd)
-    wv = np.eye(d_in) + rng.normal(0.0, 0.02, size=(d_in, d))
+    wk = rng.normal(0.0, 0.02, size=(d, d))
+    wk[d - pd:, d - pd:] += np.eye(pd)
+    wv = np.eye(d) + rng.normal(0.0, 0.02, size=(d, d))
     latents = rng.normal(0.0, 0.02, size=(k, d))
     for j, rows in enumerate(_square_tiles(pos_embed.shape[0], k)):
         tile = pos_embed[rows].mean(axis=0)

@@ -14,16 +14,26 @@ Parameters are float64 in memory and float32 on disk, so save->load
 round-trips exactly to f32 precision and save->load->save is
 byte-identical. Datasets are a directory with an index.json plus one
 raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step); the index stores each binary's length in steps and its
-CRC32, and loading verifies both. Checkpoints, trajectory files and the
-index are each written to a sibling temporary file and renamed over the
-target, so a failed write leaves the previous file intact. A dataset
-save writes its trajectory files under names the current index does not
-list and the index last, then deletes the files only the old index
-listed, so a failed save leaves the previous dataset whole. No fsync is
-done, so a power loss can still lose the newest save. Metrics append to
-a CSV with the evaluation-table column layout and to a JSONL
-stream; appends never rewrite history.
+row per step); the index stores the frame edge, each binary's length in
+steps and its CRC32, and loading verifies all three. The frame edge must
+equal sim.IMAGE_HW, the one extent the cameras render; an index of any
+other extent, or one that is not valid JSON or lacks a field, is
+rejected before any trajectory file is read. Checkpoints, trajectory
+files and the index are each written to a sibling temporary file and
+renamed over the target, so a failed write leaves the previous file
+intact. A dataset save writes its trajectory files under names the
+current index does not list and the index last, then deletes the files
+only the old index listed, so a failed save leaves the previous dataset
+whole. No fsync is done, so a power loss can still lose the newest save.
+Metrics append to a CSV with the evaluation-table column layout and to a
+JSONL stream; appends never rewrite history.
+
+A checkpoint's embedded model configuration is parsed by
+config.parse_config, like a config file, so a key that names no
+ModelConfig field is a CompatibilityError. Checkpoints whose embedded
+config still holds a value that is now a constant (the frame edge, for
+one: see the config module) are therefore rejected, naming the key, and
+must be rebuilt with `minivla train`.
 """
 
 from __future__ import annotations
@@ -39,9 +49,9 @@ import numpy as np
 
 from . import sim
 from .analysis import SuccessTable
-from .config import ModelConfig
+from .config import ModelConfig, parse_config
 from .depth import DepthStats
-from .errors import CompatibilityError, CorruptionError, DimensionError
+from .errors import CompatibilityError, ConfigError, CorruptionError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -119,10 +129,10 @@ def _parse_checkpoint(raw: bytes, path) -> tuple[dict, bytes]:
         raise CorruptionError(f"checkpoint {path} truncated inside its header")
     try:
         header = json.loads(raw[head:head + hlen])
-    except ValueError as e:
-        raise CorruptionError(f"unreadable checkpoint header: {e}") from e
-    payload_len = max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
-                       for e in header["entries"]), default=0)
+        payload_len = max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
+                           for e in header["entries"]), default=0)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptionError(f"unreadable checkpoint header in {path}: {e!r}") from e
     end = head + hlen + payload_len
     if len(raw) < end + 4:
         raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} of {end + 4} bytes")
@@ -148,8 +158,13 @@ def load_checkpoint(path: str | Path,
     """
     header, payload = _parse_checkpoint(Path(path).read_bytes(), path)
     meta = header.get("meta", {})
-    cfg = (expect_model_cfg if expect_model_cfg is not None
-           else ModelConfig(**meta["model_config"]))
+    cfg = expect_model_cfg
+    if cfg is None:
+        try:
+            cfg = parse_config(overrides={"model": meta.get("model_config")}).model
+        except ConfigError as e:
+            raise CompatibilityError(f"checkpoint {path} has an unusable model "
+                                     f"config: {e}") from e
     stats = DepthStats(**meta["depth_stats"]) if meta.get("depth_stats") else None
     model = init_model(cfg, stats)
 
@@ -222,19 +237,12 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
     """Write a dataset; a failed save leaves the previous one in out_dir whole.
 
     The trajectory files take names the current index does not list, and
-    the index, written last, is what switches to the new dataset. Frames
-    must be sim.IMAGE_HW square, as the index says; that is checked first.
+    the index, written last, is what switches to the new dataset. Every
+    frame is checked against sim's frame contract first.
     """
-    hw = sim.IMAGE_HW
-    planes = {"rgb_static": (hw, hw, 3), "rgb_gripper": (hw, hw, 3),
-              "depth_static": (hw, hw), "depth_gripper": (hw, hw)}
     for i, traj in enumerate(trajectories):
         for t, (obs, _) in enumerate(traj.steps):
-            for plane, want in planes.items():
-                shape = np.shape(getattr(obs, plane))
-                if shape != want:
-                    raise DimensionError(f"trajectory {i}, step {t}: {plane} has "
-                                         f"shape {shape}, expected {want}")
+            sim.check_observation(obs, f"trajectory {i}, step {t}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     old_files = _listed_files(out_dir)
@@ -243,7 +251,7 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
         generation += 1
     index = {
         "version": DATASET_VERSION,
-        "image_hw": hw,
+        "image_hw": sim.IMAGE_HW,
         "meta": meta or {},
         "trajectories": [],
     }
@@ -275,22 +283,47 @@ def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
     return out_dir
 
 
+# Field -> type of every trajectory record field load_dataset reads.
+_RECORD_FIELDS = {"file": str, "instruction": str, "family": str, "palette": str,
+                  "seed": int, "n_steps": int, "crc32": int}
+
+
+def _read_index(index_path: Path) -> list[dict]:
+    """The trajectory records of a dataset index. Raises CorruptionError
+    unless it is a JSON object of this build's frame edge whose records
+    all carry the fields load_dataset reads, with their types."""
+    try:
+        index = json.loads(index_path.read_text())
+        hw, records = index["image_hw"], index["trajectories"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptionError(f"{index_path} is not a readable dataset index: {e!r}") from e
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise CorruptionError(f"{index_path}: trajectories is not a list of records")
+    if hw != sim.IMAGE_HW:
+        raise CorruptionError(f"{index_path} holds {hw}-pixel frames; this build "
+                              f"renders only {sim.IMAGE_HW}-pixel frames")
+    for rec in records:
+        if "crc32" not in rec:
+            raise CorruptionError(
+                f"{index_path} stores no CRC32 for {rec.get('file')} (dataset version "
+                f"{index.get('version')}); a dataset without CRCs cannot be verified, "
+                f"so regenerate it"
+            )
+        bad = [key for key, kind in _RECORD_FIELDS.items() if not isinstance(rec.get(key), kind)]
+        if bad:
+            raise CorruptionError(f"{index_path}: a trajectory record lacks a valid {bad}")
+    return records
+
+
 def load_dataset(in_dir: str | Path) -> list[sim.Trajectory]:
     in_dir = Path(in_dir)
     index_path = in_dir / "index.json"
     if not index_path.exists():
         raise CorruptionError(f"no index.json under {in_dir}")
-    index = json.loads(index_path.read_text())
-    hw = index["image_hw"]
+    hw = sim.IMAGE_HW
     step_floats = 2 * 3 * hw * hw + 2 * hw * hw + 7
     out = []
-    for rec in index["trajectories"]:
-        if "crc32" not in rec:
-            raise CorruptionError(
-                f"{index_path} stores no CRC32 for {rec['file']} (dataset version "
-                f"{index.get('version')}); a dataset without CRCs cannot be verified, "
-                f"so regenerate it"
-            )
+    for rec in _read_index(index_path):
         raw = (in_dir / rec["file"]).read_bytes()
         expect = rec["n_steps"] * step_floats * 4
         if len(raw) != expect:

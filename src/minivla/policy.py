@@ -25,9 +25,9 @@ They stay valid because the frozen weights never change once the model
 is built; the depth memo holds preprocessed frames, so the depth
 statistics are part of what it compares.
 
-Relative pose output is tanh-squashed and scaled to the per-step clip
-bound; the gripper logit binarizes at probability 0.5 with ties
-resolving to open.
+Relative pose output is tanh-squashed and scaled to the environment's
+per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
+probability 0.5 with ties resolving to open.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
     ]
     params = ParamSet()
 
-    for name, arr in enc.init_vit_arrays(cfg.image_hw, cfg.patch, cfg.d_model,
+    for name, arr in enc.init_vit_arrays(sim.IMAGE_HW, cfg.patch, cfg.d_model,
                                          cfg.vit_blocks, rng_vit).items():
         params.add(f"vit.{name}", arr, trainable=False)
 
@@ -142,8 +142,8 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
                dec.init_embedding_array(len(vocab), cfg.d_model, rng_embed),
                trainable=False)
 
-    proto = enc.init_resampler_arrays(cfg.resampler_k, cfg.d_model, cfg.d_model,
-                                      rng_res, pos_embed=params["vit.pos_embed"].data)
+    proto = enc.init_resampler_arrays(cfg.resampler_k, cfg.d_model, rng_res,
+                                      params["vit.pos_embed"].data)
     if cfg.sep_resampler:
         for modality in ("rgb", "depth"):
             for key, arr in proto.items():
@@ -153,8 +153,7 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
             params.add(f"resampler.shared.{key}", arr, trainable=True)
 
     for l in range(cfg.decoder_layers):
-        for key, arr in dec.init_decoder_layer_arrays(cfg.d_model, rng_dec,
-                                                      cfg.gate_init).items():
+        for key, arr in dec.init_decoder_layer_arrays(cfg.d_model, rng_dec).items():
             params.add(f"decoder.{l}.{key}", arr, trainable=key.startswith("cross."))
 
     d, r = cfg.d_model, cfg.lstm_width
@@ -218,13 +217,13 @@ def lstm_step(x: Tensor, prev: list[tuple[Tensor, Tensor]], model: Model
 
 
 def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
-    """(pose (T,6) scaled into the clip bound, raw gripper logit (T,1))
-    from the stacked top hidden states (T, r)."""
+    """(pose (T,6) scaled into the environment's step bound sim.STEP_CLIP,
+    raw gripper logit (T,1)) from the stacked top hidden states (T, r)."""
     p = model.params
     pose = nm.mul(
         nm.tanh(nm.mlp2(h_top, p["head.pose.w1"], p["head.pose.b1"],
                         p["head.pose.w2"], p["head.pose.b2"])),
-        nm.as_tensor(model.cfg.pose_clip),
+        nm.as_tensor(sim.STEP_CLIP),
     )
     logit = nm.mlp2(h_top, p["head.gripper.w1"], p["head.gripper.b1"],
                     p["head.gripper.w2"], p["head.gripper.b2"])
@@ -244,25 +243,13 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[tuple[Array, Arr
                                                                 tuple[Array, Array]]:
     """The (static, gripper) frames the frozen encoder sees, RGB then depth.
 
-    Checks every frame's shape first: (image_hw, image_hw, 3) for RGB and
-    (image_hw, image_hw) for depth. Depth frames are preprocessed against
-    the model's depth statistics.
+    Checks every frame's shape first (sim.check_observation). Depth frames
+    are preprocessed against the model's depth statistics.
     """
-    cfg = model.cfg
-    hw = (cfg.image_hw, cfg.image_hw)
-    for name, want in (("rgb_static", (*hw, 3)), ("rgb_gripper", (*hw, 3)),
-                       ("depth_static", hw), ("depth_gripper", hw)):
-        shape = np.shape(getattr(obs, name))
-        if shape[:2] != hw:
-            raise DimensionError(
-                f"observation {name} is {'x'.join(map(str, shape[:2]))} px but the model "
-                f"expects {cfg.image_hw}x{cfg.image_hw} (model.image_hw)"
-            )
-        if shape != want:
-            raise DimensionError(f"observation {name} has shape {shape}, expected {want}")
+    sim.check_observation(obs, "observation")
     with _stage("depth_pipeline"):
-        if cfg.depth_input == "constant":
-            flat = np.full(hw, sim.Z_CAM)
+        if model.cfg.depth_input == "constant":
+            flat = np.full((sim.IMAGE_HW, sim.IMAGE_HW), sim.Z_CAM)
             d_static = d_gripper = flat
         else:
             d_static = np.asarray(obs.depth_static, dtype=np.float64)

@@ -4,7 +4,9 @@ The table is the unit square, viewed by two orthographic cameras: a
 fixed third-person camera over the whole table and a gripper-centered
 camera with a half-meter window. Both render RGB (object color over the
 palette's table color) and depth (camera plane distance minus the top
-height at each pixel). Scenes hold colored blocks, buttons, a rail-bound
+height at each pixel), every plane IMAGE_HW pixels square. That frame
+contract is stated once, in OBSERVATION_SHAPES, and check_observation is
+the one check of it. Scenes hold colored blocks, buttons, a rail-bound
 slider, and a bin; five task families (lift, push, press, place, slide)
 come with scripted experts, a paraphrase bank, and 5-task chain
 evaluation. Everything is a pure function of (seed, palette, actions).
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ParaphraseBankError, TaskError
+from .errors import ContractError, DimensionError, ParaphraseBankError, TaskError
 
 Array = np.ndarray
 
@@ -55,7 +57,7 @@ BIN_HALF = 0.09
 BIN_HEIGHT = 0.02
 GRIPPER_HALF = 0.03
 
-IMAGE_HW = 32
+IMAGE_HW = 32              # square frame edge of every rendered plane, pixels
 GRIPPER_CAM_WINDOW = 0.8   # wide-angle wrist view; target visible almost always
 
 FAMILIES = ("lift", "push", "press", "place", "slide")
@@ -183,6 +185,25 @@ class Observation:
     depth_gripper: Array
 
 
+# The frame contract: every plane of an Observation, with its shape.
+OBSERVATION_SHAPES = {
+    "rgb_static": (IMAGE_HW, IMAGE_HW, 3),
+    "rgb_gripper": (IMAGE_HW, IMAGE_HW, 3),
+    "depth_static": (IMAGE_HW, IMAGE_HW),
+    "depth_gripper": (IMAGE_HW, IMAGE_HW),
+}
+
+
+def check_observation(obs: Observation, where: str) -> None:
+    """Raise DimensionError, prefixed with where, unless every plane of obs
+    has the shape render_observation gives it. Checks shapes only, so it
+    costs the same at any frame content."""
+    for plane, want in OBSERVATION_SHAPES.items():
+        shape = np.shape(getattr(obs, plane))
+        if shape != want:
+            raise DimensionError(f"{where}: {plane} has shape {shape}, expected {want}")
+
+
 @dataclass
 class Action:
     pose: Array                  # (dx, dy, dz, droll, dpitch, dyaw)
@@ -296,9 +317,13 @@ def _grasp_z(block: Obj) -> float:
 
 
 def step_env(state: WorldState, action: Action) -> WorldState:
-    """One deterministic physics step; out-of-bounds motion clamps."""
+    """One deterministic physics step; out-of-bounds motion clamps. A pose
+    with a non-finite entry raises ContractError."""
+    pose = np.asarray(action.pose, dtype=np.float64)
+    if not np.isfinite(pose).all():
+        raise ContractError(f"action pose must be finite, got {pose}")
     s = state.copy()
-    delta = np.clip(np.asarray(action.pose[:3], dtype=np.float64), -STEP_CLIP, STEP_CLIP)
+    delta = np.clip(pose[:3], -STEP_CLIP, STEP_CLIP)
     old = s.gripper_pos.copy()
     new = old + delta
     new[0] = np.clip(new[0], TABLE_LO, TABLE_HI)
@@ -660,23 +685,20 @@ def _approach_and_grasp(state: WorldState, target: Obj) -> Action:
     return Action.zero(closed=True)  # grab
 
 
-def run_expert_episode(state: WorldState, task: TaskSpec, max_steps: int = 64,
-                       record: bool = False):
+def run_expert_episode(state: WorldState, task: TaskSpec, max_steps: int = 64
+                       ) -> tuple[WorldState, list[tuple[WorldState, Action]]]:
     """Roll the expert until the task predicate fires.
 
-    Returns (final_state, steps) where steps is a list of
-    (Observation, Action) when record=True, else a bare count.
+    Returns (final_state, steps), steps being each step's (state, action);
+    nothing is rendered, so callers that want pixels render those states.
     """
-    steps: list[tuple[Observation, Action]] = []
-    n = 0
+    steps: list[tuple[WorldState, Action]] = []
     for _ in range(max_steps):
         action = expert_action(state, task)
-        if record:
-            steps.append((render_observation(state), action))
+        steps.append((state, action))
         state = step_env(state, action)
-        n += 1
         if success(state, task):
-            return state, (steps if record else n)
+            return state, steps
     raise TaskError(
         f"expert failed {task.family!r} on {task.color!r} within {max_steps} steps"
     )
@@ -702,8 +724,9 @@ def generate_dataset(n: int, seed: int, palettes: Sequence[str],
         rng = np.random.default_rng(np.random.SeedSequence(env_seed, spawn_key=(_TASK_KEY,)))
         task = sample_task(state, rng, families)
         text = paraphrase_instruction(task, rng) if enrich else task.instruction
-        _, steps = run_expert_episode(state, task, record=True)
-        out.append(Trajectory(text, task.family, palette, env_seed, steps, variant))
+        _, steps = run_expert_episode(state, task)
+        out.append(Trajectory(text, task.family, palette, env_seed,
+                              [(render_observation(s), a) for s, a in steps], variant))
     return out
 
 

@@ -80,12 +80,16 @@ def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment updates over a trainable ParamSet."""
+    """Bias-corrected adaptive-moment updates over a trainable ParamSet,
+    with the moment decays and epsilon of the Adam paper (arXiv 1412.6980)."""
+
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
 
     def __init__(self, cfg: TrainConfig):
         self.lr = cfg.learning_rate
-        self.b1, self.b2 = cfg.betas
-        self.eps = cfg.adam_eps
+        self.b1, self.b2 = self.BETAS
+        self.eps = self.EPS
         self.clip_norm = cfg.clip_norm
         self.t = 0
         self._m: dict[str, Array] = {}
@@ -230,23 +234,24 @@ def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult
 
     Exercises the whole composition (depth pipeline, frozen encoder,
     resampler, 2-layer fusion stack, recurrent head, loss) on a 2-step
-    synthetic batch. Dims are the smallest that keep every stage present,
-    so the check finishes in well under a minute.
+    synthetic batch. Dims are the smallest that keep every stage present
+    (4 patches per frame), so the check finishes in well under a minute.
     """
     from . import depth as dp
     from .config import ModelConfig
 
-    cfg = ModelConfig(image_hw=8, patch=4, d_model=16, vit_blocks=1,
+    cfg = ModelConfig(patch=16, d_model=16, vit_blocks=1,
                       resampler_k=2, decoder_layers=2, lstm_layers=2,
                       lstm_width=8, seed=seed)
     rng = np.random.default_rng(seed)
+    hw = sim.IMAGE_HW
 
     def synth_obs():
         return sim.Observation(
-            rgb_static=rng.random((8, 8, 3)).astype(np.float32),
-            rgb_gripper=rng.random((8, 8, 3)).astype(np.float32),
-            depth_static=(0.6 + 0.4 * rng.random((8, 8))).astype(np.float32),
-            depth_gripper=(0.6 + 0.4 * rng.random((8, 8))).astype(np.float32),
+            rgb_static=rng.random((hw, hw, 3)).astype(np.float32),
+            rgb_gripper=rng.random((hw, hw, 3)).astype(np.float32),
+            depth_static=(0.6 + 0.4 * rng.random((hw, hw))).astype(np.float32),
+            depth_gripper=(0.6 + 0.4 * rng.random((hw, hw))).astype(np.float32),
         )
 
     observations = [synth_obs(), synth_obs()]

@@ -1,22 +1,27 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from minivla import depth as dp
 from minivla import encoders as enc
+from minivla import persist
 from minivla import sim
 from minivla.config import ModelConfig
 
 
 def tiny_config(**overrides) -> ModelConfig:
     """Smallest full-composition model; used wherever finite differences run."""
-    base = dict(image_hw=8, patch=4, d_model=16, vit_blocks=1, resampler_k=2,
+    base = dict(patch=16, d_model=16, vit_blocks=1, resampler_k=2,
                 decoder_layers=2, lstm_layers=2, lstm_width=8, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
 
-def synthetic_obs(rng: np.random.Generator, hw: int) -> sim.Observation:
-    """Random but well-formed observation at the given frame size."""
+def synthetic_obs(rng: np.random.Generator) -> sim.Observation:
+    """Random but well-formed observation of sim.IMAGE_HW frames."""
+    hw = sim.IMAGE_HW
     return sim.Observation(
         rgb_static=rng.random((hw, hw, 3)).astype(np.float32),
         rgb_gripper=rng.random((hw, hw, 3)).astype(np.float32),
@@ -41,6 +46,17 @@ def count_encodes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(enc, "vit_encode_image", counting)
     return cameras
+
+
+def rewrite_checkpoint_header(src, dst, edit) -> None:
+    """Copy the checkpoint at src to dst with its header JSON replaced by
+    edit(header); the payload and its CRC are kept."""
+    raw = src.read_bytes()
+    head = len(persist.MAGIC) + 8
+    (hlen,) = struct.unpack_from("<Q", raw, len(persist.MAGIC))
+    header = json.dumps(edit(json.loads(raw[head:head + hlen]))).encode()
+    dst.write_bytes(persist.MAGIC + struct.pack("<Q", len(header)) + header
+                    + raw[head + hlen:])
 
 
 @pytest.fixture

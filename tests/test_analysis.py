@@ -74,7 +74,7 @@ def quick_setup(variant="standard"):
     data = quick_dataset(variant)
     stats = dp.compute_stats([f for t in data for o, _ in t.steps
                               for f in (o.depth_static, o.depth_gripper)])
-    model_cfg = tiny_config(image_hw=32, patch=8)
+    model_cfg = tiny_config(patch=8)
     train_cfg = TrainConfig(epochs=1, seed=0)
     env_cfg = EnvConfig(palettes=["A"], eval_palette="D", families=["lift"],
                         variant=variant, n_chains=3, horizon=16)

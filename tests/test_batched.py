@@ -267,7 +267,7 @@ def lift_model(**overrides):
     (traj,) = sim.generate_dataset(1, 3, ["A"], families=["lift"])
     stats = dp.compute_stats([f for obs, _ in traj.steps
                               for f in (obs.depth_static, obs.depth_gripper)])
-    model = pol.init_model(tiny_config(image_hw=32, patch=8, **overrides), stats)
+    model = pol.init_model(tiny_config(patch=8, **overrides), stats)
     return model, traj
 
 

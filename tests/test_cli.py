@@ -2,9 +2,13 @@ import json
 
 import pytest
 
-from minivla import cli
+from conftest import rewrite_checkpoint_header, synthetic_stats
 
-TINY_MODEL = dict(image_hw=32, patch=8, d_model=16, vit_blocks=1, resampler_k=2,
+from minivla import cli, persist
+from minivla import policy as pol
+from minivla.config import ModelConfig, parse_config
+
+TINY_MODEL = dict(patch=8, d_model=16, vit_blocks=1, resampler_k=2,
                   decoder_layers=1, lstm_layers=1, lstm_width=8)
 
 
@@ -51,6 +55,8 @@ def test_pipeline_writes_every_artifact(tmp_path, run_dir, dataset):
     echo = json.loads((train / "config_echo.json").read_text())
     assert echo["model"]["seed"] == echo["train"]["seed"] == 5
     assert "seed" not in echo
+    assert parse_config(train / "config_echo.json") == \
+        parse_config(config, {"model": {"seed": 5}, "train": {"seed": 5}})
 
     assert cli.dispatch(["eval", "--checkpoint", "train/checkpoint.rfpx", "--out", "eval",
                          "--chains", "1", "--horizon", "4"]) == 0
@@ -74,11 +80,33 @@ def test_ablate_chains_flag_overrides_config_only_when_given(tmp_path, dataset, 
     assert {t["n_chains"] for t in report["tables"].values()} == {expected}
 
 
-@pytest.mark.parametrize("sections", [{"model": {"bogus": 1}}, {"seed": 3}])
-def test_unknown_config_key_exits_1(tmp_path, dataset, sections):
-    config = write_config(tmp_path, **sections)
+@pytest.mark.parametrize("sections", [
+    {"model": {"bogus": 1}}, {"seed": 3},
+    {"model": {"sep_resampler": "false"}}, {"train": {"epochs": "3"}},
+    {"train": {"learning_rate": "0.1"}}, {"train": {"epochs": True}},
+    {"train": {"learning_rate": float("nan")}},
+    {"env": {"palettes": "AB"}}, {"env": {"n_chains": 2.5}},
+    {"model": []}, [], "model"])
+def test_unknown_config_key_exits_1(tmp_path, dataset, sections, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(sections))
     assert cli.dispatch(["train", "--data", "data", "--out", "train",
-                         "--config", config]) == 1
+                         "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_of_a_checkpoint_with_a_removed_config_key_exits_2(tmp_path, run_dir, capsys):
+    model = pol.init_model(ModelConfig(**TINY_MODEL), synthetic_stats())
+    path = persist.save_checkpoint(model, tmp_path / "new.rfpx")
+
+    def with_removed_key(header):
+        header["meta"]["model_config"]["image_hw"] = 32
+        return header
+
+    rewrite_checkpoint_header(path, tmp_path / "old.rfpx", with_removed_key)
+    assert cli.dispatch(["eval", "--checkpoint", str(tmp_path / "old.rfpx"), "--out", "eval",
+                         "--chains", "1", "--horizon", "4"]) == 2
+    assert "unknown config key: model.image_hw" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--chains", "0"], ["--horizon", "0"], ["--palette", "Z"],

@@ -7,26 +7,27 @@ from minivla.errors import ContractError, DimensionError, EmptyInstructionError
 from minivla.numerics import ParamSet, Tensor
 
 VOCAB = dec.build_vocab(["lift", "the", "red", "block", "tall"])
+INDEX = {w: i for i, w in enumerate(VOCAB)}
 
 
 class TestTokenize:
     def test_basic(self):
-        ids = dec.tokenize("Lift the red block", VOCAB)
+        ids = dec.tokenize("Lift the red block", INDEX)
         assert ids == [VOCAB.index("lift"), VOCAB.index("the"),
                        VOCAB.index("red"), VOCAB.index("block")]
 
     def test_unknown_words_map_to_unk(self):
-        ids = dec.tokenize("zzzq block", VOCAB)
+        ids = dec.tokenize("zzzq block", INDEX)
         assert ids == [dec.UNK_ID, VOCAB.index("block")]
 
     def test_round_trip_up_to_case(self):
         text = "Lift The RED block"
-        ids = dec.tokenize(text, VOCAB)
+        ids = dec.tokenize(text, INDEX)
         assert " ".join(VOCAB[i] for i in ids) == text.lower()
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInstructionError):
-            dec.tokenize("   ", VOCAB)
+            dec.tokenize("   ", INDEX)
 
     def test_unk_is_id_zero(self):
         assert VOCAB[0] == dec.UNK_TOKEN

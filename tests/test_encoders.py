@@ -188,7 +188,9 @@ class TestFrameMemo:
 
 
 def make_resampler(rng, k=4, d_in=16, d=16, trainable=True):
-    arrays = enc.init_resampler_arrays(k, d_in, d, rng)
+    arrays = {"latents": rng.normal(0.0, 0.5, size=(k, d)),
+              "wk": rng.normal(0.0, d_in ** -0.5, size=(d_in, d)),
+              "wv": rng.normal(0.0, d_in ** -0.5, size=(d_in, d))}
     params = ParamSet()
     tensors = {key: params.add(f"resampler.shared.{key}", arr, trainable)
                for key, arr in arrays.items()}

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import synthetic_stats, tiny_config
+from conftest import rewrite_checkpoint_header, synthetic_stats, tiny_config
 
 from minivla import persist
 from minivla import policy as pol
@@ -130,6 +130,33 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="magic"):
             persist.load_checkpoint(p)
 
+    @pytest.mark.parametrize("edit", [
+        lambda h: {k: v for k, v in h.items() if k != "entries"},
+        lambda h: [],
+        lambda h: {**h, "entries": 3},
+        lambda h: {**h, "entries": [{"name": "head.pose.b2", "shape": [6]}]},
+    ], ids=["no-entries", "not-an-object", "entries-not-a-list", "entry-without-offset"])
+    def test_malformed_header_is_corruption_error(self, tmp_path, edit):
+        path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
+        rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", edit)
+        with pytest.raises(CorruptionError, match="unreadable checkpoint header"):
+            persist.load_checkpoint(tmp_path / "bad.rfpx")
+
+    @pytest.mark.parametrize("extra, key", [
+        (dict(image_hw=32), r"unknown config key: model\.image_hw"),
+        (dict(sep_resampler="false"), r"model\.sep_resampler must be of type bool"),
+    ], ids=["removed-fields", "wrong-type"])
+    def test_embedded_config_goes_through_the_config_parser(self, tmp_path, extra, key):
+        path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
+
+        def edit(header):
+            header["meta"]["model_config"].update(extra)
+            return header
+
+        rewrite_checkpoint_header(path, tmp_path / "old.rfpx", edit)
+        with pytest.raises(CompatibilityError, match=key):
+            persist.load_checkpoint(tmp_path / "old.rfpx")
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model()
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
@@ -166,7 +193,7 @@ class TestCheckpoint:
             pos += 4 * int(np.prod(e["shape"] or [1]))
 
     def test_trained_model_survives_round_trip(self, tmp_path):
-        model = small_model(image_hw=32, patch=8)
+        model = small_model(patch=8)
         data = sim.generate_dataset(2, 0, ["A"], families=["lift"])
         import minivla.depth as dp
         model.depth_stats = dp.compute_stats(
@@ -296,6 +323,27 @@ class TestDatasetContainer:
             del rec["crc32"]
         index_path.write_text(json.dumps(index))
         with pytest.raises(CorruptionError, match=r"no CRC32 for traj_00000\.bin"):
+            persist.load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda index: "{not json",
+        lambda index: "[]",
+        lambda index: json.dumps({k: v for k, v in index.items() if k != "trajectories"}),
+        lambda index: json.dumps({**index, "image_hw": 16}),
+        lambda index: json.dumps({**index, "trajectories": [1]}),
+        lambda index: json.dumps({**index, "trajectories": [
+            {k: v for k, v in rec.items() if k != "n_steps"} for rec in index["trajectories"]]}),
+        lambda index: json.dumps({**index, "trajectories": [
+            {**rec, "n_steps": float(rec["n_steps"])} for rec in index["trajectories"]]}),
+    ], ids=["not-json", "not-an-object", "no-trajectories", "another-extent",
+            "records-not-objects", "record-without-n_steps", "n_steps-not-an-int"])
+    def test_corrupt_index_is_rejected_before_any_file_is_read(self, tmp_path, rewrite):
+        persist.save_dataset(sim.generate_dataset(1, 0, ["A"], families=["lift"]),
+                             tmp_path / "ds")
+        index_path = tmp_path / "ds" / "index.json"
+        index_path.write_text(rewrite(json.loads(index_path.read_text())))
+        (tmp_path / "ds" / "traj_00000.bin").unlink()  # reading it would raise OSError
+        with pytest.raises(CorruptionError, match="index"):
             persist.load_dataset(tmp_path / "ds")
 
     def test_missing_index(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import concurrent.futures
 import os
 import sys
@@ -112,7 +113,7 @@ class TestActionHeads:
         for _ in range(20):
             h = Tensor(rng.normal(size=(1, model.cfg.lstm_width)) * 10)
             pose, _ = pol.action_heads(h, model)
-            assert np.abs(pose.data).max() <= model.cfg.pose_clip
+            assert np.abs(pose.data).max() <= sim.STEP_CLIP
 
     def test_matches_direct_formula(self, rng):
         model = tiny_model()
@@ -149,7 +150,7 @@ class TestResetHidden:
 class TestPolicyStep:
     def test_determinism(self, rng):
         model = tiny_model()
-        obs = synthetic_obs(rng, 8)
+        obs = synthetic_obs(rng)
         a1, s1 = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         a2, s2 = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(a1.pose, a2.pose)
@@ -163,8 +164,8 @@ class TestPolicyStep:
         model = tiny_model()
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.0)
-        obs_a = synthetic_obs(rng, 8)
-        obs_b = synthetic_obs(rng, 8)
+        obs_a = synthetic_obs(rng)
+        obs_b = synthetic_obs(rng)
         act_a, _ = pol.policy_step(model, obs_a, "lift the red block", pol.reset_hidden(model))
         act_b, _ = pol.policy_step(model, obs_b, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(act_a.pose, act_b.pose)
@@ -175,18 +176,18 @@ class TestPolicyStep:
     def test_missing_stats_tagged_with_stage(self, rng):
         model = pol.init_model(tiny_config(), depth_stats=None)
         with pytest.raises(ContractError, match="depth_pipeline"):
-            pol.policy_step(model, synthetic_obs(rng, 8), "lift the red block",
+            pol.policy_step(model, synthetic_obs(rng), "lift the red block",
                             pol.reset_hidden(model))
 
     def test_episode_isolation(self, rng):
         model = tiny_model()
         model.params["decoder.0.cross.alpha"].data = np.asarray(0.5)
-        obs = synthetic_obs(rng, 8)
+        obs = synthetic_obs(rng)
         first, _ = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         # Run some unrelated steps, then reset: same action again.
         hidden = pol.reset_hidden(model)
         for _ in range(3):
-            _, hidden = pol.policy_step(model, synthetic_obs(rng, 8), "press the red button", hidden)
+            _, hidden = pol.policy_step(model, synthetic_obs(rng), "press the red button", hidden)
         again, _ = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(first.pose, again.pose)
 
@@ -196,7 +197,7 @@ class TestPolicyStep:
                            lstm_layers=1, lstm_width=4)
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.3)
-        obs = synthetic_obs(rng, 8)
+        obs = synthetic_obs(rng)
         encoded = pol.encode_trajectory(model, [obs])
         instr = model.instruction("lift the red block")
         target_pose = Tensor(rng.uniform(-0.05, 0.05, size=(1, 6)))
@@ -216,7 +217,7 @@ class TestFrozenContract:
         model = tiny_model()
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.4)
-        obs = synthetic_obs(rng, 8)
+        obs = synthetic_obs(rng)
         encoded = pol.encode_trajectory(model, [obs])
         instr = model.instruction("lift the red block")
         pose, logit, _ = pol.policy_core(model, encoded, instr, pol.reset_hidden(model))
@@ -238,15 +239,17 @@ class TestFrozenContract:
 
 class TestObservationBoundary:
     def test_frame_size_must_match_image_hw(self, rng, monkeypatch):
-        model = pol.init_model(tiny_config(image_hw=64, patch=8), synthetic_stats())
+        model = tiny_model()
 
         def never(*a, **kw):
             raise AssertionError("reached depth preprocessing or the encoder")
 
         monkeypatch.setattr(pol.dp, "preprocess_depth", never)
         monkeypatch.setattr(pol.enc, "vit_encode_pair", never)
-        with pytest.raises(DimensionError, match=r"32x32 px .* expects 64x64"):
-            pol.encode_observation(model, synthetic_obs(rng, 32))
+        obs = dataclasses.replace(synthetic_obs(rng), rgb_gripper=np.zeros((64, 64, 3)))
+        with pytest.raises(DimensionError,
+                           match=r"rgb_gripper has shape \(64, 64, 3\), expected \(32, 32, 3\)"):
+            pol.encode_observation(model, obs)
 
 
 @pytest.fixture
@@ -284,7 +287,7 @@ class TestFrameMemo:
 
     @staticmethod
     def rollout_model(**overrides):
-        model = pol.init_model(tiny_config(image_hw=32, patch=8, **overrides),
+        model = pol.init_model(tiny_config(patch=8, **overrides),
                                synthetic_stats())
         for layer in model.decoder_layers():
             layer["cross.alpha"].data = np.asarray(0.5)
@@ -311,7 +314,7 @@ class TestFrameMemo:
 
     def test_trajectory_matches_steps_encoded_alone(self, rng, encodes):
         model = tiny_model()
-        o1, o2 = synthetic_obs(rng, 8), synthetic_obs(rng, 8)
+        o1, o2 = synthetic_obs(rng), synthetic_obs(rng)
         mixed = sim.Observation(o1.rgb_static, o2.rgb_gripper, o2.depth_static,
                                 o1.depth_gripper)
         observations = [o1, o1, o2, mixed, mixed, o1]
@@ -321,7 +324,7 @@ class TestFrameMemo:
 
     def test_each_model_has_its_own_memo(self, rng, encodes):
         first, second = tiny_model(seed=0), tiny_model(seed=1)
-        obs = synthetic_obs(rng, 8)
+        obs = synthetic_obs(rng)
         pol.encode_observation(first, obs)
         pol.encode_observation(first, obs)
         assert len(encodes) == 4
@@ -334,7 +337,7 @@ class TestFrameMemo:
         n_steps = 5
         for agent in (pol.PolicyAgent(model), pol.PolicyAgent(model)):
             for _ in range(n_steps):
-                agent.act(synthetic_obs(rng, 8), "lift the red block")
+                agent.act(synthetic_obs(rng), "lift the red block")
         # Every RGB frame is new; the two flat depth frames are encoded once.
         assert len(encodes) == 2 * 2 * n_steps + 2
 
@@ -346,7 +349,7 @@ def copy_obs(obs: sim.Observation) -> sim.Observation:
 
 def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
     """8x8 steps with repeats, a -0.0 swap, one-byte changes and mixed steps."""
-    fresh = [synthetic_obs(rng, 8) for _ in range(n_fresh)]
+    fresh = [synthetic_obs(rng) for _ in range(n_fresh)]
     o1, o2 = fresh[0], fresh[1]
     zero = copy_obs(o1)
     zero.rgb_static[0, 0, 0] = 0.0
@@ -437,7 +440,7 @@ class TestParallelTrajectoryEncode:
         assert memo_state(model) == memo_state(per_trajectory)
 
     def test_bad_instruction_fails_before_any_encode(self, rng, encodes):
-        dataset = trajectories([synthetic_obs(rng, 8) for _ in range(4)], 2)
+        dataset = trajectories([synthetic_obs(rng) for _ in range(4)], 2)
         dataset[1].instruction = " "
         with pytest.raises(EmptyInstructionError):
             tr.encode_dataset(tiny_model(), dataset)
@@ -445,7 +448,7 @@ class TestParallelTrajectoryEncode:
 
     def test_no_steps_give_empty_tokens_and_keep_the_memos(self, rng):
         model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        pol.encode_trajectory(model, [synthetic_obs(rng)])
         memos = memo_state(model)
         encoded = pol.encode_trajectory(model, [])
         n_tokens = 2 * (8 // 4) ** 2
@@ -480,13 +483,13 @@ class TestParallelTrajectoryEncode:
             return real(img, vit, patch, blocks, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", meeting)
-        pol.encode_trajectory(tiny_model(), [synthetic_obs(rng, 8) for _ in range(12)])
+        pol.encode_trajectory(tiny_model(), [synthetic_obs(rng) for _ in range(12)])
         assert len(set(threads)) >= 2
 
     def test_more_workers_than_cores_with_a_short_switch_interval(self, rng, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         model = tiny_model()
-        observations = [synthetic_obs(rng, 8) for _ in range(24)]
+        observations = [synthetic_obs(rng) for _ in range(24)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -507,11 +510,11 @@ class TestParallelTrajectoryEncode:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         model = tiny_model()
-        pol.encode_observation(model, synthetic_obs(rng, 8))  # a rollout step
-        pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(3)])
+        pol.encode_observation(model, synthetic_obs(rng))  # a rollout step
+        pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
         assert pools == []
         # One full batch per slot: two per modality, so one helper each.
-        pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(4)])
+        pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(4)])
         assert pools == [1, 1]
 
     @needs_proc
@@ -519,7 +522,7 @@ class TestParallelTrajectoryEncode:
         model = tiny_model()
         before = thread_count()
         for _ in range(20):
-            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(6)])
+            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(6)])
             assert thread_count() == before
 
     @needs_proc
@@ -528,7 +531,7 @@ class TestParallelTrajectoryEncode:
         if where == "helper" and len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two CPUs for a helper thread")
         model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        pol.encode_trajectory(model, [synthetic_obs(rng)])
         memos = memo_state(model)
         caller = threading.get_ident()
         helper_started = threading.Event()
@@ -549,14 +552,14 @@ class TestParallelTrajectoryEncode:
         monkeypatch.setattr(enc, "vit_encode_image", cropping)
         before = thread_count()
         with pytest.raises(DimensionError, match="not divisible by patch") as err:
-            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(8)])
+            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(8)])
         assert type(err.value) is DimensionError and cropped
         assert thread_count() == before
         assert memo_state(model) == memos  # a failed call changes no memo
 
     def test_failed_depth_encode_keeps_the_rgb_memo(self, rng, monkeypatch):
         model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng, 8)])
+        pol.encode_trajectory(model, [synthetic_obs(rng)])
         memos = memo_state(model)
         real = enc.vit_encode_image
 
@@ -567,22 +570,22 @@ class TestParallelTrajectoryEncode:
 
         monkeypatch.setattr(enc, "vit_encode_image", failing_on_depth)
         with pytest.raises(DimensionError, match="depth frame rejected"):
-            pol.encode_trajectory(model, [synthetic_obs(rng, 8) for _ in range(3)])
+            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
         assert memo_state(model) == memos
 
     @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),
                                              ("depth_static", (8, 8, 1))])
     def test_frame_shape_is_checked_before_encoding(self, rng, encodes, plane, shape):
-        bad = synthetic_obs(rng, 8)
+        bad = synthetic_obs(rng)
         setattr(bad, plane, np.zeros(shape, dtype=np.float32))
         with pytest.raises(DimensionError, match=rf"{plane} has shape"):
-            pol.encode_trajectory(tiny_model(), [synthetic_obs(rng, 8), bad])
+            pol.encode_trajectory(tiny_model(), [synthetic_obs(rng), bad])
         assert encodes == []
 
 
 class TestAgents:
     def test_policy_agent_runs_a_chain(self):
-        model = pol.init_model(tiny_config(image_hw=32, patch=8), synthetic_stats())
+        model = pol.init_model(tiny_config(patch=8), synthetic_stats())
         chain = sim.sample_chain(0, "D", families=["lift"])
         result = sim.rollout_chain(pol.PolicyAgent(model), chain, max_steps_per_task=8)
         assert len(result.successes) == 5

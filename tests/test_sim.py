@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minivla import sim
 from minivla.errors import ContractError, ParaphraseBankError, TaskError
@@ -114,6 +116,13 @@ class TestStepEnv:
         s2 = sim.step_env(s, Action(big, False))
         assert s2.gripper_pos[0] == 1.0
 
+    @pytest.mark.parametrize("dim, value", [(0, np.nan), (2, np.inf), (4, -np.inf)])
+    def test_non_finite_pose_rejected(self, dim, value):
+        pose = np.zeros(6)
+        pose[dim] = value
+        with pytest.raises(ContractError, match="finite"):
+            sim.step_env(sim.make_env(0, "A"), Action(pose, False))
+
     def test_button_press(self):
         s = simple_scene()
         s.objects.append(Obj("button", "blue", np.array([0.3, 0.3]), sim.BUTTON_HEIGHT))
@@ -167,6 +176,45 @@ class TestStepEnv:
         push[0] = 0.06
         s2 = sim.step_env(s, Action(push, False))
         np.testing.assert_allclose(s2.objects[0].pos, [0.5, 0.5])
+
+
+def snapshot(state: WorldState):
+    """Everything a WorldState holds, in a form == compares exactly."""
+    return (state.gripper_pos.tobytes(), state.gripper_open, state.palette,
+            state.table_color, state.scene_colors,
+            [(o.kind, o.color, o.pos.tobytes(), o.height, o.held, o.pressed, o.rail)
+             for o in state.objects])
+
+
+actions = st.builds(Action, hnp.arrays(np.float64, 6, elements=st.floats(-1.0, 1.0)),
+                    st.booleans())
+
+
+class TestStepEnvProperties:
+    """Invariants of the environment under random finite action streams."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), palette=st.sampled_from(sorted(sim.PALETTES)),
+           variant=st.sampled_from(["standard", "tall_short"]),
+           stream=st.lists(actions, min_size=1, max_size=24))
+    def test_invariants_hold_after_every_step(self, seed, palette, variant, stream):
+        state = sim.make_env(seed, palette, variant)
+        depth_lo, depth_hi = np.float32(sim.Z_CAM - sim.Z_MAX), np.float32(sim.Z_CAM)
+        for action in stream:
+            before = snapshot(state)
+            pressed = {i for i, o in enumerate(state.objects) if o.pressed}
+            after = sim.step_env(state, action)
+            assert snapshot(state) == before  # the input is not mutated
+            assert snapshot(sim.step_env(state, action)) == snapshot(after)
+            after.validate()  # everything in bounds, at most one object held
+            assert pressed <= {i for i, o in enumerate(after.objects) if o.pressed}
+            obs = sim.render_observation(after)
+            sim.check_observation(obs, "rendered")
+            for rgb in (obs.rgb_static, obs.rgb_gripper):
+                assert rgb.min() >= 0.0 and rgb.max() <= 1.0
+            for depth in (obs.depth_static, obs.depth_gripper):
+                assert depth.min() >= depth_lo and depth.max() <= depth_hi
+            state = after
 
 
 class TestRender:

@@ -134,7 +134,7 @@ class TestAdam:
                    params.add("b", rng.normal(size=4), trainable=True)]
         cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.5)
         opt = tr.Adam(cfg)
-        b1, b2 = cfg.betas
+        b1, b2, eps = 0.9, 0.999, 1e-8  # Adam's constants, as published
         expect = [t.data.copy() for t in tensors]
         m = [np.zeros_like(e) for e in expect]
         v = [np.zeros_like(e) for e in expect]
@@ -152,7 +152,7 @@ class TestAdam:
                 v[i] *= b2
                 v[i] += (1.0 - b2) * g * g
                 expect[i] -= cfg.learning_rate * (m[i] / (1.0 - b1 ** step)) / (
-                    np.sqrt(v[i] / (1.0 - b2 ** step)) + cfg.adam_eps)
+                    np.sqrt(v[i] / (1.0 - b2 ** step)) + eps)
             for t, e in zip(tensors, expect):
                 assert t.data.tobytes() == e.tobytes()
 
@@ -179,7 +179,7 @@ def small_model(seed=0, **kw):
               for t in (obs.depth_static, obs.depth_gripper)]
     from minivla import depth as dp
     stats = dp.compute_stats(frames)
-    cfg = tiny_config(image_hw=32, patch=8, seed=seed, **kw)
+    cfg = tiny_config(patch=8, seed=seed, **kw)
     return pol.init_model(cfg, stats), data
 
 

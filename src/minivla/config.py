@@ -122,14 +122,23 @@ def _is_str_list(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
+def is_finite_number(v) -> bool:
+    """Whether a JSON value is a finite number: an int or float, not a bool,
+    inside the float range (Python's json reads NaN, Infinity and ints of
+    any size)."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 # Field annotation -> whether a JSON value may set such a field. A bool is
-# no int here, although Python makes it one, and a float must be finite
-# (Python's json reads NaN and Infinity).
+# no int here, although Python makes it one.
 _TYPE_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v)),
+    "float": is_finite_number,
     "str": lambda v: isinstance(v, str),
     "list[str]": _is_str_list,
     "list[str] | None": lambda v: v is None or _is_str_list(v),

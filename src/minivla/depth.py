@@ -10,13 +10,15 @@ the sensitivity analysis of narrow vs wide depth ranges.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateRangeError, DimensionError
+from .config import is_finite_number
+from .errors import ContractError, DegenerateRangeError, DimensionError, ValidationError
 
 Array = np.ndarray
 
@@ -53,9 +55,31 @@ class DepthStats:
         )
 
     @classmethod
+    def from_dict(cls, obj) -> "DepthStats":
+        """The one checked construction from parsed JSON: an object with
+        exactly the fields d_min, d_max, mu and sigma, each a finite number
+        and not a bool. Anything else raises ValidationError naming the
+        field."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(obj, dict):
+            raise ValidationError(f"depth statistics must be a JSON object with the "
+                                  f"fields {names}, got {type(obj).__name__}")
+        for key in obj:
+            if key not in names:
+                raise ValidationError(f"unknown depth statistics field {key!r}")
+        for name in names:
+            if not is_finite_number(obj.get(name)):
+                raise ValidationError(f"depth statistics field {name!r} must be a "
+                                      f"finite number, got {obj.get(name)!r}")
+        return cls(**{name: float(obj[name]) for name in names})
+
+    @classmethod
     def from_json(cls, text: str) -> "DepthStats":
-        obj = json.loads(text)
-        return cls(obj["d_min"], obj["d_max"], obj["mu"], obj["sigma"])
+        try:
+            obj = json.loads(text)
+        except ValueError as e:
+            raise ValidationError(f"depth statistics are not valid JSON: {e}") from e
+        return cls.from_dict(obj)
 
 
 def compute_stats(dataset: Iterable) -> DepthStats:

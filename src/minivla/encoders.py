@@ -6,9 +6,9 @@ standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
-vit_encode_pair runs it on T steps of two camera slots, for a rollout
-step (T = 1) and a whole dataset alike, and alone decides reuse, writes
-the memo, forms batches and starts threads. A frame byte-equal to the
+vit_encode_pair runs it on T steps of all four camera slots against one
+memo keyed by slot, for a rollout step (T = 1) and a whole dataset alike,
+and alone decides reuse, writes the memo, forms batches and starts threads. A frame byte-equal to the
 previous frame of its slot reuses that frame's tokens, which is exact
 because tokens depend only on the frame and the frozen weights (a memo
 serves one set of weights). The other frames are encoded in batches of
@@ -153,54 +153,55 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
     return x
 
 
-def vit_encode_pair(a, b, vit: dict[str, Array], patch: int, blocks: int,
+def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
                     memo: FrameMemo | None = None) -> Array:
-    """Frozen tokens of T steps of two camera slots, (T, 2N, d): slot a's
-    frames give the first N tokens of each step, slot b's the last N.
+    """Frozen tokens of T steps of S camera slots, (T, S·N, d): slot s gives
+    tokens s·N to (s + 1)·N of each step and is seen by camera s % 2, so a
+    policy step passes RGB static, RGB gripper, depth static, depth gripper.
 
-    a and b each hold T frames, as a list or a (T, H, W, 3) array. A frame
-    byte-equal to the previous frame of its slot (same dtype, shape and
-    bytes, so -0.0 and 0.0 differ; before step 0, the slot's memo entry)
-    copies that frame's tokens; the rest are encoded (see _run_jobs).
-    After a successful call each slot's memo entry holds copies of its
-    last frame and that frame's tokens.
+    Each slot holds T frames, as a list or a (T, H, W, 3) array. A frame
+    byte-equal to the previous frame of its slot (before step 0, the slot's
+    memo entry; see _same_frame) copies that frame's tokens; the rest are
+    encoded (see _run_jobs). Only then does each slot's memo entry take
+    copies of its last frame and that frame's tokens.
     """
-    slots = ([np.asarray(f) for f in a], [np.asarray(f) for f in b])
-    if len(slots[0]) != len(slots[1]):
-        raise DimensionError(f"camera slots hold {len(slots[0])} and {len(slots[1])} frames")
+    slots = [[np.asarray(f) for f in frames] for frames in slots]
+    lengths = [len(frames) for frames in slots]
+    if len(set(lengths)) > 1:
+        raise DimensionError(f"camera slots hold {lengths} frames")
     shapes = {frame.shape for frames in slots for frame in frames}
     if len(shapes) > 1:
         raise DimensionError(f"camera frames differ in extent: {sorted(shapes)}")
     memo = {} if memo is None else memo
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2  # tokens per frame
-    out = np.empty((len(slots[0]), 2 * n, vit["patch_proj"].shape[1] + pos.shape[1]))
-    fresh: tuple[list[int], list[int]] = ([], [])   # per slot: the steps to encode
-    reused: tuple[list[int], list[int]] = ([], [])  # and the steps that repeat
-    for camera, frames in enumerate(slots):
-        prev = memo.get(camera, (None,))[0]
+    out = np.empty((len(slots[0]), len(slots) * n, vit["patch_proj"].shape[1] + pos.shape[1]))
+    fresh = [[] for _ in slots]   # per slot: the steps to encode
+    reused = [[] for _ in slots]  # and the steps that repeat
+    for slot, frames in enumerate(slots):
+        prev = memo.get(slot, (None,))[0]
         for t, frame in enumerate(frames):
-            (reused if _same_frame(prev, frame) else fresh)[camera].append(t)
+            (reused if _same_frame(prev, frame) else fresh)[slot].append(t)
             prev = frame
-    jobs = [(camera, steps[i:i + FRAMES_PER_JOB])
-            for camera, steps in enumerate(fresh)
+    jobs = [(slot, steps[i:i + FRAMES_PER_JOB])
+            for slot, steps in enumerate(fresh)
             for i in range(0, len(steps), FRAMES_PER_JOB)]
 
     def encode(job):
-        camera, steps = job
-        frames = slots[camera]
+        slot, steps = job
+        frames = slots[slot]
         batch = (frames[steps[0]][None] if len(steps) == 1
                  else np.stack([frames[t] for t in steps]))
-        out[steps, camera * n:(camera + 1) * n] = vit_encode_image(
-            batch, vit, patch, blocks, camera=camera)
+        out[steps, slot * n:(slot + 1) * n] = vit_encode_image(
+            batch, vit, patch, blocks, camera=slot % 2)
 
     _run_jobs(jobs, encode)
-    for camera, (steps, repeats) in enumerate(zip(fresh, reused)):
-        rows = slice(camera * n, (camera + 1) * n)
+    for slot, (steps, repeats) in enumerate(zip(fresh, reused)):
+        rows = slice(slot * n, (slot + 1) * n)
         for t in repeats:  # in step order, so step t - 1 is filled already
-            out[t, rows] = out[t - 1, rows] if t else memo[camera][1]
+            out[t, rows] = out[t - 1, rows] if t else memo[slot][1]
         if steps:
-            memo[camera] = (slots[camera][-1].copy(), out[-1, rows].copy())
+            memo[slot] = (slots[slot][-1].copy(), out[-1, rows].copy())
     return out
 
 
@@ -216,7 +217,7 @@ FRAMES_PER_JOB = 4
 
 
 def _run_jobs(jobs: list, work) -> None:
-    """Run work(job) for every (camera, steps) job: on the calling thread,
+    """Run work(job) for every (slot, steps) job: on the calling thread,
     and with at least two full batches also on helper threads, one thread
     per usable CPU in all. numpy releases the GIL inside BLAS and ufunc
     loops, so the threads overlap. The caller works instead of waiting;

@@ -33,7 +33,9 @@ config.parse_config, like a config file, so a key that names no
 ModelConfig field is a CompatibilityError. Checkpoints whose embedded
 config still holds a value that is now a constant (the frame edge, for
 one: see the config module) are therefore rejected, naming the key, and
-must be rebuilt with `minivla train`.
+must be rebuilt with `minivla train`. Its depth statistics go through
+depth.DepthStats.from_dict, like a stats file; a header whose statistics
+fail that check is a CorruptionError.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ import numpy as np
 
 from . import sim
 from .analysis import SuccessTable
-from .config import ModelConfig, parse_config
+from .config import parse_config
 from .depth import DepthStats
-from .errors import CompatibilityError, ConfigError, CorruptionError
+from .errors import CompatibilityError, ConfigError, CorruptionError, ValidationError
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -148,24 +150,22 @@ def read_checkpoint_header(path: str | Path) -> dict:
     return _parse_checkpoint(Path(path).read_bytes(), path)[0]
 
 
-def load_checkpoint(path: str | Path,
-                    expect_model_cfg: ModelConfig | None = None) -> Model:
-    """Rebuild a model from a checkpoint; verifies CRC and the manifest.
-
-    When expect_model_cfg is given, the model is built from it and the
-    stored parameter names must match the names it creates; otherwise the
-    embedded configuration is used as-is.
-    """
+def load_checkpoint(path: str | Path) -> Model:
+    """Rebuild a model from a checkpoint; verifies the CRC, the embedded
+    configuration and depth statistics, and that the stored parameter
+    names are those the embedded configuration creates."""
     header, payload = _parse_checkpoint(Path(path).read_bytes(), path)
     meta = header.get("meta", {})
-    cfg = expect_model_cfg
-    if cfg is None:
-        try:
-            cfg = parse_config(overrides={"model": meta.get("model_config")}).model
-        except ConfigError as e:
-            raise CompatibilityError(f"checkpoint {path} has an unusable model "
-                                     f"config: {e}") from e
-    stats = DepthStats(**meta["depth_stats"]) if meta.get("depth_stats") else None
+    try:
+        cfg = parse_config(overrides={"model": meta.get("model_config")}).model
+    except ConfigError as e:
+        raise CompatibilityError(f"checkpoint {path} has an unusable model "
+                                 f"config: {e}") from e
+    try:
+        stats = (None if meta.get("depth_stats") is None
+                 else DepthStats.from_dict(meta["depth_stats"]))
+    except ValidationError as e:
+        raise CorruptionError(f"checkpoint {path} has unusable depth statistics: {e}") from e
     model = init_model(cfg, stats)
 
     stored = {e["name"]: e for e in header["entries"]}

@@ -16,14 +16,14 @@ all T steps. The LSTM is one nm.lstm_layer op per layer over all T
 steps, whose recurrence loops inside the op, not on the tape. A rollout
 step is the same call with T = 1.
 
-The frozen encode is one enc.vit_encode_pair call per modality, for a
-rollout step (encode_observation, T = 1) and a teacher-forced trajectory
-(encode_trajectory) alike, which decides reuse, batching and threads.
-This module checks and preprocesses the frames and supplies the model's
-memos: one per modality, so reuse spans steps, trajectories and agents.
-They stay valid because the frozen weights never change once the model
-is built; the depth memo holds preprocessed frames, so the depth
-statistics are part of what it compares.
+The frozen encode is one enc.vit_encode_pair call over all four camera
+slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
+trajectory (encode_trajectory) alike, which decides reuse, batching and
+threads. This module checks and preprocesses the frames and supplies the
+model's one memo, so reuse spans steps, trajectories and agents. It stays
+valid because the frozen weights never change once the model is built;
+the depth slots hold preprocessed frames, so the depth statistics are
+part of what it compares.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -77,11 +77,11 @@ class Model:
         self.vocab = vocab
         self.vocab_index = {w: i for i, w in enumerate(vocab)}
         self.depth_stats = depth_stats
-        self._instr_cache: dict[str, Instruction] = {}
-        # Frozen-encoder memos, RGB then depth (see enc.vit_encode_pair);
-        # their tokens stay valid because the frozen weights are never
-        # changed after init_model or load_checkpoint sets them.
-        self._frame_memos: tuple[enc.FrameMemo, enc.FrameMemo] = ({}, {})
+        self._last_instruction: Instruction | None = None
+        # The frozen-encoder memo (see enc.vit_encode_pair); its tokens stay
+        # valid because the frozen weights are never changed after
+        # init_model or load_checkpoint sets them.
+        self._frame_memo: enc.FrameMemo = {}
         # The ParamSet's tensors are fixed once the model is built (training
         # and loading replace their data, never the tensors), so the views a
         # policy step needs are grouped once here instead of on every step.
@@ -110,13 +110,14 @@ class Model:
         return self.params["embed.table"].data
 
     def instruction(self, text: str) -> Instruction:
-        cached = self._instr_cache.get(text)
-        if cached is not None:
-            return cached
-        ids = dec.tokenize(text, self.vocab_index)
-        instr = Instruction(text, ids, dec.embed_ids(self.embedding_table(), ids))
-        self._instr_cache[text] = instr
-        return instr
+        """The resolved instruction; only the last one is kept, since a
+        rollout asks for one instruction per task."""
+        last = self._last_instruction
+        if last is None or last.text != text:
+            ids = dec.tokenize(text, self.vocab_index)
+            last = Instruction(text, ids, dec.embed_ids(self.embedding_table(), ids))
+            self._last_instruction = last
+        return last
 
 
 def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Model:
@@ -239,9 +240,9 @@ def reset_hidden(model: Model) -> list[tuple[Tensor, Tensor]]:
 # --- observation encoding (frozen; numpy only) ---------------------------------
 
 
-def _camera_frames(model: Model, obs: sim.Observation) -> tuple[tuple[Array, Array],
-                                                                tuple[Array, Array]]:
-    """The (static, gripper) frames the frozen encoder sees, RGB then depth.
+def _camera_frames(model: Model, obs: sim.Observation) -> tuple[Array, Array, Array, Array]:
+    """The frames the frozen encoder sees, in slot order: RGB static, RGB
+    gripper, depth static, depth gripper.
 
     Checks every frame's shape first (sim.check_observation). Depth frames
     are preprocessed against the model's depth statistics.
@@ -258,7 +259,7 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[tuple[Array, Arr
             raise ContractError("model has no depth statistics; compute stats first")
         depth_a = dp.preprocess_depth(d_static, model.depth_stats)
         depth_b = dp.preprocess_depth(d_gripper, model.depth_stats)
-    return (np.asarray(obs.rgb_static), np.asarray(obs.rgb_gripper)), (depth_a, depth_b)
+    return np.asarray(obs.rgb_static), np.asarray(obs.rgb_gripper), depth_a, depth_b
 
 
 def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
@@ -272,21 +273,17 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
     """Frozen token sequences of T steps, (X_rgb, X_depth), each (T, 2N, d).
 
     Every frame is checked before any is encoded. Then one
-    enc.vit_encode_pair call per modality encodes all T steps against a
-    copy of the model's memo for that modality; the copies replace the
-    memos only when both calls succeed, so a failed call changes neither.
+    enc.vit_encode_pair call encodes all T steps of the four camera slots
+    against the model's memo, which a failed call leaves as it was; its
+    (T, 4N, d) tokens split into the RGB and depth halves.
     """
-    cfg = model.cfg
     steps = [_camera_frames(model, obs) for obs in observations]
-    vit = model.vit_arrays()
-    memos = tuple(dict(memo) for memo in model._frame_memos)
+    slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
-        encoded = tuple(enc.vit_encode_pair([step[m][0] for step in steps],
-                                            [step[m][1] for step in steps],
-                                            vit, cfg.patch, cfg.vit_blocks, memo)
-                        for m, memo in enumerate(memos))
-    model._frame_memos = memos
-    return encoded
+        tokens = enc.vit_encode_pair(slots, model.vit_arrays(), model.cfg.patch,
+                                     model.cfg.vit_blocks, model._frame_memo)
+    half = tokens.shape[1] // 2
+    return tokens[:, :half], tokens[:, half:]
 
 
 # --- the policy over a trajectory ------------------------------------------------

@@ -385,16 +385,23 @@ def _effective_height(obj: Obj, state: WorldState) -> float:
     return float(state.gripper_pos[2]) if obj.held else obj.height
 
 
-def _paint(state: WorldState, cx: float, cy: float, window: float, res: int):
+def render_observation(state: WorldState) -> Observation:
+    """Orthographic third-person view plus a gripper-centered zoom, painted
+    in one pass: the grids carry a leading camera axis, static view first,
+    so each stamp runs once for both cameras."""
     table = state.table_color or PALETTES[state.palette].table_color
     tints = state.scene_colors or COLORS
+    g = state.gripper_pos
+    res = IMAGE_HW
+    # Per camera: the window's center x, center y and edge, each (2, 1).
+    cx, cy, window = np.array([[0.5, g[0]], [0.5, g[1]], [1.0, GRIPPER_CAM_WINDOW]])[..., None]
     xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
     ys = cy - window / 2 + (np.arange(res) + 0.5) * window / res
-    gx, gy = xs[None, :], ys[:, None]  # the grid's coordinates, by broadcasting
+    gx, gy = xs[:, None, :], ys[:, :, None]  # the grids' coordinates, by broadcasting
 
-    color = np.empty((res, res, 3))
+    color = np.empty((2, res, res, 3))
     color[:] = table
-    height = np.zeros((res, res))
+    height = np.zeros((2, res, res))
 
     def stamp(px, py, half_x, half_y, h, rgb):
         mask = (np.abs(gx - px) <= half_x) & (np.abs(gy - py) <= half_y) & (h > height)
@@ -423,21 +430,13 @@ def _paint(state: WorldState, cx: float, cy: float, window: float, res: int):
             stamp(obj.pos[0], obj.pos[1], BIN_HALF, BIN_HALF, h, BIN_COLOR)
 
     # The arm enters from above, so the gripper marker occludes everything.
-    g = state.gripper_pos
     marker = (np.abs(gx - g[0]) <= GRIPPER_HALF) & (np.abs(gy - g[1]) <= GRIPPER_HALF)
     color[marker] = GRIPPER_OPEN_COLOR if state.gripper_open else GRIPPER_CLOSED_COLOR
     height[marker] = g[2]
 
-    depth = Z_CAM - height
-    return color.astype(np.float32), depth.astype(np.float32)
-
-
-def render_observation(state: WorldState) -> Observation:
-    """Orthographic third-person view plus a gripper-centered zoom."""
-    rgb_s, depth_s = _paint(state, 0.5, 0.5, 1.0, IMAGE_HW)
-    g = state.gripper_pos
-    rgb_g, depth_g = _paint(state, float(g[0]), float(g[1]), GRIPPER_CAM_WINDOW, IMAGE_HW)
-    return Observation(rgb_s, rgb_g, depth_s, depth_g)
+    rgb = color.astype(np.float32)
+    depth = (Z_CAM - height).astype(np.float32)
+    return Observation(rgb[0], rgb[1], depth[0], depth[1])
 
 
 # --- tasks ------------------------------------------------------------------

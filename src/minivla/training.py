@@ -18,8 +18,8 @@ heads and the imitation loss each run once over all T steps, and the
 LSTM recurrence is one tape op per layer over all T steps, not a
 per-step loop (see policy.policy_core and numerics.lstm_layer).
 
-encode_dataset is one enc.vit_encode_pair call per modality over the
-whole dataset, which encodes on every usable CPU and joins its threads
+encode_dataset is one enc.vit_encode_pair call over all four camera
+slots of the whole dataset, which encodes on every usable CPU and joins its threads
 before returning. Its tokens are bitwise those of each frame encoded
 alone, so seed-fixed training stays bitwise reproducible; everything
 after it (forward, backward, Adam) runs on the calling thread.
@@ -147,7 +147,7 @@ def encode_dataset(model: pol.Model, dataset: list[sim.Trajectory]):
 
     Per trajectory: (instruction, (X_rgb, X_depth) each (T, 2N, d),
     expert actions). Instructions are resolved first, so bad text fails
-    before any encode; then one encode_trajectory call, whose memos carry
+    before any encode; then one encode_trajectory call, whose memo carries
     across trajectories as across steps, is sliced per trajectory. Models
     with equal frozen_checksum, depth statistics and depth_input encode a
     dataset identically and may share the result.

@@ -86,7 +86,7 @@ def test_ablate_chains_flag_overrides_config_only_when_given(tmp_path, dataset, 
     {"train": {"learning_rate": "0.1"}}, {"train": {"epochs": True}},
     {"train": {"learning_rate": float("nan")}},
     {"env": {"palettes": "AB"}}, {"env": {"n_chains": 2.5}},
-    {"model": []}, [], "model"])
+    {"model": []}, [], "model", {"train": {"learning_rate": 10 ** 400}}])
 def test_unknown_config_key_exits_1(tmp_path, dataset, sections, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(sections))
@@ -116,6 +116,29 @@ def test_eval_rejects_bad_flags_before_loading(run_dir, flag):
     assert cli.dispatch(["eval", "--checkpoint", "missing.rfpx", "--out", "eval",
                          *flag]) == 1
     assert not (run_dir / "eval").exists()
+
+
+STATS = '"d_min": 0.6, "d_max": 1.0, "mu": 0.5'
+
+
+@pytest.mark.parametrize("body, field", [
+    ('{"d_min": 0.5', "not valid JSON"),
+    ('{"d_min": 0.5}', "'d_max'"),
+    ("{" + STATS + ', "sigma": 0.29, "scale": 2}', "'scale'"),
+    ("{" + STATS + ', "sigma": "0.29"}', "'sigma'"),
+    ("{" + STATS + ', "sigma": true}', "'sigma'"),
+    ("{" + STATS + ', "sigma": NaN}', "'sigma'"),
+    ("{" + STATS + ', "sigma": 1' + "0" * 400 + "}", "'sigma'"),
+    ("[0.6, 1.0, 0.5, 0.29]", "JSON object"),
+], ids=["truncated", "missing-field", "extra-field", "string", "bool", "nan", "huge-int",
+        "list"])
+def test_malformed_stats_file_exits_1(run_dir, dataset, capsys, body, field):
+    (run_dir / "stats.json").write_text(body)
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--stats", "stats.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (run_dir / "train" / "checkpoint.rfpx").exists()
 
 
 def test_depth_extremes_has_no_stats_flag(run_dir, capsys):

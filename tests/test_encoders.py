@@ -14,8 +14,8 @@ def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
 
 
 def encode_step(a, b, vit, patch, blocks, memo=None):
-    """vit_encode_pair of one step: (2N, d)."""
-    return enc.vit_encode_pair([a], [b], vit, patch, blocks, memo)[0]
+    """vit_encode_pair of one step of two camera slots: (2N, d)."""
+    return enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo)[0]
 
 
 ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
@@ -105,6 +105,27 @@ class TestVitEncode:
             encode_step(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
                                 vit, patch, blocks)
 
+    def test_slots_of_unequal_length_rejected(self, rng):
+        vit, patch, blocks = small_vit(rng)
+        a = rng.random((32, 32, 3))
+        with pytest.raises(DimensionError, match=r"camera slots hold \[2, 2, 1, 2\] frames"):
+            enc.vit_encode_pair([[a, a], [a, a], [a], [a, a]], vit, patch, blocks)
+
+    def test_four_slots_alternate_cameras(self, rng):
+        # A policy step's slots: RGB static, RGB gripper, depth static,
+        # depth gripper. Slot s's rows are its frames encoded by camera s % 2.
+        vit, patch, blocks = small_vit(rng)
+        slots = [[rng.random((32, 32, 3)) for _ in range(3)] for _ in range(3)]
+        slots.append([frame.copy() for frame in slots[0]])  # the other camera's view
+        memo = {}
+        got = enc.vit_encode_pair(slots, vit, patch, blocks, memo)
+        assert got.shape == (3, 4 * 16, 16)
+        assert memo.keys() == {0, 1, 2, 3}
+        for s, frames in enumerate(slots):
+            for t, frame in enumerate(frames):
+                alone = ENCODE_IMAGE(frame, vit, patch, blocks, camera=s % 2)
+                assert got[t, s * 16:(s + 1) * 16].tobytes() == alone.tobytes()
+
 
 class TestFrameMemo:
     def test_repeated_pair_reuses_tokens(self, rng, monkeypatch):
@@ -172,7 +193,7 @@ class TestFrameMemo:
         slot1 = [b, b.copy(), a, a.copy()]  # the same frames, the other camera
         cameras = count_encodes(monkeypatch)
         memo = {}
-        got = enc.vit_encode_pair(slot0, slot1, vit, patch, blocks, memo)
+        got = enc.vit_encode_pair([slot0, slot1], vit, patch, blocks, memo)
         assert sorted(cameras) == [0, 0, 1, 1]
         for t, (x, y) in enumerate(zip(slot0, slot1)):
             assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()

@@ -169,17 +169,44 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["ck.rfpx"]
 
     def test_sep_checkpoint_into_shared_config_names_prefix(self, tmp_path):
+        # Separate-resampler entries under an embedded config that says shared.
         sep_model = pol.init_model(
             dataclasses.replace(tiny_config(), sep_resampler=True), synthetic_stats())
         path = persist.save_checkpoint(sep_model, tmp_path / "sep.rfpx")
-        with pytest.raises(CompatibilityError, match="resampler"):
-            persist.load_checkpoint(path, expect_model_cfg=tiny_config())
 
-    def test_matching_expect_config_loads(self, tmp_path):
-        model = small_model()
+        def shared_config(header):
+            header["meta"]["model_config"]["sep_resampler"] = False
+            return header
+
+        rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", shared_config)
+        with pytest.raises(CompatibilityError, match=r"prefix 'resampler\.depth\.'"):
+            persist.load_checkpoint(tmp_path / "bad.rfpx")
+
+    def test_loaded_config_is_the_embedded_config(self, tmp_path):
+        model = small_model(sep_resampler=True)
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
-        again = persist.load_checkpoint(path, expect_model_cfg=tiny_config())
-        assert again.cfg.sep_resampler is False
+        again = persist.load_checkpoint(path)
+        assert again.cfg == model.cfg and again.cfg.sep_resampler is True
+
+    @pytest.mark.parametrize("stats, field", [
+        ({}, "d_min"),
+        ({"d_min": 0.6, "d_max": 1.0, "mu": 0.5, "sigma": 0.29, "scale": 2.0}, "scale"),
+        ({"d_min": "0.6", "d_max": 1.0, "mu": 0.5, "sigma": 0.29}, "d_min"),
+        ({"d_min": 0.6, "d_max": 1.0, "mu": True, "sigma": 0.29}, "mu"),
+        ({"d_min": 0.6, "d_max": 1.0, "mu": float("nan"), "sigma": 0.29}, "mu"),
+        ({"d_min": 0.6, "d_max": None, "mu": 0.5, "sigma": 0.29}, "d_max"),
+        ([0.6, 1.0, 0.5, 0.29], "JSON object"),
+    ], ids=["empty", "extra-key", "string", "bool", "nan", "null", "list"])
+    def test_malformed_depth_stats_are_corruption_error(self, tmp_path, stats, field):
+        path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
+
+        def edit(header):
+            header["meta"]["depth_stats"] = stats
+            return header
+
+        rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", edit)
+        with pytest.raises(CorruptionError, match=f"unusable depth statistics: .*{field}"):
+            persist.load_checkpoint(tmp_path / "bad.rfpx")
 
     def test_offsets_ascend_contiguously(self, tmp_path):
         model = small_model()

@@ -212,6 +212,29 @@ class TestPolicyStep:
         assert res.max_rel_error < 1e-4
 
 
+class TestInstruction:
+    def test_only_the_last_instruction_is_kept(self, monkeypatch):
+        model = tiny_model()
+        tokenized = []
+        real = pol.dec.tokenize
+
+        def counting(text, index):
+            tokenized.append(text)
+            return real(text, index)
+
+        monkeypatch.setattr(pol.dec, "tokenize", counting)
+        texts = [f"lift the block number {i}" for i in range(1000)]
+        for text in texts:
+            model.instruction(text)
+        held = [value for attr in vars(model).values()
+                for value in (attr.values() if isinstance(attr, dict) else [attr])
+                if isinstance(value, pol.Instruction)]
+        assert [instr.text for instr in held] == texts[-1:]
+        assert model.instruction(texts[-1]) is held[0]  # the last one is reused
+        model.instruction(texts[0])  # an older one is resolved again
+        assert tokenized == texts + texts[:1]
+
+
 class TestFrozenContract:
     def test_frozen_entries_get_no_gradients(self, rng):
         model = tiny_model()
@@ -364,10 +387,9 @@ def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
             *fresh[2:], o1, *fresh[2:4], fresh[-1]]
 
 
-def memo_state(model) -> list:
-    return [{camera: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
-             for camera, (frame, tokens) in memo.items()}
-            for memo in model._frame_memos]
+def memo_state(model) -> dict:
+    return {slot: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
+            for slot, (frame, tokens) in model._frame_memo.items()}
 
 
 def thread_count() -> int:
@@ -417,20 +439,21 @@ class TestParallelTrajectoryEncode:
         steps = tuple(np.concatenate(xs) for xs in zip(*(x for _, x, _ in encoded)))
         assert_rows_encoded_alone(model, steps, observations)
 
-    def test_dataset_is_one_encode_per_modality(self, rng, monkeypatch):
+    def test_dataset_is_one_encode_call(self, rng, monkeypatch):
         model, per_trajectory = tiny_model(), tiny_model()
         observations = varied_observations(rng)
         dataset = trajectories(observations, 3, 7, 7, 12)  # one trajectory is empty
         calls = []
         real = enc.vit_encode_pair
 
-        def counting(a, b, *args, **kwargs):
-            calls.append(len(a))
-            return real(a, b, *args, **kwargs)
+        def counting(slots, *args, **kwargs):
+            calls.append([len(frames) for frames in slots])
+            return real(slots, *args, **kwargs)
 
         monkeypatch.setattr(enc, "vit_encode_pair", counting)
         encoded = tr.encode_dataset(model, dataset)
-        assert calls == [len(observations)] * 2
+        assert calls == [[len(observations)] * 4]  # all four camera slots at once
+        assert model._frame_memo.keys() == {0, 1, 2, 3}  # one entry per slot
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
             assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
@@ -462,13 +485,12 @@ class TestParallelTrajectoryEncode:
         for obs in observations:
             pol.encode_observation(serial, obs)
         assert memo_state(model) == memo_state(serial)
-        for memo in model._frame_memos:  # copies, not views of inputs or outputs
-            for frame, tokens in memo.values():
-                assert not any(np.shares_memory(frame, getattr(obs, plane))
-                               for obs in observations
-                               for plane in ("rgb_static", "rgb_gripper"))
-                assert not np.shares_memory(tokens, x_rgb)
-                assert not np.shares_memory(tokens, x_depth)
+        for frame, tokens in model._frame_memo.values():  # copies, not views
+            assert not any(np.shares_memory(frame, getattr(obs, plane))
+                           for obs in observations
+                           for plane in ("rgb_static", "rgb_gripper"))
+            assert not np.shares_memory(tokens, x_rgb)
+            assert not np.shares_memory(tokens, x_depth)
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
     def test_encodes_run_on_several_threads(self, rng, monkeypatch):
@@ -513,9 +535,9 @@ class TestParallelTrajectoryEncode:
         pol.encode_observation(model, synthetic_obs(rng))  # a rollout step
         pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
         assert pools == []
-        # One full batch per slot: two per modality, so one helper each.
+        # One full batch per slot: four in one call, so three helpers.
         pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(4)])
-        assert pools == [1, 1]
+        assert pools == [3]
 
     @needs_proc
     def test_no_thread_outlives_the_call(self, rng):
@@ -557,20 +579,26 @@ class TestParallelTrajectoryEncode:
         assert thread_count() == before
         assert memo_state(model) == memos  # a failed call changes no memo
 
-    def test_failed_depth_encode_keeps_the_rgb_memo(self, rng, monkeypatch):
+    def test_failed_call_keeps_every_slot_entry(self, rng, monkeypatch):
+        # The RGB slots are encoded before a depth slot fails; their memo
+        # entries must stay as they were too.
         model = tiny_model()
         pol.encode_trajectory(model, [synthetic_obs(rng)])
         memos = memo_state(model)
+        assert memos.keys() == {0, 1, 2, 3}
         real = enc.vit_encode_image
+        rgb_batches = []
 
         def failing_on_depth(img, vit, patch, blocks, camera=0):
             if img.dtype == np.float64:  # preprocessed depth; the RGB frames are float32
                 raise DimensionError("depth frame rejected")
+            rgb_batches.append(camera)
             return real(img, vit, patch, blocks, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", failing_on_depth)
         with pytest.raises(DimensionError, match="depth frame rejected"):
             pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
+        assert rgb_batches == [0, 1]
         assert memo_state(model) == memos
 
     @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),

@@ -219,10 +219,14 @@ class TestStepEnvProperties:
 
 class TestRender:
     def test_empty_table_uniform(self):
-        s = WorldState(np.array([2.0, 2.0, 0.2]), True, [], "A")  # marker off-view
-        rgb, depth = sim._paint(s, 0.5, 0.5, 1.0, 32)
-        assert np.allclose(rgb, np.array(sim.PALETTES["A"].table_color, dtype=np.float32))
-        assert np.allclose(depth, sim.Z_CAM)
+        s = WorldState(np.array([2.0, 2.0, 0.2]), True, [], "A")  # marker off the static view
+        obs = sim.render_observation(s)
+        table = np.array(sim.PALETTES["A"].table_color, dtype=np.float32)
+        assert np.allclose(obs.rgb_static, table)
+        assert np.allclose(obs.depth_static, sim.Z_CAM)
+        # The wrist view is centered on the marker; its corners show the table.
+        assert np.allclose(obs.rgb_gripper[0, 0], table)
+        assert np.allclose(obs.depth_gripper[-1, -1], sim.Z_CAM)
 
     def test_block_reduces_depth_by_height(self):
         s = simple_scene(gripper=(0.9, 0.9, 0.3), block=(0.5, 0.5), height=0.1)
@@ -277,7 +281,8 @@ class TestRender:
 
     @staticmethod
     def _paint_on_meshgrid(state, cx, cy, window, res):
-        """sim._paint as it was with a full np.meshgrid, kept as the reference."""
+        """One camera's (rgb, depth) painted on a full np.meshgrid, as the
+        painter was before it drew both cameras at once; the reference."""
         table = state.table_color or sim.PALETTES[state.palette].table_color
         tints = state.scene_colors or sim.COLORS
         xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
@@ -317,21 +322,53 @@ class TestRender:
         height[marker] = g[2]
         return color.astype(np.float32), (sim.Z_CAM - height).astype(np.float32)
 
-    @pytest.mark.parametrize("seed,palette", [(0, "A"), (3, "B"), (11, "C"), (42, "D")])
-    def test_broadcast_grid_matches_meshgrid(self, seed, palette):
-        # Both camera windows of a scene, before and after random moves of
-        # the gripper, must be byte-identical to the meshgrid painter.
-        state = sim.make_env(seed, palette)
+    @classmethod
+    def assert_matches_meshgrid(cls, state):
+        """All four planes of render_observation are byte-identical to the
+        reference painter run on each camera's window alone."""
+        obs = sim.render_observation(state)
+        g = state.gripper_pos
+        windows = {"static": (0.5, 0.5, 1.0),
+                   "gripper": (float(g[0]), float(g[1]), sim.GRIPPER_CAM_WINDOW)}
+        for camera, window in windows.items():
+            expect = cls._paint_on_meshgrid(state, *window, sim.IMAGE_HW)
+            got = (getattr(obs, f"rgb_{camera}"), getattr(obs, f"depth_{camera}"))
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes(), camera
+
+    @pytest.mark.parametrize("seed,palette,variant", [
+        pytest.param(0, "A", "standard", id="0-A"),
+        pytest.param(3, "B", "standard", id="3-B"),
+        pytest.param(11, "C", "standard", id="11-C"),
+        pytest.param(42, "D", "standard", id="42-D"),
+        pytest.param(5, "A", "tall_short", id="5-A-tall_short"),
+        pytest.param(8, "D", "tall_short", id="8-D-tall_short"),
+    ])
+    def test_broadcast_grid_matches_meshgrid(self, seed, palette, variant):
+        # All four planes of a scene, before and after random moves of the
+        # gripper, must be byte-identical to the meshgrid painter.
+        state = sim.make_env(seed, palette, variant)
         agent = RandomAgent(seed)
         for _ in range(3):
-            g = state.gripper_pos
-            for window in ((0.5, 0.5, 1.0), (float(g[0]), float(g[1]), sim.GRIPPER_CAM_WINDOW)):
-                got = sim._paint(state, *window, sim.IMAGE_HW)
-                expect = self._paint_on_meshgrid(state, *window, sim.IMAGE_HW)
-                for a, b in zip(got, expect):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            self.assert_matches_meshgrid(state)
             for _ in range(4):
                 state = sim.step_env(state, agent.act(None, ""))
+        # So must a held block raised to exactly the height of a block of
+        # another color that it overlaps: the stamps meet at equal heights,
+        # where the strict h > height rule keeps whichever is stamped first.
+        blocks = [i for i, obj in enumerate(state.objects) if obj.kind == "block"]
+        first = blocks[0]
+        other = next(i for i in blocks
+                     if state.objects[i].color != state.objects[first].color)
+        for held_i, under_i in ((first, other), (other, first)):
+            scene = state.copy()
+            held, under = scene.objects[held_i], scene.objects[under_i]
+            held.held = True
+            held.pos = under.pos + 0.5 * sim.BLOCK_HALF
+            scene.gripper_pos = np.array([*held.pos, under.height])
+            assert sim._effective_height(held, scene) == under.height
+            self.assert_matches_meshgrid(scene)
 
     def test_render_deterministic(self):
         s = sim.make_env(9, "B")

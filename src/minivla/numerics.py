@@ -7,9 +7,12 @@ lstm_layer, one LSTM layer over a trajectory's rows. matmul, transpose,
 softmax_rows, scaled_dot_attention, concat_rows and max_over_rows also
 take a leading batch axis (a trajectory's time steps), so one recorded
 op covers every step of a stateless stage; lstm_layer records the
-recurrence as one op per layer in the same way. Arrays
-are float64 in memory; a built graph belongs to one execution context
-and `backward` visits each node exactly once, so gradients are
+recurrence as one op per layer in the same way and hands back its
+carried state as plain arrays, outside the graph. Each binary
+elementwise op checks shapes once: numpy's broadcast inside the op,
+whose failure becomes a DimensionError naming the op and both shapes.
+Arrays are float64 in memory; a built graph belongs to one execution
+context and `backward` visits each node exactly once, so gradients are
 bitwise reproducible for a fixed graph.
 """
 
@@ -111,9 +114,11 @@ def _reduce_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> tuple[int, ...]:
+def _broadcast_op(op, a: Tensor, b: Tensor, opname: str) -> Array:
+    """op(a.data, b.data), with numpy's broadcast check as the one shape
+    check: its ValueError becomes a DimensionError naming both shapes."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError:
         raise DimensionError(
             f"{opname}: shapes {a.shape} and {b.shape} do not broadcast"
@@ -129,8 +134,7 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> tuple[int, ...]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    out = _broadcast_op(np.add, a, b, "add")
 
     def vjp(g: Array):
         return (_reduce_to(g, a.shape) if a.requires_grad else None,
@@ -140,8 +144,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    out = _broadcast_op(np.subtract, a, b, "sub")
 
     def vjp(g: Array):
         return (_reduce_to(g, a.shape) if a.requires_grad else None,
@@ -151,8 +154,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    out = _broadcast_op(np.multiply, a, b, "mul")
     ad, bd = a.data, b.data
 
     def vjp(g: Array):
@@ -394,9 +396,9 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
 
     Uses max(z,0) - z*y + log1p(exp(-|z|)), stable for large |z|.
     """
-    _check_broadcast(logits, labels, "bce_with_logits")
+    zy = _broadcast_op(np.multiply, logits, labels, "bce_with_logits")
     z, y = logits.data, labels.data
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    per = np.maximum(z, 0.0) - zy + np.log1p(np.exp(-np.abs(z)))
     out = np.asarray(per.sum())
     lshape, tshape = logits.shape, labels.shape
 
@@ -408,17 +410,21 @@ def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
     return _result(out, (logits, labels), vjp)
 
 
-def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
-               b: Tensor) -> Tensor:
+def lstm_layer(x: Tensor, h0: Array, c0: Array, wx: Tensor, wh: Tensor,
+               b: Tensor) -> tuple[Tensor, tuple[Array, Array]]:
     """One LSTM layer run over the T rows of x, recorded as one tape node.
 
-    x: (T, d_in); h0, c0: (1, r); wx: (d_in, 4r); wh: (r, 4r); b: (4r,),
-    gates in the order input, forget, cell, output. Step t computes
-    z = (x[t] wx + h wh) + b, then c = f*c + i*g and h = o*tanh(c), in
-    that order, so a one-row call is bitwise the one-step formula.
-    Returns (T, 2r) whose row t is [h_t | c_t]. The input projection is
-    one GEMM over all T rows; only h @ wh loops. The VJP runs BPTT and
-    forms each weight gradient with one GEMM over all T steps.
+    x: (T, d_in); wx: (d_in, 4r); wh: (r, 4r); b: (4r,), gates in the
+    order input, forget, cell, output. The carried state h0, c0 is data,
+    not graph: two (1, r) arrays that receive no gradient, since every
+    trajectory starts from zeros and rollouts record nothing. Step t
+    computes z = (x[t] wx + h wh) + b, then c = f*c + i*g and
+    h = o*tanh(c), in that order, so a one-row call is bitwise the
+    one-step formula. Returns (h, (h_T, c_T)): the (T, r) hidden states,
+    whose node has the parents x, wx, wh, b, and the state after row T as
+    arrays. The input projection is one GEMM over all T rows; only h @ wh
+    loops. The VJP runs BPTT and forms each weight gradient with one GEMM
+    over all T steps.
     """
     n_steps, r = x.shape[0], h0.shape[-1]
     if x.data.ndim != 2 or n_steps < 1 or h0.shape != (1, r) or c0.shape != (1, r):
@@ -431,11 +437,12 @@ def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
             f"lstm_layer weights {wx.shape}, {wh.shape}, {b.shape} do not fit "
             f"input width {x.shape[1]} and state width {r}"
         )
-    xd, h0d, c0d, whd, bd = x.data, h0.data, c0.data, wh.data, b.data
+    xd, whd, bd = x.data, wh.data, b.data
     xw = xd @ wx.data
     gates = np.empty((n_steps, 4 * r))  # activated i, f, g, o per step
-    out = np.empty((n_steps, 2 * r))
-    h, c = h0d, c0d
+    hs = np.empty((n_steps, r))
+    cs = np.empty((n_steps, r))
+    h, c = h0, c0
     for t in range(n_steps):
         z = (xw[t:t + 1] + h @ whd) + bd
         act = gates[t:t + 1]
@@ -443,13 +450,12 @@ def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
         act[:, 2 * r:3 * r] = np.tanh(z[:, 2 * r:3 * r])
         c = act[:, r:2 * r] * c + act[:, :r] * act[:, 2 * r:3 * r]
         h = act[:, 3 * r:] * np.tanh(c)
-        out[t:t + 1, :r] = h
-        out[t:t + 1, r:] = c
+        hs[t:t + 1] = h
+        cs[t:t + 1] = c
 
     def vjp(g: Array):
         i, f, gc, o = (gates[:, k * r:(k + 1) * r] for k in range(4))
-        hs, cs = out[:, :r], out[:, r:]
-        c_prev = np.concatenate([c0d, cs[:-1]])
+        c_prev = np.concatenate([c0, cs[:-1]])
         tc = np.tanh(cs)
         # Every factor that does not depend on the incoming state gradient.
         d_o = tc * o * (1.0 - o)
@@ -462,19 +468,19 @@ def lstm_layer(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
         dh_next = np.zeros(r)
         dc_next = np.zeros(r)
         for t in range(n_steps - 1, -1, -1):
-            dh = g[t, :r] + dh_next
-            dc = g[t, r:] + dc_next + dh * dc_from_h[t]
+            dh = g[t] + dh_next
+            dc = dc_next + dh * dc_from_h[t]
             dz3[t, :3] = dc * d_ifg[t]
             dz3[t, 3] = dh * d_o[t]
             dc_next = dc * f[t]
             dh_next = dz[t] @ wh_t
         gx = dz @ wx.data.T if x.requires_grad else None
         gwx = xd.T @ dz if wx.requires_grad else None
-        gwh = np.concatenate([h0d, hs[:-1]]).T @ dz if wh.requires_grad else None
+        gwh = np.concatenate([h0, hs[:-1]]).T @ dz if wh.requires_grad else None
         gb = dz.sum(axis=0) if b.requires_grad else None
-        return gx, dh_next.reshape(1, r), dc_next.reshape(1, r), gwx, gwh, gb
+        return gx, gwx, gwh, gb
 
-    return _result(out, (x, h0, c0, wx, wh, b), vjp)
+    return _result(hs, (x, wx, wh, b), vjp), (h, c)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -120,7 +120,8 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
 
 def _parse_checkpoint(raw: bytes, path) -> tuple[dict, bytes]:
     """(header, payload) of a checkpoint's bytes, after checking the magic,
-    the exact file length and the payload CRC."""
+    the header fields load_checkpoint reads, the exact file length and the
+    payload CRC."""
     head = len(MAGIC) + 8
     if len(raw) < head:
         raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} bytes")
@@ -133,6 +134,12 @@ def _parse_checkpoint(raw: bytes, path) -> tuple[dict, bytes]:
         header = json.loads(raw[head:head + hlen])
         payload_len = max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
                            for e in header["entries"]), default=0)
+        for e in header["entries"]:
+            missing = [key for key in ("name", "trainable") if key not in e]
+            if missing:
+                raise KeyError(f"entry without {missing[0]!r}")
+        if not isinstance(header.get("meta", {}), dict):
+            raise TypeError(f"meta is a {type(header['meta']).__name__}, not an object")
     except (ValueError, KeyError, TypeError) as e:
         raise CorruptionError(f"unreadable checkpoint header in {path}: {e!r}") from e
     end = head + hlen + payload_len

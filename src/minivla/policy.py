@@ -14,7 +14,10 @@ takes a trajectory's frozen tokens stacked over time, (T, 2N, d), and
 runs resampler -> decoder -> max-pool and the action heads once over
 all T steps. The LSTM is one nm.lstm_layer op per layer over all T
 steps, whose recurrence loops inside the op, not on the tape. A rollout
-step is the same call with T = 1.
+step is the same call with T = 1. The state it carries is data, not
+graph: one (h, c) pair of (1, r) arrays per layer. Nothing reads a
+gradient for it, since every trajectory starts from reset_hidden's
+zeros and rollouts run under no_grad.
 
 The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
@@ -194,27 +197,23 @@ def maxpool_tokens(tokens: Tensor) -> Tensor:
     return nm.reshape(nm.max_over_rows(tokens), (-1, tokens.shape[-1]))
 
 
-def lstm_step(x: Tensor, prev: list[tuple[Tensor, Tensor]], model: Model
-              ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+def lstm_step(x: Tensor, prev: list[tuple[Array, Array]], model: Model
+              ) -> tuple[Tensor, list[tuple[Array, Array]]]:
     """Standard stacked LSTM over the T rows of x (T, d), one nm.lstm_layer
-    per layer; returns (top h (T, r), the state after row T)."""
-    cfg = model.cfg
-    if len(prev) != cfg.lstm_layers:
+    node per layer; returns (top h (T, r), the state after row T as one
+    (h, c) pair of (1, r) arrays per layer)."""
+    if len(prev) != model.cfg.lstm_layers:
         raise DimensionError(
-            f"hidden state has {len(prev)} layers, model expects {cfg.lstm_layers}"
+            f"hidden state has {len(prev)} layers, model expects {model.cfg.lstm_layers}"
         )
-    r = cfg.lstm_width
-    n_steps = x.shape[0]
-    new_state: list[tuple[Tensor, Tensor]] = []
-    inp = x
-    for i, (h, c) in enumerate(prev):
+    new_state: list[tuple[Array, Array]] = []
+    h = x
+    for i, (h0, c0) in enumerate(prev):
         layer = f"head.lstm.{i}."
-        out = nm.lstm_layer(inp, h, c, model.params[layer + "wx"],
-                            model.params[layer + "wh"], model.params[layer + "b"])
-        last = nm.slice_rows(out, n_steps - 1, n_steps)
-        new_state.append((nm.slice_cols(last, 0, r), nm.slice_cols(last, r, 2 * r)))
-        inp = nm.slice_cols(out, 0, r)
-    return inp, new_state
+        h, state = nm.lstm_layer(h, h0, c0, model.params[layer + "wx"],
+                                 model.params[layer + "wh"], model.params[layer + "b"])
+        new_state.append(state)
+    return h, new_state
 
 
 def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
@@ -231,10 +230,10 @@ def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
     return pose, logit
 
 
-def reset_hidden(model: Model) -> list[tuple[Tensor, Tensor]]:
+def reset_hidden(model: Model) -> list[tuple[Array, Array]]:
+    """The LSTM state every trajectory and rollout starts from: zeros."""
     r = model.cfg.lstm_width
-    return [(Tensor(np.zeros((1, r))), Tensor(np.zeros((1, r))))
-            for _ in range(model.cfg.lstm_layers)]
+    return [(np.zeros((1, r)), np.zeros((1, r))) for _ in range(model.cfg.lstm_layers)]
 
 
 # --- observation encoding (frozen; numpy only) ---------------------------------
@@ -300,8 +299,8 @@ def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
 
 
 def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
-                hidden: list[tuple[Tensor, Tensor]]
-                ) -> tuple[Tensor, Tensor, list[tuple[Tensor, Tensor]]]:
+                hidden: list[tuple[Array, Array]]
+                ) -> tuple[Tensor, Tensor, list[tuple[Array, Array]]]:
     """Differentiable pass over T consecutive steps.
 
     encoded: (X_rgb, X_depth), each (T, 2N, d). Returns (pose (T, 6),
@@ -323,8 +322,8 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
 
 
 def policy_step(model: Model, obs: sim.Observation, instruction,
-                hidden: list[tuple[Tensor, Tensor]]
-                ) -> tuple[sim.Action, list[tuple[Tensor, Tensor]]]:
+                hidden: list[tuple[Array, Array]]
+                ) -> tuple[sim.Action, list[tuple[Array, Array]]]:
     """Observation + instruction -> executable action (gripper binarized)."""
     instr = instruction if isinstance(instruction, Instruction) \
         else model.instruction(instruction)
@@ -336,6 +335,8 @@ def policy_step(model: Model, obs: sim.Observation, instruction,
 
 class PolicyAgent:
     """Pixels-only rollout adapter around a Model (no world-state access)."""
+
+    reads_pixels = True
 
     def __init__(self, model: Model):
         self.model = model

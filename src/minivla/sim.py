@@ -780,6 +780,8 @@ def sample_chain(seed: int, palette: str, families: Sequence[str] | None = None,
 class ExpertAgent:
     """Privileged oracle agent: acts from the world state, not pixels."""
 
+    reads_pixels = False
+
     def __init__(self):
         self._task: TaskSpec | None = None
 
@@ -789,7 +791,7 @@ class ExpertAgent:
     def begin_task(self, task: TaskSpec, instruction: str):
         self._task = task
 
-    def act(self, obs: Observation, instruction: str,
+    def act(self, obs: Observation | None, instruction: str,
             state: WorldState | None = None) -> Action:
         if state is None or self._task is None:
             raise ContractError("expert agent needs the world state and a task")
@@ -798,6 +800,8 @@ class ExpertAgent:
 
 class RandomAgent:
     """Uniform random actions inside the clip bound; the no-skill baseline."""
+
+    reads_pixels = False
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
@@ -816,7 +820,12 @@ class RandomAgent:
 
 def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
                   enrich: bool = False) -> ChainResult:
-    """Execute the 5 tasks in order; task i runs only if 1..i-1 succeeded."""
+    """Execute the 5 tasks in order; task i runs only if 1..i-1 succeeded.
+
+    The agent's class attribute reads_pixels says whether act reads the
+    observation; when it is false, no frame is rendered and act gets
+    obs=None (with the world state, as always).
+    """
     state = make_env(chain.seed, chain.palette, chain.variant)
     agent.reset()
     para_rng = np.random.default_rng(np.random.SeedSequence(chain.seed, spawn_key=(_PARA_KEY,)))
@@ -832,7 +841,7 @@ def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
         agent.begin_task(task, text)
         ok = False
         for _ in range(max_steps_per_task):
-            obs = render_observation(state)
+            obs = render_observation(state) if agent.reads_pixels else None
             action = agent.act(obs, text, state=state)
             state = step_env(state, action)
             if success(state, task):

@@ -11,10 +11,12 @@ per-step loop, and a tape size that does not grow with T.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_config
 
+from minivla import decoder as dec
 from minivla import depth as dp
 from minivla import encoders as enc
 from minivla import numerics as nm
@@ -197,16 +199,21 @@ class TestLstmLayer:
     @property_settings
     @given(t=dims, d_in=dims, r=dims, seed=seeds)
     def test_vjp(self, t, d_in, r, seed):
-        fd_check(nm.lstm_layer, lstm_arrays(np.random.default_rng(seed), t, d_in, r), seed)
+        x, h0, c0, wx, wh, b = lstm_arrays(np.random.default_rng(seed), t, d_in, r)
+        fd_check(lambda xt, wxt, wht, bt: nm.lstm_layer(xt, h0, c0, wxt, wht, bt)[0],
+                 [x, wx, wh, b], seed)
 
     @property_settings
     @given(d_in=dims, r=dims, seed=seeds)
     def test_one_row_is_the_cell_bitwise(self, d_in, r, seed):
-        inputs = [Tensor(a) for a in lstm_arrays(np.random.default_rng(seed), 1, d_in, r)]
+        arrays = lstm_arrays(np.random.default_rng(seed), 1, d_in, r)
+        x, h0, c0, wx, wh, b = arrays
         with nm.no_grad():
-            out = nm.lstm_layer(*inputs).data
-            h, c = lstm_cell(*inputs)
-        assert np.array_equal(out, np.concatenate([h.data, c.data], axis=1))
+            h, (h_last, c_last) = nm.lstm_layer(Tensor(x), h0, c0, Tensor(wx),
+                                                Tensor(wh), Tensor(b))
+            h_ref, c_ref = lstm_cell(*map(Tensor, arrays))
+        assert np.array_equal(h.data, h_ref.data)
+        assert np.array_equal(h_last, h_ref.data) and np.array_equal(c_last, c_ref.data)
 
     @property_settings
     @given(t=st.integers(1, 6), layers=st.integers(1, 2), seed=seeds)
@@ -215,8 +222,7 @@ class TestLstmLayer:
         rng = np.random.default_rng(seed)
         r = model.cfg.lstm_width
         x = rng.normal(size=(t, model.cfg.d_model))
-        start = [(Tensor(rng.normal(size=(1, r))), Tensor(rng.normal(size=(1, r))))
-                 for _ in range(layers)]
+        start = [(rng.normal(size=(1, r)), rng.normal(size=(1, r))) for _ in range(layers)]
         whole, state = pol.lstm_step(Tensor(x), start, model)
         rows, chained = [], start
         for k in range(t):
@@ -225,8 +231,8 @@ class TestLstmLayer:
         assert whole.shape == (t, r)
         np.testing.assert_allclose(whole.data, np.concatenate(rows), rtol=0, atol=1e-12)
         for (h, c), (h_ref, c_ref) in zip(state, chained):
-            np.testing.assert_allclose(h.data, h_ref.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(c.data, c_ref.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
 
 
 def resample_by_keys_and_values(x, latents, wk, wv):
@@ -272,12 +278,22 @@ def lift_model(**overrides):
 
 
 def per_step_loss(model, instr, tokens, actions, lam):
-    """The loss as one policy_core call per step; the reference for the batched one."""
-    hidden = pol.reset_hidden(model)
+    """The loss one step at a time, with the LSTM as lstm_cell and its state
+    on the tape, so gradients run back through the steps; the reference for
+    the batched one."""
+    p = model.params
+    hidden = [tuple(map(Tensor, state)) for state in pol.reset_hidden(model)]
     mse_sum = bce_sum = None
     for t, action in enumerate(actions):
         step_tokens = tuple(x[t:t + 1] for x in tokens)
-        pose, logit, hidden = pol.policy_core(model, step_tokens, instr, hidden)
+        x = dec.decode(Tensor(instr.embedded), pol.fused_tokens(model, step_tokens),
+                       model.decoder_layers())
+        h = pol.maxpool_tokens(x)
+        for i, (h0, c0) in enumerate(hidden):
+            layer = f"head.lstm.{i}."
+            h, c = lstm_cell(h, h0, c0, p[layer + "wx"], p[layer + "wh"], p[layer + "b"])
+            hidden[i] = (h, c)
+        pose, logit = pol.action_heads(h, model)
         step_mse = nm.mse(pose, Tensor(action.pose.reshape(1, 6)))
         step_bce = nm.bce_with_logits(logit, Tensor([[float(action.gripper_closed)]]))
         mse_sum = step_mse if mse_sum is None else nm.add(mse_sum, step_mse)
@@ -345,3 +361,17 @@ class TestTapeSize:
             return tape_nodes(total)
 
         assert nodes(1) == nodes(2) == nodes(3)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_lstm_step_records_one_node_per_layer(self, layers):
+        # The carried state is data: no node gives the state back out.
+        model = pol.init_model(tiny_config(lstm_layers=layers))
+        r = model.cfg.lstm_width
+        x = Tensor(np.random.default_rng(0).normal(size=(3, model.cfg.d_model)),
+                   requires_grad=True)
+        h_top, state = pol.lstm_step(x, pol.reset_hidden(model), model)
+        assert tape_nodes(h_top) == layers
+        assert len(h_top._parents) == 4  # x, wx, wh, b
+        for h, c in state:
+            assert type(h) is np.ndarray and type(c) is np.ndarray
+            assert h.shape == c.shape == (1, r)

@@ -542,3 +542,37 @@ class TestElementwiseProperties:
         top2 = np.sort(x, axis=0)[-2:] if x.shape[0] > 1 else None
         assume(top2 is None or np.all(top2[1] - top2[0] > 1e-3))
         weighted_fd_check(nm.max_over_rows, x, seed)
+
+
+def broadcasts(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """numpy's broadcast rule: trailing axes agree or one of them is 1."""
+    return all(m == n or 1 in (m, n) for m, n in zip(reversed(a), reversed(b)))
+
+
+binary_ops = st.sampled_from([(nm.add, np.add, "add"), (nm.sub, np.subtract, "sub"),
+                              (nm.mul, np.multiply, "mul")])
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4)
+
+
+class TestBroadcastCheck:
+    """add, sub and mul check shapes once, through numpy's own broadcast."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4),
+           data=st.data(), op=binary_ops)
+    def test_broadcastable_pairs_give_numpy_result_bitwise(self, pair, data, op):
+        ours, ref, _ = op
+        a, b = (data.draw(hnp.arrays(np.float64, s, elements=small_floats))
+                for s in pair.input_shapes)
+        got = ours(Tensor(a), Tensor(b)).data
+        want = np.asarray(ref(a, b))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=shapes, b=shapes, op=binary_ops)
+    def test_other_pairs_raise_dimension_error(self, a, b, op):
+        assume(not broadcasts(a, b))
+        ours, _, name = op
+        with pytest.raises(DimensionError) as err:
+            ours(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+        assert str(err.value) == f"{name}: shapes {a} and {b} do not broadcast"

@@ -135,7 +135,14 @@ class TestCheckpoint:
         lambda h: [],
         lambda h: {**h, "entries": 3},
         lambda h: {**h, "entries": [{"name": "head.pose.b2", "shape": [6]}]},
-    ], ids=["no-entries", "not-an-object", "entries-not-a-list", "entry-without-offset"])
+        lambda h: {**h, "meta": []},
+        lambda h: {**h, "meta": "x"},
+        lambda h: {**h, "entries": [{k: v for k, v in e.items() if k != "name"}
+                                    for e in h["entries"]]},
+        lambda h: {**h, "entries": [{k: v for k, v in e.items() if k != "trainable"}
+                                    for e in h["entries"]]},
+    ], ids=["no-entries", "not-an-object", "entries-not-a-list", "entry-without-offset",
+            "meta-a-list", "meta-a-string", "entry-without-name", "entry-without-trainable"])
     def test_malformed_header_is_corruption_error(self, tmp_path, edit):
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
         rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", edit)

@@ -50,8 +50,8 @@ class TestLstmStep:
         x = Tensor(np.zeros((1, model.cfg.d_model)))
         h, state = pol.lstm_step(x, pol.reset_hidden(model), model)
         for h_i, c_i in state:
-            np.testing.assert_array_equal(h_i.data, 0.0)
-            np.testing.assert_array_equal(c_i.data, 0.0)
+            np.testing.assert_array_equal(h_i, 0.0)
+            np.testing.assert_array_equal(c_i, 0.0)
 
     def test_hand_computed_scalar_cell(self):
         # Width-1 cell; only the first input channel is wired, so every
@@ -74,10 +74,10 @@ class TestLstmStep:
         c1 = f * c0 + i * g
         h1 = o * np.tanh(c1)
 
-        prev = [(Tensor([[h0]]), Tensor([[c0]]))]
+        prev = [(np.array([[h0]]), np.array([[c0]]))]
         h_top, state = pol.lstm_step(Tensor([[x, 0.0, 0.0, 0.0]]), prev, model)
         np.testing.assert_allclose(h_top.data, [[h1]], atol=1e-12)
-        np.testing.assert_allclose(state[0][1].data, [[c1]], atol=1e-12)
+        np.testing.assert_allclose(state[0][1], [[c1]], atol=1e-12)
 
     def test_state_stays_finite_over_many_steps(self, rng):
         model = tiny_model(d_model=4, lstm_layers=1, lstm_width=4)
@@ -87,12 +87,12 @@ class TestLstmStep:
             for _ in range(10_000):
                 _, state = pol.lstm_step(x, state, model)
         for h, c in state:
-            assert np.isfinite(h.data).all() and np.isfinite(c.data).all()
-            assert np.abs(h.data).max() <= 1.0  # o * tanh(c) is bounded
+            assert np.isfinite(h).all() and np.isfinite(c).all()
+            assert np.abs(h).max() <= 1.0  # o * tanh(c) is bounded
 
     def test_width_mismatch_rejected(self):
         model = tiny_model()
-        bad = [(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
+        bad = [(np.zeros((1, 3)), np.zeros((1, 3)))
                for _ in range(model.cfg.lstm_layers)]
         with pytest.raises(DimensionError):
             pol.lstm_step(Tensor(np.zeros((1, model.cfg.d_model))), bad, model)
@@ -135,16 +135,16 @@ class TestResetHidden:
         assert len(state) == model.cfg.lstm_layers
         for h, c in state:
             assert h.shape == (1, model.cfg.lstm_width)
-            np.testing.assert_array_equal(h.data, 0.0)
-            np.testing.assert_array_equal(c.data, 0.0)
+            np.testing.assert_array_equal(h, 0.0)
+            np.testing.assert_array_equal(c, 0.0)
 
     def test_two_resets_equal(self):
         model = tiny_model()
         a = pol.reset_hidden(model)
         b = pol.reset_hidden(model)
         for (ha, ca), (hb, cb) in zip(a, b):
-            assert np.array_equal(ha.data, hb.data)
-            assert np.array_equal(ca.data, cb.data)
+            assert np.array_equal(ha, hb)
+            assert np.array_equal(ca, cb)
 
 
 class TestPolicyStep:

@@ -534,6 +534,27 @@ class TestChains:
             wins += int(result.successes[0])
         assert wins / 200 < 0.05
 
+    @pytest.mark.parametrize("make_agent", [lambda: RandomAgent(3), ExpertAgent],
+                             ids=["random", "expert"])
+    def test_agents_that_do_not_read_pixels_render_nothing(self, monkeypatch, make_agent):
+        calls = []
+        render = sim.render_observation
+        monkeypatch.setattr(sim, "render_observation",
+                            lambda state: calls.append(state) or render(state))
+        agent = make_agent()
+        # The same agent told it reads pixels renders every step, as all
+        # agents once did; the frames skipped above change no result.
+        rendering = make_agent()
+        rendering.reads_pixels = True
+        for seed in range(5):
+            chain = sim.sample_chain(seed, "B")
+            calls.clear()
+            got = sim.rollout_chain(agent, chain, max_steps_per_task=16)
+            assert calls == []
+            want = sim.rollout_chain(rendering, chain, max_steps_per_task=16)
+            assert calls
+            assert got == want
+
     def test_enriched_rollout_deterministic(self):
         chain = sim.sample_chain(3, "C")
         r1 = sim.rollout_chain(ExpertAgent(), chain, enrich=True)

@@ -426,6 +426,9 @@ def lstm_layer(x: Tensor, h0: Array, c0: Array, wx: Tensor, wh: Tensor,
     loops. The VJP runs BPTT and forms each weight gradient with one GEMM
     over all T steps.
     """
+    if not (isinstance(h0, np.ndarray) and isinstance(c0, np.ndarray)):
+        raise DimensionError(f"lstm_layer expects h0 and c0 as (1, r) arrays; got "
+                             f"{type(h0).__name__}, {type(c0).__name__}")
     n_steps, r = x.shape[0], h0.shape[-1]
     if x.data.ndim != 2 or n_steps < 1 or h0.shape != (1, r) or c0.shape != (1, r):
         raise DimensionError(
@@ -472,8 +475,9 @@ def lstm_layer(x: Tensor, h0: Array, c0: Array, wx: Tensor, wh: Tensor,
             dc = dc_next + dh * dc_from_h[t]
             dz3[t, :3] = dc * d_ifg[t]
             dz3[t, 3] = dh * d_o[t]
-            dc_next = dc * f[t]
-            dh_next = dz[t] @ wh_t
+            if t:  # the state before row 0 takes no gradient
+                dc_next = dc * f[t]
+                dh_next = dz[t] @ wh_t
         gx = dz @ wx.data.T if x.requires_grad else None
         gwx = xd.T @ dz if wx.requires_grad else None
         gwh = np.concatenate([h0, hs[:-1]]).T @ dz if wh.requires_grad else None

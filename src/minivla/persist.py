@@ -1,30 +1,35 @@
 """Binary checkpoints, the dataset container, and metrics files.
 
-Checkpoint layout (all integers little-endian):
+Checkpoints and datasets share one framing (integers little-endian):
 
-    magic   b"RFPX1"
+    magic   b"RFPX1" for a checkpoint, b"RFPD1" for a dataset
     u64     header length in bytes
-    header  canonical JSON: {"format": 1, "entries": [...], "meta": {...}}
-            entries sorted by name, each {name, shape, dtype: "f32",
-            offset, trainable}; offsets ascend contiguously from 0
-    payload raw float32 values, one slab per entry at its offset
+    header  canonical JSON
+    payload raw float32 values
     u32     CRC32 of the payload
 
-Parameters are float64 in memory and float32 on disk, so save->load
-round-trips exactly to f32 precision and save->load->save is
-byte-identical. Datasets are a directory with an index.json plus one
-raw-f32 binary per trajectory (frame planes, then the 7-float action
-row per step); the index stores the frame edge, each binary's length in
-steps and its CRC32, and loading verifies all three. The frame edge must
-equal sim.IMAGE_HW, the one extent the cameras render; an index of any
-other extent, or one that is not valid JSON or lacks a field, is
-rejected before any trajectory file is read. Checkpoints, trajectory
-files and the index are each written to a sibling temporary file and
-renamed over the target, so a failed write leaves the previous file
-intact. A dataset save writes its trajectory files under names the
-current index does not list and the index last, then deletes the files
-only the old index listed, so a failed save leaves the previous dataset
-whole. No fsync is done, so a power loss can still lose the newest save.
+A checkpoint's header is {"format": 1, "entries": [...], "meta": {...}},
+entries sorted by name, each {name, shape, dtype: "f32", offset,
+trainable}; offsets ascend contiguously from 0 and each entry's slab sits
+at its offset. Parameters are float64 in memory and float32 on disk, so
+save->load round-trips exactly to f32 precision and save->load->save is
+byte-identical.
+
+A dataset's header is its index: {"image_hw", "meta", "trajectories"},
+one record per trajectory {instruction, family, palette, seed, variant,
+n_steps}. The payload holds the trajectories in order, each step as its
+frame planes and then the 7-float action row. The frame edge must equal
+sim.IMAGE_HW, the one extent the cameras render; a header of any other
+extent, one that is not valid JSON, or a record that lacks a field is
+rejected before any step is decoded. Datasets of the older layout, a
+directory of index.json and one file per trajectory, are rejected and
+must be regenerated with `minivla gen-data`.
+
+Both loaders check the framing in one place: the magic, the header, the
+exact payload length their header implies, and the CRC. Every save
+writes a sibling temporary file, fsyncs it, renames it over the target
+and fsyncs the directory, so a failed save leaves the previous file
+whole and a finished one survives a power loss.
 Metrics append to a CSV with the evaluation-table column layout and to a
 JSONL stream; appends never rewrite history.
 
@@ -58,32 +63,84 @@ from .policy import Model, init_model
 from .training import TrainReport
 
 MAGIC = b"RFPX1"
+DATASET_MAGIC = b"RFPD1"
 FORMAT_VERSION = 1
-DATASET_VERSION = 2  # version 1 stored no CRC32 per trajectory file
 
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
 
 def _write_atomic(path: Path, chunks) -> None:
-    """Write the byte chunks to a temporary file beside path, then rename it
-    over path; on any failure the temporary file is removed and path keeps
-    its previous contents."""
+    """Write the byte chunks to a temporary file beside path, fsync it,
+    rename it over path and fsync the directory; on any failure the
+    temporary file is removed and path keeps its previous contents."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
             for chunk in chunks:
                 f.write(chunk)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-# --- checkpoints ---------------------------------------------------------------
+# --- framing -------------------------------------------------------------------
 
 
 def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _frame(magic: bytes, header: dict, payload_chunks):
+    """A framed file's bytes: magic, header length, canonical JSON header,
+    the payload chunks, then the CRC32 computed as they stream past."""
+    header = _canonical_json(header)
+    yield magic
+    yield struct.pack("<Q", len(header))
+    yield header
+    crc = 0
+    for chunk in payload_chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
+
+
+def _read_frame(raw: bytes, path, magic: bytes, kind: str, payload_len):
+    """(header, payload) of a framed file's bytes. Checks the magic, that
+    the header is JSON, that the payload has exactly payload_len(header)
+    bytes, and its CRC. payload_len holds the loader's own header checks;
+    a ValueError, KeyError or TypeError from it is a CorruptionError."""
+    head = len(magic) + 8
+    if len(raw) < head:
+        raise CorruptionError(f"{kind} {path} truncated: {len(raw)} bytes")
+    if raw[:len(magic)] != magic:
+        raise CorruptionError(f"bad magic in {path}; not a {kind}")
+    (hlen,) = struct.unpack_from("<Q", raw, len(magic))
+    if len(raw) < head + hlen:
+        raise CorruptionError(f"{kind} {path} truncated inside its header")
+    try:
+        header = json.loads(raw[head:head + hlen])
+        end = head + hlen + payload_len(header)
+    except (ValueError, KeyError, TypeError) as e:
+        raise CorruptionError(f"unreadable {kind} header in {path}: {e!r}") from e
+    if len(raw) < end + 4:
+        raise CorruptionError(f"{kind} {path} truncated: {len(raw)} of {end + 4} bytes")
+    if len(raw) > end + 4:
+        raise CorruptionError(f"trailing bytes after the checksum in {path}")
+    payload = memoryview(raw)[head + hlen:end]
+    if zlib.crc32(payload) != struct.unpack_from("<I", raw, end)[0]:
+        raise CorruptionError(f"payload CRC mismatch in {path}")
+    return header, payload
+
+
+# --- checkpoints ---------------------------------------------------------------
 
 
 def save_checkpoint(model: Model, path: str | Path) -> Path:
@@ -103,8 +160,7 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
         })
         blobs.append(blob)
         offset += len(blob)
-    payload = b"".join(blobs)
-    header = _canonical_json({
+    header = {
         "format": FORMAT_VERSION,
         "entries": entries,
         "meta": {
@@ -112,45 +168,26 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
             "depth_stats": dataclasses.asdict(model.depth_stats)
             if model.depth_stats else None,
         },
-    })
-    _write_atomic(path, [MAGIC, struct.pack("<Q", len(header)), header, payload,
-                         struct.pack("<I", zlib.crc32(payload))])
+    }
+    _write_atomic(path, _frame(MAGIC, header, blobs))
     return path
 
 
-def _parse_checkpoint(raw: bytes, path) -> tuple[dict, bytes]:
-    """(header, payload) of a checkpoint's bytes, after checking the magic,
-    the header fields load_checkpoint reads, the exact file length and the
-    payload CRC."""
-    head = len(MAGIC) + 8
-    if len(raw) < head:
-        raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} bytes")
-    if raw[:len(MAGIC)] != MAGIC:
-        raise CorruptionError(f"bad magic in {path}; not a checkpoint")
-    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
-    if len(raw) < head + hlen:
-        raise CorruptionError(f"checkpoint {path} truncated inside its header")
-    try:
-        header = json.loads(raw[head:head + hlen])
-        payload_len = max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
-                           for e in header["entries"]), default=0)
-        for e in header["entries"]:
-            missing = [key for key in ("name", "trainable") if key not in e]
-            if missing:
-                raise KeyError(f"entry without {missing[0]!r}")
-        if not isinstance(header.get("meta", {}), dict):
-            raise TypeError(f"meta is a {type(header['meta']).__name__}, not an object")
-    except (ValueError, KeyError, TypeError) as e:
-        raise CorruptionError(f"unreadable checkpoint header in {path}: {e!r}") from e
-    end = head + hlen + payload_len
-    if len(raw) < end + 4:
-        raise CorruptionError(f"checkpoint {path} truncated: {len(raw)} of {end + 4} bytes")
-    if len(raw) > end + 4:
-        raise CorruptionError(f"trailing bytes after the checksum in {path}")
-    payload = raw[head + hlen:end]
-    if zlib.crc32(payload) != struct.unpack_from("<I", raw, end)[0]:
-        raise CorruptionError(f"payload CRC mismatch in {path}")
-    return header, payload
+def _checkpoint_payload_len(header: dict) -> int:
+    """The payload length a checkpoint header implies, after checking the
+    header fields load_checkpoint reads."""
+    for e in header["entries"]:
+        missing = [key for key in ("name", "trainable") if key not in e]
+        if missing:
+            raise KeyError(f"entry without {missing[0]!r}")
+    if not isinstance(header.get("meta", {}), dict):
+        raise TypeError(f"meta is a {type(header['meta']).__name__}, not an object")
+    return max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
+                for e in header["entries"]), default=0)
+
+
+def _parse_checkpoint(raw: bytes, path) -> tuple[dict, memoryview]:
+    return _read_frame(raw, path, MAGIC, "checkpoint", _checkpoint_payload_len)
 
 
 def read_checkpoint_header(path: str | Path) -> dict:
@@ -201,14 +238,13 @@ def load_checkpoint(path: str | Path) -> Model:
 
 # --- dataset container -----------------------------------------------------------
 
-
-def _traj_filename(i: int, generation: int = 0) -> str:
-    return f"traj_{i:05d}.bin" if generation == 0 else f"traj_{i:05d}_{generation}.bin"
+# float32 values per step: both RGB frames, both depth frames, the action row.
+_STEP_FLOATS = 2 * 3 * sim.IMAGE_HW ** 2 + 2 * sim.IMAGE_HW ** 2 + 7
 
 
 def _trajectory_chunks(traj: sim.Trajectory):
-    """A trajectory file's bytes, step by step: both RGB frames as planes,
-    both depth frames, then the 7-float action row."""
+    """A trajectory's payload bytes, step by step: both RGB frames as
+    planes, both depth frames, then the 7-float action row."""
     for obs, action in traj.steps:
         yield np.ascontiguousarray(obs.rgb_static.transpose(2, 0, 1), dtype="<f4").tobytes()
         yield np.ascontiguousarray(obs.rgb_gripper.transpose(2, 0, 1), dtype="<f4").tobytes()
@@ -220,135 +256,78 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
-def _with_crc(chunks, record: dict):
-    """Pass the byte chunks through, then store their CRC32 in record["crc32"]."""
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-        yield chunk
-    record["crc32"] = crc
-
-
-def _listed_files(out_dir: Path) -> set[str]:
-    """The trajectory files the dataset in out_dir lists; none without a
-    readable index, since then there is no dataset to keep."""
-    try:
-        index = json.loads((out_dir / "index.json").read_text())
-        return {rec["file"] for rec in index["trajectories"]}
-    except (OSError, ValueError, KeyError, TypeError):
-        return set()
-
-
-def save_dataset(trajectories: list[sim.Trajectory], out_dir: str | Path,
+def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
                  meta: dict | None = None) -> Path:
-    """Write a dataset; a failed save leaves the previous one in out_dir whole.
-
-    The trajectory files take names the current index does not list, and
-    the index, written last, is what switches to the new dataset. Every
-    frame is checked against sim's frame contract first.
-    """
+    """Write a dataset as one file; a failed save leaves the previous one
+    at path whole. Every frame is checked against sim's frame contract
+    first."""
     for i, traj in enumerate(trajectories):
         for t, (obs, _) in enumerate(traj.steps):
             sim.check_observation(obs, f"trajectory {i}, step {t}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    old_files = _listed_files(out_dir)
-    generation = 0
-    while any(_traj_filename(i, generation) in old_files for i in range(len(trajectories))):
-        generation += 1
-    index = {
-        "version": DATASET_VERSION,
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {
         "image_hw": sim.IMAGE_HW,
         "meta": meta or {},
-        "trajectories": [],
+        "trajectories": [{
+            "instruction": traj.instruction,
+            "family": traj.family,
+            "palette": traj.palette,
+            "seed": traj.seed,
+            "variant": traj.variant,
+            "n_steps": len(traj.steps),
+        } for traj in trajectories],
     }
-    written = []
-    try:
-        for i, traj in enumerate(trajectories):
-            fname = _traj_filename(i, generation)
-            record = {
-                "file": fname,
-                "instruction": traj.instruction,
-                "family": traj.family,
-                "palette": traj.palette,
-                "seed": traj.seed,
-                "variant": traj.variant,
-                "n_steps": len(traj.steps),
-            }
-            _write_atomic(out_dir / fname, _with_crc(_trajectory_chunks(traj), record))
-            written.append(fname)
-            index["trajectories"].append(record)
-        _write_atomic(out_dir / "index.json",
-                      [(json.dumps(index, indent=2, sort_keys=True) + "\n").encode()])
-    except BaseException:
-        for fname in written:
-            (out_dir / fname).unlink(missing_ok=True)
-        raise
-    for fname in old_files:  # now unlisted; only plain trajectory names in out_dir
-        if fname.startswith("traj_") and Path(fname).name == fname:
-            (out_dir / fname).unlink(missing_ok=True)
-    return out_dir
+    _write_atomic(path, _frame(DATASET_MAGIC, header,
+                               (chunk for traj in trajectories
+                                for chunk in _trajectory_chunks(traj))))
+    return path
 
 
 # Field -> type of every trajectory record field load_dataset reads.
-_RECORD_FIELDS = {"file": str, "instruction": str, "family": str, "palette": str,
-                  "seed": int, "n_steps": int, "crc32": int}
+_RECORD_FIELDS = {"instruction": str, "family": str, "palette": str, "seed": int,
+                  "variant": str, "n_steps": int}
 
 
-def _read_index(index_path: Path) -> list[dict]:
-    """The trajectory records of a dataset index. Raises CorruptionError
-    unless it is a JSON object of this build's frame edge whose records
-    all carry the fields load_dataset reads, with their types."""
-    try:
-        index = json.loads(index_path.read_text())
-        hw, records = index["image_hw"], index["trajectories"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise CorruptionError(f"{index_path} is not a readable dataset index: {e!r}") from e
+def _dataset_payload_len(header: dict) -> int:
+    """The payload length a dataset header implies, after checking that it
+    is of this build's frame edge and that every record carries the fields
+    load_dataset reads, with their types."""
+    hw, records = header["image_hw"], header["trajectories"]
     if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise CorruptionError(f"{index_path}: trajectories is not a list of records")
+        raise TypeError("trajectories is not a list of records")
     if hw != sim.IMAGE_HW:
-        raise CorruptionError(f"{index_path} holds {hw}-pixel frames; this build "
-                              f"renders only {sim.IMAGE_HW}-pixel frames")
+        raise ValueError(f"image_hw is {hw}; this build renders only "
+                         f"{sim.IMAGE_HW}-pixel frames")
     for rec in records:
-        if "crc32" not in rec:
-            raise CorruptionError(
-                f"{index_path} stores no CRC32 for {rec.get('file')} (dataset version "
-                f"{index.get('version')}); a dataset without CRCs cannot be verified, "
-                f"so regenerate it"
-            )
         bad = [key for key, kind in _RECORD_FIELDS.items() if not isinstance(rec.get(key), kind)]
-        if bad:
-            raise CorruptionError(f"{index_path}: a trajectory record lacks a valid {bad}")
-    return records
+        if bad or rec["n_steps"] < 0:
+            raise TypeError(f"a trajectory record lacks a valid {bad or ['n_steps']}")
+    return sum(rec["n_steps"] for rec in records) * _STEP_FLOATS * 4
 
 
-def load_dataset(in_dir: str | Path) -> list[sim.Trajectory]:
-    in_dir = Path(in_dir)
-    index_path = in_dir / "index.json"
-    if not index_path.exists():
-        raise CorruptionError(f"no index.json under {in_dir}")
+def load_dataset(path: str | Path) -> list[sim.Trajectory]:
+    path = Path(path)
+    if path.is_dir():
+        raise CompatibilityError(f"{path} is a dataset directory of an older layout; "
+                                 f"regenerate it with `minivla gen-data`")
+    if not path.is_file():
+        raise CorruptionError(f"no dataset at {path}")
+    header, payload = _read_frame(path.read_bytes(), path, DATASET_MAGIC, "dataset",
+                                  _dataset_payload_len)
     hw = sim.IMAGE_HW
-    step_floats = 2 * 3 * hw * hw + 2 * hw * hw + 7
+    flat = np.frombuffer(payload, dtype="<f4")
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        chunk = flat[pos:pos + n]
+        pos += n
+        return chunk
+
     out = []
-    for rec in _read_index(index_path):
-        raw = (in_dir / rec["file"]).read_bytes()
-        expect = rec["n_steps"] * step_floats * 4
-        if len(raw) != expect:
-            raise CorruptionError(
-                f"{rec['file']}: {len(raw)} bytes, expected {expect}"
-            )
-        if zlib.crc32(raw) != rec["crc32"]:
-            raise CorruptionError(f"{rec['file']}: CRC32 mismatch, the file is corrupt")
-        flat = np.frombuffer(raw, dtype="<f4")
+    for rec in header["trajectories"]:
         steps = []
-        pos = 0
-
-        def take(n):
-            nonlocal pos
-            chunk = flat[pos:pos + n]
-            pos += n
-            return chunk
-
         for _ in range(rec["n_steps"]):
             rgb_s = take(3 * hw * hw).reshape(3, hw, hw).transpose(1, 2, 0).copy()
             rgb_g = take(3 * hw * hw).reshape(3, hw, hw).transpose(1, 2, 0).copy()
@@ -359,7 +338,7 @@ def load_dataset(in_dir: str | Path) -> list[sim.Trajectory]:
             action = sim.Action(row[:6].astype(np.float64), bool(row[6] > 0.5))
             steps.append((obs, action))
         out.append(sim.Trajectory(rec["instruction"], rec["family"], rec["palette"],
-                                  rec["seed"], steps, rec.get("variant", "standard")))
+                                  rec["seed"], steps, rec["variant"]))
     return out
 
 

@@ -48,15 +48,22 @@ def count_encodes(monkeypatch) -> list[int]:
     return cameras
 
 
-def rewrite_checkpoint_header(src, dst, edit) -> None:
-    """Copy the checkpoint at src to dst with its header JSON replaced by
-    edit(header); the payload and its CRC are kept."""
+def rewrite_header(src, dst, edit) -> None:
+    """Copy the framed file at src, a checkpoint or a dataset, to dst with
+    its header bytes replaced by edit(header bytes); the magic, the
+    payload and its CRC are kept."""
     raw = src.read_bytes()
     head = len(persist.MAGIC) + 8
     (hlen,) = struct.unpack_from("<Q", raw, len(persist.MAGIC))
-    header = json.dumps(edit(json.loads(raw[head:head + hlen]))).encode()
-    dst.write_bytes(persist.MAGIC + struct.pack("<Q", len(header)) + header
+    header = edit(raw[head:head + hlen])
+    dst.write_bytes(raw[:len(persist.MAGIC)] + struct.pack("<Q", len(header)) + header
                     + raw[head + hlen:])
+
+
+def rewrite_checkpoint_header(src, dst, edit) -> None:
+    """Copy the checkpoint at src to dst with its header JSON replaced by
+    edit(header); the payload and its CRC are kept."""
+    rewrite_header(src, dst, lambda text: json.dumps(edit(json.loads(text))).encode())
 
 
 @pytest.fixture

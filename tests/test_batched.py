@@ -23,6 +23,7 @@ from minivla import numerics as nm
 from minivla import policy as pol
 from minivla import sim
 from minivla import training as tr
+from minivla.errors import DimensionError
 from minivla.numerics import ParamSet, Tensor
 
 dims = st.integers(1, 4)
@@ -214,6 +215,15 @@ class TestLstmLayer:
             h_ref, c_ref = lstm_cell(*map(Tensor, arrays))
         assert np.array_equal(h.data, h_ref.data)
         assert np.array_equal(h_last, h_ref.data) and np.array_equal(c_last, c_ref.data)
+
+    @pytest.mark.parametrize("which", ["h0", "c0"])
+    def test_state_that_is_not_an_array_is_a_dimension_error(self, which):
+        x, h0, c0, wx, wh, b = lstm_arrays(np.random.default_rng(0), 3, 2, 4)
+        state = {"h0": h0, "c0": c0}
+        state[which] = Tensor(state[which])  # the right shape, but graph, not data
+        with pytest.raises(DimensionError, match=r"h0 and c0 as \(1, r\) arrays"):
+            nm.lstm_layer(Tensor(x), state["h0"], state["c0"], Tensor(wx), Tensor(wh),
+                          Tensor(b))
 
     @property_settings
     @given(t=st.integers(1, 6), layers=st.integers(1, 2), seed=seeds)

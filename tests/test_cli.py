@@ -39,8 +39,7 @@ def cli_config(tmp_path, **env):
 
 
 def test_pipeline_writes_every_artifact(tmp_path, run_dir, dataset):
-    assert sorted(p.name for p in dataset.iterdir()) == [
-        "index.json", "traj_00000.bin", "traj_00001.bin"]
+    assert dataset.is_file() and [p.name for p in run_dir.iterdir()] == ["data"]
 
     assert cli.dispatch(["stats", "--data", "data", "--out", "stats.json"]) == 0
     assert (run_dir / "stats.json").is_file()

@@ -1,11 +1,13 @@
 import dataclasses
 import json
-import zlib
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
-from conftest import rewrite_checkpoint_header, synthetic_stats, tiny_config
+from conftest import rewrite_checkpoint_header, rewrite_header, synthetic_stats, tiny_config
 
 from minivla import persist
 from minivla import policy as pol
@@ -20,8 +22,9 @@ def small_model(**kw):
     return pol.init_model(tiny_config(**kw), synthetic_stats())
 
 
-def fail_writes_from_third_chunk(monkeypatch):
-    """Make every file persist opens raise OSError on its third write."""
+def fail_writes_from_chunk(monkeypatch, n):
+    """Make every file persist opens raise OSError on its n-th write and
+    every later one."""
     real_open = open
 
     class FailingFile:
@@ -30,7 +33,7 @@ def fail_writes_from_third_chunk(monkeypatch):
 
         def write(self, data):
             self.chunks += 1
-            if self.chunks >= 3:
+            if self.chunks >= n:
                 raise OSError("disk full")
             return self.f.write(data)
 
@@ -44,18 +47,8 @@ def fail_writes_from_third_chunk(monkeypatch):
                         raising=False)
 
 
-def fail_on_open(monkeypatch, n):
-    """Make the n-th file persist opens (counting from 1) raise OSError."""
-    real_open = open
-    calls = []
-
-    def failing_open(*a, **kw):
-        calls.append(a[0])
-        if len(calls) == n:
-            raise OSError("disk full")
-        return real_open(*a, **kw)
-
-    monkeypatch.setattr(persist, "open", failing_open, raising=False)
+def fail_writes_from_third_chunk(monkeypatch):
+    fail_writes_from_chunk(monkeypatch, 3)
 
 
 def dataset_bytes(data) -> list[bytes]:
@@ -240,6 +233,10 @@ class TestCheckpoint:
             gate, model.params["decoder.0.cross.alpha"].data.astype(np.float32))
 
 
+def lift_demos(n, seed=0, palette="A", family="lift"):
+    return sim.generate_dataset(n, seed, [palette], families=[family])
+
+
 class TestDatasetContainer:
     def test_round_trip(self, tmp_path):
         data = sim.generate_dataset(3, 7, ["A", "B"], families=["lift", "press"])
@@ -258,106 +255,73 @@ class TestDatasetContainer:
                 assert aa.gripper_closed == ab.gripper_closed
 
     def test_regeneration_byte_identical(self, tmp_path):
-        for d in ("one", "two"):
-            data = sim.generate_dataset(1, 11, ["C"], families=["lift"])
-            persist.save_dataset(data, tmp_path / d)
-        a = (tmp_path / "one" / "traj_00000.bin").read_bytes()
-        b = (tmp_path / "two" / "traj_00000.bin").read_bytes()
-        assert a == b
+        for name in ("one", "two"):
+            persist.save_dataset(sim.generate_dataset(1, 11, ["C"], families=["lift"]),
+                                 tmp_path / name)
+        assert (tmp_path / "one").read_bytes() == (tmp_path / "two").read_bytes()
 
     def test_truncated_trajectory_detected(self, tmp_path):
-        data = sim.generate_dataset(1, 0, ["A"], families=["lift"])
-        persist.save_dataset(data, tmp_path / "ds")
-        f = tmp_path / "ds" / "traj_00000.bin"
+        f = persist.save_dataset(lift_demos(1), tmp_path / "ds")
         f.write_bytes(f.read_bytes()[:-8])
-        with pytest.raises(CorruptionError):
-            persist.load_dataset(tmp_path / "ds")
+        with pytest.raises(CorruptionError, match=re.escape(f"dataset {f} truncated")):
+            persist.load_dataset(f)
 
     def test_failed_save_leaves_no_index_and_no_temp_file(self, tmp_path, monkeypatch):
-        data = sim.generate_dataset(1, 0, ["A"], families=["lift"])
         fail_writes_from_third_chunk(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            persist.save_dataset(data, tmp_path / "ds")
-        assert list((tmp_path / "ds").iterdir()) == []
+            persist.save_dataset(lift_demos(1), tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(CorruptionError):
             persist.load_dataset(tmp_path / "ds")
 
-    @pytest.mark.parametrize("failing_open", [2, 4], ids=["trajectory", "index"])
-    def test_failed_resave_keeps_previous_dataset(self, tmp_path, monkeypatch,
-                                                  failing_open):
-        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        before = dataset_bytes(persist.load_dataset(tmp_path / "ds"))
-        files = sorted(p.name for p in (tmp_path / "ds").iterdir())
-        newer = sim.generate_dataset(3, 5, ["B"], families=["press"])
-        fail_on_open(monkeypatch, failing_open)  # the 2nd trajectory file, or the index
+    @pytest.mark.parametrize("where", ["header", "trajectory"])
+    def test_failed_resave_keeps_previous_dataset(self, tmp_path, monkeypatch, where):
+        f = persist.save_dataset(lift_demos(2), tmp_path / "ds")
+        before, files = f.read_bytes(), sorted(tmp_path.iterdir())
+        newer = lift_demos(3, 5, "B", "press")
+        # Writes: magic, header length, header, then five per step; the
+        # trajectory case fails on the second trajectory's first depth frame.
+        fail_writes_from_chunk(monkeypatch, 3 if where == "header"
+                               else 3 + 5 * len(newer[0].steps) + 3)
         with pytest.raises(OSError, match="disk full"):
-            persist.save_dataset(newer, tmp_path / "ds")
+            persist.save_dataset(newer, f)
         monkeypatch.undo()
-        assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == before
-        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == files
+        assert f.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == files
 
     @pytest.mark.parametrize("plane,shape", [("depth_gripper", (8, 8)),
                                              ("rgb_static", (32, 32, 4))])
     def test_frames_of_another_extent_are_rejected_before_writing(self, tmp_path,
                                                                   plane, shape):
-        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        before = dataset_bytes(persist.load_dataset(tmp_path / "ds"))
-        files = sorted(p.name for p in (tmp_path / "ds").iterdir())
-        newer = sim.generate_dataset(2, 5, ["B"], families=["press"])
+        f = persist.save_dataset(lift_demos(2), tmp_path / "ds")
+        before, files = f.read_bytes(), sorted(tmp_path.iterdir())
+        newer = lift_demos(2, 5, "B", "press")
         obs, _ = newer[1].steps[3]
         setattr(obs, plane, np.zeros(shape, dtype=np.float32))
         with pytest.raises(DimensionError,
                            match=rf"trajectory 1, step 3: {plane} has shape"):
-            persist.save_dataset(newer, tmp_path / "ds")
-        assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == files
-        assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == before
+            persist.save_dataset(newer, f)
+        assert sorted(tmp_path.iterdir()) == files
+        assert f.read_bytes() == before
 
     def test_resaves_replace_the_whole_dataset(self, tmp_path):
-        (tmp_path / "ds").mkdir()
-        (tmp_path / "ds" / "notes.txt").write_text("keep me")
-        persist.save_dataset(sim.generate_dataset(3, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        newer = sim.generate_dataset(1, 5, ["B"], families=["press"])
-        persist.save_dataset(newer, tmp_path / "fresh")
+        (tmp_path / "notes.txt").write_text("keep me")
+        persist.save_dataset(lift_demos(3), tmp_path / "ds")
+        newer = lift_demos(1, 5, "B", "press")
+        fresh = persist.save_dataset(newer, tmp_path / "fresh").read_bytes()
         for _ in range(2):
             persist.save_dataset(newer, tmp_path / "ds")
-            names = sorted(p.name for p in (tmp_path / "ds").iterdir())
-            assert len(names) == 3 and names[:2] == ["index.json", "notes.txt"]
-            assert dataset_bytes(persist.load_dataset(tmp_path / "ds")) == \
-                dataset_bytes(persist.load_dataset(tmp_path / "fresh"))
-        assert (tmp_path / "ds" / "notes.txt").read_text() == "keep me"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "fresh", "notes.txt"]
+            assert (tmp_path / "ds").read_bytes() == fresh
+        assert (tmp_path / "notes.txt").read_text() == "keep me"
 
     def test_flipped_byte_fails_the_crc_naming_the_file(self, tmp_path):
-        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        f = tmp_path / "ds" / "traj_00001.bin"
+        f = persist.save_dataset(lift_demos(2), tmp_path / "ds")
         raw = bytearray(f.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         f.write_bytes(bytes(raw))
-        with pytest.raises(CorruptionError, match=r"traj_00001\.bin: CRC32 mismatch"):
-            persist.load_dataset(tmp_path / "ds")
-
-    def test_index_stores_a_crc_per_file(self, tmp_path):
-        persist.save_dataset(sim.generate_dataset(2, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        index = json.loads((tmp_path / "ds" / "index.json").read_text())
-        assert index["version"] == persist.DATASET_VERSION == 2
-        for rec in index["trajectories"]:
-            assert rec["crc32"] == zlib.crc32((tmp_path / "ds" / rec["file"]).read_bytes())
-
-    def test_index_without_crcs_is_rejected(self, tmp_path):
-        persist.save_dataset(sim.generate_dataset(1, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        index_path = tmp_path / "ds" / "index.json"
-        index = json.loads(index_path.read_text())
-        index["version"] = 1
-        for rec in index["trajectories"]:
-            del rec["crc32"]
-        index_path.write_text(json.dumps(index))
-        with pytest.raises(CorruptionError, match=r"no CRC32 for traj_00000\.bin"):
-            persist.load_dataset(tmp_path / "ds")
+        with pytest.raises(CorruptionError, match=re.escape(f"payload CRC mismatch in {f}")):
+            persist.load_dataset(f)
 
     @pytest.mark.parametrize("rewrite", [
         lambda index: "{not json",
@@ -371,18 +335,43 @@ class TestDatasetContainer:
             {**rec, "n_steps": float(rec["n_steps"])} for rec in index["trajectories"]]}),
     ], ids=["not-json", "not-an-object", "no-trajectories", "another-extent",
             "records-not-objects", "record-without-n_steps", "n_steps-not-an-int"])
-    def test_corrupt_index_is_rejected_before_any_file_is_read(self, tmp_path, rewrite):
-        persist.save_dataset(sim.generate_dataset(1, 0, ["A"], families=["lift"]),
-                             tmp_path / "ds")
-        index_path = tmp_path / "ds" / "index.json"
-        index_path.write_text(rewrite(json.loads(index_path.read_text())))
-        (tmp_path / "ds" / "traj_00000.bin").unlink()  # reading it would raise OSError
-        with pytest.raises(CorruptionError, match="index"):
-            persist.load_dataset(tmp_path / "ds")
+    def test_corrupt_index_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch,
+                                                               rewrite):
+        # The header is the dataset's index; it must fail before any step is decoded.
+        f = persist.save_dataset(lift_demos(1), tmp_path / "ds")
+        rewrite_header(f, f, lambda text: rewrite(json.loads(text)).encode())
+        monkeypatch.setattr(sim, "Observation", None)  # decoding a step would raise TypeError
+        with pytest.raises(CorruptionError,
+                           match=re.escape(f"unreadable dataset header in {f}")):
+            persist.load_dataset(f)
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CorruptionError):
             persist.load_dataset(tmp_path / "nothing")
+
+    def test_directory_of_the_old_layout_is_a_compatibility_error(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "index.json").write_text(json.dumps(
+            {"version": 2, "image_hw": sim.IMAGE_HW, "meta": {}, "trajectories": []}))
+        with pytest.raises(CompatibilityError, match="regenerate it with `minivla gen-data`"):
+            persist.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("save", [
+    lambda path: persist.save_checkpoint(small_model(), path),
+    lambda path: persist.save_dataset(lift_demos(1), path),
+], ids=["checkpoint", "dataset"])
+def test_a_save_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch, save):
+    synced = []  # (is a directory, target exists) per fsync
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), (tmp_path / "out").exists()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    save(tmp_path / "out")
+    assert synced == [(False, False), (True, True)]
 
 
 class TestMetrics:

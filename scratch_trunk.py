@@ -87,16 +87,6 @@ elif stage in ("resampler", "trunk"):
         xd = enc.resample(ed, params["rs.latents"], params["rs.wk"], params["rs.wv"])
         fused = enc.fuse_concat(xv, xd)
         if stage == "resampler":
-            flat = nm.transpose(fused)
-            flat = Tensor(fused.data.reshape(1, -1)) if not fused.requires_grad else None
-            # keep it on the tape: flatten via slicing is clumsy; use matmul trick
-            # pooled = mean over tokens and max over tokens
-            h = nm.concat_rows([fused])
-            # flatten: (2K, d) -> (1, 2K*d) needs reshape; emulate with per-row concat
-            rows = [nm.slice_rows(fused, r, r + 1) for r in range(fused.shape[0])]
-            flat = rows[0]
-            for r in rows[1:]:
-                flat = nm.concat_cols(flat, r) if hasattr(nm, "concat_cols") else flat
             raise SystemExit("use trunk instead")
         x = dec.decode(Tensor(instr.embedded), fused, layers)
         pooled = nm.max_over_rows(x)
@@ -113,7 +103,8 @@ for ep in range(epochs):
         losses = []
         for i in batch:
             pred = forward(i)
-            losses.append(nm.mse(pred, Tensor(targets[i].reshape(1, 2))))
+            err = nm.sub(pred, Tensor(targets[i].reshape(1, 2)))
+            losses.append(nm.mul(nm.sum_all(nm.mul(err, err)), nm.as_tensor(0.5)))
         loss = losses[0]
         for l in losses[1:]:
             loss = nm.add(loss, l)

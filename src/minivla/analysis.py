@@ -56,11 +56,6 @@ class SuccessTable:
             "n_chains": self.n_chains,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuccessTable":
-        return cls(tuple(d["rates"]), d["avg"], d["n_chains"], d["model"],
-                   d["train"], d["test"], d["enriched"])
-
 
 def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "ours",
                             train_split: str = "", test_split: str = "",
@@ -213,7 +208,10 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
 
 def consecutive_depth_pairs(dataset: list[sim.Trajectory], limit: int | None = None
                             ) -> list[tuple[Array, Array]]:
-    """(t, t+1) static-camera depth pairs drawn from demonstrations."""
+    """(t, t+1) static-camera depth pairs drawn from demonstrations, at
+    most limit of them; limit must be at least 1."""
+    if limit is not None and limit < 1:
+        raise ContractError(f"a pair limit must be at least 1, got {limit}")
     pairs = []
     for traj in dataset:
         for (obs_a, _), (obs_b, _) in zip(traj.steps, traj.steps[1:]):

@@ -3,6 +3,13 @@
 Subcommands: gen-data, stats, train, eval, ablate sep-resampler,
 ablate depth-extremes, sensitivity, gradcheck. Exit codes: 0 success,
 1 validation/usage error, 2 runtime error.
+
+Flags reach the program by one path. A flag that names a config field
+is listed in CONFIG_FLAGS; its value goes through config.parse_config,
+with a --config file where the command takes one, so it gets the same
+type and range checks as a config file. Every other flag is checked by
+its argparse type. Either way a bad value exits 1 before any dataset,
+checkpoint or stats file is read.
 """
 
 from __future__ import annotations
@@ -19,26 +26,54 @@ from . import persist
 from . import policy as pol
 from . import sim
 from . import training as tr
-from .config import EnvConfig, RunConfig, echo_config, parse_config, resolve_out
+from .config import RunConfig, echo_config, parse_config, resolve_out
 from .errors import MinivlaError, ValidationError
+
+# Config section -> its fields that a flag of the same dest sets. The --seed
+# of train and ablate seeds model and train alike; that of gen-data (data
+# seed) and eval (chain seed) names no config field, so has its own dest.
+CONFIG_FLAGS = (
+    ("model", ("seed", "sep_resampler", "depth_input")),
+    ("train", ("seed", "epochs", "learning_rate", "lambda_gripper", "batch_size",
+               "ckpt_every")),
+    ("env", ("palettes", "eval_palette", "families", "variant", "n_chains", "horizon",
+             "enrich")),
+)
 
 
 def _split_csv(text):
-    return [t.strip() for t in text.split(",") if t.strip()] if text else None
+    return [t.strip() for t in text.split(",") if t.strip()] or None
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _run_config(args) -> RunConfig:
+    """The run's settings: the --config file, if the command takes one,
+    then every CONFIG_FLAGS flag the command has and the user set."""
+    overrides: dict = {}
+    for section, names in CONFIG_FLAGS:
+        for name in names:
+            value = getattr(args, name, None)
+            if value is not None:
+                overrides.setdefault(section, {})[name] = value
+    return parse_config(getattr(args, "config", None), overrides)
 
 
 # --- subcommand bodies -----------------------------------------------------------
 
 
 def cmd_gen_data(args) -> int:
+    env = _run_config(args).env
     out = resolve_out(args.out)
-    palettes = _split_csv(args.palettes) or ["A", "B", "C"]
-    families = _split_csv(args.families)
-    data = sim.generate_dataset(args.n, args.seed, palettes, families=families,
-                                variant=args.variant, enrich=args.enrich)
+    data = sim.generate_dataset(args.n, args.data_seed, env.palettes, families=env.families,
+                                variant=env.variant, enrich=env.enrich)
     persist.save_dataset(data, out, meta={
-        "seed": args.seed, "palettes": palettes, "families": families,
-        "variant": args.variant, "enriched": args.enrich,
+        "seed": args.data_seed, "palettes": env.palettes, "families": env.families,
+        "variant": env.variant, "enriched": env.enrich,
     })
     steps = sum(len(t.steps) for t in data)
     print(f"wrote {len(data)} trajectories ({steps} steps) to {out}")
@@ -55,22 +90,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_run_config(args) -> RunConfig:
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides.setdefault("model", {})["seed"] = args.seed
-        overrides.setdefault("train", {})["seed"] = args.seed
-    for section, names in (("train", ("epochs", "learning_rate", "lambda_gripper",
-                                      "batch_size", "ckpt_every")),
-                           ("model", ("sep_resampler", "depth_input")),
-                           ("env", ("n_chains",))):
-        for name in names:
-            value = getattr(args, name, None)
-            if value is not None:
-                overrides.setdefault(section, {})[name] = value
-    return parse_config(getattr(args, "config", None), overrides)
-
-
 def _stats_for(args, data) -> dp.DepthStats:
     if getattr(args, "stats", None):
         return dp.DepthStats.from_json(Path(resolve_out(args.stats)).read_text())
@@ -78,7 +97,7 @@ def _stats_for(args, data) -> dp.DepthStats:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _run_config(args)
     run_dir = resolve_out(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, run_dir)
@@ -102,14 +121,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    env = EnvConfig(eval_palette=args.palette, families=_split_csv(args.families),
-                    variant=args.variant, n_chains=args.chains, horizon=args.horizon,
-                    enrich=args.enrich)
-    env.validate()
+    env = _run_config(args).env
     run_dir = resolve_out(args.out)
     model = persist.load_checkpoint(resolve_out(args.checkpoint))
     agent = pol.PolicyAgent(model)
-    results = an.run_chain_eval(agent, env.n_chains, env.eval_palette, args.seed,
+    results = an.run_chain_eval(agent, env.n_chains, env.eval_palette, args.chain_seed,
                                 families=env.families, variant=env.variant,
                                 enrich=env.enrich, horizon=env.horizon)
     table = an.aggregate_chain_metrics(
@@ -123,27 +139,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate_sep_resampler(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _run_config(args)
     run_dir = resolve_out(args.out)
     data = persist.load_dataset(resolve_out(args.data))
     stats = _stats_for(args, data)
-    env = cfg.env
-    env.families = _split_csv(args.families) or env.families
-    report = an.run_sep_resampler_ablation(cfg.model, stats, data, cfg.train, env)
+    report = an.run_sep_resampler_ablation(cfg.model, stats, data, cfg.train, cfg.env)
     _write_ablation(report, run_dir)
     return 0
 
 
 def cmd_ablate_depth_extremes(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _run_config(args)
     run_dir = resolve_out(args.out)
     data = persist.load_dataset(resolve_out(args.data))
     narrow = dp.DepthStats.from_json(Path(resolve_out(args.narrow)).read_text())
     wide = dp.DepthStats.from_json(Path(resolve_out(args.wide)).read_text())
-    env = cfg.env
-    env.families = _split_csv(args.families) or env.families
     report = an.run_depth_extremes_ablation(cfg.model, narrow, wide, data,
-                                            cfg.train, env)
+                                            cfg.train, cfg.env)
     _write_ablation(report, run_dir)
     return 0
 
@@ -200,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Desk-scale RGB-D vision-language manipulation policy")
     sub = p.add_subparsers(dest="command")
 
-    g = sub.add_parser("gen-data", parents=[], help="generate expert demonstrations")
+    g = sub.add_parser("gen-data", help="generate expert demonstrations")
     g.add_argument("--out", required=True)
-    g.add_argument("--n", type=int, default=200)
-    g.add_argument("--families", default=None, help="comma-separated subset")
-    g.add_argument("--palettes", default="A,B,C")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n", type=_positive_int, default=200)
+    g.add_argument("--families", type=_split_csv, help="comma-separated subset")
+    g.add_argument("--palettes", type=_split_csv, default="A,B,C")
+    g.add_argument("--seed", dest="data_seed", type=int, default=0)
     g.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
     g.add_argument("--enrich", action="store_true",
                    help="sample instruction paraphrases")
@@ -236,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="chain evaluation of a checkpoint")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--chains", type=int, default=200)
-    e.add_argument("--palette", default="D")
-    e.add_argument("--families", default=None)
-    e.add_argument("--seed", type=int, default=1000)
+    e.add_argument("--chains", dest="n_chains", type=int, default=200)
+    e.add_argument("--palette", dest="eval_palette", default="D")
+    e.add_argument("--families", type=_split_csv, default=None)
+    e.add_argument("--seed", dest="chain_seed", type=int, default=1000)
     e.add_argument("--horizon", type=int, default=64)
     e.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
     e.add_argument("--enrich", action="store_true")
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument("--seed", type=int, default=None)
         ap.add_argument("--epochs", type=int, default=None)
         ap.add_argument("--chains", dest="n_chains", type=int, default=None)
-        ap.add_argument("--families", default=None)
+        ap.add_argument("--families", type=_split_csv, default=None)
     a1.add_argument("--stats", default=None, help="depth stats JSON (else computed)")
     a1.set_defaults(func=cmd_ablate_sep_resampler)
     a2.add_argument("--narrow", required=True, help="narrow-range stats JSON")
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     n.add_argument("--data", required=True)
     n.add_argument("--stats", nargs="+", required=True)
     n.add_argument("--out", required=True)
-    n.add_argument("--pairs", type=int, default=50)
+    n.add_argument("--pairs", type=_positive_int, default=50)
     n.set_defaults(func=cmd_sensitivity)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of the full model")

@@ -1,9 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
-The op vocabulary is exactly what the policy stack needs: matmul,
-elementwise arithmetic, tanh/sigmoid, row softmax, concat/slice,
-reshape, column max, reductions, logit-form binary cross-entropy, and
-lstm_layer, one LSTM layer over a trajectory's rows. matmul, transpose,
+The op vocabulary is what the policy stack and its training loss use:
+add, sub, mul, tanh, matmul, transpose, reshape, softmax_rows,
+scaled_dot_attention, concat_rows, max_over_rows, sum_all,
+bce_with_logits, affine/mlp2, and lstm_layer, one LSTM layer over a
+trajectory's rows. Two more ops have no caller in the package: sigmoid
+and slice_cols build the step-by-step LSTM cell that the tests use as
+the reference for lstm_layer's gradients. matmul, transpose,
 softmax_rows, scaled_dot_attention, concat_rows and max_over_rows also
 take a leading batch axis (a trajectory's time steps), so one recorded
 op covers every step of a stateless stage; lstm_layer records the
@@ -328,22 +331,6 @@ def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
     return _result(out, (a,), vjp)
 
 
-def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_rows expects 2-D input, got {a.shape}")
-    if not (0 <= i0 < i1 <= a.shape[0]):
-        raise DimensionError(f"slice_rows [{i0}:{i1}] out of range for {a.shape}")
-    out = a.data[i0:i1, :].copy()
-    shape = a.shape
-
-    def vjp(g: Array):
-        full = np.zeros(shape)
-        full[i0:i1, :] = g
-        return (full,)
-
-    return _result(out, (a,), vjp)
-
-
 def max_over_rows(a: Tensor) -> Tensor:
     """Column-wise max over rows, (..., M, d) -> (..., 1, d); gradient
     routes to the first argmax."""
@@ -373,22 +360,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return _result(np.asarray(a.data.sum()), (a,), vjp)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    shape = a.shape
-
-    def vjp(g: Array):
-        return (np.full(shape, float(g) / n),)
-
-    return _result(np.asarray(a.data.mean()), (a,), vjp)
-
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
-    d = sub(pred, target)
-    return mean_all(mul(d, d))
 
 
 def bce_with_logits(logits: Tensor, labels: Tensor) -> Tensor:
@@ -521,12 +492,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def names(self) -> list[str]:
         return sorted(self._entries)

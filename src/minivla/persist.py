@@ -29,7 +29,9 @@ Both loaders check the framing in one place: the magic, the header, the
 exact payload length their header implies, and the CRC. Every save
 writes a sibling temporary file, fsyncs it, renames it over the target
 and fsyncs the directory, so a failed save leaves the previous file
-whole and a finished one survives a power loss.
+whole and a finished one survives a power loss. A save whose target is
+a directory (for a dataset, the older layout) is refused with
+CompatibilityError before anything is written.
 Metrics append to a CSV with the evaluation-table column layout and to a
 JSONL stream; appends never rewrite history.
 
@@ -69,10 +71,14 @@ FORMAT_VERSION = 1
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
 
-def _write_atomic(path: Path, chunks) -> None:
+def _write_atomic(path: Path, chunks, if_directory: str) -> None:
     """Write the byte chunks to a temporary file beside path, fsync it,
     rename it over path and fsync the directory; on any failure the
-    temporary file is removed and path keeps its previous contents."""
+    temporary file is removed and path keeps its previous contents. A
+    directory at path is left untouched: CompatibilityError
+    "<path> is <if_directory>" is raised before anything is written."""
+    if path.is_dir():
+        raise CompatibilityError(f"{path} is {if_directory}")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -169,7 +175,8 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
             if model.depth_stats else None,
         },
     }
-    _write_atomic(path, _frame(MAGIC, header, blobs))
+    _write_atomic(path, _frame(MAGIC, header, blobs),
+                  "a directory; remove it or write the checkpoint somewhere else")
     return path
 
 
@@ -186,19 +193,12 @@ def _checkpoint_payload_len(header: dict) -> int:
                 for e in header["entries"]), default=0)
 
 
-def _parse_checkpoint(raw: bytes, path) -> tuple[dict, memoryview]:
-    return _read_frame(raw, path, MAGIC, "checkpoint", _checkpoint_payload_len)
-
-
-def read_checkpoint_header(path: str | Path) -> dict:
-    return _parse_checkpoint(Path(path).read_bytes(), path)[0]
-
-
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; verifies the CRC, the embedded
     configuration and depth statistics, and that the stored parameter
     names are those the embedded configuration creates."""
-    header, payload = _parse_checkpoint(Path(path).read_bytes(), path)
+    header, payload = _read_frame(Path(path).read_bytes(), path, MAGIC, "checkpoint",
+                                  _checkpoint_payload_len)
     meta = header.get("meta", {})
     try:
         cfg = parse_config(overrides={"model": meta.get("model_config")}).model
@@ -256,6 +256,10 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
+# A directory where a dataset file belongs.
+_OLD_LAYOUT = "a dataset directory of an older layout"
+
+
 def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
                  meta: dict | None = None) -> Path:
     """Write a dataset as one file; a failed save leaves the previous one
@@ -280,7 +284,8 @@ def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
     }
     _write_atomic(path, _frame(DATASET_MAGIC, header,
                                (chunk for traj in trajectories
-                                for chunk in _trajectory_chunks(traj))))
+                                for chunk in _trajectory_chunks(traj))),
+                  f"{_OLD_LAYOUT}; remove it or write the dataset somewhere else")
     return path
 
 
@@ -309,7 +314,7 @@ def _dataset_payload_len(header: dict) -> int:
 def load_dataset(path: str | Path) -> list[sim.Trajectory]:
     path = Path(path)
     if path.is_dir():
-        raise CompatibilityError(f"{path} is a dataset directory of an older layout; "
+        raise CompatibilityError(f"{path} is {_OLD_LAYOUT}; "
                                  f"regenerate it with `minivla gen-data`")
     if not path.is_file():
         raise CorruptionError(f"no dataset at {path}")
@@ -369,14 +374,6 @@ def write_metrics(table: SuccessTable, out_dir: str | Path) -> None:
                 f"{table.avg:.6g}\n")
     with open(out_dir / "metrics.jsonl", "a") as f:
         f.write(json.dumps(table.to_dict(), sort_keys=True) + "\n")
-
-
-def read_metrics_jsonl(path: str | Path) -> list[SuccessTable]:
-    tables = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            tables.append(SuccessTable.from_dict(json.loads(line)))
-    return tables
 
 
 def write_chain_results(results: list[sim.ChainResult], path: str | Path) -> None:

@@ -321,12 +321,11 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
     return pose, logit, hidden
 
 
-def policy_step(model: Model, obs: sim.Observation, instruction,
+def policy_step(model: Model, obs: sim.Observation, instruction: str,
                 hidden: list[tuple[Array, Array]]
                 ) -> tuple[sim.Action, list[tuple[Array, Array]]]:
     """Observation + instruction -> executable action (gripper binarized)."""
-    instr = instruction if isinstance(instruction, Instruction) \
-        else model.instruction(instruction)
+    instr = model.instruction(instruction)
     encoded = tuple(x[None] for x in encode_observation(model, obs))
     pose, logit, new_hidden = policy_core(model, encoded, instr, hidden)
     closed = logit.item() > 0.0  # p > 0.5; an exact tie stays open

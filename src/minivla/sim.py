@@ -511,13 +511,19 @@ def success(state: WorldState, task: TaskSpec) -> bool:
     raise TaskError(f"unknown family {task.family!r}")
 
 
-def sample_task(state: WorldState, rng: np.random.Generator,
-                families: Sequence[str] | None = None) -> TaskSpec:
-    """Pick a random feasible task against the scene."""
+def _family_list(families: Sequence[str] | None) -> list[str]:
+    """The families to draw from: all of them when none are given."""
     fams = list(families) if families else list(FAMILIES)
     for f in fams:
         if f not in FAMILIES:
             raise TaskError(f"unknown task family {f!r}")
+    return fams
+
+
+def sample_task(state: WorldState, rng: np.random.Generator,
+                families: Sequence[str] | None = None) -> TaskSpec:
+    """Pick a random feasible task against the scene."""
+    fams = _family_list(families)
     family = fams[int(rng.integers(0, len(fams)))]
     kind = {"lift": "block", "push": "block", "place": "block",
             "press": "button", "slide": "slider"}[family]
@@ -758,7 +764,7 @@ def sample_chain(seed: int, palette: str, families: Sequence[str] | None = None,
             tasks.append(make_task(state, "lift", rest[i]))
         return ChainSpec(tuple(tasks), seed, palette, variant)
 
-    fams = list(families) if families else list(FAMILIES)
+    fams = _family_list(families)
     pools: dict[str, list[Obj]] = {
         "lift": list(blocks), "push": list(blocks), "place": list(blocks),
         "press": list(buttons), "slide": list(slider),

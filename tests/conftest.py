@@ -48,16 +48,30 @@ def count_encodes(monkeypatch) -> list[int]:
     return cameras
 
 
+def _header_span(raw: bytes) -> tuple[int, int]:
+    """Start and end of the header bytes of a framed file, a checkpoint or
+    a dataset (both magics have the same length)."""
+    head = len(persist.MAGIC) + 8
+    (hlen,) = struct.unpack_from("<Q", raw, len(persist.MAGIC))
+    return head, head + hlen
+
+
+def read_header(path) -> dict:
+    """The JSON header of the framed file at path."""
+    raw = path.read_bytes()
+    start, end = _header_span(raw)
+    return json.loads(raw[start:end])
+
+
 def rewrite_header(src, dst, edit) -> None:
     """Copy the framed file at src, a checkpoint or a dataset, to dst with
     its header bytes replaced by edit(header bytes); the magic, the
     payload and its CRC are kept."""
     raw = src.read_bytes()
-    head = len(persist.MAGIC) + 8
-    (hlen,) = struct.unpack_from("<Q", raw, len(persist.MAGIC))
-    header = edit(raw[head:head + hlen])
+    start, end = _header_span(raw)
+    header = edit(raw[start:end])
     dst.write_bytes(raw[:len(persist.MAGIC)] + struct.pack("<Q", len(header)) + header
-                    + raw[head + hlen:])
+                    + raw[end:])
 
 
 def rewrite_checkpoint_header(src, dst, edit) -> None:

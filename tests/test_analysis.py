@@ -136,6 +136,18 @@ class TestDepthExtremesAblation:
             assert n >= w
 
 
+class TestConsecutiveDepthPairs:
+    def test_limit_caps_the_pairs(self):
+        data = quick_dataset(n=2)
+        assert len(an.consecutive_depth_pairs(data)) == sum(len(t.steps) - 1 for t in data)
+        assert len(an.consecutive_depth_pairs(data, limit=3)) == 3
+
+    @pytest.mark.parametrize("limit", [0, -4])
+    def test_a_limit_below_one_is_rejected(self, limit):
+        with pytest.raises(ContractError, match=f"at least 1, got {limit}"):
+            an.consecutive_depth_pairs(quick_dataset(n=1), limit=limit)
+
+
 class TestSensitivityReport:
     def test_identical_pair_counts_zero(self):
         frame = np.full((4, 4), 1.0)

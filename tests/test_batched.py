@@ -304,7 +304,8 @@ def per_step_loss(model, instr, tokens, actions, lam):
             h, c = lstm_cell(h, h0, c0, p[layer + "wx"], p[layer + "wh"], p[layer + "b"])
             hidden[i] = (h, c)
         pose, logit = pol.action_heads(h, model)
-        step_mse = nm.mse(pose, Tensor(action.pose.reshape(1, 6)))
+        err = nm.sub(pose, Tensor(action.pose.reshape(1, 6)))
+        step_mse = nm.mul(nm.sum_all(nm.mul(err, err)), nm.as_tensor(1.0 / 6))
         step_bce = nm.bce_with_logits(logit, Tensor([[float(action.gripper_closed)]]))
         mse_sum = step_mse if mse_sum is None else nm.add(mse_sum, step_mse)
         bce_sum = step_bce if bce_sum is None else nm.add(bce_sum, step_bce)

@@ -7,6 +7,7 @@ from conftest import rewrite_checkpoint_header, synthetic_stats
 from minivla import cli, persist
 from minivla import policy as pol
 from minivla.config import ModelConfig, parse_config
+from minivla.depth import DepthStats
 
 TINY_MODEL = dict(patch=8, d_model=16, vit_blocks=1, resampler_k=2,
                   decoder_layers=1, lstm_layers=1, lstm_width=8)
@@ -145,3 +146,87 @@ def test_depth_extremes_has_no_stats_flag(run_dir, capsys):
                          "--narrow", "narrow.json", "--wide", "wide.json",
                          "--stats", "does/not/exist.json"]) == 1
     assert "unrecognized arguments: --stats" in capsys.readouterr().err
+
+
+def consecutive_pairs(dataset) -> int:
+    return sum(len(t.steps) - 1 for t in persist.load_dataset(dataset))
+
+
+def write_stats(run_dir, name, d_min, d_max):
+    (run_dir / name).write_text(DepthStats(d_min, d_max, 0.5, 0.29).to_json())
+
+
+def test_sensitivity_counts_pairs_per_stats_file(run_dir, dataset):
+    write_stats(run_dir, "narrow.json", 0.6, 1.0)
+    write_stats(run_dir, "wide.json", 0.3, 1.5)
+    assert consecutive_pairs(dataset) > 5
+    assert cli.dispatch(["sensitivity", "--data", "data", "--stats", "narrow.json",
+                         "wide.json", "--out", "sens.json", "--pairs", "5"]) == 0
+    counts = json.loads((run_dir / "sens.json").read_text())
+    assert sorted(counts) == ["narrow", "wide"]
+    assert [len(values) for values in counts.values()] == [5, 5]
+    assert all(isinstance(v, int) and v >= 0 for values in counts.values() for v in values)
+
+
+def test_depth_extremes_writes_its_report(tmp_path, run_dir, dataset):
+    write_stats(run_dir, "narrow.json", 0.6, 1.0)
+    write_stats(run_dir, "wide.json", 0.3, 1.5)
+    assert cli.dispatch(["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
+                         "--config", cli_config(tmp_path), "--narrow", "narrow.json",
+                         "--wide", "wide.json", "--chains", "1"]) == 0
+    out = run_dir / "ablate"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ablation_depth_extremes.json", "metrics.csv", "metrics.jsonl"]
+    report = json.loads((out / "ablation_depth_extremes.json").read_text())
+    assert set(report["tables"]) == {"narrow", "wide"}
+    assert {t["n_chains"] for t in report["tables"].values()} == {1}
+    counts = report["extras"]["sensitivity_counts"]
+    assert sorted(counts) == ["narrow", "wide"]
+    # Every consecutive pair of the two demonstrations, up to the harness's 20.
+    expected = min(20, consecutive_pairs(dataset))
+    assert [len(values) for values in counts.values()] == [expected, expected]
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["gen-data", "--out", "data", "--families", "lift,bogus"], "'bogus'"),
+    (["gen-data", "--out", "data", "--palettes", "A,Z"], "'Z'"),
+    (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--palette", "Z"], "'Z'"),
+    (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--families", "bogus"], "'bogus'"),
+    (["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
+      "--families", "bogus"], "env.families entry 'bogus'"),
+    (["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
+      "--narrow", "n.json", "--wide", "w.json", "--families", "bogus"],
+     "env.families entry 'bogus'"),
+], ids=["gen-data-families", "gen-data-palettes", "eval-palette", "eval-families",
+        "sep-resampler-families", "depth-extremes-families"])
+def test_a_bad_env_flag_exits_1_before_any_file(run_dir, capsys, argv, key):
+    # No input file exists: reading one would fail with exit 2 instead.
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not run_dir.exists() or not any(run_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--out", "data", "--n", "0"],
+    ["sensitivity", "--data", "data", "--stats", "s.json", "--out", "o.json",
+     "--pairs", "0"],
+    ["sensitivity", "--data", "data", "--stats", "s.json", "--out", "o.json",
+     "--pairs", "-4"],
+], ids=["n-0", "pairs-0", "pairs-negative"])
+def test_counts_must_be_positive(run_dir, capsys, argv):
+    assert cli.dispatch(argv) == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_gen_data_over_a_dataset_directory_is_refused(run_dir, capsys):
+    old = run_dir / "data"
+    old.mkdir(parents=True)
+    (old / "index.json").write_text("{}")
+    assert cli.dispatch(["gen-data", "--out", "data", "--n", "1", "--families", "lift"]) == 2
+    err = capsys.readouterr().err
+    assert f"{old} is a dataset directory of an older layout; remove it" in err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["data"]
+    assert [p.name for p in old.iterdir()] == ["index.json"]

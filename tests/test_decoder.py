@@ -190,7 +190,7 @@ class TestDecode:
 
         def f(p):
             out = dec.decode(x, xvde, layers)
-            return nm.mean_all(nm.mul(out, out))
+            return nm.sum_all(nm.mul(out, out))
 
         res = nm.grad_check(f, params)
         assert res.max_rel_error < 1e-4

@@ -263,7 +263,7 @@ class TestResample:
         def f(p):
             out = enc.resample(tokens, p["resampler.shared.latents"],
                                p["resampler.shared.wk"], p["resampler.shared.wv"])
-            return nm.mean_all(nm.mul(out, out))
+            return nm.sum_all(nm.mul(out, out))
 
         res = nm.grad_check(f, params)
         assert res.max_rel_error < 1e-6

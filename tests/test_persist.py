@@ -7,7 +7,8 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import rewrite_checkpoint_header, rewrite_header, synthetic_stats, tiny_config
+from conftest import (read_header, rewrite_checkpoint_header, rewrite_header, synthetic_stats,
+                      tiny_config)
 
 from minivla import persist
 from minivla import policy as pol
@@ -211,7 +212,7 @@ class TestCheckpoint:
     def test_offsets_ascend_contiguously(self, tmp_path):
         model = small_model()
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
-        header = persist.read_checkpoint_header(path)
+        header = read_header(path)
         names = [e["name"] for e in header["entries"]]
         assert names == sorted(names)
         pos = 0
@@ -357,10 +358,13 @@ class TestDatasetContainer:
             persist.load_dataset(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("save", [
+SAVES = pytest.mark.parametrize("save", [
     lambda path: persist.save_checkpoint(small_model(), path),
     lambda path: persist.save_dataset(lift_demos(1), path),
 ], ids=["checkpoint", "dataset"])
+
+
+@SAVES
 def test_a_save_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch, save):
     synced = []  # (is a directory, target exists) per fsync
     real_fsync = os.fsync
@@ -372,6 +376,20 @@ def test_a_save_fsyncs_the_file_then_its_directory(tmp_path, monkeypatch, save):
     monkeypatch.setattr(os, "fsync", fsync)
     save(tmp_path / "out")
     assert synced == [(False, False), (True, True)]
+
+
+@SAVES
+def test_a_save_over_a_directory_is_refused_before_writing(tmp_path, save):
+    target = tmp_path / "out"
+    target.mkdir()
+    (target / "index.json").write_text("{}")
+    (target / "traj_00000.bin").write_bytes(b"old")
+    with pytest.raises(CompatibilityError, match=f"{re.escape(str(target))} is .*directory"):
+        save(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert (target / "index.json").read_text() == "{}"
+    assert (target / "traj_00000.bin").read_bytes() == b"old"
+    assert sorted(p.name for p in target.iterdir()) == ["index.json", "traj_00000.bin"]
 
 
 class TestMetrics:
@@ -398,8 +416,9 @@ class TestMetrics:
 
     def test_json_round_trip(self, tmp_path):
         persist.write_metrics(self.TABLE, tmp_path)
-        tables = persist.read_metrics_jsonl(tmp_path / "metrics.jsonl")
-        assert tables == [self.TABLE]
+        persist.write_metrics(self.TABLE, tmp_path)
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [self.TABLE.to_dict()] * 2
 
     def test_chain_results_jsonl(self, tmp_path):
         results = [sim.ChainResult([True, False, False, False, False], 3, "D", 0)]

@@ -206,7 +206,8 @@ class TestPolicyStep:
         def f(params):
             pose, logit, _ = pol.policy_core(model, encoded, instr,
                                              pol.reset_hidden(model))
-            return nm.add(nm.mse(pose, target_pose), nm.bce_with_logits(logit, label))
+            err = nm.sub(pose, target_pose)
+            return nm.add(nm.sum_all(nm.mul(err, err)), nm.bce_with_logits(logit, label))
 
         res = nm.grad_check(f, model.params.subset(lambda n: not n.startswith(("vit.", "embed.")) and ".self." not in n))
         assert res.max_rel_error < 1e-4

@@ -489,6 +489,14 @@ class TestChains:
         descriptors = [(t.family, t.color, t.size) for t in chain.tasks]
         assert len(set(descriptors)) == 5
 
+    @pytest.mark.parametrize("sample", [
+        lambda fams: sim.sample_chain(4, "A", families=fams),
+        lambda fams: sim.sample_task(sim.make_env(4, "A"), np.random.default_rng(0), fams),
+    ], ids=["chain", "task"])
+    def test_unknown_family_is_a_task_error(self, sample):
+        with pytest.raises(TaskError, match="unknown task family 'bogus'"):
+            sample(["lift", "bogus"])
+
     def test_chain_spec_requires_five(self):
         with pytest.raises(ContractError):
             ChainSpec(tuple(), seed=0, palette="A")

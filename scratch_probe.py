@@ -40,7 +40,7 @@ def ridge_r2(X, Y, lam=1e-3, ntest=400):
 print("tokens  all-colors R2(dx,dy,dz):", np.round(ridge_r2(X_tok, Y), 3))
 print("pixels  all-colors R2(dx,dy,dz):", np.round(ridge_r2(X_pix, Y), 3))
 
-# single color subset (no instruction needed)
+# a single color only (no instruction needed)
 for c in ("red", "green"):
     m = COLORS == c
     if m.sum() > 600:

@@ -92,7 +92,7 @@ elif stage in ("resampler", "trunk"):
         pooled = nm.max_over_rows(x)
         return nm.mlp2(pooled, w1, b1, w2, b2)
 
-opt = tr.Adam(TrainConfig(learning_rate=lr, clip_norm=1e9))
+opt = tr.Adam(TrainConfig(learning_rate=lr, clip_norm=1e9), params)
 order_rng = np.random.default_rng(0)
 for ep in range(epochs):
     order = order_rng.permutation(n_train)
@@ -109,8 +109,8 @@ for ep in range(epochs):
         for l in losses[1:]:
             loss = nm.add(loss, l)
         loss = nm.mul(nm.as_tensor(1.0 / len(losses)), loss)
-        nm.backward(loss, params)
-        opt.step(params)
+        nm.backward(loss)
+        opt.step()
         total += loss.item() * len(losses)
     if ep % 10 == 0 or ep == epochs - 1:
         with nm.no_grad():

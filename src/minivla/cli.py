@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -49,6 +50,19 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _run_config(args) -> RunConfig:
@@ -172,12 +186,18 @@ def _write_ablation(report, run_dir: Path) -> None:
 
 
 def cmd_sensitivity(args) -> int:
-    data = persist.load_dataset(resolve_out(args.data))
-    pairs = an.consecutive_depth_pairs(data, limit=args.pairs)
-    stats_by_label = {}
+    # Each stats file is labelled by its stem, so two files must not share one.
+    paths: dict[str, Path] = {}
     for spec_path in args.stats:
         p = Path(resolve_out(spec_path))
-        stats_by_label[p.stem] = dp.DepthStats.from_json(p.read_text())
+        if p.stem in paths:
+            raise ValidationError(f"--stats {paths[p.stem]} and {p} share the label "
+                                  f"{p.stem!r}; rename one")
+        paths[p.stem] = p
+    stats_by_label = {label: dp.DepthStats.from_json(p.read_text())
+                      for label, p in paths.items()}
+    data = persist.load_dataset(resolve_out(args.data))
+    pairs = an.consecutive_depth_pairs(data, limit=args.pairs)
     counts = an.depth_sensitivity_report(pairs, stats_by_label)
     out = resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -215,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate expert demonstrations")
     g.add_argument("--out", required=True)
     g.add_argument("--n", type=_positive_int, default=200)
-    g.add_argument("--families", type=_split_csv, help="comma-separated subset")
+    g.add_argument("--families", type=_split_csv, help="comma-separated family names")
     g.add_argument("--palettes", type=_split_csv, default="A,B,C")
-    g.add_argument("--seed", dest="data_seed", type=int, default=0)
+    g.add_argument("--seed", dest="data_seed", type=_non_negative_int, default=0)
     g.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
     g.add_argument("--enrich", action="store_true",
                    help="sample instruction paraphrases")
@@ -251,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--chains", dest="n_chains", type=int, default=200)
     e.add_argument("--palette", dest="eval_palette", default="D")
     e.add_argument("--families", type=_split_csv, default=None)
-    e.add_argument("--seed", dest="chain_seed", type=int, default=1000)
+    e.add_argument("--seed", dest="chain_seed", type=_non_negative_int, default=1000)
     e.add_argument("--horizon", type=int, default=64)
     e.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
     e.add_argument("--enrich", action="store_true")
@@ -285,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     n.set_defaults(func=cmd_sensitivity)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    c.add_argument("--seed", type=int, default=7)
-    c.add_argument("--eps", type=float, default=1e-5)
-    c.add_argument("--tol", type=float, default=1e-4)
+    c.add_argument("--seed", type=_non_negative_int, default=7)
+    c.add_argument("--eps", type=_positive_float, default=1e-5)
+    c.add_argument("--tol", type=_positive_float, default=1e-4)
     c.set_defaults(func=cmd_gradcheck)
     return p
 

@@ -54,6 +54,8 @@ class ModelConfig:
             )
         if self.depth_input not in ("sensor", "constant"):
             raise ConfigError(f"model.depth_input must be 'sensor' or 'constant'")
+        if self.seed < 0:
+            raise ConfigRangeError(f"model.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -77,6 +79,9 @@ class TrainConfig:
             raise ConfigRangeError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.clip_norm <= 0:
             raise ConfigRangeError(f"train.clip_norm must be positive, got {self.clip_norm}")
+        for name in ("seed", "ckpt_every"):
+            if getattr(self, name) < 0:
+                raise ConfigRangeError(f"train.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -4,12 +4,10 @@ The op vocabulary is what the policy stack and its training loss use:
 add, sub, mul, tanh, matmul, transpose, reshape, softmax_rows,
 scaled_dot_attention, concat_rows, max_over_rows, sum_all,
 bce_with_logits, affine/mlp2, and lstm_layer, one LSTM layer over a
-trajectory's rows. Two more ops have no caller in the package: sigmoid
-and slice_cols build the step-by-step LSTM cell that the tests use as
-the reference for lstm_layer's gradients. matmul, transpose,
-softmax_rows, scaled_dot_attention, concat_rows and max_over_rows also
-take a leading batch axis (a trajectory's time steps), so one recorded
-op covers every step of a stateless stage; lstm_layer records the
+trajectory's rows. matmul, transpose, softmax_rows,
+scaled_dot_attention, concat_rows and max_over_rows also take a
+leading batch axis (a trajectory's time steps), so one recorded op
+covers every step of a stateless stage; lstm_layer records the
 recurrence as one op per layer in the same way and hands back its
 carried state as plain arrays, outside the graph. Each binary
 elementwise op checks shapes once: numpy's broadcast inside the op,
@@ -17,11 +15,18 @@ whose failure becomes a DimensionError naming the op and both shapes.
 Arrays are float64 in memory; a built graph belongs to one execution
 context and `backward` visits each node exactly once, so gradients are
 bitwise reproducible for a fixed graph.
+
+Which tensors train is set once, by the trainable flag each gets from
+ParamSet.add (policy.init_model states the policy's flags), and read one
+way, through ParamSet.trainable_items: the optimizer, zero_grads and
+grad_check all walk that list. zero_grads gives every trainable tensor a
+dense zero gradient; backward only adds into the leaves it reaches.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -78,9 +83,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -172,15 +174,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def vjp(g: Array):
         return (g * (1.0 - y * y),)
-
-    return _result(y, (a,), vjp)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.data)
-
-    def vjp(g: Array):
-        return (g * y * (1.0 - y),)
 
     return _result(y, (a,), vjp)
 
@@ -313,22 +306,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
                      for piece in np.split(g, splits, axis=-2))
 
     return _result(out, tuple(parts), vjp)
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_cols expects 2-D input, got {a.shape}")
-    if not (0 <= j0 < j1 <= a.shape[1]):
-        raise DimensionError(f"slice_cols [{j0}:{j1}] out of range for {a.shape}")
-    out = a.data[:, j0:j1].copy()
-    shape = a.shape
-
-    def vjp(g: Array):
-        full = np.zeros(shape)
-        full[:, j0:j1] = g
-        return (full,)
-
-    return _result(out, (a,), vjp)
 
 
 def max_over_rows(a: Tensor) -> Tensor:
@@ -505,17 +482,10 @@ class ParamSet:
             if t.requires_grad:
                 yield name, t
 
-    def subset(self, predicate) -> "ParamSet":
-        """View over entries whose name satisfies the predicate (shared tensors)."""
-        out = ParamSet()
-        for name, t in self.items():
-            if predicate(name):
-                out._entries[name] = t
-        return out
-
     def zero_grads(self) -> None:
-        for _, t in self.items():
-            t.zero_grad()
+        """Give every trainable tensor a dense zero gradient."""
+        for _, t in self.trainable_items():
+            t.grad = np.zeros_like(t.data)
 
     def checksum(self, prefix: str = "") -> float:
         """Order-stable fingerprint of raw parameter bytes under a prefix."""
@@ -554,19 +524,15 @@ def _topo_from(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params: ParamSet | None = None) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable trainable leaf.
+def backward(loss: Tensor) -> None:
+    """Add d(loss)/d(leaf) into the gradient of every trainable leaf the
+    loss reaches; ParamSet.zero_grads gives those gradients their zeros.
 
-    Trainable params not on the graph keep (or get) zero grads when a
-    ParamSet is supplied. Raises ContractError for non-scalar losses.
+    Raises ContractError for a non-scalar loss, and for a reached
+    trainable leaf whose gradient was never zeroed.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if params is not None:
-        for _, t in params.trainable_items():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-
     order = _topo_from(loss)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
@@ -576,7 +542,8 @@ def backward(loss: Tensor, params: ParamSet | None = None) -> None:
         if node.is_leaf:
             if node.requires_grad:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
+                    raise ContractError(f"backward: trainable leaf {node.name!r} has no "
+                                        f"gradient; call ParamSet.zero_grads first")
                 node.grad += g.reshape(node.data.shape)
             continue
         contribs = node._vjp(g)
@@ -599,19 +566,21 @@ def backward(loss: Tensor, params: ParamSet | None = None) -> None:
 class GradCheckResult:
     max_rel_error: float
     worst_param: str | None
-    no_trainable: bool
-    n_checked: int
+    n_checked: int  # 0 when params has no trainable entry
 
 
 def grad_check(f, params: ParamSet, eps: float = 1e-5) -> GradCheckResult:
-    """Compare analytic gradients of f against central finite differences.
+    """Compare analytic gradients of f against central finite differences
+    over every trainable entry of params.
 
-    Error metric per entry: |analytic - numeric| / max(1, |analytic|).
-    f must be a deterministic function of the ParamSet; two baseline
-    evaluations are compared bitwise to enforce that.
+    Error metric per entry: |analytic - numeric| / max(1, |analytic|); an
+    entry whose analytic or numeric derivative is not finite counts as an
+    infinite error. f must be a deterministic function of the ParamSet;
+    two baseline evaluations are compared bitwise to enforce that. eps
+    must be positive and finite (ContractError).
     """
-    if eps <= 0:
-        raise ContractError("grad_check: eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ContractError(f"grad_check: eps must be positive and finite, got {eps!r}")
     with no_grad():
         b1 = f(params).item()
         b2 = f(params).item()
@@ -620,21 +589,15 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5) -> GradCheckResult:
             f"grad_check: two baseline evaluations differ ({b1!r} vs {b2!r})"
         )
 
-    entries = list(params.trainable_items())
-    if not entries:
-        return GradCheckResult(0.0, None, True, 0)
-
     params.zero_grads()
-    loss = f(params)
-    backward(loss, params)
-    analytic = {name: t.grad.copy() for name, t in entries}
+    backward(f(params))
 
     worst = 0.0
     worst_name = None
     checked = 0
-    for name, t in entries:
+    for name, t in params.trainable_items():
         flat = t.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
+        ana = t.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -646,8 +609,10 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5) -> GradCheckResult:
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * eps)
             rel = abs(ana[i] - numeric) / max(1.0, abs(ana[i]))
+            if not math.isfinite(rel):  # a NaN would never beat worst
+                rel = math.inf
             checked += 1
             if rel > worst:
                 worst = rel
                 worst_name = name
-    return GradCheckResult(worst, worst_name, False, checked)
+    return GradCheckResult(worst, worst_name, checked)

@@ -43,6 +43,12 @@ one: see the config module) are therefore rejected, naming the key, and
 must be rebuilt with `minivla train`. Its depth statistics go through
 depth.DepthStats.from_dict, like a stats file; a header whose statistics
 fail that check is a CorruptionError.
+
+Which parameters train is not a checkpoint's to say: the flags come from
+policy.init_model under the embedded configuration, as for a new model.
+A stored trainable flag is only checked against them, and a flag that
+differs is a CompatibilityError (the header is not under the CRC, so
+this also catches a header edited by hand).
 """
 
 from __future__ import annotations
@@ -196,7 +202,8 @@ def _checkpoint_payload_len(header: dict) -> int:
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; verifies the CRC, the embedded
     configuration and depth statistics, and that the stored parameter
-    names are those the embedded configuration creates."""
+    names, shapes and trainable flags are those the embedded
+    configuration creates."""
     header, payload = _read_frame(Path(path).read_bytes(), path, MAGIC, "checkpoint",
                                   _checkpoint_payload_len)
     meta = header.get("meta", {})
@@ -228,11 +235,15 @@ def load_checkpoint(path: str | Path) -> Model:
             raise CompatibilityError(
                 f"shape mismatch for {name}: stored {e['shape']}, model {list(tensor.data.shape)}"
             )
+        if e["trainable"] is not tensor.requires_grad:
+            raise CompatibilityError(
+                f"trainable flag mismatch for {name}: stored {e['trainable']}, "
+                f"model {tensor.requires_grad}"
+            )
         count = int(np.prod(e["shape"] or [1]))
         arr = np.frombuffer(payload, dtype="<f4", count=count,
                             offset=e["offset"]).astype(np.float64)
         tensor.data = arr.reshape(tensor.data.shape)
-        tensor.requires_grad = bool(e["trainable"])
     return model
 
 

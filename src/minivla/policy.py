@@ -57,7 +57,6 @@ LSTM_GATES = 4  # input, forget, cell, output; concatenated in that order
 @dataclass
 class Instruction:
     text: str
-    ids: list[int]
     embedded: Array  # (M, d), rows of the frozen table
 
 
@@ -118,7 +117,7 @@ class Model:
         last = self._last_instruction
         if last is None or last.text != text:
             ids = dec.tokenize(text, self.vocab_index)
-            last = Instruction(text, ids, dec.embed_ids(self.embedding_table(), ids))
+            last = Instruction(text, dec.embed_ids(self.embedding_table(), ids))
             self._last_instruction = last
         return last
 
@@ -126,7 +125,11 @@ class Model:
 def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Model:
     """Seed-fixed initialization.
 
-    Separate-resampler models clone one proto resampler into both
+    The trainable= flag of each entry is the one statement of which
+    parameters train (the resampler(s), the cross-attention sublayers
+    with their gates, and the head); the optimizer, grad_check and
+    load_checkpoint read it from the ParamSet and nothing assigns it
+    later. Separate-resampler models clone one proto resampler into both
     modalities, so shared and separate variants start out functionally
     identical.
     """

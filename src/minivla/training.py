@@ -1,4 +1,4 @@
-"""Imitation objective, trainable-parameter selection, Adam, train loop.
+"""Imitation objective, Adam, train loop.
 
 The objective per trajectory sums over timesteps: mean squared error
 over the six pose dims (mean over dims keeps the gripper weight
@@ -8,7 +8,11 @@ come from the demonstration, hidden state carries across its steps, and
 one Adam update runs per batch of trajectories (batch size 1 by
 default). Only the resampler(s), the cross-attention sublayers with
 their gates, and the policy head ever receive updates; the encoder,
-self-attention blocks, and embedding table stay frozen.
+self-attention blocks, and embedding table stay frozen. That split has
+one owner, the trainable flags policy.init_model gives each entry of
+model.params: Adam takes the flagged entries once when it is built,
+zero_grads and backward fill their gradients, and nothing here selects
+parameters by name.
 
 Under teacher forcing every stage but the LSTM depends only on its own
 step's frames, so a trajectory's loss is recorded with time as a batch
@@ -40,11 +44,6 @@ from .errors import ContractError, DivergedTrainingError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
-
-def trainable_parameter_set(model: pol.Model) -> ParamSet:
-    """Exactly the resampler(s), cross-attention (incl. gates), and head."""
-    return model.params.subset(lambda name: model.params[name].requires_grad)
-
 
 def frozen_checksum(model: pol.Model) -> tuple[float, ...]:
     """Fingerprint of every frozen group; unchanged by any training run."""
@@ -80,31 +79,33 @@ def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment updates over a trainable ParamSet,
-    with the moment decays and epsilon of the Adam paper (arXiv 1412.6980)."""
+    """Bias-corrected adaptive-moment updates, with the moment decays and
+    epsilon of the Adam paper (arXiv 1412.6980).
+
+    The optimizer owns its parameter list: the trainable entries of the
+    ParamSet it is built over, in that set's name order, read once here
+    with both moments allocated beside them. step() updates them from
+    their gradients, which ParamSet.zero_grads and backward fill.
+    """
 
     BETAS = (0.9, 0.999)
     EPS = 1e-8
 
-    def __init__(self, cfg: TrainConfig):
+    def __init__(self, cfg: TrainConfig, params: ParamSet):
         self.lr = cfg.learning_rate
         self.b1, self.b2 = self.BETAS
         self.eps = self.EPS
         self.clip_norm = cfg.clip_norm
         self.t = 0
-        self._m: dict[str, Array] = {}
-        self._v: dict[str, Array] = {}
+        self._slots = [(name, tensor, np.zeros_like(tensor.data), np.zeros_like(tensor.data))
+                       for name, tensor in params.trainable_items()]
 
-    def step(self, trainables: ParamSet) -> None:
-        grads: list[tuple[str, Tensor, Array]] = []
+    def step(self) -> None:
         sq = 0.0
-        for name, tensor in trainables.trainable_items():
+        for name, tensor, _, _ in self._slots:
             g = tensor.grad
-            if g is None:
-                g = np.zeros_like(tensor.data)
             if not np.isfinite(g).all():
                 raise DivergedTrainingError(f"non-finite gradient in {name}")
-            grads.append((name, tensor, g))
             sq += float((g * g).sum())
         norm = np.sqrt(sq)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
@@ -112,14 +113,8 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for name, tensor, g in grads:
-            g = g * scale
-            m = self._m.get(name)
-            if m is None:  # first update: both moments start at zero
-                m = self._m[name] = np.zeros_like(tensor.data)
-                v = self._v[name] = np.zeros_like(tensor.data)
-            else:
-                v = self._v[name]
+        for _, tensor, m, v in self._slots:
+            g = tensor.grad * scale
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
@@ -189,8 +184,6 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
     if not dataset:
         raise ContractError("training needs a nonempty dataset")
     cfg.validate()
-    trainables = trainable_parameter_set(model)
-    optimizer = Adam(cfg)
     shuffle_rng = np.random.default_rng(cfg.seed)
     if encoded is None:
         encoded = encode_dataset(model, dataset)
@@ -198,6 +191,8 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
         raise ContractError(
             f"encoded dataset has {len(encoded)} trajectories, dataset {len(dataset)}"
         )
+    # Built after the encode, so its moments do not add to the encode's peak memory.
+    optimizer = Adam(cfg, model.params)
 
     report = TrainReport()
     for epoch in range(cfg.epochs):
@@ -206,7 +201,7 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
         loss_sum = mse_sum = bce_sum = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            trainables.zero_grads()
+            model.params.zero_grads()
             weight = nm.as_tensor(1.0 / len(batch))
             for idx in batch:
                 instr, tokens, actions = encoded[idx]
@@ -217,9 +212,9 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
                 loss_sum += total.item()
                 mse_sum += mse_t.item()
                 bce_sum += bce_t.item()
-                nm.backward(nm.mul(total, weight), trainables)
+                nm.backward(nm.mul(total, weight))
                 del total, mse_t, bce_t  # free this graph before the next is built
-            optimizer.step(trainables)
+            optimizer.step()
         n = len(encoded)
         stats = EpochStats(epoch, loss_sum / n, mse_sum / n, bce_sum / n,
                            time.perf_counter() - t0)
@@ -273,4 +268,4 @@ def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult
         total, _, _ = _trajectory_loss(model, instr, tokens, actions, 1.0)
         return total
 
-    return nm.grad_check(f, trainable_parameter_set(model), eps=eps)
+    return nm.grad_check(f, model.params, eps=eps)

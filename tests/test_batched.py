@@ -38,7 +38,8 @@ def fd_check(op, arrays, seed, eps=1e-6):
     inputs = [params.add(f"x{i}", a, trainable=True) for i, a in enumerate(arrays)]
     out = op(*inputs)
     w = rng.normal(size=out.shape)
-    nm.backward(nm.sum_all(nm.mul(out, Tensor(w))), params)
+    params.zero_grads()
+    nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
 
     def f():
         with nm.no_grad():
@@ -177,14 +178,33 @@ class TestBatchedForwardIsStackedSteps:
 # --- the LSTM layer and the resampler association ---------------------------------
 
 
+def sigmoid(a: Tensor) -> Tensor:
+    """Elementwise logistic function as a tape op; the package's LSTM
+    applies nm._sigmoid inside lstm_layer and needs no such op."""
+    y = nm._sigmoid(a.data)
+    return nm._result(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
+    """Columns j0:j1 of a 2-D tensor as a tape op."""
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[:, j0:j1] = g
+        return (full,)
+
+    return nm._result(a.data[:, j0:j1].copy(), (a,), vjp)
+
+
 def lstm_cell(x, h, c, wx, wh, b):
     """One step of the LSTM as separate tape ops; the reference for lstm_layer."""
     r = h.shape[1]
     z = nm.add(nm.add(nm.matmul(x, wx), nm.matmul(h, wh)), b)
-    i_gate = nm.sigmoid(nm.slice_cols(z, 0, r))
-    f_gate = nm.sigmoid(nm.slice_cols(z, r, 2 * r))
-    g_cell = nm.tanh(nm.slice_cols(z, 2 * r, 3 * r))
-    o_gate = nm.sigmoid(nm.slice_cols(z, 3 * r, 4 * r))
+    i_gate = sigmoid(slice_cols(z, 0, r))
+    f_gate = sigmoid(slice_cols(z, r, 2 * r))
+    g_cell = nm.tanh(slice_cols(z, 2 * r, 3 * r))
+    o_gate = sigmoid(slice_cols(z, 3 * r, 4 * r))
     c_new = nm.add(nm.mul(f_gate, c), nm.mul(i_gate, g_cell))
     return nm.mul(o_gate, nm.tanh(c_new)), c_new
 
@@ -265,7 +285,8 @@ class TestResampleAssociation:
             params = ParamSet()
             p = {name: params.add(name, a, trainable=True) for name, a in arrays.items()}
             out = resample(x, p["latents"], p["wk"], p["wv"])
-            nm.backward(nm.sum_all(nm.mul(out, Tensor(w))), params)
+            params.zero_grads()
+            nm.backward(nm.sum_all(nm.mul(out, Tensor(w))))
             return out.data, {name: t.grad for name, t in p.items()}
 
         got, got_grads = run(enc.resample)
@@ -313,11 +334,10 @@ def per_step_loss(model, instr, tokens, actions, lam):
 
 
 def loss_and_grads(loss_fn, model, instr, tokens, actions):
-    trainables = tr.trainable_parameter_set(model)
-    trainables.zero_grads()
+    model.params.zero_grads()
     loss = loss_fn(model, instr, tokens, actions, 0.7)
-    nm.backward(loss, trainables)
-    return loss.item(), {name: t.grad.copy() for name, t in trainables.items()}
+    nm.backward(loss)
+    return loss.item(), {name: t.grad.copy() for name, t in model.params.trainable_items()}
 
 
 def batched_loss(model, instr, tokens, actions, lam):

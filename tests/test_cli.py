@@ -8,6 +8,7 @@ from minivla import cli, persist
 from minivla import policy as pol
 from minivla.config import ModelConfig, parse_config
 from minivla.depth import DepthStats
+from minivla.errors import ConfigRangeError
 
 TINY_MODEL = dict(patch=8, d_model=16, vit_blocks=1, resampler_k=2,
                   decoder_layers=1, lstm_layers=1, lstm_width=8)
@@ -230,3 +231,45 @@ def test_gen_data_over_a_dataset_directory_is_refused(run_dir, capsys):
     assert f"{old} is a dataset directory of an older layout; remove it" in err
     assert sorted(p.name for p in run_dir.iterdir()) == ["data"]
     assert [p.name for p in old.iterdir()] == ["index.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--out", "data", "--seed", "-1"], "must be a non-negative integer"),
+    (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--seed", "-2"],
+     "must be a non-negative integer"),
+    (["gradcheck", "--seed", "-1"], "must be a non-negative integer"),
+    (["train", "--data", "data", "--out", "train", "--seed", "-3"], "model.seed must be >= 0"),
+    (["ablate", "sep-resampler", "--data", "data", "--out", "ablate", "--seed", "-3"],
+     "model.seed must be >= 0"),
+    (["train", "--data", "data", "--out", "train", "--ckpt-every", "-1"],
+     "train.ckpt_every must be >= 0"),
+    (["gradcheck", "--eps", "nan"], "must be a positive finite number"),
+    (["gradcheck", "--eps", "0"], "must be a positive finite number"),
+    (["gradcheck", "--tol", "inf"], "must be a positive finite number"),
+    (["gradcheck", "--tol=-1e-4"], "must be a positive finite number"),
+], ids=["gen-data-seed", "eval-seed", "gradcheck-seed", "train-seed", "ablate-seed",
+        "ckpt-every", "eps-nan", "eps-0", "tol-inf", "tol-negative"])
+def test_a_bad_seed_or_tolerance_exits_1_before_any_file(run_dir, capsys, argv, message):
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err
+    assert not run_dir.exists()
+
+
+def test_config_file_seeds_must_not_be_negative(tmp_path):
+    for section in ("model", "train"):
+        with pytest.raises(ConfigRangeError, match=rf"{section}\.seed must be >= 0"):
+            parse_config(write_config(tmp_path, **{section: {"seed": -1}}))
+
+
+def test_sensitivity_refuses_two_stats_files_with_one_label(run_dir, capsys):
+    # Both would be labelled "s"; no dataset exists, so reading it would exit 2.
+    for sub, d_min in (("a", 0.6), ("b", 0.3)):
+        (run_dir / sub).mkdir(parents=True)
+        write_stats(run_dir, f"{sub}/s.json", d_min, 1.0)
+    assert cli.dispatch(["sensitivity", "--data", "data", "--stats", "a/s.json", "b/s.json",
+                         "--out", "sens.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(run_dir / "a" / "s.json") in err and str(run_dir / "b" / "s.json") in err
+    assert not (run_dir / "sens.json").exists()

@@ -194,14 +194,15 @@ class TestDecode:
 
         res = nm.grad_check(f, params)
         assert res.max_rel_error < 1e-4
-        assert not res.no_trainable
+        assert res.n_checked > 0
 
     def test_frozen_paths_receive_no_grads(self, rng):
         layers, params = self.make_stack(rng, n_layers=1)
         layers[0]["cross.alpha"].data = np.asarray(0.4)
         out = dec.decode(Tensor(rng.normal(size=(2, 8))),
                          Tensor(rng.normal(size=(3, 8))), layers)
-        nm.backward(nm.sum_all(out), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(out))
         for key, t in layers[0].items():
             if key.startswith("self."):
                 assert t.grad is None

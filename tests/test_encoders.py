@@ -251,7 +251,8 @@ class TestResample:
         tensors, params = make_resampler(rng)
         tokens = rng.normal(size=(6, 16))
         out = enc.resample(tokens, tensors["latents"], tensors["wk"], tensors["wv"])
-        nm.backward(nm.sum_all(nm.mul(out, out)), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(nm.mul(out, out)))
         for key in ("latents", "wk", "wv"):
             assert tensors[key].grad is not None
             assert np.abs(tensors[key].grad).max() > 0

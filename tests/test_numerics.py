@@ -11,6 +11,7 @@ from minivla.errors import (
     NumericInputError,
 )
 from minivla.numerics import ParamSet, Tensor
+from test_batched import sigmoid, slice_cols
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -64,7 +65,8 @@ class TestMatmul:
         ta = params.add("a", a, trainable=True)
         tb = params.add("b", b, trainable=True)
         loss = nm.sum_all(nm.mul(out := nm.matmul(ta, tb), out))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         ga = finite_diff(lambda x: float(((x @ b) ** 2).sum()), a.copy())
         gb = finite_diff(lambda x: float(((a @ x) ** 2).sum()), b.copy())
         np.testing.assert_allclose(ta.grad, ga, rtol=1e-6, atol=1e-8)
@@ -114,7 +116,8 @@ class TestSoftmaxRows:
         params = ParamSet()
         tx = params.add("x", x, trainable=True)
         loss = nm.sum_all(nm.mul(nm.softmax_rows(tx), Tensor(w)))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         ref = finite_diff(
             lambda z: float(
                 (np.exp(z - z.max(1, keepdims=True))
@@ -170,7 +173,8 @@ class TestBackward:
         params = ParamSet()
         x = params.add("x", [1.0, 2.0], trainable=True)
         loss = nm.sum_all(nm.mul(x, x))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_unreachable_param_gets_zeros(self):
@@ -178,7 +182,8 @@ class TestBackward:
         x = params.add("x", [1.0, 2.0], trainable=True)
         y = params.add("y", [3.0], trainable=True)
         loss = nm.sum_all(nm.mul(x, x))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         np.testing.assert_array_equal(y.grad, [0.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -190,7 +195,8 @@ class TestBackward:
         x = params.add("x", [1.0, 2.0], trainable=True)
         f = params.add("f", [5.0, 5.0], trainable=False)
         loss = nm.sum_all(nm.mul(x, f))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         assert f.grad is None
         np.testing.assert_array_equal(x.grad, [5.0, 5.0])
 
@@ -205,7 +211,9 @@ class TestBackward:
         def forward():
             return nm.sum_all(nm.softmax_rows(nm.matmul(ta, tb)))
 
-        nm.backward(forward(), params)
+        params.zero_grads()
+
+        nm.backward(forward())
 
         def ref(which, x):
             aa, bb = (x, b) if which == "a" else (a, x)
@@ -229,7 +237,8 @@ class TestBackward:
             t = params.add("a", a, trainable=True)
             h = nm.tanh(nm.matmul(t, t))
             loss = nm.sum_all(nm.mul(h, h))
-            nm.backward(loss, params)
+            params.zero_grads()
+            nm.backward(loss)
             return t.grad.copy()
 
         g1, g2 = run(), run()
@@ -238,9 +247,16 @@ class TestBackward:
     def test_grad_accumulates_across_calls(self):
         params = ParamSet()
         x = params.add("x", [1.0], trainable=True)
+        params.zero_grads()
         for _ in range(2):
-            nm.backward(nm.sum_all(nm.mul(x, x)), params)
+            nm.backward(nm.sum_all(nm.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [4.0])
+
+    def test_trainable_leaf_without_zeroed_grad_is_a_contract_error(self):
+        params = ParamSet()
+        x = params.add("x", [1.0], trainable=True)
+        with pytest.raises(ContractError, match="'x'.*zero_grads"):
+            nm.backward(nm.sum_all(nm.mul(x, x)))
 
     def test_reused_node_visited_once(self):
         # Diamond graph: y = x*x; loss = y + y. d/dx = 4x.
@@ -248,7 +264,8 @@ class TestBackward:
         x = params.add("x", [3.0], trainable=True)
         y = nm.mul(x, x)
         loss = nm.sum_all(nm.add(y, y))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         np.testing.assert_array_equal(x.grad, [12.0])
 
 
@@ -257,7 +274,7 @@ class TestElementwiseGradients:
         "op,ref",
         [
             (nm.tanh, lambda x: np.tanh(x)),
-            (nm.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
+            (sigmoid, lambda x: 1 / (1 + np.exp(-x))),
         ],
     )
     def test_unary_ops(self, op, ref):
@@ -265,7 +282,8 @@ class TestElementwiseGradients:
         x = rng.normal(size=(3, 3))
         params = ParamSet()
         t = params.add("x", x, trainable=True)
-        nm.backward(nm.sum_all(op(t)), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(op(t)))
         g = finite_diff(lambda z: float(ref(z).sum()), x.copy())
         np.testing.assert_allclose(t.grad, g, rtol=1e-6, atol=1e-9)
 
@@ -276,7 +294,8 @@ class TestElementwiseGradients:
         params = ParamSet()
         tb = params.add("b", b, trainable=True)
         loss = nm.sum_all(nm.mul(out := nm.add(Tensor(x), tb), out))
-        nm.backward(loss, params)
+        params.zero_grads()
+        nm.backward(loss)
         g = finite_diff(lambda z: float(((x + z) ** 2).sum()), b.copy())
         np.testing.assert_allclose(tb.grad, g, rtol=1e-6, atol=1e-8)
 
@@ -284,7 +303,8 @@ class TestElementwiseGradients:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         params = ParamSet()
         s = params.add("s", 2.0, trainable=True)
-        nm.backward(nm.sum_all(nm.mul(s, Tensor(x))), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(nm.mul(s, Tensor(x))))
         np.testing.assert_allclose(s.grad, x.sum())
 
     def test_bce_with_logits_values_and_grad(self):
@@ -299,7 +319,8 @@ class TestElementwiseGradients:
         y = (rng.random(size=(4, 1)) > 0.5).astype(float)
         params = ParamSet()
         tz = params.add("z", z, trainable=True)
-        nm.backward(nm.bce_with_logits(tz, Tensor(y)), params)
+        params.zero_grads()
+        nm.backward(nm.bce_with_logits(tz, Tensor(y)))
         ref = finite_diff(
             lambda q: float(
                 (np.maximum(q, 0) - q * y + np.log1p(np.exp(-np.abs(q)))).sum()
@@ -343,7 +364,7 @@ class TestShapeOps:
         b = np.arange(6.0, 12.0).reshape(2, 3)
         cat = nm.concat_rows([Tensor(a), Tensor(b)])
         np.testing.assert_array_equal(cat.data, np.vstack([a, b]))
-        np.testing.assert_array_equal(nm.slice_cols(cat, 1, 3).data, np.vstack([a, b])[:, 1:3])
+        np.testing.assert_array_equal(slice_cols(cat, 1, 3).data, np.vstack([a, b])[:, 1:3])
 
     def test_concat_gradient_splits(self):
         params = ParamSet()
@@ -351,7 +372,8 @@ class TestShapeOps:
         b = params.add("b", np.ones((1, 2)), trainable=True)
         cat = nm.concat_rows([a, b])
         w = Tensor(np.arange(6.0).reshape(3, 2))
-        nm.backward(nm.sum_all(nm.mul(cat, w)), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(nm.mul(cat, w)))
         np.testing.assert_array_equal(a.grad, w.data[:2])
         np.testing.assert_array_equal(b.grad, w.data[2:])
 
@@ -361,12 +383,14 @@ class TestShapeOps:
         t = params.add("x", x, trainable=True)
         out = nm.max_over_rows(t)
         np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
-        nm.backward(nm.sum_all(out), params)
+        params.zero_grads()
+        nm.backward(nm.sum_all(out))
         np.testing.assert_array_equal(t.grad, [[0.0, 1.0], [1.0, 0.0]])
         # Tie: gradient goes to the first max row only.
         params2 = ParamSet()
         t2 = params2.add("x", np.array([[2.0], [2.0]]), trainable=True)
-        nm.backward(nm.sum_all(nm.max_over_rows(t2)), params2)
+        params2.zero_grads()
+        nm.backward(nm.sum_all(nm.max_over_rows(t2)))
         np.testing.assert_array_equal(t2.grad, [[1.0], [0.0]])
 
     def test_permuting_rows_leaves_max_unchanged(self):
@@ -388,10 +412,9 @@ class TestGradCheck:
 
         res = nm.grad_check(f, params)
         assert res.max_rel_error < 1e-9
-        assert not res.no_trainable
         assert res.n_checked == 3
 
-    def test_all_frozen_returns_zero_with_flag(self):
+    def test_all_frozen_returns_zero_with_none_checked(self):
         params = ParamSet()
         params.add("x", [1.0], trainable=False)
 
@@ -400,7 +423,38 @@ class TestGradCheck:
 
         res = nm.grad_check(f, params)
         assert res.max_rel_error == 0.0
-        assert res.no_trainable
+        assert res.n_checked == 0 and res.worst_param is None
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        params = ParamSet()
+        params.add("x", [1.0], trainable=True)
+        with pytest.raises(ContractError, match="positive and finite"):
+            nm.grad_check(lambda p: nm.sum_all(nm.mul(p["x"], p["x"])), params, eps=eps)
+
+    def test_nan_analytic_derivative_is_an_infinite_error(self):
+        # An op whose VJP is NaN: the relative error is NaN, which must not
+        # be skipped as smaller than every other entry's.
+        def nan_vjp(a):
+            return nm._result(a.data.copy(), (a,), lambda g: (g * np.nan,))
+
+        params = ParamSet()
+        params.add("x", [1.0, 2.0], trainable=True)
+        res = nm.grad_check(lambda p: nm.sum_all(nan_vjp(p["x"])), params)
+        assert res.max_rel_error == np.inf
+        assert res.worst_param == "x" and res.n_checked == 2
+
+    def test_overflowing_derivatives_are_an_infinite_error(self):
+        # f = 1e308 x^2: both derivatives overflow at x = 1.3, eps = 0.2.
+        params = ParamSet()
+        params.add("x", [1.3], trainable=True)
+
+        def f(p):
+            return nm.mul(nm.sum_all(nm.mul(p["x"], p["x"])), Tensor(1e308))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = nm.grad_check(f, params, eps=0.2)
+        assert res.max_rel_error == np.inf and res.worst_param == "x"
 
     def test_nondeterministic_f_detected(self):
         params = ParamSet()
@@ -478,7 +532,8 @@ def weighted_fd_check(op, x: np.ndarray, seed: int) -> None:
     w = np.random.default_rng(seed).normal(size=shape)
     params = ParamSet()
     leaf = params.add("x", x, trainable=True)
-    nm.backward(nm.sum_all(nm.mul(op(leaf), Tensor(w))), params)
+    params.zero_grads()
+    nm.backward(nm.sum_all(nm.mul(op(leaf), Tensor(w))))
 
     def f(z):
         with nm.no_grad():
@@ -512,7 +567,7 @@ class TestElementwiseProperties:
         assert grads[leaf_slot].shape == x.shape
 
     @settings(max_examples=25, deadline=None)
-    @given(x=matrices, seed=st.integers(0, 2**16), op=st.sampled_from([nm.tanh, nm.sigmoid]))
+    @given(x=matrices, seed=st.integers(0, 2**16), op=st.sampled_from([nm.tanh, sigmoid]))
     def test_unary(self, x, seed, op):
         weighted_fd_check(op, x, seed)
 
@@ -522,7 +577,7 @@ class TestElementwiseProperties:
         cols = x.shape[1]
         j0 = data.draw(st.integers(0, cols - 1))
         j1 = data.draw(st.integers(j0 + 1, cols))
-        weighted_fd_check(lambda t: nm.slice_cols(t, j0, j1), x, seed)
+        weighted_fd_check(lambda t: slice_cols(t, j0, j1), x, seed)
 
     @settings(max_examples=25, deadline=None)
     @given(x=matrices, seed=st.integers(0, 2**16))

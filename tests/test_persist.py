@@ -158,6 +158,24 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match=key):
             persist.load_checkpoint(tmp_path / "old.rfpx")
 
+    @pytest.mark.parametrize("name, stored", [("decoder.0.self.wq", True),
+                                              ("head.pose.b2", False)])
+    def test_a_trainable_flag_that_differs_is_a_compatibility_error(self, tmp_path, name,
+                                                                     stored):
+        # The flags come from init_model; a header (outside the CRC) that
+        # says otherwise is refused, not obeyed.
+        path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
+
+        def flip(header):
+            for e in header["entries"]:
+                if e["name"] == name:
+                    e["trainable"] = stored
+            return header
+
+        rewrite_checkpoint_header(path, tmp_path / "flipped.rfpx", flip)
+        with pytest.raises(CompatibilityError, match=rf"trainable flag mismatch for {name}"):
+            persist.load_checkpoint(tmp_path / "flipped.rfpx")
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model()
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")

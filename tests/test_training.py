@@ -64,7 +64,7 @@ class TestImitationLoss:
 class TestTrainableParameterSet:
     def test_exact_partition(self):
         model = pol.init_model(tiny_config(), synthetic_stats())
-        names = set(tr.trainable_parameter_set(model).names())
+        names = {name for name, _ in model.params.trainable_items()}
         for name in model.params.names():
             in_set = name in names
             expected = (name.startswith(("resampler.", "head."))
@@ -76,7 +76,8 @@ class TestTrainableParameterSet:
     def test_deterministic_across_constructions(self):
         a = pol.init_model(tiny_config(), synthetic_stats())
         b = pol.init_model(tiny_config(), synthetic_stats())
-        assert tr.trainable_parameter_set(a).names() == tr.trainable_parameter_set(b).names()
+        assert ([n for n, _ in a.params.trainable_items()]
+                == [n for n, _ in b.params.trainable_items()])
 
 
 class TestAdam:
@@ -84,45 +85,45 @@ class TestAdam:
         params = ParamSet()
         t = params.add("w", [1.0], trainable=True)
         cfg = TrainConfig(learning_rate=lr, clip_norm=1e9)
-        return params, t, tr.Adam(cfg)
+        return t, tr.Adam(cfg, params)
 
     def test_zero_gradient_fixed_point(self):
-        params, t, opt = self._single()
+        t, opt = self._single()
         t.grad = np.zeros(1)
-        opt.step(params)
+        opt.step()
         np.testing.assert_array_equal(t.data, [1.0])
 
     def test_first_step_magnitude_is_learning_rate(self):
         # Constant gradient g: after bias correction the first update is
         # lr * g / (|g| + eps) which is lr to within eps.
-        params, t, opt = self._single(lr=1e-3)
+        t, opt = self._single(lr=1e-3)
         t.grad = np.array([0.5])
-        opt.step(params)
+        opt.step()
         np.testing.assert_allclose(1.0 - t.data[0], 1e-3, rtol=1e-6)
 
     def test_gradient_clipping_bounds_norm(self):
         params = ParamSet()
         t = params.add("w", np.zeros(4), trainable=True)
         cfg = TrainConfig(learning_rate=1.0, clip_norm=1.0)
-        opt = tr.Adam(cfg)
+        opt = tr.Adam(cfg, params)
         t.grad = np.full(4, 100.0)
-        opt.step(params)
+        opt.step()
         # Direction preserved, magnitude as if the gradient had unit norm.
         assert np.all(t.data < 0)
 
     def test_nan_gradient_aborts(self):
-        params, t, opt = self._single()
+        t, opt = self._single()
         t.grad = np.array([np.nan])
         with pytest.raises(DivergedTrainingError):
-            opt.step(params)
+            opt.step()
 
     def test_frozen_entries_untouched(self):
         params = ParamSet()
         w = params.add("w", [1.0], trainable=True)
         f = params.add("frozen", [2.0], trainable=False)
-        opt = tr.Adam(TrainConfig())
+        opt = tr.Adam(TrainConfig(), params)
         w.grad = np.array([1.0])
-        opt.step(params)
+        opt.step()
         np.testing.assert_array_equal(f.data, [2.0])
         assert w.data[0] != 1.0
 
@@ -133,7 +134,7 @@ class TestAdam:
         tensors = [params.add("a", rng.normal(size=(3, 2)), trainable=True),
                    params.add("b", rng.normal(size=4), trainable=True)]
         cfg = TrainConfig(learning_rate=1e-2, clip_norm=0.5)
-        opt = tr.Adam(cfg)
+        opt = tr.Adam(cfg, params)
         b1, b2, eps = 0.9, 0.999, 1e-8  # Adam's constants, as published
         expect = [t.data.copy() for t in tensors]
         m = [np.zeros_like(e) for e in expect]
@@ -142,7 +143,7 @@ class TestAdam:
             grads = [rng.normal(size=t.shape) for t in tensors]
             for t, g in zip(tensors, grads):
                 t.grad = g.copy()
-            opt.step(params)
+            opt.step()
             norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
             scale = cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0
             for i, g in enumerate(grads):
@@ -156,17 +157,30 @@ class TestAdam:
             for t, e in zip(tensors, expect):
                 assert t.data.tobytes() == e.tobytes()
 
-    def test_moments_are_allocated_on_the_first_update_only(self, monkeypatch):
+    def test_moments_are_allocated_once_at_construction(self, monkeypatch):
         params = ParamSet()
         for name in ("a", "b", "c"):
             params.add(name, np.ones(3), trainable=True).grad = np.full(3, 0.1)
-        opt = tr.Adam(TrainConfig())
-        opt.step(params)
+        params.add("frozen", np.ones(3), trainable=False)
         calls = []
         real = np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        opt.step(params)
-        assert calls == []
+        opt = tr.Adam(TrainConfig(), params)
+        assert len(calls) == 6  # m and v of each trainable entry
+        opt.step()
+        opt.step()
+        assert len(calls) == 6
+
+    def test_parameters_are_read_once_at_construction(self):
+        # A tensor flagged trainable after the optimizer was built is not its.
+        params = ParamSet()
+        w = params.add("w", [1.0], trainable=True)
+        late = params.add("late", [1.0], trainable=False)
+        opt = tr.Adam(TrainConfig(), params)
+        late.requires_grad = True
+        w.grad, late.grad = np.array([1.0]), np.array([1.0])
+        opt.step()
+        assert w.data[0] != 1.0 and late.data[0] == 1.0
 
 
 def lift_dataset(n=4, seed=0, palettes=("A",)):
@@ -249,17 +263,17 @@ class TestTrainRun:
         model, data = small_model(seed=4)
         data = data[:3]
         reference, _ = small_model(seed=4)
-        trainables = tr.trainable_parameter_set(reference)
+        trainables = reference.params
         grads = []
         for instr, tokens, actions in tr.encode_dataset(reference, data):
             trainables.zero_grads()
             total, _, _ = tr._trajectory_loss(reference, instr, tokens, actions,
                                               cfg.lambda_gripper)
-            nm.backward(total, trainables)
+            nm.backward(total)
             grads.append({n: t.grad.copy() for n, t in trainables.trainable_items()})
         for name, t in trainables.trainable_items():
             t.grad = (grads[0][name] + grads[1][name] + grads[2][name]) / 3
-        tr.Adam(cfg).step(trainables)
+        tr.Adam(cfg, trainables).step()
 
         start = {n: t.data.copy() for n, t in model.params.items()}
         tr.train_run(data, model, cfg)
@@ -289,5 +303,5 @@ class TestTrainRun:
             total, _, _ = tr._trajectory_loss(model, instr, tokens, actions, 1.0)
             return total
 
-        res = nm.grad_check(f, tr.trainable_parameter_set(model))
+        res = nm.grad_check(f, model.params)
         assert res.max_rel_error < 1e-4

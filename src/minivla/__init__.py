@@ -7,10 +7,11 @@ The package is organized as a small numpy library:
 - encoders: frozen patch encoders and the latent-query resampler
 - decoder: instruction tokenizer and the gated cross-attention stack
 - policy: max-pool + LSTM + MLP action heads over the fused embedding
-- training: imitation loss, trainable-parameter selection, Adam loop
+- training: imitation loss, the Adam update, the training loop
 - sim: the MiniManip tabletop gridworld, experts, and chain rollouts
 - analysis: chain success aggregation and the two ablation harnesses
-- persist: dataset container, binary checkpoints, metrics files
+- persist: every file the package writes: checkpoints, datasets, JSON
+  documents and logs
 - cli: command-line entry points over all of the above
 """
 

@@ -9,13 +9,16 @@ is listed in CONFIG_FLAGS; its value goes through config.parse_config,
 with a --config file where the command takes one, so it gets the same
 type and range checks as a config file. Every other flag is checked by
 its argparse type. Either way a bad value exits 1 before any dataset,
-checkpoint or stats file is read.
+checkpoint or stats file is read. Every path flag, input or output, has
+the argparse type config.resolve_out, so a relative path lies under
+MINIVLA_RUN_DIR when that is set. Every file a command writes goes
+through persist.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import sys
 import time
@@ -27,7 +30,7 @@ from . import persist
 from . import policy as pol
 from . import sim
 from . import training as tr
-from .config import RunConfig, echo_config, parse_config, resolve_out
+from .config import RunConfig, parse_config, resolve_out
 from .errors import MinivlaError, ValidationError
 
 # Config section -> its fields that a flag of the same dest sets. The --seed
@@ -82,42 +85,37 @@ def _run_config(args) -> RunConfig:
 
 def cmd_gen_data(args) -> int:
     env = _run_config(args).env
-    out = resolve_out(args.out)
     data = sim.generate_dataset(args.n, args.data_seed, env.palettes, families=env.families,
                                 variant=env.variant, enrich=env.enrich)
-    persist.save_dataset(data, out, meta={
+    persist.save_dataset(data, args.out, meta={
         "seed": args.data_seed, "palettes": env.palettes, "families": env.families,
         "variant": env.variant, "enriched": env.enrich,
     })
     steps = sum(len(t.steps) for t in data)
-    print(f"wrote {len(data)} trajectories ({steps} steps) to {out}")
+    print(f"wrote {len(data)} trajectories ({steps} steps) to {args.out}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    data = persist.load_dataset(resolve_out(args.data))
+    data = persist.load_dataset(args.data)
     stats = dp.compute_stats(persist.dataset_depth_frames(data))
-    out = resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(stats.to_json() + "\n")
-    print(f"{out}: {stats}")
+    persist.write_json(args.out, dataclasses.asdict(stats))
+    print(f"{args.out}: {stats}")
     return 0
 
 
 def _stats_for(args, data) -> dp.DepthStats:
     if getattr(args, "stats", None):
-        return dp.DepthStats.from_json(Path(resolve_out(args.stats)).read_text())
+        return dp.DepthStats.from_json(args.stats.read_text())
     return dp.compute_stats(persist.dataset_depth_frames(data))
 
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    run_dir = resolve_out(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    echo_config(cfg, run_dir)
-    data = persist.load_dataset(resolve_out(args.data))
+    persist.write_json(args.out / "config_echo.json", dataclasses.asdict(cfg))
+    data = persist.load_dataset(args.data)
     stats = _stats_for(args, data)
-    (run_dir / "stats.json").write_text(stats.to_json() + "\n")
+    persist.write_json(args.out / "stats.json", dataclasses.asdict(stats))
     model = pol.init_model(cfg.model, stats)
 
     def on_epoch(epoch, st):
@@ -125,19 +123,18 @@ def cmd_train(args) -> int:
               f"bce {st.bce:.5f}) in {st.seconds:.1f}s")
         k = cfg.train.ckpt_every
         if k and (epoch + 1) % k == 0:
-            persist.save_checkpoint(model, run_dir / f"checkpoint_ep{epoch + 1:04d}.rfpx")
+            persist.save_checkpoint(model, args.out / f"checkpoint_ep{epoch + 1:04d}.rfpx")
 
     report = tr.train_run(data, model, cfg.train, on_epoch=on_epoch)
-    persist.write_train_log(report, run_dir)
-    path = persist.save_checkpoint(model, run_dir / "checkpoint.rfpx")
+    persist.write_train_log(report, args.out)
+    path = persist.save_checkpoint(model, args.out / "checkpoint.rfpx")
     print(f"checkpoint: {path}")
     return 0
 
 
 def cmd_eval(args) -> int:
     env = _run_config(args).env
-    run_dir = resolve_out(args.out)
-    model = persist.load_checkpoint(resolve_out(args.checkpoint))
+    model = persist.load_checkpoint(args.checkpoint)
     agent = pol.PolicyAgent(model)
     results = an.run_chain_eval(agent, env.n_chains, env.eval_palette, args.chain_seed,
                                 families=env.families, variant=env.variant,
@@ -145,8 +142,8 @@ def cmd_eval(args) -> int:
     table = an.aggregate_chain_metrics(
         results, model_label=args.label, train_split=args.train_label,
         test_split=env.eval_palette, enriched=env.enrich)
-    persist.write_chain_results(results, run_dir / "chains.jsonl")
-    persist.write_metrics(table, run_dir)
+    persist.write_chain_results(results, args.out / "chains.jsonl")
+    persist.write_metrics(table, args.out)
     print("task rates:", " ".join(f"{r:.3f}" for r in table.rates),
           f"avg {table.avg:.3f} over {table.n_chains} chains")
     return 0
@@ -154,30 +151,26 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_sep_resampler(args) -> int:
     cfg = _run_config(args)
-    run_dir = resolve_out(args.out)
-    data = persist.load_dataset(resolve_out(args.data))
+    data = persist.load_dataset(args.data)
     stats = _stats_for(args, data)
     report = an.run_sep_resampler_ablation(cfg.model, stats, data, cfg.train, cfg.env)
-    _write_ablation(report, run_dir)
+    _write_ablation(report, args.out)
     return 0
 
 
 def cmd_ablate_depth_extremes(args) -> int:
     cfg = _run_config(args)
-    run_dir = resolve_out(args.out)
-    data = persist.load_dataset(resolve_out(args.data))
-    narrow = dp.DepthStats.from_json(Path(resolve_out(args.narrow)).read_text())
-    wide = dp.DepthStats.from_json(Path(resolve_out(args.wide)).read_text())
+    data = persist.load_dataset(args.data)
+    narrow = dp.DepthStats.from_json(args.narrow.read_text())
+    wide = dp.DepthStats.from_json(args.wide.read_text())
     report = an.run_depth_extremes_ablation(cfg.model, narrow, wide, data,
                                             cfg.train, cfg.env)
-    _write_ablation(report, run_dir)
+    _write_ablation(report, args.out)
     return 0
 
 
 def _write_ablation(report, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    out = run_dir / f"ablation_{report.name}.json"
-    out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    out = persist.write_json(run_dir / f"ablation_{report.name}.json", report.to_dict())
     for table in report.tables.values():
         persist.write_metrics(table, run_dir)
     print(f"ablation report: {out}")
@@ -188,20 +181,17 @@ def _write_ablation(report, run_dir: Path) -> None:
 def cmd_sensitivity(args) -> int:
     # Each stats file is labelled by its stem, so two files must not share one.
     paths: dict[str, Path] = {}
-    for spec_path in args.stats:
-        p = Path(resolve_out(spec_path))
+    for p in args.stats:
         if p.stem in paths:
             raise ValidationError(f"--stats {paths[p.stem]} and {p} share the label "
                                   f"{p.stem!r}; rename one")
         paths[p.stem] = p
     stats_by_label = {label: dp.DepthStats.from_json(p.read_text())
                       for label, p in paths.items()}
-    data = persist.load_dataset(resolve_out(args.data))
+    data = persist.load_dataset(args.data)
     pairs = an.consecutive_depth_pairs(data, limit=args.pairs)
     counts = an.depth_sensitivity_report(pairs, stats_by_label)
-    out = resolve_out(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(counts, indent=2, sort_keys=True) + "\n")
+    persist.write_json(args.out, counts)
     for label, values in sorted(counts.items()):
         print(f"{label}: total {sum(values)} changed pixels over {len(values)} pairs")
     return 0
@@ -233,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     g = sub.add_parser("gen-data", help="generate expert demonstrations")
-    g.add_argument("--out", required=True)
+    g.add_argument("--out", type=resolve_out, required=True)
     g.add_argument("--n", type=_positive_int, default=200)
     g.add_argument("--families", type=_split_csv, help="comma-separated family names")
     g.add_argument("--palettes", type=_split_csv, default="A,B,C")
@@ -244,15 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     s = sub.add_parser("stats", help="depth statistics of a dataset")
-    s.add_argument("--data", required=True)
-    s.add_argument("--out", required=True)
+    s.add_argument("--data", type=resolve_out, required=True)
+    s.add_argument("--out", type=resolve_out, required=True)
     s.set_defaults(func=cmd_stats)
 
     t = sub.add_parser("train", help="behavior-clone a policy")
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--config", default=None)
-    t.add_argument("--stats", default=None, help="depth stats JSON (else computed)")
+    t.add_argument("--data", type=resolve_out, required=True)
+    t.add_argument("--out", type=resolve_out, required=True)
+    t.add_argument("--config", type=resolve_out, default=None)
+    t.add_argument("--stats", type=resolve_out, default=None,
+                   help="depth stats JSON (else computed)")
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
@@ -266,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="chain evaluation of a checkpoint")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--out", required=True)
+    e.add_argument("--checkpoint", type=resolve_out, required=True)
+    e.add_argument("--out", type=resolve_out, required=True)
     e.add_argument("--chains", dest="n_chains", type=int, default=200)
     e.add_argument("--palette", dest="eval_palette", default="D")
     e.add_argument("--families", type=_split_csv, default=None)
@@ -284,23 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     a1 = asub.add_parser("sep-resampler", help="shared vs separate resamplers")
     a2 = asub.add_parser("depth-extremes", help="narrow vs wide depth ranges")
     for ap in (a1, a2):
-        ap.add_argument("--data", required=True)
-        ap.add_argument("--out", required=True)
-        ap.add_argument("--config", default=None)
+        ap.add_argument("--data", type=resolve_out, required=True)
+        ap.add_argument("--out", type=resolve_out, required=True)
+        ap.add_argument("--config", type=resolve_out, default=None)
         ap.add_argument("--seed", type=int, default=None)
         ap.add_argument("--epochs", type=int, default=None)
         ap.add_argument("--chains", dest="n_chains", type=int, default=None)
         ap.add_argument("--families", type=_split_csv, default=None)
-    a1.add_argument("--stats", default=None, help="depth stats JSON (else computed)")
+    a1.add_argument("--stats", type=resolve_out, default=None,
+                    help="depth stats JSON (else computed)")
     a1.set_defaults(func=cmd_ablate_sep_resampler)
-    a2.add_argument("--narrow", required=True, help="narrow-range stats JSON")
-    a2.add_argument("--wide", required=True, help="wide-range stats JSON")
+    a2.add_argument("--narrow", type=resolve_out, required=True, help="narrow-range stats JSON")
+    a2.add_argument("--wide", type=resolve_out, required=True, help="wide-range stats JSON")
     a2.set_defaults(func=cmd_ablate_depth_extremes)
 
     n = sub.add_parser("sensitivity", help="quantized pixel-change counts")
-    n.add_argument("--data", required=True)
-    n.add_argument("--stats", nargs="+", required=True)
-    n.add_argument("--out", required=True)
+    n.add_argument("--data", type=resolve_out, required=True)
+    n.add_argument("--stats", type=resolve_out, nargs="+", required=True)
+    n.add_argument("--out", type=resolve_out, required=True)
     n.add_argument("--pairs", type=_positive_int, default=50)
     n.set_defaults(func=cmd_sensitivity)
 

@@ -1,4 +1,4 @@
-"""Run configuration: dataclasses, JSON parsing, validation, echoing.
+"""Run configuration: dataclasses, JSON parsing, validation.
 
 Only values a run may choose are fields here. Values with one possible
 setting are constants of the module that uses them: the frame edge is
@@ -119,9 +119,6 @@ class RunConfig:
         self.train.validate()
         self.env.validate()
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _is_str_list(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
@@ -193,18 +190,9 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     return cfg
 
 
-def echo_config(cfg: RunConfig, run_dir: str | Path) -> Path:
-    """Write the effective config where the run can be reproduced from."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    out = run_dir / "config_echo.json"
-    out.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-    return out
-
-
 def resolve_out(path: str | Path) -> Path:
-    """Resolve an output path; MINIVLA_RUN_DIR overrides the root for
-    relative paths."""
+    """Resolve a path flag, input or output; MINIVLA_RUN_DIR overrides the
+    root for relative paths."""
     p = Path(path)
     if p.is_absolute():
         return p

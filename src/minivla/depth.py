@@ -49,11 +49,6 @@ class DepthStats:
         if not self.sigma > 0:
             raise DegenerateRangeError(f"sigma must be positive, got {self.sigma}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d_min": self.d_min, "d_max": self.d_max, "mu": self.mu, "sigma": self.sigma}
-        )
-
     @classmethod
     def from_dict(cls, obj) -> "DepthStats":
         """The one checked construction from parsed JSON: an object with

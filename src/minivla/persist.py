@@ -1,19 +1,40 @@
-"""Binary checkpoints, the dataset container, and metrics files.
+"""Every file minivla writes: checkpoints, datasets, JSON documents and logs.
+
+Only this module writes files, in two ways. A whole file -- a checkpoint,
+a dataset or a JSON document (write_json) -- goes to a sibling temporary
+file that is fsynced, renamed over the target and followed by an fsync of
+the directory, so a failed write leaves the previous file whole and a
+finished one survives a power loss. A write whose target is a directory
+(for a dataset, the older layout) is refused with CompatibilityError
+before anything is written. A log (metrics.csv, metrics.jsonl,
+chains.jsonl, train_log.csv) is only appended to, by one helper that
+writes its header when the log is empty; appends never rewrite history.
 
 Checkpoints and datasets share one framing (integers little-endian):
 
-    magic   b"RFPX1" for a checkpoint, b"RFPD1" for a dataset
+    magic   b"RFPX2" for a checkpoint, b"RFPD2" for a dataset
     u64     header length in bytes
     header  canonical JSON
     payload raw float32 values
-    u32     CRC32 of the payload
+    u32     CRC32 of every byte before it
 
-A checkpoint's header is {"format": 1, "entries": [...], "meta": {...}},
-entries sorted by name, each {name, shape, dtype: "f32", offset,
-trainable}; offsets ascend contiguously from 0 and each entry's slab sits
-at its offset. Parameters are float64 in memory and float32 on disk, so
-save->load round-trips exactly to f32 precision and save->load->save is
-byte-identical.
+The loaders check the framing in one place. The magic says what the file
+is: the magic of the previous framing (RFPX1, RFPD1, whose CRC covered
+only the payload) is a CompatibilityError saying how to rebuild the file.
+The CRC is checked next, before the header is read, so a truncated file,
+trailing bytes and an edited header or payload all fail as one CRC
+mismatch. A file whose CRC holds may still come from another build, so
+the header's meaning is checked after: the payload length it implies,
+and each loader's fields.
+
+A checkpoint's header is {"entries": [...], "meta": {...}}, entries
+sorted by name, each {name, shape, trainable}; the payload holds each
+entry's values in that order, so an entry's place follows from the names
+and shapes before it. Parameters are float64 in memory and float32 on
+disk, so save->load round-trips exactly to f32 precision and
+save->load->save is byte-identical. A parameter with a value that is not
+finite in float32 (NaN, an infinity, or a float64 beyond the float32
+range) is refused with NumericInputError before anything is written.
 
 A dataset's header is its index: {"image_hw", "meta", "trajectories"},
 one record per trajectory {instruction, family, palette, seed, variant,
@@ -21,19 +42,9 @@ n_steps}. The payload holds the trajectories in order, each step as its
 frame planes and then the 7-float action row. The frame edge must equal
 sim.IMAGE_HW, the one extent the cameras render; a header of any other
 extent, one that is not valid JSON, or a record that lacks a field is
-rejected before any step is decoded. Datasets of the older layout, a
-directory of index.json and one file per trajectory, are rejected and
-must be regenerated with `minivla gen-data`.
-
-Both loaders check the framing in one place: the magic, the header, the
-exact payload length their header implies, and the CRC. Every save
-writes a sibling temporary file, fsyncs it, renames it over the target
-and fsyncs the directory, so a failed save leaves the previous file
-whole and a finished one survives a power loss. A save whose target is
-a directory (for a dataset, the older layout) is refused with
-CompatibilityError before anything is written.
-Metrics append to a CSV with the evaluation-table column layout and to a
-JSONL stream; appends never rewrite history.
+rejected before any step is decoded. Datasets of the older directory
+layout (index.json and one file per trajectory) are rejected and must be
+regenerated with `minivla gen-data`.
 
 A checkpoint's embedded model configuration is parsed by
 config.parse_config, like a config file, so a key that names no
@@ -47,17 +58,20 @@ fail that check is a CorruptionError.
 Which parameters train is not a checkpoint's to say: the flags come from
 policy.init_model under the embedded configuration, as for a new model.
 A stored trainable flag is only checked against them, and a flag that
-differs is a CompatibilityError (the header is not under the CRC, so
-this also catches a header edited by hand).
+differs is a CompatibilityError.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import itertools
 import json
+import math
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +80,26 @@ from . import sim
 from .analysis import SuccessTable
 from .config import parse_config
 from .depth import DepthStats
-from .errors import CompatibilityError, ConfigError, CorruptionError, ValidationError
+from .errors import (CompatibilityError, ConfigError, CorruptionError, NumericInputError,
+                     ValidationError)
 from .policy import Model, init_model
 from .training import TrainReport
 
-MAGIC = b"RFPX1"
-DATASET_MAGIC = b"RFPD1"
-FORMAT_VERSION = 1
+MAGIC = b"RFPX2"
+DATASET_MAGIC = b"RFPD2"
+
+# magic -> (what the file is, the magic of the previous framing, how to
+# replace a file of that framing)
+_KINDS = {
+    MAGIC: ("checkpoint", b"RFPX1", "retrain it with `minivla train`"),
+    DATASET_MAGIC: ("dataset", b"RFPD1", "regenerate it with `minivla gen-data`"),
+}
 
 CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
 
 
-def _write_atomic(path: Path, chunks, if_directory: str) -> None:
+def _write_atomic(path: Path, chunks,
+                  if_directory: str = "a directory; remove it or write somewhere else") -> None:
     """Write the byte chunks to a temporary file beside path, fsync it,
     rename it over path and fsync the directory; on any failure the
     temporary file is removed and path keeps its previous contents. A
@@ -85,6 +107,7 @@ def _write_atomic(path: Path, chunks, if_directory: str) -> None:
     "<path> is <if_directory>" is raised before anything is written."""
     if path.is_dir():
         raise CompatibilityError(f"{path} is {if_directory}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -103,6 +126,24 @@ def _write_atomic(path: Path, chunks, if_directory: str) -> None:
         os.close(fd)
 
 
+def write_json(path: str | Path, obj) -> Path:
+    """Write obj to path as indented, key-sorted JSON, atomically."""
+    path = Path(path)
+    _write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
+    return path
+
+
+@contextmanager
+def _appending(path: Path, header: str = ""):
+    """A text file open for appending to the log at path, which gets header
+    first if it is empty."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", newline="") as f:
+        if f.tell() == 0:
+            f.write(header)
+        yield f
+
+
 # --- framing -------------------------------------------------------------------
 
 
@@ -112,43 +153,42 @@ def _canonical_json(obj) -> bytes:
 
 def _frame(magic: bytes, header: dict, payload_chunks):
     """A framed file's bytes: magic, header length, canonical JSON header,
-    the payload chunks, then the CRC32 computed as they stream past."""
+    the payload chunks, then the CRC32 of all of them, computed as they
+    stream past."""
     header = _canonical_json(header)
-    yield magic
-    yield struct.pack("<Q", len(header))
-    yield header
     crc = 0
-    for chunk in payload_chunks:
+    for chunk in itertools.chain((magic, struct.pack("<Q", len(header)), header),
+                                 payload_chunks):
         crc = zlib.crc32(chunk, crc)
         yield chunk
     yield struct.pack("<I", crc)
 
 
-def _read_frame(raw: bytes, path, magic: bytes, kind: str, payload_len):
-    """(header, payload) of a framed file's bytes. Checks the magic, that
-    the header is JSON, that the payload has exactly payload_len(header)
-    bytes, and its CRC. payload_len holds the loader's own header checks;
-    a ValueError, KeyError or TypeError from it is a CorruptionError."""
-    head = len(magic) + 8
-    if len(raw) < head:
-        raise CorruptionError(f"{kind} {path} truncated: {len(raw)} bytes")
-    if raw[:len(magic)] != magic:
+def _read_frame(raw: bytes, path, magic: bytes, payload_len):
+    """(header, payload) of a framed file's bytes. Checks the magic, the
+    CRC over every byte before it, that the header is JSON, and that the
+    payload has exactly payload_len(header) bytes. payload_len holds the
+    loader's own header checks; a ValueError, KeyError or TypeError from
+    it is a CorruptionError."""
+    kind, old_magic, rebuild = _KINDS[magic]
+    if raw.startswith(old_magic):
+        raise CompatibilityError(f"{path} is a {kind} of an older format; {rebuild}")
+    if not raw.startswith(magic):
         raise CorruptionError(f"bad magic in {path}; not a {kind}")
-    (hlen,) = struct.unpack_from("<Q", raw, len(magic))
-    if len(raw) < head + hlen:
-        raise CorruptionError(f"{kind} {path} truncated inside its header")
+    head = len(magic) + 8
+    body = memoryview(raw)[:-4]
+    if len(body) < head or zlib.crc32(body) != struct.unpack_from("<I", raw, len(body))[0]:
+        raise CorruptionError(f"CRC mismatch in {kind} {path}")
+    end = head + struct.unpack_from("<Q", raw, len(magic))[0]
     try:
-        header = json.loads(raw[head:head + hlen])
-        end = head + hlen + payload_len(header)
+        header = json.loads(bytes(body[head:end]))
+        expected = payload_len(header)
     except (ValueError, KeyError, TypeError) as e:
         raise CorruptionError(f"unreadable {kind} header in {path}: {e!r}") from e
-    if len(raw) < end + 4:
-        raise CorruptionError(f"{kind} {path} truncated: {len(raw)} of {end + 4} bytes")
-    if len(raw) > end + 4:
-        raise CorruptionError(f"trailing bytes after the checksum in {path}")
-    payload = memoryview(raw)[head + hlen:end]
-    if zlib.crc32(payload) != struct.unpack_from("<I", raw, end)[0]:
-        raise CorruptionError(f"payload CRC mismatch in {path}")
+    payload = body[end:]
+    if len(payload) != expected:
+        raise CorruptionError(f"{kind} header in {path} implies {expected} payload bytes; "
+                              f"the file holds {len(payload)}")
     return header, payload
 
 
@@ -156,24 +196,22 @@ def _read_frame(raw: bytes, path, magic: bytes, kind: str, payload_len):
 
 
 def save_checkpoint(model: Model, path: str | Path) -> Path:
+    """Write a checkpoint; a parameter with a value that is not finite in
+    float32 raises NumericInputError naming it, before anything is
+    written."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     blobs = []
-    offset = 0
-    for name, tensor in model.params.items():  # lexicographic
-        blob = tensor.data.astype("<f4").tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(tensor.data.shape),
-            "dtype": "f32",
-            "offset": offset,
-            "trainable": bool(tensor.requires_grad),
-        })
-        blobs.append(blob)
-        offset += len(blob)
+    with np.errstate(over="ignore"):  # an overflowing cast is refused below
+        for name, tensor in model.params.items():  # lexicographic
+            values = tensor.data.astype("<f4")
+            if not np.isfinite(values).all():
+                raise NumericInputError(f"checkpoint {path}: parameter {name} has a value "
+                                        f"that is not finite in float32")
+            entries.append({"name": name, "shape": list(values.shape),
+                            "trainable": bool(tensor.requires_grad)})
+            blobs.append(values.tobytes())
     header = {
-        "format": FORMAT_VERSION,
         "entries": entries,
         "meta": {
             "model_config": dataclasses.asdict(model.cfg),
@@ -181,8 +219,7 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
             if model.depth_stats else None,
         },
     }
-    _write_atomic(path, _frame(MAGIC, header, blobs),
-                  "a directory; remove it or write the checkpoint somewhere else")
+    _write_atomic(path, _frame(MAGIC, header, blobs))
     return path
 
 
@@ -190,13 +227,12 @@ def _checkpoint_payload_len(header: dict) -> int:
     """The payload length a checkpoint header implies, after checking the
     header fields load_checkpoint reads."""
     for e in header["entries"]:
-        missing = [key for key in ("name", "trainable") if key not in e]
+        missing = [key for key in ("name", "shape", "trainable") if key not in e]
         if missing:
             raise KeyError(f"entry without {missing[0]!r}")
     if not isinstance(header.get("meta", {}), dict):
         raise TypeError(f"meta is a {type(header['meta']).__name__}, not an object")
-    return max((e["offset"] + 4 * int(np.prod(e["shape"] or [1]))
-                for e in header["entries"]), default=0)
+    return sum(4 * math.prod(e["shape"]) for e in header["entries"])
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -204,7 +240,7 @@ def load_checkpoint(path: str | Path) -> Model:
     configuration and depth statistics, and that the stored parameter
     names, shapes and trainable flags are those the embedded
     configuration creates."""
-    header, payload = _read_frame(Path(path).read_bytes(), path, MAGIC, "checkpoint",
+    header, payload = _read_frame(Path(path).read_bytes(), path, MAGIC,
                                   _checkpoint_payload_len)
     meta = header.get("meta", {})
     try:
@@ -229,7 +265,8 @@ def load_checkpoint(path: str | Path) -> Model:
             f"checkpoint does not match the model config: prefix {prefix!r} "
             f"(missing {missing[:3]}, unexpected {extra[:3]})"
         )
-    for name, tensor in model.params.items():
+    offset = 0
+    for name, tensor in model.params.items():  # the saved order
         e = stored[name]
         if list(tensor.data.shape) != e["shape"]:
             raise CompatibilityError(
@@ -240,10 +277,9 @@ def load_checkpoint(path: str | Path) -> Model:
                 f"trainable flag mismatch for {name}: stored {e['trainable']}, "
                 f"model {tensor.requires_grad}"
             )
-        count = int(np.prod(e["shape"] or [1]))
-        arr = np.frombuffer(payload, dtype="<f4", count=count,
-                            offset=e["offset"]).astype(np.float64)
-        tensor.data = arr.reshape(tensor.data.shape)
+        arr = np.frombuffer(payload, dtype="<f4", count=tensor.data.size, offset=offset)
+        tensor.data = arr.astype(np.float64).reshape(tensor.data.shape)
+        offset += arr.nbytes
     return model
 
 
@@ -280,7 +316,6 @@ def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
         for t, (obs, _) in enumerate(traj.steps):
             sim.check_observation(obs, f"trajectory {i}, step {t}")
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "image_hw": sim.IMAGE_HW,
         "meta": meta or {},
@@ -329,8 +364,7 @@ def load_dataset(path: str | Path) -> list[sim.Trajectory]:
                                  f"regenerate it with `minivla gen-data`")
     if not path.is_file():
         raise CorruptionError(f"no dataset at {path}")
-    header, payload = _read_frame(path.read_bytes(), path, DATASET_MAGIC, "dataset",
-                                  _dataset_payload_len)
+    header, payload = _read_frame(path.read_bytes(), path, DATASET_MAGIC, _dataset_payload_len)
     hw = sim.IMAGE_HW
     flat = np.frombuffer(payload, dtype="<f4")
     pos = 0
@@ -372,25 +406,17 @@ def dataset_depth_frames(trajectories: list[sim.Trajectory]):
 def write_metrics(table: SuccessTable, out_dir: str | Path) -> None:
     """Append one evaluation row to metrics.csv and metrics.jsonl."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "metrics.csv"
-    new = not csv_path.exists()
-    with open(csv_path, "a") as f:
-        if new:
-            f.write(CSV_HEADER)
-        r = table.rates
-        test = f"{table.test_split}(Enriched)" if table.enriched else table.test_split
-        f.write(f"{table.model_label},{table.train_split},{test},"
-                f"{r[0]:.6g},{r[1]:.6g},{r[2]:.6g},{r[3]:.6g},{r[4]:.6g},"
-                f"{table.avg:.6g}\n")
-    with open(out_dir / "metrics.jsonl", "a") as f:
+    test = f"{table.test_split}(Enriched)" if table.enriched else table.test_split
+    with _appending(out_dir / "metrics.csv", CSV_HEADER) as f:
+        csv.writer(f, lineterminator="\n").writerow(
+            [table.model_label, table.train_split, test,
+             *(f"{r:.6g}" for r in (*table.rates, table.avg))])
+    with _appending(out_dir / "metrics.jsonl") as f:
         f.write(json.dumps(table.to_dict(), sort_keys=True) + "\n")
 
 
 def write_chain_results(results: list[sim.ChainResult], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as f:
+    with _appending(Path(path)) as f:
         for r in results:
             f.write(json.dumps({
                 "chain_id": r.chain_id,
@@ -404,19 +430,12 @@ def write_train_log(report: TrainReport, out_dir: str | Path) -> None:
     """Training curve with wall time; kept separate from the metrics files
     because timings are not reproducible."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = out_dir / "train_log.csv"
-    new = not log.exists()
-    with open(log, "a") as f:
-        if new:
-            f.write("epoch,loss,mse,bce,seconds\n")
+    with _appending(out_dir / "train_log.csv", "epoch,loss,mse,bce,seconds\n") as f:
         for e in report.epochs:
             f.write(f"{e.epoch},{e.loss:.10g},{e.mse:.10g},{e.bce:.10g},{e.seconds:.3f}\n")
-    summary = {
+    write_json(out_dir / "train_summary.json", {
         "epochs": len(report.epochs),
         "loss": [e.loss for e in report.epochs],
         "mse": [e.mse for e in report.epochs],
         "bce": [e.bce for e in report.epochs],
-    }
-    (out_dir / "train_summary.json").write_text(
-        json.dumps(summary, sort_keys=True) + "\n")
+    })

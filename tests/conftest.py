@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def count_encodes(monkeypatch) -> list[int]:
     return cameras
 
 
-def _header_span(raw: bytes) -> tuple[int, int]:
+def header_span(raw: bytes) -> tuple[int, int]:
     """Start and end of the header bytes of a framed file, a checkpoint or
     a dataset (both magics have the same length)."""
     head = len(persist.MAGIC) + 8
@@ -59,24 +60,25 @@ def _header_span(raw: bytes) -> tuple[int, int]:
 def read_header(path) -> dict:
     """The JSON header of the framed file at path."""
     raw = path.read_bytes()
-    start, end = _header_span(raw)
+    start, end = header_span(raw)
     return json.loads(raw[start:end])
 
 
 def rewrite_header(src, dst, edit) -> None:
     """Copy the framed file at src, a checkpoint or a dataset, to dst with
-    its header bytes replaced by edit(header bytes); the magic, the
-    payload and its CRC are kept."""
+    its header bytes replaced by edit(header bytes), framed again with a
+    valid CRC; the magic and the payload are kept. The copy then fails
+    only the header checks, as a file from another build would."""
     raw = src.read_bytes()
-    start, end = _header_span(raw)
+    start, end = header_span(raw)
     header = edit(raw[start:end])
-    dst.write_bytes(raw[:len(persist.MAGIC)] + struct.pack("<Q", len(header)) + header
-                    + raw[end:])
+    body = raw[:len(persist.MAGIC)] + struct.pack("<Q", len(header)) + header + raw[end:-4]
+    dst.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def rewrite_checkpoint_header(src, dst, edit) -> None:
     """Copy the checkpoint at src to dst with its header JSON replaced by
-    edit(header); the payload and its CRC are kept."""
+    edit(header), framed again with a valid CRC."""
     rewrite_header(src, dst, lambda text: json.dumps(edit(json.loads(text))).encode())
 
 

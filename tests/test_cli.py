@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -154,7 +155,8 @@ def consecutive_pairs(dataset) -> int:
 
 
 def write_stats(run_dir, name, d_min, d_max):
-    (run_dir / name).write_text(DepthStats(d_min, d_max, 0.5, 0.29).to_json())
+    stats = DepthStats(d_min, d_max, 0.5, 0.29)
+    (run_dir / name).write_text(json.dumps(dataclasses.asdict(stats)))
 
 
 def test_sensitivity_counts_pairs_per_stats_file(run_dir, dataset):
@@ -273,3 +275,28 @@ def test_sensitivity_refuses_two_stats_files_with_one_label(run_dir, capsys):
     assert err.startswith("error: ")
     assert str(run_dir / "a" / "s.json") in err and str(run_dir / "b" / "s.json") in err
     assert not (run_dir / "sens.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "data", "--out", "train"],
+    ["ablate", "sep-resampler", "--data", "data", "--out", "ablate"],
+    ["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
+     "--narrow", "n.json", "--wide", "w.json"],
+], ids=["train", "sep-resampler", "depth-extremes"])
+def test_a_relative_config_is_read_under_the_run_dir(run_dir, capsys, argv):
+    # Found under MINIVLA_RUN_DIR, the file is read and its range error
+    # exits 1; looked for elsewhere, it would be missing (exit 2).
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text(json.dumps({"train": {"epochs": -1}}))
+    assert cli.dispatch([*argv, "--config", "config.json"]) == 1
+    assert "train.epochs must be >= 0" in capsys.readouterr().err
+
+
+def test_train_that_overflows_float32_exits_2_without_a_checkpoint(tmp_path, run_dir, capsys):
+    assert cli.dispatch(["gen-data", "--out", "data", "--n", "1", "--families", "lift",
+                         "--palettes", "A"]) == 0
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--config", cli_config(tmp_path), "--learning-rate", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "not finite in float32" in err
+    assert not list((run_dir / "train").glob("*.rfpx"))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -169,5 +171,5 @@ class TestPixelChangeCount:
 class TestStatsJson:
     def test_round_trip(self):
         stats = dp.DepthStats(0.1, 2.5, 0.43, 0.21)
-        again = dp.DepthStats.from_json(stats.to_json())
+        again = dp.DepthStats.from_json(json.dumps(dataclasses.asdict(stats)))
         assert again == stats

@@ -1,14 +1,17 @@
+import csv
 import dataclasses
 import json
 import os
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import (read_header, rewrite_checkpoint_header, rewrite_header, synthetic_stats,
-                      tiny_config)
+from conftest import (header_span, read_header, rewrite_checkpoint_header, rewrite_header,
+                      synthetic_stats, tiny_config)
 
 from minivla import persist
 from minivla import policy as pol
@@ -16,7 +19,7 @@ from minivla import sim
 from minivla import training as tr
 from minivla.analysis import SuccessTable
 from minivla.config import TrainConfig
-from minivla.errors import CompatibilityError, CorruptionError, DimensionError
+from minivla.errors import CompatibilityError, CorruptionError, DimensionError, NumericInputError
 
 
 def small_model(**kw):
@@ -88,7 +91,7 @@ class TestCheckpoint:
     def test_magic_present(self, tmp_path):
         model = small_model()
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
-        assert path.read_bytes()[:5] == b"RFPX1"
+        assert path.read_bytes()[:5] == b"RFPX2"
 
     def test_truncated_file_is_corruption_error(self, tmp_path):
         model = small_model()
@@ -115,7 +118,7 @@ class TestCheckpoint:
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
         bad = tmp_path / "long.rfpx"
         bad.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CorruptionError, match="trailing"):
+        with pytest.raises(CorruptionError, match="CRC mismatch"):
             persist.load_checkpoint(bad)
 
     def test_not_a_checkpoint(self, tmp_path):
@@ -162,8 +165,8 @@ class TestCheckpoint:
                                               ("head.pose.b2", False)])
     def test_a_trainable_flag_that_differs_is_a_compatibility_error(self, tmp_path, name,
                                                                      stored):
-        # The flags come from init_model; a header (outside the CRC) that
-        # says otherwise is refused, not obeyed.
+        # The flags come from init_model; a header that says otherwise, even
+        # with a valid CRC, is refused, not obeyed.
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
 
         def flip(header):
@@ -175,6 +178,19 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, tmp_path / "flipped.rfpx", flip)
         with pytest.raises(CompatibilityError, match=rf"trainable flag mismatch for {name}"):
             persist.load_checkpoint(tmp_path / "flipped.rfpx")
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "f32-overflow"])
+    def test_a_value_not_finite_in_f32_is_refused_before_writing(self, tmp_path, value):
+        model = small_model()
+        path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
+        before = path.read_bytes()
+        model.params["decoder.0.cross.wq"].data[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the cast either
+            with pytest.raises(NumericInputError, match=r"parameter decoder\.0\.cross\.wq"):
+                persist.save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.rfpx"]
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         model = small_model()
@@ -227,16 +243,20 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match=f"unusable depth statistics: .*{field}"):
             persist.load_checkpoint(tmp_path / "bad.rfpx")
 
-    def test_offsets_ascend_contiguously(self, tmp_path):
+    def test_entries_are_name_shape_and_flag_in_payload_order(self, tmp_path):
         model = small_model()
         path = persist.save_checkpoint(model, tmp_path / "ck.rfpx")
         header = read_header(path)
+        assert sorted(header) == ["entries", "meta"]
+        assert header["entries"] == [
+            {"name": name, "shape": list(t.data.shape), "trainable": t.requires_grad}
+            for name, t in model.params.items()]
         names = [e["name"] for e in header["entries"]]
         assert names == sorted(names)
-        pos = 0
-        for e in header["entries"]:
-            assert e["offset"] == pos
-            pos += 4 * int(np.prod(e["shape"] or [1]))
+        # The payload holds the slabs in that order, back to back.
+        payload = b"".join(t.data.astype("<f4").tobytes() for _, t in model.params.items())
+        raw = path.read_bytes()
+        assert raw[-4 - len(payload):-4] == payload
 
     def test_trained_model_survives_round_trip(self, tmp_path):
         model = small_model(patch=8)
@@ -282,7 +302,7 @@ class TestDatasetContainer:
     def test_truncated_trajectory_detected(self, tmp_path):
         f = persist.save_dataset(lift_demos(1), tmp_path / "ds")
         f.write_bytes(f.read_bytes()[:-8])
-        with pytest.raises(CorruptionError, match=re.escape(f"dataset {f} truncated")):
+        with pytest.raises(CorruptionError, match=re.escape(f"CRC mismatch in dataset {f}")):
             persist.load_dataset(f)
 
     def test_failed_save_leaves_no_index_and_no_temp_file(self, tmp_path, monkeypatch):
@@ -339,7 +359,7 @@ class TestDatasetContainer:
         raw = bytearray(f.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         f.write_bytes(bytes(raw))
-        with pytest.raises(CorruptionError, match=re.escape(f"payload CRC mismatch in {f}")):
+        with pytest.raises(CorruptionError, match=re.escape(f"CRC mismatch in dataset {f}")):
             persist.load_dataset(f)
 
     @pytest.mark.parametrize("rewrite", [
@@ -379,7 +399,91 @@ class TestDatasetContainer:
 SAVES = pytest.mark.parametrize("save", [
     lambda path: persist.save_checkpoint(small_model(), path),
     lambda path: persist.save_dataset(lift_demos(1), path),
+    lambda path: persist.write_json(path, {"a": [1, 2]}),
+], ids=["checkpoint", "dataset", "json"])
+
+FRAMED = pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+
+
+class Framed:
+    """A small saved file, its loader and the magic of its previous framing."""
+
+    def __init__(self, raw: bytes, load, old_magic: bytes):
+        self.raw, self.load, self.old_magic = raw, load, old_magic
+
+    def __repr__(self):  # hypothesis prints the fixture; the bytes would flood it
+        return f"Framed({len(self.raw)} bytes, {self.load.__name__})"
+
+
+@pytest.fixture(scope="module")
+def framed(tmp_path_factory):
+    """kind -> a small saved file of that kind."""
+    d = tmp_path_factory.mktemp("framed")
+    return {
+        "checkpoint": Framed(persist.save_checkpoint(small_model(), d / "ck").read_bytes(),
+                             persist.load_checkpoint, b"RFPX1"),
+        "dataset": Framed(persist.save_dataset(lift_demos(1), d / "ds").read_bytes(),
+                          persist.load_dataset, b"RFPD1"),
+    }
+
+
+@FRAMED
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_single_byte_change_is_refused(framed, tmp_path_factory, kind, data):
+    # The CRC covers the magic, the header and the payload. Header bytes are
+    # a small share of the file, so half the draws land among them.
+    f = framed[kind]
+    at = data.draw(st.one_of(st.integers(0, header_span(f.raw)[1] - 1),
+                             st.integers(0, len(f.raw) - 1)), label="at")
+    changed = bytearray(f.raw)
+    changed[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = tmp_path_factory.getbasetemp() / f"changed-{kind}"
+    path.write_bytes(changed)
+    with pytest.raises((CorruptionError, CompatibilityError)) as caught:
+        f.load(path)
+    if caught.type is CompatibilityError:
+        assert changed.startswith(f.old_magic)
+
+
+@FRAMED
+def test_the_previous_framing_is_a_compatibility_error(framed, tmp_path, kind):
+    f = framed[kind]
+    path = tmp_path / "old"
+    path.write_bytes(f.old_magic + f.raw[len(f.old_magic):])
+    command = "minivla train" if kind == "checkpoint" else "minivla gen-data"
+    with pytest.raises(CompatibilityError, match=f"{kind} of an older format; .*`{command}`"):
+        f.load(path)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("checkpoint", lambda h: {**h, "entries": h["entries"][:-1]}),
+    ("dataset", lambda h: {**h, "trajectories": [
+        {**rec, "n_steps": rec["n_steps"] + 1} for rec in h["trajectories"]]}),
 ], ids=["checkpoint", "dataset"])
+def test_a_header_that_implies_another_payload_length_is_corruption(framed, tmp_path,
+                                                                     kind, edit):
+    # The CRC holds, but the header does not describe the payload.
+    (tmp_path / "src").write_bytes(framed[kind].raw)
+    rewrite_header(tmp_path / "src", tmp_path / "bad",
+                   lambda text: json.dumps(edit(json.loads(text))).encode())
+    with pytest.raises(CorruptionError, match=f"{kind} header in .* implies .* payload bytes"):
+        framed[kind].load(tmp_path / "bad")
+
+
+def test_a_json_write_whose_rename_fails_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = persist.write_json(tmp_path / "doc.json", {"b": 1, "a": [2]})
+    before = path.read_bytes()
+    assert before == b'{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        persist.write_json(path, {"a": 3})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 @SAVES
@@ -418,6 +522,14 @@ class TestMetrics:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "model,train,test,task1,task2,task3,task4,task5,avg"
         assert lines[1] == "ours,ABC,D,0.8,0.6,0.4,0.2,0.1,2.1"
+
+    @pytest.mark.parametrize("label", ["a,b", '"quoted"'], ids=["comma", "quote"])
+    def test_a_label_with_a_comma_or_quote_reads_back_as_one_field(self, tmp_path, label):
+        persist.write_metrics(dataclasses.replace(self.TABLE, model_label=label), tmp_path)
+        with open(tmp_path / "metrics.csv", newline="") as f:
+            header, row = csv.reader(f)
+        assert len(header) == 9
+        assert row == [label, "ABC", "D", "0.8", "0.6", "0.4", "0.2", "0.1", "2.1"]
 
     def test_enriched_label(self, tmp_path):
         table = dataclasses.replace(self.TABLE, enriched=True)

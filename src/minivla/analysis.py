@@ -7,7 +7,10 @@ their sum (the mean number of consecutively completed tasks). The
 ablation harnesses pair two model variants on bitwise-identical chain
 seeds: shared vs separate resamplers (initialized identically), and
 narrow vs wide depth-normalization ranges (plus the quantized
-pixel-change sensitivity counts).
+pixel-change sensitivity counts). run_chain_eval evaluates one agent or
+a tuple of agents stepped in lockstep; each harness evaluates its two
+arms with one such call, at initialization and after training, and the
+arms share one frame memo.
 """
 
 from __future__ import annotations
@@ -75,16 +78,29 @@ def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "
 
 def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
                    families=None, variant: str = "standard",
-                   enrich: bool = False, horizon: int = 64) -> list[sim.ChainResult]:
-    """Deterministic chain batch: chain i uses seed + i; results sorted by index."""
-    results = []
+                   enrich: bool = False, horizon: int = 64
+                   ) -> list[sim.ChainResult] | list[list[sim.ChainResult]]:
+    """Deterministic chain batch: chain i uses seed + i; results sorted by index.
+
+    agent is one agent, which gets a list of ChainResults, or a tuple of
+    agents, which get one such list each. A tuple steps every agent
+    through each chain in lockstep (sim.lockstep), one act per agent per
+    step, so agents whose models share a frame memo (see
+    policy.share_frame_memo) reuse the tokens of frames another has just
+    encoded. Each agent's results and actions are those of evaluating it
+    alone.
+    """
+    paired = isinstance(agent, tuple)
+    agents = agent if paired else (agent,)
+    results: list[list[sim.ChainResult]] = [[] for _ in agents]
     for i in range(n_chains):
         chain = sim.sample_chain(seed + i, palette, families=families, variant=variant)
-        result = sim.rollout_chain(agent, chain, max_steps_per_task=horizon,
-                                   enrich=enrich)
-        result.chain_id = i
-        results.append(result)
-    return results
+        runs = [sim.chain_steps(a, chain, max_steps_per_task=horizon, enrich=enrich)
+                for a in agents]
+        for per_agent, result in zip(results, sim.lockstep(runs)):
+            result.chain_id = i
+            per_agent.append(result)
+    return results if paired else results[0]
 
 
 @dataclass
@@ -114,19 +130,28 @@ def _eval_seed(env_cfg: EnvConfig) -> int:
     return env_cfg.n_chains * 100 + 17
 
 
-def _train_and_eval(model: pol.Model, dataset: list[sim.Trajectory],
-                    train_cfg: TrainConfig, env_cfg: EnvConfig, label: str,
-                    encoded=None) -> SuccessTable:
-    tr.train_run(dataset, model, train_cfg, encoded=encoded)
-    results = run_chain_eval(pol.PolicyAgent(model), env_cfg.n_chains,
-                             env_cfg.eval_palette, _eval_seed(env_cfg),
+def _evaluate(models: dict[str, pol.Model], env_cfg: EnvConfig, n_chains: int,
+              enrich: bool = False) -> dict[str, list[sim.ChainResult]]:
+    """One paired run_chain_eval of every model on the ablation's chains."""
+    results = run_chain_eval(tuple(pol.PolicyAgent(m) for m in models.values()),
+                             n_chains, env_cfg.eval_palette, _eval_seed(env_cfg),
                              families=env_cfg.families, variant=env_cfg.variant,
-                             enrich=env_cfg.enrich, horizon=env_cfg.horizon)
-    table = aggregate_chain_metrics(results, model_label=label,
-                                    train_split="".join(env_cfg.palettes),
-                                    test_split=env_cfg.eval_palette,
-                                    enriched=env_cfg.enrich)
-    return table
+                             enrich=enrich, horizon=env_cfg.horizon)
+    return dict(zip(models, results))
+
+
+def _train_and_eval(models: dict[str, pol.Model], dataset: list[sim.Trajectory],
+                    train_cfg: TrainConfig, env_cfg: EnvConfig,
+                    encoded=None) -> dict[str, SuccessTable]:
+    """Train every model, then evaluate them as one pair."""
+    for model in models.values():
+        tr.train_run(dataset, model, train_cfg, encoded=encoded)
+    results = _evaluate(models, env_cfg, env_cfg.n_chains, enrich=env_cfg.enrich)
+    return {label: aggregate_chain_metrics(arm, model_label=label,
+                                           train_split="".join(env_cfg.palettes),
+                                           test_split=env_cfg.eval_palette,
+                                           enriched=env_cfg.enrich)
+            for label, arm in results.items()}
 
 
 def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
@@ -137,42 +162,38 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
 
     Both variants see the same data order and the same chain seeds; the
     report records that their evaluations agree before any update. They
-    share the frozen encoder, so the dataset is encoded once for both.
+    share the frozen encoder, so the dataset is encoded once for both, and
+    one frame memo: each evaluation steps both arms in lockstep, and the
+    separate arm reuses the tokens of each frame byte-equal to one the
+    shared arm has just encoded (at initialization, every frame).
     """
     import dataclasses
 
     models = {label: pol.init_model(dataclasses.replace(model_cfg, sep_resampler=sep), stats)
               for label, sep in (("shared", False), ("separate", True))}
-
-    eval_seed = _eval_seed(env_cfg)
-    init_results = {}
-    for label, model in models.items():
-        results = run_chain_eval(pol.PolicyAgent(model), min(env_cfg.n_chains, 5),
-                                 env_cfg.eval_palette, eval_seed,
-                                 families=env_cfg.families, variant=env_cfg.variant,
-                                 horizon=env_cfg.horizon)
-        init_results[label] = [r.successes for r in results]
-    init_identical = init_results["shared"] == init_results["separate"]
-
     shared, separate = models.values()
     if (tr.frozen_checksum(shared) != tr.frozen_checksum(separate)
             or shared.depth_stats != separate.depth_stats):
         raise ContractError("ablation arms differ in frozen weights or depth statistics; "
                             "they cannot share one encoding of the dataset")
+    pol.share_frame_memo(shared, separate)
+
+    init = _evaluate(models, env_cfg, min(env_cfg.n_chains, 5))
+    init_identical = ([r.successes for r in init["shared"]]
+                      == [r.successes for r in init["separate"]])
+
     encoded = tr.encode_dataset(shared, dataset)
-    tables = {}
-    param_counts = {}
-    for label, model in models.items():
-        tables[label] = _train_and_eval(model, dataset, train_cfg, env_cfg, label, encoded)
-        param_counts[label] = sum(
-            t.size for n, t in model.params.items() if n.startswith("resampler."))
+    tables = _train_and_eval(models, dataset, train_cfg, env_cfg, encoded)
+    param_counts = {label: sum(t.size for n, t in model.params.items()
+                               if n.startswith("resampler."))
+                    for label, model in models.items()}
 
     return AblationReport(
         "sep_resampler", tables, _digest(model_cfg, train_cfg, env_cfg),
         extras={
             "init_evaluations_identical": init_identical,
             "resampler_param_counts": param_counts,
-            "eval_seed": eval_seed,
+            "eval_seed": _eval_seed(env_cfg),
         },
     )
 
@@ -183,7 +204,13 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
                                 dataset: list[sim.Trajectory],
                                 train_cfg: TrainConfig, env_cfg: EnvConfig
                                 ) -> AblationReport:
-    """Identical models whose depth pipelines normalize by different ranges."""
+    """Identical models whose depth pipelines normalize by different ranges.
+
+    Their frozen encoders are the same, so the arms share one frame memo
+    and are evaluated in lockstep; the depth slots hold preprocessed
+    frames, so only frames equal after each arm's own normalization reuse
+    tokens.
+    """
     if not (stats_wide.d_min <= stats_narrow.d_min
             and stats_wide.d_max >= stats_narrow.d_max
             and (stats_wide.d_max - stats_wide.d_min)
@@ -192,10 +219,10 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
             f"wide range [{stats_wide.d_min}, {stats_wide.d_max}] must strictly "
             f"contain narrow range [{stats_narrow.d_min}, {stats_narrow.d_max}]"
         )
-    tables = {}
-    for label, stats in (("narrow", stats_narrow), ("wide", stats_wide)):
-        tables[label] = _train_and_eval(pol.init_model(model_cfg, stats), dataset,
-                                        train_cfg, env_cfg, label)
+    models = {label: pol.init_model(model_cfg, stats)
+              for label, stats in (("narrow", stats_narrow), ("wide", stats_wide))}
+    pol.share_frame_memo(*models.values())
+    tables = _train_and_eval(models, dataset, train_cfg, env_cfg)
 
     pairs = consecutive_depth_pairs(dataset, limit=20)
     sensitivity = depth_sensitivity_report(

@@ -112,6 +112,10 @@ def _stats_for(args, data) -> dp.DepthStats:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    # A run's log, summary and checkpoints describe that run alone.
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        raise ValidationError(f"--out {args.out} is not an empty directory; "
+                              "train writes each run into a new one")
     persist.write_json(args.out / "config_echo.json", dataclasses.asdict(cfg))
     data = persist.load_dataset(args.data)
     stats = _stats_for(args, data)

@@ -7,15 +7,21 @@ the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
 vit_encode_pair runs it on T steps of all four camera slots against one
-memo keyed by slot, for a rollout step (T = 1) and a whole dataset alike,
-and alone decides reuse, writes the memo, forms batches and starts threads. A frame byte-equal to the
-previous frame of its slot reuses that frame's tokens, which is exact
-because tokens depend only on the frame and the frozen weights (a memo
-serves one set of weights). The other frames are encoded in batches of
-up to FRAMES_PER_JOB frames of one slot, bitwise equal to each frame
-encoded alone; only a call with at least two full batches starts helper
-threads, which end before it returns. A failed call leaves the memo as
-it was.
+memo, for a rollout step (T = 1) and a whole dataset alike, and alone
+decides reuse, writes the memo, forms batches and starts threads. The
+memo keeps, per camera slot, the last frame each stream encoded there,
+with its tokens; a stream is one model's sequence of calls. A model
+alone is the one stream of its memo, so it holds one entry per slot.
+Models with equal frozen weights may share one memo (see
+policy.share_frame_memo), as paired ablation arms stepped in lockstep
+do. A frame byte-equal to the previous frame of its slot, or at a
+call's first step to any stream's entry for the slot (its own first),
+reuses that frame's tokens. That is exact because tokens depend only on
+the frame and the frozen weights, which every stream of a memo shares.
+The other frames are encoded in batches of up to FRAMES_PER_JOB frames
+of one slot, bitwise equal to each frame encoded alone; only a call
+with at least two full batches starts helper threads, which end before
+it returns. A failed call leaves the memo as it was.
 
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product
@@ -34,8 +40,8 @@ from .errors import DimensionError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
-# Camera slot -> (the last frame encoded in that slot, its tokens).
-FrameMemo = dict[int, tuple[Array, Array]]
+# Camera slot -> stream -> (the last frame that stream encoded in the slot, its tokens).
+FrameMemo = dict[int, dict[int, tuple[Array, Array]]]
 
 
 # --- frozen patch transformer (numpy only) -----------------------------------
@@ -154,16 +160,19 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
 
 
 def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
-                    memo: FrameMemo | None = None) -> Array:
+                    memo: FrameMemo | None = None, stream: int = 0) -> Array:
     """Frozen tokens of T steps of S camera slots, (T, S·N, d): slot s gives
     tokens s·N to (s + 1)·N of each step and is seen by camera s % 2, so a
     policy step passes RGB static, RGB gripper, depth static, depth gripper.
 
     Each slot holds T frames, as a list or a (T, H, W, 3) array. A frame
-    byte-equal to the previous frame of its slot (before step 0, the slot's
-    memo entry; see _same_frame) copies that frame's tokens; the rest are
-    encoded (see _run_jobs). Only then does each slot's memo entry take
-    copies of its last frame and that frame's tokens.
+    byte-equal to the previous frame of its slot copies that frame's
+    tokens; before step 0, the previous frame is the first memo entry of
+    the slot that matches, looking at this stream's entry first and then
+    at the other streams' (see _same_frame). The rest are encoded (see
+    _run_jobs). Only then does this stream's entry of each slot take its
+    last frame and that frame's tokens: copies if any step of the slot was
+    encoded, else the entry step 0 matched, shared, not copied.
     """
     slots = [[np.asarray(f) for f in frames] for frames in slots]
     lengths = [len(frames) for frames in slots]
@@ -178,11 +187,15 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
     out = np.empty((len(slots[0]), len(slots) * n, vit["patch_proj"].shape[1] + pos.shape[1]))
     fresh = [[] for _ in slots]   # per slot: the steps to encode
     reused = [[] for _ in slots]  # and the steps that repeat
+    matched = [None] * len(slots)  # per slot: the memo entry step 0 repeats
     for slot, frames in enumerate(slots):
-        prev = memo.get(slot, (None,))[0]
         for t, frame in enumerate(frames):
-            (reused if _same_frame(prev, frame) else fresh)[slot].append(t)
-            prev = frame
+            if t:
+                hit = _same_frame(frames[t - 1], frame)
+            else:
+                matched[slot] = _matching_entry(memo.get(slot, {}), stream, frame)
+                hit = matched[slot] is not None
+            (reused if hit else fresh)[slot].append(t)
     jobs = [(slot, steps[i:i + FRAMES_PER_JOB])
             for slot, steps in enumerate(fresh)
             for i in range(0, len(steps), FRAMES_PER_JOB)]
@@ -199,16 +212,42 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
     for slot, (steps, repeats) in enumerate(zip(fresh, reused)):
         rows = slice(slot * n, (slot + 1) * n)
         for t in repeats:  # in step order, so step t - 1 is filled already
-            out[t, rows] = out[t - 1, rows] if t else memo[slot][1]
+            out[t, rows] = out[t - 1, rows] if t else matched[slot][1]
         if steps:
-            memo[slot] = (slots[slot][-1].copy(), out[-1, rows].copy())
+            memo.setdefault(slot, {})[stream] = (slots[slot][-1].copy(), out[-1, rows].copy())
+        elif matched[slot] is not None:
+            memo[slot][stream] = matched[slot]
     return out
 
 
-def _same_frame(prev: Array | None, frame: Array) -> bool:
-    """The reuse rule: the same dtype, shape and bytes (so -0.0 and 0.0 differ)."""
-    return (prev is not None and prev.dtype == frame.dtype
-            and prev.shape == frame.shape and prev.tobytes() == frame.tobytes())
+def _matching_entry(entries: dict[int, tuple[Array, Array]], stream: int,
+                    frame: Array) -> tuple[Array, Array] | None:
+    """The first (frame, tokens) entry whose frame is frame's bytes: the
+    stream's own entry first, then the other streams' in memo order."""
+    own = entries.get(stream)
+    if own is not None and _same_frame(own[0], frame):
+        return own
+    for entry in entries.values():
+        if entry is not own and _same_frame(entry[0], frame):
+            return entry
+    return None
+
+
+# Unsigned integers by item size: a frame viewed as these compares its bytes.
+_BYTE_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _same_frame(prev: Array, frame: Array) -> bool:
+    """The reuse rule: the same dtype, shape and bytes, so -0.0 and 0.0
+    differ and NaN payloads count. Frames of 1, 2, 4 or 8-byte items are
+    compared in place as unsigned integers of their item size, whatever
+    their strides; other item sizes compare their bytes as copies."""
+    if prev.dtype != frame.dtype or prev.shape != frame.shape:
+        return False
+    view = _BYTE_VIEWS.get(frame.itemsize)
+    if view is None:
+        return prev.tobytes() == frame.tobytes()
+    return bool((prev.view(view) == frame.view(view)).all())
 
 
 # Frames per encoder call: long enough numpy ops that two threads overlap

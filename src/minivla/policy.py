@@ -23,10 +23,14 @@ The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
 trajectory (encode_trajectory) alike, which decides reuse, batching and
 threads. This module checks and preprocesses the frames and supplies the
-model's one memo, so reuse spans steps, trajectories and agents. It stays
-valid because the frozen weights never change once the model is built;
-the depth slots hold preprocessed frames, so the depth statistics are
-part of what it compares.
+model's memo and its stream in it, so reuse spans steps, trajectories and
+agents. A model alone has a memo of its own, one entry per slot.
+share_frame_memo gives models with equal frozen weights one memo, in
+which each keeps its own entries, so one model's step reuses the tokens
+of a frame another model has just encoded. The memo stays valid because
+the frozen weights never change once a model is built; the depth slots
+hold preprocessed frames, so the depth statistics are part of what it
+compares, and models that differ only in them share it exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -80,10 +84,12 @@ class Model:
         self.vocab_index = {w: i for i, w in enumerate(vocab)}
         self.depth_stats = depth_stats
         self._last_instruction: Instruction | None = None
-        # The frozen-encoder memo (see enc.vit_encode_pair); its tokens stay
+        # The frozen-encoder memo (see enc.vit_encode_pair) and this model's
+        # stream in it, which share_frame_memo may replace; its tokens stay
         # valid because the frozen weights are never changed after
         # init_model or load_checkpoint sets them.
         self._frame_memo: enc.FrameMemo = {}
+        self._memo_stream = 0
         # The ParamSet's tensors are fixed once the model is built (training
         # and loading replace their data, never the tensors), so the views a
         # policy step needs are grouped once here instead of on every step.
@@ -120,6 +126,27 @@ class Model:
             last = Instruction(text, dec.embed_ids(self.embedding_table(), ids))
             self._last_instruction = last
         return last
+
+
+def share_frame_memo(*models: Model) -> None:
+    """Give models one frozen-encoder memo, empty, in which each keeps its
+    own entries (see enc.vit_encode_pair): the k-th model given is stream k.
+
+    Reusing one model's tokens for another's frame is exact only if their
+    frozen encoders are the same, so every vit.* array must equal the
+    first model's in dtype, shape and bytes; otherwise this raises
+    ContractError and changes no memo.
+    """
+    first = models[0].vit_arrays()
+    for model in models[1:]:
+        vit = model.vit_arrays()
+        if vit.keys() != first.keys() or not all(
+                enc._same_frame(first[key], vit[key]) for key in first):
+            raise ContractError("models with different frozen encoder weights "
+                                "cannot share a frame memo")
+    memo: enc.FrameMemo = {}
+    for stream, model in enumerate(models):
+        model._frame_memo, model._memo_stream = memo, stream
 
 
 def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Model:
@@ -276,14 +303,16 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 
     Every frame is checked before any is encoded. Then one
     enc.vit_encode_pair call encodes all T steps of the four camera slots
-    against the model's memo, which a failed call leaves as it was; its
-    (T, 4N, d) tokens split into the RGB and depth halves.
+    against the model's memo, as the model's stream, which a failed call
+    leaves as it was; its (T, 4N, d) tokens split into the RGB and depth
+    halves.
     """
     steps = [_camera_frames(model, obs) for obs in observations]
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
         tokens = enc.vit_encode_pair(slots, model.vit_arrays(), model.cfg.patch,
-                                     model.cfg.vit_blocks, model._frame_memo)
+                                     model.cfg.vit_blocks, model._frame_memo,
+                                     model._memo_stream)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
 

@@ -9,7 +9,11 @@ contract is stated once, in OBSERVATION_SHAPES, and check_observation is
 the one check of it. Scenes hold colored blocks, buttons, a rail-bound
 slider, and a bin; five task families (lift, push, press, place, slide)
 come with scripted experts, a paraphrase bank, and 5-task chain
-evaluation. Everything is a pure function of (seed, palette, actions).
+evaluation. A chain is stepped: chain_steps is a generator that runs one
+policy step per next(), and lockstep drains several of them in rounds,
+one step of each per round, so agents on the same chain act at the same
+step one after another; rollout_chain is lockstep of one. Everything is
+a pure function of (seed, palette, actions).
 """
 
 from __future__ import annotations
@@ -824,9 +828,13 @@ class RandomAgent:
         return Action(pose, bool(self._rng.random() < 0.5))
 
 
-def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
-                  enrich: bool = False) -> ChainResult:
-    """Execute the 5 tasks in order; task i runs only if 1..i-1 succeeded.
+def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int = 64,
+                enrich: bool = False):
+    """The stepped chain: a generator that executes the 5 tasks in order,
+    one policy step (render, act, step the env, check success) per next(),
+    and yields each action the agent returned. Task i runs only if tasks
+    1..i-1 succeeded. It returns the ChainResult, as the value of its
+    StopIteration (see lockstep).
 
     The agent's class attribute reads_pixels says whether act reads the
     observation; when it is false, no frame is rendered and act gets
@@ -850,9 +858,37 @@ def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
             obs = render_observation(state) if agent.reads_pixels else None
             action = agent.act(obs, text, state=state)
             state = step_env(state, action)
-            if success(state, task):
-                ok = True
+            ok = bool(success(state, task))
+            yield action
+            if ok:
                 break
         successes.append(ok)
         alive = ok
     return ChainResult(successes, chain.seed, chain.palette)
+
+
+def lockstep(runs) -> list[ChainResult]:
+    """Drain stepped chains (see chain_steps) in rounds: each round advances
+    every unfinished one by one step, in the order given, so several agents
+    on one chain act at the same step one after another. Returns their
+    ChainResults in that order."""
+    results: list[ChainResult | None] = [None] * len(runs)
+    live = list(enumerate(runs))
+    while live:
+        still = []
+        for i, run in live:
+            try:
+                next(run)
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                still.append((i, run))
+        live = still
+    return results
+
+
+def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
+                  enrich: bool = False) -> ChainResult:
+    """Run one agent through chain_steps to the end and return its result."""
+    (result,) = lockstep([chain_steps(agent, chain, max_steps_per_task, enrich)])
+    return result

@@ -40,7 +40,7 @@ from . import numerics as nm
 from . import policy as pol
 from . import sim
 from .config import TrainConfig
-from .errors import ContractError, DivergedTrainingError
+from .errors import ContractError, DivergedTrainingError, NumericInputError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
@@ -179,7 +179,8 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
     hooks plug in there). encoded, when given, is encode_dataset's result
     for this dataset under an encoder identical to this model's; it is
     computed here otherwise. Raises DivergedTrainingError (with the epoch
-    index) if the loss goes non-finite.
+    index) if the loss goes non-finite, or if a forward after an update
+    raises NumericInputError, naming the epoch and the update.
     """
     if not dataset:
         raise ContractError("training needs a nonempty dataset")
@@ -205,8 +206,15 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
             weight = nm.as_tensor(1.0 / len(batch))
             for idx in batch:
                 instr, tokens, actions = encoded[idx]
-                total, mse_t, bce_t = _trajectory_loss(
-                    model, instr, tokens, actions, cfg.lambda_gripper)
+                try:
+                    total, mse_t, bce_t = _trajectory_loss(
+                        model, instr, tokens, actions, cfg.lambda_gripper)
+                except NumericInputError as e:
+                    if not optimizer.t:  # the input, not an update, is at fault
+                        raise
+                    raise DivergedTrainingError(
+                        f"training diverged at epoch {epoch}: the parameters that "
+                        f"update {optimizer.t} left fail the forward: {e}") from e
                 if not np.isfinite(total.data):
                     raise DivergedTrainingError(f"loss diverged at epoch {epoch}")
                 loss_sum += total.item()

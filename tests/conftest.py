@@ -49,6 +49,30 @@ def count_encodes(monkeypatch) -> list[int]:
     return cameras
 
 
+class Recording:
+    """An agent that logs (its name, each action it returns) to log."""
+
+    def __init__(self, agent, log, name=""):
+        self.agent, self.log, self.name = agent, log, name
+        self.reads_pixels = agent.reads_pixels
+
+    def reset(self):
+        self.agent.reset()
+
+    def begin_task(self, task, instruction):
+        self.agent.begin_task(task, instruction)
+
+    def act(self, obs, instruction, state=None):
+        action = self.agent.act(obs, instruction, state=state)
+        self.log.append((self.name, action))
+        return action
+
+
+def action_bytes(log) -> list:
+    """A Recording log with each action as its pose bytes and gripper bit."""
+    return [(name, a.pose.tobytes(), a.gripper_closed) for name, a in log]
+
+
 def header_span(raw: bytes) -> tuple[int, int]:
     """Start and end of the header bytes of a framed file, a checkpoint or
     a dataset (both magics have the same length)."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_stats, tiny_config
+from conftest import (Recording, action_bytes, count_encodes, synthetic_stats,
+                      tiny_config)
 
 from minivla import analysis as an
 from minivla import depth as dp
@@ -81,6 +82,54 @@ def quick_setup(variant="standard"):
     return data, stats, model_cfg, train_cfg, env_cfg
 
 
+def policy_model(seed=0, sep_resampler=False):
+    model = pol.init_model(tiny_config(patch=8, seed=seed, sep_resampler=sep_resampler),
+                           synthetic_stats())
+    for layer in model.decoder_layers():
+        layer["cross.alpha"].data = np.asarray(0.5)  # instructions reach the actions
+    return model
+
+
+def evaluate(agent):
+    return an.run_chain_eval(agent, 2, "D", 11, families=["lift"], horizon=16)
+
+
+def pair_of(kind):
+    if kind == "clones":
+        models = [policy_model(), policy_model()]
+        pol.share_frame_memo(*models)
+        return [pol.PolicyAgent(m) for m in models]
+    if kind == "different-seeds":
+        return [pol.PolicyAgent(policy_model(0)), pol.PolicyAgent(policy_model(1))]
+    return [pol.PolicyAgent(policy_model()), sim.ExpertAgent()]  # chains of other lengths
+
+
+class TestPairedChainEval:
+    @pytest.mark.parametrize("kind", ["clones", "different-seeds", "policy-and-expert"])
+    def test_each_agent_gets_what_it_gets_alone(self, kind):
+        logs = ([], [])
+        paired = evaluate(tuple(Recording(a, log) for a, log in zip(pair_of(kind), logs)))
+        assert len(paired) == 2
+        for k, agent in enumerate(pair_of(kind)):
+            log = []
+            alone = evaluate(Recording(agent, log))
+            assert [r.chain_id for r in alone] == [0, 1]
+            assert paired[k] == alone
+            assert action_bytes(logs[k]) == action_bytes(log)
+
+    def test_init_arms_as_a_pair_encode_as_many_frames_as_the_shared_arm_alone(
+            self, monkeypatch):
+        cameras = count_encodes(monkeypatch)
+        arms = [policy_model(), policy_model(sep_resampler=True)]
+        pol.share_frame_memo(*arms)
+        paired = evaluate(tuple(pol.PolicyAgent(m) for m in arms))
+        paired_frames = len(cameras)
+        del cameras[:]
+        alone = evaluate(pol.PolicyAgent(policy_model()))
+        assert paired_frames == len(cameras) > 0
+        assert paired[0] == paired[1] == alone
+
+
 class TestSepResamplerAblation:
     def test_harness_pairs_variants(self, monkeypatch):
         encoded_for = []
@@ -113,6 +162,28 @@ class TestSepResamplerAblation:
             base = shared.params[f"resampler.shared.{key}"].data
             assert np.array_equal(base, sep.params[f"resampler.rgb.{key}"].data)
             assert np.array_equal(base, sep.params[f"resampler.depth.{key}"].data)
+
+
+@pytest.mark.parametrize("harness", ["sep-resampler", "depth-extremes"])
+def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
+    calls = []
+    real = an.run_chain_eval
+
+    def recording(agent, *args, **kwargs):
+        models = [a.model for a in agent]
+        calls.append(all(m._frame_memo is models[0]._frame_memo for m in models))
+        return real(agent, *args, **kwargs)
+
+    monkeypatch.setattr(an, "run_chain_eval", recording)
+    data, stats, model_cfg, train_cfg, env_cfg = quick_setup()
+    if harness == "sep-resampler":
+        an.run_sep_resampler_ablation(model_cfg, stats, data, train_cfg, env_cfg)
+    else:
+        an.run_depth_extremes_ablation(model_cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3),
+                                       dp.DepthStats(0.0, 20.0, 0.5, 0.3), data,
+                                       train_cfg, env_cfg)
+    # At initialization (sep-resampler only) and after training; one memo each time.
+    assert calls == [True] * (2 if harness == "sep-resampler" else 1)
 
 
 class TestDepthExtremesAblation:

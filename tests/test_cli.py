@@ -300,3 +300,24 @@ def test_train_that_overflows_float32_exits_2_without_a_checkpoint(tmp_path, run
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "not finite in float32" in err
     assert not list((run_dir / "train").glob("*.rfpx"))
+
+
+@pytest.mark.parametrize("leftover", ["train_log.csv", "checkpoint.rfpx"])
+def test_train_into_a_non_empty_out_exits_1_before_writing(tmp_path, run_dir, dataset,
+                                                           capsys, leftover):
+    out = run_dir / "train"
+    out.mkdir()
+    (out / leftover).write_text("a previous run")
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--config", cli_config(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not an empty directory" in err
+    assert [p.name for p in out.iterdir()] == [leftover]
+    assert (out / leftover).read_text() == "a previous run"
+
+
+def test_train_into_an_empty_out_runs(tmp_path, run_dir, dataset):
+    (run_dir / "train").mkdir()
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--config", cli_config(tmp_path)]) == 0
+    assert (run_dir / "train" / "checkpoint.rfpx").is_file()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,7 @@ class TestVitEncode:
         got = enc.vit_encode_pair(slots, vit, patch, blocks, memo)
         assert got.shape == (3, 4 * 16, 16)
         assert memo.keys() == {0, 1, 2, 3}
+        assert all(entries.keys() == {0} for entries in memo.values())  # stream 0's only
         for s, frames in enumerate(slots):
             for t, frame in enumerate(frames):
                 alone = ENCODE_IMAGE(frame, vit, patch, blocks, camera=s % 2)
@@ -202,10 +205,102 @@ class TestFrameMemo:
             encode_step(x, y, vit, patch, blocks, stepwise)
         assert memo.keys() == stepwise.keys() == {0, 1}
         for camera in (0, 1):
-            frame, tokens = memo[camera]
-            assert frame.tobytes() == stepwise[camera][0].tobytes()
-            assert tokens.tobytes() == stepwise[camera][1].tobytes()
+            assert memo[camera].keys() == stepwise[camera].keys() == {0}  # stream 0's only
+            frame, tokens = memo[camera][0]
+            assert frame.tobytes() == stepwise[camera][0][0].tobytes()
+            assert tokens.tobytes() == stepwise[camera][0][1].tobytes()
             assert not np.shares_memory(tokens, got)
+
+
+class TestMemoStreams:
+    def test_a_stream_reuses_another_streams_entry_without_copying_it(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        first = enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, stream=0)
+        second = enc.vit_encode_pair([[a.copy()], [b.copy()]], vit, patch, blocks, memo,
+                                     stream=1)
+        assert cameras == [0, 1]
+        assert second.tobytes() == first.tobytes()
+        for slot in (0, 1):
+            assert memo[slot].keys() == {0, 1}
+            assert memo[slot][0] is memo[slot][1]
+
+    def test_a_stream_writes_only_its_own_entries(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b, c = (rng.random((32, 32, 3)) for _ in range(3))
+        cameras = count_encodes(monkeypatch)
+        memo = {}
+        enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, stream=0)
+        before = {slot: entries[0] for slot, entries in memo.items()}
+        got = enc.vit_encode_pair([[a, c], [c, c]], vit, patch, blocks, memo, stream=1)
+        # Slot 0 starts on stream 0's frame, then changes; slot 1's c is new,
+        # then repeats.
+        assert cameras == [0, 1, 0, 1]
+        assert {slot: entries[0] for slot, entries in memo.items()} == before
+        assert memo[0][1][0].tobytes() == memo[1][1][0].tobytes() == c.tobytes()
+        for t, (x, y) in enumerate([(a, c), (c, c)]):
+            assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+
+    def test_the_own_entry_is_looked_at_first(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        memo = {}
+        enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, stream=0)
+        enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, stream=1)
+        own = {slot: entries[1] for slot, entries in memo.items()}
+        looked = []
+        real = enc._same_frame
+        monkeypatch.setattr(enc, "_same_frame",
+                            lambda prev, frame: looked.append(prev) or real(prev, frame))
+        enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, stream=1)
+        assert [id(f) for f in looked] == [id(own[0][0]), id(own[1][0])]
+
+
+class TestSameFrame:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, np.complex128])
+    def test_equal_bytes_are_the_same_frame(self, rng, dtype):
+        a = (rng.random((32, 32, 3)) * 200).astype(dtype)
+        assert enc._same_frame(a, a.copy())
+        b = a.copy()
+        b.reshape(-1).view(np.uint8)[77] ^= 1
+        assert not enc._same_frame(a, b)
+
+    def test_negative_zero_and_nan_payloads_differ(self):
+        zero, neg_zero = np.zeros((4, 4, 3)), np.zeros((4, 4, 3))
+        neg_zero[1, 2, 0] = -0.0
+        assert not enc._same_frame(zero, neg_zero)
+        quiet = np.full((4, 4, 3), np.nan)
+        payload = quiet.copy()
+        payload.view(np.uint64)[0, 0, 0] |= 1  # another NaN
+        assert np.isnan(payload).all()
+        assert enc._same_frame(quiet, quiet.copy())
+        assert not enc._same_frame(quiet, payload)
+
+    def test_dtype_and_shape_count(self):
+        a = np.zeros((8, 8, 3))
+        assert not enc._same_frame(a, np.zeros((8, 8, 3), dtype=np.int64))
+        assert not enc._same_frame(a, np.zeros((8, 24)))
+
+    def test_strided_frames_compare_their_values_bytes(self, rng):
+        big = rng.random((64, 64, 3))
+        view = big[::2, ::2]
+        assert enc._same_frame(view, np.ascontiguousarray(view))
+        assert not enc._same_frame(view, big[1::2, ::2])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_comparing_copies_no_frame(self, rng, dtype):
+        a = rng.random((32, 32, 3)).astype(dtype)
+        b = a.copy()
+        enc._same_frame(a, b)
+        tracemalloc.start()
+        try:
+            assert enc._same_frame(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes  # two tobytes() copies would be 2 * a.nbytes
 
 
 def make_resampler(rng, k=4, d_in=16, d=16, trainable=True):

@@ -357,6 +357,37 @@ class TestFrameMemo:
         assert len(encodes) == 8
         assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
 
+    def test_a_shared_memo_reuses_the_frame_another_model_encoded(self, rng, encodes):
+        first, second = tiny_model(), tiny_model()
+        pol.share_frame_memo(first, second)
+        obs = synthetic_obs(rng)
+        got_first = pol.encode_observation(first, obs)
+        got_second = pol.encode_observation(second, obs)
+        assert len(encodes) == 4  # the second model encoded nothing
+        assert [x.tobytes() for x in got_first] == [x.tobytes() for x in got_second]
+        assert_rows_encoded_alone(second, tuple(x[None] for x in got_second), [obs])
+        for entries in first._frame_memo.values():  # one entry each, the same arrays
+            assert entries.keys() == {first._memo_stream, second._memo_stream}
+            assert entries[first._memo_stream] is entries[second._memo_stream]
+
+    def test_models_that_differ_in_depth_stats_share_the_rgb_slots(self, rng, encodes):
+        first = tiny_model()
+        second = pol.init_model(first.cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3))
+        pol.share_frame_memo(first, second)
+        obs = synthetic_obs(rng)
+        pol.encode_observation(first, obs)
+        got = pol.encode_observation(second, obs)
+        assert sorted(encodes) == [0, 0, 0, 1, 1, 1]  # RGB once, depth once per model
+        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+
+    def test_sharing_across_different_frozen_weights_is_refused(self, rng, encodes):
+        first, second, other = tiny_model(seed=0), tiny_model(seed=0), tiny_model(seed=1)
+        models = (first, second, other)
+        memos = [m._frame_memo for m in models]
+        with pytest.raises(ContractError, match="different frozen encoder weights"):
+            pol.share_frame_memo(*models)
+        assert all(m._frame_memo is memo for m, memo in zip(models, memos))
+
     def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
         model = tiny_model(depth_input="constant")
         n_steps = 5
@@ -389,9 +420,15 @@ def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
             *fresh[2:], o1, *fresh[2:4], fresh[-1]]
 
 
+def own_entries(model) -> dict:
+    """The model's entries in its frame memo: slot -> (frame, tokens)."""
+    return {slot: entries[model._memo_stream]
+            for slot, entries in model._frame_memo.items()}
+
+
 def memo_state(model) -> dict:
     return {slot: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
-            for slot, (frame, tokens) in model._frame_memo.items()}
+            for slot, (frame, tokens) in own_entries(model).items()}
 
 
 def thread_count() -> int:
@@ -455,7 +492,9 @@ class TestParallelTrajectoryEncode:
         monkeypatch.setattr(enc, "vit_encode_pair", counting)
         encoded = tr.encode_dataset(model, dataset)
         assert calls == [[len(observations)] * 4]  # all four camera slots at once
-        assert model._frame_memo.keys() == {0, 1, 2, 3}  # one entry per slot
+        assert model._frame_memo.keys() == {0, 1, 2, 3}
+        assert all(entries.keys() == {model._memo_stream}  # one entry per slot
+                   for entries in model._frame_memo.values())
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
             assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
@@ -487,7 +526,7 @@ class TestParallelTrajectoryEncode:
         for obs in observations:
             pol.encode_observation(serial, obs)
         assert memo_state(model) == memo_state(serial)
-        for frame, tokens in model._frame_memo.values():  # copies, not views
+        for frame, tokens in own_entries(model).values():  # copies, not views
             assert not any(np.shares_memory(frame, getattr(obs, plane))
                            for obs in observations
                            for plane in ("rgb_static", "rgb_gripper"))

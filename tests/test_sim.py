@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import Recording, action_bytes, synthetic_stats, tiny_config
+
+from minivla import policy as pol
 from minivla import sim
 from minivla.errors import ContractError, ParaphraseBankError, TaskError
 from minivla.sim import (
@@ -578,3 +583,72 @@ class TestVocabulary:
 
     def test_roughly_sixty_words(self):
         assert 35 <= len(sim.vocabulary_words()) <= 80
+
+
+def plain_rollout(agent, chain, max_steps_per_task=64, enrich=False):
+    """The chain as one plain loop: the reference the stepped chain must match."""
+    state = sim.make_env(chain.seed, chain.palette, chain.variant)
+    agent.reset()
+    para_rng = np.random.default_rng(
+        np.random.SeedSequence(chain.seed, spawn_key=(sim._PARA_KEY,)))
+    successes = []
+    alive = True
+    for template in chain.tasks:
+        if not alive:
+            successes.append(False)
+            continue
+        target = sim.resolve_target(state, template)
+        task = dataclasses.replace(template, x0=float(target.pos[0]))
+        text = sim.paraphrase_instruction(task, para_rng) if enrich else task.instruction
+        agent.begin_task(task, text)
+        ok = False
+        for _ in range(max_steps_per_task):
+            obs = sim.render_observation(state) if agent.reads_pixels else None
+            action = agent.act(obs, text, state=state)
+            state = sim.step_env(state, action)
+            if sim.success(state, task):
+                ok = True
+                break
+        successes.append(ok)
+        alive = ok
+    return sim.ChainResult(successes, chain.seed, chain.palette)
+
+
+def tiny_policy_agent():
+    return pol.PolicyAgent(pol.init_model(tiny_config(patch=8), synthetic_stats()))
+
+
+class TestSteppedChain:
+    @pytest.mark.parametrize("make_agent, horizon, enrich", [
+        (ExpertAgent, 64, False), (ExpertAgent, 64, True),
+        (lambda: RandomAgent(5), 16, False), (tiny_policy_agent, 6, False),
+    ], ids=["expert", "expert-enriched", "random", "policy"])
+    def test_draining_matches_a_plain_loop(self, make_agent, horizon, enrich):
+        for seed in (0, 3):
+            chain = sim.sample_chain(seed, "B")
+            drained, rolled, plain = [], [], []
+            steps = sim.chain_steps(Recording(make_agent(), drained), chain, horizon, enrich)
+            yielded = []
+            while True:
+                try:
+                    yielded.append(next(steps))
+                except StopIteration as done:
+                    result = done.value
+                    break
+            got = sim.rollout_chain(Recording(make_agent(), rolled), chain, horizon, enrich)
+            want = plain_rollout(Recording(make_agent(), plain), chain, horizon, enrich)
+            assert result == got == want
+            assert yielded == [a for _, a in drained]  # one step per next()
+            assert action_bytes(drained) == action_bytes(rolled) == action_bytes(plain)
+
+    def test_lockstep_acts_in_rounds_until_each_chain_ends(self):
+        chain = sim.sample_chain(2, "A")
+        log = []
+        agents = [Recording(RandomAgent(1), log, "random"),
+                  Recording(ExpertAgent(), log, "expert")]
+        results = sim.lockstep([sim.chain_steps(a, chain, 8) for a in agents])
+        random_steps = sum(name == "random" for name, _ in log)
+        assert [name for name, _ in log[:2 * random_steps]] == ["random", "expert"] * random_steps
+        assert all(name == "expert" for name, _ in log[2 * random_steps:])
+        assert results == [plain_rollout(RandomAgent(1), chain, 8),
+                           plain_rollout(ExpertAgent(), chain, 8)]

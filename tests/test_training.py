@@ -8,7 +8,7 @@ from minivla import policy as pol
 from minivla import sim
 from minivla import training as tr
 from minivla.config import TrainConfig
-from minivla.errors import ContractError, DivergedTrainingError
+from minivla.errors import ContractError, DivergedTrainingError, NumericInputError
 from minivla.numerics import ParamSet, Tensor
 
 
@@ -283,6 +283,27 @@ class TestTrainRun:
                                        rtol=0, atol=1e-12, err_msg=name)
             moved += not np.array_equal(t.data, start[name])
         assert moved == len(list(trainables.trainable_items()))
+
+    def test_a_forward_that_fails_after_an_update_is_divergence(self):
+        model, data = small_model()
+        with pytest.raises(DivergedTrainingError,
+                           match=r"epoch 0: the parameters that update 1 left fail the "
+                                 r"forward: \[stage=resampler\] softmax_rows") as err:
+            with np.errstate(all="ignore"):
+                tr.train_run(data[:2], model, TrainConfig(epochs=1, learning_rate=1e300))
+        assert type(err.value.__cause__) is NumericInputError
+
+    def test_a_forward_that_fails_before_any_update_stays_a_numeric_input_error(
+            self, monkeypatch):
+        model, data = small_model()
+
+        def failing(*args):
+            raise NumericInputError("softmax_rows: input contains non-finite values")
+
+        monkeypatch.setattr(tr, "_trajectory_loss", failing)
+        with pytest.raises(NumericInputError) as err:
+            tr.train_run(data[:2], model, TrainConfig(epochs=1))
+        assert type(err.value) is NumericInputError
 
     def test_empty_dataset_rejected(self):
         model, _ = small_model()

@@ -92,7 +92,7 @@ elif stage in ("resampler", "trunk"):
         pooled = nm.max_over_rows(x)
         return nm.mlp2(pooled, w1, b1, w2, b2)
 
-opt = tr.Adam(TrainConfig(learning_rate=lr, clip_norm=1e9), params)
+opt = tr.Adam(TrainConfig(learning_rate=lr), params); opt.CLIP_NORM = 1e9
 order_rng = np.random.default_rng(0)
 for ep in range(epochs):
     order = order_rng.permutation(n_train)

@@ -2,24 +2,29 @@
 
 Subcommands: gen-data, stats, train, eval, ablate sep-resampler,
 ablate depth-extremes, sensitivity, gradcheck. Exit codes: 0 success,
-1 validation/usage error, 2 runtime error.
+1 validation/usage error, 2 runtime error. gradcheck takes no flags: it
+checks training.full_model_gradcheck's one fixed model and batch, and
+passes below a relative error of 1e-4.
 
 Flags reach the program by one path. A flag that names a config field
 is listed in CONFIG_FLAGS; its value goes through config.parse_config,
 with a --config file where the command takes one, so it gets the same
 type and range checks as a config file. Every other flag is checked by
 its argparse type. Either way a bad value exits 1 before any dataset,
-checkpoint or stats file is read. Every path flag, input or output, has
-the argparse type config.resolve_out, so a relative path lies under
-MINIVLA_RUN_DIR when that is set. Every file a command writes goes
-through persist.
+checkpoint or stats file is read; so do families that cannot fill a
+chain, for eval and ablate. ablate depth-extremes exits 1 before the
+dataset is read when --wide does not strictly contain --narrow. Every
+path flag, input or output, has the argparse type config.resolve_out,
+so a relative path lies under MINIVLA_RUN_DIR when that is set. Every
+file a command writes goes through persist, and train writes nothing
+into --out until training has finished, apart from the periodic
+checkpoints of --ckpt-every.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 import time
 from pathlib import Path
@@ -61,23 +66,21 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _run_config(args) -> RunConfig:
     """The run's settings: the --config file, if the command takes one,
-    then every CONFIG_FLAGS flag the command has and the user set."""
+    then every CONFIG_FLAGS flag the command has and the user set. For a
+    command that evaluates chains, the families must be able to fill one
+    (sim.chain_families)."""
     overrides: dict = {}
     for section, names in CONFIG_FLAGS:
         for name in names:
             value = getattr(args, name, None)
             if value is not None:
                 overrides.setdefault(section, {})[name] = value
-    return parse_config(getattr(args, "config", None), overrides)
+    cfg = parse_config(getattr(args, "config", None), overrides)
+    if hasattr(args, "n_chains"):  # eval and both ablations
+        sim.chain_families(cfg.env.families, cfg.env.variant)
+    return cfg
 
 
 # --- subcommand bodies -----------------------------------------------------------
@@ -116,10 +119,8 @@ def cmd_train(args) -> int:
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         raise ValidationError(f"--out {args.out} is not an empty directory; "
                               "train writes each run into a new one")
-    persist.write_json(args.out / "config_echo.json", dataclasses.asdict(cfg))
     data = persist.load_dataset(args.data)
     stats = _stats_for(args, data)
-    persist.write_json(args.out / "stats.json", dataclasses.asdict(stats))
     model = pol.init_model(cfg.model, stats)
 
     def on_epoch(epoch, st):
@@ -130,8 +131,12 @@ def cmd_train(args) -> int:
             persist.save_checkpoint(model, args.out / f"checkpoint_ep{epoch + 1:04d}.rfpx")
 
     report = tr.train_run(data, model, cfg.train, on_epoch=on_epoch)
-    persist.write_train_log(report, args.out)
+    # The checkpoint, which refuses parameters not finite in float32, goes
+    # first, so a failed run leaves only the periodic checkpoints behind.
     path = persist.save_checkpoint(model, args.out / "checkpoint.rfpx")
+    persist.write_json(args.out / "config_echo.json", dataclasses.asdict(cfg))
+    persist.write_json(args.out / "stats.json", dataclasses.asdict(stats))
+    persist.write_train_log(report, args.out)
     print(f"checkpoint: {path}")
     return 0
 
@@ -164,9 +169,10 @@ def cmd_ablate_sep_resampler(args) -> int:
 
 def cmd_ablate_depth_extremes(args) -> int:
     cfg = _run_config(args)
-    data = persist.load_dataset(args.data)
     narrow = dp.DepthStats.from_json(args.narrow.read_text())
     wide = dp.DepthStats.from_json(args.wide.read_text())
+    an.check_depth_extremes(narrow, wide)
+    data = persist.load_dataset(args.data)
     report = an.run_depth_extremes_ablation(cfg.model, narrow, wide, data,
                                             cfg.train, cfg.env)
     _write_ablation(report, args.out)
@@ -203,9 +209,9 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
-    res = tr.full_model_gradcheck(seed=args.seed, eps=args.eps)
+    res = tr.full_model_gradcheck()
     dt = time.perf_counter() - t0
-    ok = res.max_rel_error < args.tol
+    ok = res.max_rel_error < 1e-4
     print(f"max relative error {res.max_rel_error:.3e} over {res.n_checked} "
           f"entries (worst: {res.worst_param}) in {dt:.1f}s -> "
           f"{'OK' if ok else 'FAIL'}")
@@ -301,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     n.set_defaults(func=cmd_sensitivity)
 
     c = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    c.add_argument("--seed", type=_non_negative_int, default=7)
-    c.add_argument("--eps", type=_positive_float, default=1e-5)
-    c.add_argument("--tol", type=_positive_float, default=1e-4)
     c.set_defaults(func=cmd_gradcheck)
     return p
 

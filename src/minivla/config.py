@@ -4,8 +4,8 @@ Only values a run may choose are fields here. Values with one possible
 setting are constants of the module that uses them: the frame edge is
 sim.IMAGE_HW (the cameras render nothing else), the pose output scale is
 sim.STEP_CLIP (the environment's per-step bound), the cross-attention
-gate start is decoder.GATE_INIT, and Adam's moment decays and epsilon
-are training.Adam.BETAS and Adam.EPS.
+gate start is decoder.GATE_INIT, and Adam's moment decays, epsilon and
+gradient-norm bound are training.Adam.BETAS, Adam.EPS and Adam.CLIP_NORM.
 
 parse_config is the one way from a dict to a RunConfig, for config files
 and checkpoint metadata alike: every key must name a field, and every
@@ -64,7 +64,6 @@ class TrainConfig:
     learning_rate: float = 2e-3
     epochs: int = 20
     batch_size: int = 1
-    clip_norm: float = 1.0       # global gradient-norm bound
     seed: int = 0
     ckpt_every: int = 0          # 0 = final checkpoint only
 
@@ -77,8 +76,6 @@ class TrainConfig:
             raise ConfigRangeError(f"train.epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigRangeError(f"train.batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_norm <= 0:
-            raise ConfigRangeError(f"train.clip_norm must be positive, got {self.clip_norm}")
         for name in ("seed", "ckpt_every"):
             if getattr(self, name) < 0:
                 raise ConfigRangeError(f"train.{name} must be >= 0, got {getattr(self, name)}")

@@ -50,10 +50,9 @@ def init_embedding_array(vocab_size: int, d: int, rng: np.random.Generator) -> A
 
 
 def embed_ids(table: Array, ids) -> Array:
-    """Rows of the frozen table; shape (M, d)."""
+    """Rows of the frozen table; shape (M, d). ids come from tokenize,
+    which refuses empty text, so there is at least one."""
     ids = list(ids)
-    if not ids:
-        raise EmptyInstructionError("no token ids to embed")
     for i in ids:
         if not 0 <= i < table.shape[0]:
             raise ContractError(f"token id {i} outside table of {table.shape[0]} rows")

@@ -105,10 +105,9 @@ def normalize_depth(depth, stats: DepthStats) -> Array:
 
 
 def standardize_depth(normalized, stats: DepthStats) -> Array:
-    """(d' - mu) / sigma, then replicated to three identical channels."""
+    """(d' - mu) / sigma, then replicated to three identical channels.
+    normalized is 2-D, as normalize_depth's result is."""
     arr = np.asarray(normalized, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"normalized depth must be 2-D, got {arr.shape}")
     std = (arr - stats.mu) / stats.sigma
     return np.repeat(std[:, :, None], 3, axis=2)
 

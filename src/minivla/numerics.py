@@ -84,15 +84,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
 
 def as_tensor(x) -> Tensor:
-    """Wrap scalars/arrays as constant tensors; pass tensors through."""
-    if isinstance(x, Tensor):
-        return x
+    """Wrap a scalar or an array as a constant tensor."""
     return Tensor(x)
 
 
@@ -536,9 +530,9 @@ def backward(loss: Tensor) -> None:
     order = _topo_from(loss)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        # Every node but the loss is a parent that requires a gradient, and
+        # every VJP returns one for each such parent, so g is always there.
+        g = grads.pop(id(node))
         if node.is_leaf:
             if node.requires_grad:
                 if node.grad is None:

@@ -42,7 +42,8 @@ n_steps}. The payload holds the trajectories in order, each step as its
 frame planes and then the 7-float action row. The frame edge must equal
 sim.IMAGE_HW, the one extent the cameras render; a header of any other
 extent, one that is not valid JSON, or a record that lacks a field is
-rejected before any step is decoded. Datasets of the older directory
+rejected before any step is decoded, as is a trajectory of no steps,
+which save_dataset refuses to write. Datasets of the older directory
 layout (index.json and one file per trajectory) are rejected and must be
 regenerated with `minivla gen-data`.
 
@@ -80,8 +81,8 @@ from . import sim
 from .analysis import SuccessTable
 from .config import parse_config
 from .depth import DepthStats
-from .errors import (CompatibilityError, ConfigError, CorruptionError, NumericInputError,
-                     ValidationError)
+from .errors import (CompatibilityError, ConfigError, ContractError, CorruptionError,
+                     NumericInputError, ValidationError)
 from .policy import Model, init_model
 from .training import TrainReport
 
@@ -310,9 +311,11 @@ _OLD_LAYOUT = "a dataset directory of an older layout"
 def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
                  meta: dict | None = None) -> Path:
     """Write a dataset as one file; a failed save leaves the previous one
-    at path whole. Every frame is checked against sim's frame contract
-    first."""
+    at path whole. Every trajectory must have a step, and every frame is
+    checked against sim's frame contract, before anything is written."""
     for i, traj in enumerate(trajectories):
+        if not traj.steps:
+            raise ContractError(f"trajectory {i} has no steps")
         for t, (obs, _) in enumerate(traj.steps):
             sim.check_observation(obs, f"trajectory {i}, step {t}")
     path = Path(path)
@@ -352,7 +355,7 @@ def _dataset_payload_len(header: dict) -> int:
                          f"{sim.IMAGE_HW}-pixel frames")
     for rec in records:
         bad = [key for key, kind in _RECORD_FIELDS.items() if not isinstance(rec.get(key), kind)]
-        if bad or rec["n_steps"] < 0:
+        if bad or rec["n_steps"] < 1:
             raise TypeError(f"a trajectory record lacks a valid {bad or ['n_steps']}")
     return sum(rec["n_steps"] for rec in records) * _STEP_FLOATS * 4
 

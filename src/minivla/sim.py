@@ -9,11 +9,14 @@ contract is stated once, in OBSERVATION_SHAPES, and check_observation is
 the one check of it. Scenes hold colored blocks, buttons, a rail-bound
 slider, and a bin; five task families (lift, push, press, place, slide)
 come with scripted experts, a paraphrase bank, and 5-task chain
-evaluation. A chain is stepped: chain_steps is a generator that runs one
-policy step per next(), and lockstep drains several of them in rounds,
-one step of each per round, so agents on the same chain act at the same
-step one after another; rollout_chain is lockstep of one. Everything is
-a pure function of (seed, palette, actions).
+evaluation. TARGET_KINDS is the one table of which kind of object each
+family acts on, and chain_families the one rule of which families can
+fill a chain, shared by sample_chain and the command line. A chain is
+stepped: chain_steps is a generator that runs one policy step per
+next(), and lockstep drains several of them in rounds, one step of each
+per round, so agents on the same chain act at the same step one after
+another; rollout_chain is lockstep of one. Everything is a pure function
+of (seed, palette, actions).
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParaphraseBankError, TaskError
+from .errors import (ContractError, DimensionError, ParaphraseBankError, TaskError,
+                     ValidationError)
 
 Array = np.ndarray
 
@@ -64,7 +68,10 @@ GRIPPER_HALF = 0.03
 IMAGE_HW = 32              # square frame edge of every rendered plane, pixels
 GRIPPER_CAM_WINDOW = 0.8   # wide-angle wrist view; target visible almost always
 
-FAMILIES = ("lift", "push", "press", "place", "slide")
+# Task family -> the kind of object its target is; the families in order.
+TARGET_KINDS = {"lift": "block", "push": "block", "press": "button",
+                "place": "block", "slide": "slider"}
+FAMILIES = tuple(TARGET_KINDS)
 
 # --- colors and palettes ----------------------------------------------------
 
@@ -455,8 +462,12 @@ def _size_of(block: Obj) -> str | None:
 
 
 def resolve_target(state: WorldState, task: TaskSpec) -> Obj:
-    kind = {"lift": "block", "push": "block", "place": "block",
-            "press": "button", "slide": "slider"}[task.family]
+    """The object task names: the nearest to the gripper among those of
+    its family's kind, color and size. TaskError for an unknown family or
+    when none matches."""
+    kind = TARGET_KINDS.get(task.family)
+    if kind is None:
+        raise TaskError(f"unknown task family {task.family!r}")
     matches = []
     for obj in state.objects:
         if obj.kind != kind:
@@ -510,9 +521,7 @@ def success(state: WorldState, task: TaskSpec) -> bool:
     if task.family == "place":
         return (not target.held
                 and float(np.linalg.norm(target.pos - _find_bin(state).pos)) <= PLACE_RADIUS)
-    if task.family == "slide":
-        return float(target.pos[0]) >= target.rail[1] - SLIDE_END_TOL
-    raise TaskError(f"unknown family {task.family!r}")
+    return float(target.pos[0]) >= target.rail[1] - SLIDE_END_TOL  # slide
 
 
 def _family_list(families: Sequence[str] | None) -> list[str]:
@@ -529,8 +538,7 @@ def sample_task(state: WorldState, rng: np.random.Generator,
     """Pick a random feasible task against the scene."""
     fams = _family_list(families)
     family = fams[int(rng.integers(0, len(fams)))]
-    kind = {"lift": "block", "push": "block", "place": "block",
-            "press": "button", "slide": "slider"}[family]
+    kind = TARGET_KINDS[family]
     candidates = [o for o in state.objects if o.kind == kind]
     if not candidates:
         raise TaskError(f"scene has no {kind} for family {family!r}")
@@ -668,20 +676,18 @@ def expert_action(state: WorldState, task: TaskSpec) -> Action:
             return _goto(state, (target.pos[0], target.pos[1], HOVER_Z), False)
         return _goto(state, (target.pos[0], target.pos[1], 0.03), False)
 
-    if family in ("push", "slide"):
-        push_z = 0.05
-        behind = (g[2] <= push_z + 0.015
-                  and g[0] < target.pos[0]
-                  and abs(g[1] - target.pos[1]) <= 0.025
-                  and target.pos[0] - g[0] <= CONTACT_RADIUS + 0.05)
-        if behind:
-            return _goto(state, (g[0] + 0.06, target.pos[1], push_z), False)
-        ax = target.pos[0] - CONTACT_RADIUS - 0.025
-        if np.linalg.norm(g[:2] - np.array([ax, target.pos[1]])) > 0.02:
-            return _goto(state, (ax, target.pos[1], HOVER_Z), False)
-        return _goto(state, (ax, target.pos[1], push_z), False)
-
-    raise TaskError(f"unknown family {family!r}")
+    # push and slide: approach from the left at push height, then drive right.
+    push_z = 0.05
+    behind = (g[2] <= push_z + 0.015
+              and g[0] < target.pos[0]
+              and abs(g[1] - target.pos[1]) <= 0.025
+              and target.pos[0] - g[0] <= CONTACT_RADIUS + 0.05)
+    if behind:
+        return _goto(state, (g[0] + 0.06, target.pos[1], push_z), False)
+    ax = target.pos[0] - CONTACT_RADIUS - 0.025
+    if np.linalg.norm(g[:2] - np.array([ax, target.pos[1]])) > 0.02:
+        return _goto(state, (ax, target.pos[1], HOVER_Z), False)
+    return _goto(state, (ax, target.pos[1], push_z), False)
 
 
 def _approach_and_grasp(state: WorldState, target: Obj) -> Action:
@@ -742,18 +748,37 @@ def generate_dataset(n: int, seed: int, palettes: Sequence[str],
 # --- chains -------------------------------------------------------------------
 
 
+def chain_families(families: Sequence[str] | None, variant: str = "standard") -> list[str]:
+    """The families a chain of variant draws its tasks from.
+
+    A tall_short chain is five lifts, whatever families say. A standard
+    chain draws from families (all of them when None). Its five targets
+    are distinct objects, and a scene holds five blocks but only two
+    buttons and one slider, so one of the families must target a block;
+    ValidationError otherwise.
+    """
+    if variant == "tall_short":
+        return ["lift"]
+    fams = _family_list(families)
+    if not any(TARGET_KINDS[f] == "block" for f in fams):
+        block_families = [f for f, kind in TARGET_KINDS.items() if kind == "block"]
+        raise ValidationError(f"cannot build a 5-task chain from families {fams}: "
+                              f"one of {block_families} is needed")
+    return fams
+
+
 def sample_chain(seed: int, palette: str, families: Sequence[str] | None = None,
                  variant: str = "standard") -> ChainSpec:
     """Five compatible tasks over the scene that make_env(seed, palette) builds.
 
-    Targets are distinct objects; the tall_short variant leads with the
-    two size-qualified lifts of the same-color pair.
+    Targets are distinct objects, of families from chain_families; the
+    tall_short variant leads with the two size-qualified lifts of the
+    same-color pair.
     """
+    fams = chain_families(families, variant)
     state = make_env(seed, palette, variant)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_CHAIN_KEY,)))
     blocks = [o for o in state.objects if o.kind == "block"]
-    buttons = [o for o in state.objects if o.kind == "button"]
-    slider = [o for o in state.objects if o.kind == "slider"]
 
     tasks: list[TaskSpec] = []
     if variant == "tall_short":
@@ -768,19 +793,12 @@ def sample_chain(seed: int, palette: str, families: Sequence[str] | None = None,
             tasks.append(make_task(state, "lift", rest[i]))
         return ChainSpec(tuple(tasks), seed, palette, variant)
 
-    fams = _family_list(families)
-    pools: dict[str, list[Obj]] = {
-        "lift": list(blocks), "push": list(blocks), "place": list(blocks),
-        "press": list(buttons), "slide": list(slider),
-    }
     used: set[int] = set()
     for _ in range(5):
-        feasible = [f for f in fams
-                    if any(id(o) not in used for o in pools[f])]
-        if not feasible:
-            raise TaskError(f"cannot build a 5-task chain from families {fams}")
+        free = [o for o in state.objects if id(o) not in used]
+        feasible = [f for f in fams if any(o.kind == TARGET_KINDS[f] for o in free)]
         family = feasible[int(rng.integers(0, len(feasible)))]
-        cands = [o for o in pools[family] if id(o) not in used]
+        cands = [o for o in free if o.kind == TARGET_KINDS[family]]
         target = cands[int(rng.integers(0, len(cands)))]
         used.add(id(target))
         tasks.append(make_task(state, family, target))

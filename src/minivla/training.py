@@ -57,17 +57,14 @@ def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(total, pose_mse_sum, gripper_bce_sum) over one trajectory.
 
     preds: (pose (T,6) Tensor, gripper logit (T,1) Tensor), one row per step.
-    demo: per-step expert sim.Action.
+    demo: per-step expert sim.Action. lam is TrainConfig.lambda_gripper,
+    which TrainConfig.validate keeps non-negative.
     """
     pose, logit = preds
     if pose.shape[0] != len(demo):
         raise ContractError(
             f"prediction/demonstration length mismatch: {pose.shape[0]} vs {len(demo)}"
         )
-    if not demo:
-        raise ContractError("imitation loss needs at least one step")
-    if lam < 0:
-        raise ContractError(f"lambda_gripper must be >= 0, got {lam}")
     target = Tensor(np.stack([np.asarray(a.pose, dtype=np.float64) for a in demo]))
     labels = Tensor([[1.0 if a.gripper_closed else 0.0] for a in demo])
     err = nm.sub(pose, target)
@@ -85,17 +82,18 @@ class Adam:
     The optimizer owns its parameter list: the trainable entries of the
     ParamSet it is built over, in that set's name order, read once here
     with both moments allocated beside them. step() updates them from
-    their gradients, which ParamSet.zero_grads and backward fill.
+    their gradients, which ParamSet.zero_grads and backward fill, after
+    scaling them all down to a global norm of at most CLIP_NORM.
     """
 
     BETAS = (0.9, 0.999)
     EPS = 1e-8
+    CLIP_NORM = 1.0
 
     def __init__(self, cfg: TrainConfig, params: ParamSet):
         self.lr = cfg.learning_rate
         self.b1, self.b2 = self.BETAS
         self.eps = self.EPS
-        self.clip_norm = cfg.clip_norm
         self.t = 0
         self._slots = [(name, tensor, np.zeros_like(tensor.data), np.zeros_like(tensor.data))
                        for name, tensor in params.trainable_items()]
@@ -108,7 +106,7 @@ class Adam:
                 raise DivergedTrainingError(f"non-finite gradient in {name}")
             sq += float((g * g).sum())
         norm = np.sqrt(sq)
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        scale = self.CLIP_NORM / norm if norm > self.CLIP_NORM else 1.0
 
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
@@ -232,17 +230,19 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
     return report
 
 
-def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult:
+def full_model_gradcheck() -> nm.GradCheckResult:
     """Finite differences over every trainable entry of a complete policy.
 
     Exercises the whole composition (depth pipeline, frozen encoder,
     resampler, 2-layer fusion stack, recurrent head, loss) on a 2-step
-    synthetic batch. Dims are the smallest that keep every stage present
-    (4 patches per frame), so the check finishes in well under a minute.
+    synthetic batch drawn from seed 7, with grad_check's default step.
+    Dims are the smallest that keep every stage present (4 patches per
+    frame), so the check finishes in well under a minute.
     """
     from . import depth as dp
     from .config import ModelConfig
 
+    seed = 7
     cfg = ModelConfig(patch=16, d_model=16, vit_blocks=1,
                       resampler_k=2, decoder_layers=2, lstm_layers=2,
                       lstm_width=8, seed=seed)
@@ -276,4 +276,4 @@ def full_model_gradcheck(seed: int = 7, eps: float = 1e-5) -> nm.GradCheckResult
         total, _, _ = _trajectory_loss(model, instr, tokens, actions, 1.0)
         return total
 
-    return nm.grad_check(f, model.params, eps=eps)
+    return nm.grad_check(f, model.params)

@@ -10,7 +10,7 @@ from minivla import policy as pol
 from minivla import sim
 from minivla import training as tr
 from minivla.config import EnvConfig, TrainConfig
-from minivla.errors import ContractError
+from minivla.errors import ContractError, ValidationError
 
 
 def chains_with_prefix_counts(counts, n):
@@ -58,6 +58,7 @@ class TestAggregateChainMetrics:
             table = an.aggregate_chain_metrics(results)
             for a, b in zip(table.rates, table.rates[1:]):
                 assert a >= b
+            assert table.avg == sum(table.rates)
 
     def test_non_prefix_successes_counted_by_prefix(self):
         # A chain recorded as [False, True, ...] contributes to no rate.
@@ -149,7 +150,8 @@ class TestSepResamplerAblation:
         counts = report.extras["resampler_param_counts"]
         assert counts["separate"] == 2 * counts["shared"]
         for table in report.tables.values():
-            table.validate()
+            assert list(table.rates) == sorted(table.rates, reverse=True)
+            assert table.avg == sum(table.rates)
             assert table.n_chains == 3
 
     def test_shared_and_separate_identical_at_init(self):
@@ -191,7 +193,7 @@ class TestDepthExtremesAblation:
         data, stats, model_cfg, train_cfg, env_cfg = quick_setup()
         narrow = dp.DepthStats(0.0, 2.0, 0.5, 0.3)
         not_wide = dp.DepthStats(0.5, 1.5, 0.5, 0.3)
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError, match="must strictly contain"):
             an.run_depth_extremes_ablation(model_cfg, narrow, not_wide, data,
                                            train_cfg, env_cfg)
 

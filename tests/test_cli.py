@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -9,7 +11,7 @@ from minivla import cli, persist
 from minivla import policy as pol
 from minivla.config import ModelConfig, parse_config
 from minivla.depth import DepthStats
-from minivla.errors import ConfigRangeError
+from minivla.errors import ConfigError, ConfigRangeError
 
 TINY_MODEL = dict(patch=8, d_model=16, vit_blocks=1, resampler_k=2,
                   decoder_layers=1, lstm_layers=1, lstm_width=8)
@@ -140,7 +142,34 @@ def test_malformed_stats_file_exits_1(run_dir, dataset, capsys, body, field):
                          "--stats", "stats.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
-    assert not (run_dir / "train" / "checkpoint.rfpx").exists()
+    assert not (run_dir / "train").exists()
+
+
+def test_an_unreadable_input_exits_2_before_writing(run_dir, dataset, capsys):
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--stats", "missing.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "missing.json" in err
+    assert not (run_dir / "train").exists()
+
+
+@pytest.mark.parametrize("argv, code", [([], 1), (["--help"], 0), (["train", "--help"], 0),
+                                        (["ablate"], 1)],
+                         ids=["no-args", "help", "command-help", "no-ablation"])
+def test_usage_exit_codes(capsys, argv, code):
+    assert cli.dispatch(argv) == code
+    out = capsys.readouterr()
+    assert "usage: minivla" in out.out + out.err
+
+
+def test_running_the_module_exits_with_the_dispatch_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["minivla", "ablate"])
+    # Run as a fresh module, as `python -m minivla.cli` does.
+    monkeypatch.delitem(sys.modules, "minivla.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("minivla.cli", run_name="__main__")
+    assert exit_.value.code == 1
+    assert "usage: minivla" in capsys.readouterr().err
 
 
 def test_depth_extremes_has_no_stats_flag(run_dir, capsys):
@@ -201,8 +230,13 @@ def test_depth_extremes_writes_its_report(tmp_path, run_dir, dataset):
     (["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
       "--narrow", "n.json", "--wide", "w.json", "--families", "bogus"],
      "env.families entry 'bogus'"),
+    (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--families", "press,slide"],
+     "cannot build a 5-task chain"),
+    (["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
+      "--families", "slide"], "cannot build a 5-task chain"),
 ], ids=["gen-data-families", "gen-data-palettes", "eval-palette", "eval-families",
-        "sep-resampler-families", "depth-extremes-families"])
+        "sep-resampler-families", "depth-extremes-families", "eval-no-chain",
+        "sep-resampler-no-chain"])
 def test_a_bad_env_flag_exits_1_before_any_file(run_dir, capsys, argv, key):
     # No input file exists: reading one would fail with exit 2 instead.
     assert cli.dispatch(argv) == 1
@@ -239,23 +273,44 @@ def test_gen_data_over_a_dataset_directory_is_refused(run_dir, capsys):
     (["gen-data", "--out", "data", "--seed", "-1"], "must be a non-negative integer"),
     (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--seed", "-2"],
      "must be a non-negative integer"),
-    (["gradcheck", "--seed", "-1"], "must be a non-negative integer"),
+    (["gradcheck", "--seed", "-1"], "unrecognized arguments: --seed"),
     (["train", "--data", "data", "--out", "train", "--seed", "-3"], "model.seed must be >= 0"),
     (["ablate", "sep-resampler", "--data", "data", "--out", "ablate", "--seed", "-3"],
      "model.seed must be >= 0"),
     (["train", "--data", "data", "--out", "train", "--ckpt-every", "-1"],
      "train.ckpt_every must be >= 0"),
-    (["gradcheck", "--eps", "nan"], "must be a positive finite number"),
-    (["gradcheck", "--eps", "0"], "must be a positive finite number"),
-    (["gradcheck", "--tol", "inf"], "must be a positive finite number"),
-    (["gradcheck", "--tol=-1e-4"], "must be a positive finite number"),
 ], ids=["gen-data-seed", "eval-seed", "gradcheck-seed", "train-seed", "ablate-seed",
-        "ckpt-every", "eps-nan", "eps-0", "tol-inf", "tol-negative"])
+        "ckpt-every"])
 def test_a_bad_seed_or_tolerance_exits_1_before_any_file(run_dir, capsys, argv, message):
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
     assert "error: " in err and message in err
     assert not run_dir.exists()
+
+
+def test_gradcheck_passes_on_the_full_model(capsys):
+    assert cli.dispatch(["gradcheck"]) == 0
+    out = capsys.readouterr().out
+    assert "over 7889 entries" in out and out.rstrip().endswith("-> OK")
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"model": {"patch": 0}}, "model.patch must be a positive integer"),
+    ({"model": {"patch": 5}}, "model.patch 5 must divide the frame edge"),
+    ({"model": {"d_model": 3}}, "model.d_model must be at least 4"),
+    ({"model": {"depth_input": "rgb"}}, "model.depth_input must be"),
+    ({"train": {"lambda_gripper": -1.0}}, "train.lambda_gripper must be >= 0"),
+    ({"train": {"learning_rate": -1.0}}, "train.learning_rate must be >= 0"),
+    ({"train": {"batch_size": 0}}, "train.batch_size must be >= 1"),
+    ({"env": {"variant": "tall"}}, "env.variant must be standard or tall_short"),
+    ("{not json", "is not valid JSON"),
+], ids=["patch-0", "patch-5", "d_model-3", "depth_input", "lambda_gripper", "learning_rate",
+        "batch_size", "variant", "not-json"])
+def test_a_bad_config_file_is_a_config_error(tmp_path, body, message):
+    path = tmp_path / "config.json"
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
 
 
 def test_config_file_seeds_must_not_be_negative(tmp_path):
@@ -299,7 +354,35 @@ def test_train_that_overflows_float32_exits_2_without_a_checkpoint(tmp_path, run
                          "--config", cli_config(tmp_path), "--learning-rate", "1e300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: ") and "not finite in float32" in err
-    assert not list((run_dir / "train").glob("*.rfpx"))
+    # Nothing is left behind, so a retry into the same --out runs.
+    assert not (run_dir / "train").exists()
+    assert cli.dispatch(["train", "--data", "data", "--out", "train",
+                         "--config", cli_config(tmp_path)]) == 0
+
+
+def test_periodic_checkpoints(tmp_path, run_dir, dataset):
+    assert cli.dispatch(["train", "--data", "data", "--out", "train", "--config",
+                         cli_config(tmp_path), "--epochs", "2", "--ckpt-every", "1"]) == 0
+    out = run_dir / "train"
+    assert sorted(p.name for p in out.glob("*.rfpx")) == [
+        "checkpoint.rfpx", "checkpoint_ep0001.rfpx", "checkpoint_ep0002.rfpx"]
+    assert (out / "checkpoint_ep0002.rfpx").read_bytes() == (out / "checkpoint.rfpx").read_bytes()
+    first = persist.load_checkpoint(out / "checkpoint_ep0001.rfpx")
+    assert first.cfg == ModelConfig(**TINY_MODEL)
+    assert first.params.checksum("head.") != \
+        persist.load_checkpoint(out / "checkpoint.rfpx").params.checksum("head.")
+
+
+def test_depth_extremes_refuses_ranges_before_reading_the_dataset(run_dir, capsys):
+    run_dir.mkdir()
+    write_stats(run_dir, "narrow.json", 0.6, 1.0)
+    write_stats(run_dir, "wide.json", 0.7, 1.5)
+    # No dataset exists: reading it would exit 2.
+    assert cli.dispatch(["ablate", "depth-extremes", "--data", "data", "--out", "ablate",
+                         "--narrow", "narrow.json", "--wide", "wide.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must strictly contain narrow range" in err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["narrow.json", "wide.json"]
 
 
 @pytest.mark.parametrize("leftover", ["train_log.csv", "checkpoint.rfpx"])

@@ -105,6 +105,12 @@ class TestGatedCrossAttention:
             dec.gated_cross_attention(Tensor(rng.normal(size=(3, 4))),
                                       Tensor(rng.normal(size=(4, 8))), layer)
 
+    def test_visual_width_mismatch(self, rng):
+        layer, _ = make_layer(rng, d=8)
+        with pytest.raises(DimensionError, match="visual tokens width"):
+            dec.gated_cross_attention(Tensor(rng.normal(size=(3, 8))),
+                                      Tensor(rng.normal(size=(4, 4))), layer)
+
 
 class TestSelfAttentionBlock:
     def test_single_token_matches_formula(self, rng):

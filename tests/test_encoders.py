@@ -55,6 +55,17 @@ class TestPatchify:
             enc.patchify(rng.random((30, 32, 3)), 8, vit["patch_proj"],
                          vit["pos_embed"][:16])
 
+    @pytest.mark.parametrize("img_shape, proj_rows, pos_rows, message", [
+        ((32, 32), 192, 16, r"expects an \(H, W, 3\) image"),
+        ((32, 32, 3), 100, 16, "patch width 192 does not match projection"),
+        ((32, 32, 3), 192, 15, "positional rows 15 do not match 16 patches"),
+    ], ids=["rank", "projection", "positions"])
+    def test_operands_that_do_not_fit_are_rejected(self, rng, img_shape, proj_rows,
+                                                   pos_rows, message):
+        with pytest.raises(DimensionError, match=message):
+            enc.patchify(rng.random(img_shape), 8, np.zeros((proj_rows, 12)),
+                         np.zeros((pos_rows, 4)))
+
     def test_patch_layout_matches_manual_extraction(self, rng):
         # First token must be the top-left patch, flattened row-major,
         # with the positional band appended.
@@ -341,6 +352,22 @@ class TestResample:
         with pytest.raises(DimensionError):
             enc.resample(rng.normal(size=(4, 8)), tensors["latents"],
                          tensors["wk"], tensors["wv"])
+
+    def test_tokens_of_another_rank_rejected(self, rng):
+        tensors, _ = make_resampler(rng)
+        with pytest.raises(DimensionError, match=r"resample expects \(N, d_in\)"):
+            enc.resample(rng.normal(size=16), tensors["latents"], tensors["wk"],
+                         tensors["wv"])
+
+    @pytest.mark.parametrize("k", [2, 7, 8])
+    def test_initial_tiles_cover_both_camera_grids(self, k):
+        n = 16  # a 4 x 4 patch grid per camera
+        tiles = enc._square_tiles(2 * n, k)
+        assert len(tiles) == k
+        even = 2 * (k // 2)
+        np.testing.assert_array_equal(np.sort(np.concatenate(tiles[:even])), np.arange(2 * n))
+        for extra in tiles[even:]:  # odd k: the first camera's whole grid once more
+            np.testing.assert_array_equal(extra, np.arange(n))
 
     def test_gradients_reach_all_resampler_params(self, rng):
         tensors, params = make_resampler(rng)

@@ -11,7 +11,7 @@ from minivla.errors import (
     NumericInputError,
 )
 from minivla.numerics import ParamSet, Tensor
-from test_batched import sigmoid, slice_cols
+from test_batched import lstm_arrays, sigmoid, slice_cols
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -358,7 +358,33 @@ class TestSigmoidKernel:
         assert np.isnan(got[6])
 
 
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+def lstm_over_no_steps():
+    x, h0, c0, wx, wh, b = lstm_arrays(np.random.default_rng(0), 0, 2, 4)
+    return nm.lstm_layer(Tensor(x), h0, c0, Tensor(wx), Tensor(wh), Tensor(b))
+
+
 class TestShapeOps:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: nm.matmul(zeros(3), zeros(3, 2)), DimensionError, "matmul expects 2-D"),
+        (lambda: nm.matmul(zeros(2, 2, 3), zeros(3, 3, 2)), DimensionError,
+         "matmul batch sizes disagree"),
+        (lambda: nm.scaled_dot_attention(zeros(3), zeros(4, 3), zeros(4, 3)),
+         DimensionError, "attention expects 2-D"),
+        (lambda: nm.concat_rows([]), ContractError, "empty part list"),
+        (lambda: nm.concat_rows([zeros(2, 3), zeros(2, 4)]), DimensionError,
+         r"incompatible part shape \(2, 4\), want \(\*, 3\)"),
+        (lambda: nm.max_over_rows(zeros(3)), DimensionError, "max_over_rows expects 2-D"),
+        (lstm_over_no_steps, DimensionError, r"lstm_layer expects x \(T, d_in\)"),
+    ], ids=["matmul-rank", "matmul-batches", "attention-rank", "concat-empty",
+            "concat-width", "max-rank", "lstm-no-steps"])
+    def test_operands_of_the_wrong_shape_are_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_concat_and_slices(self):
         a = np.arange(6.0).reshape(2, 3)
         b = np.arange(6.0, 12.0).reshape(2, 3)

@@ -19,7 +19,8 @@ from minivla import sim
 from minivla import training as tr
 from minivla.analysis import SuccessTable
 from minivla.config import TrainConfig
-from minivla.errors import CompatibilityError, CorruptionError, DimensionError, NumericInputError
+from minivla.errors import (CompatibilityError, ContractError, CorruptionError, DimensionError,
+                            NumericInputError)
 
 
 def small_model(**kw):
@@ -178,6 +179,22 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, tmp_path / "flipped.rfpx", flip)
         with pytest.raises(CompatibilityError, match=rf"trainable flag mismatch for {name}"):
             persist.load_checkpoint(tmp_path / "flipped.rfpx")
+
+    def test_a_transposed_shape_is_a_compatibility_error(self, tmp_path):
+        # Same element count, so the payload length still fits the header.
+        path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
+        transposed = []
+
+        def transpose_first_matrix(header):
+            entry = next(e for e in header["entries"]
+                         if len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1])
+            entry["shape"].reverse()
+            transposed.append(entry["name"])
+            return header
+
+        rewrite_checkpoint_header(path, tmp_path / "t.rfpx", transpose_first_matrix)
+        with pytest.raises(CompatibilityError, match=rf"shape mismatch for {transposed[0]}"):
+            persist.load_checkpoint(tmp_path / "t.rfpx")
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "f32-overflow"])
     def test_a_value_not_finite_in_f32_is_refused_before_writing(self, tmp_path, value):
@@ -372,8 +389,11 @@ class TestDatasetContainer:
             {k: v for k, v in rec.items() if k != "n_steps"} for rec in index["trajectories"]]}),
         lambda index: json.dumps({**index, "trajectories": [
             {**rec, "n_steps": float(rec["n_steps"])} for rec in index["trajectories"]]}),
+        lambda index: json.dumps({**index, "trajectories": [
+            *index["trajectories"], {**index["trajectories"][0], "n_steps": 0}]}),
     ], ids=["not-json", "not-an-object", "no-trajectories", "another-extent",
-            "records-not-objects", "record-without-n_steps", "n_steps-not-an-int"])
+            "records-not-objects", "record-without-n_steps", "n_steps-not-an-int",
+            "a-record-of-no-steps"])
     def test_corrupt_index_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch,
                                                                rewrite):
         # The header is the dataset's index; it must fail before any step is decoded.
@@ -383,6 +403,13 @@ class TestDatasetContainer:
         with pytest.raises(CorruptionError,
                            match=re.escape(f"unreadable dataset header in {f}")):
             persist.load_dataset(f)
+
+    def test_a_trajectory_without_steps_is_refused_before_writing(self, tmp_path):
+        data = lift_demos(2)
+        data[1].steps = []
+        with pytest.raises(ContractError, match="trajectory 1 has no steps"):
+            persist.save_dataset(data, tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CorruptionError):

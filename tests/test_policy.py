@@ -97,6 +97,12 @@ class TestLstmStep:
         with pytest.raises(DimensionError):
             pol.lstm_step(Tensor(np.zeros((1, model.cfg.d_model))), bad, model)
 
+    def test_layer_count_mismatch_rejected(self):
+        model = tiny_model()
+        state = pol.reset_hidden(model)[:1]
+        with pytest.raises(DimensionError, match="hidden state has 1 layers, model expects 2"):
+            pol.lstm_step(Tensor(np.zeros((1, model.cfg.d_model))), state, model)
+
 
 class TestActionHeads:
     def test_zero_weights_give_neutral_outputs(self):
@@ -172,6 +178,13 @@ class TestPolicyStep:
         assert act_a.gripper_closed == act_b.gripper_closed
         act_c, _ = pol.policy_step(model, obs_a, "press the red button", pol.reset_hidden(model))
         assert not np.array_equal(act_a.pose, act_c.pose)
+
+    def test_tokens_without_a_time_axis_rejected(self, rng):
+        model = tiny_model()
+        tokens = pol.encode_trajectory(model, [synthetic_obs(rng)])
+        with pytest.raises(DimensionError, match=r"\[stage=resampler\] policy_core expects"):
+            pol.policy_core(model, tuple(x[0] for x in tokens),
+                            model.instruction("lift the red block"), pol.reset_hidden(model))
 
     def test_missing_stats_tagged_with_stage(self, rng):
         model = pol.init_model(tiny_config(), depth_stats=None)

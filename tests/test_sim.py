@@ -9,7 +9,7 @@ from conftest import Recording, action_bytes, synthetic_stats, tiny_config
 
 from minivla import policy as pol
 from minivla import sim
-from minivla.errors import ContractError, ParaphraseBankError, TaskError
+from minivla.errors import ContractError, ParaphraseBankError, TaskError, ValidationError
 from minivla.sim import (
     Action,
     ChainSpec,
@@ -74,6 +74,26 @@ class TestMakeEnv:
     def test_unknown_palette_rejected(self):
         with pytest.raises(ContractError):
             sim.make_env(0, "Z")
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ContractError, match="unknown scene variant 'tall'"):
+            sim.make_env(0, "A", variant="tall")
+
+    @pytest.mark.parametrize("breach, message", [
+        ("two-held", "2 objects held at once"),
+        ("object-off-table", "object out of bounds"),
+        ("gripper-too-high", "gripper out of bounds"),
+    ])
+    def test_validate_refuses_impossible_states(self, breach, message):
+        state = sim.make_env(0, "A")
+        if breach == "two-held":
+            state.objects[0].held = state.objects[1].held = True
+        elif breach == "object-off-table":
+            state.objects[0].pos = np.array([1.2, 0.5])
+        else:
+            state.gripper_pos[2] = sim.Z_MAX + 0.01
+        with pytest.raises(ContractError, match=message):
+            state.validate()
 
 
 class TestStepEnv:
@@ -424,6 +444,39 @@ class TestExpert:
         with pytest.raises(TaskError):
             sim.expert_action(s, task)
 
+    def test_an_expert_out_of_steps_is_a_task_error(self):
+        task = TaskSpec("lift", "red", None, "lift the red block")
+        with pytest.raises(TaskError, match="expert failed 'lift' on 'red' within 1 steps"):
+            sim.run_expert_episode(simple_scene(), task, max_steps=1)
+
+    def test_expert_agent_needs_the_state_and_a_task(self):
+        agent = ExpertAgent()
+        with pytest.raises(ContractError, match="needs the world state and a task"):
+            agent.act(None, "lift the red block", state=simple_scene())
+
+
+class TestTasks:
+    def test_push_without_its_start_snapshot_is_a_contract_error(self):
+        task = TaskSpec("push", "red", None, "push the red block right")
+        with pytest.raises(ContractError, match="push task missing its start snapshot"):
+            sim.success(simple_scene(), task)
+
+    def test_place_without_a_bin_is_a_task_error(self):
+        task = TaskSpec("place", "red", None, "put the red block in the bin")
+        with pytest.raises(TaskError, match="scene has no bin"):
+            sim.success(simple_scene(), task)
+
+    def test_a_scene_without_the_family_s_kind_is_a_task_error(self):
+        with pytest.raises(TaskError, match="scene has no button for family 'press'"):
+            sim.sample_task(simple_scene(), np.random.default_rng(0), families=["press"])
+
+    def test_a_size_is_named_only_for_a_tall_or_short_block(self):
+        # Two red blocks of the standard height: ambiguous, but neither has a size.
+        state = simple_scene()
+        state.objects.append(Obj("block", "red", np.array([0.7, 0.3]), sim.BLOCK_HEIGHT))
+        task = sim.make_task(state, "lift", state.objects[1])
+        assert task.size is None and task.instruction == "lift the red block"
+
 
 class TestDataset:
     def test_fixed_seed_reproducible(self):
@@ -435,6 +488,12 @@ class TestDataset:
             assert np.array_equal(oa.rgb_static, ob.rgb_static)
             assert np.array_equal(aa.pose, ab.pose)
             assert aa.gripper_closed == ab.gripper_closed
+
+    @pytest.mark.parametrize("n, palettes, message", [
+        (0, ["A"], "dataset size must be >= 1"), (2, [], "at least one palette")])
+    def test_empty_requests_rejected(self, n, palettes, message):
+        with pytest.raises(ContractError, match=message):
+            sim.generate_dataset(n, 0, palettes)
 
     def test_palette_filter(self):
         data = sim.generate_dataset(6, 0, ["A", "B", "C"])
@@ -497,10 +556,20 @@ class TestChains:
     @pytest.mark.parametrize("sample", [
         lambda fams: sim.sample_chain(4, "A", families=fams),
         lambda fams: sim.sample_task(sim.make_env(4, "A"), np.random.default_rng(0), fams),
-    ], ids=["chain", "task"])
+        lambda fams: sim.success(simple_scene(), TaskSpec(fams[1], "red", None, "")),
+        lambda fams: sim.expert_action(simple_scene(), TaskSpec(fams[1], "red", None, "")),
+    ], ids=["chain", "task", "success", "expert"])
     def test_unknown_family_is_a_task_error(self, sample):
         with pytest.raises(TaskError, match="unknown task family 'bogus'"):
             sample(["lift", "bogus"])
+
+    def test_families_without_a_block_cannot_fill_a_chain(self):
+        # Two buttons and a slider are three targets; a chain needs five.
+        with pytest.raises(ValidationError, match="cannot build a 5-task chain"):
+            sim.sample_chain(4, "A", families=["press", "slide"])
+        # A tall_short chain is five lifts whatever the families.
+        chain = sim.sample_chain(4, "A", families=["press"], variant="tall_short")
+        assert {t.family for t in chain.tasks} == {"lift"}
 
     def test_chain_spec_requires_five(self):
         with pytest.raises(ContractError):

@@ -19,8 +19,18 @@ bitwise reproducible for a fixed graph.
 Which tensors train is set once, by the trainable flag each gets from
 ParamSet.add (policy.init_model states the policy's flags), and read one
 way, through ParamSet.trainable_items: the optimizer, zero_grads and
-grad_check all walk that list. zero_grads gives every trainable tensor a
-dense zero gradient; backward only adds into the leaves it reaches.
+grad_check all walk that list.
+
+The ParamSet owns the layout of that list. ParamSet.flat_layout lays the
+trainable entries out once, in name order, as views into one contiguous
+data vector and one gradient vector (FlatLayout). It is built when the
+optimizer is built (training.Adam), or by the first zero_grads, so a
+model that only runs no-grad rollouts keeps its own arrays. After that,
+zero_grads is one fill of the gradient vector and the only place
+gradients are zeroed; backward only adds into the views of the leaves
+it reaches. Write a laid-out tensor's .data and .grad in place: rebinding
+either detaches it from the vectors, and the next zero_grads or
+optimizer step raises ContractError rather than update a copy.
 """
 
 from __future__ import annotations
@@ -453,10 +463,14 @@ class ParamSet:
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
+        self._layout: FlatLayout | None = None
 
     def add(self, name: str, data, trainable: bool) -> Tensor:
         if name in self._entries:
             raise ContractError(f"duplicate parameter name: {name}")
+        if trainable and self._layout is not None:
+            raise ContractError(f"cannot add trainable {name!r}: the trainable "
+                                f"entries are already laid out")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=trainable, name=name)
         self._entries[name] = t
         return t
@@ -476,10 +490,19 @@ class ParamSet:
             if t.requires_grad:
                 yield name, t
 
+    def flat_layout(self) -> FlatLayout:
+        """The trainable entries laid out as views into two flat vectors;
+        built on the first call, the same object after it."""
+        if self._layout is None:
+            self._layout = FlatLayout([t for _, t in self.trainable_items()])
+        return self._layout
+
     def zero_grads(self) -> None:
-        """Give every trainable tensor a dense zero gradient."""
-        for _, t in self.trainable_items():
-            t.grad = np.zeros_like(t.data)
+        """Zero every trainable gradient: one fill of the flat gradient
+        vector, laid out here if nothing has laid it out yet."""
+        layout = self.flat_layout()
+        layout.check_bound()
+        layout.grad.fill(0.0)
 
     def checksum(self, prefix: str = "") -> float:
         """Order-stable fingerprint of raw parameter bytes under a prefix."""
@@ -491,6 +514,39 @@ class ParamSet:
                 crc = zlib.crc32(name.encode(), crc)
                 crc = zlib.crc32(np.ascontiguousarray(t.data).tobytes(), crc)
         return float(crc)
+
+
+class FlatLayout:
+    """Trainable tensors as views into one contiguous float64 data vector
+    and one gradient vector, in the order they are given (name order).
+
+    Building it copies each tensor's values into `data`, then rebinds the
+    tensor's .data and .grad to its slice of `data` and `grad` (the
+    gradients start at zero). Whole-vector ops on `data` and `grad` then
+    act on every tensor at once.
+    """
+
+    def __init__(self, tensors: list[Tensor]):
+        self.tensors = tensors
+        size = sum(t.size for t in self.tensors)
+        self.data = np.empty(size)
+        self.grad = np.zeros(size)
+        start = 0
+        for t in self.tensors:
+            stop = start + t.size
+            self.data[start:stop] = t.data.reshape(-1)
+            t.data = self.data[start:stop].reshape(t.shape)
+            t.grad = self.grad[start:stop].reshape(t.shape)
+            start = stop
+        self._views = [(t.data, t.grad) for t in self.tensors]
+
+    def check_bound(self) -> None:
+        """ContractError if a tensor's .data or .grad no longer is its view."""
+        for t, (data, grad) in zip(self.tensors, self._views):
+            if t.data is not data or t.grad is not grad:
+                raise ContractError(
+                    f"{t.name}: .data or .grad was rebound after the trainable layout "
+                    f"was built; write into it in place")
 
 
 # ---------------------------------------------------------------------------

@@ -751,13 +751,17 @@ def generate_dataset(n: int, seed: int, palettes: Sequence[str],
 def chain_families(families: Sequence[str] | None, variant: str = "standard") -> list[str]:
     """The families a chain of variant draws its tasks from.
 
-    A tall_short chain is five lifts, whatever families say. A standard
-    chain draws from families (all of them when None). Its five targets
-    are distinct objects, and a scene holds five blocks but only two
-    buttons and one slider, so one of the families must target a block;
-    ValidationError otherwise.
+    A tall_short chain is five lifts, so its families must be None or
+    ["lift"]; ValidationError otherwise. A standard chain draws from
+    families (all of them when None). Its five targets are distinct
+    objects, and a scene holds five blocks but only two buttons and one
+    slider, so one of the families must target a block; ValidationError
+    otherwise.
     """
     if variant == "tall_short":
+        if families and list(families) != ["lift"]:
+            raise ValidationError(f"a tall_short chain is five lifts; families "
+                                  f"{list(families)} would be ignored (give none or lift)")
         return ["lift"]
     fams = _family_list(families)
     if not any(TARGET_KINDS[f] == "block" for f in fams):

@@ -14,6 +14,15 @@ model.params: Adam takes the flagged entries once when it is built,
 zero_grads and backward fill their gradients, and nothing here selects
 parameters by name.
 
+Building Adam builds the ParamSet's flat layout (numerics.FlatLayout):
+the trainable tensors become views into one data vector and one
+gradient vector, in name order, and Adam keeps both moments as two more
+vectors of that length. A step is a few in-place whole-vector ops,
+chunk by chunk; each element sees the same ops in the same order as a
+per-tensor update, so parameters are bitwise those of one. A tensor
+whose .data or .grad is rebound after that makes the next step raise
+ContractError instead of updating a detached copy.
+
 Under teacher forcing every stage but the LSTM depends only on its own
 step's frames, so a trajectory's loss is recorded with time as a batch
 axis: the frozen tokens are encoded once per dataset and stored stacked,
@@ -31,6 +40,7 @@ after it (forward, backward, Adam) runs on the calling thread.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -75,15 +85,21 @@ def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
     return total, mse_sum, bce_sum
 
 
+# Elements per in-place pass of Adam.step: each pass touches six chunks
+# (data, gradient, both moments, two scratch buffers) that stay in cache.
+ADAM_CHUNK = 16384
+
+
 class Adam:
     """Bias-corrected adaptive-moment updates, with the moment decays and
     epsilon of the Adam paper (arXiv 1412.6980).
 
     The optimizer owns its parameter list: the trainable entries of the
     ParamSet it is built over, in that set's name order, read once here
-    with both moments allocated beside them. step() updates them from
-    their gradients, which ParamSet.zero_grads and backward fill, after
-    scaling them all down to a global norm of at most CLIP_NORM.
+    through the set's flat layout, with both moments as flat vectors
+    beside it. step() updates them from their gradients, which
+    ParamSet.zero_grads and backward fill, after scaling them all down to
+    a global norm of at most CLIP_NORM. A step allocates no array.
     """
 
     BETAS = (0.9, 0.999)
@@ -95,29 +111,55 @@ class Adam:
         self.b1, self.b2 = self.BETAS
         self.eps = self.EPS
         self.t = 0
-        self._slots = [(name, tensor, np.zeros_like(tensor.data), np.zeros_like(tensor.data))
-                       for name, tensor in params.trainable_items()]
+        self._layout = params.flat_layout()
+        size = self._layout.data.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        # Two scratch buffers, each as long as a chunk or the largest tensor.
+        # A gradient's squares go to the first, shaped like the gradient so
+        # that their sum is the per-tensor one.
+        width = max([min(size, ADAM_CHUNK)] + [t.size for t in self._layout.tensors])
+        self._a, self._b = np.empty(width), np.empty(width)
+        self._squares = [self._a[:t.size].reshape(t.shape) for t in self._layout.tensors]
 
     def step(self) -> None:
+        layout = self._layout
+        layout.check_bound()
         sq = 0.0
-        for name, tensor, _, _ in self._slots:
-            g = tensor.grad
-            if not np.isfinite(g).all():
-                raise DivergedTrainingError(f"non-finite gradient in {name}")
-            sq += float((g * g).sum())
+        for t, squares in zip(layout.tensors, self._squares):
+            np.multiply(t.grad, t.grad, out=squares)
+            sq += float(squares.sum())
+        if not math.isfinite(sq):  # a finite gradient whose squares overflow passes
+            for t in layout.tensors:
+                if not np.isfinite(t.grad).all():
+                    raise DivergedTrainingError(f"non-finite gradient in {t.name}")
         norm = np.sqrt(sq)
         scale = self.CLIP_NORM / norm if norm > self.CLIP_NORM else 1.0
 
         self.t += 1
         c1 = 1.0 - self.b1 ** self.t
         c2 = 1.0 - self.b2 ** self.t
-        for _, tensor, m, v in self._slots:
-            g = tensor.grad * scale
+        for start in range(0, layout.data.size, ADAM_CHUNK):
+            stop = start + ADAM_CHUNK
+            p, g = layout.data[start:stop], layout.grad[start:stop]
+            m, v = self.m[start:stop], self.v[start:stop]
+            a, b = self._a[:p.size], self._b[:p.size]
+            if scale != 1.0:  # x * 1.0 is x
+                g = np.multiply(g, scale, out=a)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(g, 1.0 - self.b1, out=b)
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            tensor.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, 1.0 - self.b2, out=b)
+            b *= g
+            v += b
+            # data -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            a /= b
+            p -= a
 
 
 @dataclass

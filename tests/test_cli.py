@@ -234,9 +234,11 @@ def test_depth_extremes_writes_its_report(tmp_path, run_dir, dataset):
      "cannot build a 5-task chain"),
     (["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
       "--families", "slide"], "cannot build a 5-task chain"),
+    (["eval", "--checkpoint", "ck.rfpx", "--out", "eval", "--variant", "tall_short",
+      "--families", "press"], "tall_short chain is five lifts"),
 ], ids=["gen-data-families", "gen-data-palettes", "eval-palette", "eval-families",
         "sep-resampler-families", "depth-extremes-families", "eval-no-chain",
-        "sep-resampler-no-chain"])
+        "sep-resampler-no-chain", "eval-tall-short-families"])
 def test_a_bad_env_flag_exits_1_before_any_file(run_dir, capsys, argv, key):
     # No input file exists: reading one would fail with exit 2 instead.
     assert cli.dispatch(argv) == 1

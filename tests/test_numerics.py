@@ -534,6 +534,42 @@ class TestParamSet:
         assert params.checksum("vit.") == c0
 
 
+class TestFlatLayout:
+    def test_trainable_entries_are_views_in_name_order(self):
+        params = ParamSet()
+        b = params.add("b", [[1.0, 2.0], [3.0, 4.0]], trainable=True)
+        f = params.add("f", [9.0], trainable=False)
+        a = params.add("a", 5.0, trainable=True)
+        frozen = f.data
+        layout = params.flat_layout()
+        assert params.flat_layout() is layout
+        assert [t.name for t in layout.tensors] == ["a", "b"]
+        np.testing.assert_array_equal(layout.data, [5.0, 1.0, 2.0, 3.0, 4.0])
+        assert a.shape == () and b.shape == (2, 2)
+        assert np.shares_memory(a.data, layout.data) and np.shares_memory(b.grad, layout.grad)
+        assert f.data is frozen and f.grad is None
+        layout.data -= 1.0
+        assert a.item() == 4.0 and b.data[1, 1] == 3.0
+
+    def test_zero_grads_fills_the_views_in_place(self):
+        params = ParamSet()
+        x = params.add("x", [1.0, 2.0], trainable=True)
+        params.zero_grads()
+        grad = x.grad
+        nm.backward(nm.sum_all(nm.mul(x, x)))
+        assert params.flat_layout().grad.tolist() == [2.0, 4.0]
+        params.zero_grads()
+        assert x.grad is grad and x.grad.tolist() == [0.0, 0.0]
+
+    def test_no_trainable_entry_after_the_layout(self):
+        params = ParamSet()
+        params.add("x", [1.0], trainable=True)
+        params.flat_layout()
+        params.add("frozen", [1.0], trainable=False)
+        with pytest.raises(ContractError, match="'late'.*laid out"):
+            params.add("late", [1.0], trainable=True)
+
+
 class TestNoGrad:
     def test_no_graph_recorded(self):
         params = ParamSet()

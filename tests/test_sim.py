@@ -567,9 +567,14 @@ class TestChains:
         # Two buttons and a slider are three targets; a chain needs five.
         with pytest.raises(ValidationError, match="cannot build a 5-task chain"):
             sim.sample_chain(4, "A", families=["press", "slide"])
-        # A tall_short chain is five lifts whatever the families.
-        chain = sim.sample_chain(4, "A", families=["press"], variant="tall_short")
-        assert {t.family for t in chain.tasks} == {"lift"}
+        # A tall_short chain is five lifts, so other families are refused
+        # rather than ignored.
+        for families in (["press"], ["lift", "press"]):
+            with pytest.raises(ValidationError, match="tall_short chain is five lifts"):
+                sim.sample_chain(4, "A", families=families, variant="tall_short")
+        for families in (None, ["lift"]):
+            chain = sim.sample_chain(4, "A", families=families, variant="tall_short")
+            assert {t.family for t in chain.tasks} == {"lift"}
 
     def test_chain_spec_requires_five(self):
         with pytest.raises(ContractError):

@@ -51,7 +51,7 @@ for palette in ("A", "D"):
     near = 0
     for i in range(n_chains):
         chain = sim.sample_chain(5000 + i, palette, families=["lift"])
-        res = sim.rollout_chain(agent, chain)
+        (res,) = sim.lockstep([sim.chain_steps(agent, chain)])
         task1.append(res.successes[0])
         wins += sum(res.successes)
         # proximity probe: replay task 1 and track best distance to target

@@ -82,13 +82,14 @@ elif stage in ("resampler", "trunk"):
                     params._entries[f"dec.{l}.{key}"] = t
 
     def forward(i):
-        er, ed = encoded[i]
+        # One step with a leading time axis, so the pooled tokens are (1, d).
+        er, ed = (e[None] for e in encoded[i])
         xv = enc.resample(er, params["rs.latents"], params["rs.wk"], params["rs.wv"])
         xd = enc.resample(ed, params["rs.latents"], params["rs.wk"], params["rs.wv"])
-        fused = enc.fuse_concat(xv, xd)
+        fused = nm.concat_rows([xv, xd])
         if stage == "resampler":
             raise SystemExit("use trunk instead")
-        x = dec.decode(Tensor(instr.embedded), fused, layers)
+        x = dec.decode(Tensor(instr), fused, layers)
         pooled = nm.max_over_rows(x)
         return nm.mlp2(pooled, w1, b1, w2, b2)
 
@@ -104,11 +105,11 @@ for ep in range(epochs):
         for i in batch:
             pred = forward(i)
             err = nm.sub(pred, Tensor(targets[i].reshape(1, 2)))
-            losses.append(nm.mul(nm.sum_all(nm.mul(err, err)), nm.as_tensor(0.5)))
+            losses.append(nm.mul(nm.sum_all(nm.mul(err, err)), Tensor(0.5)))
         loss = losses[0]
         for l in losses[1:]:
             loss = nm.add(loss, l)
-        loss = nm.mul(nm.as_tensor(1.0 / len(losses)), loss)
+        loss = nm.mul(Tensor(1.0 / len(losses)), loss)
         nm.backward(loss)
         opt.step()
         total += loss.item() * len(losses)

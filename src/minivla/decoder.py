@@ -1,13 +1,14 @@
-"""Instruction side and the gated cross-attention fusion stack.
+"""The instruction side and the gated cross-attention fusion stack.
 
 Instructions are lowercased, whitespace-tokenized against a closed
 vocabulary (index 0 is the unknown-word id), and embedded through a
 frozen table. Each fusion layer runs a gated cross-attention sublayer
 (language tokens query the fused visual/depth tokens; the residual
 branch is scaled by tanh of a learnable scalar gate) followed by a
-frozen self-attention sublayer. Both sublayers are residual and use a
-two-layer tanh MLP of hidden width 4d; there is no masking and no
-normalization.
+frozen self-attention sublayer. Both sublayers are residual and share
+one body, single-head attention then a two-layer tanh MLP of hidden
+width 4d (_attention_mlp); there is no masking and no normalization,
+and the body's matmuls are the one check of every token width.
 
 Every gate starts at GATE_INIT = 0.5, not at Flamingo's 0. A zero gate
 would start the stack as the pure frozen language path, but every
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, DimensionError, EmptyInstructionError
+from .errors import ContractError, EmptyInstructionError
 from .numerics import Tensor
 
 Array = np.ndarray
@@ -79,38 +80,29 @@ def init_decoder_layer_arrays(d: int, rng: np.random.Generator) -> dict[str, Arr
     return arrays
 
 
-def _check_dims(xl: Tensor, xvde: Tensor, layer: dict[str, Tensor]):
-    d = layer["cross.wq"].shape[0]
-    if xl.shape[-1] != d:
-        raise DimensionError(f"language tokens width {xl.shape} vs layer dim {d}")
-    if xvde.shape[-1] != d:
-        raise DimensionError(f"visual tokens width {xvde.shape} vs layer dim {d}")
+def _attention_mlp(x: Tensor, context: Tensor, layer: dict[str, Tensor],
+                   prefix: str) -> Tensor:
+    """MLP(attn(x Wq, context Wk, context Wv)) with the prefix's weights;
+    the matmuls check every width against the layer's."""
+    att = nm.scaled_dot_attention(
+        nm.matmul(x, layer[prefix + "wq"]),
+        nm.matmul(context, layer[prefix + "wk"]),
+        nm.matmul(context, layer[prefix + "wv"]),
+    )
+    return nm.mlp2(att, layer[prefix + "mlp_w1"], layer[prefix + "mlp_b1"],
+                   layer[prefix + "mlp_w2"], layer[prefix + "mlp_b2"])
 
 
 def gated_cross_attention(xl: Tensor, xvde: Tensor, layer: dict[str, Tensor]) -> Tensor:
     """tanh(alpha) * MLP(attn(xl Wq, xvde Wk, xvde Wv)) + xl."""
-    _check_dims(xl, xvde, layer)
-    att = nm.scaled_dot_attention(
-        nm.matmul(xl, layer["cross.wq"]),
-        nm.matmul(xvde, layer["cross.wk"]),
-        nm.matmul(xvde, layer["cross.wv"]),
-    )
-    branch = nm.mlp2(att, layer["cross.mlp_w1"], layer["cross.mlp_b1"],
-                     layer["cross.mlp_w2"], layer["cross.mlp_b2"])
+    branch = _attention_mlp(xl, xvde, layer, "cross.")
     gate = nm.tanh(layer["cross.alpha"])
     return nm.add(nm.mul(gate, branch), xl)
 
 
 def self_attention_block(xh: Tensor, layer: dict[str, Tensor]) -> Tensor:
     """MLP(attn(xh Wq, xh Wk, xh Wv)) + xh with frozen weights."""
-    att = nm.scaled_dot_attention(
-        nm.matmul(xh, layer["self.wq"]),
-        nm.matmul(xh, layer["self.wk"]),
-        nm.matmul(xh, layer["self.wv"]),
-    )
-    branch = nm.mlp2(att, layer["self.mlp_w1"], layer["self.mlp_b1"],
-                     layer["self.mlp_w2"], layer["self.mlp_b2"])
-    return nm.add(branch, xh)
+    return nm.add(_attention_mlp(xh, xh, layer, "self."), xh)
 
 
 def decode(x: Tensor, xvde: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:

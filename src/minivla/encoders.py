@@ -26,6 +26,7 @@ it returns. A failed call leaves the memo as it was.
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product
 attention, so its output is invariant to input-token order.
+policy.fused_tokens concatenates the RGB and depth resamples, RGB first.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError
-from .numerics import ParamSet, Tensor
+from .numerics import Tensor
 
 Array = np.ndarray
 # Camera slot -> stream -> (the last frame that stream encoded in the slot, its tokens).
@@ -160,7 +161,7 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
 
 
 def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
-                    memo: FrameMemo | None = None, stream: int = 0) -> Array:
+                    memo: FrameMemo, stream: int = 0) -> Array:
     """Frozen tokens of T steps of S camera slots, (T, S·N, d): slot s gives
     tokens s·N to (s + 1)·N of each step and is seen by camera s % 2, so a
     policy step passes RGB static, RGB gripper, depth static, depth gripper.
@@ -181,7 +182,6 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
     shapes = {frame.shape for frames in slots for frame in frames}
     if len(shapes) > 1:
         raise DimensionError(f"camera frames differ in extent: {sorted(shapes)}")
-    memo = {} if memo is None else memo
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2  # tokens per frame
     out = np.empty((len(slots[0]), len(slots) * n, vit["patch_proj"].shape[1] + pos.shape[1]))
@@ -365,25 +365,14 @@ def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     associated so that the projections meet the K latents instead of the
     N tokens: softmax((latents wkᵀ) xᵀ / sqrt(d)) x wv. That equals
     attention over keys x wk and values x wv, but the projections cost
-    K·d_in·d per step instead of 2·N·d_in·d.
+    K·d_in·d per step instead of 2·N·d_in·d. The token width is checked
+    by the matmul of the queries with xᵀ.
     """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     if x.data.ndim not in (2, 3):
         raise DimensionError(f"resample expects (N, d_in) or (T, N, d_in) tokens, got {x.shape}")
-    if x.shape[-1] != wk.shape[0]:
-        raise DimensionError(
-            f"token width {x.shape[-1]} does not match resampler input {wk.shape[0]}"
-        )
     queries = nm.matmul(latents, nm.transpose(wk))  # (K, d_in), shared by every step
-    scale = nm.as_tensor(1.0 / np.sqrt(latents.shape[-1]))
+    scale = Tensor(1.0 / np.sqrt(latents.shape[-1]))
     weights = nm.softmax_rows(nm.mul(nm.matmul(queries, nm.transpose(x)), scale))
     return nm.matmul(nm.matmul(weights, x), wv)
 
-
-def fuse_concat(xv: Tensor, xde: Tensor) -> Tensor:
-    """RGB tokens first, depth tokens second (per step when batched)."""
-    if xv.shape[-1] != xde.shape[-1]:
-        raise DimensionError(
-            f"fused token widths disagree: {xv.shape} vs {xde.shape}"
-        )
-    return nm.concat_rows([xv, xde])

@@ -22,7 +22,7 @@ class ConfigRangeError(ConfigError):
 
 
 class EmptyInstructionError(ValidationError):
-    """Instruction text is empty or whitespace-only."""
+    """The instruction text is empty or whitespace-only."""
 
 
 class DimensionError(MinivlaError):
@@ -47,10 +47,6 @@ class DegenerateRangeError(MinivlaError):
 
 class TaskError(MinivlaError):
     """Task descriptor cannot be resolved against the scene."""
-
-
-class ParaphraseBankError(MinivlaError):
-    """No paraphrases registered for the requested task family."""
 
 
 class DivergedTrainingError(MinivlaError):

@@ -1,17 +1,20 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 The op vocabulary is what the policy stack and its training loss use:
-add, sub, mul, tanh, matmul, transpose, reshape, softmax_rows,
+add, sub, mul, tanh, matmul, transpose, softmax_rows,
 scaled_dot_attention, concat_rows, max_over_rows, sum_all,
-bce_with_logits, affine/mlp2, and lstm_layer, one LSTM layer over a
-trajectory's rows. matmul, transpose, softmax_rows,
-scaled_dot_attention, concat_rows and max_over_rows also take a
-leading batch axis (a trajectory's time steps), so one recorded op
-covers every step of a stateless stage; lstm_layer records the
-recurrence as one op per layer in the same way and hands back its
-carried state as plain arrays, outside the graph. Each binary
-elementwise op checks shapes once: numpy's broadcast inside the op,
-whose failure becomes a DimensionError naming the op and both shapes.
+bce_with_logits, mlp2, and lstm_layer, one LSTM layer over a
+trajectory's rows; a constant operand is a plain Tensor. matmul,
+transpose, softmax_rows, scaled_dot_attention, concat_rows and
+max_over_rows also take a leading batch axis (a trajectory's time
+steps), so one recorded op covers every step of a stateless stage;
+lstm_layer records the recurrence as one op per layer in the same way
+and hands back its carried state as plain arrays, outside the graph.
+Each op checks its operands' shapes once, and its callers do not check
+them again: matmul the ranks and the inner and batch extents,
+concat_rows the parts' widths, and each binary elementwise op numpy's
+broadcast inside the op, whose failure becomes a DimensionError naming
+the op and both shapes.
 Arrays are float64 in memory; a built graph belongs to one execution
 context and `backward` visits each node exactly once, so gradients are
 bitwise reproducible for a fixed graph.
@@ -93,11 +96,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-
-def as_tensor(x) -> Tensor:
-    """Wrap a scalar or an array as a constant tensor."""
-    return Tensor(x)
 
 
 def _result(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -237,16 +235,6 @@ def transpose(a: Tensor) -> Tensor:
     return _result(a.data.swapaxes(-1, -2), (a,), vjp)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-    in_shape = a.shape
-
-    def vjp(g: Array):
-        return (g.reshape(in_shape),)
-
-    return _result(out, (a,), vjp)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis with per-row max subtraction."""
     if not np.isfinite(a.data).all():
@@ -268,20 +256,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ / sqrt(d)) v, single head.
 
     Operands are 2-D or carry a leading batch axis; a 2-D operand is
-    shared by every batch entry (e.g. learned latent queries).
+    shared by every batch entry (e.g. learned latent queries). The two
+    matmuls check the feature widths and the key/value counts.
     """
     if q.data.ndim not in (2, 3) or k.data.ndim not in (2, 3) or v.data.ndim not in (2, 3):
         raise DimensionError("attention expects 2-D q, k, v (or batches of them)")
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(
-            f"attention feature dims disagree: q {q.shape} vs k {k.shape}"
-        )
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(
-            f"attention key/value counts disagree: k {k.shape} vs v {v.shape}"
-        )
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = mul(matmul(q, transpose(k)), as_tensor(scale))
+    scores = mul(matmul(q, transpose(k)), Tensor(scale))
     return matmul(softmax_rows(scores), v)
 
 
@@ -313,17 +294,17 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def max_over_rows(a: Tensor) -> Tensor:
-    """Column-wise max over rows, (..., M, d) -> (..., 1, d); gradient
-    routes to the first argmax."""
+    """Column-wise max over rows, dropping the row axis: (M, d) -> (d,),
+    (T, M, d) -> (T, d); gradient routes to the first argmax."""
     if a.data.ndim not in (2, 3):
         raise DimensionError(f"max_over_rows expects 2-D input (or a batch), got {a.shape}")
     ad = a.data
-    out = ad.max(axis=-2, keepdims=True)
+    out = ad.max(axis=-2)
 
     def vjp(g: Array):
         full = np.zeros(ad.shape)
         idx = np.expand_dims(np.argmax(ad, axis=-2), -2)
-        np.put_along_axis(full, idx, g, axis=-2)
+        np.put_along_axis(full, idx, np.expand_dims(g, -2), axis=-2)
         return (full,)
 
     return _result(out, (a,), vjp)
@@ -439,14 +420,10 @@ def lstm_layer(x: Tensor, h0: Array, c0: Array, wx: Tensor, wh: Tensor,
     return _result(hs, (x, wx, wh, b), vjp), (h, c)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with a row-broadcast bias; x may carry a batch axis."""
-    return add(matmul(x, w), b)
-
-
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two affine maps with a tanh between."""
-    return affine(tanh(affine(x, w1, b1)), w2, b2)
+    """tanh(x @ w1 + b1) @ w2 + b2, each bias broadcast over rows; x may
+    carry a batch axis."""
+    return add(matmul(tanh(add(matmul(x, w1), b1)), w2), b2)
 
 
 # ---------------------------------------------------------------------------

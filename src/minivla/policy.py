@@ -2,8 +2,9 @@
 
 A Model bundles every parameter (frozen encoder/backbone entries plus
 the trainable resampler, cross-attention, and head entries) in one
-ParamSet, the closed vocabulary, and the depth statistics the pipeline
-normalizes against. The policy composes:
+ParamSet with the depth statistics the pipeline normalizes against;
+every model tokenizes against the one closed vocabulary, VOCAB_INDEX.
+The policy composes:
 
     depth preprocessing -> frozen patch encoder -> resampler ->
     fused tokens -> gated cross-attention stack -> token max-pool ->
@@ -40,7 +41,6 @@ probability 0.5 with ties resolving to open.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,11 +57,8 @@ Array = np.ndarray
 
 LSTM_GATES = 4  # input, forget, cell, output; concatenated in that order
 
-
-@dataclass
-class Instruction:
-    text: str
-    embedded: Array  # (M, d), rows of the frozen table
+# Word -> id of the closed vocabulary: every instruction template's words.
+VOCAB_INDEX = {w: i for i, w in enumerate(dec.build_vocab(sim.vocabulary_words()))}
 
 
 @contextlib.contextmanager
@@ -74,16 +71,14 @@ def _stage(name: str):
 
 
 class Model:
-    """Parameters, vocabulary, and depth statistics for one policy."""
+    """Parameters and depth statistics for one policy."""
 
-    def __init__(self, cfg: ModelConfig, params: ParamSet, vocab: list[str],
+    def __init__(self, cfg: ModelConfig, params: ParamSet,
                  depth_stats: dp.DepthStats | None = None):
         self.cfg = cfg
         self.params = params
-        self.vocab = vocab
-        self.vocab_index = {w: i for i, w in enumerate(vocab)}
         self.depth_stats = depth_stats
-        self._last_instruction: Instruction | None = None
+        self._last_instruction: tuple[str, Array] | None = None
         # The frozen-encoder memo (see enc.vit_encode_pair) and this model's
         # stream in it, which share_frame_memo may replace; its tokens stay
         # valid because the frozen weights are never changed after
@@ -117,15 +112,16 @@ class Model:
     def embedding_table(self) -> Array:
         return self.params["embed.table"].data
 
-    def instruction(self, text: str) -> Instruction:
-        """The resolved instruction; only the last one is kept, since a
-        rollout asks for one instruction per task."""
+    def instruction(self, text: str) -> Array:
+        """The instruction's (M, d) rows of the frozen table; only the last
+        one is kept, with its text, since a rollout asks for one
+        instruction per task."""
         last = self._last_instruction
-        if last is None or last.text != text:
-            ids = dec.tokenize(text, self.vocab_index)
-            last = Instruction(text, dec.embed_ids(self.embedding_table(), ids))
+        if last is None or last[0] != text:
+            ids = dec.tokenize(text, VOCAB_INDEX)
+            last = (text, dec.embed_ids(self.embedding_table(), ids))
             self._last_instruction = last
-        return last
+        return last[1]
 
 
 def share_frame_memo(*models: Model) -> None:
@@ -171,9 +167,8 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
                                          cfg.vit_blocks, rng_vit).items():
         params.add(f"vit.{name}", arr, trainable=False)
 
-    vocab = dec.build_vocab(sim.vocabulary_words())
     params.add("embed.table",
-               dec.init_embedding_array(len(vocab), cfg.d_model, rng_embed),
+               dec.init_embedding_array(len(VOCAB_INDEX), cfg.d_model, rng_embed),
                trainable=False)
 
     proto = enc.init_resampler_arrays(cfg.resampler_k, cfg.d_model, rng_res,
@@ -215,16 +210,10 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
                    trainable=True)
         params.add(f"head.{head}.b2", np.zeros(width), trainable=True)
 
-    return Model(cfg, params, vocab, depth_stats)
+    return Model(cfg, params, depth_stats)
 
 
 # --- policy-head primitives ---------------------------------------------------
-
-
-def maxpool_tokens(tokens: Tensor) -> Tensor:
-    """Column-wise max over the token dimension; (T, M, d) -> (T, d),
-    and (M, d) -> (1, d)."""
-    return nm.reshape(nm.max_over_rows(tokens), (-1, tokens.shape[-1]))
 
 
 def lstm_step(x: Tensor, prev: list[tuple[Array, Array]], model: Model
@@ -253,7 +242,7 @@ def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
     pose = nm.mul(
         nm.tanh(nm.mlp2(h_top, p["head.pose.w1"], p["head.pose.b1"],
                         p["head.pose.w2"], p["head.pose.b2"])),
-        nm.as_tensor(sim.STEP_CLIP),
+        Tensor(sim.STEP_CLIP),
     )
     logit = nm.mlp2(h_top, p["head.gripper.w1"], p["head.gripper.b1"],
                     p["head.gripper.w2"], p["head.gripper.b2"])
@@ -321,21 +310,22 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 
 
 def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
-    """Resample both modalities and concatenate (RGB first)."""
+    """Resample both modalities and concatenate (RGB first, per step)."""
     x_rgb, x_depth = encoded
     rs_rgb = model.resampler_tensors("rgb")
     rs_depth = model.resampler_tensors("depth")
     xv = enc.resample(x_rgb, rs_rgb["latents"], rs_rgb["wk"], rs_rgb["wv"])
     xde = enc.resample(x_depth, rs_depth["latents"], rs_depth["wk"], rs_depth["wv"])
-    return enc.fuse_concat(xv, xde)
+    return nm.concat_rows([xv, xde])
 
 
-def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
+def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
                 hidden: list[tuple[Array, Array]]
                 ) -> tuple[Tensor, Tensor, list[tuple[Array, Array]]]:
     """Differentiable pass over T consecutive steps.
 
-    encoded: (X_rgb, X_depth), each (T, 2N, d). Returns (pose (T, 6),
+    encoded: (X_rgb, X_depth), each (T, 2N, d); instr: the (M, d)
+    instruction embedding (Model.instruction). Returns (pose (T, 6),
     gripper logit (T, 1), the LSTM state after step T). Every stage is
     recorded once for all T steps.
     """
@@ -346,9 +336,9 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Instruction,
             )
         xvde = fused_tokens(model, encoded)
     with _stage("fusion_decoder"):
-        x = dec.decode(Tensor(instr.embedded), xvde, model.decoder_layers())
+        x = dec.decode(Tensor(instr), xvde, model.decoder_layers())
     with _stage("policy_head"):
-        h_top, hidden = lstm_step(maxpool_tokens(x), hidden, model)
+        h_top, hidden = lstm_step(nm.max_over_rows(x), hidden, model)
         pose, logit = action_heads(h_top, model)
     return pose, logit, hidden
 

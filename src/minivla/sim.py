@@ -15,8 +15,10 @@ fill a chain, shared by sample_chain and the command line. A chain is
 stepped: chain_steps is a generator that runs one policy step per
 next(), and lockstep drains several of them in rounds, one step of each
 per round, so agents on the same chain act at the same step one after
-another; rollout_chain is lockstep of one. Everything is a pure function
-of (seed, palette, actions).
+another. PARAPHRASE_BANK has a bank for each of FAMILIES; a task reaches
+paraphrase_instruction only through resolve_target or _family_list,
+which refuse an unknown family. Everything is a pure function of (seed,
+palette, actions).
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ContractError, DimensionError, ParaphraseBankError, TaskError,
-                     ValidationError)
+from .errors import ContractError, DimensionError, TaskError, ValidationError
 
 Array = np.ndarray
 
@@ -617,9 +618,7 @@ PARAPHRASE_BANK: dict[str, tuple[str, ...]] = {
 
 def paraphrase_instruction(task: TaskSpec, rng: np.random.Generator) -> str:
     """Uniform draw from the task family's paraphrase bank."""
-    bank = PARAPHRASE_BANK.get(task.family)
-    if not bank:
-        raise ParaphraseBankError(f"no paraphrases for family {task.family!r}")
+    bank = PARAPHRASE_BANK[task.family]
     qual = f"{task.size} {task.color}" if task.size else task.color
     template = bank[int(rng.integers(0, len(bank)))]
     return template.format(t=qual)
@@ -907,10 +906,3 @@ def lockstep(runs) -> list[ChainResult]:
                 still.append((i, run))
         live = still
     return results
-
-
-def rollout_chain(agent, chain: ChainSpec, max_steps_per_task: int = 64,
-                  enrich: bool = False) -> ChainResult:
-    """Run one agent through chain_steps to the end and return its result."""
-    (result,) = lockstep([chain_steps(agent, chain, max_steps_per_task, enrich)])
-    return result

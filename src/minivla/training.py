@@ -79,9 +79,9 @@ def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
     labels = Tensor([[1.0 if a.gripper_closed else 0.0] for a in demo])
     err = nm.sub(pose, target)
     # Per step the mean over the pose dims, summed over steps.
-    mse_sum = nm.mul(nm.sum_all(nm.mul(err, err)), nm.as_tensor(1.0 / pose.shape[1]))
+    mse_sum = nm.mul(nm.sum_all(nm.mul(err, err)), Tensor(1.0 / pose.shape[1]))
     bce_sum = nm.bce_with_logits(logit, labels)
-    total = nm.add(mse_sum, nm.mul(nm.as_tensor(lam), bce_sum))
+    total = nm.add(mse_sum, nm.mul(Tensor(lam), bce_sum))
     return total, mse_sum, bce_sum
 
 
@@ -126,10 +126,13 @@ class Adam:
         layout = self._layout
         layout.check_bound()
         sq = 0.0
-        for t, squares in zip(layout.tensors, self._squares):
-            np.multiply(t.grad, t.grad, out=squares)
-            sq += float(squares.sum())
-        if not math.isfinite(sq):  # a finite gradient whose squares overflow passes
+        # Squares of a finite gradient may overflow to inf; the step then
+        # goes on with every gradient scaled to zero, so that is no warning.
+        with np.errstate(over="ignore"):
+            for t, squares in zip(layout.tensors, self._squares):
+                np.multiply(t.grad, t.grad, out=squares)
+                sq += float(squares.sum())
+        if not math.isfinite(sq):
             for t in layout.tensors:
                 if not np.isfinite(t.grad).all():
                     raise DivergedTrainingError(f"non-finite gradient in {t.name}")
@@ -243,7 +246,7 @@ def train_run(dataset: list[sim.Trajectory], model: pol.Model, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             model.params.zero_grads()
-            weight = nm.as_tensor(1.0 / len(batch))
+            weight = Tensor(1.0 / len(batch))
             for idx in batch:
                 instr, tokens, actions = encoded[idx]
                 try:

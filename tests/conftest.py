@@ -68,6 +68,12 @@ class Recording:
         return action
 
 
+def run_chain(agent, chain, max_steps_per_task=64, enrich=False) -> sim.ChainResult:
+    """One agent through a stepped chain to its end: sim.lockstep of one."""
+    (result,) = sim.lockstep([sim.chain_steps(agent, chain, max_steps_per_task, enrich)])
+    return result
+
+
 def action_bytes(log) -> list:
     """A Recording log with each action as its pose bytes and gripper bit."""
     return [(name, a.pose.tobytes(), a.gripper_closed) for name, a in log]

@@ -107,7 +107,7 @@ class TestGatedCrossAttention:
 
     def test_visual_width_mismatch(self, rng):
         layer, _ = make_layer(rng, d=8)
-        with pytest.raises(DimensionError, match="visual tokens width"):
+        with pytest.raises(DimensionError, match="matmul inner dimensions disagree"):
             dec.gated_cross_attention(Tensor(rng.normal(size=(3, 8))),
                                       Tensor(rng.normal(size=(4, 4))), layer)
 

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_encodes
+from conftest import count_encodes, synthetic_stats, tiny_config
 
 from minivla import encoders as enc
 from minivla import numerics as nm
+from minivla import policy as pol
 from minivla.errors import DimensionError
 from minivla.numerics import ParamSet, Tensor
 
@@ -15,7 +16,7 @@ def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
     return enc.init_vit_arrays(hw, patch, d, blocks, rng), patch, blocks
 
 
-def encode_step(a, b, vit, patch, blocks, memo=None):
+def encode_step(a, b, vit, patch, blocks, memo):
     """vit_encode_pair of one step of two camera slots: (2N, d)."""
     return enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo)[0]
 
@@ -84,14 +85,14 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        out = encode_step(a, b, vit, patch, blocks)
+        out = encode_step(a, b, vit, patch, blocks, {})
         assert out.shape == (32, 16)
 
     def test_pair_is_independent_encoding(self, rng):
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        pair = encode_step(a, b, vit, patch, blocks)
+        pair = encode_step(a, b, vit, patch, blocks, {})
         solo_a = enc.vit_encode_image(a, vit, patch, blocks, camera=0)
         solo_b = enc.vit_encode_image(b, vit, patch, blocks, camera=1)
         np.testing.assert_array_equal(pair[:16], solo_a)
@@ -108,21 +109,21 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        one = encode_step(a, b, vit, patch, blocks)
-        two = encode_step(a, b, vit, patch, blocks)
+        one = encode_step(a, b, vit, patch, blocks, {})
+        two = encode_step(a, b, vit, patch, blocks, {})
         assert np.array_equal(one, two)
 
     def test_extent_mismatch_rejected(self, rng):
         vit, patch, blocks = small_vit(rng)
         with pytest.raises(DimensionError):
             encode_step(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
-                                vit, patch, blocks)
+                        vit, patch, blocks, {})
 
     def test_slots_of_unequal_length_rejected(self, rng):
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         with pytest.raises(DimensionError, match=r"camera slots hold \[2, 2, 1, 2\] frames"):
-            enc.vit_encode_pair([[a, a], [a, a], [a], [a, a]], vit, patch, blocks)
+            enc.vit_encode_pair([[a, a], [a, a], [a], [a, a]], vit, patch, blocks, {})
 
     def test_four_slots_alternate_cameras(self, rng):
         # A policy step's slots: RGB static, RGB gripper, depth static,
@@ -393,22 +394,31 @@ class TestResample:
 
 
 class TestFuseConcat:
+    """policy.fused_tokens: both modalities resampled, concatenated per
+    step, RGB first."""
+
     def test_counts_and_order(self, rng):
-        xv = Tensor(rng.normal(size=(4, 8)))
-        xde = Tensor(rng.normal(size=(4, 8)))
-        out = enc.fuse_concat(xv, xde)
-        assert out.shape == (8, 8)
-        np.testing.assert_array_equal(out.data[:4], xv.data)
-        np.testing.assert_array_equal(out.data[4:], xde.data)
+        model = pol.init_model(tiny_config(), synthetic_stats())
+        k, d = model.cfg.resampler_k, model.cfg.d_model
+        x_rgb, x_depth = rng.normal(size=(2, 3, 4, d))
+        out = pol.fused_tokens(model, (x_rgb, x_depth))
+        assert out.shape == (3, 2 * k, d)
+        for x, modality, rows in ((x_rgb, "rgb", slice(0, k)),
+                                  (x_depth, "depth", slice(k, 2 * k))):
+            rs = model.resampler_tensors(modality)
+            alone = enc.resample(x, rs["latents"], rs["wk"], rs["wv"])
+            np.testing.assert_array_equal(out.data[:, rows], alone.data)
 
     def test_order_matters(self, rng):
-        xv = Tensor(rng.normal(size=(2, 4)))
-        xde = Tensor(rng.normal(size=(2, 4)))
-        ab = enc.fuse_concat(xv, xde).data
-        ba = enc.fuse_concat(xde, xv).data
+        model = pol.init_model(tiny_config(), synthetic_stats())
+        x_rgb, x_depth = rng.normal(size=(2, 1, 4, model.cfg.d_model))
+        ab = pol.fused_tokens(model, (x_rgb, x_depth)).data
+        ba = pol.fused_tokens(model, (x_depth, x_rgb)).data
         assert not np.array_equal(ab, ba)
 
     def test_dim_mismatch(self, rng):
+        model = pol.init_model(tiny_config(), synthetic_stats())
+        d = model.cfg.d_model
         with pytest.raises(DimensionError):
-            enc.fuse_concat(Tensor(rng.normal(size=(2, 4))),
-                            Tensor(rng.normal(size=(2, 5))))
+            pol.fused_tokens(model, (rng.normal(size=(1, 4, d)),
+                                     rng.normal(size=(1, 4, d + 1))))

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import count_encodes, synthetic_obs, synthetic_stats, tiny_config
+from conftest import count_encodes, run_chain, synthetic_obs, synthetic_stats, tiny_config
 
 from minivla import depth as dp
 from minivla import encoders as enc
@@ -24,20 +24,22 @@ def tiny_model(**overrides):
 
 
 class TestMaxpoolTokens:
+    """The policy's token max-pool, nm.max_over_rows: (M, d) -> (d,)."""
+
     def test_direct_max(self):
-        out = pol.maxpool_tokens(Tensor([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
+        out = nm.max_over_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
+        np.testing.assert_array_equal(out.data, [3.0, 5.0])
 
     def test_singleton_identity(self, rng):
         row = rng.normal(size=(1, 6))
-        out = pol.maxpool_tokens(Tensor(row))
-        np.testing.assert_array_equal(out.data, row)
+        out = nm.max_over_rows(Tensor(row))
+        np.testing.assert_array_equal(out.data, row[0])
 
     def test_permutation_invariance(self, rng):
         x = rng.normal(size=(5, 4))
         perm = rng.permutation(5)
-        a = pol.maxpool_tokens(Tensor(x)).data
-        b = pol.maxpool_tokens(Tensor(x[perm])).data
+        a = nm.max_over_rows(Tensor(x)).data
+        b = nm.max_over_rows(Tensor(x[perm])).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -240,11 +242,13 @@ class TestInstruction:
         texts = [f"lift the block number {i}" for i in range(1000)]
         for text in texts:
             model.instruction(text)
+        # Every (text, embedding) pair the model holds, in an attribute or a
+        # dict attribute's values.
         held = [value for attr in vars(model).values()
                 for value in (attr.values() if isinstance(attr, dict) else [attr])
-                if isinstance(value, pol.Instruction)]
-        assert [instr.text for instr in held] == texts[-1:]
-        assert model.instruction(texts[-1]) is held[0]  # the last one is reused
+                if isinstance(value, tuple) and value and isinstance(value[0], str)]
+        assert [text for text, _ in held] == texts[-1:]
+        assert model.instruction(texts[-1]) is held[0][1]  # the last one is reused
         model.instruction(texts[0])  # an older one is resolved again
         assert tokenized == texts + texts[:1]
 
@@ -512,7 +516,7 @@ class TestParallelTrajectoryEncode:
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
             assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
             assert [x.shape for x in tokens] == [x.shape for x in expect]
-            assert instr.text == traj.instruction
+            assert instr.tobytes() == per_trajectory.instruction(traj.instruction).tobytes()
             assert all(a is b for a, (_, b) in zip(actions, traj.steps, strict=True))
         assert memo_state(model) == memo_state(per_trajectory)
 
@@ -669,5 +673,5 @@ class TestAgents:
     def test_policy_agent_runs_a_chain(self):
         model = pol.init_model(tiny_config(patch=8), synthetic_stats())
         chain = sim.sample_chain(0, "D", families=["lift"])
-        result = sim.rollout_chain(pol.PolicyAgent(model), chain, max_steps_per_task=8)
+        result = run_chain(pol.PolicyAgent(model), chain, max_steps_per_task=8)
         assert len(result.successes) == 5

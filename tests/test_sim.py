@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import Recording, action_bytes, synthetic_stats, tiny_config
+from conftest import Recording, action_bytes, run_chain, synthetic_stats, tiny_config
 
 from minivla import policy as pol
 from minivla import sim
-from minivla.errors import ContractError, ParaphraseBankError, TaskError, ValidationError
+from minivla.errors import ContractError, TaskError, ValidationError
 from minivla.sim import (
     Action,
     ChainSpec,
@@ -540,10 +540,14 @@ class TestParaphrase:
         for family, bank in sim.PARAPHRASE_BANK.items():
             assert len(bank) >= 10
 
-    def test_missing_family(self):
-        task = TaskSpec("dance", "red", None, "dance")
-        with pytest.raises(ParaphraseBankError):
-            sim.paraphrase_instruction(task, np.random.default_rng(0))
+    def test_every_family_has_a_bank_of_templates(self):
+        # paraphrase_instruction indexes the bank by family unchecked: every
+        # task it gets has passed resolve_target or _family_list.
+        assert set(sim.PARAPHRASE_BANK) == set(sim.FAMILIES)
+        for family, bank in sim.PARAPHRASE_BANK.items():
+            assert bank, family
+            for template in bank:
+                assert "{t}" in template, (family, template)
 
 
 class TestChains:
@@ -583,28 +587,28 @@ class TestChains:
     def test_expert_as_policy_all_true(self):
         for seed in (0, 1, 2, 3, 4):
             chain = sim.sample_chain(seed, "B")
-            result = sim.rollout_chain(ExpertAgent(), chain)
+            result = run_chain(ExpertAgent(), chain)
             assert result.successes == [True] * 5
 
     def test_expert_on_lift_only_chains(self):
         for seed in range(10):
             chain = sim.sample_chain(seed, "D", families=["lift"])
             assert all(t.family == "lift" for t in chain.tasks)
-            result = sim.rollout_chain(ExpertAgent(), chain)
+            result = run_chain(ExpertAgent(), chain)
             assert result.successes == [True] * 5
 
     def test_expert_on_tall_short_chains(self):
         for seed in range(10):
             chain = sim.sample_chain(seed, "D", variant="tall_short")
             assert {t.size for t in chain.tasks[:2]} == {"tall", "short"}
-            result = sim.rollout_chain(ExpertAgent(), chain)
+            result = run_chain(ExpertAgent(), chain)
             assert result.successes == [True] * 5
 
     def test_prefix_monotone(self):
         rng_agent = RandomAgent(7)
         for seed in range(20):
             chain = sim.sample_chain(seed, "A")
-            result = sim.rollout_chain(rng_agent, chain, max_steps_per_task=16)
+            result = run_chain(rng_agent, chain, max_steps_per_task=16)
             seen_false = False
             for ok in result.successes:
                 if seen_false:
@@ -617,7 +621,7 @@ class TestChains:
         wins = 0
         for i in range(200):
             chain = sim.sample_chain(1000 + i, "D", families=["lift"])
-            result = sim.rollout_chain(RandomAgent(i), chain, max_steps_per_task=64)
+            result = run_chain(RandomAgent(i), chain, max_steps_per_task=64)
             wins += int(result.successes[0])
         assert wins / 200 < 0.05
 
@@ -636,16 +640,16 @@ class TestChains:
         for seed in range(5):
             chain = sim.sample_chain(seed, "B")
             calls.clear()
-            got = sim.rollout_chain(agent, chain, max_steps_per_task=16)
+            got = run_chain(agent, chain, max_steps_per_task=16)
             assert calls == []
-            want = sim.rollout_chain(rendering, chain, max_steps_per_task=16)
+            want = run_chain(rendering, chain, max_steps_per_task=16)
             assert calls
             assert got == want
 
     def test_enriched_rollout_deterministic(self):
         chain = sim.sample_chain(3, "C")
-        r1 = sim.rollout_chain(ExpertAgent(), chain, enrich=True)
-        r2 = sim.rollout_chain(ExpertAgent(), chain, enrich=True)
+        r1 = run_chain(ExpertAgent(), chain, enrich=True)
+        r2 = run_chain(ExpertAgent(), chain, enrich=True)
         assert r1.successes == r2.successes
 
 
@@ -709,7 +713,7 @@ class TestSteppedChain:
                 except StopIteration as done:
                     result = done.value
                     break
-            got = sim.rollout_chain(Recording(make_agent(), rolled), chain, horizon, enrich)
+            got = run_chain(Recording(make_agent(), rolled), chain, horizon, enrich)
             want = plain_rollout(Recording(make_agent(), plain), chain, horizon, enrich)
             assert result == got == want
             assert yielded == [a for _, a in drained]  # one step per next()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +208,10 @@ class TestAdam:
         grads = [[rng.normal(size=(2, 3)), rng.normal(size=4)],
                  [np.full((2, 3), 1e200), np.full(4, -1e200)],
                  [rng.normal(size=(2, 3)), rng.normal(size=4)]]
-        with np.errstate(over="ignore"):
+        # The squares overflow inside step(): that must be no warning either,
+        # as under python -W error::RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             check_steps(params, opt, grads, clip_norm=1.0)
 
     def test_frozen_entries_untouched(self):

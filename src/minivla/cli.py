@@ -14,8 +14,6 @@ its argparse type. Either way a bad value exits 1 before any dataset,
 checkpoint or stats file is read; so do families that cannot fill a
 chain, for eval and ablate. ablate depth-extremes exits 1 before the
 dataset is read when --wide does not strictly contain --narrow. Every
-path flag, input or output, has the argparse type config.resolve_out,
-so a relative path lies under MINIVLA_RUN_DIR when that is set. Every
 file a command writes goes through persist, and train writes nothing
 into --out until training has finished, apart from the periodic
 checkpoints of --ckpt-every.
@@ -35,7 +33,7 @@ from . import persist
 from . import policy as pol
 from . import sim
 from . import training as tr
-from .config import RunConfig, parse_config, resolve_out
+from .config import RunConfig, parse_config
 from .errors import MinivlaError, ValidationError
 
 # Config section -> its fields that a flag of the same dest sets. The --seed
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     g = sub.add_parser("gen-data", help="generate expert demonstrations")
-    g.add_argument("--out", type=resolve_out, required=True)
+    g.add_argument("--out", type=Path, required=True)
     g.add_argument("--n", type=_positive_int, default=200)
     g.add_argument("--families", type=_split_csv, help="comma-separated family names")
     g.add_argument("--palettes", type=_split_csv, default="A,B,C")
@@ -244,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     s = sub.add_parser("stats", help="depth statistics of a dataset")
-    s.add_argument("--data", type=resolve_out, required=True)
-    s.add_argument("--out", type=resolve_out, required=True)
+    s.add_argument("--data", type=Path, required=True)
+    s.add_argument("--out", type=Path, required=True)
     s.set_defaults(func=cmd_stats)
 
     t = sub.add_parser("train", help="behavior-clone a policy")
-    t.add_argument("--data", type=resolve_out, required=True)
-    t.add_argument("--out", type=resolve_out, required=True)
-    t.add_argument("--config", type=resolve_out, default=None)
-    t.add_argument("--stats", type=resolve_out, default=None,
+    t.add_argument("--data", type=Path, required=True)
+    t.add_argument("--out", type=Path, required=True)
+    t.add_argument("--config", type=Path, default=None)
+    t.add_argument("--stats", type=Path, default=None,
                    help="depth stats JSON (else computed)")
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--epochs", type=int, default=None)
@@ -267,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="chain evaluation of a checkpoint")
-    e.add_argument("--checkpoint", type=resolve_out, required=True)
-    e.add_argument("--out", type=resolve_out, required=True)
+    e.add_argument("--checkpoint", type=Path, required=True)
+    e.add_argument("--out", type=Path, required=True)
     e.add_argument("--chains", dest="n_chains", type=int, default=200)
     e.add_argument("--palette", dest="eval_palette", default="D")
     e.add_argument("--families", type=_split_csv, default=None)
@@ -285,24 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
     a1 = asub.add_parser("sep-resampler", help="shared vs separate resamplers")
     a2 = asub.add_parser("depth-extremes", help="narrow vs wide depth ranges")
     for ap in (a1, a2):
-        ap.add_argument("--data", type=resolve_out, required=True)
-        ap.add_argument("--out", type=resolve_out, required=True)
-        ap.add_argument("--config", type=resolve_out, default=None)
+        ap.add_argument("--data", type=Path, required=True)
+        ap.add_argument("--out", type=Path, required=True)
+        ap.add_argument("--config", type=Path, default=None)
         ap.add_argument("--seed", type=int, default=None)
         ap.add_argument("--epochs", type=int, default=None)
         ap.add_argument("--chains", dest="n_chains", type=int, default=None)
         ap.add_argument("--families", type=_split_csv, default=None)
-    a1.add_argument("--stats", type=resolve_out, default=None,
+    a1.add_argument("--stats", type=Path, default=None,
                     help="depth stats JSON (else computed)")
     a1.set_defaults(func=cmd_ablate_sep_resampler)
-    a2.add_argument("--narrow", type=resolve_out, required=True, help="narrow-range stats JSON")
-    a2.add_argument("--wide", type=resolve_out, required=True, help="wide-range stats JSON")
+    a2.add_argument("--narrow", type=Path, required=True, help="narrow-range stats JSON")
+    a2.add_argument("--wide", type=Path, required=True, help="wide-range stats JSON")
     a2.set_defaults(func=cmd_ablate_depth_extremes)
 
     n = sub.add_parser("sensitivity", help="quantized pixel-change counts")
-    n.add_argument("--data", type=resolve_out, required=True)
-    n.add_argument("--stats", type=resolve_out, nargs="+", required=True)
-    n.add_argument("--out", type=resolve_out, required=True)
+    n.add_argument("--data", type=Path, required=True)
+    n.add_argument("--stats", type=Path, nargs="+", required=True)
+    n.add_argument("--out", type=Path, required=True)
     n.add_argument("--pairs", type=_positive_int, default=50)
     n.set_defaults(func=cmd_sensitivity)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,12 +185,3 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None) 
     cfg.validate()
     return cfg
 
-
-def resolve_out(path: str | Path) -> Path:
-    """Resolve a path flag, input or output; MINIVLA_RUN_DIR overrides the
-    root for relative paths."""
-    p = Path(path)
-    if p.is_absolute():
-        return p
-    root = os.environ.get("MINIVLA_RUN_DIR")
-    return (Path(root) / p) if root else p

@@ -173,15 +173,14 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
     at the other streams' (see _same_frame). The rest are encoded (see
     _run_jobs). Only then does this stream's entry of each slot take its
     last frame and that frame's tokens: copies if any step of the slot was
-    encoded, else the entry step 0 matched, shared, not copied.
+    encoded, else the entry step 0 matched, shared, not copied. Frame
+    extents are checked where frames are encoded (patchify); a reused
+    frame has the bytes and shape of a frame already checked.
     """
     slots = [[np.asarray(f) for f in frames] for frames in slots]
     lengths = [len(frames) for frames in slots]
     if len(set(lengths)) > 1:
         raise DimensionError(f"camera slots hold {lengths} frames")
-    shapes = {frame.shape for frames in slots for frame in frames}
-    if len(shapes) > 1:
-        raise DimensionError(f"camera frames differ in extent: {sorted(shapes)}")
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2  # tokens per frame
     out = np.empty((len(slots[0]), len(slots) * n, vit["patch_proj"].shape[1] + pos.shape[1]))
@@ -259,9 +258,11 @@ def _run_jobs(jobs: list, work) -> None:
     """Run work(job) for every (slot, steps) job: on the calling thread,
     and with at least two full batches also on helper threads, one thread
     per usable CPU in all. numpy releases the GIL inside BLAS and ufunc
-    loops, so the threads overlap. The caller works instead of waiting;
-    the helpers end before this returns, and a job's exception reaches
-    the caller as raised.
+    loops, so the threads overlap. The caller works instead of waiting,
+    which takes one thread fewer: with a waiting caller (Executor.map over
+    the jobs), the perfbench train workload read 1.8 MB more peak_rss_mb
+    on a 2-CPU host. The helpers end before this returns, and a job's
+    exception reaches the caller as raised.
     """
     full = sum(len(steps) == FRAMES_PER_JOB for _, steps in jobs)
     helpers = min(len(os.sched_getaffinity(0)), len(jobs)) - 1 if full >= 2 else 0
@@ -358,19 +359,19 @@ def _square_tiles(n_rows: int, k: int) -> list[np.ndarray]:
 
 
 def resample(tokens, latents: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Compress N input tokens to the K latent queries' attention readout.
+    """Compress each step's N input tokens to the K latent queries'
+    attention readout: (T, N, d_in) -> (T, K, d), every step of a
+    trajectory in one pass (T = 1 for a rollout step).
 
-    (N, d_in) -> (K, d); a leading time axis, (T, N, d_in) -> (T, K, d),
-    resamples every step of a trajectory in one pass. The products are
-    associated so that the projections meet the K latents instead of the
-    N tokens: softmax((latents wkᵀ) xᵀ / sqrt(d)) x wv. That equals
-    attention over keys x wk and values x wv, but the projections cost
-    K·d_in·d per step instead of 2·N·d_in·d. The token width is checked
-    by the matmul of the queries with xᵀ.
+    The products are associated so that the projections meet the K
+    latents instead of the N tokens: softmax((latents wkᵀ) xᵀ / sqrt(d))
+    x wv. That equals attention over keys x wk and values x wv, but the
+    projections cost K·d_in·d per step instead of 2·N·d_in·d. The token
+    width is checked by the matmul of the queries with xᵀ.
     """
     x = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    if x.data.ndim not in (2, 3):
-        raise DimensionError(f"resample expects (N, d_in) or (T, N, d_in) tokens, got {x.shape}")
+    if x.data.ndim != 3:
+        raise DimensionError(f"resample expects (T, N, d_in) tokens, got {x.shape}")
     queries = nm.matmul(latents, nm.transpose(wk))  # (K, d_in), shared by every step
     scale = Tensor(1.0 / np.sqrt(latents.shape[-1]))
     weights = nm.softmax_rows(nm.mul(nm.matmul(queries, nm.transpose(x)), scale))

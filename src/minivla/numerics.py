@@ -236,14 +236,17 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis with per-row max subtraction."""
+    """Softmax over the last axis with per-row max subtraction.
+
+    The policy passes (T, M, N) scores, M rows of N for each of T steps;
+    rows are independent, so any leading axes act as more rows.
+    """
     if not np.isfinite(a.data).all():
         raise NumericInputError("softmax_rows: input contains non-finite values")
-    x = np.atleast_2d(a.data)
+    x = a.data
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    p = p.reshape(a.shape)
 
     def vjp(g: Array):
         gp = g * p
@@ -596,18 +599,19 @@ class GradCheckResult:
     n_checked: int  # 0 when params has no trainable entry
 
 
-def grad_check(f, params: ParamSet, eps: float = 1e-5) -> GradCheckResult:
-    """Compare analytic gradients of f against central finite differences
-    over every trainable entry of params.
+# Central-difference step of grad_check, in parameter units.
+GRAD_CHECK_EPS = 1e-5
+
+
+def grad_check(f, params: ParamSet) -> GradCheckResult:
+    """Compare analytic gradients of f against central finite differences,
+    with step GRAD_CHECK_EPS, over every trainable entry of params.
 
     Error metric per entry: |analytic - numeric| / max(1, |analytic|); an
     entry whose analytic or numeric derivative is not finite counts as an
     infinite error. f must be a deterministic function of the ParamSet;
-    two baseline evaluations are compared bitwise to enforce that. eps
-    must be positive and finite (ContractError).
+    two baseline evaluations are compared bitwise to enforce that.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ContractError(f"grad_check: eps must be positive and finite, got {eps!r}")
     with no_grad():
         b1 = f(params).item()
         b2 = f(params).item()
@@ -627,14 +631,14 @@ def grad_check(f, params: ParamSet, eps: float = 1e-5) -> GradCheckResult:
         ana = t.grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + GRAD_CHECK_EPS
             with no_grad():
                 fp = f(params).item()
-            flat[i] = orig - eps
+            flat[i] = orig - GRAD_CHECK_EPS
             with no_grad():
                 fm = f(params).item()
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
+            numeric = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
             rel = abs(ana[i] - numeric) / max(1.0, abs(ana[i]))
             if not math.isfinite(rel):  # a NaN would never beat worst
                 rel = math.inf

@@ -324,16 +324,12 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
                 ) -> tuple[Tensor, Tensor, list[tuple[Array, Array]]]:
     """Differentiable pass over T consecutive steps.
 
-    encoded: (X_rgb, X_depth), each (T, 2N, d); instr: the (M, d)
-    instruction embedding (Model.instruction). Returns (pose (T, 6),
-    gripper logit (T, 1), the LSTM state after step T). Every stage is
-    recorded once for all T steps.
+    encoded: (X_rgb, X_depth), each (T, 2N, d), whose rank enc.resample
+    checks; instr: the (M, d) instruction embedding (Model.instruction).
+    Returns (pose (T, 6), gripper logit (T, 1), the LSTM state after
+    step T). Every stage is recorded once for all T steps.
     """
     with _stage("resampler"):
-        if any(np.ndim(x) != 3 for x in encoded):
-            raise DimensionError(
-                f"policy_core expects (T, 2N, d) tokens, got {[np.shape(x) for x in encoded]}"
-            )
         xvde = fused_tokens(model, encoded)
     with _stage("fusion_decoder"):
         x = dec.decode(Tensor(instr), xvde, model.decoder_layers())

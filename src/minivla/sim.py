@@ -699,22 +699,27 @@ def _approach_and_grasp(state: WorldState, target: Obj) -> Action:
     return Action.zero(closed=True)  # grab
 
 
-def run_expert_episode(state: WorldState, task: TaskSpec, max_steps: int = 64
+# Steps the expert may take on one task before run_expert_episode gives up.
+EXPERT_MAX_STEPS = 64
+
+
+def run_expert_episode(state: WorldState, task: TaskSpec
                        ) -> tuple[WorldState, list[tuple[WorldState, Action]]]:
-    """Roll the expert until the task predicate fires.
+    """Roll the expert until the task predicate fires, for at most
+    EXPERT_MAX_STEPS steps (TaskError after that).
 
     Returns (final_state, steps), steps being each step's (state, action);
     nothing is rendered, so callers that want pixels render those states.
     """
     steps: list[tuple[WorldState, Action]] = []
-    for _ in range(max_steps):
+    for _ in range(EXPERT_MAX_STEPS):
         action = expert_action(state, task)
         steps.append((state, action))
         state = step_env(state, action)
         if success(state, task):
             return state, steps
     raise TaskError(
-        f"expert failed {task.family!r} on {task.color!r} within {max_steps} steps"
+        f"expert failed {task.family!r} on {task.color!r} within {EXPERT_MAX_STEPS} steps"
     )
 
 

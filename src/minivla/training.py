@@ -280,7 +280,7 @@ def full_model_gradcheck() -> nm.GradCheckResult:
 
     Exercises the whole composition (depth pipeline, frozen encoder,
     resampler, 2-layer fusion stack, recurrent head, loss) on a 2-step
-    synthetic batch drawn from seed 7, with grad_check's default step.
+    synthetic batch drawn from seed 7, with step nm.GRAD_CHECK_EPS (1e-5).
     Dims are the smallest that keep every stage present (4 patches per
     frame), so the check finishes in well under a minute.
     """

@@ -272,13 +272,13 @@ def resample_by_keys_and_values(x, latents, wk, wv):
 
 class TestResampleAssociation:
     @property_settings
-    @given(t=dims, n=dims, k=dims, d_in=dims, d=dims, batched=st.booleans(), seed=seeds)
-    def test_matches_keys_and_values(self, t, n, k, d_in, d, batched, seed):
+    @given(t=dims, n=dims, k=dims, d_in=dims, d=dims, seed=seeds)
+    def test_matches_keys_and_values(self, t, n, k, d_in, d, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(t, n, d_in) if batched else (n, d_in)))
+        x = Tensor(rng.normal(size=(t, n, d_in)))
         arrays = {"latents": rng.normal(size=(k, d)), "wk": rng.normal(size=(d_in, d)),
                   "wv": rng.normal(size=(d_in, d))}
-        w = rng.normal(size=(t, k, d) if batched else (k, d))
+        w = rng.normal(size=(t, k, d))
 
         def run(resample):
             params = ParamSet()

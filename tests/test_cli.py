@@ -25,9 +25,11 @@ def write_config(tmp_path, **sections):
 
 @pytest.fixture
 def run_dir(tmp_path, monkeypatch):
-    """MINIVLA_RUN_DIR roots every relative path below at tmp_path/runs."""
+    """The working directory, tmp_path/runs: every relative path flag below
+    resolves against it."""
     root = tmp_path / "runs"
-    monkeypatch.setenv("MINIVLA_RUN_DIR", str(root))
+    root.mkdir()
+    monkeypatch.chdir(root)
     return root
 
 
@@ -244,7 +246,7 @@ def test_a_bad_env_flag_exits_1_before_any_file(run_dir, capsys, argv, key):
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
-    assert not run_dir.exists() or not any(run_dir.iterdir())
+    assert not any(run_dir.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,16 +259,16 @@ def test_a_bad_env_flag_exits_1_before_any_file(run_dir, capsys, argv, key):
 def test_counts_must_be_positive(run_dir, capsys, argv):
     assert cli.dispatch(argv) == 1
     assert "must be a positive integer" in capsys.readouterr().err
-    assert not run_dir.exists()
+    assert not any(run_dir.iterdir())
 
 
 def test_gen_data_over_a_dataset_directory_is_refused(run_dir, capsys):
     old = run_dir / "data"
-    old.mkdir(parents=True)
+    old.mkdir()
     (old / "index.json").write_text("{}")
     assert cli.dispatch(["gen-data", "--out", "data", "--n", "1", "--families", "lift"]) == 2
     err = capsys.readouterr().err
-    assert f"{old} is a dataset directory of an older layout; remove it" in err
+    assert "data is a dataset directory of an older layout; remove it" in err
     assert sorted(p.name for p in run_dir.iterdir()) == ["data"]
     assert [p.name for p in old.iterdir()] == ["index.json"]
 
@@ -287,7 +289,7 @@ def test_a_bad_seed_or_tolerance_exits_1_before_any_file(run_dir, capsys, argv, 
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
     assert "error: " in err and message in err
-    assert not run_dir.exists()
+    assert not any(run_dir.iterdir())
 
 
 def test_gradcheck_passes_on_the_full_model(capsys):
@@ -330,7 +332,7 @@ def test_sensitivity_refuses_two_stats_files_with_one_label(run_dir, capsys):
                          "--out", "sens.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert str(run_dir / "a" / "s.json") in err and str(run_dir / "b" / "s.json") in err
+    assert "--stats a/s.json and b/s.json share the label 's'" in err
     assert not (run_dir / "sens.json").exists()
 
 
@@ -341,9 +343,8 @@ def test_sensitivity_refuses_two_stats_files_with_one_label(run_dir, capsys):
      "--narrow", "n.json", "--wide", "w.json"],
 ], ids=["train", "sep-resampler", "depth-extremes"])
 def test_a_relative_config_is_read_under_the_run_dir(run_dir, capsys, argv):
-    # Found under MINIVLA_RUN_DIR, the file is read and its range error
+    # Found in the working directory, the file is read and its range error
     # exits 1; looked for elsewhere, it would be missing (exit 2).
-    run_dir.mkdir()
     (run_dir / "config.json").write_text(json.dumps({"train": {"epochs": -1}}))
     assert cli.dispatch([*argv, "--config", "config.json"]) == 1
     assert "train.epochs must be >= 0" in capsys.readouterr().err
@@ -376,7 +377,6 @@ def test_periodic_checkpoints(tmp_path, run_dir, dataset):
 
 
 def test_depth_extremes_refuses_ranges_before_reading_the_dataset(run_dir, capsys):
-    run_dir.mkdir()
     write_stats(run_dir, "narrow.json", 0.6, 1.0)
     write_stats(run_dir, "wide.json", 0.7, 1.5)
     # No dataset exists: reading it would exit 2.

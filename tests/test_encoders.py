@@ -114,10 +114,14 @@ class TestVitEncode:
         assert np.array_equal(one, two)
 
     def test_extent_mismatch_rejected(self, rng):
+        # patchify checks each frame's extent where it is encoded, and the
+        # failed call leaves the memo as it was.
         vit, patch, blocks = small_vit(rng)
-        with pytest.raises(DimensionError):
+        memo = {}
+        with pytest.raises(DimensionError, match="positional rows 16 do not match 4 patches"):
             encode_step(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
-                        vit, patch, blocks, {})
+                        vit, patch, blocks, memo)
+        assert memo == {}
 
     def test_slots_of_unequal_length_rejected(self, rng):
         vit, patch, blocks = small_vit(rng)
@@ -328,37 +332,39 @@ def make_resampler(rng, k=4, d_in=16, d=16, trainable=True):
 class TestResample:
     def test_single_token_output_is_projected_value(self, rng):
         tensors, _ = make_resampler(rng, k=3)
-        token = rng.normal(size=(1, 16))
+        token = rng.normal(size=(1, 1, 16))
         out = enc.resample(token, tensors["latents"], tensors["wk"], tensors["wv"])
-        expect = token @ tensors["wv"].data
-        for row in out.data:
+        expect = token[0] @ tensors["wv"].data
+        for row in out.data[0]:
             np.testing.assert_allclose(row, expect[0], atol=1e-12)
 
     def test_output_shape(self, rng):
         tensors, _ = make_resampler(rng, k=4, d_in=8, d=8)
-        tokens = rng.normal(size=(16, 8))
+        tokens = rng.normal(size=(1, 16, 8))
         out = enc.resample(tokens, tensors["latents"], tensors["wk"], tensors["wv"])
-        assert out.shape == (4, 8)
+        assert out.shape == (1, 4, 8)
 
     def test_permutation_invariance(self, rng):
         tensors, _ = make_resampler(rng)
-        tokens = rng.normal(size=(10, 16))
+        tokens = rng.normal(size=(1, 10, 16))
         perm = rng.permutation(10)
         a = enc.resample(tokens, tensors["latents"], tensors["wk"], tensors["wv"]).data
-        b = enc.resample(tokens[perm], tensors["latents"], tensors["wk"], tensors["wv"]).data
+        b = enc.resample(tokens[:, perm], tensors["latents"], tensors["wk"],
+                         tensors["wv"]).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_dim_mismatch(self, rng):
         tensors, _ = make_resampler(rng, d_in=16)
         with pytest.raises(DimensionError):
-            enc.resample(rng.normal(size=(4, 8)), tensors["latents"],
+            enc.resample(rng.normal(size=(1, 4, 8)), tensors["latents"],
                          tensors["wk"], tensors["wv"])
 
     def test_tokens_of_another_rank_rejected(self, rng):
         tensors, _ = make_resampler(rng)
-        with pytest.raises(DimensionError, match=r"resample expects \(N, d_in\)"):
-            enc.resample(rng.normal(size=16), tensors["latents"], tensors["wk"],
-                         tensors["wv"])
+        for shape in (16, (4, 16)):
+            with pytest.raises(DimensionError, match=r"resample expects \(T, N, d_in\)"):
+                enc.resample(rng.normal(size=shape), tensors["latents"], tensors["wk"],
+                             tensors["wv"])
 
     @pytest.mark.parametrize("k", [2, 7, 8])
     def test_initial_tiles_cover_both_camera_grids(self, k):
@@ -372,7 +378,7 @@ class TestResample:
 
     def test_gradients_reach_all_resampler_params(self, rng):
         tensors, params = make_resampler(rng)
-        tokens = rng.normal(size=(6, 16))
+        tokens = rng.normal(size=(1, 6, 16))
         out = enc.resample(tokens, tensors["latents"], tensors["wk"], tensors["wv"])
         params.zero_grads()
         nm.backward(nm.sum_all(nm.mul(out, out)))
@@ -382,7 +388,7 @@ class TestResample:
 
     def test_grad_check(self, rng):
         tensors, params = make_resampler(rng, k=2, d_in=5, d=5)
-        tokens = Tensor(rng.normal(size=(4, 5)))
+        tokens = Tensor(rng.normal(size=(1, 4, 5)))
 
         def f(p):
             out = enc.resample(tokens, p["resampler.shared.latents"],

@@ -23,26 +23,6 @@ def tiny_model(**overrides):
     return pol.init_model(tiny_config(**overrides), synthetic_stats())
 
 
-class TestMaxpoolTokens:
-    """The policy's token max-pool, nm.max_over_rows: (M, d) -> (d,)."""
-
-    def test_direct_max(self):
-        out = nm.max_over_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [3.0, 5.0])
-
-    def test_singleton_identity(self, rng):
-        row = rng.normal(size=(1, 6))
-        out = nm.max_over_rows(Tensor(row))
-        np.testing.assert_array_equal(out.data, row[0])
-
-    def test_permutation_invariance(self, rng):
-        x = rng.normal(size=(5, 4))
-        perm = rng.permutation(5)
-        a = nm.max_over_rows(Tensor(x)).data
-        b = nm.max_over_rows(Tensor(x[perm])).data
-        np.testing.assert_array_equal(a, b)
-
-
 class TestLstmStep:
     def test_zero_weights_zero_state_fixed_point(self):
         model = tiny_model()
@@ -184,7 +164,8 @@ class TestPolicyStep:
     def test_tokens_without_a_time_axis_rejected(self, rng):
         model = tiny_model()
         tokens = pol.encode_trajectory(model, [synthetic_obs(rng)])
-        with pytest.raises(DimensionError, match=r"\[stage=resampler\] policy_core expects"):
+        with pytest.raises(DimensionError,
+                           match=r"\[stage=resampler\] resample expects \(T, N, d_in\)"):
             pol.policy_core(model, tuple(x[0] for x in tokens),
                             model.instruction("lift the red block"), pol.reset_hidden(model))
 

@@ -444,10 +444,11 @@ class TestExpert:
         with pytest.raises(TaskError):
             sim.expert_action(s, task)
 
-    def test_an_expert_out_of_steps_is_a_task_error(self):
+    def test_an_expert_out_of_steps_is_a_task_error(self, monkeypatch):
+        monkeypatch.setattr(sim, "EXPERT_MAX_STEPS", 1)
         task = TaskSpec("lift", "red", None, "lift the red block")
         with pytest.raises(TaskError, match="expert failed 'lift' on 'red' within 1 steps"):
-            sim.run_expert_episode(simple_scene(), task, max_steps=1)
+            sim.run_expert_episode(simple_scene(), task)
 
     def test_expert_agent_needs_the_state_and_a_task(self):
         agent = ExpertAgent()

@@ -24,7 +24,8 @@ def minimal_env(seed):
     bx, by = geom.choice(cells), geom.choice(cells)
     gx, gy = geom.uniform(0.2, 0.8, size=2)
     objects = [sim.Obj("block", "red", np.array([bx, by]), sim.BLOCK_HEIGHT)]
-    return sim.WorldState(np.array([gx, gy, sim.HOVER_Z]), True, objects, "A")
+    return sim.WorldState(np.array([gx, gy, sim.HOVER_Z]), True, objects,
+                          sim.PALETTES["A"].table_color, sim.COLORS)
 
 
 def make_data(n, seed0):

@@ -10,7 +10,7 @@ data = sim.generate_dataset(150, 100, ["A", "B", "C"], families=["lift"])
 frames = [f for t in data for o, _ in t.steps for f in (o.depth_static, o.depth_gripper)]
 stats = dp.compute_stats(frames)
 model = pol.init_model(ModelConfig(seed=0), stats)
-vit = model.vit_arrays()
+vit = model.vit
 P, NB = model.cfg.patch, model.cfg.vit_blocks
 
 def tokens_at_stage(img, camera, n_blocks):

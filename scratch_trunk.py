@@ -24,7 +24,7 @@ def minimal_env(seed):
     objects = [sim.Obj("block", "red", np.array([geom.choice(cells), geom.choice(cells)]),
                        sim.BLOCK_HEIGHT)]
     return sim.WorldState(np.array([*geom.uniform(0.2, 0.8, size=2), sim.HOVER_Z]),
-                          True, objects, "A")
+                          True, objects, sim.PALETTES["A"].table_color, sim.COLORS)
 
 
 samples = []
@@ -75,7 +75,7 @@ elif stage in ("resampler", "trunk"):
     w2 = params.add("w2", rng.normal(0, 128 ** -0.5 * 0.1, (128, 2)), True)
     b2 = params.add("b2", np.zeros(2), True)
     if stage == "trunk":
-        layers = model.decoder_layers()
+        layers = model.decoder
         for l, layer in enumerate(layers):
             for key, t in layer.items():
                 if key.startswith("cross."):

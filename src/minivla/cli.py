@@ -11,9 +11,10 @@ is listed in CONFIG_FLAGS; its value goes through config.parse_config,
 with a --config file where the command takes one, so it gets the same
 type and range checks as a config file. Every other flag is checked by
 its argparse type. Either way a bad value exits 1 before any dataset,
-checkpoint or stats file is read; so do families that cannot fill a
-chain, for eval and ablate. ablate depth-extremes exits 1 before the
-dataset is read when --wide does not strictly contain --narrow. Every
+checkpoint or stats file is read, and a bad stats file exits 1 before
+the dataset is read; so do families that cannot fill a chain, for eval
+and ablate, and ablate depth-extremes exits 1 before the dataset is
+read when --wide does not strictly contain --narrow. Every
 file a command writes goes through persist, and train writes nothing
 into --out until training has finished, apart from the periodic
 checkpoints of --ckpt-every.
@@ -33,7 +34,7 @@ from . import persist
 from . import policy as pol
 from . import sim
 from . import training as tr
-from .config import RunConfig, parse_config
+from .config import DEPTH_INPUTS, RunConfig, parse_config
 from .errors import MinivlaError, ValidationError
 
 # Config section -> its fields that a flag of the same dest sets. The --seed
@@ -105,10 +106,12 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _stats_for(args, data) -> dp.DepthStats:
-    if getattr(args, "stats", None):
-        return dp.DepthStats.from_json(args.stats.read_text())
-    return dp.compute_stats(persist.dataset_depth_frames(data))
+def _data_and_stats(args) -> tuple[list[sim.Trajectory], dp.DepthStats]:
+    """The dataset and the --stats file, which is read first, so a bad one
+    exits 1 before the dataset is read; without it, the data's statistics."""
+    stats = args.stats and dp.DepthStats.from_json(args.stats.read_text())
+    data = persist.load_dataset(args.data)
+    return data, stats or dp.compute_stats(persist.dataset_depth_frames(data))
 
 
 def cmd_train(args) -> int:
@@ -117,8 +120,7 @@ def cmd_train(args) -> int:
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         raise ValidationError(f"--out {args.out} is not an empty directory; "
                               "train writes each run into a new one")
-    data = persist.load_dataset(args.data)
-    stats = _stats_for(args, data)
+    data, stats = _data_and_stats(args)
     model = pol.init_model(cfg.model, stats)
 
     def on_epoch(epoch, st):
@@ -158,8 +160,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate_sep_resampler(args) -> int:
     cfg = _run_config(args)
-    data = persist.load_dataset(args.data)
-    stats = _stats_for(args, data)
+    data, stats = _data_and_stats(args)
     report = an.run_sep_resampler_ablation(cfg.model, stats, data, cfg.train, cfg.env)
     _write_ablation(report, args.out)
     return 0
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--families", type=_split_csv, help="comma-separated family names")
     g.add_argument("--palettes", type=_split_csv, default="A,B,C")
     g.add_argument("--seed", dest="data_seed", type=_non_negative_int, default=0)
-    g.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
+    g.add_argument("--variant", choices=sim.VARIANTS, default="standard")
     g.add_argument("--enrich", action="store_true",
                    help="sample instruction paraphrases")
     g.set_defaults(func=cmd_gen_data)
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sep-resampler", dest="sep_resampler", action="store_const",
                    const=True, default=None)
     t.add_argument("--depth-input", dest="depth_input",
-                   choices=["sensor", "constant"], default=None)
+                   choices=DEPTH_INPUTS, default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="chain evaluation of a checkpoint")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--families", type=_split_csv, default=None)
     e.add_argument("--seed", dest="chain_seed", type=_non_negative_int, default=1000)
     e.add_argument("--horizon", type=int, default=64)
-    e.add_argument("--variant", choices=["standard", "tall_short"], default="standard")
+    e.add_argument("--variant", choices=sim.VARIANTS, default="standard")
     e.add_argument("--enrich", action="store_true")
     e.add_argument("--label", default="ours")
     e.add_argument("--train-label", default="ABC")

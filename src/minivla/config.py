@@ -23,6 +23,8 @@ from pathlib import Path
 from . import sim
 from .errors import ConfigError, ConfigRangeError
 
+DEPTH_INPUTS = ("sensor", "constant")  # "constant": the RGB-only ablation
+
 
 @dataclass
 class ModelConfig:
@@ -34,7 +36,7 @@ class ModelConfig:
     lstm_layers: int = 2
     lstm_width: int = 64
     sep_resampler: bool = False
-    depth_input: str = "sensor"  # "sensor" | "constant" (RGB-only ablation)
+    depth_input: str = "sensor"  # one of DEPTH_INPUTS
     seed: int = 0
 
     def validate(self):
@@ -51,8 +53,8 @@ class ModelConfig:
             raise ConfigRangeError(
                 f"model.d_model must be at least 4 (positional band), got {self.d_model}"
             )
-        if self.depth_input not in ("sensor", "constant"):
-            raise ConfigError(f"model.depth_input must be 'sensor' or 'constant'")
+        if self.depth_input not in DEPTH_INPUTS:
+            raise ConfigError(f"model.depth_input must be one of {DEPTH_INPUTS}")
         if self.seed < 0:
             raise ConfigRangeError(f"model.seed must be >= 0, got {self.seed}")
 
@@ -98,8 +100,8 @@ class EnvConfig:
             for f in self.families:
                 if f not in sim.FAMILIES:
                     raise ConfigRangeError(f"env.families entry {f!r} not one of {sim.FAMILIES}")
-        if self.variant not in ("standard", "tall_short"):
-            raise ConfigRangeError(f"env.variant must be standard or tall_short")
+        if self.variant not in sim.VARIANTS:
+            raise ConfigRangeError(f"env.variant must be {' or '.join(sim.VARIANTS)}")
         if self.n_chains < 1 or self.horizon < 1:
             raise ConfigRangeError("env counts must be positive")
 

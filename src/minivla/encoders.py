@@ -53,8 +53,8 @@ def pos_band(d: int) -> int:
     return max(d // 4, 2)
 
 
-def init_vit_arrays(image_hw: int, patch: int, d: int, blocks: int,
-                    rng: np.random.Generator) -> dict[str, Array]:
+def init_encoder_arrays(image_hw: int, patch: int, d: int, blocks: int,
+                        rng: np.random.Generator) -> dict[str, Array]:
     in_dim = 3 * patch * patch
     n_tokens = (image_hw // patch) ** 2
     pd = pos_band(d)

@@ -52,9 +52,10 @@ config.parse_config, like a config file, so a key that names no
 ModelConfig field is a CompatibilityError. Checkpoints whose embedded
 config still holds a value that is now a constant (the frame edge, for
 one: see the config module) are therefore rejected, naming the key, and
-must be rebuilt with `minivla train`. Its depth statistics go through
-depth.DepthStats.from_dict, like a stats file; a header whose statistics
-fail that check is a CorruptionError.
+must be rebuilt with `minivla train`. Every checkpoint holds its
+model's depth statistics, which go through depth.DepthStats.from_dict,
+like a stats file; missing, null or malformed ones are a CorruptionError.
+Loading writes the stored values into the arrays of a new model in place.
 
 Which parameters train is not a checkpoint's to say: the flags come from
 policy.init_model under the embedded configuration, as for a new model.
@@ -216,8 +217,7 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
         "entries": entries,
         "meta": {
             "model_config": dataclasses.asdict(model.cfg),
-            "depth_stats": dataclasses.asdict(model.depth_stats)
-            if model.depth_stats else None,
+            "depth_stats": dataclasses.asdict(model.depth_stats),
         },
     }
     _write_atomic(path, _frame(MAGIC, header, blobs))
@@ -240,7 +240,7 @@ def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model from a checkpoint; verifies the CRC, the embedded
     configuration and depth statistics, and that the stored parameter
     names, shapes and trainable flags are those the embedded
-    configuration creates."""
+    configuration creates. Values are written into the model's arrays."""
     header, payload = _read_frame(Path(path).read_bytes(), path, MAGIC,
                                   _checkpoint_payload_len)
     meta = header.get("meta", {})
@@ -250,8 +250,7 @@ def load_checkpoint(path: str | Path) -> Model:
         raise CompatibilityError(f"checkpoint {path} has an unusable model "
                                  f"config: {e}") from e
     try:
-        stats = (None if meta.get("depth_stats") is None
-                 else DepthStats.from_dict(meta["depth_stats"]))
+        stats = DepthStats.from_dict(meta.get("depth_stats"))
     except ValidationError as e:
         raise CorruptionError(f"checkpoint {path} has unusable depth statistics: {e}") from e
     model = init_model(cfg, stats)
@@ -279,7 +278,7 @@ def load_checkpoint(path: str | Path) -> Model:
                 f"model {tensor.requires_grad}"
             )
         arr = np.frombuffer(payload, dtype="<f4", count=tensor.data.size, offset=offset)
-        tensor.data = arr.astype(np.float64).reshape(tensor.data.shape)
+        np.copyto(tensor.data, arr.reshape(tensor.data.shape))
         offset += arr.nbytes
     return model
 

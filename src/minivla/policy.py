@@ -2,8 +2,9 @@
 
 A Model bundles every parameter (frozen encoder/backbone entries plus
 the trainable resampler, cross-attention, and head entries) in one
-ParamSet with the depth statistics the pipeline normalizes against;
-every model tokenizes against the one closed vocabulary, VOCAB_INDEX.
+ParamSet with the depth statistics the pipeline normalizes against,
+which every model is built with, and groups each stage's parameters once
+for the stages to read. Every model tokenizes against VOCAB_INDEX.
 The policy composes:
 
     depth preprocessing -> frozen patch encoder -> resampler ->
@@ -71,10 +72,14 @@ def _stage(name: str):
 
 
 class Model:
-    """Parameters and depth statistics for one policy."""
+    """Parameters and depth statistics for one policy, each stage's
+    parameters grouped once: vit (name -> frozen array) and embed (the
+    frozen table) as arrays, which load_checkpoint writes in place;
+    resampler["rgb"] and ["depth"] (one dict unless cfg.sep_resampler),
+    decoder[l], lstm[i] = (wx, wh, b) and pose_head, gripper_head =
+    (w1, b1, w2, b2) as Tensors, whose data FlatLayout may rebind."""
 
-    def __init__(self, cfg: ModelConfig, params: ParamSet,
-                 depth_stats: dp.DepthStats | None = None):
+    def __init__(self, cfg: ModelConfig, params: ParamSet, depth_stats: dp.DepthStats):
         self.cfg = cfg
         self.params = params
         self.depth_stats = depth_stats
@@ -85,32 +90,24 @@ class Model:
         # init_model or load_checkpoint sets them.
         self._frame_memo: enc.FrameMemo = {}
         self._memo_stream = 0
-        # The ParamSet's tensors are fixed once the model is built (training
-        # and loading replace their data, never the tensors), so the views a
-        # policy step needs are grouped once here instead of on every step.
-        self._vit = self._group("vit.")
-        self._decoder_layers = [self._group(f"decoder.{l}.")
-                                for l in range(cfg.decoder_layers)]
 
-    def _group(self, prefix: str) -> dict[str, Tensor]:
-        return {name[len(prefix):]: t for name, t in self.params.items()
-                if name.startswith(prefix)}
+        def group(prefix: str) -> dict[str, Tensor]:
+            return {name[len(prefix):]: t for name, t in params.items()
+                    if name.startswith(prefix)}
 
-    # -- parameter views ----------------------------------------------------
-
-    def vit_arrays(self) -> dict[str, Array]:
-        return {key: t.data for key, t in self._vit.items()}
-
-    def resampler_tensors(self, modality: str) -> dict[str, Tensor]:
-        prefix = ("resampler.shared."
-                  if not self.cfg.sep_resampler else f"resampler.{modality}.")
-        return {key: self.params[prefix + key] for key in ("latents", "wk", "wv")}
-
-    def decoder_layers(self) -> list[dict[str, Tensor]]:
-        return [dict(layer) for layer in self._decoder_layers]
-
-    def embedding_table(self) -> Array:
-        return self.params["embed.table"].data
+        self.vit = {key: t.data for key, t in group("vit.").items()}
+        self.embed = params["embed.table"].data
+        if cfg.sep_resampler:
+            self.resampler = {m: group(f"resampler.{m}.") for m in ("rgb", "depth")}
+        else:
+            shared = group("resampler.shared.")
+            self.resampler = {"rgb": shared, "depth": shared}
+        self.decoder = [group(f"decoder.{l}.") for l in range(cfg.decoder_layers)]
+        self.lstm = [tuple(params[f"head.lstm.{i}.{key}"] for key in ("wx", "wh", "b"))
+                     for i in range(cfg.lstm_layers)]
+        self.pose_head, self.gripper_head = (
+            tuple(params[f"head.{head}.{key}"] for key in ("w1", "b1", "w2", "b2"))
+            for head in ("pose", "gripper"))
 
     def instruction(self, text: str) -> Array:
         """The instruction's (M, d) rows of the frozen table; only the last
@@ -119,7 +116,7 @@ class Model:
         last = self._last_instruction
         if last is None or last[0] != text:
             ids = dec.tokenize(text, VOCAB_INDEX)
-            last = (text, dec.embed_ids(self.embedding_table(), ids))
+            last = (text, dec.embed_ids(self.embed, ids))
             self._last_instruction = last
         return last[1]
 
@@ -133,11 +130,10 @@ def share_frame_memo(*models: Model) -> None:
     first model's in dtype, shape and bytes; otherwise this raises
     ContractError and changes no memo.
     """
-    first = models[0].vit_arrays()
+    first = models[0].vit
     for model in models[1:]:
-        vit = model.vit_arrays()
-        if vit.keys() != first.keys() or not all(
-                enc._same_frame(first[key], vit[key]) for key in first):
+        if model.vit.keys() != first.keys() or not all(
+                enc._same_frame(first[key], model.vit[key]) for key in first):
             raise ContractError("models with different frozen encoder weights "
                                 "cannot share a frame memo")
     memo: enc.FrameMemo = {}
@@ -145,7 +141,7 @@ def share_frame_memo(*models: Model) -> None:
         model._frame_memo, model._memo_stream = memo, stream
 
 
-def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Model:
+def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats) -> Model:
     """Seed-fixed initialization.
 
     The trainable= flag of each entry is the one statement of which
@@ -163,8 +159,8 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats | None = None) -> Mo
     ]
     params = ParamSet()
 
-    for name, arr in enc.init_vit_arrays(sim.IMAGE_HW, cfg.patch, cfg.d_model,
-                                         cfg.vit_blocks, rng_vit).items():
+    for name, arr in enc.init_encoder_arrays(sim.IMAGE_HW, cfg.patch, cfg.d_model,
+                                             cfg.vit_blocks, rng_vit).items():
         params.add(f"vit.{name}", arr, trainable=False)
 
     params.add("embed.table",
@@ -227,10 +223,8 @@ def lstm_step(x: Tensor, prev: list[tuple[Array, Array]], model: Model
         )
     new_state: list[tuple[Array, Array]] = []
     h = x
-    for i, (h0, c0) in enumerate(prev):
-        layer = f"head.lstm.{i}."
-        h, state = nm.lstm_layer(h, h0, c0, model.params[layer + "wx"],
-                                 model.params[layer + "wh"], model.params[layer + "b"])
+    for (h0, c0), (wx, wh, b) in zip(prev, model.lstm):
+        h, state = nm.lstm_layer(h, h0, c0, wx, wh, b)
         new_state.append(state)
     return h, new_state
 
@@ -238,15 +232,8 @@ def lstm_step(x: Tensor, prev: list[tuple[Array, Array]], model: Model
 def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
     """(pose (T,6) scaled into the environment's step bound sim.STEP_CLIP,
     raw gripper logit (T,1)) from the stacked top hidden states (T, r)."""
-    p = model.params
-    pose = nm.mul(
-        nm.tanh(nm.mlp2(h_top, p["head.pose.w1"], p["head.pose.b1"],
-                        p["head.pose.w2"], p["head.pose.b2"])),
-        Tensor(sim.STEP_CLIP),
-    )
-    logit = nm.mlp2(h_top, p["head.gripper.w1"], p["head.gripper.b1"],
-                    p["head.gripper.w2"], p["head.gripper.b2"])
-    return pose, logit
+    pose = nm.mul(nm.tanh(nm.mlp2(h_top, *model.pose_head)), Tensor(sim.STEP_CLIP))
+    return pose, nm.mlp2(h_top, *model.gripper_head)
 
 
 def reset_hidden(model: Model) -> list[tuple[Array, Array]]:
@@ -273,8 +260,6 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[Array, Array, Ar
         else:
             d_static = np.asarray(obs.depth_static, dtype=np.float64)
             d_gripper = np.asarray(obs.depth_gripper, dtype=np.float64)
-        if model.depth_stats is None:
-            raise ContractError("model has no depth statistics; compute stats first")
         depth_a = dp.preprocess_depth(d_static, model.depth_stats)
         depth_b = dp.preprocess_depth(d_gripper, model.depth_stats)
     return np.asarray(obs.rgb_static), np.asarray(obs.rgb_gripper), depth_a, depth_b
@@ -299,7 +284,7 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
     steps = [_camera_frames(model, obs) for obs in observations]
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
-        tokens = enc.vit_encode_pair(slots, model.vit_arrays(), model.cfg.patch,
+        tokens = enc.vit_encode_pair(slots, model.vit, model.cfg.patch,
                                      model.cfg.vit_blocks, model._frame_memo,
                                      model._memo_stream)
     half = tokens.shape[1] // 2
@@ -312,11 +297,8 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
     """Resample both modalities and concatenate (RGB first, per step)."""
     x_rgb, x_depth = encoded
-    rs_rgb = model.resampler_tensors("rgb")
-    rs_depth = model.resampler_tensors("depth")
-    xv = enc.resample(x_rgb, rs_rgb["latents"], rs_rgb["wk"], rs_rgb["wv"])
-    xde = enc.resample(x_depth, rs_depth["latents"], rs_depth["wk"], rs_depth["wv"])
-    return nm.concat_rows([xv, xde])
+    return nm.concat_rows([enc.resample(x_rgb, **model.resampler["rgb"]),
+                           enc.resample(x_depth, **model.resampler["depth"])])
 
 
 def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
@@ -332,7 +314,7 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
     with _stage("resampler"):
         xvde = fused_tokens(model, encoded)
     with _stage("fusion_decoder"):
-        x = dec.decode(Tensor(instr), xvde, model.decoder_layers())
+        x = dec.decode(Tensor(instr), xvde, model.decoder)
     with _stage("policy_head"):
         h_top, hidden = lstm_step(nm.max_over_rows(x), hidden, model)
         pose, logit = action_heads(h_top, model)

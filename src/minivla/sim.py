@@ -17,8 +17,9 @@ next(), and lockstep drains several of them in rounds, one step of each
 per round, so agents on the same chain act at the same step one after
 another. PARAPHRASE_BANK has a bank for each of FAMILIES; a task reaches
 paraphrase_instruction only through resolve_target or _family_list,
-which refuse an unknown family. Everything is a pure function of (seed,
-palette, actions).
+which refuse an unknown family. A scene carries the colours it is painted
+with, and a task its target's start x0. Everything is a pure function of
+(seed, palette, actions).
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ PALETTES: dict[str, Palette] = {
     "D": Palette((0.68, 0.76, 0.66), ("red", "green", "blue", "yellow", "orange", "purple", "cyan")),
 }
 
-_PALETTE_INDEX = {"A": 0, "B": 1, "C": 2, "D": 3}
+_PALETTE_INDEX = {name: i for i, name in enumerate(PALETTES)}  # colour-stream keys
+VARIANTS = ("standard", "tall_short")  # the scenes make_env builds
 
 # SeedSequence spawn keys, so the independent random streams never collide.
 _GEOM_KEY, _COLOR_KEY, _TASK_KEY, _CHAIN_KEY, _PARA_KEY = 0, 1, 2, 3, 4
@@ -136,15 +138,13 @@ class WorldState:
     gripper_pos: Array           # (x, y, z)
     gripper_open: bool
     objects: list[Obj]
-    palette: str
-    # Per-scene draws from the palette's texture distribution; None falls
-    # back to the palette base values. Read-only once sampled.
-    table_color: tuple[float, float, float] | None = None
-    scene_colors: dict[str, tuple[float, float, float]] | None = None
+    # Draws from the palette's texture distribution; read-only once sampled.
+    table_color: tuple[float, float, float]
+    scene_colors: dict[str, tuple[float, float, float]]
 
     def copy(self) -> "WorldState":
         return WorldState(self.gripper_pos.copy(), self.gripper_open,
-                          [o.copy() for o in self.objects], self.palette,
+                          [o.copy() for o in self.objects],
                           self.table_color, self.scene_colors)
 
     def held_object(self) -> Obj | None:
@@ -172,7 +172,7 @@ class TaskSpec:
     color: str
     size: str | None             # None | "tall" | "short"
     instruction: str
-    x0: float | None = None      # push: target x at task start
+    x0: float                    # target x at task start; push's success reads it
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def make_env(seed: int, palette: str, variant: str = "standard") -> WorldState:
     colors additionally depend on the palette, so splits share layouts."""
     if palette not in PALETTES:
         raise ContractError(f"unknown palette {palette!r}; expected one of A-D")
-    if variant not in ("standard", "tall_short"):
+    if variant not in VARIANTS:
         raise ContractError(f"unknown scene variant {variant!r}")
     pal = PALETTES[palette]
     geom = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_GEOM_KEY,)))
@@ -315,8 +315,7 @@ def make_env(seed: int, palette: str, variant: str = "standard") -> WorldState:
     table_color = jitter(pal.table_color, 0.03)
     scene_colors = {name: jitter(COLORS[name], 0.02) for name in pal.object_colors}
 
-    state = WorldState(np.array([gx, gy, HOVER_Z]), True, objects, palette,
-                       table_color, scene_colors)
+    state = WorldState(np.array([gx, gy, HOVER_Z]), True, objects, table_color, scene_colors)
     state.validate()
     return state
 
@@ -401,8 +400,7 @@ def render_observation(state: WorldState) -> Observation:
     """Orthographic third-person view plus a gripper-centered zoom, painted
     in one pass: the grids carry a leading camera axis, static view first,
     so each stamp runs once for both cameras."""
-    table = state.table_color or PALETTES[state.palette].table_color
-    tints = state.scene_colors or COLORS
+    tints = state.scene_colors
     g = state.gripper_pos
     res = IMAGE_HW
     # Per camera: the window's center x, center y and edge, each (2, 1).
@@ -412,7 +410,7 @@ def render_observation(state: WorldState) -> Observation:
     gx, gy = xs[:, None, :], ys[:, :, None]  # the grids' coordinates, by broadcasting
 
     color = np.empty((2, res, res, 3))
-    color[:] = table
+    color[:] = state.table_color
     height = np.zeros((2, res, res))
 
     def stamp(px, py, half_x, half_y, h, rgb):
@@ -494,13 +492,12 @@ def _find_bin(state: WorldState) -> Obj:
 
 
 def make_task(state: WorldState, family: str, target: Obj) -> TaskSpec:
-    """Instantiate a task against a live scene, snapshotting what the
-    success predicate needs."""
+    """Instantiate a task against a live scene, with the target's start x,
+    which push's success predicate reads."""
     size = _size_of(target) if family == "lift" and _is_ambiguous(state, target) else None
-    x0 = float(target.pos[0]) if family == "push" else None
     qual = f"{size} {target.color}" if size else target.color
     return TaskSpec(family, target.color, size,
-                    PARAPHRASE_BANK[family][0].format(t=qual), x0)
+                    PARAPHRASE_BANK[family][0].format(t=qual), float(target.pos[0]))
 
 
 def _is_ambiguous(state: WorldState, block: Obj) -> bool:
@@ -514,8 +511,6 @@ def success(state: WorldState, task: TaskSpec) -> bool:
     if task.family == "lift":
         return target.held and state.gripper_pos[2] >= LIFT_SUCCESS_Z
     if task.family == "push":
-        if task.x0 is None:
-            raise ContractError("push task missing its start snapshot")
         return float(target.pos[0]) - task.x0 >= PUSH_SUCCESS_DIST
     if task.family == "press":
         return target.pressed

@@ -306,7 +306,7 @@ def full_model_gradcheck() -> nm.GradCheckResult:
     stats = dp.compute_stats(
         [o.depth_static for o in observations] + [o.depth_gripper for o in observations])
     model = pol.init_model(cfg, stats)
-    for layer in model.decoder_layers():
+    for layer in model.decoder:
         layer["cross.alpha"].data = np.asarray(0.3)
 
     actions = []

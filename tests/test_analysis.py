@@ -86,7 +86,7 @@ def quick_setup(variant="standard"):
 def policy_model(seed=0, sep_resampler=False):
     model = pol.init_model(tiny_config(patch=8, seed=seed, sep_resampler=sep_resampler),
                            synthetic_stats())
-    for layer in model.decoder_layers():
+    for layer in model.decoder:
         layer["cross.alpha"].data = np.asarray(0.5)  # instructions reach the actions
     return model
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_config
+from conftest import synthetic_stats, tiny_config
 
 from minivla import decoder as dec
 from minivla import depth as dp
@@ -247,7 +247,7 @@ class TestLstmLayer:
     @property_settings
     @given(t=st.integers(1, 6), layers=st.integers(1, 2), seed=seeds)
     def test_rows_at_once_equal_chained_rows(self, t, layers, seed):
-        model = pol.init_model(tiny_config(lstm_layers=layers))
+        model = pol.init_model(tiny_config(lstm_layers=layers), synthetic_stats())
         rng = np.random.default_rng(seed)
         r = model.cfg.lstm_width
         x = rng.normal(size=(t, model.cfg.d_model))
@@ -317,7 +317,7 @@ def per_step_loss(model, instr, tokens, actions, lam):
     for t, action in enumerate(actions):
         step_tokens = tuple(x[t:t + 1] for x in tokens)
         x = dec.decode(Tensor(instr), pol.fused_tokens(model, step_tokens),
-                       model.decoder_layers())
+                       model.decoder)
         h = nm.max_over_rows(x)
         for i, (h0, c0) in enumerate(hidden):
             layer = f"head.lstm.{i}."
@@ -348,7 +348,7 @@ class TestBatchedTrajectoryLoss:
     def test_matches_per_step_loop(self):
         for sep in (False, True):
             model, traj = lift_model(sep_resampler=sep)
-            for layer in model.decoder_layers():
+            for layer in model.decoder:
                 layer["cross.alpha"].data = np.asarray(0.4)
             instr, tokens, actions = tr.encode_dataset(model, [traj])[0]
             assert len(actions) > 3
@@ -395,7 +395,7 @@ class TestTapeSize:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_lstm_step_records_one_node_per_layer(self, layers):
         # The carried state is data: no node gives the state back out.
-        model = pol.init_model(tiny_config(lstm_layers=layers))
+        model = pol.init_model(tiny_config(lstm_layers=layers), synthetic_stats())
         r = model.cfg.lstm_width
         x = Tensor(np.random.default_rng(0).normal(size=(3, model.cfg.d_model)),
                    requires_grad=True)

@@ -138,13 +138,16 @@ STATS = '"d_min": 0.6, "d_max": 1.0, "mu": 0.5'
     ("[0.6, 1.0, 0.5, 0.29]", "JSON object"),
 ], ids=["truncated", "missing-field", "extra-field", "string", "bool", "nan", "huge-int",
         "list"])
-def test_malformed_stats_file_exits_1(run_dir, dataset, capsys, body, field):
+def test_malformed_stats_file_exits_1(run_dir, capsys, body, field):
+    # The stats file is read first: --data is not a dataset, which would exit 2.
     (run_dir / "stats.json").write_text(body)
-    assert cli.dispatch(["train", "--data", "data", "--out", "train",
-                         "--stats", "stats.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err
-    assert not (run_dir / "train").exists()
+    (run_dir / "data").write_bytes(b"not a dataset")
+    for command in (["train"], ["ablate", "sep-resampler"]):
+        assert cli.dispatch([*command, "--data", "data", "--out", "out",
+                             "--stats", "stats.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (run_dir / "out").exists()
 
 
 def test_an_unreadable_input_exits_2_before_writing(run_dir, dataset, capsys):

@@ -13,7 +13,7 @@ from minivla.numerics import ParamSet, Tensor
 
 
 def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
-    return enc.init_vit_arrays(hw, patch, d, blocks, rng), patch, blocks
+    return enc.init_encoder_arrays(hw, patch, d, blocks, rng), patch, blocks
 
 
 def encode_step(a, b, vit, patch, blocks, memo):
@@ -411,7 +411,7 @@ class TestFuseConcat:
         assert out.shape == (3, 2 * k, d)
         for x, modality, rows in ((x_rgb, "rgb", slice(0, k)),
                                   (x_depth, "depth", slice(k, 2 * k))):
-            rs = model.resampler_tensors(modality)
+            rs = model.resampler[modality]
             alone = enc.resample(x, rs["latents"], rs["wk"], rs["wv"])
             np.testing.assert_array_equal(out.data[:, rows], alone.data)
 

@@ -248,7 +248,8 @@ class TestCheckpoint:
         ({"d_min": 0.6, "d_max": 1.0, "mu": float("nan"), "sigma": 0.29}, "mu"),
         ({"d_min": 0.6, "d_max": None, "mu": 0.5, "sigma": 0.29}, "d_max"),
         ([0.6, 1.0, 0.5, 0.29], "JSON object"),
-    ], ids=["empty", "extra-key", "string", "bool", "nan", "null", "list"])
+        (None, "JSON object"),
+    ], ids=["empty", "extra-key", "string", "bool", "nan", "null", "list", "stats-null"])
     def test_malformed_depth_stats_are_corruption_error(self, tmp_path, stats, field):
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
 
@@ -259,6 +260,29 @@ class TestCheckpoint:
         rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", edit)
         with pytest.raises(CorruptionError, match=f"unusable depth statistics: .*{field}"):
             persist.load_checkpoint(tmp_path / "bad.rfpx")
+
+    def test_loaded_groups_hold_the_stored_values(self, tmp_path):
+        # Every stored value differs from what init_model gives, so a group
+        # still holding an array that init_model built would show.
+        model = small_model(sep_resampler=True)
+        for _, tensor in model.params.items():
+            tensor.data += 0.5
+        again = persist.load_checkpoint(persist.save_checkpoint(model, tmp_path / "ck.rfpx"))
+        groups = {"embed.table": again.embed}
+        groups.update({f"vit.{key}": values for key, values in again.vit.items()})
+        for modality, group in again.resampler.items():
+            groups.update({f"resampler.{modality}.{key}": t.data for key, t in group.items()})
+        for l, layer in enumerate(again.decoder):
+            groups.update({f"decoder.{l}.{key}": t.data for key, t in layer.items()})
+        for i, layer in enumerate(again.lstm):
+            groups.update({f"head.lstm.{i}.{key}": t.data
+                           for key, t in zip(("wx", "wh", "b"), layer)})
+        for head, group in (("pose", again.pose_head), ("gripper", again.gripper_head)):
+            groups.update({f"head.{head}.{key}": t.data
+                           for key, t in zip(("w1", "b1", "w2", "b2"), group)})
+        assert sorted(groups) == again.params.names()
+        for name, values in groups.items():
+            np.testing.assert_array_equal(values, model.params[name].data.astype(np.float32))
 
     def test_entries_are_name_shape_and_flag_in_payload_order(self, tmp_path):
         model = small_model()

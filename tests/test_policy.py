@@ -150,7 +150,7 @@ class TestPolicyStep:
         # With every gate at zero the cameras must not matter, while the
         # instruction still reaches the frozen language path.
         model = tiny_model()
-        for layer in model.decoder_layers():
+        for layer in model.decoder:
             layer["cross.alpha"].data = np.asarray(0.0)
         obs_a = synthetic_obs(rng)
         obs_b = synthetic_obs(rng)
@@ -169,11 +169,14 @@ class TestPolicyStep:
             pol.policy_core(model, tuple(x[0] for x in tokens),
                             model.instruction("lift the red block"), pol.reset_hidden(model))
 
-    def test_missing_stats_tagged_with_stage(self, rng):
-        model = pol.init_model(tiny_config(), depth_stats=None)
-        with pytest.raises(ContractError, match="depth_pipeline"):
-            pol.policy_step(model, synthetic_obs(rng), "lift the red block",
-                            pol.reset_hidden(model))
+    def test_negative_depth_frame_tagged_with_stage(self, rng):
+        model = tiny_model()
+        obs = synthetic_obs(rng)
+        obs.depth_gripper[3, 5] = -0.25
+        with pytest.raises(ContractError,
+                           match=r"\[stage=depth_pipeline\] depth values must be finite "
+                                 r"and non-negative"):
+            pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
 
     def test_episode_isolation(self, rng):
         model = tiny_model()
@@ -191,7 +194,7 @@ class TestPolicyStep:
         # Finite differences across the whole composition on one step.
         model = tiny_model(d_model=8, resampler_k=2, decoder_layers=1,
                            lstm_layers=1, lstm_width=4)
-        for layer in model.decoder_layers():
+        for layer in model.decoder:
             layer["cross.alpha"].data = np.asarray(0.3)
         obs = synthetic_obs(rng)
         encoded = pol.encode_trajectory(model, [obs])
@@ -237,7 +240,7 @@ class TestInstruction:
 class TestFrozenContract:
     def test_frozen_entries_get_no_gradients(self, rng):
         model = tiny_model()
-        for layer in model.decoder_layers():
+        for layer in model.decoder:
             layer["cross.alpha"].data = np.asarray(0.4)
         obs = synthetic_obs(rng)
         encoded = pol.encode_trajectory(model, [obs])
@@ -286,7 +289,7 @@ ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module'
 def encoded_alone(model, obs) -> tuple[np.ndarray, np.ndarray]:
     """The reference (X_rgb, X_depth) of one step, each (2N, d): every frame
     preprocessed and encoded on its own, with no memo."""
-    cfg, vit = model.cfg, model.vit_arrays()
+    cfg, vit = model.cfg, model.vit
     rgb = (obs.rgb_static, obs.rgb_gripper)
     depth = tuple(dp.preprocess_depth(d, model.depth_stats)
                   for d in (obs.depth_static, obs.depth_gripper))
@@ -312,7 +315,7 @@ class TestFrameMemo:
     def rollout_model(**overrides):
         model = pol.init_model(tiny_config(patch=8, **overrides),
                                synthetic_stats())
-        for layer in model.decoder_layers():
+        for layer in model.decoder:
             layer["cross.alpha"].data = np.asarray(0.5)
         return model
 

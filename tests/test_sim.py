@@ -21,9 +21,15 @@ from minivla.sim import (
 )
 
 
+def palette_a_scene(gripper, objects):
+    """A hand-built scene in palette A's base table colour and the base
+    object colours, COLORS."""
+    return WorldState(np.array(gripper, dtype=float), True, objects,
+                      sim.PALETTES["A"].table_color, sim.COLORS)
+
+
 def simple_scene(gripper=(0.26, 0.5, 0.22), block=(0.5, 0.5), height=0.10):
-    objects = [Obj("block", "red", np.array(block, dtype=float), height)]
-    return WorldState(np.array(gripper, dtype=float), True, objects, "A")
+    return palette_a_scene(gripper, [Obj("block", "red", np.array(block, dtype=float), height)])
 
 
 class TestMakeEnv:
@@ -205,7 +211,7 @@ class TestStepEnv:
 
 def snapshot(state: WorldState):
     """Everything a WorldState holds, in a form == compares exactly."""
-    return (state.gripper_pos.tobytes(), state.gripper_open, state.palette,
+    return (state.gripper_pos.tobytes(), state.gripper_open,
             state.table_color, state.scene_colors,
             [(o.kind, o.color, o.pos.tobytes(), o.height, o.held, o.pressed, o.rail)
              for o in state.objects])
@@ -244,7 +250,7 @@ class TestStepEnvProperties:
 
 class TestRender:
     def test_empty_table_uniform(self):
-        s = WorldState(np.array([2.0, 2.0, 0.2]), True, [], "A")  # marker off the static view
+        s = palette_a_scene([2.0, 2.0, 0.2], [])  # marker off the static view
         obs = sim.render_observation(s)
         table = np.array(sim.PALETTES["A"].table_color, dtype=np.float32)
         assert np.allclose(obs.rgb_static, table)
@@ -268,7 +274,7 @@ class TestRender:
             Obj("block", "red", np.array([0.33, 0.5]), sim.TALL_HEIGHT),
             Obj("block", "red", np.array([0.67, 0.5]), sim.SHORT_HEIGHT),
         ]
-        s = WorldState(np.array([0.5, 0.9, 0.3]), True, objects, "A")
+        s = palette_a_scene([0.5, 0.9, 0.3], objects)
         obs = sim.render_observation(s)
 
         def patch(img, x, y, half=3):
@@ -308,13 +314,12 @@ class TestRender:
     def _paint_on_meshgrid(state, cx, cy, window, res):
         """One camera's (rgb, depth) painted on a full np.meshgrid, as the
         painter was before it drew both cameras at once; the reference."""
-        table = state.table_color or sim.PALETTES[state.palette].table_color
-        tints = state.scene_colors or sim.COLORS
+        tints = state.scene_colors
         xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
         ys = cy - window / 2 + (np.arange(res) + 0.5) * window / res
         gx, gy = np.meshgrid(xs, ys)
         color = np.empty((res, res, 3))
-        color[:] = table
+        color[:] = state.table_color
         height = np.zeros((res, res))
 
         def stamp(px, py, half_x, half_y, h, rgb):
@@ -440,13 +445,13 @@ class TestExpert:
 
     def test_unresolvable_descriptor(self):
         s = simple_scene()
-        task = TaskSpec("lift", "green", None, "lift the green block")
+        task = TaskSpec("lift", "green", None, "lift the green block", 0.5)
         with pytest.raises(TaskError):
             sim.expert_action(s, task)
 
     def test_an_expert_out_of_steps_is_a_task_error(self, monkeypatch):
         monkeypatch.setattr(sim, "EXPERT_MAX_STEPS", 1)
-        task = TaskSpec("lift", "red", None, "lift the red block")
+        task = TaskSpec("lift", "red", None, "lift the red block", 0.5)
         with pytest.raises(TaskError, match="expert failed 'lift' on 'red' within 1 steps"):
             sim.run_expert_episode(simple_scene(), task)
 
@@ -457,13 +462,8 @@ class TestExpert:
 
 
 class TestTasks:
-    def test_push_without_its_start_snapshot_is_a_contract_error(self):
-        task = TaskSpec("push", "red", None, "push the red block right")
-        with pytest.raises(ContractError, match="push task missing its start snapshot"):
-            sim.success(simple_scene(), task)
-
     def test_place_without_a_bin_is_a_task_error(self):
-        task = TaskSpec("place", "red", None, "put the red block in the bin")
+        task = TaskSpec("place", "red", None, "put the red block in the bin", 0.5)
         with pytest.raises(TaskError, match="scene has no bin"):
             sim.success(simple_scene(), task)
 
@@ -521,7 +521,7 @@ class TestDataset:
 
 class TestParaphrase:
     def test_seeded_rng_reproducible(self):
-        task = TaskSpec("lift", "red", None, "lift the red block")
+        task = TaskSpec("lift", "red", None, "lift the red block", 0.5)
         a = sim.paraphrase_instruction(task, np.random.default_rng(5))
         b = sim.paraphrase_instruction(task, np.random.default_rng(5))
         assert a == b
@@ -561,8 +561,8 @@ class TestChains:
     @pytest.mark.parametrize("sample", [
         lambda fams: sim.sample_chain(4, "A", families=fams),
         lambda fams: sim.sample_task(sim.make_env(4, "A"), np.random.default_rng(0), fams),
-        lambda fams: sim.success(simple_scene(), TaskSpec(fams[1], "red", None, "")),
-        lambda fams: sim.expert_action(simple_scene(), TaskSpec(fams[1], "red", None, "")),
+        lambda fams: sim.success(simple_scene(), TaskSpec(fams[1], "red", None, "", 0.5)),
+        lambda fams: sim.expert_action(simple_scene(), TaskSpec(fams[1], "red", None, "", 0.5)),
     ], ids=["chain", "task", "success", "expert"])
     def test_unknown_family_is_a_task_error(self, sample):
         with pytest.raises(TaskError, match="unknown task family 'bogus'"):

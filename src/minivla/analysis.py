@@ -69,7 +69,7 @@ def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "
 
 def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
                    families=None, variant: str = "standard",
-                   enrich: bool = False, horizon: int = 64
+                   enrich: bool = False, *, horizon: int
                    ) -> list[sim.ChainResult] | list[list[sim.ChainResult]]:
     """Deterministic chain batch: chain i uses seed + i; results sorted by index.
 
@@ -228,18 +228,18 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
     )
 
 
-def consecutive_depth_pairs(dataset: list[sim.Trajectory], limit: int | None = None
+def consecutive_depth_pairs(dataset: list[sim.Trajectory], limit: int
                             ) -> list[tuple[Array, Array]]:
     """(t, t+1) static-camera depth pairs drawn from demonstrations, at
     most limit of them; limit must be at least 1."""
-    if limit is not None and limit < 1:
+    if limit < 1:
         raise ContractError(f"a pair limit must be at least 1, got {limit}")
     pairs = []
     for traj in dataset:
         for (obs_a, _), (obs_b, _) in zip(traj.steps, traj.steps[1:]):
             pairs.append((np.asarray(obs_a.depth_static, dtype=np.float64),
                           np.asarray(obs_b.depth_static, dtype=np.float64)))
-            if limit is not None and len(pairs) >= limit:
+            if len(pairs) >= limit:
                 return pairs
     return pairs
 

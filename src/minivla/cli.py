@@ -235,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", type=Path, required=True)
     g.add_argument("--n", type=_positive_int, default=200)
     g.add_argument("--families", type=_split_csv, help="comma-separated family names")
-    g.add_argument("--palettes", type=_split_csv, default="A,B,C")
+    g.add_argument("--palettes", type=_split_csv, default=None)
     g.add_argument("--seed", dest="data_seed", type=_non_negative_int, default=0)
-    g.add_argument("--variant", choices=sim.VARIANTS, default="standard")
+    g.add_argument("--variant", choices=sim.VARIANTS, default=None)
     g.add_argument("--enrich", action="store_true",
                    help="sample instruction paraphrases")
     g.set_defaults(func=cmd_gen_data)
@@ -269,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", type=Path, required=True)
     e.add_argument("--out", type=Path, required=True)
     e.add_argument("--chains", dest="n_chains", type=int, default=200)
-    e.add_argument("--palette", dest="eval_palette", default="D")
+    e.add_argument("--palette", dest="eval_palette", default=None)
     e.add_argument("--families", type=_split_csv, default=None)
     e.add_argument("--seed", dest="chain_seed", type=_non_negative_int, default=1000)
-    e.add_argument("--horizon", type=int, default=64)
-    e.add_argument("--variant", choices=sim.VARIANTS, default="standard")
+    e.add_argument("--horizon", type=int, default=None)
+    e.add_argument("--variant", choices=sim.VARIANTS, default=None)
     e.add_argument("--enrich", action="store_true")
     e.add_argument("--label", default="ours")
     e.add_argument("--train-label", default="ABC")

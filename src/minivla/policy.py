@@ -83,7 +83,6 @@ class Model:
         self.cfg = cfg
         self.params = params
         self.depth_stats = depth_stats
-        self._last_instruction: tuple[str, Array] | None = None
         # The frozen-encoder memo (see enc.vit_encode_pair) and this model's
         # stream in it, which share_frame_memo may replace; its tokens stay
         # valid because the frozen weights are never changed after
@@ -110,15 +109,9 @@ class Model:
             for head in ("pose", "gripper"))
 
     def instruction(self, text: str) -> Array:
-        """The instruction's (M, d) rows of the frozen table; only the last
-        one is kept, with its text, since a rollout asks for one
-        instruction per task."""
-        last = self._last_instruction
-        if last is None or last[0] != text:
-            ids = dec.tokenize(text, VOCAB_INDEX)
-            last = (text, dec.embed_ids(self.embed, ids))
-            self._last_instruction = last
-        return last[1]
+        """The instruction's (M, d) rows of the frozen table, tokenized
+        afresh on every call."""
+        return dec.embed_ids(self.embed, dec.tokenize(text, VOCAB_INDEX))
 
 
 def share_frame_memo(*models: Model) -> None:

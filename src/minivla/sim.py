@@ -849,8 +849,7 @@ class RandomAgent:
         return Action(pose, bool(self._rng.random() < 0.5))
 
 
-def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int = 64,
-                enrich: bool = False):
+def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
     """The stepped chain: a generator that executes the 5 tasks in order,
     one policy step (render, act, step the env, check success) per next(),
     and yields each action the agent returned. Task i runs only if tasks

@@ -212,7 +212,8 @@ class TestDepthExtremesAblation:
 class TestConsecutiveDepthPairs:
     def test_limit_caps_the_pairs(self):
         data = quick_dataset(n=2)
-        assert len(an.consecutive_depth_pairs(data)) == sum(len(t.steps) - 1 for t in data)
+        every = sum(len(t.steps) - 1 for t in data)
+        assert len(an.consecutive_depth_pairs(data, limit=every + 1)) == every
         assert len(an.consecutive_depth_pairs(data, limit=3)) == 3
 
     @pytest.mark.parametrize("limit", [0, -4])

@@ -212,31 +212,6 @@ class TestPolicyStep:
         assert res.max_rel_error < 1e-4
 
 
-class TestInstruction:
-    def test_only_the_last_instruction_is_kept(self, monkeypatch):
-        model = tiny_model()
-        tokenized = []
-        real = pol.dec.tokenize
-
-        def counting(text, index):
-            tokenized.append(text)
-            return real(text, index)
-
-        monkeypatch.setattr(pol.dec, "tokenize", counting)
-        texts = [f"lift the block number {i}" for i in range(1000)]
-        for text in texts:
-            model.instruction(text)
-        # Every (text, embedding) pair the model holds, in an attribute or a
-        # dict attribute's values.
-        held = [value for attr in vars(model).values()
-                for value in (attr.values() if isinstance(attr, dict) else [attr])
-                if isinstance(value, tuple) and value and isinstance(value[0], str)]
-        assert [text for text, _ in held] == texts[-1:]
-        assert model.instruction(texts[-1]) is held[0][1]  # the last one is reused
-        model.instruction(texts[0])  # an older one is resolved again
-        assert tokenized == texts + texts[:1]
-
-
 class TestFrozenContract:
     def test_frozen_entries_get_no_gradients(self, rng):
         model = tiny_model()

@@ -725,7 +725,7 @@ class TestSteppedChain:
         log = []
         agents = [Recording(RandomAgent(1), log, "random"),
                   Recording(ExpertAgent(), log, "expert")]
-        results = sim.lockstep([sim.chain_steps(a, chain, 8) for a in agents])
+        results = sim.lockstep([sim.chain_steps(a, chain, 8, False) for a in agents])
         random_steps = sum(name == "random" for name, _ in log)
         assert [name for name, _ in log[:2 * random_steps]] == ["random", "expert"] * random_steps
         assert all(name == "expert" for name, _ in log[2 * random_steps:])

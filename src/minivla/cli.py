@@ -14,10 +14,16 @@ its argparse type. Either way a bad value exits 1 before any dataset,
 checkpoint or stats file is read, and a bad stats file exits 1 before
 the dataset is read; so do families that cannot fill a chain, for eval
 and ablate, and ablate depth-extremes exits 1 before the dataset is
-read when --wide does not strictly contain --narrow. Every
-file a command writes goes through persist, and train writes nothing
+read when --wide does not strictly contain --narrow.
+
+Every file a command writes goes through persist: a framed checkpoint
+or dataset, a JSON document or a JSON-lines log. train writes nothing
 into --out until training has finished, apart from the periodic
-checkpoints of --ckpt-every.
+checkpoints of --ckpt-every; then checkpoint.rfpx, config_echo.json,
+stats.json and train_summary.json, the TrainReport as one document.
+eval appends to chains.jsonl and metrics.jsonl in --out, and each
+ablation writes ablation_<name>.json and appends one metrics.jsonl row
+per arm.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ def _data_and_stats(args) -> tuple[list[sim.Trajectory], dp.DepthStats]:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    # A run's log, summary and checkpoints describe that run alone.
+    # A run's summary and checkpoints describe that run alone.
     if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
         raise ValidationError(f"--out {args.out} is not an empty directory; "
                               "train writes each run into a new one")
@@ -136,7 +142,7 @@ def cmd_train(args) -> int:
     path = persist.save_checkpoint(model, args.out / "checkpoint.rfpx")
     persist.write_json(args.out / "config_echo.json", dataclasses.asdict(cfg))
     persist.write_json(args.out / "stats.json", dataclasses.asdict(stats))
-    persist.write_train_log(report, args.out)
+    persist.write_json(args.out / "train_summary.json", dataclasses.asdict(report))
     print(f"checkpoint: {path}")
     return 0
 

@@ -44,7 +44,7 @@ class DepthStats:
     def __post_init__(self):
         if not self.d_max > self.d_min:
             raise DegenerateRangeError(
-                f"depth range is degenerate: d_min={self.d_min}, d_max={self.d_max}"
+                f"d_max must be above d_min, got d_min={self.d_min}, d_max={self.d_max}"
             )
         if not self.sigma > 0:
             raise DegenerateRangeError(f"sigma must be positive, got {self.sigma}")
@@ -53,8 +53,8 @@ class DepthStats:
     def from_dict(cls, obj) -> "DepthStats":
         """The one checked construction from parsed JSON: an object with
         exactly the fields d_min, d_max, mu and sigma, each a finite number
-        and not a bool. Anything else raises ValidationError naming the
-        field."""
+        and not a bool, with d_max above d_min and sigma positive. Anything
+        else raises ValidationError naming the field."""
         names = [f.name for f in dataclasses.fields(cls)]
         if not isinstance(obj, dict):
             raise ValidationError(f"depth statistics must be a JSON object with the "
@@ -66,7 +66,10 @@ class DepthStats:
             if not is_finite_number(obj.get(name)):
                 raise ValidationError(f"depth statistics field {name!r} must be a "
                                       f"finite number, got {obj.get(name)!r}")
-        return cls(**{name: float(obj[name]) for name in names})
+        try:
+            return cls(**{name: float(obj[name]) for name in names})
+        except DegenerateRangeError as e:
+            raise ValidationError(f"degenerate depth statistics: {e}") from e
 
     @classmethod
     def from_json(cls, text: str) -> "DepthStats":

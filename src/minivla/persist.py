@@ -1,14 +1,14 @@
 """Every file minivla writes: checkpoints, datasets, JSON documents and logs.
 
-Only this module writes files, in two ways. A whole file -- a checkpoint,
-a dataset or a JSON document (write_json) -- goes to a sibling temporary
-file that is fsynced, renamed over the target and followed by an fsync of
-the directory, so a failed write leaves the previous file whole and a
-finished one survives a power loss. A write whose target is a directory
-(for a dataset, the older layout) is refused with CompatibilityError
-before anything is written. A log (metrics.csv, metrics.jsonl,
-chains.jsonl, train_log.csv) is only appended to, by one helper that
-writes its header when the log is empty; appends never rewrite history.
+Only this module writes files, each kind in one format. A whole file --
+a framed checkpoint or dataset, or a JSON document (write_json) -- goes
+to a sibling temporary file that is fsynced, renamed over the target and
+followed by an fsync of the directory, so a failed write leaves the
+previous file whole and a finished one survives a power loss. A write
+whose target is a directory is refused with CompatibilityError before
+anything is written. A log (metrics.jsonl, chains.jsonl) is JSON lines,
+one key-sorted object per line and no header, and is only appended to;
+appends never rewrite history.
 
 Checkpoints and datasets share one framing (integers little-endian):
 
@@ -19,13 +19,11 @@ Checkpoints and datasets share one framing (integers little-endian):
     u32     CRC32 of every byte before it
 
 The loaders check the framing in one place. The magic says what the file
-is: the magic of the previous framing (RFPX1, RFPD1, whose CRC covered
-only the payload) is a CompatibilityError saying how to rebuild the file.
-The CRC is checked next, before the header is read, so a truncated file,
-trailing bytes and an edited header or payload all fail as one CRC
-mismatch. A file whose CRC holds may still come from another build, so
-the header's meaning is checked after: the payload length it implies,
-and each loader's fields.
+is; any other is a CorruptionError. The CRC is checked next, before the
+header is read, so a truncated file, trailing bytes and an edited header
+or payload all fail as one CRC mismatch. A file whose CRC holds may
+still come from another build, so the header's meaning is checked
+after: the payload length it implies, and each loader's fields.
 
 A checkpoint's header is {"entries": [...], "meta": {...}}, entries
 sorted by name, each {name, shape, trainable}; the payload holds each
@@ -43,9 +41,8 @@ frame planes and then the 7-float action row. The frame edge must equal
 sim.IMAGE_HW, the one extent the cameras render; a header of any other
 extent, one that is not valid JSON, or a record that lacks a field is
 rejected before any step is decoded, as is a trajectory of no steps,
-which save_dataset refuses to write. Datasets of the older directory
-layout (index.json and one file per trajectory) are rejected and must be
-regenerated with `minivla gen-data`.
+which save_dataset refuses to write. A path that is not a file, a
+directory among them, holds no dataset: a CorruptionError.
 
 A checkpoint's embedded model configuration is parsed by
 config.parse_config, like a config file, so a key that names no
@@ -65,7 +62,6 @@ differs is a CompatibilityError.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
@@ -85,30 +81,21 @@ from .depth import DepthStats
 from .errors import (CompatibilityError, ConfigError, ContractError, CorruptionError,
                      NumericInputError, ValidationError)
 from .policy import Model, init_model
-from .training import TrainReport
 
 MAGIC = b"RFPX2"
 DATASET_MAGIC = b"RFPD2"
 
-# magic -> (what the file is, the magic of the previous framing, how to
-# replace a file of that framing)
-_KINDS = {
-    MAGIC: ("checkpoint", b"RFPX1", "retrain it with `minivla train`"),
-    DATASET_MAGIC: ("dataset", b"RFPD1", "regenerate it with `minivla gen-data`"),
-}
-
-CSV_HEADER = "model,train,test,task1,task2,task3,task4,task5,avg\n"
+_KINDS = {MAGIC: "checkpoint", DATASET_MAGIC: "dataset"}
 
 
-def _write_atomic(path: Path, chunks,
-                  if_directory: str = "a directory; remove it or write somewhere else") -> None:
+def _write_atomic(path: Path, chunks) -> None:
     """Write the byte chunks to a temporary file beside path, fsync it,
     rename it over path and fsync the directory; on any failure the
     temporary file is removed and path keeps its previous contents. A
-    directory at path is left untouched: CompatibilityError
-    "<path> is <if_directory>" is raised before anything is written."""
+    directory at path is left untouched: CompatibilityError is raised
+    before anything is written."""
     if path.is_dir():
-        raise CompatibilityError(f"{path} is {if_directory}")
+        raise CompatibilityError(f"{path} is a directory; remove it or write somewhere else")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -136,13 +123,10 @@ def write_json(path: str | Path, obj) -> Path:
 
 
 @contextmanager
-def _appending(path: Path, header: str = ""):
-    """A text file open for appending to the log at path, which gets header
-    first if it is empty."""
+def _appending(path: Path):
+    """A text file open for appending to the log at path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", newline="") as f:
-        if f.tell() == 0:
-            f.write(header)
+    with open(path, "a") as f:
         yield f
 
 
@@ -172,9 +156,7 @@ def _read_frame(raw: bytes, path, magic: bytes, payload_len):
     payload has exactly payload_len(header) bytes. payload_len holds the
     loader's own header checks; a ValueError, KeyError or TypeError from
     it is a CorruptionError."""
-    kind, old_magic, rebuild = _KINDS[magic]
-    if raw.startswith(old_magic):
-        raise CompatibilityError(f"{path} is a {kind} of an older format; {rebuild}")
+    kind = _KINDS[magic]
     if not raw.startswith(magic):
         raise CorruptionError(f"bad magic in {path}; not a {kind}")
     head = len(magic) + 8
@@ -303,10 +285,6 @@ def _trajectory_chunks(traj: sim.Trajectory):
         yield row.tobytes()
 
 
-# A directory where a dataset file belongs.
-_OLD_LAYOUT = "a dataset directory of an older layout"
-
-
 def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
                  meta: dict | None = None) -> Path:
     """Write a dataset as one file; a failed save leaves the previous one
@@ -332,8 +310,7 @@ def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
     }
     _write_atomic(path, _frame(DATASET_MAGIC, header,
                                (chunk for traj in trajectories
-                                for chunk in _trajectory_chunks(traj))),
-                  f"{_OLD_LAYOUT}; remove it or write the dataset somewhere else")
+                                for chunk in _trajectory_chunks(traj))))
     return path
 
 
@@ -361,9 +338,6 @@ def _dataset_payload_len(header: dict) -> int:
 
 def load_dataset(path: str | Path) -> list[sim.Trajectory]:
     path = Path(path)
-    if path.is_dir():
-        raise CompatibilityError(f"{path} is {_OLD_LAYOUT}; "
-                                 f"regenerate it with `minivla gen-data`")
     if not path.is_file():
         raise CorruptionError(f"no dataset at {path}")
     header, payload = _read_frame(path.read_bytes(), path, DATASET_MAGIC, _dataset_payload_len)
@@ -402,18 +376,12 @@ def dataset_depth_frames(trajectories: list[sim.Trajectory]):
             yield np.asarray(obs.depth_gripper, dtype=np.float64)
 
 
-# --- metrics -----------------------------------------------------------------------
+# --- logs ---------------------------------------------------------------------------
 
 
 def write_metrics(table: SuccessTable, out_dir: str | Path) -> None:
-    """Append one evaluation row to metrics.csv and metrics.jsonl."""
-    out_dir = Path(out_dir)
-    test = f"{table.test_split}(Enriched)" if table.enriched else table.test_split
-    with _appending(out_dir / "metrics.csv", CSV_HEADER) as f:
-        csv.writer(f, lineterminator="\n").writerow(
-            [table.model_label, table.train_split, test,
-             *(f"{r:.6g}" for r in (*table.rates, table.avg))])
-    with _appending(out_dir / "metrics.jsonl") as f:
+    """Append one evaluation row to metrics.jsonl."""
+    with _appending(Path(out_dir) / "metrics.jsonl") as f:
         f.write(json.dumps(table.to_dict(), sort_keys=True) + "\n")
 
 
@@ -426,18 +394,3 @@ def write_chain_results(results: list[sim.ChainResult], path: str | Path) -> Non
                 "palette": r.palette,
                 "successes": list(map(bool, r.successes)),
             }, sort_keys=True) + "\n")
-
-
-def write_train_log(report: TrainReport, out_dir: str | Path) -> None:
-    """Training curve with wall time; kept separate from the metrics files
-    because timings are not reproducible."""
-    out_dir = Path(out_dir)
-    with _appending(out_dir / "train_log.csv", "epoch,loss,mse,bce,seconds\n") as f:
-        for e in report.epochs:
-            f.write(f"{e.epoch},{e.loss:.10g},{e.mse:.10g},{e.bce:.10g},{e.seconds:.3f}\n")
-    write_json(out_dir / "train_summary.json", {
-        "epochs": len(report.epochs),
-        "loss": [e.loss for e in report.epochs],
-        "mse": [e.mse for e in report.epochs],
-        "bce": [e.bce for e in report.epochs],
-    })

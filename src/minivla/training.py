@@ -12,7 +12,9 @@ self-attention blocks, and embedding table stay frozen. That split has
 one owner, the trainable flags policy.init_model gives each entry of
 model.params: Adam takes the flagged entries once when it is built,
 zero_grads and backward fill their gradients, and nothing here selects
-parameters by name.
+the parameters to train by name. Only frozen_checksum reads parameters
+by name, the frozen groups by their prefixes (vit., embed. and each
+decoder layer's self.), to fingerprint what training must not change.
 
 Building Adam builds the ParamSet's flat layout (numerics.FlatLayout):
 the trainable tensors become views into one data vector and one

@@ -55,9 +55,10 @@ def test_pipeline_writes_every_artifact(tmp_path, run_dir, dataset):
     assert cli.dispatch(["train", "--data", "data", "--out", "train", "--config", config,
                          "--stats", "stats.json", "--seed", "5"]) == 0
     train = run_dir / "train"
-    for name in ("config_echo.json", "stats.json", "train_log.csv",
-                 "train_summary.json", "checkpoint.rfpx"):
-        assert (train / name).is_file(), name
+    assert sorted(p.name for p in train.iterdir()) == [
+        "checkpoint.rfpx", "config_echo.json", "stats.json", "train_summary.json"]
+    summary = json.loads((train / "train_summary.json").read_text())
+    assert [sorted(e) for e in summary["epochs"]] == [["bce", "epoch", "loss", "mse", "seconds"]]
     echo = json.loads((train / "config_echo.json").read_text())
     assert echo["model"]["seed"] == echo["train"]["seed"] == 5
     assert "seed" not in echo
@@ -66,14 +67,15 @@ def test_pipeline_writes_every_artifact(tmp_path, run_dir, dataset):
 
     assert cli.dispatch(["eval", "--checkpoint", "train/checkpoint.rfpx", "--out", "eval",
                          "--chains", "1", "--horizon", "4"]) == 0
-    for name in ("chains.jsonl", "metrics.csv", "metrics.jsonl"):
-        assert (run_dir / "eval" / name).is_file(), name
+    assert sorted(p.name for p in (run_dir / "eval").iterdir()) == [
+        "chains.jsonl", "metrics.jsonl"]
 
     assert cli.dispatch(["ablate", "sep-resampler", "--data", "data", "--out", "ablate",
                          "--config", config, "--chains", "1"]) == 0
     report = json.loads((run_dir / "ablate" / "ablation_sep_resampler.json").read_text())
     assert set(report["tables"]) == {"shared", "separate"}
-    assert (run_dir / "ablate" / "metrics.csv").is_file()
+    assert sorted(p.name for p in (run_dir / "ablate").iterdir()) == [
+        "ablation_sep_resampler.json", "metrics.jsonl"]
 
 
 @pytest.mark.parametrize("flag, expected", [([], 2), (["--chains", "1"], 1)])
@@ -136,15 +138,21 @@ STATS = '"d_min": 0.6, "d_max": 1.0, "mu": 0.5'
     ("{" + STATS + ', "sigma": NaN}', "'sigma'"),
     ("{" + STATS + ', "sigma": 1' + "0" * 400 + "}", "'sigma'"),
     ("[0.6, 1.0, 0.5, 0.29]", "JSON object"),
+    ('{"d_min": 0.8, "d_max": 0.8, "mu": 0.5, "sigma": 0.29}', "d_max must be above d_min"),
+    ("{" + STATS + ', "sigma": 0.0}', "sigma must be positive"),
 ], ids=["truncated", "missing-field", "extra-field", "string", "bool", "nan", "huge-int",
-        "list"])
+        "list", "empty-range", "zero-sigma"])
 def test_malformed_stats_file_exits_1(run_dir, capsys, body, field):
-    # The stats file is read first: --data is not a dataset, which would exit 2.
+    # The stats files are read first: --data is not a dataset, which would exit 2.
     (run_dir / "stats.json").write_text(body)
+    write_stats(run_dir, "good.json", 0.3, 1.5)
     (run_dir / "data").write_bytes(b"not a dataset")
-    for command in (["train"], ["ablate", "sep-resampler"]):
-        assert cli.dispatch([*command, "--data", "data", "--out", "out",
-                             "--stats", "stats.json"]) == 1
+    for command in (["train", "--stats", "stats.json"],
+                    ["ablate", "sep-resampler", "--stats", "stats.json"],
+                    ["ablate", "depth-extremes", "--narrow", "stats.json", "--wide", "good.json"],
+                    ["ablate", "depth-extremes", "--narrow", "good.json", "--wide", "stats.json"],
+                    ["sensitivity", "--stats", "stats.json"]):
+        assert cli.dispatch([*command, "--data", "data", "--out", "out"]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not (run_dir / "out").exists()
@@ -213,7 +221,7 @@ def test_depth_extremes_writes_its_report(tmp_path, run_dir, dataset):
                          "--wide", "wide.json", "--chains", "1"]) == 0
     out = run_dir / "ablate"
     assert sorted(p.name for p in out.iterdir()) == [
-        "ablation_depth_extremes.json", "metrics.csv", "metrics.jsonl"]
+        "ablation_depth_extremes.json", "metrics.jsonl"]
     report = json.loads((out / "ablation_depth_extremes.json").read_text())
     assert set(report["tables"]) == {"narrow", "wide"}
     assert {t["n_chains"] for t in report["tables"].values()} == {1}
@@ -271,7 +279,7 @@ def test_gen_data_over_a_dataset_directory_is_refused(run_dir, capsys):
     (old / "index.json").write_text("{}")
     assert cli.dispatch(["gen-data", "--out", "data", "--n", "1", "--families", "lift"]) == 2
     err = capsys.readouterr().err
-    assert "data is a dataset directory of an older layout; remove it" in err
+    assert "data is a directory; remove it or write somewhere else" in err
     assert sorted(p.name for p in run_dir.iterdir()) == ["data"]
     assert [p.name for p in old.iterdir()] == ["index.json"]
 

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import os
@@ -249,7 +248,10 @@ class TestCheckpoint:
         ({"d_min": 0.6, "d_max": None, "mu": 0.5, "sigma": 0.29}, "d_max"),
         ([0.6, 1.0, 0.5, 0.29], "JSON object"),
         (None, "JSON object"),
-    ], ids=["empty", "extra-key", "string", "bool", "nan", "null", "list", "stats-null"])
+        ({"d_min": 0.8, "d_max": 0.8, "mu": 0.5, "sigma": 0.29}, "d_max must be above d_min"),
+        ({"d_min": 0.6, "d_max": 1.0, "mu": 0.5, "sigma": -0.1}, "sigma must be positive"),
+    ], ids=["empty", "extra-key", "string", "bool", "nan", "null", "list", "stats-null",
+            "empty-range", "negative-sigma"])
     def test_malformed_depth_stats_are_corruption_error(self, tmp_path, stats, field):
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
 
@@ -439,11 +441,10 @@ class TestDatasetContainer:
         with pytest.raises(CorruptionError):
             persist.load_dataset(tmp_path / "nothing")
 
-    def test_directory_of_the_old_layout_is_a_compatibility_error(self, tmp_path):
+    def test_a_directory_is_no_dataset(self, tmp_path):
         (tmp_path / "ds").mkdir()
-        (tmp_path / "ds" / "index.json").write_text(json.dumps(
-            {"version": 2, "image_hw": sim.IMAGE_HW, "meta": {}, "trajectories": []}))
-        with pytest.raises(CompatibilityError, match="regenerate it with `minivla gen-data`"):
+        (tmp_path / "ds" / "index.json").write_text("{}")
+        with pytest.raises(CorruptionError, match="no dataset at"):
             persist.load_dataset(tmp_path / "ds")
 
 
@@ -457,10 +458,10 @@ FRAMED = pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
 
 
 class Framed:
-    """A small saved file, its loader and the magic of its previous framing."""
+    """A small saved file and its loader."""
 
-    def __init__(self, raw: bytes, load, old_magic: bytes):
-        self.raw, self.load, self.old_magic = raw, load, old_magic
+    def __init__(self, raw: bytes, load):
+        self.raw, self.load = raw, load
 
     def __repr__(self):  # hypothesis prints the fixture; the bytes would flood it
         return f"Framed({len(self.raw)} bytes, {self.load.__name__})"
@@ -472,9 +473,9 @@ def framed(tmp_path_factory):
     d = tmp_path_factory.mktemp("framed")
     return {
         "checkpoint": Framed(persist.save_checkpoint(small_model(), d / "ck").read_bytes(),
-                             persist.load_checkpoint, b"RFPX1"),
+                             persist.load_checkpoint),
         "dataset": Framed(persist.save_dataset(lift_demos(1), d / "ds").read_bytes(),
-                          persist.load_dataset, b"RFPD1"),
+                          persist.load_dataset),
     }
 
 
@@ -491,20 +492,17 @@ def test_every_single_byte_change_is_refused(framed, tmp_path_factory, kind, dat
     changed[at] ^= data.draw(st.integers(1, 255), label="xor")
     path = tmp_path_factory.getbasetemp() / f"changed-{kind}"
     path.write_bytes(changed)
-    with pytest.raises((CorruptionError, CompatibilityError)) as caught:
+    with pytest.raises(CorruptionError):
         f.load(path)
-    if caught.type is CompatibilityError:
-        assert changed.startswith(f.old_magic)
 
 
 @FRAMED
-def test_the_previous_framing_is_a_compatibility_error(framed, tmp_path, kind):
-    f = framed[kind]
-    path = tmp_path / "old"
-    path.write_bytes(f.old_magic + f.raw[len(f.old_magic):])
-    command = "minivla train" if kind == "checkpoint" else "minivla gen-data"
-    with pytest.raises(CompatibilityError, match=f"{kind} of an older format; .*`{command}`"):
-        f.load(path)
+def test_a_file_of_the_other_kind_is_bad_magic(framed, tmp_path, kind):
+    other = "dataset" if kind == "checkpoint" else "checkpoint"
+    path = tmp_path / "other"
+    path.write_bytes(framed[other].raw)
+    with pytest.raises(CorruptionError, match=f"bad magic in .*; not a {kind}"):
+        framed[kind].load(path)
 
 
 @pytest.mark.parametrize("kind, edit", [
@@ -568,38 +566,34 @@ def test_a_save_over_a_directory_is_refused_before_writing(tmp_path, save):
 class TestMetrics:
     TABLE = SuccessTable((0.8, 0.6, 0.4, 0.2, 0.1), 2.1, 50, "ours", "ABC", "D", False)
 
-    def test_csv_layout(self, tmp_path):
-        persist.write_metrics(self.TABLE, tmp_path)
-        lines = (tmp_path / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "model,train,test,task1,task2,task3,task4,task5,avg"
-        assert lines[1] == "ours,ABC,D,0.8,0.6,0.4,0.2,0.1,2.1"
+    def rows(self, tmp_path):
+        return [json.loads(line)
+                for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
 
-    @pytest.mark.parametrize("label", ["a,b", '"quoted"'], ids=["comma", "quote"])
+    @pytest.mark.parametrize("label", ["a,b", '"quoted"', "two\nlines"],
+                             ids=["comma", "quote", "newline"])
     def test_a_label_with_a_comma_or_quote_reads_back_as_one_field(self, tmp_path, label):
         persist.write_metrics(dataclasses.replace(self.TABLE, model_label=label), tmp_path)
-        with open(tmp_path / "metrics.csv", newline="") as f:
-            header, row = csv.reader(f)
-        assert len(header) == 9
-        assert row == [label, "ABC", "D", "0.8", "0.6", "0.4", "0.2", "0.1", "2.1"]
+        assert self.rows(tmp_path) == [{**self.TABLE.to_dict(), "model": label}]
 
     def test_enriched_label(self, tmp_path):
-        table = dataclasses.replace(self.TABLE, enriched=True)
-        persist.write_metrics(table, tmp_path)
-        assert ",D(Enriched)," in (tmp_path / "metrics.csv").read_text()
+        persist.write_metrics(dataclasses.replace(self.TABLE, enriched=True), tmp_path)
+        [row] = self.rows(tmp_path)
+        assert row["enriched"] is True and row["test"] == "D"
 
     def test_appends_never_rewrite(self, tmp_path):
         persist.write_metrics(self.TABLE, tmp_path)
-        first = (tmp_path / "metrics.csv").read_text()
+        first = (tmp_path / "metrics.jsonl").read_text()
         persist.write_metrics(self.TABLE, tmp_path)
-        second = (tmp_path / "metrics.csv").read_text()
+        second = (tmp_path / "metrics.jsonl").read_text()
         assert second.startswith(first)
-        assert second.count("ours,ABC,D") == 2
+        assert second.count("\n") == 2
 
     def test_json_round_trip(self, tmp_path):
         persist.write_metrics(self.TABLE, tmp_path)
         persist.write_metrics(self.TABLE, tmp_path)
-        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [self.TABLE.to_dict()] * 2
+        assert self.rows(tmp_path) == [self.TABLE.to_dict()] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
     def test_chain_results_jsonl(self, tmp_path):
         results = [sim.ChainResult([True, False, False, False, False], 3, "D", 0)]

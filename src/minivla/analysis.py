@@ -9,8 +9,8 @@ seeds: shared vs separate resamplers (initialized identically), and
 narrow vs wide depth-normalization ranges (plus the quantized
 pixel-change sensitivity counts). run_chain_eval evaluates one agent or
 a tuple of agents stepped in lockstep; each harness evaluates its two
-arms with one such call, at initialization and after training, and the
-arms share one frame memo.
+arms with one such call after training, the resampler harness also at
+initialization, and each arm reads the other's frame memo.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
     agent is one agent, which gets a list of ChainResults, or a tuple of
     agents, which get one such list each. A tuple steps every agent
     through each chain in lockstep (sim.lockstep), one act per agent per
-    step, so agents whose models share a frame memo (see
+    step, so agents whose models read each other's frame memos (see
     policy.share_frame_memo) reuse the tokens of frames another has just
     encoded. Each agent's results and actions are those of evaluating it
     alone.
@@ -155,10 +155,10 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
     report records that their evaluations agree before any update. They
     share the frozen encoder (share_frame_memo refuses arms whose vit.*
     weights differ) and the depth statistics, so the dataset is encoded
-    once for both, and one frame memo: each evaluation steps both arms in
-    lockstep, and the separate arm reuses the tokens of each frame
-    byte-equal to one the shared arm has just encoded (at initialization,
-    every frame).
+    once for both, and each arm reads the other's frame memo: each
+    evaluation steps both arms in lockstep, and the separate arm reuses
+    the tokens of each frame byte-equal to one the shared arm has just
+    encoded (at initialization, every frame).
     """
     import dataclasses
 
@@ -208,10 +208,10 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
                                 ) -> AblationReport:
     """Identical models whose depth pipelines normalize by different ranges.
 
-    Their frozen encoders are the same, so the arms share one frame memo
-    and are evaluated in lockstep; the depth slots hold preprocessed
-    frames, so only frames equal after each arm's own normalization reuse
-    tokens. The ranges must pass check_depth_extremes.
+    Their frozen encoders are the same, so the arms are evaluated in
+    lockstep after training and each reads the other's frame memo; the
+    depth slots hold preprocessed frames, so only frames equal after each
+    arm's own normalization reuse tokens. The ranges must pass check_depth_extremes.
     """
     check_depth_extremes(stats_narrow, stats_wide)
     models = {label: pol.init_model(model_cfg, stats)

@@ -6,22 +6,21 @@ standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
-vit_encode_pair runs it on T steps of all four camera slots against one
-memo, for a rollout step (T = 1) and a whole dataset alike, and alone
-decides reuse, writes the memo, forms batches and starts threads. The
-memo keeps, per camera slot, the last frame each stream encoded there,
-with its tokens; a stream is one model's sequence of calls. A model
-alone is the one stream of its memo, so it holds one entry per slot.
-Models with equal frozen weights may share one memo (see
-policy.share_frame_memo), as paired ablation arms stepped in lockstep
-do. A frame byte-equal to the previous frame of its slot, or at a
-call's first step to any stream's entry for the slot (its own first),
-reuses that frame's tokens. That is exact because tokens depend only on
-the frame and the frozen weights, which every stream of a memo shares.
-The other frames are encoded in batches of up to FRAMES_PER_JOB frames
-of one slot, bitwise equal to each frame encoded alone; only a call
-with at least two full batches starts helper threads, which end before
-it returns. A failed call leaves the memo as it was.
+vit_encode_pair runs it on T steps of all four camera slots against a
+model's memo, for a rollout step (T = 1) and a whole dataset alike, and
+alone decides reuse, writes the memo, forms batches and starts threads.
+A memo keeps, per camera slot, the last frame its model encoded there,
+with its tokens. Models with equal frozen weights may read each other's
+memos (see policy.share_frame_memo), as paired ablation arms stepped in
+lockstep do; each writes only its own. A frame byte-equal to the
+previous frame of its slot, or at a call's first step to the slot's
+entry in the model's memo or a peer's, reuses that frame's tokens. That
+is exact because tokens depend only on the frame and the frozen
+weights, which peers share. The other frames are encoded in batches of
+up to FRAMES_PER_JOB frames of one slot, bitwise equal to each frame
+encoded alone; only a call with at least two full batches starts helper
+threads, which end before it returns. A failed call leaves the memo as
+it was.
 
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product
@@ -41,8 +40,8 @@ from .errors import DimensionError
 from .numerics import Tensor
 
 Array = np.ndarray
-# Camera slot -> stream -> (the last frame that stream encoded in the slot, its tokens).
-FrameMemo = dict[int, dict[int, tuple[Array, Array]]]
+# Camera slot -> (the last frame encoded in the slot, its tokens).
+FrameMemo = dict[int, tuple[Array, Array]]
 
 
 # --- frozen patch transformer (numpy only) -----------------------------------
@@ -81,23 +80,21 @@ def init_encoder_arrays(image_hw: int, patch: int, d: int, blocks: int,
 
 
 def patchify(img, patch: int, proj: Array, pos: Array) -> Array:
-    """Non-overlapping patches, flattened, projected, with the positional
-    embedding in the reserved top channel band.
-
-    img is one (H, W, 3) frame, (N, d) tokens out, or a batch of frames
-    (B, H, W, 3), (B, N, d) tokens out.
+    """Non-overlapping patches of a batch of frames (B, H, W, 3),
+    flattened, projected, with the positional embedding in the reserved
+    top channel band: (B, N, d).
     """
     arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim not in (3, 4) or arr.shape[-1] != 3:
+    if arr.ndim != 4 or arr.shape[-1] != 3:
         raise DimensionError(
-            f"patchify expects an (H, W, 3) image or a batch of them, got {arr.shape}")
-    *lead, h, w, _ = arr.shape
+            f"patchify expects a (B, H, W, 3) batch of frames, got {arr.shape}")
+    b, h, w, _ = arr.shape
     if h % patch or w % patch:
         raise DimensionError(f"image extents {h}x{w} are not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    flat = (arr.reshape(*lead, gh, patch, gw, patch, 3)
-            .swapaxes(-4, -3)
-            .reshape(*lead, gh * gw, 3 * patch * patch))
+    flat = (arr.reshape(b, gh, patch, gw, patch, 3)
+            .swapaxes(2, 3)
+            .reshape(b, gh * gw, 3 * patch * patch))
     if flat.shape[-1] != proj.shape[0]:
         raise DimensionError(
             f"patch width {flat.shape[-1]} does not match projection {proj.shape}"
@@ -106,8 +103,7 @@ def patchify(img, patch: int, proj: Array, pos: Array) -> Array:
         raise DimensionError(
             f"positional rows {pos.shape[0]} do not match {gh * gw} patches"
         )
-    return np.concatenate([flat @ proj, np.broadcast_to(pos, (*lead, *pos.shape))],
-                          axis=-1)
+    return np.concatenate([flat @ proj, np.broadcast_to(pos, (b, *pos.shape))], axis=-1)
 
 
 # The frozen forward updates its own temporaries in place: fewer arrays
@@ -142,9 +138,9 @@ def _np_block(x: Array, vit: dict[str, Array], b: int) -> Array:
 
 
 def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
-                     camera: int = 0) -> Array:
-    """Frozen tokens of one (H, W, 3) frame, (N, d), or of a batch of
-    frames from one camera slot, (B, H, W, 3) -> (B, N, d).
+                     camera: int) -> Array:
+    """Frozen tokens of a batch of frames from one camera slot,
+    (B, H, W, 3) -> (B, N, d).
 
     A batch runs every numpy op once over all B frames: each matmul is one
     BLAS call per frame on that frame's operands, and the softmax, tanh
@@ -161,21 +157,21 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
 
 
 def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
-                    memo: FrameMemo, stream: int = 0) -> Array:
+                    memo: FrameMemo, peers: tuple[FrameMemo, ...]) -> Array:
     """Frozen tokens of T steps of S camera slots, (T, S·N, d): slot s gives
     tokens s·N to (s + 1)·N of each step and is seen by camera s % 2, so a
     policy step passes RGB static, RGB gripper, depth static, depth gripper.
 
     Each slot holds T frames, as a list or a (T, H, W, 3) array. A frame
     byte-equal to the previous frame of its slot copies that frame's
-    tokens; before step 0, the previous frame is the first memo entry of
-    the slot that matches, looking at this stream's entry first and then
-    at the other streams' (see _same_frame). The rest are encoded (see
-    _run_jobs). Only then does this stream's entry of each slot take its
-    last frame and that frame's tokens: copies if any step of the slot was
-    encoded, else the entry step 0 matched, shared, not copied. Frame
-    extents are checked where frames are encoded (patchify); a reused
-    frame has the bytes and shape of a frame already checked.
+    tokens; before step 0, the previous frame is the slot's entry in memo
+    if it matches, else the first matching entry of the slot in peers,
+    whose encoders must equal this one (see _same_frame). The rest are
+    encoded (see _run_jobs). Only then does memo, and no peer, take each
+    slot's last frame and that frame's tokens: copies if any step of the
+    slot was encoded, else the entry step 0 matched, shared, not copied.
+    Frame extents are checked where frames are encoded (patchify); a
+    reused frame has the bytes and shape of a frame already checked.
     """
     slots = [[np.asarray(f) for f in frames] for frames in slots]
     lengths = [len(frames) for frames in slots]
@@ -192,7 +188,8 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
             if t:
                 hit = _same_frame(frames[t - 1], frame)
             else:
-                matched[slot] = _matching_entry(memo.get(slot, {}), stream, frame)
+                entries = [m[slot] for m in (memo, *peers) if slot in m]
+                matched[slot] = next((e for e in entries if _same_frame(e[0], frame)), None)
                 hit = matched[slot] is not None
             (reused if hit else fresh)[slot].append(t)
     jobs = [(slot, steps[i:i + FRAMES_PER_JOB])
@@ -213,40 +210,17 @@ def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
         for t in repeats:  # in step order, so step t - 1 is filled already
             out[t, rows] = out[t - 1, rows] if t else matched[slot][1]
         if steps:
-            memo.setdefault(slot, {})[stream] = (slots[slot][-1].copy(), out[-1, rows].copy())
+            memo[slot] = (slots[slot][-1].copy(), out[-1, rows].copy())
         elif matched[slot] is not None:
-            memo[slot][stream] = matched[slot]
+            memo[slot] = matched[slot]
     return out
-
-
-def _matching_entry(entries: dict[int, tuple[Array, Array]], stream: int,
-                    frame: Array) -> tuple[Array, Array] | None:
-    """The first (frame, tokens) entry whose frame is frame's bytes: the
-    stream's own entry first, then the other streams' in memo order."""
-    own = entries.get(stream)
-    if own is not None and _same_frame(own[0], frame):
-        return own
-    for entry in entries.values():
-        if entry is not own and _same_frame(entry[0], frame):
-            return entry
-    return None
-
-
-# Unsigned integers by item size: a frame viewed as these compares its bytes.
-_BYTE_VIEWS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 
 def _same_frame(prev: Array, frame: Array) -> bool:
     """The reuse rule: the same dtype, shape and bytes, so -0.0 and 0.0
-    differ and NaN payloads count. Frames of 1, 2, 4 or 8-byte items are
-    compared in place as unsigned integers of their item size, whatever
-    their strides; other item sizes compare their bytes as copies."""
-    if prev.dtype != frame.dtype or prev.shape != frame.shape:
-        return False
-    view = _BYTE_VIEWS.get(frame.itemsize)
-    if view is None:
-        return prev.tobytes() == frame.tobytes()
-    return bool((prev.view(view) == frame.view(view)).all())
+    differ and NaN payloads count."""
+    return (prev.dtype == frame.dtype and prev.shape == frame.shape
+            and prev.tobytes() == frame.tobytes())
 
 
 # Frames per encoder call: long enough numpy ops that two threads overlap

@@ -26,7 +26,8 @@ still come from another build, so the header's meaning is checked
 after: the payload length it implies, and each loader's fields.
 
 A checkpoint's header is {"entries": [...], "meta": {...}}, entries
-sorted by name, each {name, shape, trainable}; the payload holds each
+sorted by name, each {name, shape, trainable} of a str, a list of ints
+>= 0 and a bool, else a CorruptionError; the payload holds each
 entry's values in that order, so an entry's place follows from the names
 and shapes before it. Parameters are float64 in memory and float32 on
 disk, so save->load round-trips exactly to f32 precision and
@@ -39,9 +40,9 @@ one record per trajectory {instruction, family, palette, seed, variant,
 n_steps}. The payload holds the trajectories in order, each step as its
 frame planes and then the 7-float action row. The frame edge must equal
 sim.IMAGE_HW, the one extent the cameras render; a header of any other
-extent, one that is not valid JSON, or a record that lacks a field is
-rejected before any step is decoded, as is a trajectory of no steps,
-which save_dataset refuses to write. A path that is not a file, a
+extent, one that is not valid JSON, or a record that lacks a field or
+holds one of another type is rejected before any step is decoded, as
+is a trajectory of no steps, which save_dataset refuses to write. A path that is not a file, a
 directory among them, holds no dataset: a CorruptionError.
 
 A checkpoint's embedded model configuration is parsed by
@@ -208,11 +209,14 @@ def save_checkpoint(model: Model, path: str | Path) -> Path:
 
 def _checkpoint_payload_len(header: dict) -> int:
     """The payload length a checkpoint header implies, after checking the
-    header fields load_checkpoint reads."""
+    header fields load_checkpoint reads: each entry an object of a str
+    name, a shape of ints >= 0 and a bool trainable flag (a JSON bool is
+    no int here, although Python makes it one)."""
     for e in header["entries"]:
-        missing = [key for key in ("name", "shape", "trainable") if key not in e]
-        if missing:
-            raise KeyError(f"entry without {missing[0]!r}")
+        if not (isinstance(e, dict) and type(e.get("name")) is str
+                and type(e.get("trainable")) is bool and type(e.get("shape")) is list
+                and all(type(n) is int and n >= 0 for n in e["shape"])):
+            raise TypeError(f"an entry is not a name, shape and trainable flag: {e!r}")
     if not isinstance(header.get("meta", {}), dict):
         raise TypeError(f"meta is a {type(header['meta']).__name__}, not an object")
     return sum(4 * math.prod(e["shape"]) for e in header["entries"])
@@ -314,7 +318,8 @@ def save_dataset(trajectories: list[sim.Trajectory], path: str | Path,
     return path
 
 
-# Field -> type of every trajectory record field load_dataset reads.
+# Field -> type of every trajectory record field load_dataset reads; the
+# exact type, so a JSON bool is no int.
 _RECORD_FIELDS = {"instruction": str, "family": str, "palette": str, "seed": int,
                   "variant": str, "n_steps": int}
 
@@ -330,7 +335,7 @@ def _dataset_payload_len(header: dict) -> int:
         raise ValueError(f"image_hw is {hw}; this build renders only "
                          f"{sim.IMAGE_HW}-pixel frames")
     for rec in records:
-        bad = [key for key, kind in _RECORD_FIELDS.items() if not isinstance(rec.get(key), kind)]
+        bad = [key for key, kind in _RECORD_FIELDS.items() if type(rec.get(key)) is not kind]
         if bad or rec["n_steps"] < 1:
             raise TypeError(f"a trajectory record lacks a valid {bad or ['n_steps']}")
     return sum(rec["n_steps"] for rec in records) * _STEP_FLOATS * 4

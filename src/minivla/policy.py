@@ -25,14 +25,14 @@ The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
 trajectory (encode_trajectory) alike, which decides reuse, batching and
 threads. This module checks and preprocesses the frames and supplies the
-model's memo and its stream in it, so reuse spans steps, trajectories and
-agents. A model alone has a memo of its own, one entry per slot.
-share_frame_memo gives models with equal frozen weights one memo, in
-which each keeps its own entries, so one model's step reuses the tokens
-of a frame another model has just encoded. The memo stays valid because
-the frozen weights never change once a model is built; the depth slots
-hold preprocessed frames, so the depth statistics are part of what it
-compares, and models that differ only in them share it exactly.
+model's memo, one entry per slot, so reuse spans steps, trajectories and
+agents. share_frame_memo lets models with equal frozen weights read each
+other's memos, so one model's step reuses the tokens of a frame another
+model has just encoded; each writes only its own. A memo stays valid
+because the frozen weights never change once a model is built; the
+depth slots hold preprocessed frames, so the depth statistics are part
+of what it compares, and models that differ only in them share the RGB
+slots exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -83,12 +83,12 @@ class Model:
         self.cfg = cfg
         self.params = params
         self.depth_stats = depth_stats
-        # The frozen-encoder memo (see enc.vit_encode_pair) and this model's
-        # stream in it, which share_frame_memo may replace; its tokens stay
-        # valid because the frozen weights are never changed after
-        # init_model or load_checkpoint sets them.
+        # The frozen-encoder memo (see enc.vit_encode_pair) and the memos it
+        # may also read, which share_frame_memo sets; its tokens stay valid
+        # because the frozen weights are never changed after init_model or
+        # load_checkpoint sets them.
         self._frame_memo: enc.FrameMemo = {}
-        self._memo_stream = 0
+        self._memo_peers: tuple[enc.FrameMemo, ...] = ()
 
         def group(prefix: str) -> dict[str, Tensor]:
             return {name[len(prefix):]: t for name, t in params.items()
@@ -115,13 +115,13 @@ class Model:
 
 
 def share_frame_memo(*models: Model) -> None:
-    """Give models one frozen-encoder memo, empty, in which each keeps its
-    own entries (see enc.vit_encode_pair): the k-th model given is stream k.
+    """Let each model read the other models' frozen-encoder memos, after
+    its own, while it writes only its own (see enc.vit_encode_pair).
 
     Reusing one model's tokens for another's frame is exact only if their
     frozen encoders are the same, so every vit.* array must equal the
     first model's in dtype, shape and bytes; otherwise this raises
-    ContractError and changes no memo.
+    ContractError and changes no model.
     """
     first = models[0].vit
     for model in models[1:]:
@@ -129,9 +129,8 @@ def share_frame_memo(*models: Model) -> None:
                 enc._same_frame(first[key], model.vit[key]) for key in first):
             raise ContractError("models with different frozen encoder weights "
                                 "cannot share a frame memo")
-    memo: enc.FrameMemo = {}
-    for stream, model in enumerate(models):
-        model._frame_memo, model._memo_stream = memo, stream
+    for model in models:
+        model._memo_peers = tuple(m._frame_memo for m in models if m is not model)
 
 
 def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats) -> Model:
@@ -270,8 +269,8 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 
     Every frame is checked before any is encoded. Then one
     enc.vit_encode_pair call encodes all T steps of the four camera slots
-    against the model's memo, as the model's stream, which a failed call
-    leaves as it was; its (T, 4N, d) tokens split into the RGB and depth
+    against the model's memo and its peers', and a failed call leaves the
+    memo as it was; its (T, 4N, d) tokens split into the RGB and depth
     halves.
     """
     steps = [_camera_frames(model, obs) for obs in observations]
@@ -279,7 +278,7 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
     with _stage("encoder"):
         tokens = enc.vit_encode_pair(slots, model.vit, model.cfg.patch,
                                      model.cfg.vit_blocks, model._frame_memo,
-                                     model._memo_stream)
+                                     model._memo_peers)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
 

@@ -117,6 +117,20 @@ def test_eval_of_a_checkpoint_with_a_removed_config_key_exits_2(tmp_path, run_di
     assert "unknown config key: model.image_hw" in capsys.readouterr().err
 
 
+def test_eval_of_a_checkpoint_with_an_ill_typed_entry_exits_2(tmp_path, run_dir, capsys):
+    model = pol.init_model(ModelConfig(**TINY_MODEL), synthetic_stats())
+    path = persist.save_checkpoint(model, tmp_path / "new.rfpx")
+
+    def with_a_numbered_entry(header):
+        header["entries"][0]["name"] = 5
+        return header
+
+    rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", with_a_numbered_entry)
+    assert cli.dispatch(["eval", "--checkpoint", str(tmp_path / "bad.rfpx"), "--out", "eval",
+                         "--chains", "1", "--horizon", "4"]) == 2
+    assert "unreadable checkpoint header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--chains", "0"], ["--horizon", "0"], ["--palette", "Z"],
                                   ["--families", "fly"]])
 def test_eval_rejects_bad_flags_before_loading(run_dir, flag):

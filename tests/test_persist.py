@@ -138,8 +138,15 @@ class TestCheckpoint:
                                     for e in h["entries"]]},
         lambda h: {**h, "entries": [{k: v for k, v in e.items() if k != "trainable"}
                                     for e in h["entries"]]},
+        lambda h: {**h, "entries": [{**h["entries"][0], "name": 5}, *h["entries"][1:]]},
+        lambda h: {**h, "entries": [{**e, "trainable": int(e["trainable"])}
+                                    for e in h["entries"]]},
+        # Equal to 1 in Python, so the shape and the payload length would fit.
+        lambda h: {**h, "entries": [{**e, "shape": [True if n == 1 else n for n in e["shape"]]}
+                                    for e in h["entries"]]},
     ], ids=["no-entries", "not-an-object", "entries-not-a-list", "entry-without-offset",
-            "meta-a-list", "meta-a-string", "entry-without-name", "entry-without-trainable"])
+            "meta-a-list", "meta-a-string", "entry-without-name", "entry-without-trainable",
+            "name-int", "trainable-int", "shape-bool"])
     def test_malformed_header_is_corruption_error(self, tmp_path, edit):
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
         rewrite_checkpoint_header(path, tmp_path / "bad.rfpx", edit)
@@ -417,9 +424,13 @@ class TestDatasetContainer:
             {**rec, "n_steps": float(rec["n_steps"])} for rec in index["trajectories"]]}),
         lambda index: json.dumps({**index, "trajectories": [
             *index["trajectories"], {**index["trajectories"][0], "n_steps": 0}]}),
+        lambda index: json.dumps({**index, "trajectories": [
+            {**rec, "seed": True} for rec in index["trajectories"]]}),
+        lambda index: json.dumps({**index, "trajectories": [
+            {**rec, "n_steps": True} for rec in index["trajectories"]]}),
     ], ids=["not-json", "not-an-object", "no-trajectories", "another-extent",
             "records-not-objects", "record-without-n_steps", "n_steps-not-an-int",
-            "a-record-of-no-steps"])
+            "a-record-of-no-steps", "seed-bool", "n_steps-bool"])
     def test_corrupt_index_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch,
                                                                rewrite):
         # The header is the dataset's index; it must fail before any step is decoded.

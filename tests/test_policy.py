@@ -268,8 +268,8 @@ def encoded_alone(model, obs) -> tuple[np.ndarray, np.ndarray]:
     rgb = (obs.rgb_static, obs.rgb_gripper)
     depth = tuple(dp.preprocess_depth(d, model.depth_stats)
                   for d in (obs.depth_static, obs.depth_gripper))
-    return tuple(np.concatenate([ENCODE_IMAGE(frame, vit, cfg.patch, cfg.vit_blocks,
-                                              camera=camera)
+    return tuple(np.concatenate([ENCODE_IMAGE(frame[None], vit, cfg.patch, cfg.vit_blocks,
+                                              camera=camera)[0]
                                  for camera, frame in enumerate(pair)])
                  for pair in (rgb, depth))
 
@@ -342,9 +342,22 @@ class TestFrameMemo:
         assert len(encodes) == 4  # the second model encoded nothing
         assert [x.tobytes() for x in got_first] == [x.tobytes() for x in got_second]
         assert_rows_encoded_alone(second, tuple(x[None] for x in got_second), [obs])
-        for entries in first._frame_memo.values():  # one entry each, the same arrays
-            assert entries.keys() == {first._memo_stream, second._memo_stream}
-            assert entries[first._memo_stream] is entries[second._memo_stream]
+        assert first._frame_memo.keys() == second._frame_memo.keys() == {0, 1, 2, 3}
+        for slot, entry in first._frame_memo.items():  # the same arrays, not copies
+            assert second._frame_memo[slot] is entry
+
+    def test_sharing_models_whose_frames_differ_each_reuse_their_own(self, rng, encodes):
+        # Lockstepped models that have diverged: each repeats its own last
+        # frames, which the other's memo does not hold. One memo entry per
+        # slot for both would encode every step again.
+        first, second = tiny_model(), tiny_model()
+        pol.share_frame_memo(first, second)
+        obs_first, obs_second = synthetic_obs(rng), synthetic_obs(rng)
+        for _ in range(3):
+            pol.encode_observation(first, obs_first)
+            got = pol.encode_observation(second, obs_second)
+        assert len(encodes) == 8
+        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs_second])
 
     def test_models_that_differ_in_depth_stats_share_the_rgb_slots(self, rng, encodes):
         first = tiny_model()
@@ -362,7 +375,8 @@ class TestFrameMemo:
         memos = [m._frame_memo for m in models]
         with pytest.raises(ContractError, match="different frozen encoder weights"):
             pol.share_frame_memo(*models)
-        assert all(m._frame_memo is memo for m, memo in zip(models, memos))
+        assert all(m._frame_memo is memo and m._memo_peers == ()
+                   for m, memo in zip(models, memos))
 
     def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
         model = tiny_model(depth_input="constant")
@@ -396,15 +410,9 @@ def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
             *fresh[2:], o1, *fresh[2:4], fresh[-1]]
 
 
-def own_entries(model) -> dict:
-    """The model's entries in its frame memo: slot -> (frame, tokens)."""
-    return {slot: entries[model._memo_stream]
-            for slot, entries in model._frame_memo.items()}
-
-
 def memo_state(model) -> dict:
     return {slot: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
-            for slot, (frame, tokens) in own_entries(model).items()}
+            for slot, (frame, tokens) in model._frame_memo.items()}
 
 
 def thread_count() -> int:
@@ -469,8 +477,6 @@ class TestParallelTrajectoryEncode:
         encoded = tr.encode_dataset(model, dataset)
         assert calls == [[len(observations)] * 4]  # all four camera slots at once
         assert model._frame_memo.keys() == {0, 1, 2, 3}
-        assert all(entries.keys() == {model._memo_stream}  # one entry per slot
-                   for entries in model._frame_memo.values())
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
             assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
@@ -502,7 +508,7 @@ class TestParallelTrajectoryEncode:
         for obs in observations:
             pol.encode_observation(serial, obs)
         assert memo_state(model) == memo_state(serial)
-        for frame, tokens in own_entries(model).values():  # copies, not views
+        for frame, tokens in model._frame_memo.values():  # copies, not views
             assert not any(np.shares_memory(frame, getattr(obs, plane))
                            for obs in observations
                            for plane in ("rgb_static", "rgb_gripper"))
@@ -515,7 +521,7 @@ class TestParallelTrajectoryEncode:
         meet = threading.Barrier(2, timeout=10.0)
         real = enc.vit_encode_image
 
-        def meeting(img, vit, patch, blocks, camera=0):
+        def meeting(img, vit, patch, blocks, camera):
             threads.append(threading.get_ident())
             if len(threads) <= 2:
                 meet.wait()  # the first two encoder calls must run at once
@@ -577,7 +583,7 @@ class TestParallelTrajectoryEncode:
         cropped = []
         real = enc.vit_encode_image
 
-        def cropping(img, vit, patch, blocks, camera=0):
+        def cropping(img, vit, patch, blocks, camera):
             on_caller = threading.get_ident() == caller
             if where == "helper" and on_caller:
                 assert helper_started.wait(10.0)  # a helper takes a job first
@@ -606,7 +612,7 @@ class TestParallelTrajectoryEncode:
         real = enc.vit_encode_image
         rgb_batches = []
 
-        def failing_on_depth(img, vit, patch, blocks, camera=0):
+        def failing_on_depth(img, vit, patch, blocks, camera):
             if img.dtype == np.float64:  # preprocessed depth; the RGB frames are float32
                 raise DimensionError("depth frame rejected")
             rgb_batches.append(camera)

@@ -8,20 +8,25 @@ ablation harnesses pair two model variants on bitwise-identical chain
 seeds: shared vs separate resamplers (initialized identically), and
 narrow vs wide depth-normalization ranges (plus the quantized
 pixel-change sensitivity counts). run_chain_eval evaluates one agent or
-a tuple of agents stepped in lockstep; each harness evaluates its two
-arms with one such call after training, the resampler harness also at
-initialization, and each arm reads the other's frame memo.
+a tuple of agents: every chain of every agent runs with an agent of its
+own, and the chains are stepped together in lockstep rounds, each
+round's new frames encoded in one call before any agent acts. Each
+harness evaluates its two arms with one such call after training, the
+resampler harness also at initialization; the arms' frozen encoders are
+equal, so within a chain each arm reads the other's frame memo.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import depth as dp
+from . import encoders as enc
 from . import policy as pol
 from . import sim
 from . import training as tr
@@ -67,31 +72,86 @@ def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "
                         train_split, test_split, enriched)
 
 
+# Chains stepped together in one evaluation: enough that a round fills a
+# batch of enc.FRAMES_PER_JOB frames on every usable CPU even when each
+# chain adds one new frame (a step adds up to four). Further chains wait
+# for the next wave, so memory does not grow with n_chains.
+CHAINS_PER_WAVE = enc.FRAMES_PER_JOB * max(2, len(os.sched_getaffinity(0)))
+
+
 def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
                    families=None, variant: str = "standard",
                    enrich: bool = False, *, horizon: int
                    ) -> list[sim.ChainResult] | list[list[sim.ChainResult]]:
-    """Deterministic chain batch: chain i uses seed + i; results sorted by index.
+    """Deterministic chain batch: chain i uses seed + i; results in chain
+    order, each with chain_id i.
 
     agent is one agent, which gets a list of ChainResults, or a tuple of
-    agents, which get one such list each. A tuple steps every agent
-    through each chain in lockstep (sim.lockstep), one act per agent per
-    step, so agents whose models read each other's frame memos (see
-    policy.share_frame_memo) reuse the tokens of frames another has just
-    encoded. Each agent's results and actions are those of evaluating it
-    alone.
+    agents, which get one such list each. Every chain of every agent runs
+    with an agent of its own, agent.for_chain(), so a policy agent's
+    chain has its own frame memo and LSTM state. The chains run in waves
+    of CHAINS_PER_WAVE, all runs of a wave stepped in lockstep
+    (sim.lockstep). Before each round's acts, pol.encode_round encodes the
+    round's new frames in one call per class of agents whose models have
+    the same frozen encoder (pol.same_frozen_encoder); within a chain, the
+    models of one class read each other's memos (pol.share_frame_memo).
+    Each act then takes its tokens from that encode. A chain's results
+    and actions do not depend on the others, so they are those of
+    evaluating it alone.
     """
     paired = isinstance(agent, tuple)
     agents = agent if paired else (agent,)
+    classes = _frozen_encoder_classes(agents)
     results: list[list[sim.ChainResult]] = [[] for _ in agents]
-    for i in range(n_chains):
-        chain = sim.sample_chain(seed + i, palette, families=families, variant=variant)
-        runs = [sim.chain_steps(a, chain, max_steps_per_task=horizon, enrich=enrich)
-                for a in agents]
-        for per_agent, result in zip(results, sim.lockstep(runs)):
-            result.chain_id = i
-            per_agent.append(result)
+    with enc.kept_helpers():
+        for first in range(0, n_chains, CHAINS_PER_WAVE):
+            wave = range(first, min(first + CHAINS_PER_WAVE, n_chains))
+            chains = [sim.sample_chain(seed + i, palette, families=families, variant=variant)
+                      for i in wave]
+            for i, per_agent in zip(wave, _run_wave(agents, classes, chains, horizon, enrich)):
+                for arm, result in zip(results, per_agent):
+                    result.chain_id = i
+                    arm.append(result)
     return results if paired else results[0]
+
+
+def _run_wave(agents, classes: list[list[int]], chains: list[sim.ChainSpec],
+              horizon: int, enrich: bool) -> list[list[sim.ChainResult]]:
+    """Every agent through every chain, all stepped in lockstep; per chain,
+    each agent's ChainResult."""
+    players, runs = [], []  # per run: chain by chain, each agent in order
+    for chain in chains:
+        chain_agents = [a.for_chain() for a in agents]
+        for members in classes:
+            pol.share_frame_memo(*(chain_agents[k].model for k in members))
+        players += chain_agents
+        runs += [sim.chain_steps(a, chain, max_steps_per_task=horizon, enrich=enrich)
+                 for a in chain_agents]
+
+    def encode_round(observations):
+        for members in classes:
+            pol.encode_round([(players[r].model, obs) for r, obs in observations.items()
+                              if r % len(agents) in members and obs is not None])
+
+    results = sim.lockstep(runs, encode_round)
+    return [results[c:c + len(agents)] for c in range(0, len(results), len(agents))]
+
+
+def _frozen_encoder_classes(agents) -> list[list[int]]:
+    """Indices of the agents that act through a pol.Model (their model
+    attribute), grouped by equal frozen encoder, in order."""
+    classes: list[list[int]] = []
+    for k, a in enumerate(agents):
+        model = getattr(a, "model", None)
+        if model is None:
+            continue
+        for members in classes:
+            if pol.same_frozen_encoder(agents[members[0]].model, model):
+                members.append(k)
+                break
+        else:
+            classes.append([k])
+    return classes
 
 
 @dataclass
@@ -153,25 +213,21 @@ def run_sep_resampler_ablation(model_cfg: ModelConfig, stats: dp.DepthStats,
 
     Both variants see the same data order and the same chain seeds; the
     report records that their evaluations agree before any update. They
-    share the frozen encoder (share_frame_memo refuses arms whose vit.*
-    weights differ) and the depth statistics, so the dataset is encoded
-    once for both, and each arm reads the other's frame memo: each
-    evaluation steps both arms in lockstep, and the separate arm reuses
-    the tokens of each frame byte-equal to one the shared arm has just
-    encoded (at initialization, every frame).
+    share the frozen encoder and the depth statistics, so the dataset is
+    encoded once for both, and in each evaluation the separate arm's
+    chain reuses the tokens of each frame byte-equal to one the shared
+    arm's chain encodes in the same round (at initialization, every
+    frame).
     """
     import dataclasses
 
     models = {label: pol.init_model(dataclasses.replace(model_cfg, sep_resampler=sep), stats)
               for label, sep in (("shared", False), ("separate", True))}
-    shared, separate = models.values()
-    pol.share_frame_memo(shared, separate)
-
     init = _evaluate(models, env_cfg, min(env_cfg.n_chains, 5))
     init_identical = ([r.successes for r in init["shared"]]
                       == [r.successes for r in init["separate"]])
 
-    encoded = tr.encode_dataset(shared, dataset)
+    encoded = tr.encode_dataset(models["shared"], dataset)
     tables = _train_and_eval(models, dataset, train_cfg, env_cfg, encoded)
     param_counts = {label: sum(t.size for n, t in model.params.items()
                                if n.startswith("resampler."))
@@ -208,15 +264,14 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
                                 ) -> AblationReport:
     """Identical models whose depth pipelines normalize by different ranges.
 
-    Their frozen encoders are the same, so the arms are evaluated in
-    lockstep after training and each reads the other's frame memo; the
-    depth slots hold preprocessed frames, so only frames equal after each
-    arm's own normalization reuse tokens. The ranges must pass check_depth_extremes.
+    Their frozen encoders are the same, so after training, within each
+    chain, each arm reads the other's frame memo; the depth slots hold
+    preprocessed frames, so only frames equal after each arm's own
+    normalization reuse tokens. The ranges must pass check_depth_extremes.
     """
     check_depth_extremes(stats_narrow, stats_wide)
     models = {label: pol.init_model(model_cfg, stats)
               for label, stats in (("narrow", stats_narrow), ("wide", stats_wide))}
-    pol.share_frame_memo(*models.values())
     tables = _train_and_eval(models, dataset, train_cfg, env_cfg)
 
     pairs = consecutive_depth_pairs(dataset, limit=20)

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="chain evaluation of a checkpoint")
     e.add_argument("--checkpoint", type=Path, required=True)
     e.add_argument("--out", type=Path, required=True)
-    e.add_argument("--chains", dest="n_chains", type=int, default=200)
+    e.add_argument("--chains", dest="n_chains", type=int, default=None)
     e.add_argument("--palette", dest="eval_palette", default=None)
     e.add_argument("--families", type=_split_csv, default=None)
     e.add_argument("--seed", dest="chain_seed", type=_non_negative_int, default=1000)

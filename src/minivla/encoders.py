@@ -6,21 +6,25 @@ standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
-vit_encode_pair runs it on T steps of all four camera slots against a
-model's memo, for a rollout step (T = 1) and a whole dataset alike, and
-alone decides reuse, writes the memo, forms batches and starts threads.
-A memo keeps, per camera slot, the last frame its model encoded there,
-with its tokens. Models with equal frozen weights may read each other's
-memos (see policy.share_frame_memo), as paired ablation arms stepped in
-lockstep do; each writes only its own. A frame byte-equal to the
-previous frame of its slot, or at a call's first step to the slot's
-entry in the model's memo or a peer's, reuses that frame's tokens. That
-is exact because tokens depend only on the frame and the frozen
-weights, which peers share. The other frames are encoded in batches of
-up to FRAMES_PER_JOB frames of one slot, bitwise equal to each frame
-encoded alone; only a call with at least two full batches starts helper
-threads, which end before it returns. A failed call leaves the memo as
-it was.
+vit_encode_pair runs it on groups of four camera slots of T steps, each
+against its model's memo: one group for a rollout step (T = 1) or a
+whole dataset, one group per chain for a round of chains stepped in
+lockstep (T = 1). It alone decides reuse, writes the memos, forms
+batches and starts threads. A memo keeps, per camera slot, the last
+frame its model encoded there, with its tokens. Models with equal frozen
+weights may read each other's memos (see policy.share_frame_memo), as
+the chain copies of paired ablation arms do; each writes only its own. A
+frame byte-equal to the previous frame of its slot, or at a call's first
+step to the slot's entry in the model's memo or a peer's, reuses that
+frame's tokens. That is exact because tokens depend only on the frame
+and the frozen weights, which peers share. The other frames are encoded
+in batches of up to FRAMES_PER_JOB frames of one camera, across slots
+and groups, since a camera's RGB and depth frames share its positional
+rows; every frame's tokens are bitwise those of encoding it alone. Only a call with at least 2 * FRAMES_PER_JOB new frames uses
+helper threads, so a single step stays on the calling thread while a
+round of several chains does not; kept_helpers keeps the threads over
+many calls and ends them with its block. A failed call leaves every memo
+as it was.
 
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product
@@ -30,13 +34,14 @@ policy.fused_tokens concatenates the RGB and depth resamples, RGB first.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 from .numerics import Tensor
 
 Array = np.ndarray
@@ -156,64 +161,113 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
     return x
 
 
-def vit_encode_pair(slots, vit: dict[str, Array], patch: int, blocks: int,
-                    memo: FrameMemo, peers: tuple[FrameMemo, ...]) -> Array:
-    """Frozen tokens of T steps of S camera slots, (T, S·N, d): slot s gives
-    tokens s·N to (s + 1)·N of each step and is seen by camera s % 2, so a
-    policy step passes RGB static, RGB gripper, depth static, depth gripper.
+def vit_encode_pair(groups, vit: dict[str, Array], patch: int, blocks: int
+                    ) -> list[Array]:
+    """Frozen tokens of several groups of camera slots, one (T, S·N, d)
+    array per group, in order.
 
-    Each slot holds T frames, as a list or a (T, H, W, 3) array. A frame
-    byte-equal to the previous frame of its slot copies that frame's
-    tokens; before step 0, the previous frame is the slot's entry in memo
-    if it matches, else the first matching entry of the slot in peers,
-    whose encoders must equal this one (see _same_frame). The rest are
-    encoded (see _run_jobs). Only then does memo, and no peer, take each
-    slot's last frame and that frame's tokens: copies if any step of the
-    slot was encoded, else the entry step 0 matched, shared, not copied.
-    Frame extents are checked where frames are encoded (patchify); a
-    reused frame has the bytes and shape of a frame already checked.
+    A group is (memo, peers, slots): S camera slots of T frames each, as
+    lists or (T, H, W, 3) arrays. Slot s gives tokens s·N to (s + 1)·N of
+    each step and is seen by camera s % 2, so a policy step passes RGB
+    static, RGB gripper, depth static, depth gripper. A rollout step or a
+    trajectory is one group; a lockstep round is one group per chain.
+
+    A frame byte-equal to the previous frame of its slot copies that
+    frame's tokens. Before step 0, the previous frame is the slot's entry
+    in the group's memo if it matches, else the first matching entry of
+    the slot in its peers, whose encoders must equal this one (see
+    _same_frame); an entry that is one already compared is skipped. A
+    peer that is an earlier group's memo offers the entry that group
+    leaves in it, so groups reuse as if they ran one after another. The
+    rest are encoded in batches by camera, across slots and groups (see
+    _run_jobs). Only then does each memo, and no peer, take each slot's
+    last frame and that frame's tokens: copies if any step of the slot was
+    encoded, else the entry step 0 matched, shared, not copied. A memo
+    belongs to one group of a call. Frame extents are checked where frames
+    are encoded (patchify); a reused frame has the bytes and shape of a
+    frame already checked.
     """
-    slots = [[np.asarray(f) for f in frames] for frames in slots]
-    lengths = [len(frames) for frames in slots]
-    if len(set(lengths)) > 1:
-        raise DimensionError(f"camera slots hold {lengths} frames")
+    memos = [memo for memo, _, _ in groups]
+    if len({id(memo) for memo in memos}) < len(memos):
+        raise ContractError("a frame memo belongs to one group of a call")
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2  # tokens per frame
-    out = np.empty((len(slots[0]), len(slots) * n, vit["patch_proj"].shape[1] + pos.shape[1]))
-    fresh = [[] for _ in slots]   # per slot: the steps to encode
-    reused = [[] for _ in slots]  # and the steps that repeat
-    matched = [None] * len(slots)  # per slot: the memo entry step 0 repeats
-    for slot, frames in enumerate(slots):
-        for t, frame in enumerate(frames):
-            if t:
-                hit = _same_frame(frames[t - 1], frame)
-            else:
-                entries = [m[slot] for m in (memo, *peers) if slot in m]
-                matched[slot] = next((e for e in entries if _same_frame(e[0], frame)), None)
-                hit = matched[slot] is not None
-            (reused if hit else fresh)[slot].append(t)
-    jobs = [(slot, steps[i:i + FRAMES_PER_JOB])
-            for slot, steps in enumerate(fresh)
+    width = vit["patch_proj"].shape[1] + pos.shape[1]
+    frames_of, outs, fills = [], [], []
+    batches: dict[tuple, list] = {}  # (camera, extents) -> (group, slot, step) to encode
+    # Per group: slot -> (the entry its memo takes, whether the slot was
+    # encoded); an encoded slot's entry views its output until the copy.
+    ends: list[dict[int, tuple[tuple[Array, Array], bool]]] = []
+    upcoming = {}  # id(memo of an earlier group) -> its ends
+    for g, (memo, peers, slots) in enumerate(groups):
+        slots = [[np.asarray(f) for f in frames] for frames in slots]
+        lengths = [len(frames) for frames in slots]
+        if len(set(lengths)) > 1:
+            raise DimensionError(f"camera slots hold {lengths} frames")
+        out = np.empty((lengths[0], len(slots) * n, width))
+        end = {}
+        for slot, frames in enumerate(slots):
+            rows = slice(slot * n, (slot + 1) * n)
+            encoded = False
+            for t, frame in enumerate(frames):
+                if t:
+                    source = out[t - 1, rows] if _same_frame(frames[t - 1], frame) else None
+                else:
+                    matched = _first_match(frame, slot, memo, peers, upcoming)
+                    source = None if matched is None else matched[1]
+                if source is None:
+                    batches.setdefault((slot % 2, frame.shape), []).append((g, slot, t))
+                    encoded = True
+                else:
+                    fills.append((out[t, rows], source))
+            if encoded:
+                end[slot] = ((frames[-1], out[-1, rows]), True)
+            elif frames:
+                end[slot] = (matched, False)
+        frames_of.append(slots)
+        outs.append(out)
+        ends.append(end)
+        upcoming[id(memo)] = end
+    jobs = [(camera, steps[i:i + FRAMES_PER_JOB])
+            for (camera, _), steps in batches.items()
             for i in range(0, len(steps), FRAMES_PER_JOB)]
 
     def encode(job):
-        slot, steps = job
-        frames = slots[slot]
-        batch = (frames[steps[0]][None] if len(steps) == 1
-                 else np.stack([frames[t] for t in steps]))
-        out[steps, slot * n:(slot + 1) * n] = vit_encode_image(
-            batch, vit, patch, blocks, camera=slot % 2)
+        camera, steps = job
+        frames = [frames_of[g][slot][t] for g, slot, t in steps]
+        batch = frames[0][None] if len(frames) == 1 else np.stack(frames)
+        tokens = vit_encode_image(batch, vit, patch, blocks, camera=camera)
+        for (g, slot, t), x in zip(steps, tokens):
+            outs[g][t, slot * n:(slot + 1) * n] = x
 
     _run_jobs(jobs, encode)
-    for slot, (steps, repeats) in enumerate(zip(fresh, reused)):
-        rows = slice(slot * n, (slot + 1) * n)
-        for t in repeats:  # in step order, so step t - 1 is filled already
-            out[t, rows] = out[t - 1, rows] if t else matched[slot][1]
-        if steps:
-            memo[slot] = (slots[slot][-1].copy(), out[-1, rows].copy())
-        elif matched[slot] is not None:
-            memo[slot] = matched[slot]
-    return out
+    for target, source in fills:  # in group and step order: each source is filled already
+        target[...] = source
+    taken = {}  # id(an encoded slot's entry) -> the copies its memo took
+    for memo, end in zip(memos, ends):
+        for slot, (entry, encoded) in end.items():
+            if encoded:
+                memo[slot] = taken[id(entry)] = (entry[0].copy(), entry[1].copy())
+            else:
+                memo[slot] = taken.get(id(entry), entry)
+    return outs
+
+
+def _first_match(frame: Array, slot: int, memo: FrameMemo, peers, upcoming
+                 ) -> tuple[Array, Array] | None:
+    """The first of the slot's entries in memo, then in each peer (as an
+    earlier group of the call leaves it, see upcoming), whose frame is the
+    same as frame; an entry that is one already compared is skipped."""
+    compared = []
+    for other in (memo, *peers):
+        entry = (upcoming[id(other)][slot][0] if slot in upcoming.get(id(other), ())
+                 else other.get(slot))
+        if entry is None or any(entry is seen for seen in compared):
+            continue
+        if _same_frame(entry[0], frame):
+            return entry
+        compared.append(entry)
+    return None
 
 
 def _same_frame(prev: Array, frame: Array) -> bool:
@@ -229,25 +283,23 @@ FRAMES_PER_JOB = 4
 
 
 def _run_jobs(jobs: list, work) -> None:
-    """Run work(job) for every (slot, steps) job: on the calling thread,
-    and with at least two full batches also on helper threads, one thread
-    per usable CPU in all. numpy releases the GIL inside BLAS and ufunc
-    loops, so the threads overlap. The caller works instead of waiting,
-    which takes one thread fewer: with a waiting caller (Executor.map over
-    the jobs), the perfbench train workload read 1.8 MB more peak_rss_mb
-    on a 2-CPU host. The helpers end before this returns, and a job's
-    exception reaches the caller as raised.
+    """Run work(job) for every (camera, steps) job: on the calling thread,
+    and once the jobs hold at least 2 * FRAMES_PER_JOB frames also on
+    helper threads (kept_helpers), one thread per usable CPU in all. numpy
+    releases the GIL inside BLAS and ufunc loops, so the threads overlap;
+    below that count, a helper costs more than it saves. The caller works
+    instead of waiting, which takes one thread fewer: with a waiting
+    caller (Executor.map over the jobs), the perfbench train workload read
+    1.8 MB more peak_rss_mb on a 2-CPU host. Every job has ended when this
+    returns, and a job's exception reaches the caller as raised.
     """
-    full = sum(len(steps) == FRAMES_PER_JOB for _, steps in jobs)
-    helpers = min(len(os.sched_getaffinity(0)), len(jobs)) - 1 if full >= 2 else 0
+    frames = sum(len(steps) for _, steps in jobs)
+    helpers = (min(len(os.sched_getaffinity(0)), len(jobs)) - 1
+               if frames >= 2 * FRAMES_PER_JOB else 0)
     if helpers < 1:
         for job in jobs:
             work(job)
         return
-    # Imported here: concurrent.futures loads logging (about 10 ms), which a
-    # process that never encodes a batch on helpers should not pay on import.
-    from concurrent.futures import ThreadPoolExecutor
-
     pending = iter(jobs[1:])  # jobs[0] is the caller's, so the caller always works
     lock = threading.Lock()
 
@@ -259,18 +311,51 @@ def _run_jobs(jobs: list, work) -> None:
                 return
             work(job)
 
-    native_ids: list[int] = []
-    try:
-        with ThreadPoolExecutor(
-                helpers, initializer=lambda: native_ids.append(threading.get_native_id())
-        ) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
+    with kept_helpers() as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        try:
             work(jobs[0])
             drain()
+        finally:
+            for future in futures:
+                future.exception()  # waits
         for future in futures:
             future.result()
+
+
+# Per calling thread: the pool of its outermost open kept_helpers block.
+_kept = threading.local()
+
+
+@contextlib.contextmanager
+def kept_helpers():
+    """Yield a pool of helper threads, one per usable CPU but one, that
+    _run_jobs on this thread uses until the outermost block ends; then
+    they have left the process. Outside a block, each _run_jobs call that
+    needs helpers is a block of its own; a block around many small calls
+    (a chain evaluation's rounds) starts the threads once, not per call.
+    """
+    pool = getattr(_kept, "pool", None)
+    if pool is not None:
+        yield pool
+        return
+    # Imported here: concurrent.futures loads logging (about 10 ms), which a
+    # process that neither evaluates chains nor encodes a batch on helpers
+    # should not pay on import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    native_ids: list[int] = []
+    _kept.pool = pool = ThreadPoolExecutor(
+        max(len(os.sched_getaffinity(0)) - 1, 1),
+        initializer=lambda: native_ids.append(threading.get_native_id()))
+    try:
+        yield pool
     finally:
-        _await_thread_exit(native_ids)
+        _kept.pool = None
+        try:
+            pool.shutdown()
+        finally:
+            _await_thread_exit(native_ids)
 
 
 def _await_thread_exit(native_ids: list[int]) -> None:

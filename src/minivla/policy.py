@@ -25,14 +25,19 @@ The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
 trajectory (encode_trajectory) alike, which decides reuse, batching and
 threads. This module checks and preprocesses the frames and supplies the
-model's memo, one entry per slot, so reuse spans steps, trajectories and
-agents. share_frame_memo lets models with equal frozen weights read each
-other's memos, so one model's step reuses the tokens of a frame another
-model has just encoded; each writes only its own. A memo stays valid
-because the frozen weights never change once a model is built; the
-depth slots hold preprocessed frames, so the depth statistics are part
-of what it compares, and models that differ only in them share the RGB
-slots exactly.
+model's memo, one entry per slot, so reuse spans steps and trajectories.
+Each Model has a memo of its own: a chain evaluation gives every chain
+its own Model over the same parameters (PolicyAgent.for_chain), and
+encode_round encodes one lockstep round of those models in one call,
+checking and preprocessing each frame once; each model's act then takes
+its tokens from that call. share_frame_memo lets models with equal
+frozen weights (same_frozen_encoder) read each other's memos, so one
+model's step reuses the tokens of a frame another model has just
+encoded; each writes only its own. A memo stays valid because the frozen
+weights never change once a model is built; the depth slots hold
+preprocessed frames, so the depth statistics are part of what it
+compares, and models that differ only in them share the RGB slots
+exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -89,6 +94,9 @@ class Model:
         # load_checkpoint sets them.
         self._frame_memo: enc.FrameMemo = {}
         self._memo_peers: tuple[enc.FrameMemo, ...] = ()
+        # The observation object encode_round encoded for this model's next
+        # step, with its tokens, until encode_observation takes them.
+        self._ready: tuple[sim.Observation, tuple[Array, Array]] | None = None
 
         def group(prefix: str) -> dict[str, Tensor]:
             return {name[len(prefix):]: t for name, t in params.items()
@@ -114,21 +122,24 @@ class Model:
         return dec.embed_ids(self.embed, dec.tokenize(text, VOCAB_INDEX))
 
 
+def same_frozen_encoder(first: Model, second: Model) -> bool:
+    """Whether every vit.* array of the two models is equal in dtype, shape
+    and bytes, so that either's frozen tokens are the other's."""
+    return first.vit.keys() == second.vit.keys() and all(
+        enc._same_frame(first.vit[key], second.vit[key]) for key in first.vit)
+
+
 def share_frame_memo(*models: Model) -> None:
     """Let each model read the other models' frozen-encoder memos, after
     its own, while it writes only its own (see enc.vit_encode_pair).
 
     Reusing one model's tokens for another's frame is exact only if their
-    frozen encoders are the same, so every vit.* array must equal the
-    first model's in dtype, shape and bytes; otherwise this raises
-    ContractError and changes no model.
+    frozen encoders are the same (same_frozen_encoder with the first
+    model); otherwise this raises ContractError and changes no model.
     """
-    first = models[0].vit
-    for model in models[1:]:
-        if model.vit.keys() != first.keys() or not all(
-                enc._same_frame(first[key], model.vit[key]) for key in first):
-            raise ContractError("models with different frozen encoder weights "
-                                "cannot share a frame memo")
+    if not all(same_frozen_encoder(models[0], model) for model in models[1:]):
+        raise ContractError("models with different frozen encoder weights "
+                            "cannot share a frame memo")
     for model in models:
         model._memo_peers = tuple(m._frame_memo for m in models if m is not model)
 
@@ -258,8 +269,12 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[Array, Array, Ar
 
 
 def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
-    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64:
+    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64: the
+    tokens encode_round left for this observation object, else
     encode_trajectory of one step."""
+    ready, model._ready = model._ready, None
+    if ready is not None and ready[0] is obs:
+        return ready[1]
     x_rgb, x_depth = encode_trajectory(model, [obs])
     return x_rgb[0], x_depth[0]
 
@@ -276,11 +291,32 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
     steps = [_camera_frames(model, obs) for obs in observations]
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
-        tokens = enc.vit_encode_pair(slots, model.vit, model.cfg.patch,
-                                     model.cfg.vit_blocks, model._frame_memo,
-                                     model._memo_peers)
+        (tokens,) = enc.vit_encode_pair([(model._frame_memo, model._memo_peers, slots)],
+                                        model.vit, model.cfg.patch, model.cfg.vit_blocks)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
+
+
+def encode_round(steps: list[tuple[Model, sim.Observation]]) -> None:
+    """Encode one lockstep round: each (model, observation) pair is one
+    step of its model, and the models' frozen encoders are all equal (see
+    same_frozen_encoder). Every frame is checked and preprocessed once,
+    then one enc.vit_encode_pair call encodes the new frames of every
+    model, each against its own memo and peers; each model's next
+    encode_observation of that observation object returns its tokens.
+    """
+    if not steps:
+        return
+    frames = [_camera_frames(model, obs) for model, obs in steps]
+    first = steps[0][0]
+    with _stage("encoder"):
+        tokens = enc.vit_encode_pair(
+            [(model._frame_memo, model._memo_peers, [[f] for f in step])
+             for (model, _), step in zip(steps, frames)],
+            first.vit, first.cfg.patch, first.cfg.vit_blocks)
+    for (model, obs), x in zip(steps, tokens):
+        half = x.shape[1] // 2
+        model._ready = (obs, (x[0, :half], x[0, half:]))
 
 
 # --- the policy over a trajectory ------------------------------------------------
@@ -332,6 +368,13 @@ class PolicyAgent:
     def __init__(self, model: Model):
         self.model = model
         self._hidden = reset_hidden(model)
+
+    def for_chain(self) -> "PolicyAgent":
+        """An agent for one chain of an evaluation: a Model over the same
+        parameters and depth statistics, with a memo and LSTM state of its
+        own."""
+        model = self.model
+        return PolicyAgent(Model(model.cfg, model.params, model.depth_stats))
 
     def reset(self):
         self._hidden = reset_hidden(self.model)

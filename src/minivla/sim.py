@@ -12,10 +12,11 @@ come with scripted experts, a paraphrase bank, and 5-task chain
 evaluation. TARGET_KINDS is the one table of which kind of object each
 family acts on, and chain_families the one rule of which families can
 fill a chain, shared by sample_chain and the command line. A chain is
-stepped: chain_steps is a generator that runs one policy step per
-next(), and lockstep drains several of them in rounds, one step of each
-per round, so agents on the same chain act at the same step one after
-another. PARAPHRASE_BANK has a bank for each of FAMILIES; a task reaches
+stepped: chain_steps is a generator that yields each step's observation
+before the agent acts on it, and lockstep drains several of them in
+rounds, one step of each per round; a round's observations all exist
+before any agent acts on them, so their frames can be encoded together.
+PARAPHRASE_BANK has a bank for each of FAMILIES; a task reaches
 paraphrase_instruction only through resolve_target or _family_list,
 which refuse an unknown family. A scene carries the colours it is painted
 with, and a task its target's start x0. Everything is a pure function of
@@ -816,6 +817,10 @@ class ExpertAgent:
     def __init__(self):
         self._task: TaskSpec | None = None
 
+    def for_chain(self) -> "ExpertAgent":
+        """An agent for one chain of an evaluation."""
+        return ExpertAgent()
+
     def reset(self):
         self._task = None
 
@@ -837,6 +842,12 @@ class RandomAgent:
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
 
+    def for_chain(self) -> "RandomAgent":
+        """An agent for one chain of an evaluation, seeded by a draw from
+        this one's generator: chains take their seeds in chain order, so
+        each chain's actions do not depend on how chains interleave."""
+        return RandomAgent(int(self._rng.integers(2 ** 63)))
+
     def reset(self):
         pass
 
@@ -851,14 +862,14 @@ class RandomAgent:
 
 def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
     """The stepped chain: a generator that executes the 5 tasks in order,
-    one policy step (render, act, step the env, check success) per next(),
-    and yields each action the agent returned. Task i runs only if tasks
-    1..i-1 succeeded. It returns the ChainResult, as the value of its
-    StopIteration (see lockstep).
+    one policy step per next(). Each step renders the observation and
+    yields it; the next next() has the agent act on it, steps the env and
+    checks success. Task i runs only if tasks 1..i-1 succeeded. It returns
+    the ChainResult, as the value of its StopIteration (see lockstep).
 
     The agent's class attribute reads_pixels says whether act reads the
-    observation; when it is false, no frame is rendered and act gets
-    obs=None (with the world state, as always).
+    observation; when it is false, no frame is rendered and the step
+    yields and acts on obs=None (with the world state, as always).
     """
     state = make_env(chain.seed, chain.palette, chain.variant)
     agent.reset()
@@ -876,10 +887,9 @@ def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
         ok = False
         for _ in range(max_steps_per_task):
             obs = render_observation(state) if agent.reads_pixels else None
-            action = agent.act(obs, text, state=state)
-            state = step_env(state, action)
+            yield obs
+            state = step_env(state, agent.act(obs, text, state=state))
             ok = bool(success(state, task))
-            yield action
             if ok:
                 break
         successes.append(ok)
@@ -887,21 +897,28 @@ def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
     return ChainResult(successes, chain.seed, chain.palette)
 
 
-def lockstep(runs) -> list[ChainResult]:
-    """Drain stepped chains (see chain_steps) in rounds: each round advances
-    every unfinished one by one step, in the order given, so several agents
-    on one chain act at the same step one after another. Returns their
-    ChainResults in that order."""
+def lockstep(runs, before_acts=None) -> list[ChainResult]:
+    """Drain stepped chains (see chain_steps) in rounds, returning their
+    ChainResults in the order given.
+
+    Each round advances every unfinished run once, in order: it acts on
+    the observation it yielded last, steps the env and checks success,
+    then renders and yields its next observation, or ends. So several
+    agents on one chain act at the same step one after another. Once
+    every run of the round has yielded, before_acts, if given, gets all
+    the new observations as {run index: observation}, before any agent
+    acts on them, so a round's frames can be encoded together.
+    """
     results: list[ChainResult | None] = [None] * len(runs)
-    live = list(enumerate(runs))
+    live = dict(enumerate(runs))
     while live:
-        still = []
-        for i, run in live:
+        observations = {}
+        for i, run in list(live.items()):
             try:
-                next(run)
+                observations[i] = next(run)
             except StopIteration as done:
                 results[i] = done.value
-            else:
-                still.append((i, run))
-        live = still
+                del live[i]
+        if observations and before_acts is not None:
+            before_acts(observations)
     return results

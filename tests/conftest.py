@@ -50,11 +50,21 @@ def count_encodes(monkeypatch) -> list[int]:
 
 
 class Recording:
-    """An agent that logs (its name, each action it returns) to log."""
+    """An agent that logs (its name, each action it returns) to log. It
+    acts through the wrapped agent's model, if it has one; each agent it
+    gives for a chain (for_chain) logs to a list of its own, appended to
+    chain_logs."""
 
     def __init__(self, agent, log, name=""):
         self.agent, self.log, self.name = agent, log, name
         self.reads_pixels = agent.reads_pixels
+        self.model = getattr(agent, "model", None)
+        self.chain_logs = []
+
+    def for_chain(self):
+        log = []
+        self.chain_logs.append(log)
+        return Recording(self.agent.for_chain(), log, self.name)
 
     def reset(self):
         self.agent.reset()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (Recording, action_bytes, count_encodes, synthetic_stats,
+from conftest import (Recording, action_bytes, count_encodes, run_chain, synthetic_stats,
                       tiny_config)
 
 from minivla import analysis as an
@@ -91,44 +91,173 @@ def policy_model(seed=0, sep_resampler=False):
     return model
 
 
-def evaluate(agent):
-    return an.run_chain_eval(agent, 2, "D", 11, families=["lift"], horizon=16)
+N_CHAINS = 3
 
 
-def pair_of(kind):
+def evaluate(agent, families=("lift",)):
+    return an.run_chain_eval(agent, N_CHAINS, "D", 11, families=list(families), horizon=16)
+
+
+class Steered:
+    """A policy agent that acts on every observation but returns the
+    expert's action, so its chains succeed now and then and end at
+    different steps."""
+
+    reads_pixels = True
+
+    def __init__(self, policy):
+        self.policy, self.model, self.expert = policy, policy.model, sim.ExpertAgent()
+
+    def for_chain(self):
+        return Steered(self.policy.for_chain())
+
+    def reset(self):
+        self.policy.reset()
+        self.expert.reset()
+
+    def begin_task(self, task, instruction):
+        self.policy.begin_task(task, instruction)
+        self.expert.begin_task(task, instruction)
+
+    def act(self, obs, instruction, state=None):
+        self.policy.act(obs, instruction, state=state)
+        return self.expert.act(obs, instruction, state=state)
+
+
+def agents_of(kind):
+    """Fresh agents of one kind of evaluation, a tuple for a paired one."""
+    if kind == "one-policy":
+        return pol.PolicyAgent(policy_model())
     if kind == "clones":
         models = [policy_model(), policy_model()]
-        pol.share_frame_memo(*models)
-        return [pol.PolicyAgent(m) for m in models]
+        return tuple(pol.PolicyAgent(m) for m in models)
     if kind == "different-seeds":
-        return [pol.PolicyAgent(policy_model(0)), pol.PolicyAgent(policy_model(1))]
-    return [pol.PolicyAgent(policy_model()), sim.ExpertAgent()]  # chains of other lengths
+        return pol.PolicyAgent(policy_model(0)), pol.PolicyAgent(policy_model(1))
+    if kind == "steered-and-clone":  # chains of other lengths, sharing memos
+        return Steered(pol.PolicyAgent(policy_model())), pol.PolicyAgent(policy_model())
+    return pol.PolicyAgent(policy_model()), sim.ExpertAgent()  # policy-and-expert
+
+
+def recorded(agent):
+    """agent, or each agent of a tuple, wrapped to log its actions; a
+    Steered agent logs its policy's actions."""
+    if isinstance(agent, tuple):
+        return tuple(recorded(a) for a in agent)
+    if isinstance(agent, Steered):
+        return Steered(Recording(agent.policy, []))
+    return Recording(agent, [])
+
+
+def recording_of(agent) -> Recording:
+    return agent.policy if isinstance(agent, Steered) else agent
 
 
 class TestPairedChainEval:
-    @pytest.mark.parametrize("kind", ["clones", "different-seeds", "policy-and-expert"])
+    KINDS = ["one-policy", "clones", "different-seeds", "policy-and-expert",
+             "steered-and-clone"]
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_each_agent_gets_what_it_gets_alone(self, kind):
-        logs = ([], [])
-        paired = evaluate(tuple(Recording(a, log) for a, log in zip(pair_of(kind), logs)))
-        assert len(paired) == 2
-        for k, agent in enumerate(pair_of(kind)):
-            log = []
-            alone = evaluate(Recording(agent, log))
-            assert [r.chain_id for r in alone] == [0, 1]
-            assert paired[k] == alone
-            assert action_bytes(logs[k]) == action_bytes(log)
+        """Every chain of every agent, stepped with the others in rounds,
+        gets the result and actions it gets evaluated alone, sequentially."""
+        lockstepped = recorded(agents_of(kind))
+        paired = isinstance(lockstepped, tuple)
+        results = evaluate(lockstepped, families=sim.FAMILIES)
+        for k, agent in enumerate(lockstepped if paired else (lockstepped,)):
+            got = results[k] if paired else results
+            assert [r.chain_id for r in got] == list(range(N_CHAINS))
+            logs = recording_of(agent).chain_logs
+            assert len(logs) == N_CHAINS
+            for i in range(N_CHAINS):
+                alone = agents_of(kind)
+                alone = recorded(alone[k] if paired else alone)
+                chain = sim.sample_chain(11 + i, "D", families=sim.FAMILIES)
+                want = run_chain(alone, chain, max_steps_per_task=16)
+                want.chain_id = i
+                assert got[i] == want
+                assert action_bytes(logs[i]) == action_bytes(recording_of(alone).log)
+        if kind == "steered-and-clone":
+            steps = [len(log) for log in recording_of(lockstepped[0]).chain_logs]
+            assert len(set(steps)) > 1 and max(steps) > 16  # chains end at different steps
+
+    @pytest.mark.parametrize("kind", ["one-policy", "clones", "steered-and-clone"])
+    def test_lockstep_encodes_as_many_frames_as_a_sequential_evaluation(
+            self, monkeypatch, kind):
+        cameras = count_encodes(monkeypatch)
+        evaluate(agents_of(kind), families=sim.FAMILIES)
+        lockstepped = len(cameras)
+        del cameras[:]
+        agents = agents_of(kind)
+        agents = agents if isinstance(agents, tuple) else (agents,)
+        for i in range(N_CHAINS):  # chain by chain, each agent stepping alone
+            chain = sim.sample_chain(11 + i, "D", families=sim.FAMILIES)
+            copies = [a.for_chain() for a in agents]
+            pol.share_frame_memo(*(a.model for a in copies))
+            sim.lockstep([sim.chain_steps(a, chain, 16, False) for a in copies])
+        assert lockstepped == len(cameras) > 0
+
+    def test_each_step_checks_and_preprocesses_its_frames_once(self, monkeypatch):
+        calls = {"act": 0, "preprocess_depth": 0, "check_observation": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        counted(pol.PolicyAgent, "act")
+        counted(pol.dp, "preprocess_depth")
+        counted(pol.sim, "check_observation")
+        evaluate(agents_of("one-policy"))
+        assert calls["act"] > 0
+        assert calls == {"act": calls["act"], "preprocess_depth": 2 * calls["act"],
+                         "check_observation": calls["act"]}
 
     def test_init_arms_as_a_pair_encode_as_many_frames_as_the_shared_arm_alone(
             self, monkeypatch):
         cameras = count_encodes(monkeypatch)
         arms = [policy_model(), policy_model(sep_resampler=True)]
-        pol.share_frame_memo(*arms)
         paired = evaluate(tuple(pol.PolicyAgent(m) for m in arms))
         paired_frames = len(cameras)
         del cameras[:]
         alone = evaluate(pol.PolicyAgent(policy_model()))
         assert paired_frames == len(cameras) > 0
         assert paired[0] == paired[1] == alone
+
+    def test_random_agent_chains_do_not_depend_on_the_wave(self, monkeypatch):
+        def chain_actions():
+            agent = Recording(sim.RandomAgent(3), [])
+            results = evaluate(agent, families=sim.FAMILIES)
+            return results, [action_bytes(log) for log in agent.chain_logs]
+
+        whole = chain_actions()
+        monkeypatch.setattr(an, "CHAINS_PER_WAVE", 1)
+        assert chain_actions() == whole
+        source = sim.RandomAgent(3)
+        for i, (result, actions) in enumerate(zip(*whole)):  # the i-th chain agent
+            log = []
+            chain = sim.sample_chain(11 + i, "D", families=sim.FAMILIES)
+            want = run_chain(Recording(source.for_chain(), log), chain, max_steps_per_task=16)
+            want.chain_id = i
+            assert result == want and actions == action_bytes(log)
+
+    def test_live_chains_never_exceed_a_wave(self, monkeypatch):
+        agents = agents_of("steered-and-clone")
+        whole = evaluate(agents, families=sim.FAMILIES)
+        monkeypatch.setattr(an, "CHAINS_PER_WAVE", 2)
+        live = []
+        real = pol.encode_round
+
+        def counting(steps):
+            live.append(len(steps))
+            return real(steps)
+
+        monkeypatch.setattr(pol, "encode_round", counting)
+        assert evaluate(agents, families=sim.FAMILIES) == whole
+        assert max(live) == 2 * len(agents)  # two chains of both twins
 
 
 class TestSepResamplerAblation:
@@ -168,17 +297,19 @@ class TestSepResamplerAblation:
 
 @pytest.mark.parametrize("harness", ["sep-resampler", "depth-extremes"])
 def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
-    calls = []
-    real = an.run_chain_eval
+    evaluations, pairings = [], []
+    real_eval, real_share = an.run_chain_eval, pol.share_frame_memo
 
-    def recording(agent, *args, **kwargs):
-        first, second = (a.model for a in agent)
-        (read_by_first,), (read_by_second,) = first._memo_peers, second._memo_peers
-        calls.append(read_by_first is second._frame_memo
-                     and read_by_second is first._frame_memo)
-        return real(agent, *args, **kwargs)
+    def recording(agent, n_chains, *args, **kwargs):
+        evaluations.append((tuple(a.model.params for a in agent), n_chains))
+        return real_eval(agent, n_chains, *args, **kwargs)
+
+    def sharing(*models):
+        pairings.append(tuple(m.params for m in models))
+        real_share(*models)
 
     monkeypatch.setattr(an, "run_chain_eval", recording)
+    monkeypatch.setattr(pol, "share_frame_memo", sharing)
     data, stats, model_cfg, train_cfg, env_cfg = quick_setup()
     if harness == "sep-resampler":
         an.run_sep_resampler_ablation(model_cfg, stats, data, train_cfg, env_cfg)
@@ -186,9 +317,12 @@ def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
         an.run_depth_extremes_ablation(model_cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3),
                                        dp.DepthStats(0.0, 20.0, 0.5, 0.3), data,
                                        train_cfg, env_cfg)
-    # At initialization (sep-resampler only) and after training; each arm
-    # reads the other's memo each time.
-    assert calls == [True] * (2 if harness == "sep-resampler" else 1)
+    # At initialization (sep-resampler only) and after training, one call
+    # with both arms; within each chain, the arms' copies read each other's
+    # memos.
+    assert len(evaluations) == (2 if harness == "sep-resampler" else 1)
+    assert all(len(arms) == 2 for arms, _ in evaluations)
+    assert pairings == [arms for arms, n_chains in evaluations for _ in range(n_chains)]
 
 
 class TestDepthExtremesAblation:

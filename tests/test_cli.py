@@ -9,7 +9,7 @@ from conftest import rewrite_checkpoint_header, synthetic_stats
 
 from minivla import cli, persist
 from minivla import policy as pol
-from minivla.config import ModelConfig, parse_config
+from minivla.config import EnvConfig, ModelConfig, parse_config
 from minivla.depth import DepthStats
 from minivla.errors import ConfigError, ConfigRangeError
 
@@ -86,6 +86,19 @@ def test_ablate_chains_flag_overrides_config_only_when_given(tmp_path, dataset, 
                          "--config", config, *flag]) == 0
     report = json.loads((run_dir / "ablate" / "ablation_sep_resampler.json").read_text())
     assert {t["n_chains"] for t in report["tables"].values()} == {expected}
+
+
+def test_eval_without_chains_evaluates_the_config_default(tmp_path, run_dir):
+    # EnvConfig.n_chains is the one default of the chain count.
+    model = pol.init_model(ModelConfig(**TINY_MODEL), synthetic_stats())
+    persist.save_checkpoint(model, run_dir / "model.rfpx")
+    assert cli.dispatch(["eval", "--checkpoint", "model.rfpx", "--out", "eval",
+                         "--families", "lift", "--horizon", "1"]) == 0
+    (row,) = [json.loads(line) for line in
+              (run_dir / "eval" / "metrics.jsonl").read_text().splitlines()]
+    assert row["n_chains"] == EnvConfig().n_chains
+    chains = (run_dir / "eval" / "chains.jsonl").read_text().splitlines()
+    assert [json.loads(line)["chain_id"] for line in chains] == list(range(EnvConfig().n_chains))
 
 
 @pytest.mark.parametrize("sections", [

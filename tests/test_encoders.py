@@ -6,7 +6,7 @@ from conftest import count_encodes, synthetic_stats, tiny_config
 from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla import policy as pol
-from minivla.errors import DimensionError
+from minivla.errors import ContractError, DimensionError
 from minivla.numerics import ParamSet, Tensor
 
 
@@ -15,8 +15,9 @@ def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
 
 
 def encode_step(a, b, vit, patch, blocks, memo, peers=()):
-    """vit_encode_pair of one step of two camera slots: (2N, d)."""
-    return enc.vit_encode_pair([[a], [b]], vit, patch, blocks, memo, peers)[0]
+    """vit_encode_pair of one group, one step of two camera slots: (2N, d)."""
+    (tokens,) = enc.vit_encode_pair([(memo, peers, [[a], [b]])], vit, patch, blocks)
+    return tokens[0]
 
 
 ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
@@ -130,7 +131,7 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         with pytest.raises(DimensionError, match=r"camera slots hold \[2, 2, 1, 2\] frames"):
-            enc.vit_encode_pair([[a, a], [a, a], [a], [a, a]], vit, patch, blocks, {}, ())
+            enc.vit_encode_pair([({}, (), [[a, a], [a, a], [a], [a, a]])], vit, patch, blocks)
 
     def test_four_slots_alternate_cameras(self, rng):
         # A policy step's slots: RGB static, RGB gripper, depth static,
@@ -139,7 +140,7 @@ class TestVitEncode:
         slots = [[rng.random((32, 32, 3)) for _ in range(3)] for _ in range(3)]
         slots.append([frame.copy() for frame in slots[0]])  # the other camera's view
         memo = {}
-        got = enc.vit_encode_pair(slots, vit, patch, blocks, memo, ())
+        (got,) = enc.vit_encode_pair([(memo, (), slots)], vit, patch, blocks)
         assert got.shape == (3, 4 * 16, 16)
         assert memo.keys() == {0, 1, 2, 3}
         for s, frames in enumerate(slots):
@@ -215,7 +216,7 @@ class TestFrameMemo:
         slot1 = [b, b.copy(), a, a.copy()]  # the same frames, the other camera
         cameras = count_encodes(monkeypatch)
         memo = {}
-        got = enc.vit_encode_pair([slot0, slot1], vit, patch, blocks, memo, ())
+        (got,) = enc.vit_encode_pair([(memo, (), [slot0, slot1])], vit, patch, blocks)
         assert sorted(cameras) == [0, 0, 1, 1]
         for t, (x, y) in enumerate(zip(slot0, slot1)):
             assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
@@ -250,7 +251,7 @@ class TestMemoPeers:
         mine, theirs = {}, {}
         encode_step(a, b, vit, patch, blocks, theirs)
         before = dict(theirs)
-        got = enc.vit_encode_pair([[a, c], [c, c]], vit, patch, blocks, mine, (theirs,))
+        (got,) = enc.vit_encode_pair([(mine, (theirs,), [[a, c], [c, c]])], vit, patch, blocks)
         # Slot 0 starts on the peer's frame, then changes; slot 1's c is new,
         # then repeats.
         assert cameras == [0, 1, 0, 1]
@@ -271,6 +272,97 @@ class TestMemoPeers:
                             lambda prev, frame: looked.append(prev) or real(prev, frame))
         encode_step(a, b, vit, patch, blocks, mine, (theirs,))
         assert [id(f) for f in looked] == [id(mine[0][0]), id(mine[1][0])]
+
+
+    def test_a_peer_entry_already_compared_is_skipped(self, rng, monkeypatch):
+        # Once mine has adopted the peer's entries, both memos hold the same
+        # tuples: a new step compares each slot's entry once, not twice.
+        vit, patch, blocks = small_vit(rng)
+        a, b, c, d = (rng.random((32, 32, 3)) for _ in range(4))
+        mine, theirs = {}, {}
+        encode_step(a, b, vit, patch, blocks, theirs)
+        encode_step(a.copy(), b.copy(), vit, patch, blocks, mine, (theirs,))
+        looked = []
+        real = enc._same_frame
+        monkeypatch.setattr(enc, "_same_frame",
+                            lambda prev, frame: looked.append(prev) or real(prev, frame))
+        encode_step(c, d, vit, patch, blocks, mine, (theirs,))
+        assert [id(f) for f in looked] == [id(theirs[0][0]), id(theirs[1][0])]
+
+
+class TestGroups:
+    """Several (memo, peers, slots) groups in one call, as a lockstep round."""
+
+    def test_a_later_group_reuses_what_an_earlier_peer_encodes(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b, c = (rng.random((32, 32, 3)) for _ in range(3))
+        first, second = {}, {}
+        cameras = count_encodes(monkeypatch)
+        got = enc.vit_encode_pair([(first, (second,), [[a], [b]]),
+                                   (second, (first,), [[a.copy()], [c]])], vit, patch, blocks)
+        # The second group's slot 0 repeats the first group's new frame, as
+        # if the first had run before it; its slot 1 is new.
+        assert sorted(cameras) == [0, 1, 1]
+        assert second[0] is first[0]
+        assert second[1] is not first[1]
+        for tokens, (x, y) in zip(got, [(a, b), (a, c)]):
+            assert tokens[0].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+
+    def test_an_entry_adopted_in_the_call_is_shared_along(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        older, first, second = {}, {}, {}
+        encode_step(a, b, vit, patch, blocks, older)
+        cameras = count_encodes(monkeypatch)
+        got = enc.vit_encode_pair([(first, (older,), [[a.copy()], [b.copy()]]),
+                                   (second, (first,), [[a.copy()], [b.copy()]])],
+                                  vit, patch, blocks)
+        assert cameras == []
+        for slot in (0, 1):
+            assert first[slot] is second[slot] is older[slot]
+        for tokens in got:
+            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+
+    def test_batches_hold_one_camera_across_slots_and_groups(self, rng, monkeypatch):
+        vit, patch, blocks = small_vit(rng)
+        steps = [[rng.random((32, 32, 3)) for _ in range(4)] for _ in range(3)]
+        steps[1][2] = steps[1][2].astype(np.float32)  # dtypes may mix in a batch
+        batches = []
+        real = enc.vit_encode_image
+
+        def recording(img, vit, patch, blocks, camera):
+            batches.append((camera, len(img)))
+            return real(img, vit, patch, blocks, camera=camera)
+
+        monkeypatch.setattr(enc, "vit_encode_image", recording)
+        memos = [{} for _ in steps]
+        got = enc.vit_encode_pair([(memo, (), [[f] for f in step])
+                                   for memo, step in zip(memos, steps)], vit, patch, blocks)
+        # Six frames per camera: slots 0 and 2 (or 1 and 3) of three groups.
+        assert sorted(batches) == [(0, 2), (0, 4), (1, 2), (1, 4)]
+        for tokens, step in zip(got, steps):
+            for s, frame in enumerate(step):
+                expect = alone(frame, vit, patch, blocks, camera=s % 2)
+                assert tokens[0, s * 16:(s + 1) * 16].tobytes() == expect.tobytes()
+
+    def test_frames_of_other_extents_are_batched_apart(self, rng):
+        # patchify checks each batch's extents, so a frame of the wrong size
+        # fails as it would alone, not in np.stack.
+        vit, patch, blocks = small_vit(rng)
+        a = rng.random((32, 32, 3))
+        memo = {}
+        with pytest.raises(DimensionError, match="positional rows 16 do not match 4 patches"):
+            enc.vit_encode_pair([(memo, (), [[a], [a], [rng.random((16, 16, 3))], [a]])],
+                                vit, patch, blocks)
+        assert memo == {}
+
+    def test_a_memo_in_two_groups_is_refused(self, rng):
+        vit, patch, blocks = small_vit(rng)
+        a = rng.random((32, 32, 3))
+        memo = {}
+        with pytest.raises(ContractError, match="belongs to one group"):
+            enc.vit_encode_pair([(memo, (), [[a]]), (memo, (), [[a]])], vit, patch, blocks)
+        assert memo == {}
 
 
 class TestSameFrame:

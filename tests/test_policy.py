@@ -469,13 +469,13 @@ class TestParallelTrajectoryEncode:
         calls = []
         real = enc.vit_encode_pair
 
-        def counting(slots, *args, **kwargs):
-            calls.append([len(frames) for frames in slots])
-            return real(slots, *args, **kwargs)
+        def counting(groups, *args, **kwargs):
+            calls.append([[len(frames) for frames in slots] for _, _, slots in groups])
+            return real(groups, *args, **kwargs)
 
         monkeypatch.setattr(enc, "vit_encode_pair", counting)
         encoded = tr.encode_dataset(model, dataset)
-        assert calls == [[len(observations)] * 4]  # all four camera slots at once
+        assert calls == [[[len(observations)] * 4]]  # one group: all four camera slots at once
         assert model._frame_memo.keys() == {0, 1, 2, 3}
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
@@ -543,8 +543,48 @@ class TestParallelTrajectoryEncode:
             sys.setswitchinterval(interval)
         assert_rows_encoded_alone(model, (x_rgb, x_depth), observations)
 
-    def test_threads_start_only_for_two_full_batches(self, rng, monkeypatch):
+    def test_threads_start_only_at_two_batches_of_new_frames(self, rng, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        pools = []  # per pool: the helper tasks submitted to it
+        real = concurrent.futures.ThreadPoolExecutor
+
+        class Recording(real):
+            def __init__(self, workers, **kwargs):
+                assert workers == 7  # one thread per usable CPU but the caller's
+                pools.append(0)
+                super().__init__(workers, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                pools[-1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        model = tiny_model()
+        pol.encode_observation(model, synthetic_obs(rng))  # a rollout step: 4 new frames
+        first, second = synthetic_obs(rng), synthetic_obs(rng)
+        second.rgb_gripper = first.rgb_gripper  # 4 + 3 new frames
+        pol.encode_trajectory(model, [first, second])
+        assert pools == []
+        # 2 * FRAMES_PER_JOB new frames: one batch per camera, so one helper.
+        pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(2)])
+        assert pools == [1]
+        # A round of three chain models: 12 new frames in batches of 4 and 2
+        # per camera, so three helpers.
+        models = [tiny_model() for _ in range(3)]
+        pol.encode_round([(m, synthetic_obs(rng)) for m in models])
+        assert pools == [1, 3]
+
+    @needs_proc
+    def test_no_thread_outlives_the_call(self, rng):
+        model = tiny_model()
+        before = thread_count()
+        for _ in range(20):
+            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(6)])
+            assert thread_count() == before
+
+    @needs_proc
+    def test_kept_helpers_serve_many_calls_and_end_with_the_block(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
         pools = []
         real = concurrent.futures.ThreadPoolExecutor
 
@@ -554,21 +594,18 @@ class TestParallelTrajectoryEncode:
                 super().__init__(workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        model = tiny_model()
-        pol.encode_observation(model, synthetic_obs(rng))  # a rollout step
-        pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
-        assert pools == []
-        # One full batch per slot: four in one call, so three helpers.
-        pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(4)])
-        assert pools == [3]
-
-    @needs_proc
-    def test_no_thread_outlives_the_call(self, rng):
-        model = tiny_model()
+        model, serial = tiny_model(), tiny_model()
+        observations = [synthetic_obs(rng) for _ in range(9)]
         before = thread_count()
-        for _ in range(20):
-            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(6)])
-            assert thread_count() == before
+        with enc.kept_helpers() as pool:
+            got = [pol.encode_trajectory(model, observations[i:i + 3]) for i in (0, 3, 6)]
+            with enc.kept_helpers() as inner:  # a nested block uses the same threads
+                assert inner is pool
+            assert thread_count() > before  # the helpers wait for the next call
+        assert thread_count() == before
+        assert pools == [2]
+        encoded = tuple(np.concatenate(xs) for xs in zip(*got))
+        assert_rows_encoded_alone(serial, encoded, observations)
 
     @needs_proc
     @pytest.mark.parametrize("where", ["caller", "helper"])
@@ -603,25 +640,25 @@ class TestParallelTrajectoryEncode:
         assert memo_state(model) == memos  # a failed call changes no memo
 
     def test_failed_call_keeps_every_slot_entry(self, rng, monkeypatch):
-        # The RGB slots are encoded before a depth slot fails; their memo
-        # entries must stay as they were too.
+        # The static camera's slots are encoded before the gripper camera's
+        # batch fails; their memo entries must stay as they were too.
         model = tiny_model()
         pol.encode_trajectory(model, [synthetic_obs(rng)])
         memos = memo_state(model)
         assert memos.keys() == {0, 1, 2, 3}
         real = enc.vit_encode_image
-        rgb_batches = []
+        batches = []
 
-        def failing_on_depth(img, vit, patch, blocks, camera):
-            if img.dtype == np.float64:  # preprocessed depth; the RGB frames are float32
-                raise DimensionError("depth frame rejected")
-            rgb_batches.append(camera)
+        def failing_on_gripper(img, vit, patch, blocks, camera):
+            if camera == 1:
+                raise DimensionError("gripper frame rejected")
+            batches.append((camera, len(img)))
             return real(img, vit, patch, blocks, camera=camera)
 
-        monkeypatch.setattr(enc, "vit_encode_image", failing_on_depth)
-        with pytest.raises(DimensionError, match="depth frame rejected"):
-            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(3)])
-        assert rgb_batches == [0, 1]
+        monkeypatch.setattr(enc, "vit_encode_image", failing_on_gripper)
+        with pytest.raises(DimensionError, match="gripper frame rejected"):
+            pol.encode_trajectory(model, [synthetic_obs(rng)])
+        assert batches == [(0, 2)]  # RGB static and depth static in one batch
         assert memo_state(model) == memos
 
     @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),

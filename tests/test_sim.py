@@ -697,6 +697,18 @@ def tiny_policy_agent():
     return pol.PolicyAgent(pol.init_model(tiny_config(patch=8), synthetic_stats()))
 
 
+class Seeing(Recording):
+    """A Recording that also keeps each observation act is given."""
+
+    def __init__(self, agent, log, name=""):
+        super().__init__(agent, log, name)
+        self.seen = []
+
+    def act(self, obs, instruction, state=None):
+        self.seen.append(obs)
+        return super().act(obs, instruction, state=state)
+
+
 class TestSteppedChain:
     @pytest.mark.parametrize("make_agent, horizon, enrich", [
         (ExpertAgent, 64, False), (ExpertAgent, 64, True),
@@ -706,7 +718,8 @@ class TestSteppedChain:
         for seed in (0, 3):
             chain = sim.sample_chain(seed, "B")
             drained, rolled, plain = [], [], []
-            steps = sim.chain_steps(Recording(make_agent(), drained), chain, horizon, enrich)
+            seeing = Seeing(make_agent(), drained)
+            steps = sim.chain_steps(seeing, chain, horizon, enrich)
             yielded = []
             while True:
                 try:
@@ -717,7 +730,10 @@ class TestSteppedChain:
             got = run_chain(Recording(make_agent(), rolled), chain, horizon, enrich)
             want = plain_rollout(Recording(make_agent(), plain), chain, horizon, enrich)
             assert result == got == want
-            assert yielded == [a for _, a in drained]  # one step per next()
+            # One step per next(): each yielded observation is acted on next.
+            assert len(yielded) == len(seeing.seen) == len(drained)
+            assert all(y is o for y, o in zip(yielded, seeing.seen))
+            assert all((o is None) != seeing.reads_pixels for o in yielded)
             assert action_bytes(drained) == action_bytes(rolled) == action_bytes(plain)
 
     def test_lockstep_acts_in_rounds_until_each_chain_ends(self):
@@ -731,3 +747,28 @@ class TestSteppedChain:
         assert all(name == "expert" for name, _ in log[2 * random_steps:])
         assert results == [plain_rollout(RandomAgent(1), chain, 8),
                            plain_rollout(ExpertAgent(), chain, 8)]
+
+    def test_a_round_has_every_observation_before_any_act(self):
+        chain = sim.sample_chain(2, "A")
+        log = []
+        agents = [Seeing(tiny_policy_agent(), log, "policy"),
+                  Seeing(ExpertAgent(), log, "expert")]
+        rounds = []
+
+        def before_acts(observations):
+            rounds.append(dict(observations))
+            log.append(("round", None))
+
+        results = sim.lockstep([sim.chain_steps(a, chain, 8, False) for a in agents],
+                               before_acts)
+        expect = []
+        for observations in rounds:  # each round, then one act per run in it, in order
+            expect += ["round", *(agents[i].name for i in observations)]
+        assert [name for name, _ in log] == expect
+        assert [list(r) for r in rounds[:len(agents[0].seen)]] == [[0, 1]] * len(agents[0].seen)
+        for i, agent in enumerate(agents):
+            given = [r[i] for r in rounds if i in r]
+            assert len(given) == len(agent.seen)
+            assert all(g is o for g, o in zip(given, agent.seen))
+        assert results == [run_chain(tiny_policy_agent(), chain, 8),
+                           run_chain(ExpertAgent(), chain, 8)]

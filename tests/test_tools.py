@@ -23,3 +23,12 @@ def test_src_counts_prints_the_five_counts_as_one_json_line():
                                              for p in modules)
     assert counts["lines"] == sum(len(p.read_text().splitlines()) for p in modules)
     assert 0 < counts["defaults"] < counts["parameters"]
+
+
+def test_frame_counts_prints_one_json_line_of_the_workloads_named():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "frame_counts.py"), "ablate"],
+                         capture_output=True, text=True, check=True).stdout
+    (line,) = out.splitlines()
+    counts = json.loads(line)
+    assert list(counts) == ["ablate"]
+    assert isinstance(counts["ablate"], int) and counts["ablate"] > 0

@@ -8,19 +8,19 @@ ablation harnesses pair two model variants on bitwise-identical chain
 seeds: shared vs separate resamplers (initialized identically), and
 narrow vs wide depth-normalization ranges (plus the quantized
 pixel-change sensitivity counts). run_chain_eval evaluates one agent or
-a tuple of agents: every chain of every agent runs with an agent of its
-own, and the chains are stepped together in lockstep rounds, each
-round's new frames encoded in one call before any agent acts. Each
-harness evaluates its two arms with one such call after training, the
-resampler harness also at initialization; the arms' frozen encoders are
-equal, so within a chain each arm reads the other's frame memo.
+a tuple of agents over one frozen encoder: every chain of every agent
+runs with an agent of its own, and the chains are stepped together in
+lockstep rounds, each round's new frames encoded in one call before any
+agent acts. Each harness evaluates its two arms with one such call after
+training, the resampler harness also at initialization; within a chain,
+an arm reuses the tokens of each frame the other arm encodes in the
+same round.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +76,7 @@ def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "
 # batch of enc.FRAMES_PER_JOB frames on every usable CPU even when each
 # chain adds one new frame (a step adds up to four). Further chains wait
 # for the next wave, so memory does not grow with n_chains.
-CHAINS_PER_WAVE = enc.FRAMES_PER_JOB * max(2, len(os.sched_getaffinity(0)))
+CHAINS_PER_WAVE = enc.FRAMES_PER_JOB * max(2, enc.usable_cpus())
 
 
 def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
@@ -87,71 +87,55 @@ def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
     order, each with chain_id i.
 
     agent is one agent, which gets a list of ChainResults, or a tuple of
-    agents, which get one such list each. Every chain of every agent runs
-    with an agent of its own, agent.for_chain(), so a policy agent's
-    chain has its own frame memo and LSTM state. The chains run in waves
-    of CHAINS_PER_WAVE, all runs of a wave stepped in lockstep
-    (sim.lockstep). Before each round's acts, pol.encode_round encodes the
-    round's new frames in one call per class of agents whose models have
-    the same frozen encoder (pol.same_frozen_encoder); within a chain, the
-    models of one class read each other's memos (pol.share_frame_memo).
-    Each act then takes its tokens from that encode. A chain's results
-    and actions do not depend on the others, so they are those of
-    evaluating it alone.
+    agents, which get one such list each. The agents that act through a
+    pol.Model (their model attribute) must have the same frozen encoder
+    (pol.same_frozen_encoder), else this raises ContractError before any
+    chain is sampled. Every chain of every agent runs with an agent of
+    its own, agent.for_chain(), so a policy agent's chain has its own
+    frame memo and LSTM state. The chains run in waves of
+    CHAINS_PER_WAVE, all runs of a wave stepped in lockstep
+    (sim.lockstep). Before each round's acts, one pol.encode_round call
+    encodes the round's new frames, grouped by chain; each act then takes
+    its tokens from that encode. A chain's results and actions do not
+    depend on the others, so they are those of evaluating it alone.
     """
     paired = isinstance(agent, tuple)
     agents = agent if paired else (agent,)
-    classes = _frozen_encoder_classes(agents)
+    models = [a.model for a in agents if getattr(a, "model", None) is not None]
+    if not all(pol.same_frozen_encoder(models[0], m) for m in models[1:]):
+        raise ContractError("the agents' models have different frozen encoders")
     results: list[list[sim.ChainResult]] = [[] for _ in agents]
     with enc.kept_helpers():
         for first in range(0, n_chains, CHAINS_PER_WAVE):
             wave = range(first, min(first + CHAINS_PER_WAVE, n_chains))
             chains = [sim.sample_chain(seed + i, palette, families=families, variant=variant)
                       for i in wave]
-            for i, per_agent in zip(wave, _run_wave(agents, classes, chains, horizon, enrich)):
+            for i, per_agent in zip(wave, _run_wave(agents, chains, horizon, enrich)):
                 for arm, result in zip(results, per_agent):
                     result.chain_id = i
                     arm.append(result)
     return results if paired else results[0]
 
 
-def _run_wave(agents, classes: list[list[int]], chains: list[sim.ChainSpec],
-              horizon: int, enrich: bool) -> list[list[sim.ChainResult]]:
+def _run_wave(agents, chains: list[sim.ChainSpec], horizon: int, enrich: bool
+              ) -> list[list[sim.ChainResult]]:
     """Every agent through every chain, all stepped in lockstep; per chain,
     each agent's ChainResult."""
-    players, runs = [], []  # per run: chain by chain, each agent in order
-    for chain in chains:
-        chain_agents = [a.for_chain() for a in agents]
-        for members in classes:
-            pol.share_frame_memo(*(chain_agents[k].model for k in members))
-        players += chain_agents
-        runs += [sim.chain_steps(a, chain, max_steps_per_task=horizon, enrich=enrich)
-                 for a in chain_agents]
+    players = [a.for_chain() for _ in chains for a in agents]  # chain by chain
+    runs = [sim.chain_steps(a, chains[r // len(agents)], max_steps_per_task=horizon,
+                            enrich=enrich)
+            for r, a in enumerate(players)]
 
     def encode_round(observations):
-        for members in classes:
-            pol.encode_round([(players[r].model, obs) for r, obs in observations.items()
-                              if r % len(agents) in members and obs is not None])
+        steps = [[] for _ in chains]
+        for r, obs in observations.items():
+            model = getattr(players[r], "model", None)
+            if model is not None and obs is not None:
+                steps[r // len(agents)].append((model, obs))
+        pol.encode_round(steps)
 
     results = sim.lockstep(runs, encode_round)
     return [results[c:c + len(agents)] for c in range(0, len(results), len(agents))]
-
-
-def _frozen_encoder_classes(agents) -> list[list[int]]:
-    """Indices of the agents that act through a pol.Model (their model
-    attribute), grouped by equal frozen encoder, in order."""
-    classes: list[list[int]] = []
-    for k, a in enumerate(agents):
-        model = getattr(a, "model", None)
-        if model is None:
-            continue
-        for members in classes:
-            if pol.same_frozen_encoder(agents[members[0]].model, model):
-                members.append(k)
-                break
-        else:
-            classes.append([k])
-    return classes
 
 
 @dataclass
@@ -265,9 +249,9 @@ def run_depth_extremes_ablation(model_cfg: ModelConfig,
     """Identical models whose depth pipelines normalize by different ranges.
 
     Their frozen encoders are the same, so after training, within each
-    chain, each arm reads the other's frame memo; the depth slots hold
-    preprocessed frames, so only frames equal after each arm's own
-    normalization reuse tokens. The ranges must pass check_depth_extremes.
+    chain, an arm reuses the tokens of each frame the other arm encodes
+    in the same round; the depth slots hold preprocessed frames, so only
+    frames equal after each arm's own normalization reuse tokens. The ranges must pass check_depth_extremes.
     """
     check_depth_extremes(stats_narrow, stats_wide)
     models = {label: pol.init_model(model_cfg, stats)

@@ -6,25 +6,26 @@ standardized depth frames. Because its weights never receive gradients,
 the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
-vit_encode_pair runs it on groups of four camera slots of T steps, each
-against its model's memo: one group for a rollout step (T = 1) or a
-whole dataset, one group per chain for a round of chains stepped in
-lockstep (T = 1). It alone decides reuse, writes the memos, forms
-batches and starts threads. A memo keeps, per camera slot, the last
-frame its model encoded there, with its tokens. Models with equal frozen
-weights may read each other's memos (see policy.share_frame_memo), as
-the chain copies of paired ablation arms do; each writes only its own. A
-frame byte-equal to the previous frame of its slot, or at a call's first
-step to the slot's entry in the model's memo or a peer's, reuses that
-frame's tokens. That is exact because tokens depend only on the frame
-and the frozen weights, which peers share. The other frames are encoded
-in batches of up to FRAMES_PER_JOB frames of one camera, across slots
-and groups, since a camera's RGB and depth frames share its positional
-rows; every frame's tokens are bitwise those of encoding it alone. Only a call with at least 2 * FRAMES_PER_JOB new frames uses
-helper threads, so a single step stays on the calling thread while a
-round of several chains does not; kept_helpers keeps the threads over
-many calls and ends them with its block. A failed call leaves every memo
-as it was.
+vit_encode_pair runs it on chains of groups of four camera slots of T
+steps, each group against its model's memo: one chain of one group for
+a rollout step (T = 1) or a whole dataset, and for a round of chains
+stepped in lockstep one chain per evaluated chain, one group per arm
+(T = 1). It alone decides reuse, writes the memos, forms batches and
+starts threads. A memo keeps, per camera slot, the last frame its model
+encoded there, with its tokens. A frame byte-equal to the previous frame
+of its slot reuses that frame's tokens; at a call's first step, the
+previous frame is the slot's entry in the group's memo or, failing
+that, the first-step frame of an earlier group of the same chain, whose
+entry the later group's memo then adopts. That is exact because tokens
+depend only on the frame and the frozen weights, which every model of a
+call shares. The other frames are encoded in batches of up to
+FRAMES_PER_JOB frames of one camera, across slots, groups and chains,
+since a camera's RGB and depth frames share its positional rows; every
+frame's tokens are bitwise those of encoding it alone. Only a call with
+at least 2 * FRAMES_PER_JOB new frames uses helper threads, so a single
+step stays on the calling thread while a round of several chains does
+not; kept_helpers keeps the threads over many calls and ends them with
+its block. A failed call leaves every memo as it was.
 
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product
@@ -41,7 +42,7 @@ import threading
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .numerics import Tensor
 
 Array = np.ndarray
@@ -161,73 +162,72 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
     return x
 
 
-def vit_encode_pair(groups, vit: dict[str, Array], patch: int, blocks: int
+def vit_encode_pair(chains, vit: dict[str, Array], patch: int, blocks: int
                     ) -> list[Array]:
     """Frozen tokens of several groups of camera slots, one (T, S·N, d)
-    array per group, in order.
+    array per group, chain by chain, in order.
 
-    A group is (memo, peers, slots): S camera slots of T frames each, as
-    lists or (T, H, W, 3) arrays. Slot s gives tokens s·N to (s + 1)·N of
-    each step and is seen by camera s % 2, so a policy step passes RGB
-    static, RGB gripper, depth static, depth gripper. A rollout step or a
-    trajectory is one group; a lockstep round is one group per chain.
+    chains is a list of chains, each a list of (memo, slots) groups:
+    S camera slots of T frames each, as lists or (T, H, W, 3) arrays.
+    Slot s gives tokens s·N to (s + 1)·N of each step and is seen by
+    camera s % 2, so a policy step passes RGB static, RGB gripper, depth
+    static, depth gripper. A rollout step or a trajectory is one chain of
+    one group; a lockstep round is one chain per evaluated chain, one
+    group per arm that steps in it.
 
-    A frame byte-equal to the previous frame of its slot copies that
+    A frame byte-equal to the previous frame of its slot reuses that
     frame's tokens. Before step 0, the previous frame is the slot's entry
-    in the group's memo if it matches, else the first matching entry of
-    the slot in its peers, whose encoders must equal this one (see
-    _same_frame); an entry that is one already compared is skipped. A
-    peer that is an earlier group's memo offers the entry that group
-    leaves in it, so groups reuse as if they ran one after another. The
-    rest are encoded in batches by camera, across slots and groups (see
-    _run_jobs). Only then does each memo, and no peer, take each slot's
-    last frame and that frame's tokens: copies if any step of the slot was
-    encoded, else the entry step 0 matched, shared, not copied. A memo
-    belongs to one group of a call. Frame extents are checked where frames
+    in the group's memo if it matches, else the slot's step-0 entry of
+    the first earlier group of the same chain that matches (see
+    _same_frame); an entry that is one already compared is skipped, and
+    no frame is compared with another chain's. The rest are encoded in
+    batches by camera, across slots, groups and chains (see _run_jobs).
+    Only then does each memo take each slot's last entry: an entry the
+    call made holds copies of its frame and tokens, made once and taken
+    by every memo that adopts it, so no memo holds a view of a caller's
+    frame or of a returned array. Frame extents are checked where frames
     are encoded (patchify); a reused frame has the bytes and shape of a
     frame already checked.
     """
-    memos = [memo for memo, _, _ in groups]
-    if len({id(memo) for memo in memos}) < len(memos):
-        raise ContractError("a frame memo belongs to one group of a call")
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2  # tokens per frame
     width = vit["patch_proj"].shape[1] + pos.shape[1]
     frames_of, outs, fills = [], [], []
     batches: dict[tuple, list] = {}  # (camera, extents) -> (group, slot, step) to encode
-    # Per group: slot -> (the entry its memo takes, whether the slot was
-    # encoded); an encoded slot's entry views its output until the copy.
-    ends: list[dict[int, tuple[tuple[Array, Array], bool]]] = []
-    upcoming = {}  # id(memo of an earlier group) -> its ends
-    for g, (memo, peers, slots) in enumerate(groups):
-        slots = [[np.asarray(f) for f in frames] for frames in slots]
-        lengths = [len(frames) for frames in slots]
-        if len(set(lengths)) > 1:
-            raise DimensionError(f"camera slots hold {lengths} frames")
-        out = np.empty((lengths[0], len(slots) * n, width))
-        end = {}
-        for slot, frames in enumerate(slots):
-            rows = slice(slot * n, (slot + 1) * n)
-            encoded = False
-            for t, frame in enumerate(frames):
-                if t:
-                    source = out[t - 1, rows] if _same_frame(frames[t - 1], frame) else None
-                else:
-                    matched = _first_match(frame, slot, memo, peers, upcoming)
-                    source = None if matched is None else matched[1]
-                if source is None:
-                    batches.setdefault((slot % 2, frame.shape), []).append((g, slot, t))
-                    encoded = True
-                else:
-                    fills.append((out[t, rows], source))
-            if encoded:
-                end[slot] = ((frames[-1], out[-1, rows]), True)
-            elif frames:
-                end[slot] = (matched, False)
-        frames_of.append(slots)
-        outs.append(out)
-        ends.append(end)
-        upcoming[id(memo)] = end
+    ends = []  # per group: (its memo, slot -> the entry of the slot's last frame)
+    # id(an entry of a frame this call encodes, which views the frame and
+    # an output) -> that entry, then the copies the memos take.
+    made: dict[int, tuple[Array, Array]] = {}
+    for chain in chains:
+        firsts: dict[int, list] = {}  # slot -> the step-0 entries of the chain's groups
+        for memo, slots in chain:
+            slots = [[np.asarray(f) for f in frames] for frames in slots]
+            lengths = [len(frames) for frames in slots]
+            if len(set(lengths)) > 1:
+                raise DimensionError(f"camera slots hold {lengths} frames")
+            out = np.empty((lengths[0], len(slots) * n, width))
+            end = {}
+            for slot, frames in enumerate(slots):
+                rows = slice(slot * n, (slot + 1) * n)
+                earlier = firsts.setdefault(slot, [])
+                for t, frame in enumerate(frames):
+                    if t:
+                        entry = end[slot] if _same_frame(frames[t - 1], frame) else None
+                    else:
+                        entry = _first_match(frame, [memo.get(slot), *earlier])
+                    if entry is None:
+                        batches.setdefault((slot % 2, frame.shape), []).append(
+                            (len(outs), slot, t))
+                        entry = (frame, out[t, rows])
+                        made[id(entry)] = entry
+                    else:
+                        fills.append((out[t, rows], entry[1]))
+                    if not t:
+                        earlier.append(entry)
+                    end[slot] = entry
+            frames_of.append(slots)
+            outs.append(out)
+            ends.append((memo, end))
     jobs = [(camera, steps[i:i + FRAMES_PER_JOB])
             for (camera, _), steps in batches.items()
             for i in range(0, len(steps), FRAMES_PER_JOB)]
@@ -241,27 +241,21 @@ def vit_encode_pair(groups, vit: dict[str, Array], patch: int, blocks: int
             outs[g][t, slot * n:(slot + 1) * n] = x
 
     _run_jobs(jobs, encode)
-    for target, source in fills:  # in group and step order: each source is filled already
+    for target, source in fills:  # each source is encoded or a memo's already
         target[...] = source
-    taken = {}  # id(an encoded slot's entry) -> the copies its memo took
-    for memo, end in zip(memos, ends):
-        for slot, (entry, encoded) in end.items():
-            if encoded:
-                memo[slot] = taken[id(entry)] = (entry[0].copy(), entry[1].copy())
-            else:
-                memo[slot] = taken.get(id(entry), entry)
+    for memo, end in ends:
+        for slot, entry in end.items():
+            if made.get(id(entry)) is entry:  # the first memo to take it copies it
+                made[id(entry)] = (entry[0].copy(), entry[1].copy())
+            memo[slot] = made.get(id(entry), entry)
     return outs
 
 
-def _first_match(frame: Array, slot: int, memo: FrameMemo, peers, upcoming
-                 ) -> tuple[Array, Array] | None:
-    """The first of the slot's entries in memo, then in each peer (as an
-    earlier group of the call leaves it, see upcoming), whose frame is the
-    same as frame; an entry that is one already compared is skipped."""
+def _first_match(frame: Array, entries) -> tuple[Array, Array] | None:
+    """The first of entries (None is no entry) whose frame is the same as
+    frame; an entry that is one already compared is skipped."""
     compared = []
-    for other in (memo, *peers):
-        entry = (upcoming[id(other)][slot][0] if slot in upcoming.get(id(other), ())
-                 else other.get(slot))
+    for entry in entries:
         if entry is None or any(entry is seen for seen in compared):
             continue
         if _same_frame(entry[0], frame):
@@ -275,6 +269,14 @@ def _same_frame(prev: Array, frame: Array) -> bool:
     differ and NaN payloads count."""
     return (prev.dtype == frame.dtype and prev.shape == frame.shape
             and prev.tobytes() == frame.tobytes())
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one
+    (Linux), else os.cpu_count() (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # Frames per encoder call: long enough numpy ops that two threads overlap
@@ -294,7 +296,7 @@ def _run_jobs(jobs: list, work) -> None:
     returns, and a job's exception reaches the caller as raised.
     """
     frames = sum(len(steps) for _, steps in jobs)
-    helpers = (min(len(os.sched_getaffinity(0)), len(jobs)) - 1
+    helpers = (min(usable_cpus(), len(jobs)) - 1
                if frames >= 2 * FRAMES_PER_JOB else 0)
     if helpers < 1:
         for job in jobs:
@@ -346,7 +348,7 @@ def kept_helpers():
 
     native_ids: list[int] = []
     _kept.pool = pool = ThreadPoolExecutor(
-        max(len(os.sched_getaffinity(0)) - 1, 1),
+        max(usable_cpus() - 1, 1),
         initializer=lambda: native_ids.append(threading.get_native_id()))
     try:
         yield pool

@@ -42,8 +42,9 @@ frame planes and then the 7-float action row. The frame edge must equal
 sim.IMAGE_HW, the one extent the cameras render; a header of any other
 extent, one that is not valid JSON, or a record that lacks a field or
 holds one of another type is rejected before any step is decoded, as
-is a trajectory of no steps, which save_dataset refuses to write. A path that is not a file, a
-directory among them, holds no dataset: a CorruptionError.
+is a trajectory of no steps, which save_dataset refuses to write. A
+path that is not a file, a directory among them, holds no dataset: a
+CorruptionError.
 
 A checkpoint's embedded model configuration is parsed by
 config.parse_config, like a config file, so a key that names no

@@ -29,15 +29,13 @@ model's memo, one entry per slot, so reuse spans steps and trajectories.
 Each Model has a memo of its own: a chain evaluation gives every chain
 its own Model over the same parameters (PolicyAgent.for_chain), and
 encode_round encodes one lockstep round of those models in one call,
-checking and preprocessing each frame once; each model's act then takes
-its tokens from that call. share_frame_memo lets models with equal
-frozen weights (same_frozen_encoder) read each other's memos, so one
-model's step reuses the tokens of a frame another model has just
-encoded; each writes only its own. A memo stays valid because the frozen
-weights never change once a model is built; the depth slots hold
-preprocessed frames, so the depth statistics are part of what it
-compares, and models that differ only in them share the RGB slots
-exactly.
+grouped by chain and checking and preprocessing each frame once; each
+model's act then takes its tokens from that call. Within a chain, a
+model's step reuses the tokens of a frame another model of the chain
+encodes in the same call. A memo stays valid because the frozen weights
+never change once a model is built; the depth slots hold preprocessed
+frames, so the depth statistics are part of what it compares, and models
+that differ only in them share the RGB slots exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -56,7 +54,7 @@ from . import encoders as enc
 from . import numerics as nm
 from . import sim
 from .config import ModelConfig
-from .errors import ContractError, DimensionError, MinivlaError
+from .errors import DimensionError, MinivlaError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
@@ -88,12 +86,10 @@ class Model:
         self.cfg = cfg
         self.params = params
         self.depth_stats = depth_stats
-        # The frozen-encoder memo (see enc.vit_encode_pair) and the memos it
-        # may also read, which share_frame_memo sets; its tokens stay valid
-        # because the frozen weights are never changed after init_model or
-        # load_checkpoint sets them.
+        # The frozen-encoder memo (see enc.vit_encode_pair); its tokens stay
+        # valid because the frozen weights are never changed after
+        # init_model or load_checkpoint sets them.
         self._frame_memo: enc.FrameMemo = {}
-        self._memo_peers: tuple[enc.FrameMemo, ...] = ()
         # The observation object encode_round encoded for this model's next
         # step, with its tokens, until encode_observation takes them.
         self._ready: tuple[sim.Observation, tuple[Array, Array]] | None = None
@@ -127,21 +123,6 @@ def same_frozen_encoder(first: Model, second: Model) -> bool:
     and bytes, so that either's frozen tokens are the other's."""
     return first.vit.keys() == second.vit.keys() and all(
         enc._same_frame(first.vit[key], second.vit[key]) for key in first.vit)
-
-
-def share_frame_memo(*models: Model) -> None:
-    """Let each model read the other models' frozen-encoder memos, after
-    its own, while it writes only its own (see enc.vit_encode_pair).
-
-    Reusing one model's tokens for another's frame is exact only if their
-    frozen encoders are the same (same_frozen_encoder with the first
-    model); otherwise this raises ContractError and changes no model.
-    """
-    if not all(same_frozen_encoder(models[0], model) for model in models[1:]):
-        raise ContractError("models with different frozen encoder weights "
-                            "cannot share a frame memo")
-    for model in models:
-        model._memo_peers = tuple(m._frame_memo for m in models if m is not model)
 
 
 def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats) -> Model:
@@ -284,36 +265,36 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 
     Every frame is checked before any is encoded. Then one
     enc.vit_encode_pair call encodes all T steps of the four camera slots
-    against the model's memo and its peers', and a failed call leaves the
-    memo as it was; its (T, 4N, d) tokens split into the RGB and depth
-    halves.
+    against the model's memo, and a failed call leaves the memo as it
+    was; its (T, 4N, d) tokens split into the RGB and depth halves.
     """
     steps = [_camera_frames(model, obs) for obs in observations]
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
-        (tokens,) = enc.vit_encode_pair([(model._frame_memo, model._memo_peers, slots)],
+        (tokens,) = enc.vit_encode_pair([[(model._frame_memo, slots)]],
                                         model.vit, model.cfg.patch, model.cfg.vit_blocks)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
 
 
-def encode_round(steps: list[tuple[Model, sim.Observation]]) -> None:
-    """Encode one lockstep round: each (model, observation) pair is one
-    step of its model, and the models' frozen encoders are all equal (see
+def encode_round(chains: list[list[tuple[Model, sim.Observation]]]) -> None:
+    """Encode one lockstep round: chains holds, per evaluated chain, the
+    (model, observation) pairs of the models that step in it, each one
+    step of its model; the models' frozen encoders are all equal (see
     same_frozen_encoder). Every frame is checked and preprocessed once,
-    then one enc.vit_encode_pair call encodes the new frames of every
-    model, each against its own memo and peers; each model's next
+    then one enc.vit_encode_pair call, with one chain per chain and one
+    group per model, encodes the round's new frames; each model's next
     encode_observation of that observation object returns its tokens.
     """
+    groups = [[(model._frame_memo, [[f] for f in _camera_frames(model, obs)])
+               for model, obs in chain] for chain in chains]
+    steps = [step for chain in chains for step in chain]
     if not steps:
         return
-    frames = [_camera_frames(model, obs) for model, obs in steps]
     first = steps[0][0]
     with _stage("encoder"):
-        tokens = enc.vit_encode_pair(
-            [(model._frame_memo, model._memo_peers, [[f] for f in step])
-             for (model, _), step in zip(steps, frames)],
-            first.vit, first.cfg.patch, first.cfg.vit_blocks)
+        tokens = enc.vit_encode_pair(groups, first.vit, first.cfg.patch,
+                                     first.cfg.vit_blocks)
     for (model, obs), x in zip(steps, tokens):
         half = x.shape[1] // 2
         model._ready = (obs, (x[0, :half], x[0, half:]))

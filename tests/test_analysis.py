@@ -131,8 +131,6 @@ def agents_of(kind):
     if kind == "clones":
         models = [policy_model(), policy_model()]
         return tuple(pol.PolicyAgent(m) for m in models)
-    if kind == "different-seeds":
-        return pol.PolicyAgent(policy_model(0)), pol.PolicyAgent(policy_model(1))
     if kind == "steered-and-clone":  # chains of other lengths, sharing memos
         return Steered(pol.PolicyAgent(policy_model())), pol.PolicyAgent(policy_model())
     return pol.PolicyAgent(policy_model()), sim.ExpertAgent()  # policy-and-expert
@@ -153,8 +151,7 @@ def recording_of(agent) -> Recording:
 
 
 class TestPairedChainEval:
-    KINDS = ["one-policy", "clones", "different-seeds", "policy-and-expert",
-             "steered-and-clone"]
+    KINDS = ["one-policy", "clones", "policy-and-expert", "steered-and-clone"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_agent_gets_what_it_gets_alone(self, kind):
@@ -183,18 +180,29 @@ class TestPairedChainEval:
     @pytest.mark.parametrize("kind", ["one-policy", "clones", "steered-and-clone"])
     def test_lockstep_encodes_as_many_frames_as_a_sequential_evaluation(
             self, monkeypatch, kind):
+        # Reuse is scoped to a chain, so the chains of one evaluation encode
+        # as many frames as the same chains evaluated one at a time.
         cameras = count_encodes(monkeypatch)
         evaluate(agents_of(kind), families=sim.FAMILIES)
         lockstepped = len(cameras)
         del cameras[:]
         agents = agents_of(kind)
-        agents = agents if isinstance(agents, tuple) else (agents,)
-        for i in range(N_CHAINS):  # chain by chain, each agent stepping alone
-            chain = sim.sample_chain(11 + i, "D", families=sim.FAMILIES)
-            copies = [a.for_chain() for a in agents]
-            pol.share_frame_memo(*(a.model for a in copies))
-            sim.lockstep([sim.chain_steps(a, chain, 16, False) for a in copies])
+        for i in range(N_CHAINS):
+            an.run_chain_eval(agents, 1, "D", 11 + i, families=sim.FAMILIES, horizon=16)
         assert lockstepped == len(cameras) > 0
+
+    @pytest.mark.parametrize("other", ["policy", "steered"])
+    def test_different_frozen_encoders_are_refused(self, monkeypatch, other):
+        cameras = count_encodes(monkeypatch)
+        sampled = []
+        monkeypatch.setattr(an.sim, "sample_chain",
+                            lambda *args, **kwargs: sampled.append(args))
+        second = pol.PolicyAgent(policy_model(1))
+        agents = (pol.PolicyAgent(policy_model(0)),
+                  second if other == "policy" else Steered(second))
+        with pytest.raises(ContractError, match="different frozen encoders"):
+            evaluate(agents)
+        assert cameras == [] and sampled == []
 
     def test_each_step_checks_and_preprocesses_its_frames_once(self, monkeypatch):
         calls = {"act": 0, "preprocess_depth": 0, "check_observation": 0}
@@ -251,13 +259,14 @@ class TestPairedChainEval:
         live = []
         real = pol.encode_round
 
-        def counting(steps):
-            live.append(len(steps))
-            return real(steps)
+        def counting(chains):
+            live.append([len(chain) for chain in chains])
+            return real(chains)
 
         monkeypatch.setattr(pol, "encode_round", counting)
         assert evaluate(agents, families=sim.FAMILIES) == whole
-        assert max(live) == 2 * len(agents)  # two chains of both twins
+        assert max(map(len, live)) == 2  # two chains, each of both twins
+        assert max(n for chains in live for n in chains) == len(agents)
 
 
 class TestSepResamplerAblation:
@@ -297,19 +306,20 @@ class TestSepResamplerAblation:
 
 @pytest.mark.parametrize("harness", ["sep-resampler", "depth-extremes"])
 def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
-    evaluations, pairings = [], []
-    real_eval, real_share = an.run_chain_eval, pol.share_frame_memo
+    evaluations, rounds = [], []  # rounds: per evaluation, each round's groups per chain
+    real_eval, real_round = an.run_chain_eval, pol.encode_round
 
     def recording(agent, n_chains, *args, **kwargs):
         evaluations.append((tuple(a.model.params for a in agent), n_chains))
+        rounds.append([])
         return real_eval(agent, n_chains, *args, **kwargs)
 
-    def sharing(*models):
-        pairings.append(tuple(m.params for m in models))
-        real_share(*models)
+    def grouping(chains):
+        rounds[-1].append([[model.params for model, _ in chain] for chain in chains])
+        real_round(chains)
 
     monkeypatch.setattr(an, "run_chain_eval", recording)
-    monkeypatch.setattr(pol, "share_frame_memo", sharing)
+    monkeypatch.setattr(pol, "encode_round", grouping)
     data, stats, model_cfg, train_cfg, env_cfg = quick_setup()
     if harness == "sep-resampler":
         an.run_sep_resampler_ablation(model_cfg, stats, data, train_cfg, env_cfg)
@@ -318,11 +328,16 @@ def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
                                        dp.DepthStats(0.0, 20.0, 0.5, 0.3), data,
                                        train_cfg, env_cfg)
     # At initialization (sep-resampler only) and after training, one call
-    # with both arms; within each chain, the arms' copies read each other's
-    # memos.
+    # with both arms; each round is one encode_round call with one group
+    # per chain and arm still stepping, both arms at the first round.
     assert len(evaluations) == (2 if harness == "sep-resampler" else 1)
-    assert all(len(arms) == 2 for arms, _ in evaluations)
-    assert pairings == [arms for arms, n_chains in evaluations for _ in range(n_chains)]
+    for (arms, n_chains), shapes in zip(evaluations, rounds):
+        assert len(arms) == 2
+        assert shapes[0] == [list(arms)] * n_chains
+        for chains in shapes:
+            assert len(chains) == n_chains
+            assert all(0 < len(chain) <= 2 and set(map(id, chain)) <= set(map(id, arms))
+                       for chain in chains)
 
 
 class TestDepthExtremesAblation:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +11,7 @@ from conftest import count_encodes, synthetic_stats, tiny_config
 from minivla import encoders as enc
 from minivla import numerics as nm
 from minivla import policy as pol
-from minivla.errors import ContractError, DimensionError
+from minivla.errors import DimensionError
 from minivla.numerics import ParamSet, Tensor
 
 
@@ -14,10 +19,20 @@ def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
     return enc.init_encoder_arrays(hw, patch, d, blocks, rng), patch, blocks
 
 
-def encode_step(a, b, vit, patch, blocks, memo, peers=()):
-    """vit_encode_pair of one group, one step of two camera slots: (2N, d)."""
-    (tokens,) = enc.vit_encode_pair([(memo, peers, [[a], [b]])], vit, patch, blocks)
+def encode_step(a, b, vit, patch, blocks, memo):
+    """vit_encode_pair of one chain of one group, one step of two camera
+    slots: (2N, d)."""
+    (tokens,) = enc.vit_encode_pair([[(memo, [[a], [b]])]], vit, patch, blocks)
     return tokens[0]
+
+
+def looked_at(monkeypatch) -> list:
+    """Record the memo-side frame of every _same_frame comparison."""
+    looked = []
+    real = enc._same_frame
+    monkeypatch.setattr(enc, "_same_frame",
+                        lambda prev, frame: looked.append(prev) or real(prev, frame))
+    return looked
 
 
 ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
@@ -131,7 +146,7 @@ class TestVitEncode:
         vit, patch, blocks = small_vit(rng)
         a = rng.random((32, 32, 3))
         with pytest.raises(DimensionError, match=r"camera slots hold \[2, 2, 1, 2\] frames"):
-            enc.vit_encode_pair([({}, (), [[a, a], [a, a], [a], [a, a]])], vit, patch, blocks)
+            enc.vit_encode_pair([[({}, [[a, a], [a, a], [a], [a, a]])]], vit, patch, blocks)
 
     def test_four_slots_alternate_cameras(self, rng):
         # A policy step's slots: RGB static, RGB gripper, depth static,
@@ -140,7 +155,7 @@ class TestVitEncode:
         slots = [[rng.random((32, 32, 3)) for _ in range(3)] for _ in range(3)]
         slots.append([frame.copy() for frame in slots[0]])  # the other camera's view
         memo = {}
-        (got,) = enc.vit_encode_pair([(memo, (), slots)], vit, patch, blocks)
+        (got,) = enc.vit_encode_pair([[(memo, slots)]], vit, patch, blocks)
         assert got.shape == (3, 4 * 16, 16)
         assert memo.keys() == {0, 1, 2, 3}
         for s, frames in enumerate(slots):
@@ -216,7 +231,7 @@ class TestFrameMemo:
         slot1 = [b, b.copy(), a, a.copy()]  # the same frames, the other camera
         cameras = count_encodes(monkeypatch)
         memo = {}
-        (got,) = enc.vit_encode_pair([(memo, (), [slot0, slot1])], vit, patch, blocks)
+        (got,) = enc.vit_encode_pair([[(memo, [slot0, slot1])]], vit, patch, blocks)
         assert sorted(cameras) == [0, 0, 1, 1]
         for t, (x, y) in enumerate(zip(slot0, slot1)):
             assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
@@ -232,17 +247,24 @@ class TestFrameMemo:
 
 
 class TestMemoPeers:
+    """The groups of one chain in one call, as the arms of a paired
+    evaluation in a lockstep round: a group whose step-0 frame misses its
+    own memo reuses the step-0 entry of an earlier group of the chain."""
+
     def test_a_peers_entry_is_reused_without_a_copy(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         cameras = count_encodes(monkeypatch)
         mine, theirs = {}, {}
-        first = encode_step(a, b, vit, patch, blocks, theirs)
-        second = encode_step(a.copy(), b.copy(), vit, patch, blocks, mine, (theirs,))
+        got = enc.vit_encode_pair([[(theirs, [[a], [b]]),
+                                    (mine, [[a.copy()], [b.copy()]])]], vit, patch, blocks)
         assert cameras == [0, 1]
-        assert second.tobytes() == first.tobytes()
-        for slot in (0, 1):
-            assert mine[slot] is theirs[slot]
+        expect = encoded_alone(a, b, vit, patch, blocks)
+        assert [x[0].tobytes() for x in got] == [expect.tobytes()] * 2
+        for slot, frame in enumerate((a, b)):
+            assert mine[slot] is theirs[slot]  # the same tuple: one copy for both
+            assert not np.shares_memory(mine[slot][0], frame)
+            assert not any(np.shares_memory(mine[slot][1], x) for x in got)
 
     def test_a_model_writes_only_its_own_memo(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
@@ -251,9 +273,10 @@ class TestMemoPeers:
         mine, theirs = {}, {}
         encode_step(a, b, vit, patch, blocks, theirs)
         before = dict(theirs)
-        (got,) = enc.vit_encode_pair([(mine, (theirs,), [[a, c], [c, c]])], vit, patch, blocks)
-        # Slot 0 starts on the peer's frame, then changes; slot 1's c is new,
-        # then repeats.
+        _, got = enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a, c], [c, c]])]],
+                                     vit, patch, blocks)
+        # Slot 0 starts on the earlier group's frame, then changes; slot 1's
+        # c is new, then repeats.
         assert cameras == [0, 1, 0, 1]
         assert theirs == before and all(theirs[s] is before[s] for s in before)
         assert mine[0][0].tobytes() == mine[1][0].tobytes() == c.tobytes()
@@ -266,40 +289,38 @@ class TestMemoPeers:
         mine, theirs = {}, {}
         encode_step(a, b, vit, patch, blocks, theirs)
         encode_step(a.copy(), b.copy(), vit, patch, blocks, mine)
-        looked = []
-        real = enc._same_frame
-        monkeypatch.setattr(enc, "_same_frame",
-                            lambda prev, frame: looked.append(prev) or real(prev, frame))
-        encode_step(a, b, vit, patch, blocks, mine, (theirs,))
-        assert [id(f) for f in looked] == [id(mine[0][0]), id(mine[1][0])]
-
+        order = [theirs[0][0], theirs[1][0], mine[0][0], mine[1][0]]
+        looked = looked_at(monkeypatch)
+        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a], [b]])]], vit, patch, blocks)
+        assert [id(f) for f in looked] == [id(f) for f in order]
 
     def test_a_peer_entry_already_compared_is_skipped(self, rng, monkeypatch):
-        # Once mine has adopted the peer's entries, both memos hold the same
-        # tuples: a new step compares each slot's entry once, not twice.
+        # Once mine has adopted the other group's entries, both memos hold
+        # the same tuples: a frame that misses its own memo's entry does not
+        # compare it again as the earlier group's step-0 entry.
         vit, patch, blocks = small_vit(rng)
         a, b, c, d = (rng.random((32, 32, 3)) for _ in range(4))
         mine, theirs = {}, {}
-        encode_step(a, b, vit, patch, blocks, theirs)
-        encode_step(a.copy(), b.copy(), vit, patch, blocks, mine, (theirs,))
-        looked = []
-        real = enc._same_frame
-        monkeypatch.setattr(enc, "_same_frame",
-                            lambda prev, frame: looked.append(prev) or real(prev, frame))
-        encode_step(c, d, vit, patch, blocks, mine, (theirs,))
-        assert [id(f) for f in looked] == [id(theirs[0][0]), id(theirs[1][0])]
+        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a.copy()], [b.copy()]])]],
+                            vit, patch, blocks)
+        entries = [theirs[0], theirs[1]]
+        cameras = count_encodes(monkeypatch)
+        looked = looked_at(monkeypatch)
+        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[c], [d]])]], vit, patch, blocks)
+        assert cameras == [0, 1]
+        assert [id(f) for f in looked] == [id(entry[0]) for entry in entries * 2]
 
 
 class TestGroups:
-    """Several (memo, peers, slots) groups in one call, as a lockstep round."""
+    """Several chains of (memo, slots) groups in one call, as a lockstep round."""
 
     def test_a_later_group_reuses_what_an_earlier_peer_encodes(self, rng, monkeypatch):
         vit, patch, blocks = small_vit(rng)
         a, b, c = (rng.random((32, 32, 3)) for _ in range(3))
         first, second = {}, {}
         cameras = count_encodes(monkeypatch)
-        got = enc.vit_encode_pair([(first, (second,), [[a], [b]]),
-                                   (second, (first,), [[a.copy()], [c]])], vit, patch, blocks)
+        got = enc.vit_encode_pair([[(first, [[a], [b]]), (second, [[a.copy()], [c]])]],
+                                  vit, patch, blocks)
         # The second group's slot 0 repeats the first group's new frame, as
         # if the first had run before it; its slot 1 is new.
         assert sorted(cameras) == [0, 1, 1]
@@ -313,13 +334,36 @@ class TestGroups:
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         older, first, second = {}, {}, {}
         encode_step(a, b, vit, patch, blocks, older)
+        entries = dict(older)
         cameras = count_encodes(monkeypatch)
-        got = enc.vit_encode_pair([(first, (older,), [[a.copy()], [b.copy()]]),
-                                   (second, (first,), [[a.copy()], [b.copy()]])],
+        got = enc.vit_encode_pair([[(older, [[a.copy()], [b.copy()]]),
+                                    (first, [[a.copy()], [b.copy()]]),
+                                    (second, [[a.copy()], [b.copy()]])]],
                                   vit, patch, blocks)
         assert cameras == []
         for slot in (0, 1):
-            assert first[slot] is second[slot] is older[slot]
+            assert first[slot] is second[slot] is older[slot] is entries[slot]
+        for tokens in got:
+            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+
+    def test_a_frame_of_another_chain_is_encoded_again(self, rng, monkeypatch):
+        # Reuse is scoped to a chain: the same frames in two chains are
+        # encoded once per chain, and no frame is compared with the other
+        # chain's.
+        vit, patch, blocks = small_vit(rng)
+        a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
+        memos = [{}, {}]
+        for memo in memos:
+            encode_step(rng.random((32, 32, 3)), rng.random((32, 32, 3)),
+                        vit, patch, blocks, memo)
+        own = [memo[slot][0] for memo in memos for slot in (0, 1)]
+        cameras = count_encodes(monkeypatch)
+        looked = looked_at(monkeypatch)
+        got = enc.vit_encode_pair([[(memo, [[a.copy()], [b.copy()]])] for memo in memos],
+                                  vit, patch, blocks)
+        assert sorted(cameras) == [0, 0, 1, 1]
+        assert [id(f) for f in looked] == [id(f) for f in own]
+        assert memos[0][0] is not memos[1][0] and memos[0][1] is not memos[1][1]
         for tokens in got:
             assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
 
@@ -336,9 +380,9 @@ class TestGroups:
 
         monkeypatch.setattr(enc, "vit_encode_image", recording)
         memos = [{} for _ in steps]
-        got = enc.vit_encode_pair([(memo, (), [[f] for f in step])
+        got = enc.vit_encode_pair([[(memo, [[f] for f in step])]
                                    for memo, step in zip(memos, steps)], vit, patch, blocks)
-        # Six frames per camera: slots 0 and 2 (or 1 and 3) of three groups.
+        # Six frames per camera: slots 0 and 2 (or 1 and 3) of three chains.
         assert sorted(batches) == [(0, 2), (0, 4), (1, 2), (1, 4)]
         for tokens, step in zip(got, steps):
             for s, frame in enumerate(step):
@@ -352,17 +396,37 @@ class TestGroups:
         a = rng.random((32, 32, 3))
         memo = {}
         with pytest.raises(DimensionError, match="positional rows 16 do not match 4 patches"):
-            enc.vit_encode_pair([(memo, (), [[a], [a], [rng.random((16, 16, 3))], [a]])],
+            enc.vit_encode_pair([[(memo, [[a], [a], [rng.random((16, 16, 3))], [a]])]],
                                 vit, patch, blocks)
         assert memo == {}
 
-    def test_a_memo_in_two_groups_is_refused(self, rng):
-        vit, patch, blocks = small_vit(rng)
-        a = rng.random((32, 32, 3))
-        memo = {}
-        with pytest.raises(ContractError, match="belongs to one group"):
-            enc.vit_encode_pair([(memo, (), [[a]]), (memo, (), [[a]])], vit, patch, blocks)
-        assert memo == {}
+
+class TestUsableCpus:
+    def test_the_affinity_set_where_the_os_has_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert enc.usable_cpus() == 3
+
+    def test_the_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert enc.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert enc.usable_cpus() == 1
+
+    def test_the_cli_imports_without_an_affinity_call(self):
+        # As on macOS and Windows, whose os module has no sched_getaffinity.
+        src = str(Path(enc.__file__).resolve().parent.parent)
+        code = ("import os\n"
+                "if hasattr(os, 'sched_getaffinity'):\n"
+                "    del os.sched_getaffinity\n"
+                "import minivla.cli\n"
+                "from minivla import analysis\n"
+                "print(analysis.CHAINS_PER_WAVE, os.cpu_count() or 1)\n")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert run.returncode == 0, run.stderr
+        wave, cpus = run.stdout.split()
+        assert int(wave) == enc.FRAMES_PER_JOB * max(2, int(cpus))
 
 
 class TestSameFrame:

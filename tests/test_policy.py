@@ -334,9 +334,11 @@ class TestFrameMemo:
         assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
 
     def test_a_shared_memo_reuses_the_frame_another_model_encoded(self, rng, encodes):
+        # Two models that step in one chain of a round: the second encodes
+        # nothing and adopts the first's entries.
         first, second = tiny_model(), tiny_model()
-        pol.share_frame_memo(first, second)
         obs = synthetic_obs(rng)
+        pol.encode_round([[(first, obs), (second, obs)]])
         got_first = pol.encode_observation(first, obs)
         got_second = pol.encode_observation(second, obs)
         assert len(encodes) == 4  # the second model encoded nothing
@@ -351,32 +353,31 @@ class TestFrameMemo:
         # frames, which the other's memo does not hold. One memo entry per
         # slot for both would encode every step again.
         first, second = tiny_model(), tiny_model()
-        pol.share_frame_memo(first, second)
         obs_first, obs_second = synthetic_obs(rng), synthetic_obs(rng)
         for _ in range(3):
-            pol.encode_observation(first, obs_first)
-            got = pol.encode_observation(second, obs_second)
+            pol.encode_round([[(first, obs_first), (second, obs_second)]])
+        got = pol.encode_observation(second, obs_second)
         assert len(encodes) == 8
         assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs_second])
 
     def test_models_that_differ_in_depth_stats_share_the_rgb_slots(self, rng, encodes):
         first = tiny_model()
         second = pol.init_model(first.cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3))
-        pol.share_frame_memo(first, second)
         obs = synthetic_obs(rng)
-        pol.encode_observation(first, obs)
+        pol.encode_round([[(first, obs), (second, obs)]])
         got = pol.encode_observation(second, obs)
         assert sorted(encodes) == [0, 0, 0, 1, 1, 1]  # RGB once, depth once per model
         assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
 
-    def test_sharing_across_different_frozen_weights_is_refused(self, rng, encodes):
-        first, second, other = tiny_model(seed=0), tiny_model(seed=0), tiny_model(seed=1)
-        models = (first, second, other)
-        memos = [m._frame_memo for m in models]
-        with pytest.raises(ContractError, match="different frozen encoder weights"):
-            pol.share_frame_memo(*models)
-        assert all(m._frame_memo is memo and m._memo_peers == ()
-                   for m, memo in zip(models, memos))
+    def test_models_of_other_chains_share_nothing(self, rng, encodes):
+        first, second = tiny_model(), tiny_model()
+        obs = synthetic_obs(rng)
+        pol.encode_round([[(first, obs)], [(second, obs)]])
+        got = pol.encode_observation(second, obs)
+        assert len(encodes) == 8
+        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+        assert all(second._frame_memo[s] is not entry
+                   for s, entry in first._frame_memo.items())
 
     def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
         model = tiny_model(depth_input="constant")
@@ -470,12 +471,14 @@ class TestParallelTrajectoryEncode:
         real = enc.vit_encode_pair
 
         def counting(groups, *args, **kwargs):
-            calls.append([[len(frames) for frames in slots] for _, _, slots in groups])
+            calls.append([[[len(frames) for frames in slots] for _, slots in chain]
+                          for chain in groups])
             return real(groups, *args, **kwargs)
 
         monkeypatch.setattr(enc, "vit_encode_pair", counting)
         encoded = tr.encode_dataset(model, dataset)
-        assert calls == [[[len(observations)] * 4]]  # one group: all four camera slots at once
+        # One chain of one group: all four camera slots at once.
+        assert calls == [[[[len(observations)] * 4]]]
         assert model._frame_memo.keys() == {0, 1, 2, 3}
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
@@ -515,7 +518,7 @@ class TestParallelTrajectoryEncode:
             assert not np.shares_memory(tokens, x_rgb)
             assert not np.shares_memory(tokens, x_depth)
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    @pytest.mark.skipif(enc.usable_cpus() < 2, reason="needs two CPUs")
     def test_encodes_run_on_several_threads(self, rng, monkeypatch):
         threads = []
         meet = threading.Barrier(2, timeout=10.0)
@@ -532,7 +535,7 @@ class TestParallelTrajectoryEncode:
         assert len(set(threads)) >= 2
 
     def test_more_workers_than_cores_with_a_short_switch_interval(self, rng, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(enc, "usable_cpus", lambda: 8)
         model = tiny_model()
         observations = [synthetic_obs(rng) for _ in range(24)]
         interval = sys.getswitchinterval()
@@ -544,7 +547,7 @@ class TestParallelTrajectoryEncode:
         assert_rows_encoded_alone(model, (x_rgb, x_depth), observations)
 
     def test_threads_start_only_at_two_batches_of_new_frames(self, rng, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(enc, "usable_cpus", lambda: 8)
         pools = []  # per pool: the helper tasks submitted to it
         real = concurrent.futures.ThreadPoolExecutor
 
@@ -571,7 +574,7 @@ class TestParallelTrajectoryEncode:
         # A round of three chain models: 12 new frames in batches of 4 and 2
         # per camera, so three helpers.
         models = [tiny_model() for _ in range(3)]
-        pol.encode_round([(m, synthetic_obs(rng)) for m in models])
+        pol.encode_round([[(m, synthetic_obs(rng))] for m in models])
         assert pools == [1, 3]
 
     @needs_proc
@@ -584,7 +587,7 @@ class TestParallelTrajectoryEncode:
 
     @needs_proc
     def test_kept_helpers_serve_many_calls_and_end_with_the_block(self, rng, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        monkeypatch.setattr(enc, "usable_cpus", lambda: 3)
         pools = []
         real = concurrent.futures.ThreadPoolExecutor
 
@@ -610,7 +613,7 @@ class TestParallelTrajectoryEncode:
     @needs_proc
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_encoder_error_reaches_the_caller(self, rng, monkeypatch, where):
-        if where == "helper" and len(os.sched_getaffinity(0)) < 2:
+        if where == "helper" and enc.usable_cpus() < 2:
             pytest.skip("needs two CPUs for a helper thread")
         model = tiny_model()
         pol.encode_trajectory(model, [synthetic_obs(rng)])

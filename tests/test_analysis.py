@@ -91,6 +91,16 @@ def policy_model(seed=0, sep_resampler=False):
     return model
 
 
+def over_frozen_encoder_of(model, seed):
+    """A model of another seed that has model's frozen encoder weights,
+    as when several seeds are trained over one frozen encoder."""
+    other = policy_model(seed)
+    for key, arr in other.vit.items():
+        arr[...] = model.vit[key]
+    assert pol.same_frozen_encoder(model, other)
+    return other
+
+
 N_CHAINS = 3
 
 
@@ -131,6 +141,9 @@ def agents_of(kind):
     if kind == "clones":
         models = [policy_model(), policy_model()]
         return tuple(pol.PolicyAgent(m) for m in models)
+    if kind == "different-seeds":  # other trainable weights over one frozen encoder
+        model = policy_model(0)
+        return pol.PolicyAgent(model), pol.PolicyAgent(over_frozen_encoder_of(model, 1))
     if kind == "steered-and-clone":  # chains of other lengths, sharing memos
         return Steered(pol.PolicyAgent(policy_model())), pol.PolicyAgent(policy_model())
     return pol.PolicyAgent(policy_model()), sim.ExpertAgent()  # policy-and-expert
@@ -151,7 +164,8 @@ def recording_of(agent) -> Recording:
 
 
 class TestPairedChainEval:
-    KINDS = ["one-policy", "clones", "policy-and-expert", "steered-and-clone"]
+    KINDS = ["one-policy", "clones", "different-seeds", "policy-and-expert",
+             "steered-and-clone"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_agent_gets_what_it_gets_alone(self, kind):
@@ -173,6 +187,9 @@ class TestPairedChainEval:
                 want.chain_id = i
                 assert got[i] == want
                 assert action_bytes(logs[i]) == action_bytes(recording_of(alone).log)
+        if kind == "different-seeds":  # the seeds act differently on the same chains
+            first, second = (recording_of(a).chain_logs for a in lockstepped)
+            assert action_bytes(first[0]) != action_bytes(second[0])
         if kind == "steered-and-clone":
             steps = [len(log) for log in recording_of(lockstepped[0]).chain_logs]
             assert len(set(steps)) > 1 and max(steps) > 16  # chains end at different steps

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import count_encodes, run_chain, synthetic_obs, synthetic_stats, tiny_config
 
+from minivla import analysis as an
 from minivla import depth as dp
 from minivla import encoders as enc
 from minivla import numerics as nm
@@ -368,6 +369,19 @@ class TestFrameMemo:
         got = pol.encode_observation(second, obs)
         assert sorted(encodes) == [0, 0, 0, 1, 1, 1]  # RGB once, depth once per model
         assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+
+    def test_sharing_across_different_frozen_weights_is_refused(self, encodes):
+        # Models share frames only within an evaluation's chains, and an
+        # evaluation whose models' frozen encoders differ does not start.
+        first, second, other = tiny_model(seed=0), tiny_model(seed=0), tiny_model(seed=1)
+        models = (first, second, other)
+        assert pol.same_frozen_encoder(first, second)
+        assert not pol.same_frozen_encoder(first, other)
+        assert not pol.same_frozen_encoder(other, second)
+        with pytest.raises(ContractError, match="different frozen encoders"):
+            an.run_chain_eval(tuple(pol.PolicyAgent(m) for m in models), 1, "D", 0,
+                              horizon=4)
+        assert encodes == [] and all(m._frame_memo == {} for m in models)
 
     def test_models_of_other_chains_share_nothing(self, rng, encodes):
         first, second = tiny_model(), tiny_model()

@@ -10,11 +10,15 @@ narrow vs wide depth-normalization ranges (plus the quantized
 pixel-change sensitivity counts). run_chain_eval evaluates one agent or
 a tuple of agents over one frozen encoder: every chain of every agent
 runs with an agent of its own, and the chains are stepped together in
-lockstep rounds, each round's new frames encoded in one call before any
-agent acts. Each harness evaluates its two arms with one such call after
-training, the resampler harness also at initialization; within a chain,
-an arm reuses the tokens of each frame the other arm encodes in the
-same round.
+lockstep rounds. Before any agent of a round acts, one pol.act_round
+call encodes the round's new frames together and steps the round's
+policy agents with one policy_core call per group that shares a
+ParamSet and an instruction length, a leading chain axis in that call;
+each chain's actions stay bitwise those of evaluating it alone. Each
+harness evaluates its two arms with one such call after training, the
+resampler harness also at initialization; the arms' ParamSets differ, so
+they never share a policy_core call, but within a chain an arm reuses
+the tokens of each frame the other arm encodes in the same round.
 """
 
 from __future__ import annotations
@@ -94,10 +98,12 @@ def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
     its own, agent.for_chain(), so a policy agent's chain has its own
     frame memo and LSTM state. The chains run in waves of
     CHAINS_PER_WAVE, all runs of a wave stepped in lockstep
-    (sim.lockstep). Before each round's acts, one pol.encode_round call
-    encodes the round's new frames, grouped by chain; each act then takes
-    its tokens from that encode. A chain's results and actions do not
-    depend on the others, so they are those of evaluating it alone.
+    (sim.lockstep). Before each round's acts, one pol.act_round call
+    encodes the round's new frames, grouped by chain, and steps the
+    round's policy agents in groups, one policy_core call per group that
+    shares a ParamSet and an instruction length; each act then returns
+    its agent's action from that call. A chain's results and actions do
+    not depend on the others, so they are those of evaluating it alone.
     """
     paired = isinstance(agent, tuple)
     agents = agent if paired else (agent,)
@@ -126,15 +132,14 @@ def _run_wave(agents, chains: list[sim.ChainSpec], horizon: int, enrich: bool
                             enrich=enrich)
             for r, a in enumerate(players)]
 
-    def encode_round(observations):
+    def act_round(observations):
         steps = [[] for _ in chains]
         for r, obs in observations.items():
-            model = getattr(players[r], "model", None)
-            if model is not None and obs is not None:
-                steps[r // len(agents)].append((model, obs))
-        pol.encode_round(steps)
+            if getattr(players[r], "model", None) is not None and obs is not None:
+                steps[r // len(agents)].append((players[r], obs))
+        pol.act_round(steps)
 
-    results = sim.lockstep(runs, encode_round)
+    results = sim.lockstep(runs, act_round)
     return [results[c:c + len(agents)] for c in range(0, len(results), len(agents))]
 
 

@@ -21,9 +21,10 @@ or dataset, a JSON document or a JSON-lines log. train writes nothing
 into --out until training has finished, apart from the periodic
 checkpoints of --ckpt-every; then checkpoint.rfpx, config_echo.json,
 stats.json and train_summary.json, the TrainReport as one document.
-eval appends to chains.jsonl and metrics.jsonl in --out, and each
-ablation writes ablation_<name>.json and appends one metrics.jsonl row
-per arm.
+eval appends to chains.jsonl and metrics.jsonl in --out, each line with
+the evaluation's run object (checkpoint, first chain seed, chain count,
+horizon, palette, families, variant, enrich), and each ablation writes
+ablation_<name>.json and appends one metrics.jsonl row per arm.
 """
 
 from __future__ import annotations
@@ -157,8 +158,13 @@ def cmd_eval(args) -> int:
     table = an.aggregate_chain_metrics(
         results, model_label=args.label, train_split=args.train_label,
         test_split=env.eval_palette, enriched=env.enrich)
-    persist.write_chain_results(results, args.out / "chains.jsonl")
-    persist.write_metrics(table, args.out)
+    # Every line this evaluation appends names the run that made it.
+    run = {"checkpoint": str(args.checkpoint), "chain_seed": args.chain_seed,
+           "n_chains": env.n_chains, "horizon": env.horizon, "palette": env.eval_palette,
+           "families": sim.chain_families(env.families, env.variant),
+           "variant": env.variant, "enrich": env.enrich}
+    persist.write_chain_results(results, args.out / "chains.jsonl", run)
+    persist.write_metrics(table, args.out, run)
     print("task rates:", " ".join(f"{r:.3f}" for r in table.rates),
           f"avg {table.avg:.3f} over {table.n_chains} chains")
     return 0

@@ -110,6 +110,9 @@ def decode(x: Tensor, xvde: Tensor, layers: list[dict[str, Tensor]]) -> Tensor:
 
     xvde may carry a leading time axis, (T, 2K, d); the (M, d) language
     tokens are then shared by every step and the output is (T, M, d).
+    On a leading chain axis instead, x is (C, M, d) and xvde (C, 2K, d),
+    one step of each chain, and the output is (C, M, d); each chain's
+    products have the shapes of its own call.
     """
     if not layers:
         raise ContractError("decoder stack needs at least one layer")

@@ -2,14 +2,17 @@
 
 The op vocabulary is what the policy stack and its training loss use:
 add, sub, mul, tanh, matmul, transpose, softmax_rows,
-scaled_dot_attention, concat_rows, max_over_rows, sum_all,
+scaled_dot_attention, concat_rows, max_over_rows, reshape, sum_all,
 bce_with_logits, mlp2, and lstm_layer, one LSTM layer over a
 trajectory's rows; a constant operand is a plain Tensor. matmul,
 transpose, softmax_rows, scaled_dot_attention, concat_rows and
 max_over_rows also take a leading batch axis (a trajectory's time
-steps), so one recorded op covers every step of a stateless stage;
-lstm_layer records the recurrence as one op per layer in the same way
-and hands back its carried state as plain arrays, outside the graph.
+steps, or a rollout round's chains), so one recorded op covers every
+step of a stateless stage; lstm_layer records the recurrence as one op
+per layer in the same way, with any leading axes as independent
+sequences, and hands back its carried state as plain arrays, outside
+the graph. A batch entry's products keep the shape of its own call, so
+its result is bitwise that call's.
 Each op checks its operands' shapes once, and its callers do not check
 them again: matmul the ranks and the inner and batch extents,
 concat_rows the parts' widths, and each binary elementwise op numpy's
@@ -313,6 +316,15 @@ def max_over_rows(a: Tensor) -> Tensor:
     return _result(out, (a,), vjp)
 
 
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """a's entries in another shape of the same size, as numpy reshapes
+    them; the gradient takes a's shape back."""
+    def vjp(g: Array):
+        return (g.reshape(a.shape),)
+
+    return _result(a.data.reshape(shape), (a,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # reductions and losses
 # ---------------------------------------------------------------------------
@@ -350,74 +362,83 @@ def lstm_layer(x: Tensor, h0: Array, c0: Array, wx: Tensor, wh: Tensor,
                b: Tensor) -> tuple[Tensor, tuple[Array, Array]]:
     """One LSTM layer run over the T rows of x, recorded as one tape node.
 
-    x: (T, d_in); wx: (d_in, 4r); wh: (r, 4r); b: (4r,), gates in the
-    order input, forget, cell, output. The carried state h0, c0 is data,
-    not graph: two (1, r) arrays that receive no gradient, since every
-    trajectory starts from zeros and rollouts record nothing. Step t
-    computes z = (x[t] wx + h wh) + b, then c = f*c + i*g and
-    h = o*tanh(c), in that order, so a one-row call is bitwise the
-    one-step formula. Returns (h, (h_T, c_T)): the (T, r) hidden states,
-    whose node has the parents x, wx, wh, b, and the state after row T as
-    arrays. The input projection is one GEMM over all T rows; only h @ wh
+    x: (..., T, d_in); any leading axes hold independent sequences (a
+    rollout round's chains, one step each). wx: (d_in, 4r); wh: (r, 4r);
+    b: (4r,), gates in the order input, forget, cell, output. The carried
+    state h0, c0 is data, not graph: two (..., 1, r) arrays, one row per
+    sequence, that receive no gradient, since every trajectory starts
+    from zeros and rollouts record nothing. Step t computes
+    z = (x[t] wx + h wh) + b, then c = f*c + i*g and h = o*tanh(c), in
+    that order, so a one-row call is bitwise the one-step formula.
+    Returns (h, (h_T, c_T)): the (..., T, r) hidden states, whose node has
+    the parents x, wx, wh, b, and the state after row T as arrays. The
+    input projection is one GEMM over a sequence's T rows; only h @ wh
     loops. The VJP runs BPTT and forms each weight gradient with one GEMM
-    over all T steps.
+    over a sequence's T steps, summed over the leading axes.
+
+    Every product keeps each sequence's slice at the shape of a call on
+    that sequence alone, never one flattened GEMM across sequences, so a
+    sequence's hidden states, carried state and input gradient are
+    bitwise those of its own call, and each weight gradient is the sum
+    of its calls' over the leading axes.
     """
     if not (isinstance(h0, np.ndarray) and isinstance(c0, np.ndarray)):
         raise DimensionError(f"lstm_layer expects h0 and c0 as (1, r) arrays; got "
                              f"{type(h0).__name__}, {type(c0).__name__}")
-    n_steps, r = x.shape[0], h0.shape[-1]
-    if x.data.ndim != 2 or n_steps < 1 or h0.shape != (1, r) or c0.shape != (1, r):
+    lead, r = x.shape[:-2], h0.shape[-1]
+    n_steps = x.shape[-2] if x.data.ndim >= 2 else 0
+    if n_steps < 1 or h0.shape != (*lead, 1, r) or c0.shape != (*lead, 1, r):
         raise DimensionError(
-            f"lstm_layer expects x (T, d_in), h0 and c0 (1, r); got {x.shape}, "
-            f"{h0.shape}, {c0.shape}"
+            f"lstm_layer expects x (T, d_in), h0 and c0 (1, r), each after the same "
+            f"leading axes; got {x.shape}, {h0.shape}, {c0.shape}"
         )
-    if wx.shape != (x.shape[1], 4 * r) or wh.shape != (r, 4 * r) or b.shape != (4 * r,):
+    if wx.shape != (x.shape[-1], 4 * r) or wh.shape != (r, 4 * r) or b.shape != (4 * r,):
         raise DimensionError(
             f"lstm_layer weights {wx.shape}, {wh.shape}, {b.shape} do not fit "
-            f"input width {x.shape[1]} and state width {r}"
+            f"input width {x.shape[-1]} and state width {r}"
         )
     xd, whd, bd = x.data, wh.data, b.data
     xw = xd @ wx.data
-    gates = np.empty((n_steps, 4 * r))  # activated i, f, g, o per step
-    hs = np.empty((n_steps, r))
-    cs = np.empty((n_steps, r))
+    gates = np.empty((*lead, n_steps, 4 * r))  # activated i, f, g, o per step
+    hs = np.empty((*lead, n_steps, r))
+    cs = np.empty((*lead, n_steps, r))
     h, c = h0, c0
     for t in range(n_steps):
-        z = (xw[t:t + 1] + h @ whd) + bd
-        act = gates[t:t + 1]
-        act[:] = _sigmoid(z)
-        act[:, 2 * r:3 * r] = np.tanh(z[:, 2 * r:3 * r])
-        c = act[:, r:2 * r] * c + act[:, :r] * act[:, 2 * r:3 * r]
-        h = act[:, 3 * r:] * np.tanh(c)
-        hs[t:t + 1] = h
-        cs[t:t + 1] = c
+        z = (xw[..., t:t + 1, :] + h @ whd) + bd
+        act = gates[..., t:t + 1, :]
+        act[...] = _sigmoid(z)
+        act[..., 2 * r:3 * r] = np.tanh(z[..., 2 * r:3 * r])
+        c = act[..., r:2 * r] * c + act[..., :r] * act[..., 2 * r:3 * r]
+        h = act[..., 3 * r:] * np.tanh(c)
+        hs[..., t:t + 1, :] = h
+        cs[..., t:t + 1, :] = c
 
     def vjp(g: Array):
-        i, f, gc, o = (gates[:, k * r:(k + 1) * r] for k in range(4))
-        c_prev = np.concatenate([c0, cs[:-1]])
+        i, f, gc, o = (gates[..., k * r:(k + 1) * r] for k in range(4))
+        c_prev = np.concatenate([c0, cs[..., :-1, :]], axis=-2)
         tc = np.tanh(cs)
         # Every factor that does not depend on the incoming state gradient.
         d_o = tc * o * (1.0 - o)
         dc_from_h = o * (1.0 - tc * tc)
-        d_ifg = np.concatenate([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
-                                i * (1.0 - gc * gc)], axis=1).reshape(n_steps, 3, r)
-        dz = np.empty((n_steps, 4 * r))
-        dz3 = dz.reshape(n_steps, 4, r)
+        d_ifg = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
+                          i * (1.0 - gc * gc)], axis=-2)
+        dz = np.empty((*lead, n_steps, 4 * r))
+        dz4 = dz.reshape(*lead, n_steps, 4, r)
         wh_t = whd.T.copy()
-        dh_next = np.zeros(r)
-        dc_next = np.zeros(r)
+        dh_next = dc_next = np.zeros((*lead, 1, r))
         for t in range(n_steps - 1, -1, -1):
-            dh = g[t] + dh_next
-            dc = dc_next + dh * dc_from_h[t]
-            dz3[t, :3] = dc * d_ifg[t]
-            dz3[t, 3] = dh * d_o[t]
+            dh = g[..., t:t + 1, :] + dh_next
+            dc = dc_next + dh * dc_from_h[..., t:t + 1, :]
+            dz4[..., t, :3, :] = dc * d_ifg[..., t, :, :]
+            dz4[..., t, 3:, :] = dh * d_o[..., t:t + 1, :]
             if t:  # the state before row 0 takes no gradient
-                dc_next = dc * f[t]
-                dh_next = dz[t] @ wh_t
+                dc_next = dc * f[..., t:t + 1, :]
+                dh_next = dz[..., t:t + 1, :] @ wh_t
+        h_prev = np.concatenate([h0, hs[..., :-1, :]], axis=-2)
         gx = dz @ wx.data.T if x.requires_grad else None
-        gwx = xd.T @ dz if wx.requires_grad else None
-        gwh = np.concatenate([h0, hs[:-1]]).T @ dz if wh.requires_grad else None
-        gb = dz.sum(axis=0) if b.requires_grad else None
+        gwx = _reduce_to(xd.swapaxes(-1, -2) @ dz, wx.shape) if wx.requires_grad else None
+        gwh = _reduce_to(h_prev.swapaxes(-1, -2) @ dz, wh.shape) if wh.requires_grad else None
+        gb = _reduce_to(dz.sum(axis=-2), b.shape) if b.requires_grad else None
         return gx, gwx, gwh, gb
 
     return _result(hs, (x, wx, wh, b), vjp), (h, c)

@@ -385,13 +385,20 @@ def dataset_depth_frames(trajectories: list[sim.Trajectory]):
 # --- logs ---------------------------------------------------------------------------
 
 
-def write_metrics(table: SuccessTable, out_dir: str | Path) -> None:
-    """Append one evaluation row to metrics.jsonl."""
+def write_metrics(table: SuccessTable, out_dir: str | Path, run: dict | None = None) -> None:
+    """Append one evaluation row to metrics.jsonl: the table's fields,
+    and under "run" the evaluation's settings when given."""
+    row = table.to_dict()
+    if run is not None:
+        row["run"] = run
     with _appending(Path(out_dir) / "metrics.jsonl") as f:
-        f.write(json.dumps(table.to_dict(), sort_keys=True) + "\n")
+        f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def write_chain_results(results: list[sim.ChainResult], path: str | Path) -> None:
+def write_chain_results(results: list[sim.ChainResult], path: str | Path, run: dict) -> None:
+    """Append one line per chain to the log at path, each with the
+    evaluation's settings under "run", so lines of several evaluations
+    in one log stay apart."""
     with _appending(Path(path)) as f:
         for r in results:
             f.write(json.dumps({
@@ -399,4 +406,5 @@ def write_chain_results(results: list[sim.ChainResult], path: str | Path) -> Non
                 "seed": r.seed,
                 "palette": r.palette,
                 "successes": list(map(bool, r.successes)),
+                "run": run,
             }, sort_keys=True) + "\n")

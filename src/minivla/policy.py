@@ -15,11 +15,22 @@ Only the LSTM carries state from step to step. policy_core therefore
 takes a trajectory's frozen tokens stacked over time, (T, 2N, d), and
 runs resampler -> decoder -> max-pool and the action heads once over
 all T steps. The LSTM is one nm.lstm_layer op per layer over all T
-steps, whose recurrence loops inside the op, not on the tape. A rollout
-step is the same call with T = 1. The state it carries is data, not
-graph: one (h, c) pair of (1, r) arrays per layer. Nothing reads a
-gradient for it, since every trajectory starts from reset_hidden's
-zeros and rollouts run under no_grad.
+steps, whose recurrence loops inside the op, not on the tape. The state
+it carries is data, not graph: one (h, c) pair of (1, r) arrays per
+layer. Nothing reads a gradient for it, since every trajectory starts
+from reset_hidden's zeros and rollouts run under no_grad.
+
+Rollout steps take the same call with a leading chain axis in place of
+time: one step of each of C chains, tokens (C, 2N, d), instructions
+(C, M, d) and state (C, 1, r), each chain's LSTM a sequence of one
+step. Every product keeps each chain's slice at the shape of that
+chain's own call, never a padded instruction or one flattened GEMM over
+chains, so each chain's action and state are bitwise those of stepping
+it alone. act_round steps a lockstep round this way: one step_agents
+call, and so one policy_core call, per group of the round's agents
+whose models share one ParamSet and whose instructions have the same
+token count; each agent's act then returns its precomputed action. An
+act outside a round is a round of one.
 
 The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
@@ -30,12 +41,13 @@ Each Model has a memo of its own: a chain evaluation gives every chain
 its own Model over the same parameters (PolicyAgent.for_chain), and
 encode_round encodes one lockstep round of those models in one call,
 grouped by chain and checking and preprocessing each frame once; each
-model's act then takes its tokens from that call. Within a chain, a
-model's step reuses the tokens of a frame another model of the chain
-encodes in the same call. A memo stays valid because the frozen weights
-never change once a model is built; the depth slots hold preprocessed
-frames, so the depth statistics are part of what it compares, and models
-that differ only in them share the RGB slots exactly.
+model's next encode_observation then takes its tokens from that call.
+Within a chain, a model's step reuses the tokens of a frame another
+model of the chain encodes in the same call. A memo stays valid because
+the frozen weights never change once a model is built; the depth slots
+hold preprocessed frames, so the depth statistics are part of what it
+compares, and models that differ only in them share the RGB slots
+exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -313,42 +325,96 @@ def fused_tokens(model: Model, encoded: tuple[Array, Array]) -> Tensor:
 def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
                 hidden: list[tuple[Array, Array]]
                 ) -> tuple[Tensor, Tensor, list[tuple[Array, Array]]]:
-    """Differentiable pass over T consecutive steps.
+    """Differentiable pass over T consecutive steps of one trajectory, or
+    over one step of each of C chains.
 
-    encoded: (X_rgb, X_depth), each (T, 2N, d), whose rank enc.resample
-    checks; instr: the (M, d) instruction embedding (Model.instruction).
-    Returns (pose (T, 6), gripper logit (T, 1), the LSTM state after
-    step T). Every stage is recorded once for all T steps.
+    One trajectory: encoded is (X_rgb, X_depth), each (T, 2N, d), whose
+    rank enc.resample checks; instr is the (M, d) instruction embedding
+    (Model.instruction); hidden holds one (h, c) pair of (1, r) arrays per
+    layer. Returns (pose (T, 6), gripper logit (T, 1), the LSTM state
+    after step T). Every stage is recorded once for all T steps.
+
+    C chains (step_agents): instr is (C, M, d), one instruction of M
+    tokens per chain, the tokens are (C, 2N, d) and the state arrays
+    (C, 1, r); the pose comes back (C, 1, 6), the logit (C, 1, 1) and the
+    state (C, 1, r). Every product keeps each chain's slice at the shape
+    of that chain's call with C = 1, so each chain's outputs are bitwise
+    those of stepping it alone.
     """
     with _stage("resampler"):
         xvde = fused_tokens(model, encoded)
     with _stage("fusion_decoder"):
         x = dec.decode(Tensor(instr), xvde, model.decoder)
     with _stage("policy_head"):
-        h_top, hidden = lstm_step(nm.max_over_rows(x), hidden, model)
+        pooled = nm.max_over_rows(x)
+        if instr.ndim == 3:  # one step per chain: a time axis of one
+            pooled = nm.reshape(pooled, (len(instr), 1, pooled.shape[-1]))
+        h_top, hidden = lstm_step(pooled, hidden, model)
         pose, logit = action_heads(h_top, model)
     return pose, logit, hidden
 
 
-def policy_step(model: Model, obs: sim.Observation, instruction: str,
-                hidden: list[tuple[Array, Array]]
-                ) -> tuple[sim.Action, list[tuple[Array, Array]]]:
-    """Observation + instruction -> executable action (gripper binarized)."""
-    instr = model.instruction(instruction)
-    encoded = tuple(x[None] for x in encode_observation(model, obs))
-    pose, logit, new_hidden = policy_core(model, encoded, instr, hidden)
-    closed = logit.item() > 0.0  # p > 0.5; an exact tie stays open
-    return sim.Action(pose.data.reshape(6).copy(), closed), new_hidden
+def act_round(chains: list[list[tuple["PolicyAgent", sim.Observation]]]) -> None:
+    """Step one lockstep round: chains holds, per evaluated chain, the
+    (agent, observation) pairs of the agents that act in it, each with a
+    model over one frozen encoder (see encode_round).
+
+    One encode_round call encodes the round's new frames. Then the
+    PolicyAgents step in groups, one step_agents call per group: the
+    agents whose models share one ParamSet and whose task instructions
+    have the same token count. Each agent's next act on that observation
+    returns the action computed here. An agent that only exposes a
+    model (one wrapping a PolicyAgent) has its frames encoded here and
+    steps when it acts.
+    """
+    encode_round([[(agent.model, obs) for agent, obs in chain] for chain in chains])
+    groups: dict[tuple[int, int], list[tuple[PolicyAgent, sim.Observation]]] = {}
+    for chain in chains:
+        for agent, obs in chain:
+            if isinstance(agent, PolicyAgent):
+                key = (id(agent.model.params), len(agent._instruction[1]))
+                groups.setdefault(key, []).append((agent, obs))
+    for steps in groups.values():
+        step_agents(steps)
+
+
+def step_agents(steps: list[tuple["PolicyAgent", sim.Observation]]) -> None:
+    """One policy step of each agent, as one policy_core call with a
+    leading chain axis: the agents' models share one ParamSet and their
+    instructions have one token count. Each agent's tokens come from
+    encode_observation(agent.model, obs); each agent keeps its action
+    (gripper binarized) and next LSTM state for its act on obs."""
+    model = steps[0][0].model
+    x_rgb, x_depth = zip(*(encode_observation(agent.model, obs) for agent, obs in steps))
+    instr = np.stack([agent._instruction[1] for agent, _ in steps])
+    hidden = [tuple(map(np.stack, zip(*layer)))
+              for layer in zip(*(agent._hidden for agent, _ in steps))]
+    with nm.no_grad():
+        pose, logit, hidden = policy_core(model, (np.stack(x_rgb), np.stack(x_depth)),
+                                          instr, hidden)
+    for k, (agent, obs) in enumerate(steps):
+        closed = float(logit.data[k, 0, 0]) > 0.0  # p > 0.5; an exact tie stays open
+        agent._next = (obs, sim.Action(pose.data[k].reshape(6).copy(), closed),
+                       [(h[k], c[k]) for h, c in hidden])
 
 
 class PolicyAgent:
-    """Pixels-only rollout adapter around a Model (no world-state access)."""
+    """Pixels-only rollout adapter around a Model (no world-state access).
+
+    Its LSTM state and the task's instruction embedding are its own.
+    act returns the action act_round computed for that observation, or
+    steps the agent alone: a round of one.
+    """
 
     reads_pixels = True
 
     def __init__(self, model: Model):
         self.model = model
         self._hidden = reset_hidden(model)
+        # (text, its (M, d) embedding), resolved once per task.
+        self._instruction: tuple[str | None, Array | None] = (None, None)
+        # (observation, action, next LSTM state) from act_round, until act.
+        self._next: tuple[sim.Observation, sim.Action, list] | None = None
 
     def for_chain(self) -> "PolicyAgent":
         """An agent for one chain of an evaluation: a Model over the same
@@ -359,11 +425,17 @@ class PolicyAgent:
 
     def reset(self):
         self._hidden = reset_hidden(self.model)
+        self._next = None
 
     def begin_task(self, task, instruction: str):
-        pass
+        """Resolve the instruction's embedding once, for every step of the task."""
+        self._instruction = (instruction, self.model.instruction(instruction))
+        self._next = None
 
     def act(self, obs: sim.Observation, instruction: str, state=None) -> sim.Action:
-        with nm.no_grad():
-            action, self._hidden = policy_step(self.model, obs, instruction, self._hidden)
+        if self._instruction[0] != instruction:  # a step outside a begun task
+            self.begin_task(None, instruction)
+        if self._next is None or self._next[0] is not obs:
+            step_agents([(self, obs)])
+        (_, action, self._hidden), self._next = self._next, None
         return action

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minivla
 from minivla import depth as dp
 from minivla import encoders as enc
 from minivla import persist
@@ -120,6 +125,32 @@ def rewrite_checkpoint_header(src, dst, edit) -> None:
     """Copy the checkpoint at src to dst with its header JSON replaced by
     edit(header), framed again with a valid CRC."""
     rewrite_header(src, dst, lambda text: json.dumps(edit(json.loads(text))).encode())
+
+
+def blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict form
+        return "unknown"
+
+
+def on_another_openblas_core(code: str) -> str:
+    """The last line code prints, run by Python with the tests' modules
+    importable under OpenBLAS's Prescott kernel, one every x86-64 CPU can
+    run."""
+    path = os.pathsep.join([str(Path(minivla.__file__).parent.parent),
+                            str(Path(__file__).parent)])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in blas_name().lower(),
+    reason=f"the BLAS is {blas_name()}, not OpenBLAS, so OPENBLAS_CORETYPE cannot "
+           f"select another kernel")
 
 
 @pytest.fixture

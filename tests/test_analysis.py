@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import (Recording, action_bytes, count_encodes, run_chain, synthetic_stats,
-                      tiny_config)
+from conftest import (Recording, action_bytes, count_encodes, needs_openblas,
+                      on_another_openblas_core, run_chain, synthetic_stats, tiny_config)
 
 from minivla import analysis as an
 from minivla import depth as dp
@@ -355,6 +357,106 @@ def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
             assert len(chains) == n_chains
             assert all(0 < len(chain) <= 2 and set(map(id, chain)) <= set(map(id, arms))
                        for chain in chains)
+
+
+# Chains 9-12 on D, drawn from every family, begin with instructions of 4,
+# 4, 7 and 5 tokens: a round of their first tasks makes three groups per
+# ParamSet. None succeeds within the horizon, so every round is like that.
+GROUPED_SEED, GROUPED_CHAINS, GROUPED_HORIZON = 9, 4, 3
+GROUPED_KINDS = ("one-policy", "two-arms")
+
+
+def grouped_arms(kind) -> tuple:
+    """The agents of one evaluation: one policy, or two arms whose
+    ParamSets differ, over one frozen encoder."""
+    model = policy_model(0)
+    if kind == "one-policy":
+        return (pol.PolicyAgent(model),)
+    return pol.PolicyAgent(model), pol.PolicyAgent(over_frozen_encoder_of(model, 1))
+
+
+def acted(evaluate) -> list[list[str]]:
+    """Per PolicyAgent that acts in evaluate(), in the order they first act,
+    each action as the hex of its pose bytes and its gripper bit."""
+    logs: dict[int, list[str]] = {}
+    real = pol.PolicyAgent.act
+
+    def act(self, obs, instruction, state=None):
+        action = real(self, obs, instruction, state=state)
+        logs.setdefault(id(self), []).append(action.pose.tobytes().hex()
+                                             + "01"[action.gripper_closed])
+        return action
+
+    pol.PolicyAgent.act = act
+    try:
+        evaluate()
+    finally:
+        pol.PolicyAgent.act = real
+    return list(logs.values())
+
+
+def round_and_alone_actions(kind) -> dict[str, list[list[str]]]:
+    """Every chain's actions, per chain and arm: stepped in lockstep rounds
+    of one evaluation ("rounds"), and each chain run on its own ("alone")."""
+    arms = grouped_arms(kind)
+    rounds = acted(lambda: an.run_chain_eval(arms if len(arms) > 1 else arms[0],
+                                             GROUPED_CHAINS, "D", GROUPED_SEED,
+                                             horizon=GROUPED_HORIZON))
+    alone = []
+    for i in range(GROUPED_CHAINS):
+        chain = sim.sample_chain(GROUPED_SEED + i, "D")
+        for arm in grouped_arms(kind):
+            alone += acted(lambda: run_chain(arm.for_chain(), chain,
+                                             max_steps_per_task=GROUPED_HORIZON))
+    return {"rounds": rounds, "alone": alone}
+
+
+class TestRoundGroups:
+    """A round steps the PolicyAgents that share a ParamSet and an
+    instruction length with one policy_core call, each chain bitwise as if
+    it ran alone."""
+
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_each_chain_acts_as_it_does_alone(self, kind):
+        got = round_and_alone_actions(kind)
+        assert len(got["rounds"]) == GROUPED_CHAINS * len(grouped_arms(kind))
+        assert all(len(log) == GROUPED_HORIZON for log in got["rounds"])
+        assert got["rounds"] == got["alone"]
+
+    @needs_openblas
+    def test_each_chain_acts_as_it_does_alone_on_another_openblas_core(self):
+        other = json.loads(on_another_openblas_core(
+            "import json, test_analysis as t; "
+            "print(json.dumps([t.round_and_alone_actions(k) for k in t.GROUPED_KINDS]))"))
+        for got in other:
+            assert len(got["rounds"]) > 0 and got["rounds"] == got["alone"]
+
+    @pytest.mark.parametrize("kind", GROUPED_KINDS)
+    def test_one_policy_core_call_per_group(self, monkeypatch, kind):
+        calls = []  # per round, per policy_core call: (ParamSet, chains, tokens)
+        real_core, real_round = pol.policy_core, pol.act_round
+
+        def core(model, encoded, instr, hidden):
+            calls[-1].append((id(model.params), len(instr), instr.shape[1]))
+            return real_core(model, encoded, instr, hidden)
+
+        def act_round(chains):
+            calls.append([])
+            real_round(chains)
+
+        monkeypatch.setattr(pol, "policy_core", core)
+        monkeypatch.setattr(pol, "act_round", act_round)
+        arms = grouped_arms(kind)
+        results = an.run_chain_eval(arms if len(arms) > 1 else arms[0], GROUPED_CHAINS,
+                                    "D", GROUPED_SEED, horizon=GROUPED_HORIZON)
+        assert not any(r.successes[0] for arm in (results if len(arms) > 1 else [results])
+                       for r in arm)
+        # Token counts {4, 4, 5, 7}: three calls per ParamSet, the two
+        # four-token chains in one; arms of other ParamSets never share one.
+        per_params = [(2, 4), (1, 5), (1, 7)]
+        want = sorted((id(a.model.params), *group) for a in arms for group in per_params)
+        assert len(calls) == GROUPED_HORIZON
+        assert all(sorted(round_calls) == want for round_calls in calls)
 
 
 class TestDepthExtremesAblation:

@@ -131,6 +131,12 @@ class TestBatchedVjp:
         fd_check(nm.max_over_rows, [distinct_rows(rng, t, m, d)], seed)
 
     @property_settings
+    @given(t=dims, m=dims, d=dims, seed=seeds)
+    def test_reshape(self, t, m, d, seed):
+        rng = np.random.default_rng(seed)
+        fd_check(lambda a: nm.reshape(a, (m, 1, t * d)), [rng.normal(size=(t, m, d))], seed)
+
+    @property_settings
     @given(t=dims, m=dims, d=dims, h=dims, seed=seeds)
     def test_mlp2(self, t, m, d, h, seed):
         rng = np.random.default_rng(seed)
@@ -235,6 +241,32 @@ class TestLstmLayer:
         assert np.array_equal(h.data, h_ref.data)
         assert np.array_equal(h_last, h_ref.data) and np.array_equal(c_last, c_ref.data)
 
+    @property_settings
+    @given(n=st.integers(1, 5), t=dims, d_in=st.integers(1, 40), r=st.integers(1, 40),
+           seed=seeds)
+    def test_leading_axis_is_separate_calls_bitwise(self, n, t, d_in, r, seed):
+        # A rollout round's chains: (N, T, d) is N independent sequences.
+        rng = np.random.default_rng(seed)
+        wx, wh, b = lstm_arrays(rng, t, d_in, r)[3:]
+        seqs = [lstm_arrays(rng, t, d_in, r)[:3] for _ in range(n)]
+        g = rng.normal(size=(n, t, r))
+
+        def call(x, h0, c0, g):
+            """Hidden states, carried state, and the VJP of g for every input."""
+            h, (h_last, c_last) = nm.lstm_layer(
+                Tensor(x, requires_grad=True), h0, c0,
+                *(Tensor(w, requires_grad=True) for w in (wx, wh, b)))
+            return [h.data, h_last, c_last, *h._vjp(g)]
+
+        whole = call(*(np.stack(arrays) for arrays in zip(*seqs)), g)
+        alone = [call(*arrays, g[k]) for k, arrays in enumerate(seqs)]
+        # hs, h_T, c_T and the input gradient: each sequence's slice is its call
+        for got, parts in zip(whole[:4], zip(*alone)):
+            assert got.tobytes() == np.stack(parts).tobytes()
+        # wx, wh and b: the sum over sequences of each call's gradient
+        for got, parts in zip(whole[4:], list(zip(*alone))[4:]):
+            assert got.tobytes() == np.stack(parts).sum(axis=0).tobytes()
+
     @pytest.mark.parametrize("which", ["h0", "c0"])
     def test_state_that_is_not_an_array_is_a_dimension_error(self, which):
         x, h0, c0, wx, wh, b = lstm_arrays(np.random.default_rng(0), 3, 2, 4)
@@ -294,6 +326,43 @@ class TestResampleAssociation:
         for name, g in want_grads.items():
             np.testing.assert_allclose(got_grads[name], g, rtol=0,
                                        atol=1e-12 * np.abs(g).max(), err_msg=name)
+
+
+class TestChainAxis:
+    """policy_core over one step of each of C chains (a rollout round)."""
+
+    @pytest.mark.parametrize("n_chains", [1, 3])
+    def test_each_chain_is_its_solo_step_bitwise(self, n_chains):
+        model = pol.init_model(tiny_config(), synthetic_stats())
+        for layer in model.decoder:
+            layer["cross.alpha"].data = np.asarray(0.4)
+        rng = np.random.default_rng(n_chains)
+        d, r, n_tok = model.cfg.d_model, model.cfg.lstm_width, 8
+        x_rgb, x_depth = (rng.normal(size=(n_chains, n_tok, d)) for _ in range(2))
+        instr = rng.normal(size=(n_chains, 4, d))
+        hidden = [(rng.normal(size=(n_chains, 1, r)), rng.normal(size=(n_chains, 1, r)))
+                  for _ in range(model.cfg.lstm_layers)]
+        w = rng.normal(size=(n_chains, 1, 6))
+
+        def run(encoded, instr, hidden, w):
+            """Outputs, carried state and gradients of one policy_core call."""
+            model.params.zero_grads()
+            pose, logit, state = pol.policy_core(model, encoded, instr, hidden)
+            nm.backward(nm.sum_all(nm.add(nm.mul(pose, Tensor(w)), logit)))
+            return ([pose.data, logit.data, *(a for pair in state for a in pair)],
+                    {name: t.grad.copy() for name, t in model.params.trainable_items()})
+
+        outputs, grads = run((x_rgb, x_depth), instr, hidden, w)
+        assert outputs[0].shape == (n_chains, 1, 6) and outputs[1].shape == (n_chains, 1, 1)
+        # Each chain alone: one step on the time axis of a trajectory.
+        alone = [run((x_rgb[k:k + 1], x_depth[k:k + 1]), instr[k],
+                     [(h[k], c[k]) for h, c in hidden], w[k]) for k in range(n_chains)]
+        for got, parts in zip(outputs, zip(*(out for out, _ in alone))):
+            assert got.tobytes() == np.stack(parts).reshape(got.shape).tobytes()
+        for name, g in grads.items():
+            want = sum(solo[name] for _, solo in alone)
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=name)
 
 
 # --- the trajectory loss ---------------------------------------------------------

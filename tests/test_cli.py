@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rewrite_checkpoint_header, synthetic_stats
 
-from minivla import cli, persist
+from minivla import cli, persist, sim
 from minivla import policy as pol
 from minivla.config import EnvConfig, ModelConfig, parse_config
 from minivla.depth import DepthStats
@@ -99,6 +99,33 @@ def test_eval_without_chains_evaluates_the_config_default(tmp_path, run_dir):
     assert row["n_chains"] == EnvConfig().n_chains
     chains = (run_dir / "eval" / "chains.jsonl").read_text().splitlines()
     assert [json.loads(line)["chain_id"] for line in chains] == list(range(EnvConfig().n_chains))
+
+
+def test_two_evals_into_one_out_are_told_apart_by_their_run(run_dir):
+    model = pol.init_model(ModelConfig(**TINY_MODEL), synthetic_stats())
+    persist.save_checkpoint(model, run_dir / "model.rfpx")
+    runs = [["--chains", "2", "--horizon", "2", "--seed", "1"],
+            ["--chains", "1", "--horizon", "3", "--seed", "7", "--palette", "A",
+             "--families", "lift,press"]]
+    for flags in runs:
+        assert cli.dispatch(["eval", "--checkpoint", "model.rfpx", "--out", "eval",
+                             *flags]) == 0
+    rows = [json.loads(line) for line in
+            (run_dir / "eval" / "metrics.jsonl").read_text().splitlines()]
+    chains = [json.loads(line) for line in
+              (run_dir / "eval" / "chains.jsonl").read_text().splitlines()]
+    first = {"checkpoint": "model.rfpx", "chain_seed": 1, "n_chains": 2, "horizon": 2,
+             "palette": "D", "families": list(sim.FAMILIES), "variant": "standard",
+             "enrich": False}
+    second = {**first, "chain_seed": 7, "n_chains": 1, "horizon": 3, "palette": "A",
+              "families": ["lift", "press"]}
+    assert [row["run"] for row in rows] == [first, second]
+    assert [{k: v for k, v in row.items() if k != "run"} for row in rows] == [
+        {"model": "ours", "train": "ABC", "test": palette, "enriched": False,
+         "rates": row["rates"], "avg": row["avg"], "n_chains": n}
+        for row, palette, n in zip(rows, "DA", (2, 1))]
+    assert [(c["chain_id"], c["seed"], c["run"]) for c in chains] == [
+        (0, 1, first), (1, 2, first), (0, 7, second)]
 
 
 @pytest.mark.parametrize("sections", [

@@ -602,13 +602,15 @@ class TestMetrics:
 
     def test_json_round_trip(self, tmp_path):
         persist.write_metrics(self.TABLE, tmp_path)
-        persist.write_metrics(self.TABLE, tmp_path)
-        assert self.rows(tmp_path) == [self.TABLE.to_dict()] * 2
+        persist.write_metrics(self.TABLE, tmp_path, {"horizon": 4})
+        assert self.rows(tmp_path) == [self.TABLE.to_dict(),
+                                       {**self.TABLE.to_dict(), "run": {"horizon": 4}}]
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]
 
     def test_chain_results_jsonl(self, tmp_path):
         results = [sim.ChainResult([True, False, False, False, False], 3, "D", 0)]
-        persist.write_chain_results(results, tmp_path / "chains.jsonl")
+        persist.write_chain_results(results, tmp_path / "chains.jsonl", {"n_chains": 1})
         rec = json.loads((tmp_path / "chains.jsonl").read_text())
         assert rec == {"chain_id": 0, "seed": 3, "palette": "D",
-                       "successes": [True, False, False, False, False]}
+                       "successes": [True, False, False, False, False],
+                       "run": {"n_chains": 1}}

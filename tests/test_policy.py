@@ -24,6 +24,14 @@ def tiny_model(**overrides):
     return pol.init_model(tiny_config(**overrides), synthetic_stats())
 
 
+def policy_step(model, obs, instruction, hidden):
+    """One step of a PolicyAgent over model from the LSTM state hidden, a
+    round of one: (its action, its next state)."""
+    agent = pol.PolicyAgent(model)
+    agent._hidden = hidden
+    return agent.act(obs, instruction), agent._hidden
+
+
 class TestLstmStep:
     def test_zero_weights_zero_state_fixed_point(self):
         model = tiny_model()
@@ -140,8 +148,8 @@ class TestPolicyStep:
     def test_determinism(self, rng):
         model = tiny_model()
         obs = synthetic_obs(rng)
-        a1, s1 = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
-        a2, s2 = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
+        a1, s1 = policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
+        a2, s2 = policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(a1.pose, a2.pose)
         assert a1.gripper_closed == a2.gripper_closed
         for (h1, c1), (h2, c2) in zip(s1, s2):
@@ -155,11 +163,11 @@ class TestPolicyStep:
             layer["cross.alpha"].data = np.asarray(0.0)
         obs_a = synthetic_obs(rng)
         obs_b = synthetic_obs(rng)
-        act_a, _ = pol.policy_step(model, obs_a, "lift the red block", pol.reset_hidden(model))
-        act_b, _ = pol.policy_step(model, obs_b, "lift the red block", pol.reset_hidden(model))
+        act_a, _ = policy_step(model, obs_a, "lift the red block", pol.reset_hidden(model))
+        act_b, _ = policy_step(model, obs_b, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(act_a.pose, act_b.pose)
         assert act_a.gripper_closed == act_b.gripper_closed
-        act_c, _ = pol.policy_step(model, obs_a, "press the red button", pol.reset_hidden(model))
+        act_c, _ = policy_step(model, obs_a, "press the red button", pol.reset_hidden(model))
         assert not np.array_equal(act_a.pose, act_c.pose)
 
     def test_tokens_without_a_time_axis_rejected(self, rng):
@@ -177,18 +185,18 @@ class TestPolicyStep:
         with pytest.raises(ContractError,
                            match=r"\[stage=depth_pipeline\] depth values must be finite "
                                  r"and non-negative"):
-            pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
+            policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
 
     def test_episode_isolation(self, rng):
         model = tiny_model()
         model.params["decoder.0.cross.alpha"].data = np.asarray(0.5)
         obs = synthetic_obs(rng)
-        first, _ = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
+        first, _ = policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         # Run some unrelated steps, then reset: same action again.
         hidden = pol.reset_hidden(model)
         for _ in range(3):
-            _, hidden = pol.policy_step(model, synthetic_obs(rng), "press the red button", hidden)
-        again, _ = pol.policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
+            _, hidden = policy_step(model, synthetic_obs(rng), "press the red button", hidden)
+        again, _ = policy_step(model, obs, "lift the red block", pol.reset_hidden(model))
         assert np.array_equal(first.pose, again.pose)
 
     def test_full_step_grad_check(self, rng):

@@ -1,18 +1,13 @@
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import synthetic_stats, tiny_config
+from conftest import needs_openblas, on_another_openblas_core, synthetic_stats, tiny_config
 
-import minivla
 from minivla import depth as dp
 from minivla import numerics as nm
 from minivla import persist
@@ -449,13 +444,6 @@ class TestTrainRun:
             tr.train_run(data[:3], model, TrainConfig(epochs=1), encoded=encoded)
 
 
-def blas_name() -> str:
-    try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (TypeError, KeyError):  # numpy before 1.25 has no dict form
-        return "unknown"
-
-
 def two_demo_epoch() -> list[float]:
     """Loss, pose MSE and gripper BCE of one epoch over two lift demos.
 
@@ -470,19 +458,10 @@ def two_demo_epoch() -> list[float]:
     return [epoch.loss, epoch.mse, epoch.bce]
 
 
-@pytest.mark.skipif("openblas" not in blas_name().lower(),
-                    reason=f"the BLAS is {blas_name()}, not OpenBLAS, so "
-                           f"OPENBLAS_CORETYPE cannot select another kernel")
+@needs_openblas
 def test_training_on_another_openblas_core_agrees_to_1e_9():
     # Bitwise holds per BLAS kernel; across kernels the promise is 1e-9
-    # relative on losses. Prescott is a kernel every x86-64 CPU can run.
-    path = os.pathsep.join([str(Path(minivla.__file__).parent.parent),
-                            str(Path(__file__).parent)])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=path)
-    run = subprocess.run(
-        [sys.executable, "-c",
-         "import json, test_training; print(json.dumps(test_training.two_demo_epoch()))"],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    other = json.loads(run.stdout.splitlines()[-1])
+    # relative on losses.
+    other = json.loads(on_another_openblas_core(
+        "import json, test_training; print(json.dumps(test_training.two_demo_epoch()))"))
     np.testing.assert_allclose(other, two_demo_epoch(), rtol=1e-9, atol=0)

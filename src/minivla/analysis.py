@@ -11,14 +11,16 @@ pixel-change sensitivity counts). run_chain_eval evaluates one agent or
 a tuple of agents over one frozen encoder: every chain of every agent
 runs with an agent of its own, and the chains are stepped together in
 lockstep rounds. Before any agent of a round acts, one pol.act_round
-call encodes the round's new frames together and steps the round's
-policy agents with one policy_core call per group that shares a
-ParamSet and an instruction length, a leading chain axis in that call;
-each chain's actions stay bitwise those of evaluating it alone. Each
-harness evaluates its two arms with one such call after training, the
-resampler harness also at initialization; the arms' ParamSets differ, so
-they never share a policy_core call, but within a chain an arm reuses
-the tokens of each frame the other arm encodes in the same round.
+call, the one step path of a pol.PolicyAgent, encodes the round's new
+frames together and steps the round's PolicyAgents with one policy_core
+call per group that shares a ParamSet and an instruction length, a
+leading chain axis in that call; each chain's actions stay bitwise
+those of evaluating it alone, where each act is a round of one. Other
+agents (expert, random) act on their own. Each harness evaluates its
+two arms with one such call after training, the resampler harness also
+at initialization; the arms' ParamSets differ, so they never share a
+policy_core call, but within a chain an arm reuses the tokens of each
+frame the other arm encodes in the same round.
 """
 
 from __future__ import annotations
@@ -91,23 +93,23 @@ def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
     order, each with chain_id i.
 
     agent is one agent, which gets a list of ChainResults, or a tuple of
-    agents, which get one such list each. The agents that act through a
-    pol.Model (their model attribute) must have the same frozen encoder
-    (pol.same_frozen_encoder), else this raises ContractError before any
-    chain is sampled. Every chain of every agent runs with an agent of
-    its own, agent.for_chain(), so a policy agent's chain has its own
-    frame memo and LSTM state. The chains run in waves of
-    CHAINS_PER_WAVE, all runs of a wave stepped in lockstep
-    (sim.lockstep). Before each round's acts, one pol.act_round call
-    encodes the round's new frames, grouped by chain, and steps the
-    round's policy agents in groups, one policy_core call per group that
+    agents, which get one such list each. The pol.PolicyAgents among them
+    must have the same frozen encoder (pol.same_frozen_encoder), else
+    this raises ContractError before any chain is sampled. Every chain of
+    every agent runs with an agent of its own, agent.for_chain(), so a
+    policy agent's chain has its own frame memo and LSTM state. The
+    chains run in waves of CHAINS_PER_WAVE, all runs of a wave stepped in
+    lockstep (sim.lockstep). Before each round's acts, one pol.act_round
+    call encodes the round's new frames, grouped by chain, and steps the
+    round's PolicyAgents in groups, one policy_core call per group that
     shares a ParamSet and an instruction length; each act then returns
     its agent's action from that call. A chain's results and actions do
-    not depend on the others, so they are those of evaluating it alone.
+    not depend on the others, on the wave size or on the usable CPUs, so
+    they are those of evaluating it alone.
     """
     paired = isinstance(agent, tuple)
     agents = agent if paired else (agent,)
-    models = [a.model for a in agents if getattr(a, "model", None) is not None]
+    models = [a.model for a in agents if isinstance(a, pol.PolicyAgent)]
     if not all(pol.same_frozen_encoder(models[0], m) for m in models[1:]):
         raise ContractError("the agents' models have different frozen encoders")
     results: list[list[sim.ChainResult]] = [[] for _ in agents]
@@ -135,7 +137,7 @@ def _run_wave(agents, chains: list[sim.ChainSpec], horizon: int, enrich: bool
     def act_round(observations):
         steps = [[] for _ in chains]
         for r, obs in observations.items():
-            if getattr(players[r], "model", None) is not None and obs is not None:
+            if isinstance(players[r], pol.PolicyAgent):
                 steps[r // len(agents)].append((players[r], obs))
         pol.act_round(steps)
 

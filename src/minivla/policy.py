@@ -26,26 +26,28 @@ time: one step of each of C chains, tokens (C, 2N, d), instructions
 step. Every product keeps each chain's slice at the shape of that
 chain's own call, never a padded instruction or one flattened GEMM over
 chains, so each chain's action and state are bitwise those of stepping
-it alone. act_round steps a lockstep round this way: one step_agents
-call, and so one policy_core call, per group of the round's agents
-whose models share one ParamSet and whose instructions have the same
-token count; each agent's act then returns its precomputed action. An
-act outside a round is a round of one.
+it alone. act_round is the one way a PolicyAgent steps: it encodes a
+lockstep round, then makes one step_agents call, and so one
+policy_core call, per group of the round's agents whose models share
+one ParamSet and whose instructions have the same token count; each
+agent's act then returns its precomputed action. An act outside a round
+(a chain run on its own, a lone step) is a round of one.
 
 The frozen encode is one enc.vit_encode_pair call over all four camera
-slots, for a rollout step (encode_observation, T = 1) and a teacher-forced
-trajectory (encode_trajectory) alike, which decides reuse, batching and
-threads. This module checks and preprocesses the frames and supplies the
-model's memo, one entry per slot, so reuse spans steps and trajectories.
-Each Model has a memo of its own: a chain evaluation gives every chain
-its own Model over the same parameters (PolicyAgent.for_chain), and
-encode_round encodes one lockstep round of those models in one call,
-grouped by chain and checking and preprocessing each frame once; each
-model's next encode_observation then takes its tokens from that call.
-Within a chain, a model's step reuses the tokens of a frame another
-model of the chain encodes in the same call. A memo stays valid because
-the frozen weights never change once a model is built; the depth slots
-hold preprocessed frames, so the depth statistics are part of what it
+slots, for a round of rollout steps (encode_round, T = 1) and a
+teacher-forced trajectory (encode_trajectory) alike, which decides
+reuse, batching and threads. This module checks and preprocesses the
+frames and supplies the model's memo, one entry per slot, so reuse
+spans steps and trajectories. Each Model has a memo of its own: a chain
+evaluation gives every chain its own Model over the same parameters
+(PolicyAgent.for_chain), and encode_round encodes one lockstep round of
+those models in one call, grouped by chain and checking and
+preprocessing each frame once; each model's next encode_observation
+takes its tokens from that call, its only source. Within a chain, a
+model's step reuses the tokens of a frame another model of the chain
+encodes in the same call. A memo stays valid because the frozen
+weights never change once a model is built; the depth slots hold
+preprocessed frames, so the depth statistics are part of what it
 compares, and models that differ only in them share the RGB slots
 exactly.
 
@@ -66,7 +68,7 @@ from . import encoders as enc
 from . import numerics as nm
 from . import sim
 from .config import ModelConfig
-from .errors import DimensionError, MinivlaError
+from .errors import ContractError, DimensionError, MinivlaError
 from .numerics import ParamSet, Tensor
 
 Array = np.ndarray
@@ -262,14 +264,15 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[Array, Array, Ar
 
 
 def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
-    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64: the
-    tokens encode_round left for this observation object, else
-    encode_trajectory of one step."""
+    """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64, of
+    one policy step: the tokens encode_round left for this observation
+    object, which this takes. Every step is encoded in a round
+    (act_round), so a model with no round tokens for obs raises
+    ContractError; encode_trajectory encodes steps outside one."""
     ready, model._ready = model._ready, None
-    if ready is not None and ready[0] is obs:
-        return ready[1]
-    x_rgb, x_depth = encode_trajectory(model, [obs])
-    return x_rgb[0], x_depth[0]
+    if ready is None or ready[0] is not obs:
+        raise ContractError("no round encoded this observation for this model")
+    return ready[1]
 
 
 def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
@@ -355,25 +358,23 @@ def policy_core(model: Model, encoded: tuple[Array, Array], instr: Array,
 
 
 def act_round(chains: list[list[tuple["PolicyAgent", sim.Observation]]]) -> None:
-    """Step one lockstep round: chains holds, per evaluated chain, the
-    (agent, observation) pairs of the agents that act in it, each with a
-    model over one frozen encoder (see encode_round).
+    """Step one lockstep round, the one way a PolicyAgent steps: chains
+    holds, per evaluated chain, the (PolicyAgent, observation) pairs of
+    the agents that act in it, their models over one frozen encoder (see
+    encode_round). A lone act is a round of one: [[(agent, obs)]].
 
-    One encode_round call encodes the round's new frames. Then the
-    PolicyAgents step in groups, one step_agents call per group: the
-    agents whose models share one ParamSet and whose task instructions
-    have the same token count. Each agent's next act on that observation
-    returns the action computed here. An agent that only exposes a
-    model (one wrapping a PolicyAgent) has its frames encoded here and
-    steps when it acts.
+    One encode_round call encodes the round's new frames. Then the agents
+    step in groups, one step_agents call per group: the agents whose
+    models share one ParamSet and whose task instructions have the same
+    token count. Each agent's next act on that observation returns the
+    action computed here.
     """
     encode_round([[(agent.model, obs) for agent, obs in chain] for chain in chains])
     groups: dict[tuple[int, int], list[tuple[PolicyAgent, sim.Observation]]] = {}
     for chain in chains:
         for agent, obs in chain:
-            if isinstance(agent, PolicyAgent):
-                key = (id(agent.model.params), len(agent._instruction[1]))
-                groups.setdefault(key, []).append((agent, obs))
+            key = (id(agent.model.params), len(agent._instruction[1]))
+            groups.setdefault(key, []).append((agent, obs))
     for steps in groups.values():
         step_agents(steps)
 
@@ -381,9 +382,9 @@ def act_round(chains: list[list[tuple["PolicyAgent", sim.Observation]]]) -> None
 def step_agents(steps: list[tuple["PolicyAgent", sim.Observation]]) -> None:
     """One policy step of each agent, as one policy_core call with a
     leading chain axis: the agents' models share one ParamSet and their
-    instructions have one token count. Each agent's tokens come from
-    encode_observation(agent.model, obs); each agent keeps its action
-    (gripper binarized) and next LSTM state for its act on obs."""
+    instructions have one token count. Each agent's tokens are those its
+    round's encode_round left (encode_observation); each agent keeps its
+    action (gripper binarized) and next LSTM state for its act on obs."""
     model = steps[0][0].model
     x_rgb, x_depth = zip(*(encode_observation(agent.model, obs) for agent, obs in steps))
     instr = np.stack([agent._instruction[1] for agent, _ in steps])
@@ -401,9 +402,8 @@ def step_agents(steps: list[tuple["PolicyAgent", sim.Observation]]) -> None:
 class PolicyAgent:
     """Pixels-only rollout adapter around a Model (no world-state access).
 
-    Its LSTM state and the task's instruction embedding are its own.
-    act returns the action act_round computed for that observation, or
-    steps the agent alone: a round of one.
+    Its LSTM state and the task's instruction embedding are its own. It
+    steps only through act_round (see act).
     """
 
     reads_pixels = True
@@ -433,9 +433,12 @@ class PolicyAgent:
         self._next = None
 
     def act(self, obs: sim.Observation, instruction: str, state=None) -> sim.Action:
+        """The action act_round computed for obs in this agent's round; an
+        act on an observation no round stepped (outside an evaluation) runs
+        act_round([[(self, obs)]]), a round of one, first."""
         if self._instruction[0] != instruction:  # a step outside a begun task
             self.begin_task(None, instruction)
         if self._next is None or self._next[0] is not obs:
-            step_agents([(self, obs)])
+            act_round([[(self, obs)]])
         (_, action, self._hidden), self._next = self._next, None
         return action

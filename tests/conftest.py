@@ -55,15 +55,17 @@ def count_encodes(monkeypatch) -> list[int]:
 
 
 class Recording:
-    """An agent that logs (its name, each action it returns) to log. It
-    acts through the wrapped agent's model, if it has one; each agent it
-    gives for a chain (for_chain) logs to a list of its own, appended to
-    chain_logs."""
+    """An agent that logs (its name, each action it returns) to log; each
+    agent it gives for a chain (for_chain) logs to a list of its own,
+    appended to chain_logs. It is no PolicyAgent, so an evaluation's
+    rounds never step what it wraps, and a PolicyAgent it wraps steps
+    alone on each act, a round of one. Evaluations therefore wrap only
+    agents without a model (expert, random) and log a PolicyAgent's
+    actions by patching PolicyAgent.act (test_analysis.acted)."""
 
     def __init__(self, agent, log, name=""):
         self.agent, self.log, self.name = agent, log, name
         self.reads_pixels = agent.reads_pixels
-        self.model = getattr(agent, "model", None)
         self.chain_logs = []
 
     def for_chain(self):
@@ -145,6 +147,14 @@ def on_another_openblas_core(code: str) -> str:
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     return run.stdout.splitlines()[-1]
+
+
+def thread_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads through /proc")
 
 
 needs_openblas = pytest.mark.skipif(

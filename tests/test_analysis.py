@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from conftest import (Recording, action_bytes, count_encodes, needs_openblas,
-                      on_another_openblas_core, run_chain, synthetic_stats, tiny_config)
+from conftest import (Recording, action_bytes, count_encodes, needs_openblas, needs_proc,
+                      on_another_openblas_core, run_chain, synthetic_stats, thread_count,
+                      tiny_config)
 
 from minivla import analysis as an
 from minivla import depth as dp
@@ -12,7 +15,7 @@ from minivla import policy as pol
 from minivla import sim
 from minivla import training as tr
 from minivla.config import EnvConfig, TrainConfig
-from minivla.errors import ContractError, ValidationError
+from minivla.errors import ContractError, DimensionError, ValidationError
 
 
 def chains_with_prefix_counts(counts, n):
@@ -110,36 +113,35 @@ def evaluate(agent, families=("lift",)):
     return an.run_chain_eval(agent, N_CHAINS, "D", 11, families=list(families), horizon=16)
 
 
-class Steered:
-    """A policy agent that acts on every observation but returns the
-    expert's action, so its chains succeed now and then and end at
-    different steps."""
+class Steered(pol.PolicyAgent):
+    """A policy agent that steps its policy on every observation but
+    returns the expert's action, so its chains succeed now and then and
+    end at different steps."""
 
-    reads_pixels = True
-
-    def __init__(self, policy):
-        self.policy, self.model, self.expert = policy, policy.model, sim.ExpertAgent()
+    def __init__(self, model):
+        super().__init__(model)
+        self.expert = sim.ExpertAgent()
 
     def for_chain(self):
-        return Steered(self.policy.for_chain())
+        return Steered(super().for_chain().model)
 
     def reset(self):
-        self.policy.reset()
+        super().reset()
         self.expert.reset()
 
     def begin_task(self, task, instruction):
-        self.policy.begin_task(task, instruction)
+        super().begin_task(task, instruction)
         self.expert.begin_task(task, instruction)
 
     def act(self, obs, instruction, state=None):
-        self.policy.act(obs, instruction, state=state)
+        super().act(obs, instruction, state=state)
         return self.expert.act(obs, instruction, state=state)
 
 
-def agents_of(kind):
-    """Fresh agents of one kind of evaluation, a tuple for a paired one."""
+def agents_of(kind) -> tuple:
+    """Fresh agents of one kind of evaluation: one agent, or two arms."""
     if kind == "one-policy":
-        return pol.PolicyAgent(policy_model())
+        return (pol.PolicyAgent(policy_model()),)
     if kind == "clones":
         models = [policy_model(), policy_model()]
         return tuple(pol.PolicyAgent(m) for m in models)
@@ -147,22 +149,41 @@ def agents_of(kind):
         model = policy_model(0)
         return pol.PolicyAgent(model), pol.PolicyAgent(over_frozen_encoder_of(model, 1))
     if kind == "steered-and-clone":  # chains of other lengths, sharing memos
-        return Steered(pol.PolicyAgent(policy_model())), pol.PolicyAgent(policy_model())
+        return Steered(policy_model()), pol.PolicyAgent(policy_model())
     return pol.PolicyAgent(policy_model()), sim.ExpertAgent()  # policy-and-expert
 
 
-def recorded(agent):
-    """agent, or each agent of a tuple, wrapped to log its actions; a
-    Steered agent logs its policy's actions."""
-    if isinstance(agent, tuple):
-        return tuple(recorded(a) for a in agent)
-    if isinstance(agent, Steered):
-        return Steered(Recording(agent.policy, []))
-    return Recording(agent, [])
+def acted(evaluate) -> list[list[str]]:
+    """Per PolicyAgent that acts in evaluate(), in the order they first act,
+    each action as the hex of its pose bytes and its gripper bit. The
+    policy's action, for a Steered agent."""
+    logs: dict[int, tuple[pol.PolicyAgent, list[str]]] = {}
+    real = pol.PolicyAgent.act
+
+    def act(self, obs, instruction, state=None):
+        action = real(self, obs, instruction, state=state)
+        # The agent is kept, so no later agent of evaluate() reuses its id.
+        logs.setdefault(id(self), (self, []))[1].append(
+            action.pose.tobytes().hex() + "01"[action.gripper_closed])
+        return action
+
+    pol.PolicyAgent.act = act
+    try:
+        evaluate()
+    finally:
+        pol.PolicyAgent.act = real
+    return [log for _, log in logs.values()]
 
 
-def recording_of(agent) -> Recording:
-    return agent.policy if isinstance(agent, Steered) else agent
+def logged(agents: tuple) -> tuple:
+    """agents with every agent that is no PolicyAgent (an expert) wrapped
+    to log its actions; acted logs the PolicyAgents'."""
+    return tuple(a if isinstance(a, pol.PolicyAgent) else Recording(a, []) for a in agents)
+
+
+def as_evaluated(agents: tuple):
+    """What run_chain_eval is given: a lone agent, or a tuple of arms."""
+    return agents if len(agents) > 1 else agents[0]
 
 
 class TestPairedChainEval:
@@ -170,30 +191,49 @@ class TestPairedChainEval:
              "steered-and-clone"]
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_each_agent_gets_what_it_gets_alone(self, kind):
+    def test_each_agent_gets_what_it_gets_alone(self, monkeypatch, kind):
         """Every chain of every agent, stepped with the others in rounds,
-        gets the result and actions it gets evaluated alone, sequentially."""
-        lockstepped = recorded(agents_of(kind))
-        paired = isinstance(lockstepped, tuple)
-        results = evaluate(lockstepped, families=sim.FAMILIES)
-        for k, agent in enumerate(lockstepped if paired else (lockstepped,)):
-            got = results[k] if paired else results
+        gets the result and actions it gets evaluated alone, sequentially;
+        the rounds step PolicyAgents together."""
+        sizes = []  # agents per step_agents call
+        real_step = pol.step_agents
+
+        def step_agents(steps):
+            sizes.append(len(steps))
+            real_step(steps)
+
+        monkeypatch.setattr(pol, "step_agents", step_agents)
+        arms = logged(agents_of(kind))
+        evaluated = []
+        policy_logs = acted(lambda: evaluated.append(
+            evaluate(as_evaluated(arms), families=sim.FAMILIES)))
+        results = evaluated[0] if len(arms) > 1 else evaluated
+        assert max(sizes) >= 2  # a grouped step_agents call
+        # Every chain's agents act in the first round, chain by chain, so
+        # the logs are those of each chain's PolicyAgents in arm order.
+        policies = [k for k, a in enumerate(arms) if isinstance(a, pol.PolicyAgent)]
+        assert len(policy_logs) == N_CHAINS * len(policies)
+        for k, arm in enumerate(arms):
+            got = results[k]
             assert [r.chain_id for r in got] == list(range(N_CHAINS))
-            logs = recording_of(agent).chain_logs
-            assert len(logs) == N_CHAINS
             for i in range(N_CHAINS):
-                alone = agents_of(kind)
-                alone = recorded(alone[k] if paired else alone)
+                alone = logged(agents_of(kind))[k]
                 chain = sim.sample_chain(11 + i, "D", families=sim.FAMILIES)
-                want = run_chain(alone, chain, max_steps_per_task=16)
+                wanted = []
+                alone_logs = acted(lambda: wanted.append(
+                    run_chain(alone, chain, max_steps_per_task=16)))
+                want = wanted[0]
                 want.chain_id = i
                 assert got[i] == want
-                assert action_bytes(logs[i]) == action_bytes(recording_of(alone).log)
+                if k in policies:
+                    (alone_log,) = alone_logs
+                    assert policy_logs[i * len(policies) + policies.index(k)] == alone_log
+                else:
+                    assert action_bytes(arm.chain_logs[i]) == action_bytes(alone.log)
         if kind == "different-seeds":  # the seeds act differently on the same chains
-            first, second = (recording_of(a).chain_logs for a in lockstepped)
-            assert action_bytes(first[0]) != action_bytes(second[0])
+            assert policy_logs[0] != policy_logs[1]
         if kind == "steered-and-clone":
-            steps = [len(log) for log in recording_of(lockstepped[0]).chain_logs]
+            steps = [len(log) for log in policy_logs[0::2]]  # the Steered arm's chains
             assert len(set(steps)) > 1 and max(steps) > 16  # chains end at different steps
 
     @pytest.mark.parametrize("kind", ["one-policy", "clones", "steered-and-clone"])
@@ -202,10 +242,10 @@ class TestPairedChainEval:
         # Reuse is scoped to a chain, so the chains of one evaluation encode
         # as many frames as the same chains evaluated one at a time.
         cameras = count_encodes(monkeypatch)
-        evaluate(agents_of(kind), families=sim.FAMILIES)
+        evaluate(as_evaluated(agents_of(kind)), families=sim.FAMILIES)
         lockstepped = len(cameras)
         del cameras[:]
-        agents = agents_of(kind)
+        agents = as_evaluated(agents_of(kind))
         for i in range(N_CHAINS):
             an.run_chain_eval(agents, 1, "D", 11 + i, families=sim.FAMILIES, horizon=16)
         assert lockstepped == len(cameras) > 0
@@ -216,9 +256,9 @@ class TestPairedChainEval:
         sampled = []
         monkeypatch.setattr(an.sim, "sample_chain",
                             lambda *args, **kwargs: sampled.append(args))
-        second = pol.PolicyAgent(policy_model(1))
+        second = policy_model(1)
         agents = (pol.PolicyAgent(policy_model(0)),
-                  second if other == "policy" else Steered(second))
+                  pol.PolicyAgent(second) if other == "policy" else Steered(second))
         with pytest.raises(ContractError, match="different frozen encoders"):
             evaluate(agents)
         assert cameras == [] and sampled == []
@@ -238,7 +278,7 @@ class TestPairedChainEval:
         counted(pol.PolicyAgent, "act")
         counted(pol.dp, "preprocess_depth")
         counted(pol.sim, "check_observation")
-        evaluate(agents_of("one-policy"))
+        evaluate(as_evaluated(agents_of("one-policy")))
         assert calls["act"] > 0
         assert calls == {"act": calls["act"], "preprocess_depth": 2 * calls["act"],
                          "check_observation": calls["act"]}
@@ -271,6 +311,19 @@ class TestPairedChainEval:
             want.chain_id = i
             assert result == want and actions == action_bytes(log)
 
+    def test_policy_chains_do_not_depend_on_cpus_or_waves(self, monkeypatch):
+        runs = {}
+        for cpus in (1, 8):
+            monkeypatch.setattr(an.enc, "usable_cpus", lambda n=cpus: n)
+            for wave in (1, 2, an.CHAINS_PER_WAVE):
+                with monkeypatch.context() as patch:
+                    patch.setattr(an, "CHAINS_PER_WAVE", wave)
+                    runs[cpus, wave] = policy_chain_actions()
+        results, logs = runs[1, 1]
+        assert [r.chain_id for r in results] == list(range(POLICY_CHAINS))
+        assert len(logs) == POLICY_CHAINS and all(logs)
+        assert all(run == (results, logs) for run in runs.values())
+
     def test_live_chains_never_exceed_a_wave(self, monkeypatch):
         agents = agents_of("steered-and-clone")
         whole = evaluate(agents, families=sim.FAMILIES)
@@ -286,6 +339,90 @@ class TestPairedChainEval:
         assert evaluate(agents, families=sim.FAMILIES) == whole
         assert max(map(len, live)) == 2  # two chains, each of both twins
         assert max(n for chains in live for n in chains) == len(agents)
+
+
+POLICY_CHAINS = 4
+
+
+def policy_chain_actions() -> tuple[list[sim.ChainResult], list[list[str]]]:
+    """The results of evaluating one policy on POLICY_CHAINS chains over
+    every family, and each chain's actions (acted), in chain order."""
+    agent = pol.PolicyAgent(policy_model())
+    evaluated = []
+    logs = acted(lambda: evaluated.append(an.run_chain_eval(
+        agent, POLICY_CHAINS, "D", 11, families=sim.FAMILIES, horizon=16)))
+    return evaluated[0], logs
+
+
+class TestEvaluationThreads:
+    """The helper threads of an evaluation whose rounds use them: two
+    usable CPUs and waves of two chains, so the POLICY_CHAINS chains run
+    in two waves, and each wave's first round has 8 new frames, one batch
+    per camera: one job for the calling thread and one for a helper."""
+
+    @staticmethod
+    def pools(monkeypatch) -> list[int]:
+        """Set up the evaluation above; per ThreadPoolExecutor built, the
+        helper tasks submitted to it."""
+        monkeypatch.setattr(an.enc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(an, "CHAINS_PER_WAVE", 2)
+        pools = []
+        real = concurrent.futures.ThreadPoolExecutor
+
+        class Counting(real):
+            def __init__(self, workers, **kwargs):
+                pools.append(0)
+                super().__init__(workers, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                pools[-1] += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        return pools
+
+    @needs_proc
+    def test_one_pool_serves_every_wave_and_ends_with_the_evaluation(self, monkeypatch):
+        pools = self.pools(monkeypatch)
+        submitted = []  # per wave: the helper tasks its rounds submitted
+        real_wave = an._run_wave
+
+        def wave(agents, chains, *args):
+            first = sum(pools)
+            results = real_wave(agents, chains, *args)
+            submitted.append(sum(pools) - first)
+            return results
+
+        monkeypatch.setattr(an, "_run_wave", wave)
+        before = thread_count()
+        results, logs = policy_chain_actions()
+        assert thread_count() == before
+        assert len(pools) == 1 and len(submitted) == 2 and min(submitted) > 0
+        assert len(results) == len(logs) == POLICY_CHAINS
+
+    @needs_proc
+    def test_an_encoder_error_on_a_helper_ends_the_evaluation(self, monkeypatch):
+        pools = self.pools(monkeypatch)
+        caller = threading.get_ident()
+        helper_started = threading.Event()
+        raised = []
+        real = an.enc.vit_encode_image
+
+        def failing_on_a_helper(img, vit, patch, blocks, camera):
+            if threading.get_ident() == caller:
+                assert helper_started.wait(10.0)  # a helper takes a job first
+                return real(img, vit, patch, blocks, camera=camera)
+            helper_started.set()
+            raised.append(DimensionError("a frame rejected on a helper thread"))
+            raise raised[-1]
+
+        monkeypatch.setattr(an.enc, "vit_encode_image", failing_on_a_helper)
+        before = thread_count()
+        with pytest.raises(DimensionError, match="rejected on a helper thread") as err:
+            policy_chain_actions()
+        assert len(raised) == 1 and err.value.__cause__ is raised[0]
+        assert thread_count() == before
+        assert pools == [1]  # the first round's one helper task; no second wave
 
 
 class TestSepResamplerAblation:
@@ -373,26 +510,6 @@ def grouped_arms(kind) -> tuple:
     if kind == "one-policy":
         return (pol.PolicyAgent(model),)
     return pol.PolicyAgent(model), pol.PolicyAgent(over_frozen_encoder_of(model, 1))
-
-
-def acted(evaluate) -> list[list[str]]:
-    """Per PolicyAgent that acts in evaluate(), in the order they first act,
-    each action as the hex of its pose bytes and its gripper bit."""
-    logs: dict[int, list[str]] = {}
-    real = pol.PolicyAgent.act
-
-    def act(self, obs, instruction, state=None):
-        action = real(self, obs, instruction, state=state)
-        logs.setdefault(id(self), []).append(action.pose.tobytes().hex()
-                                             + "01"[action.gripper_closed])
-        return action
-
-    pol.PolicyAgent.act = act
-    try:
-        evaluate()
-    finally:
-        pol.PolicyAgent.act = real
-    return list(logs.values())
 
 
 def round_and_alone_actions(kind) -> dict[str, list[list[str]]]:

@@ -1,13 +1,13 @@
 import dataclasses
 import concurrent.futures
-import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from conftest import count_encodes, run_chain, synthetic_obs, synthetic_stats, tiny_config
+from conftest import (count_encodes, needs_proc, run_chain, synthetic_obs, synthetic_stats,
+                      thread_count, tiny_config)
 
 from minivla import analysis as an
 from minivla import depth as dp
@@ -259,7 +259,7 @@ class TestObservationBoundary:
         obs = dataclasses.replace(synthetic_obs(rng), rgb_gripper=np.zeros((64, 64, 3)))
         with pytest.raises(DimensionError,
                            match=r"rgb_gripper has shape \(64, 64, 3\), expected \(32, 32, 3\)"):
-            pol.encode_observation(model, obs)
+            pol.encode_trajectory(model, [obs])
 
 
 @pytest.fixture
@@ -335,12 +335,12 @@ class TestFrameMemo:
     def test_each_model_has_its_own_memo(self, rng, encodes):
         first, second = tiny_model(seed=0), tiny_model(seed=1)
         obs = synthetic_obs(rng)
-        pol.encode_observation(first, obs)
-        pol.encode_observation(first, obs)
+        pol.encode_trajectory(first, [obs])
+        pol.encode_trajectory(first, [obs])
         assert len(encodes) == 4
-        got = pol.encode_observation(second, obs)  # other frozen weights
+        got = pol.encode_trajectory(second, [obs])  # other frozen weights
         assert len(encodes) == 8
-        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+        assert_rows_encoded_alone(second, got, [obs])
 
     def test_a_shared_memo_reuses_the_frame_another_model_encoded(self, rng, encodes):
         # Two models that step in one chain of a round: the second encodes
@@ -356,6 +356,23 @@ class TestFrameMemo:
         assert first._frame_memo.keys() == second._frame_memo.keys() == {0, 1, 2, 3}
         for slot, entry in first._frame_memo.items():  # the same arrays, not copies
             assert second._frame_memo[slot] is entry
+
+    def test_a_step_takes_the_tokens_its_round_left_once(self, rng, encodes):
+        # encode_observation encodes nothing: its one source is the tokens
+        # encode_round left for that observation object, which it takes.
+        model = tiny_model()
+        obs = synthetic_obs(rng)
+        with pytest.raises(ContractError, match="no round encoded this observation"):
+            pol.encode_observation(model, obs)
+        pol.encode_round([[(model, obs)]])
+        with pytest.raises(ContractError, match="no round encoded this observation"):
+            pol.encode_observation(model, copy_obs(obs))  # equal frames, another object
+        pol.encode_round([[(model, obs)]])
+        got = pol.encode_observation(model, obs)
+        with pytest.raises(ContractError, match="no round encoded this observation"):
+            pol.encode_observation(model, obs)  # already taken
+        assert len(encodes) == 4
+        assert_rows_encoded_alone(model, tuple(x[None] for x in got), [obs])
 
     def test_sharing_models_whose_frames_differ_each_reuse_their_own(self, rng, encodes):
         # Lockstepped models that have diverged: each repeats its own last
@@ -438,14 +455,6 @@ def memo_state(model) -> dict:
             for slot, (frame, tokens) in model._frame_memo.items()}
 
 
-def thread_count() -> int:
-    return len(os.listdir("/proc/self/task"))
-
-
-needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                                reason="counts threads through /proc")
-
-
 def trajectories(observations, *cuts) -> list[sim.Trajectory]:
     action = sim.Action(np.zeros(6), False)
     bounds = [0, *cuts, len(observations)]
@@ -469,7 +478,7 @@ class TestParallelTrajectoryEncode:
         parallel_encodes = len(encodes)
         del encodes[:]
         for obs in observations:
-            pol.encode_observation(serial, obs)
+            pol.encode_trajectory(serial, [obs])
         assert parallel_encodes == len(encodes) < 4 * len(observations)
         assert_rows_encoded_alone(model, encoded, observations)
 
@@ -480,7 +489,7 @@ class TestParallelTrajectoryEncode:
         parallel_encodes = len(encodes)
         del encodes[:]
         for obs in observations:
-            pol.encode_observation(serial, obs)
+            pol.encode_trajectory(serial, [obs])
         assert parallel_encodes == len(encodes)
         steps = tuple(np.concatenate(xs) for xs in zip(*(x for _, x, _ in encoded)))
         assert_rows_encoded_alone(model, steps, observations)
@@ -531,7 +540,7 @@ class TestParallelTrajectoryEncode:
         observations = varied_observations(rng)
         x_rgb, x_depth = pol.encode_trajectory(model, observations)
         for obs in observations:
-            pol.encode_observation(serial, obs)
+            pol.encode_trajectory(serial, [obs])
         assert memo_state(model) == memo_state(serial)
         for frame, tokens in model._frame_memo.values():  # copies, not views
             assert not any(np.shares_memory(frame, getattr(obs, plane))
@@ -585,7 +594,7 @@ class TestParallelTrajectoryEncode:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         model = tiny_model()
-        pol.encode_observation(model, synthetic_obs(rng))  # a rollout step: 4 new frames
+        pol.encode_trajectory(model, [synthetic_obs(rng)])  # one step: 4 new frames
         first, second = synthetic_obs(rng), synthetic_obs(rng)
         second.rgb_gripper = first.rgb_gripper  # 4 + 3 new frames
         pol.encode_trajectory(model, [first, second])
@@ -702,3 +711,21 @@ class TestAgents:
         chain = sim.sample_chain(0, "D", families=["lift"])
         result = run_chain(pol.PolicyAgent(model), chain, max_steps_per_task=8)
         assert len(result.successes) == 5
+
+    def test_a_lone_act_is_a_round_of_one(self, rng, monkeypatch):
+        rounds = []
+        real = pol.act_round
+
+        def recording(chains):
+            rounds.append(chains)
+            real(chains)
+
+        monkeypatch.setattr(pol, "act_round", recording)
+        agent = pol.PolicyAgent(tiny_model())
+        observations = [synthetic_obs(rng) for _ in range(2)]
+        for obs in observations:
+            agent.act(obs, "lift the red block")
+        assert len(rounds) == len(observations)
+        for (chain,), obs in zip(rounds, observations):
+            (step,) = chain
+            assert step[0] is agent and step[1] is obs

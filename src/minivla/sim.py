@@ -11,11 +11,15 @@ slider, and a bin; five task families (lift, push, press, place, slide)
 come with scripted experts, a paraphrase bank, and 5-task chain
 evaluation. TARGET_KINDS is the one table of which kind of object each
 family acts on, and chain_families the one rule of which families can
-fill a chain, shared by sample_chain and the command line. A chain is
-stepped: chain_steps is a generator that yields each step's observation
-before the agent acts on it, and lockstep drains several of them in
-rounds, one step of each per round; a round's observations all exist
-before any agent acts on them, so their frames can be encoded together.
+fill a chain, shared by sample_chain and the command line.
+render_observation paints a sequence of states in one vectorized pass,
+so the painting is batched by whoever holds several states: a chain is
+stepped, chain_steps being a generator that yields the state each step
+needs painted and is sent back its observation, and lockstep drains
+several of them in rounds, one step of each per round, painting the
+round's states in one call; a round's observations all exist before any
+agent acts on them, so their frames can be encoded together.
+generate_dataset paints each demo's states in one call.
 PARAPHRASE_BANK has a bank for each of FAMILIES; a task reaches
 paraphrase_instruction only through resolve_target or _family_list,
 which refuse an unknown family. A scene carries the colours it is painted
@@ -397,57 +401,103 @@ def _effective_height(obj: Obj, state: WorldState) -> float:
     return float(state.gripper_pos[2]) if obj.held else obj.height
 
 
-def render_observation(state: WorldState) -> Observation:
-    """Orthographic third-person view plus a gripper-centered zoom, painted
-    in one pass: the grids carry a leading camera axis, static view first,
-    so each stamp runs once for both cameras."""
+# Per object kind: the half edge of its square footprint.
+_FOOTPRINT_HALF = {"block": BLOCK_HALF, "button": BUTTON_HALF, "slider": SLIDER_HALF,
+                   "bin": BIN_HALF}
+# The entries a pixel may show are the set bits of one unsigned 64-bit word.
+MAX_PAINT_ENTRIES = 64
+_ENTRY_BITS = np.array([1 << k for k in range(MAX_PAINT_ENTRIES)], dtype=np.uint64)
+# Per camera, static first: the window's edge, and each pixel center's
+# offset from the window's low edge.
+_WINDOW = np.array([[1.0], [GRIPPER_CAM_WINDOW]])
+_PIXEL_OFFSETS = (np.arange(IMAGE_HW) + 0.5) * _WINDOW / IMAGE_HW
+
+
+def _paint_order(state: WorldState) -> list[tuple]:
+    """What a pixel of state may show, in pick order, each entry (top
+    height, center x, center y, half width, half depth, r, g, b): the
+    gripper marker, since the arm enters from above; then the stamps
+    (each slider's rail, then the objects) by top height, highest first,
+    earlier stamps first among equals; then the table. A stamp whose top
+    is not above the table is left out, as it shows nowhere."""
     tints = state.scene_colors
-    g = state.gripper_pos
-    res = IMAGE_HW
-    # Per camera: the window's center x, center y and edge, each (2, 1).
-    cx, cy, window = np.array([[0.5, g[0]], [0.5, g[1]], [1.0, GRIPPER_CAM_WINDOW]])[..., None]
-    xs = cx - window / 2 + (np.arange(res) + 0.5) * window / res
-    ys = cy - window / 2 + (np.arange(res) + 0.5) * window / res
-    gx, gy = xs[:, None, :], ys[:, :, None]  # the grids' coordinates, by broadcasting
-
-    color = np.empty((2, res, res, 3))
-    color[:] = state.table_color
-    height = np.zeros((2, res, res))
-
-    def stamp(px, py, half_x, half_y, h, rgb):
-        mask = (np.abs(gx - px) <= half_x) & (np.abs(gy - py) <= half_y) & (h > height)
-        color[mask] = rgb
-        height[mask] = h
-
+    stamps = []
     for obj in state.objects:
         if obj.kind == "slider":
             rx0, rx1 = obj.rail
-            stamp((rx0 + rx1) / 2, obj.pos[1], (rx1 - rx0) / 2 + SLIDER_HALF, 0.015,
-                  0.005, RAIL_COLOR)
+            stamps.append((0.005, (rx0 + rx1) / 2, obj.pos[1], (rx1 - rx0) / 2 + SLIDER_HALF,
+                           0.015, *RAIL_COLOR))
     for obj in state.objects:
         h = _effective_height(obj, state)
+        if h <= 0.0:
+            continue
         if obj.kind == "block":
-            stamp(obj.pos[0], obj.pos[1], BLOCK_HALF, BLOCK_HALF, h, tints[obj.color])
+            rgb = tints[obj.color]
         elif obj.kind == "button":
             # Buttons are pastel so saturated colors belong to blocks only.
-            rgb = 0.45 * np.array(tints[obj.color]) + 0.55
+            rgb = [0.45 * c + 0.55 for c in tints[obj.color]]
             if obj.pressed:
-                rgb = rgb * 0.55
-            stamp(obj.pos[0], obj.pos[1], BUTTON_HALF, BUTTON_HALF, h, tuple(rgb))
+                rgb = [c * 0.55 for c in rgb]
         elif obj.kind == "slider":
-            rgb = 0.55 * np.array(tints[obj.color])  # shaded handle
-            stamp(obj.pos[0], obj.pos[1], SLIDER_HALF, SLIDER_HALF, h, tuple(rgb))
-        elif obj.kind == "bin":
-            stamp(obj.pos[0], obj.pos[1], BIN_HALF, BIN_HALF, h, BIN_COLOR)
+            rgb = [0.55 * c for c in tints[obj.color]]  # shaded handle
+        else:
+            rgb = BIN_COLOR
+        half = _FOOTPRINT_HALF[obj.kind]
+        stamps.append((h, obj.pos[0], obj.pos[1], half, half, *rgb))
+    stamps.sort(key=lambda entry: -entry[0])  # stable: earlier stamps win ties
+    g = state.gripper_pos
+    marker = GRIPPER_OPEN_COLOR if state.gripper_open else GRIPPER_CLOSED_COLOR
+    return [(g[2], g[0], g[1], GRIPPER_HALF, GRIPPER_HALF, *marker), *stamps,
+            (0.0, 0.0, 0.0, np.inf, np.inf, *state.table_color)]
 
-    # The arm enters from above, so the gripper marker occludes everything.
-    marker = (np.abs(gx - g[0]) <= GRIPPER_HALF) & (np.abs(gy - g[1]) <= GRIPPER_HALF)
-    color[marker] = GRIPPER_OPEN_COLOR if state.gripper_open else GRIPPER_CLOSED_COLOR
-    height[marker] = g[2]
 
-    rgb = color.astype(np.float32)
-    depth = (Z_CAM - height).astype(np.float32)
-    return Observation(rgb[0], rgb[1], depth[0], depth[1])
+def _first_rows(rows: Array, cols: Array) -> Array:
+    """Per pixel (..., row, column), k + 1 for the lowest bit k set in both
+    its row's mask and its column's, some bit being set: the frexp
+    exponent of 2**k, a float exactly. render_observation calls it once
+    per state, so its 64-bit temporaries stay the size of one state's."""
+    shown = rows[..., :, None] & cols[..., None, :]
+    shown &= -shown  # the lowest set bit alone
+    return np.frexp(shown)[1]
+
+
+def render_observation(states: Sequence[WorldState]) -> list[Observation]:
+    """Each state's orthographic third-person view plus its
+    gripper-centered zoom, one Observation per state, all painted in one
+    pass; states must not be empty.
+
+    A pixel shows the first entry of its state's _paint_order whose
+    footprint holds it, which is what stamping every object over lower
+    tops, then the marker over all, leaves. Per state and camera, each
+    pixel column and each pixel row gets one 64-bit mask of the entries
+    whose x or y interval holds it, so a pixel's first entry is the
+    lowest set bit of its column's mask AND its row's; its colour and
+    depth are gathered from per-entry float32 tables. A state whose
+    paint order exceeds MAX_PAINT_ENTRIES raises ContractError.
+    """
+    orders = [_paint_order(state) for state in states]
+    n = max(map(len, orders))
+    if n > MAX_PAINT_ENTRIES:
+        raise ContractError(f"a state paints at most {MAX_PAINT_ENTRIES} entries, got {n}")
+    # Per state, row k + 1 holds entry k, so a _first_rows value picks its
+    # row. Row 0 and the rows past a shorter order repeat its table, which
+    # holds every pixel, so no pixel reaches them.
+    entries = np.array([order[-1:] + order + order[-1:] * (n - len(order))
+                        for order in orders])
+    # Per entry, axis (x, y) and state: the footprint's center and half edge.
+    center, half = (entries[:, 1:].T[1:5].reshape(2, 2, n, len(orders))
+                    .transpose(0, 2, 1, 3)[..., None, None])
+    # Per axis, state and camera: the pixel centers' coordinates.
+    lines = np.full((2, len(orders), 2, 1), 0.5)
+    lines[:, :, 1, 0] = np.array([state.gripper_pos[:2] for state in states]).T
+    lines = lines - _WINDOW / 2 + _PIXEL_OFFSETS
+    holds = np.abs(lines - center) <= half  # (entry, axis, state, camera, pixel line)
+    bits = _ENTRY_BITS[:n, None, None, None, None]
+    cols, rows = np.bitwise_or.reduce(np.where(holds, bits, 0), 0)  # (state, camera, line)
+    colour = entries[..., 5:].astype(np.float32)
+    depth = (Z_CAM - entries[..., 0]).astype(np.float32)
+    return [Observation(*colour[s].take(first, axis=0), *depth[s].take(first))
+            for s, first in enumerate(map(_first_rows, rows, cols))]
 
 
 # --- tasks ------------------------------------------------------------------
@@ -726,7 +776,8 @@ def generate_dataset(n: int, seed: int, palettes: Sequence[str],
                      families: Sequence[str] | None = None,
                      variant: str = "standard",
                      enrich: bool = False) -> list[Trajectory]:
-    """n expert demonstrations, cycling over the requested palettes."""
+    """n expert demonstrations, cycling over the requested palettes; each
+    demo's states are painted in one render_observation call."""
     if n < 1:
         raise ContractError("dataset size must be >= 1")
     if not palettes:
@@ -740,8 +791,9 @@ def generate_dataset(n: int, seed: int, palettes: Sequence[str],
         task = sample_task(state, rng, families)
         text = paraphrase_instruction(task, rng) if enrich else task.instruction
         _, steps = run_expert_episode(state, task)
+        observations = render_observation([s for s, _ in steps])
         out.append(Trajectory(text, task.family, palette, env_seed,
-                              [(render_observation(s), a) for s, a in steps], variant))
+                              [(obs, a) for obs, (_, a) in zip(observations, steps)], variant))
     return out
 
 
@@ -862,14 +914,14 @@ class RandomAgent:
 
 def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
     """The stepped chain: a generator that executes the 5 tasks in order,
-    one policy step per next(). Each step renders the observation and
-    yields it; the next next() has the agent act on it, steps the env and
-    checks success. Task i runs only if tasks 1..i-1 succeeded. It returns
-    the ChainResult, as the value of its StopIteration (see lockstep).
-
-    The agent's class attribute reads_pixels says whether act reads the
-    observation; when it is false, no frame is rendered and the step
-    yields and acts on obs=None (with the world state, as always).
+    one policy step per send. Each step yields the world state it needs
+    painted, or None when the agent's class attribute reads_pixels is
+    false, and is sent back that state's observation (None for None);
+    the agent acts on it (with the world state, as always), the env steps
+    and success is checked. The chain paints nothing itself: whoever
+    drives it paints what it yields, lockstep a round at a time. Task i
+    runs only if tasks 1..i-1 succeeded. It returns the ChainResult, as
+    the value of its StopIteration.
     """
     state = make_env(chain.seed, chain.palette, chain.variant)
     agent.reset()
@@ -886,8 +938,7 @@ def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
         agent.begin_task(task, text)
         ok = False
         for _ in range(max_steps_per_task):
-            obs = render_observation(state) if agent.reads_pixels else None
-            yield obs
+            obs = yield state if agent.reads_pixels else None
             state = step_env(state, agent.act(obs, text, state=state))
             ok = bool(success(state, task))
             if ok:
@@ -901,24 +952,32 @@ def lockstep(runs, before_acts=None) -> list[ChainResult]:
     """Drain stepped chains (see chain_steps) in rounds, returning their
     ChainResults in the order given.
 
-    Each round advances every unfinished run once, in order: it acts on
-    the observation it yielded last, steps the env and checks success,
-    then renders and yields its next observation, or ends. So several
-    agents on one chain act at the same step one after another. Once
-    every run of the round has yielded, before_acts, if given, gets all
-    the new observations as {run index: observation}, before any agent
-    acts on them, so a round's frames can be encoded together.
+    Each round advances every unfinished run once, in order: it is sent
+    the observation of the state it yielded last, acts on it, steps the
+    env and checks success, then yields its next state to paint, or
+    ends. So several agents on one chain act at the same step one after
+    another. Once every run of the round has yielded, one
+    render_observation call paints the states of all its pixel-reading
+    runs (a round of none makes no call). Then before_acts, if given,
+    gets the round's new observations as {run index: observation, None
+    for a run that reads no pixels}, before any agent acts on them, so a
+    round's frames can be encoded together.
     """
     results: list[ChainResult | None] = [None] * len(runs)
     live = dict(enumerate(runs))
+    observations = dict.fromkeys(live)
     while live:
-        observations = {}
+        states = {}
         for i, run in list(live.items()):
             try:
-                observations[i] = next(run)
+                states[i] = run.send(observations[i])
             except StopIteration as done:
                 results[i] = done.value
                 del live[i]
+        observations = dict.fromkeys(states)
+        painted = [i for i, state in states.items() if state is not None]
+        if painted:
+            observations.update(zip(painted, render_observation([states[i] for i in painted])))
         if observations and before_acts is not None:
             before_acts(observations)
     return results

@@ -344,6 +344,41 @@ class TestPairedChainEval:
 POLICY_CHAINS = 4
 
 
+def painted(monkeypatch) -> list[int]:
+    """The number of states of each sim.render_observation call from here on."""
+    calls = []
+    render = sim.render_observation
+    monkeypatch.setattr(sim, "render_observation",
+                        lambda states: calls.append(len(states)) or render(states))
+    return calls
+
+
+class TestPaintedRounds:
+    def test_one_painter_call_per_round_and_one_state_per_policy_step(self, monkeypatch):
+        """A 4-chain evaluation of a policy arm and an expert arm paints each
+        round in one call, one state per PolicyAgent step; the rounds after
+        every policy chain has ended, expert steps only, paint nothing."""
+        calls = painted(monkeypatch)
+        rounds = []  # PolicyAgent steps per round
+        act_round = pol.act_round
+        monkeypatch.setattr(pol, "act_round", lambda chains: rounds.append(
+            sum(map(len, chains))) or act_round(chains))
+        policy_logs = acted(lambda: an.run_chain_eval(
+            (pol.PolicyAgent(policy_model()), sim.ExpertAgent()), 4, "D", 11,
+            families=["lift"], horizon=6))
+        assert len(policy_logs) == 4 and max(calls) == 4
+        assert calls == [n for n in rounds if n]
+        assert sum(calls) == sum(map(len, policy_logs))
+        assert 0 in rounds  # rounds of expert steps only
+
+    @pytest.mark.parametrize("make_agent", [sim.ExpertAgent, lambda: sim.RandomAgent(2)],
+                             ids=["expert", "random"])
+    def test_agents_that_read_no_pixels_paint_nothing(self, monkeypatch, make_agent):
+        calls = painted(monkeypatch)
+        results = an.run_chain_eval(make_agent(), 4, "D", 11, horizon=6)
+        assert len(results) == 4 and calls == []
+
+
 def policy_chain_actions() -> tuple[list[sim.ChainResult], list[list[str]]]:
     """The results of evaluating one policy on POLICY_CHAINS chains over
     every family, and each chain's actions (acted), in chain order."""

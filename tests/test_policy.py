@@ -311,7 +311,7 @@ class TestFrameMemo:
         text = "lift the red block"
         n_steps = 12
         for _ in range(n_steps):
-            obs = sim.render_observation(state)
+            (obs,) = sim.render_observation([state])
             action = agent.act(obs, text)
             encoded = tuple(x[None] for x in encoded_alone(model, obs))
             with nm.no_grad():

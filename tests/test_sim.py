@@ -239,7 +239,7 @@ class TestStepEnvProperties:
             assert snapshot(sim.step_env(state, action)) == snapshot(after)
             after.validate()  # everything in bounds, at most one object held
             assert pressed <= {i for i, o in enumerate(after.objects) if o.pressed}
-            obs = sim.render_observation(after)
+            (obs,) = sim.render_observation([after])
             sim.check_observation(obs, "rendered")
             for rgb in (obs.rgb_static, obs.rgb_gripper):
                 assert rgb.min() >= 0.0 and rgb.max() <= 1.0
@@ -251,7 +251,7 @@ class TestStepEnvProperties:
 class TestRender:
     def test_empty_table_uniform(self):
         s = palette_a_scene([2.0, 2.0, 0.2], [])  # marker off the static view
-        obs = sim.render_observation(s)
+        (obs,) = sim.render_observation([s])
         table = np.array(sim.PALETTES["A"].table_color, dtype=np.float32)
         assert np.allclose(obs.rgb_static, table)
         assert np.allclose(obs.depth_static, sim.Z_CAM)
@@ -261,7 +261,7 @@ class TestRender:
 
     def test_block_reduces_depth_by_height(self):
         s = simple_scene(gripper=(0.9, 0.9, 0.3), block=(0.5, 0.5), height=0.1)
-        obs = sim.render_observation(s)
+        (obs,) = sim.render_observation([s])
         center = obs.depth_static[16, 16]
         corner = obs.depth_static[0, 0]
         np.testing.assert_allclose(corner, sim.Z_CAM, atol=1e-6)
@@ -275,7 +275,7 @@ class TestRender:
             Obj("block", "red", np.array([0.67, 0.5]), sim.SHORT_HEIGHT),
         ]
         s = palette_a_scene([0.5, 0.9, 0.3], objects)
-        obs = sim.render_observation(s)
+        (obs,) = sim.render_observation([s])
 
         def patch(img, x, y, half=3):
             j = int(x * 32)
@@ -292,7 +292,7 @@ class TestRender:
 
     def test_observation_invariants(self):
         s = sim.make_env(1, "C")
-        obs = sim.render_observation(s)
+        (obs,) = sim.render_observation([s])
         assert obs.rgb_static.shape == (32, 32, 3)
         assert obs.rgb_gripper.shape == (32, 32, 3)
         assert obs.depth_static.shape == (32, 32)
@@ -304,9 +304,9 @@ class TestRender:
     def test_gripper_marker_color_tracks_state(self):
         s = simple_scene(gripper=(0.5, 0.5, 0.2))
         s.objects = []
-        obs_open = sim.render_observation(s)
+        (obs_open,) = sim.render_observation([s])
         s.gripper_open = False
-        obs_closed = sim.render_observation(s)
+        (obs_closed,) = sim.render_observation([s])
         assert np.allclose(obs_open.rgb_static[16, 16], sim.GRIPPER_OPEN_COLOR)
         assert np.allclose(obs_closed.rgb_static[16, 16], sim.GRIPPER_CLOSED_COLOR)
 
@@ -353,19 +353,22 @@ class TestRender:
         return color.astype(np.float32), (sim.Z_CAM - height).astype(np.float32)
 
     @classmethod
-    def assert_matches_meshgrid(cls, state):
-        """All four planes of render_observation are byte-identical to the
-        reference painter run on each camera's window alone."""
-        obs = sim.render_observation(state)
-        g = state.gripper_pos
-        windows = {"static": (0.5, 0.5, 1.0),
-                   "gripper": (float(g[0]), float(g[1]), sim.GRIPPER_CAM_WINDOW)}
-        for camera, window in windows.items():
-            expect = cls._paint_on_meshgrid(state, *window, sim.IMAGE_HW)
-            got = (getattr(obs, f"rgb_{camera}"), getattr(obs, f"depth_{camera}"))
-            for a, b in zip(got, expect):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.tobytes() == b.tobytes(), camera
+    def assert_matches_meshgrid(cls, states):
+        """All four planes of every Observation of one render_observation
+        call over states are byte-identical to the reference painter run
+        on each state and camera window alone."""
+        observations = sim.render_observation(states)
+        assert len(observations) == len(states)
+        for state, obs in zip(states, observations):
+            g = state.gripper_pos
+            windows = {"static": (0.5, 0.5, 1.0),
+                       "gripper": (float(g[0]), float(g[1]), sim.GRIPPER_CAM_WINDOW)}
+            for camera, window in windows.items():
+                expect = cls._paint_on_meshgrid(state, *window, sim.IMAGE_HW)
+                got = (getattr(obs, f"rgb_{camera}"), getattr(obs, f"depth_{camera}"))
+                for a, b in zip(got, expect):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), camera
 
     @pytest.mark.parametrize("seed,palette,variant", [
         pytest.param(0, "A", "standard", id="0-A"),
@@ -381,7 +384,7 @@ class TestRender:
         state = sim.make_env(seed, palette, variant)
         agent = RandomAgent(seed)
         for _ in range(3):
-            self.assert_matches_meshgrid(state)
+            self.assert_matches_meshgrid([state])
             for _ in range(4):
                 state = sim.step_env(state, agent.act(None, ""))
         # So must a held block raised to exactly the height of a block of
@@ -398,14 +401,70 @@ class TestRender:
             held.pos = under.pos + 0.5 * sim.BLOCK_HALF
             scene.gripper_pos = np.array([*held.pos, under.height])
             assert sim._effective_height(held, scene) == under.height
-            self.assert_matches_meshgrid(scene)
+            self.assert_matches_meshgrid([scene])
 
     def test_render_deterministic(self):
         s = sim.make_env(9, "B")
-        a = sim.render_observation(s)
-        b = sim.render_observation(s)
+        a, b = sim.render_observation([s, s])
+        (c,) = sim.render_observation([s])
         assert np.array_equal(a.rgb_static, b.rgb_static)
         assert np.array_equal(a.depth_gripper, b.depth_gripper)
+        assert np.array_equal(a.rgb_gripper, c.rgb_gripper)
+
+    @settings(max_examples=25, deadline=None)
+    @given(specs=st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(sorted(sim.PALETTES)),
+                                    st.sampled_from(sim.VARIANTS), st.lists(actions, max_size=12),
+                                    st.sampled_from(["free", "tie", "floor"]),
+                                    st.integers(0, 4)),
+                          min_size=1, max_size=8))
+    def test_a_batch_matches_the_meshgrid_painter(self, specs):
+        # One call over states of mixed seeds, palettes and variants, with
+        # held blocks that tie another block's height or rest at z = 0.
+        self.assert_matches_meshgrid([drawn_state(*spec) for spec in specs])
+
+    def test_rows_of_unequal_length_are_padded(self):
+        # A block held at z = 0 shows nowhere, so its state paints one
+        # entry fewer than the same scene left free, and its row is padded.
+        free = sim.make_env(4, "C")
+        floor = drawn_state(4, "C", "standard", [], "floor", 0)
+        assert len(sim._paint_order(floor)) == len(sim._paint_order(free)) - 1
+        self.assert_matches_meshgrid([floor, free, floor])
+
+    def test_a_state_paints_at_most_the_entry_limit(self):
+        rng = np.random.default_rng(0)
+
+        def crowded(n_blocks):  # blocks of three heights, so many tie
+            return palette_a_scene([0.5, 0.5, 0.2], [
+                Obj("block", "red", rng.uniform(0.1, 0.9, 2), float(h))
+                for h in rng.choice([0.05, 0.10, 0.15], n_blocks)])
+
+        # The marker, 62 stamps and the table: the table takes the last bit.
+        assert len(sim._paint_order(crowded(62))) == sim.MAX_PAINT_ENTRIES
+        self.assert_matches_meshgrid([crowded(62), sim.make_env(0, "A")])
+        with pytest.raises(ContractError, match="at most 64 entries, got 65"):
+            sim.render_observation([sim.make_env(0, "A"), crowded(63)])
+
+
+def drawn_state(seed, palette, variant, stream, pose, pick) -> WorldState:
+    """make_env(seed, palette, variant) after the actions of stream; then,
+    unless pose is "free", its block pick (mod the blocks) held, alone, at
+    the exact height of the next block and overlapping it ("tie"), or at
+    z = 0 ("floor")."""
+    state = sim.make_env(seed, palette, variant)
+    for action in stream:
+        state = sim.step_env(state, action)
+    if pose == "free":
+        return state
+    blocks = [o for o in state.objects if o.kind == "block"]
+    held, under = blocks[pick % len(blocks)], blocks[(pick + 1) % len(blocks)]
+    for obj in state.objects:
+        obj.held = obj is held
+    if pose == "tie":
+        held.pos = under.pos + 0.5 * sim.BLOCK_HALF
+        state.gripper_pos = np.array([*held.pos, under.height])
+    else:
+        state.gripper_pos = np.array([*held.pos, 0.0])
+    return state
 
 
 class TestExpert:
@@ -489,6 +548,14 @@ class TestDataset:
             assert np.array_equal(oa.rgb_static, ob.rgb_static)
             assert np.array_equal(aa.pose, ab.pose)
             assert aa.gripper_closed == ab.gripper_closed
+
+    def test_each_demo_is_painted_in_one_call(self, monkeypatch):
+        calls = []
+        render = sim.render_observation
+        monkeypatch.setattr(sim, "render_observation",
+                            lambda states: calls.append(len(states)) or render(states))
+        data = sim.generate_dataset(3, 5, ["A", "B"])
+        assert calls == [len(t.steps) for t in data] and min(calls) > 1
 
     @pytest.mark.parametrize("n, palettes, message", [
         (0, ["A"], "dataset size must be >= 1"), (2, [], "at least one palette")])
@@ -632,7 +699,7 @@ class TestChains:
         calls = []
         render = sim.render_observation
         monkeypatch.setattr(sim, "render_observation",
-                            lambda state: calls.append(state) or render(state))
+                            lambda states: calls.extend(states) or render(states))
         agent = make_agent()
         # The same agent told it reads pixels renders every step, as all
         # agents once did; the frames skipped above change no result.
@@ -682,7 +749,7 @@ def plain_rollout(agent, chain, max_steps_per_task=64, enrich=False):
         agent.begin_task(task, text)
         ok = False
         for _ in range(max_steps_per_task):
-            obs = sim.render_observation(state) if agent.reads_pixels else None
+            obs = sim.render_observation([state])[0] if agent.reads_pixels else None
             action = agent.act(obs, text, state=state)
             state = sim.step_env(state, action)
             if sim.success(state, task):
@@ -720,20 +787,25 @@ class TestSteppedChain:
             drained, rolled, plain = [], [], []
             seeing = Seeing(make_agent(), drained)
             steps = sim.chain_steps(seeing, chain, horizon, enrich)
-            yielded = []
+            yielded, sent = [], []
+            obs = None
             while True:
                 try:
-                    yielded.append(next(steps))
+                    state = steps.send(obs)
                 except StopIteration as done:
                     result = done.value
                     break
+                yielded.append(state)
+                obs = None if state is None else sim.render_observation([state])[0]
+                sent.append(obs)
             got = run_chain(Recording(make_agent(), rolled), chain, horizon, enrich)
             want = plain_rollout(Recording(make_agent(), plain), chain, horizon, enrich)
             assert result == got == want
-            # One step per next(): each yielded observation is acted on next.
+            # One step per send: each yielded state's observation is acted on next.
             assert len(yielded) == len(seeing.seen) == len(drained)
-            assert all(y is o for y, o in zip(yielded, seeing.seen))
-            assert all((o is None) != seeing.reads_pixels for o in yielded)
+            assert all(o is s for o, s in zip(sent, seeing.seen))
+            assert all((y is None) != seeing.reads_pixels for y in yielded)
+            assert all(isinstance(y, WorldState) for y in yielded if y is not None)
             assert action_bytes(drained) == action_bytes(rolled) == action_bytes(plain)
 
     def test_lockstep_acts_in_rounds_until_each_chain_ends(self):

@@ -26,9 +26,16 @@ def test_src_counts_prints_the_five_counts_as_one_json_line():
 
 
 def test_frame_counts_prints_one_json_line_of_the_workloads_named():
-    out = subprocess.run([sys.executable, str(ROOT / "tools" / "frame_counts.py"), "ablate"],
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "frame_counts.py"),
+                          "rollout", "ablate"],
                          capture_output=True, text=True, check=True).stdout
     (line,) = out.splitlines()
     counts = json.loads(line)
-    assert list(counts) == ["ablate"]
-    assert isinstance(counts["ablate"], int) and counts["ablate"] > 0
+    assert list(counts) == ["ablate", "rollout"]
+    for workload in counts.values():
+        assert list(workload) == ["frames_encoded", "paint_calls", "states_painted"]
+        assert all(isinstance(n, int) and n > 0 for n in workload.values())
+    # rollout's 4 chains all fail their first task: 64 rounds of 4 steps,
+    # each round painted in one call.
+    assert counts["rollout"]["paint_calls"] == 64
+    assert counts["rollout"]["states_painted"] == 256

@@ -66,8 +66,8 @@ class SuccessTable:
         }
 
 
-def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str = "ours",
-                            train_split: str = "", test_split: str = "",
+def aggregate_chain_metrics(results: list[sim.ChainResult], model_label: str,
+                            train_split: str, test_split: str,
                             enriched: bool = False) -> SuccessTable:
     """Prefix success rates over chains; avg is their sum."""
     if not results:

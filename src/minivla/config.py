@@ -1,11 +1,12 @@
 """Run configuration: dataclasses, JSON parsing, validation.
 
-Only values a run may choose are fields here. Values with one possible
-setting are constants of the module that uses them: the frame edge is
-sim.IMAGE_HW (the cameras render nothing else), the pose output scale is
-sim.STEP_CLIP (the environment's per-step bound), the cross-attention
-gate start is decoder.GATE_INIT, and Adam's moment decays, epsilon and
-gradient-norm bound are training.Adam.BETAS, Adam.EPS and Adam.CLIP_NORM.
+Only values a run may choose are fields here. A value with one possible
+setting, or one every caller sets alike, is a constant of the module
+that uses it: the frame edge sim.IMAGE_HW, the pose output scale
+sim.STEP_CLIP, the encoder, fusion and LSTM depths encoders.VIT_BLOCKS,
+decoder.DECODER_LAYERS and policy.LSTM_LAYERS, the cross-attention gate
+start decoder.GATE_INIT, and Adam's BETAS, EPS and CLIP_NORM in
+training.Adam. A config naming a retired field fails as an unknown key.
 
 parse_config is the one way from a dict to a RunConfig, for config files
 and checkpoint metadata alike: every key must name a field, and every
@@ -30,18 +31,14 @@ DEPTH_INPUTS = ("sensor", "constant")  # "constant": the RGB-only ablation
 class ModelConfig:
     patch: int = 4               # patch edge; sim.IMAGE_HW must divide by it
     d_model: int = 64            # token width everywhere
-    vit_blocks: int = 2
     resampler_k: int = 8         # latent token count
-    decoder_layers: int = 2
-    lstm_layers: int = 2
     lstm_width: int = 64
     sep_resampler: bool = False
     depth_input: str = "sensor"  # one of DEPTH_INPUTS
     seed: int = 0
 
     def validate(self):
-        for name in ("patch", "d_model", "vit_blocks",
-                     "resampler_k", "decoder_layers", "lstm_layers", "lstm_width"):
+        for name in ("patch", "d_model", "resampler_k", "lstm_width"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigRangeError(f"model.{name} must be a positive integer, got {v!r}")

@@ -30,6 +30,7 @@ Array = np.ndarray
 UNK_TOKEN = "<unk>"
 UNK_ID = 0
 GATE_INIT = 0.5  # initial cross-attention gate pre-activation; see above
+DECODER_LAYERS = 2  # (cross, self) fusion layers in the stack
 
 
 def build_vocab(words) -> list[str]:

@@ -52,13 +52,15 @@ FrameMemo = dict[int, tuple[Array, Array]]
 
 # --- frozen patch transformer (numpy only) -----------------------------------
 
+VIT_BLOCKS = 2  # frozen transformer blocks after the patch projection
+
 
 def pos_band(d: int) -> int:
     """Width of the positional channel band at the top of each token."""
     return max(d // 4, 2)
 
 
-def init_encoder_arrays(image_hw: int, patch: int, d: int, blocks: int,
+def init_encoder_arrays(image_hw: int, patch: int, d: int,
                         rng: np.random.Generator) -> dict[str, Array]:
     in_dim = 3 * patch * patch
     n_tokens = (image_hw // patch) ** 2
@@ -72,7 +74,7 @@ def init_encoder_arrays(image_hw: int, patch: int, d: int, blocks: int,
         "patch_proj": rng.normal(0.0, in_dim ** -0.5, size=(in_dim, d - pd)),
         "pos_embed": rng.normal(0.0, 1.0, size=(2 * n_tokens, pd)),
     }
-    for b in range(blocks):
+    for b in range(VIT_BLOCKS):
         arrays[f"block{b}.wq"] = rng.normal(0.0, d ** -0.5, size=(d, d))
         arrays[f"block{b}.wk"] = rng.normal(0.0, d ** -0.5, size=(d, d))
         arrays[f"block{b}.wv"] = rng.normal(0.0, d ** -0.5, size=(d, d))
@@ -143,8 +145,7 @@ def _np_block(x: Array, vit: dict[str, Array], b: int) -> Array:
     return out
 
 
-def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
-                     camera: int) -> Array:
+def vit_encode_image(img, vit: dict[str, Array], patch: int, camera: int) -> Array:
     """Frozen tokens of a batch of frames from one camera slot,
     (B, H, W, 3) -> (B, N, d).
 
@@ -157,13 +158,12 @@ def vit_encode_image(img, vit: dict[str, Array], patch: int, blocks: int,
     pos = vit["pos_embed"]
     n = pos.shape[0] // 2
     x = patchify(img, patch, vit["patch_proj"], pos[camera * n:(camera + 1) * n])
-    for b in range(blocks):
+    for b in range(VIT_BLOCKS):
         x = _np_block(x, vit, b)
     return x
 
 
-def vit_encode_pair(chains, vit: dict[str, Array], patch: int, blocks: int
-                    ) -> list[Array]:
+def vit_encode_pair(chains, vit: dict[str, Array], patch: int) -> list[Array]:
     """Frozen tokens of several groups of camera slots, one (T, S·N, d)
     array per group, chain by chain, in order.
 
@@ -236,7 +236,7 @@ def vit_encode_pair(chains, vit: dict[str, Array], patch: int, blocks: int
         camera, steps = job
         frames = [frames_of[g][slot][t] for g, slot, t in steps]
         batch = frames[0][None] if len(frames) == 1 else np.stack(frames)
-        tokens = vit_encode_image(batch, vit, patch, blocks, camera=camera)
+        tokens = vit_encode_image(batch, vit, patch, camera=camera)
         for (g, slot, t), x in zip(steps, tokens):
             outs[g][t, slot * n:(slot + 1) * n] = x
 
@@ -288,12 +288,14 @@ def _run_jobs(jobs: list, work) -> None:
     """Run work(job) for every (camera, steps) job: on the calling thread,
     and once the jobs hold at least 2 * FRAMES_PER_JOB frames also on
     helper threads (kept_helpers), one thread per usable CPU in all. numpy
-    releases the GIL inside BLAS and ufunc loops, so the threads overlap;
-    below that count, a helper costs more than it saves. The caller works
-    instead of waiting, which takes one thread fewer: with a waiting
-    caller (Executor.map over the jobs), the perfbench train workload read
-    1.8 MB more peak_rss_mb on a 2-CPU host. Every job has ended when this
-    returns, and a job's exception reaches the caller as raised.
+    releases the GIL inside BLAS and ufunc loops, so the threads overlap.
+    Below that count, only per-step batches of at most 4 frames were
+    measured: with a helper they ran at 0.96x serial speed. Rounds of 5-7
+    frames are unmeasured. The caller works instead of waiting, which
+    takes one thread fewer: with a waiting caller (Executor.map over the
+    jobs), the perfbench train workload read 1.8 MB more peak_rss_mb on a
+    2-CPU host. Every job has ended when this returns, and a job's
+    exception reaches the caller as raised.
     """
     frames = sum(len(steps) for _, steps in jobs)
     helpers = (min(usable_cpus(), len(jobs)) - 1

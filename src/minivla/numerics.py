@@ -505,7 +505,7 @@ class ParamSet:
         layout.check_bound()
         layout.grad.fill(0.0)
 
-    def checksum(self, prefix: str = "") -> float:
+    def checksum(self, prefix: str) -> float:
         """Order-stable fingerprint of raw parameter bytes under a prefix."""
         import zlib
 

@@ -49,9 +49,10 @@ CorruptionError.
 A checkpoint's embedded model configuration is parsed by
 config.parse_config, like a config file, so a key that names no
 ModelConfig field is a CompatibilityError. Checkpoints whose embedded
-config still holds a value that is now a constant (the frame edge, for
-one: see the config module) are therefore rejected, naming the key, and
-must be rebuilt with `minivla train`. Every checkpoint holds its
+config still holds a value that is now a constant (the frame edge, and
+the encoder, fusion and LSTM depths: see the config module) are
+therefore rejected, naming the key, and must be rebuilt with `minivla
+train`. Every checkpoint holds its
 model's depth statistics, which go through depth.DepthStats.from_dict,
 like a stats file; missing, null or malformed ones are a CorruptionError.
 Loading writes the stored values into the arrays of a new model in place.

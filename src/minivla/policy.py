@@ -74,6 +74,7 @@ from .numerics import ParamSet, Tensor
 Array = np.ndarray
 
 LSTM_GATES = 4  # input, forget, cell, output; concatenated in that order
+LSTM_LAYERS = 2  # stacked LSTM layers in the head
 
 # Word -> id of the closed vocabulary: every instruction template's words.
 VOCAB_INDEX = {w: i for i, w in enumerate(dec.build_vocab(sim.vocabulary_words()))}
@@ -119,9 +120,9 @@ class Model:
         else:
             shared = group("resampler.shared.")
             self.resampler = {"rgb": shared, "depth": shared}
-        self.decoder = [group(f"decoder.{l}.") for l in range(cfg.decoder_layers)]
+        self.decoder = [group(f"decoder.{l}.") for l in range(dec.DECODER_LAYERS)]
         self.lstm = [tuple(params[f"head.lstm.{i}.{key}"] for key in ("wx", "wh", "b"))
-                     for i in range(cfg.lstm_layers)]
+                     for i in range(LSTM_LAYERS)]
         self.pose_head, self.gripper_head = (
             tuple(params[f"head.{head}.{key}"] for key in ("w1", "b1", "w2", "b2"))
             for head in ("pose", "gripper"))
@@ -158,7 +159,7 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats) -> Model:
     params = ParamSet()
 
     for name, arr in enc.init_encoder_arrays(sim.IMAGE_HW, cfg.patch, cfg.d_model,
-                                             cfg.vit_blocks, rng_vit).items():
+                                             rng_vit).items():
         params.add(f"vit.{name}", arr, trainable=False)
 
     params.add("embed.table",
@@ -175,12 +176,12 @@ def init_model(cfg: ModelConfig, depth_stats: dp.DepthStats) -> Model:
         for key, arr in proto.items():
             params.add(f"resampler.shared.{key}", arr, trainable=True)
 
-    for l in range(cfg.decoder_layers):
+    for l in range(dec.DECODER_LAYERS):
         for key, arr in dec.init_decoder_layer_arrays(cfg.d_model, rng_dec).items():
             params.add(f"decoder.{l}.{key}", arr, trainable=key.startswith("cross."))
 
     d, r = cfg.d_model, cfg.lstm_width
-    for i in range(cfg.lstm_layers):
+    for i in range(LSTM_LAYERS):
         d_in = d if i == 0 else r
         params.add(f"head.lstm.{i}.wx",
                    rng_head.normal(0.0, d_in ** -0.5, size=(d_in, LSTM_GATES * r)),
@@ -215,9 +216,9 @@ def lstm_step(x: Tensor, prev: list[tuple[Array, Array]], model: Model
     """Standard stacked LSTM over the T rows of x (T, d), one nm.lstm_layer
     node per layer; returns (top h (T, r), the state after row T as one
     (h, c) pair of (1, r) arrays per layer)."""
-    if len(prev) != model.cfg.lstm_layers:
+    if len(prev) != LSTM_LAYERS:
         raise DimensionError(
-            f"hidden state has {len(prev)} layers, model expects {model.cfg.lstm_layers}"
+            f"hidden state has {len(prev)} layers, model expects {LSTM_LAYERS}"
         )
     new_state: list[tuple[Array, Array]] = []
     h = x
@@ -237,7 +238,7 @@ def action_heads(h_top: Tensor, model: Model) -> tuple[Tensor, Tensor]:
 def reset_hidden(model: Model) -> list[tuple[Array, Array]]:
     """The LSTM state every trajectory and rollout starts from: zeros."""
     r = model.cfg.lstm_width
-    return [(np.zeros((1, r)), np.zeros((1, r))) for _ in range(model.cfg.lstm_layers)]
+    return [(np.zeros((1, r)), np.zeros((1, r))) for _ in range(LSTM_LAYERS)]
 
 
 # --- observation encoding (frozen; numpy only) ---------------------------------
@@ -287,7 +288,7 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
         (tokens,) = enc.vit_encode_pair([[(model._frame_memo, slots)]],
-                                        model.vit, model.cfg.patch, model.cfg.vit_blocks)
+                                        model.vit, model.cfg.patch)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
 
@@ -308,8 +309,7 @@ def encode_round(chains: list[list[tuple[Model, sim.Observation]]]) -> None:
         return
     first = steps[0][0]
     with _stage("encoder"):
-        tokens = enc.vit_encode_pair(groups, first.vit, first.cfg.patch,
-                                     first.cfg.vit_blocks)
+        tokens = enc.vit_encode_pair(groups, first.vit, first.cfg.patch)
     for (model, obs), x in zip(steps, tokens):
         half = x.shape[1] // 2
         model._ready = (obs, (x[0, :half], x[0, half:]))
@@ -435,9 +435,9 @@ class PolicyAgent:
     def act(self, obs: sim.Observation, instruction: str, state=None) -> sim.Action:
         """The action act_round computed for obs in this agent's round; an
         act on an observation no round stepped (outside an evaluation) runs
-        act_round([[(self, obs)]]), a round of one, first."""
-        if self._instruction[0] != instruction:  # a step outside a begun task
-            self.begin_task(None, instruction)
+        act_round([[(self, obs)]]), a round of one, first. The agent acts
+        on the task begin_task began (sim.chain_steps begins each task
+        before its first step), whose instruction this is."""
         if self._next is None or self._next[0] is not obs:
             act_round([[(self, obs)]])
         (_, action, self._hidden), self._next = self._next, None

@@ -227,7 +227,7 @@ class Action:
     gripper_closed: bool
 
     @staticmethod
-    def zero(closed: bool = False) -> "Action":
+    def zero(closed: bool) -> "Action":
         return Action(np.zeros(6), closed)
 
 
@@ -948,7 +948,7 @@ def chain_steps(agent, chain: ChainSpec, max_steps_per_task: int, enrich: bool):
     return ChainResult(successes, chain.seed, chain.palette)
 
 
-def lockstep(runs, before_acts=None) -> list[ChainResult]:
+def lockstep(runs, before_acts) -> list[ChainResult]:
     """Drain stepped chains (see chain_steps) in rounds, returning their
     ChainResults in the order given.
 
@@ -958,10 +958,10 @@ def lockstep(runs, before_acts=None) -> list[ChainResult]:
     ends. So several agents on one chain act at the same step one after
     another. Once every run of the round has yielded, one
     render_observation call paints the states of all its pixel-reading
-    runs (a round of none makes no call). Then before_acts, if given,
-    gets the round's new observations as {run index: observation, None
-    for a run that reads no pixels}, before any agent acts on them, so a
-    round's frames can be encoded together.
+    runs (a round of none makes no call). Then before_acts gets the
+    round's new observations as {run index: observation, None for a run
+    that reads no pixels}, before any agent acts on them, so a round's
+    frames can be encoded together.
     """
     results: list[ChainResult | None] = [None] * len(runs)
     live = dict(enumerate(runs))
@@ -978,6 +978,6 @@ def lockstep(runs, before_acts=None) -> list[ChainResult]:
         painted = [i for i, state in states.items() if state is not None]
         if painted:
             observations.update(zip(painted, render_observation([states[i] for i in painted])))
-        if observations and before_acts is not None:
+        if observations:
             before_acts(observations)
     return results

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import decoder as dec
 from . import numerics as nm
 from . import policy as pol
 from . import sim
@@ -61,8 +62,7 @@ def frozen_checksum(model: pol.Model) -> tuple[float, ...]:
     """Fingerprint of every frozen group; unchanged by any training run."""
     p = model.params
     return (p.checksum("vit."), p.checksum("embed."),
-            sum(p.checksum(f"decoder.{l}.self.")
-                for l in range(model.cfg.decoder_layers)))
+            sum(p.checksum(f"decoder.{l}.self.") for l in range(dec.DECODER_LAYERS)))
 
 
 def imitation_loss(preds, demo, lam: float) -> tuple[Tensor, Tensor, Tensor]:
@@ -290,9 +290,7 @@ def full_model_gradcheck() -> nm.GradCheckResult:
     from .config import ModelConfig
 
     seed = 7
-    cfg = ModelConfig(patch=16, d_model=16, vit_blocks=1,
-                      resampler_k=2, decoder_layers=2, lstm_layers=2,
-                      lstm_width=8, seed=seed)
+    cfg = ModelConfig(patch=16, d_model=16, resampler_k=2, lstm_width=8, seed=seed)
     rng = np.random.default_rng(seed)
     hw = sim.IMAGE_HW
 

@@ -19,8 +19,7 @@ from minivla.config import ModelConfig
 
 def tiny_config(**overrides) -> ModelConfig:
     """Smallest full-composition model; used wherever finite differences run."""
-    base = dict(patch=16, d_model=16, vit_blocks=1, resampler_k=2,
-                decoder_layers=2, lstm_layers=2, lstm_width=8, seed=0)
+    base = dict(patch=16, d_model=16, resampler_k=2, lstm_width=8, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -46,9 +45,9 @@ def count_encodes(monkeypatch) -> list[int]:
     cameras = []
     real = enc.vit_encode_image
 
-    def counting(img, vit, patch, blocks, camera):
+    def counting(img, vit, patch, camera):
         cameras.extend([camera] * len(img))
-        return real(img, vit, patch, blocks, camera=camera)
+        return real(img, vit, patch, camera=camera)
 
     monkeypatch.setattr(enc, "vit_encode_image", counting)
     return cameras
@@ -87,7 +86,8 @@ class Recording:
 
 def run_chain(agent, chain, max_steps_per_task=64, enrich=False) -> sim.ChainResult:
     """One agent through a stepped chain to its end: sim.lockstep of one."""
-    (result,) = sim.lockstep([sim.chain_steps(agent, chain, max_steps_per_task, enrich)])
+    (result,) = sim.lockstep([sim.chain_steps(agent, chain, max_steps_per_task, enrich)],
+                             lambda observations: None)
     return result
 
 

@@ -18,6 +18,10 @@ from minivla.config import EnvConfig, TrainConfig
 from minivla.errors import ContractError, DimensionError, ValidationError
 
 
+# aggregate_chain_metrics requires its labels; these tests read only the rates.
+LABELS = dict(model_label="ours", train_split="ABC", test_split="D")
+
+
 def chains_with_prefix_counts(counts, n):
     """Build n ChainResults where counts[i] chains complete tasks 0..i."""
     results = []
@@ -31,7 +35,7 @@ class TestAggregateChainMetrics:
     def test_published_row_abcd(self):
         # rates (0.96, 0.87, 0.78, 0.705, 0.625) over 200 chains -> avg 3.94
         counts = [192, 174, 156, 141, 125]
-        table = an.aggregate_chain_metrics(chains_with_prefix_counts(counts, 200))
+        table = an.aggregate_chain_metrics(chains_with_prefix_counts(counts, 200), **LABELS)
         np.testing.assert_allclose(table.rates, (0.96, 0.87, 0.78, 0.705, 0.625),
                                    atol=1e-12)
         assert abs(table.avg - 3.94) < 1e-9
@@ -39,19 +43,19 @@ class TestAggregateChainMetrics:
     def test_published_row_enriched(self):
         # rates (0.46, 0.205, 0.095, 0.055, 0.015) -> avg 0.83
         counts = [92, 41, 19, 11, 3]
-        table = an.aggregate_chain_metrics(chains_with_prefix_counts(counts, 200))
+        table = an.aggregate_chain_metrics(chains_with_prefix_counts(counts, 200), **LABELS)
         np.testing.assert_allclose(table.rates, (0.46, 0.205, 0.095, 0.055, 0.015),
                                    atol=1e-12)
         assert abs(table.avg - 0.83) < 1e-9
 
     def test_all_fail(self):
-        table = an.aggregate_chain_metrics(chains_with_prefix_counts([0] * 5, 50))
+        table = an.aggregate_chain_metrics(chains_with_prefix_counts([0] * 5, 50), **LABELS)
         assert table.rates == (0.0,) * 5
         assert table.avg == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            an.aggregate_chain_metrics([])
+            an.aggregate_chain_metrics([], **LABELS)
 
     def test_prefix_monotonicity_enforced_and_satisfied(self):
         rng = np.random.default_rng(0)
@@ -60,7 +64,7 @@ class TestAggregateChainMetrics:
             for j in range(40):
                 k = int(rng.integers(0, 6))
                 results.append(sim.ChainResult([i < k for i in range(5)], j, "D"))
-            table = an.aggregate_chain_metrics(results)
+            table = an.aggregate_chain_metrics(results, **LABELS)
             for a, b in zip(table.rates, table.rates[1:]):
                 assert a >= b
             assert table.avg == sum(table.rates)
@@ -69,7 +73,7 @@ class TestAggregateChainMetrics:
         # A chain recorded as [False, True, ...] contributes to no rate.
         results = [sim.ChainResult([False, True, True, True, True], 0, "D"),
                    sim.ChainResult([True, False, False, False, False], 1, "D")]
-        table = an.aggregate_chain_metrics(results)
+        table = an.aggregate_chain_metrics(results, **LABELS)
         assert table.rates == (0.5, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -443,10 +447,10 @@ class TestEvaluationThreads:
         raised = []
         real = an.enc.vit_encode_image
 
-        def failing_on_a_helper(img, vit, patch, blocks, camera):
+        def failing_on_a_helper(img, vit, patch, camera):
             if threading.get_ident() == caller:
                 assert helper_started.wait(10.0)  # a helper takes a job first
-                return real(img, vit, patch, blocks, camera=camera)
+                return real(img, vit, patch, camera=camera)
             helper_started.set()
             raised.append(DimensionError("a frame rejected on a helper thread"))
             raise raised[-1]

@@ -277,13 +277,14 @@ class TestLstmLayer:
                           Tensor(b))
 
     @property_settings
-    @given(t=st.integers(1, 6), layers=st.integers(1, 2), seed=seeds)
-    def test_rows_at_once_equal_chained_rows(self, t, layers, seed):
-        model = pol.init_model(tiny_config(lstm_layers=layers), synthetic_stats())
+    @given(t=st.integers(1, 6), seed=seeds)
+    def test_rows_at_once_equal_chained_rows(self, t, seed):
+        model = pol.init_model(tiny_config(), synthetic_stats())
         rng = np.random.default_rng(seed)
         r = model.cfg.lstm_width
         x = rng.normal(size=(t, model.cfg.d_model))
-        start = [(rng.normal(size=(1, r)), rng.normal(size=(1, r))) for _ in range(layers)]
+        start = [(rng.normal(size=(1, r)), rng.normal(size=(1, r)))
+                 for _ in range(pol.LSTM_LAYERS)]
         whole, state = pol.lstm_step(Tensor(x), start, model)
         rows, chained = [], start
         for k in range(t):
@@ -341,7 +342,7 @@ class TestChainAxis:
         x_rgb, x_depth = (rng.normal(size=(n_chains, n_tok, d)) for _ in range(2))
         instr = rng.normal(size=(n_chains, 4, d))
         hidden = [(rng.normal(size=(n_chains, 1, r)), rng.normal(size=(n_chains, 1, r)))
-                  for _ in range(model.cfg.lstm_layers)]
+                  for _ in range(pol.LSTM_LAYERS)]
         w = rng.normal(size=(n_chains, 1, 6))
 
         def run(encoded, instr, hidden, w):
@@ -461,15 +462,14 @@ class TestTapeSize:
 
         assert nodes(1) == nodes(2) == nodes(3)
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_lstm_step_records_one_node_per_layer(self, layers):
+    def test_lstm_step_records_one_node_per_layer(self):
         # The carried state is data: no node gives the state back out.
-        model = pol.init_model(tiny_config(lstm_layers=layers), synthetic_stats())
+        model = pol.init_model(tiny_config(), synthetic_stats())
         r = model.cfg.lstm_width
         x = Tensor(np.random.default_rng(0).normal(size=(3, model.cfg.d_model)),
                    requires_grad=True)
         h_top, state = pol.lstm_step(x, pol.reset_hidden(model), model)
-        assert tape_nodes(h_top) == layers
+        assert tape_nodes(h_top) == pol.LSTM_LAYERS
         assert len(h_top._parents) == 4  # x, wx, wh, b
         for h, c in state:
             assert type(h) is np.ndarray and type(c) is np.ndarray

@@ -13,8 +13,7 @@ from minivla.config import EnvConfig, ModelConfig, parse_config
 from minivla.depth import DepthStats
 from minivla.errors import ConfigError, ConfigRangeError
 
-TINY_MODEL = dict(patch=8, d_model=16, vit_blocks=1, resampler_k=2,
-                  decoder_layers=1, lstm_layers=1, lstm_width=8)
+TINY_MODEL = dict(patch=8, d_model=16, resampler_k=2, lstm_width=8)
 
 
 def write_config(tmp_path, **sections):
@@ -141,6 +140,21 @@ def test_unknown_config_key_exits_1(tmp_path, dataset, sections, capsys):
     assert cli.dispatch(["train", "--data", "data", "--out", "train",
                          "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key", ["vit_blocks", "decoder_layers", "lstm_layers"])
+def test_a_config_naming_a_retired_depth_exits_1_through_the_console_script(
+        tmp_path, dataset, key, monkeypatch, capsys):
+    # encoders.VIT_BLOCKS, decoder.DECODER_LAYERS and policy.LSTM_LAYERS fix
+    # the depths; a config that sets one, even to its value, is refused.
+    config = write_config(tmp_path, model={key: 2})
+    monkeypatch.setattr(sys, "argv", ["minivla", "train", "--data", "data", "--out", "train",
+                                      "--config", config])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main()
+    assert exit_.value.code == 1
+    assert f"unknown config key: model.{key}" in capsys.readouterr().err
+    assert not (dataset.parent / "train").exists()
 
 
 def test_eval_of_a_checkpoint_with_a_removed_config_key_exits_2(tmp_path, run_dir, capsys):

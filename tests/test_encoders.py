@@ -15,14 +15,14 @@ from minivla.errors import DimensionError
 from minivla.numerics import ParamSet, Tensor
 
 
-def small_vit(rng, hw=32, patch=8, d=16, blocks=2):
-    return enc.init_encoder_arrays(hw, patch, d, blocks, rng), patch, blocks
+def small_vit(rng, hw=32, patch=8, d=16):
+    return enc.init_encoder_arrays(hw, patch, d, rng), patch
 
 
-def encode_step(a, b, vit, patch, blocks, memo):
+def encode_step(a, b, vit, patch, memo):
     """vit_encode_pair of one chain of one group, one step of two camera
     slots: (2N, d)."""
-    (tokens,) = enc.vit_encode_pair([[(memo, [[a], [b]])]], vit, patch, blocks)
+    (tokens,) = enc.vit_encode_pair([[(memo, [[a], [b]])]], vit, patch)
     return tokens[0]
 
 
@@ -38,39 +38,39 @@ def looked_at(monkeypatch) -> list:
 ENCODE_IMAGE = enc.vit_encode_image  # the reference; tests may wrap the module's
 
 
-def alone(frame, vit, patch, blocks, camera):
+def alone(frame, vit, patch, camera):
     """One frame's tokens, (N, d), encoded as a batch of its own."""
-    return ENCODE_IMAGE(frame[None], vit, patch, blocks, camera=camera)[0]
+    return ENCODE_IMAGE(frame[None], vit, patch, camera=camera)[0]
 
 
-def encoded_alone(a, b, vit, patch, blocks):
+def encoded_alone(a, b, vit, patch):
     """The reference for one step: each camera's frame encoded on its own."""
-    return np.concatenate([alone(a, vit, patch, blocks, camera=0),
-                           alone(b, vit, patch, blocks, camera=1)])
+    return np.concatenate([alone(a, vit, patch, camera=0),
+                           alone(b, vit, patch, camera=1)])
 
 
 class TestPatchify:
     def test_token_count_32x32_p8(self, rng):
-        vit, patch, _ = small_vit(rng)
+        vit, patch = small_vit(rng)
         img = rng.random((2, 32, 32, 3))
         out = enc.patchify(img, patch, vit["patch_proj"], vit["pos_embed"][:16])
         assert out.shape == (2, 16, 16)
 
     def test_degenerate_grid(self, rng):
-        vit, _, _ = small_vit(rng, hw=8, patch=8)
+        vit, _ = small_vit(rng, hw=8, patch=8)
         out = enc.patchify(rng.random((1, 8, 8, 3)), 8, vit["patch_proj"],
                            vit["pos_embed"][:1])
         assert out.shape == (1, 1, 16)
 
     def test_constant_image_zero_pos_gives_identical_tokens(self, rng):
-        vit, patch, _ = small_vit(rng)
+        vit, patch = small_vit(rng)
         img = np.full((1, 32, 32, 3), 0.4)
         zero_pos = np.zeros_like(vit["pos_embed"][:16])
         out = enc.patchify(img, patch, vit["patch_proj"], zero_pos)
         assert np.allclose(out, out[0, 0])
 
     def test_non_divisible_extent_rejected(self, rng):
-        vit, _, _ = small_vit(rng)
+        vit, _ = small_vit(rng)
         with pytest.raises(DimensionError):
             enc.patchify(rng.random((1, 30, 32, 3)), 8, vit["patch_proj"],
                          vit["pos_embed"][:16])
@@ -101,85 +101,85 @@ class TestPatchify:
 
 class TestVitEncode:
     def test_pair_token_count(self, rng):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        out = encode_step(a, b, vit, patch, blocks, {})
+        out = encode_step(a, b, vit, patch, {})
         assert out.shape == (32, 16)
 
     def test_pair_is_independent_encoding(self, rng):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        pair = encode_step(a, b, vit, patch, blocks, {})
-        solo_a = alone(a, vit, patch, blocks, camera=0)
-        solo_b = alone(b, vit, patch, blocks, camera=1)
+        pair = encode_step(a, b, vit, patch, {})
+        solo_a = alone(a, vit, patch, camera=0)
+        solo_b = alone(b, vit, patch, camera=1)
         np.testing.assert_array_equal(pair[:16], solo_a)
         np.testing.assert_array_equal(pair[16:], solo_b)
 
     def test_camera_slots_have_distinct_positions(self, rng):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
-        one = alone(a, vit, patch, blocks, camera=0)
-        two = alone(a, vit, patch, blocks, camera=1)
+        one = alone(a, vit, patch, camera=0)
+        two = alone(a, vit, patch, camera=1)
         assert not np.array_equal(one, two)
 
     def test_deterministic(self, rng):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
         b = rng.random((32, 32, 3))
-        one = encode_step(a, b, vit, patch, blocks, {})
-        two = encode_step(a, b, vit, patch, blocks, {})
+        one = encode_step(a, b, vit, patch, {})
+        two = encode_step(a, b, vit, patch, {})
         assert np.array_equal(one, two)
 
     def test_extent_mismatch_rejected(self, rng):
         # patchify checks each frame's extent where it is encoded, and the
         # failed call leaves the memo as it was.
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         memo = {}
         with pytest.raises(DimensionError, match="positional rows 16 do not match 4 patches"):
             encode_step(rng.random((32, 32, 3)), rng.random((16, 16, 3)),
-                        vit, patch, blocks, memo)
+                        vit, patch, memo)
         assert memo == {}
 
     def test_slots_of_unequal_length_rejected(self, rng):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
         with pytest.raises(DimensionError, match=r"camera slots hold \[2, 2, 1, 2\] frames"):
-            enc.vit_encode_pair([[({}, [[a, a], [a, a], [a], [a, a]])]], vit, patch, blocks)
+            enc.vit_encode_pair([[({}, [[a, a], [a, a], [a], [a, a]])]], vit, patch)
 
     def test_four_slots_alternate_cameras(self, rng):
         # A policy step's slots: RGB static, RGB gripper, depth static,
         # depth gripper. Slot s's rows are its frames encoded by camera s % 2.
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         slots = [[rng.random((32, 32, 3)) for _ in range(3)] for _ in range(3)]
         slots.append([frame.copy() for frame in slots[0]])  # the other camera's view
         memo = {}
-        (got,) = enc.vit_encode_pair([[(memo, slots)]], vit, patch, blocks)
+        (got,) = enc.vit_encode_pair([[(memo, slots)]], vit, patch)
         assert got.shape == (3, 4 * 16, 16)
         assert memo.keys() == {0, 1, 2, 3}
         for s, frames in enumerate(slots):
             assert memo[s][0].tobytes() == frames[-1].tobytes()  # the slot's last frame
             for t, frame in enumerate(frames):
-                expect = alone(frame, vit, patch, blocks, camera=s % 2)
+                expect = alone(frame, vit, patch, camera=s % 2)
                 assert got[t, s * 16:(s + 1) * 16].tobytes() == expect.tobytes()
 
 
 class TestFrameMemo:
     def test_repeated_pair_reuses_tokens(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
-        expect = encoded_alone(a, b, vit, patch, blocks)
+        expect = encoded_alone(a, b, vit, patch)
         cameras = count_encodes(monkeypatch)
         memo = {}
         for _ in range(3):
-            got = encode_step(a.copy(), b.copy(), vit, patch, blocks, memo)
+            got = encode_step(a.copy(), b.copy(), vit, patch, memo)
             assert got.tobytes() == expect.tobytes()
         assert cameras == [0, 1]
 
     @pytest.mark.parametrize("change", ["one byte", "negative zero", "dtype"])
     def test_changed_frame_is_encoded_again(self, rng, monkeypatch, change):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         a[5, 5, 1] = 0.0
         if change == "one byte":
@@ -195,49 +195,49 @@ class TestFrameMemo:
             assert a2.tobytes() == a.tobytes()
         cameras = count_encodes(monkeypatch)
         memo = {}
-        encode_step(a, b, vit, patch, blocks, memo)
-        got = encode_step(a2, b, vit, patch, blocks, memo)
+        encode_step(a, b, vit, patch, memo)
+        got = encode_step(a2, b, vit, patch, memo)
         assert cameras == [0, 1, 0]
-        assert got.tobytes() == encoded_alone(a2, b, vit, patch, blocks).tobytes()
+        assert got.tobytes() == encoded_alone(a2, b, vit, patch).tobytes()
 
     def test_slots_are_remembered_separately(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         cameras = count_encodes(monkeypatch)
         memo = {}
         steps = [(a, b), (a, a), (b, a), (b, a)]
-        got = [encode_step(x, y, vit, patch, blocks, memo) for x, y in steps]
+        got = [encode_step(x, y, vit, patch, memo) for x, y in steps]
         # (a, a): slot 0 repeats, slot 1 changed and must not borrow slot 0's
         # tokens; (b, a): only slot 0 changed; the last step repeats both.
         assert cameras == [0, 1, 1, 0]
         for (x, y), tokens in zip(steps, got):
-            assert tokens.tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+            assert tokens.tobytes() == encoded_alone(x, y, vit, patch).tobytes()
 
     def test_memo_holds_a_copy_of_the_frame(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         cameras = count_encodes(monkeypatch)
         memo = {}
-        encode_step(a, b, vit, patch, blocks, memo)
+        encode_step(a, b, vit, patch, memo)
         a[0, 0, 0] += 1.0  # the caller reuses its buffer for the next frame
-        got = encode_step(a, b, vit, patch, blocks, memo)
+        got = encode_step(a, b, vit, patch, memo)
         assert cameras == [0, 1, 0]
-        assert got.tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+        assert got.tobytes() == encoded_alone(a, b, vit, patch).tobytes()
 
     def test_repeats_inside_one_call_are_encoded_once(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         slot0 = [a, a.copy(), b, b.copy()]
         slot1 = [b, b.copy(), a, a.copy()]  # the same frames, the other camera
         cameras = count_encodes(monkeypatch)
         memo = {}
-        (got,) = enc.vit_encode_pair([[(memo, [slot0, slot1])]], vit, patch, blocks)
+        (got,) = enc.vit_encode_pair([[(memo, [slot0, slot1])]], vit, patch)
         assert sorted(cameras) == [0, 0, 1, 1]
         for t, (x, y) in enumerate(zip(slot0, slot1)):
-            assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+            assert got[t].tobytes() == encoded_alone(x, y, vit, patch).tobytes()
         stepwise = {}
         for x, y in zip(slot0, slot1):
-            encode_step(x, y, vit, patch, blocks, stepwise)
+            encode_step(x, y, vit, patch, stepwise)
         assert memo.keys() == stepwise.keys() == {0, 1}
         for camera in (0, 1):
             frame, tokens = memo[camera]
@@ -252,14 +252,14 @@ class TestMemoPeers:
     own memo reuses the step-0 entry of an earlier group of the chain."""
 
     def test_a_peers_entry_is_reused_without_a_copy(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         cameras = count_encodes(monkeypatch)
         mine, theirs = {}, {}
         got = enc.vit_encode_pair([[(theirs, [[a], [b]]),
-                                    (mine, [[a.copy()], [b.copy()]])]], vit, patch, blocks)
+                                    (mine, [[a.copy()], [b.copy()]])]], vit, patch)
         assert cameras == [0, 1]
-        expect = encoded_alone(a, b, vit, patch, blocks)
+        expect = encoded_alone(a, b, vit, patch)
         assert [x[0].tobytes() for x in got] == [expect.tobytes()] * 2
         for slot, frame in enumerate((a, b)):
             assert mine[slot] is theirs[slot]  # the same tuple: one copy for both
@@ -267,46 +267,46 @@ class TestMemoPeers:
             assert not any(np.shares_memory(mine[slot][1], x) for x in got)
 
     def test_a_model_writes_only_its_own_memo(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b, c = (rng.random((32, 32, 3)) for _ in range(3))
         cameras = count_encodes(monkeypatch)
         mine, theirs = {}, {}
-        encode_step(a, b, vit, patch, blocks, theirs)
+        encode_step(a, b, vit, patch, theirs)
         before = dict(theirs)
         _, got = enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a, c], [c, c]])]],
-                                     vit, patch, blocks)
+                                     vit, patch)
         # Slot 0 starts on the earlier group's frame, then changes; slot 1's
         # c is new, then repeats.
         assert cameras == [0, 1, 0, 1]
         assert theirs == before and all(theirs[s] is before[s] for s in before)
         assert mine[0][0].tobytes() == mine[1][0].tobytes() == c.tobytes()
         for t, (x, y) in enumerate([(a, c), (c, c)]):
-            assert got[t].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+            assert got[t].tobytes() == encoded_alone(x, y, vit, patch).tobytes()
 
     def test_the_own_memo_is_looked_at_first(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         mine, theirs = {}, {}
-        encode_step(a, b, vit, patch, blocks, theirs)
-        encode_step(a.copy(), b.copy(), vit, patch, blocks, mine)
+        encode_step(a, b, vit, patch, theirs)
+        encode_step(a.copy(), b.copy(), vit, patch, mine)
         order = [theirs[0][0], theirs[1][0], mine[0][0], mine[1][0]]
         looked = looked_at(monkeypatch)
-        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a], [b]])]], vit, patch, blocks)
+        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a], [b]])]], vit, patch)
         assert [id(f) for f in looked] == [id(f) for f in order]
 
     def test_a_peer_entry_already_compared_is_skipped(self, rng, monkeypatch):
         # Once mine has adopted the other group's entries, both memos hold
         # the same tuples: a frame that misses its own memo's entry does not
         # compare it again as the earlier group's step-0 entry.
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b, c, d = (rng.random((32, 32, 3)) for _ in range(4))
         mine, theirs = {}, {}
         enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[a.copy()], [b.copy()]])]],
-                            vit, patch, blocks)
+                            vit, patch)
         entries = [theirs[0], theirs[1]]
         cameras = count_encodes(monkeypatch)
         looked = looked_at(monkeypatch)
-        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[c], [d]])]], vit, patch, blocks)
+        enc.vit_encode_pair([[(theirs, [[a], [b]]), (mine, [[c], [d]])]], vit, patch)
         assert cameras == [0, 1]
         assert [id(f) for f in looked] == [id(entry[0]) for entry in entries * 2]
 
@@ -315,89 +315,89 @@ class TestGroups:
     """Several chains of (memo, slots) groups in one call, as a lockstep round."""
 
     def test_a_later_group_reuses_what_an_earlier_peer_encodes(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b, c = (rng.random((32, 32, 3)) for _ in range(3))
         first, second = {}, {}
         cameras = count_encodes(monkeypatch)
         got = enc.vit_encode_pair([[(first, [[a], [b]]), (second, [[a.copy()], [c]])]],
-                                  vit, patch, blocks)
+                                  vit, patch)
         # The second group's slot 0 repeats the first group's new frame, as
         # if the first had run before it; its slot 1 is new.
         assert sorted(cameras) == [0, 1, 1]
         assert second[0] is first[0]
         assert second[1] is not first[1]
         for tokens, (x, y) in zip(got, [(a, b), (a, c)]):
-            assert tokens[0].tobytes() == encoded_alone(x, y, vit, patch, blocks).tobytes()
+            assert tokens[0].tobytes() == encoded_alone(x, y, vit, patch).tobytes()
 
     def test_an_entry_adopted_in_the_call_is_shared_along(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         older, first, second = {}, {}, {}
-        encode_step(a, b, vit, patch, blocks, older)
+        encode_step(a, b, vit, patch, older)
         entries = dict(older)
         cameras = count_encodes(monkeypatch)
         got = enc.vit_encode_pair([[(older, [[a.copy()], [b.copy()]]),
                                     (first, [[a.copy()], [b.copy()]]),
                                     (second, [[a.copy()], [b.copy()]])]],
-                                  vit, patch, blocks)
+                                  vit, patch)
         assert cameras == []
         for slot in (0, 1):
             assert first[slot] is second[slot] is older[slot] is entries[slot]
         for tokens in got:
-            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch).tobytes()
 
     def test_a_frame_of_another_chain_is_encoded_again(self, rng, monkeypatch):
         # Reuse is scoped to a chain: the same frames in two chains are
         # encoded once per chain, and no frame is compared with the other
         # chain's.
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a, b = rng.random((32, 32, 3)), rng.random((32, 32, 3))
         memos = [{}, {}]
         for memo in memos:
             encode_step(rng.random((32, 32, 3)), rng.random((32, 32, 3)),
-                        vit, patch, blocks, memo)
+                        vit, patch, memo)
         own = [memo[slot][0] for memo in memos for slot in (0, 1)]
         cameras = count_encodes(monkeypatch)
         looked = looked_at(monkeypatch)
         got = enc.vit_encode_pair([[(memo, [[a.copy()], [b.copy()]])] for memo in memos],
-                                  vit, patch, blocks)
+                                  vit, patch)
         assert sorted(cameras) == [0, 0, 1, 1]
         assert [id(f) for f in looked] == [id(f) for f in own]
         assert memos[0][0] is not memos[1][0] and memos[0][1] is not memos[1][1]
         for tokens in got:
-            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch, blocks).tobytes()
+            assert tokens[0].tobytes() == encoded_alone(a, b, vit, patch).tobytes()
 
     def test_batches_hold_one_camera_across_slots_and_groups(self, rng, monkeypatch):
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         steps = [[rng.random((32, 32, 3)) for _ in range(4)] for _ in range(3)]
         steps[1][2] = steps[1][2].astype(np.float32)  # dtypes may mix in a batch
         batches = []
         real = enc.vit_encode_image
 
-        def recording(img, vit, patch, blocks, camera):
+        def recording(img, vit, patch, camera):
             batches.append((camera, len(img)))
-            return real(img, vit, patch, blocks, camera=camera)
+            return real(img, vit, patch, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", recording)
         memos = [{} for _ in steps]
         got = enc.vit_encode_pair([[(memo, [[f] for f in step])]
-                                   for memo, step in zip(memos, steps)], vit, patch, blocks)
+                                   for memo, step in zip(memos, steps)], vit, patch)
         # Six frames per camera: slots 0 and 2 (or 1 and 3) of three chains.
         assert sorted(batches) == [(0, 2), (0, 4), (1, 2), (1, 4)]
         for tokens, step in zip(got, steps):
             for s, frame in enumerate(step):
-                expect = alone(frame, vit, patch, blocks, camera=s % 2)
+                expect = alone(frame, vit, patch, camera=s % 2)
                 assert tokens[0, s * 16:(s + 1) * 16].tobytes() == expect.tobytes()
 
     def test_frames_of_other_extents_are_batched_apart(self, rng):
         # patchify checks each batch's extents, so a frame of the wrong size
         # fails as it would alone, not in np.stack.
-        vit, patch, blocks = small_vit(rng)
+        vit, patch = small_vit(rng)
         a = rng.random((32, 32, 3))
         memo = {}
         with pytest.raises(DimensionError, match="positional rows 16 do not match 4 patches"):
             enc.vit_encode_pair([[(memo, [[a], [a], [rng.random((16, 16, 3))], [a]])]],
-                                vit, patch, blocks)
+                                vit, patch)
         assert memo == {}
 
 

@@ -153,10 +153,15 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="unreadable checkpoint header"):
             persist.load_checkpoint(tmp_path / "bad.rfpx")
 
+    # Checkpoints written while a constant was a ModelConfig field hold it in
+    # the embedded config; they must be rebuilt with minivla train.
     @pytest.mark.parametrize("extra, key", [
         (dict(image_hw=32), r"unknown config key: model\.image_hw"),
         (dict(sep_resampler="false"), r"model\.sep_resampler must be of type bool"),
-    ], ids=["removed-fields", "wrong-type"])
+        (dict(vit_blocks=2), r"unknown config key: model\.vit_blocks"),
+        (dict(decoder_layers=2), r"unknown config key: model\.decoder_layers"),
+        (dict(lstm_layers=2), r"unknown config key: model\.lstm_layers"),
+    ], ids=["removed-fields", "wrong-type", "vit_blocks", "decoder_layers", "lstm_layers"])
     def test_embedded_config_goes_through_the_config_parser(self, tmp_path, extra, key):
         path = persist.save_checkpoint(small_model(), tmp_path / "m.rfpx")
 

@@ -28,6 +28,7 @@ def policy_step(model, obs, instruction, hidden):
     """One step of a PolicyAgent over model from the LSTM state hidden, a
     round of one: (its action, its next state)."""
     agent = pol.PolicyAgent(model)
+    agent.begin_task(None, instruction)
     agent._hidden = hidden
     return agent.act(obs, instruction), agent._hidden
 
@@ -47,7 +48,7 @@ class TestLstmStep:
     def test_hand_computed_scalar_cell(self):
         # Width-1 cell; only the first input channel is wired, so every
         # gate is a scalar we can do by hand.
-        model = tiny_model(d_model=4, lstm_layers=1, lstm_width=1)
+        model = tiny_model(d_model=4, lstm_width=1)
         wx_row = np.array([0.5, 0.3, 0.8, -0.2])
         wh = np.array([[0.1, -0.1, 0.2, 0.4]])
         b = np.array([0.05, 1.0, -0.3, 0.2])
@@ -65,13 +66,14 @@ class TestLstmStep:
         c1 = f * c0 + i * g
         h1 = o * np.tanh(c1)
 
-        prev = [(np.array([[h0]]), np.array([[c0]]))]
-        h_top, state = pol.lstm_step(Tensor([[x, 0.0, 0.0, 0.0]]), prev, model)
-        np.testing.assert_allclose(h_top.data, [[h1]], atol=1e-12)
+        prev = pol.reset_hidden(model)
+        prev[0] = (np.array([[h0]]), np.array([[c0]]))
+        _, state = pol.lstm_step(Tensor([[x, 0.0, 0.0, 0.0]]), prev, model)
+        np.testing.assert_allclose(state[0][0], [[h1]], atol=1e-12)  # the first layer's
         np.testing.assert_allclose(state[0][1], [[c1]], atol=1e-12)
 
     def test_state_stays_finite_over_many_steps(self, rng):
-        model = tiny_model(d_model=4, lstm_layers=1, lstm_width=4)
+        model = tiny_model(d_model=4, lstm_width=4)
         x = Tensor(rng.normal(size=(1, 4)))
         state = pol.reset_hidden(model)
         with nm.no_grad():
@@ -84,7 +86,7 @@ class TestLstmStep:
     def test_width_mismatch_rejected(self):
         model = tiny_model()
         bad = [(np.zeros((1, 3)), np.zeros((1, 3)))
-               for _ in range(model.cfg.lstm_layers)]
+               for _ in range(pol.LSTM_LAYERS)]
         with pytest.raises(DimensionError):
             pol.lstm_step(Tensor(np.zeros((1, model.cfg.d_model))), bad, model)
 
@@ -129,7 +131,7 @@ class TestResetHidden:
     def test_shape_and_zeros(self):
         model = tiny_model()
         state = pol.reset_hidden(model)
-        assert len(state) == model.cfg.lstm_layers
+        assert len(state) == pol.LSTM_LAYERS
         for h, c in state:
             assert h.shape == (1, model.cfg.lstm_width)
             np.testing.assert_array_equal(h, 0.0)
@@ -201,8 +203,7 @@ class TestPolicyStep:
 
     def test_full_step_grad_check(self, rng):
         # Finite differences across the whole composition on one step.
-        model = tiny_model(d_model=8, resampler_k=2, decoder_layers=1,
-                           lstm_layers=1, lstm_width=4)
+        model = tiny_model(d_model=8, resampler_k=2, lstm_width=4)
         for layer in model.decoder:
             layer["cross.alpha"].data = np.asarray(0.3)
         obs = synthetic_obs(rng)
@@ -277,8 +278,7 @@ def encoded_alone(model, obs) -> tuple[np.ndarray, np.ndarray]:
     rgb = (obs.rgb_static, obs.rgb_gripper)
     depth = tuple(dp.preprocess_depth(d, model.depth_stats)
                   for d in (obs.depth_static, obs.depth_gripper))
-    return tuple(np.concatenate([ENCODE_IMAGE(frame[None], vit, cfg.patch, cfg.vit_blocks,
-                                              camera=camera)[0]
+    return tuple(np.concatenate([ENCODE_IMAGE(frame[None], vit, cfg.patch, camera=camera)[0]
                                  for camera, frame in enumerate(pair)])
                  for pair in (rgb, depth))
 
@@ -309,6 +309,7 @@ class TestFrameMemo:
         hidden = pol.reset_hidden(model)
         state = sim.make_env(0, "D")
         text = "lift the red block"
+        agent.begin_task(None, text)
         n_steps = 12
         for _ in range(n_steps):
             (obs,) = sim.render_observation([state])
@@ -422,6 +423,7 @@ class TestFrameMemo:
         model = tiny_model(depth_input="constant")
         n_steps = 5
         for agent in (pol.PolicyAgent(model), pol.PolicyAgent(model)):
+            agent.begin_task(None, "lift the red block")
             for _ in range(n_steps):
                 agent.act(synthetic_obs(rng), "lift the red block")
         # Every RGB frame is new; the two flat depth frames are encoded once.
@@ -555,11 +557,11 @@ class TestParallelTrajectoryEncode:
         meet = threading.Barrier(2, timeout=10.0)
         real = enc.vit_encode_image
 
-        def meeting(img, vit, patch, blocks, camera):
+        def meeting(img, vit, patch, camera):
             threads.append(threading.get_ident())
             if len(threads) <= 2:
                 meet.wait()  # the first two encoder calls must run at once
-            return real(img, vit, patch, blocks, camera=camera)
+            return real(img, vit, patch, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", meeting)
         pol.encode_trajectory(tiny_model(), [synthetic_obs(rng) for _ in range(12)])
@@ -654,7 +656,7 @@ class TestParallelTrajectoryEncode:
         cropped = []
         real = enc.vit_encode_image
 
-        def cropping(img, vit, patch, blocks, camera):
+        def cropping(img, vit, patch, camera):
             on_caller = threading.get_ident() == caller
             if where == "helper" and on_caller:
                 assert helper_started.wait(10.0)  # a helper takes a job first
@@ -663,7 +665,7 @@ class TestParallelTrajectoryEncode:
             if on_caller == (where == "caller") and not cropped:
                 cropped.append(camera)
                 img = img[..., :-1, :, :]  # a frame one row short reaches the encoder
-            return real(img, vit, patch, blocks, camera=camera)
+            return real(img, vit, patch, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", cropping)
         before = thread_count()
@@ -683,11 +685,11 @@ class TestParallelTrajectoryEncode:
         real = enc.vit_encode_image
         batches = []
 
-        def failing_on_gripper(img, vit, patch, blocks, camera):
+        def failing_on_gripper(img, vit, patch, camera):
             if camera == 1:
                 raise DimensionError("gripper frame rejected")
             batches.append((camera, len(img)))
-            return real(img, vit, patch, blocks, camera=camera)
+            return real(img, vit, patch, camera=camera)
 
         monkeypatch.setattr(enc, "vit_encode_image", failing_on_gripper)
         with pytest.raises(DimensionError, match="gripper frame rejected"):
@@ -722,6 +724,7 @@ class TestAgents:
 
         monkeypatch.setattr(pol, "act_round", recording)
         agent = pol.PolicyAgent(tiny_model())
+        agent.begin_task(None, "lift the red block")
         observations = [synthetic_obs(rng) for _ in range(2)]
         for obs in observations:
             agent.act(obs, "lift the red block")

@@ -105,7 +105,7 @@ class TestMakeEnv:
 class TestStepEnv:
     def test_zero_action_is_identity(self):
         s = sim.make_env(5, "A")
-        s2 = sim.step_env(s, Action.zero())
+        s2 = sim.step_env(s, Action.zero(closed=False))
         assert np.array_equal(s.gripper_pos, s2.gripper_pos)
         for a, b in zip(s.objects, s2.objects):
             assert np.array_equal(a.pos, b.pos) and a.held == b.held
@@ -813,7 +813,8 @@ class TestSteppedChain:
         log = []
         agents = [Recording(RandomAgent(1), log, "random"),
                   Recording(ExpertAgent(), log, "expert")]
-        results = sim.lockstep([sim.chain_steps(a, chain, 8, False) for a in agents])
+        results = sim.lockstep([sim.chain_steps(a, chain, 8, False) for a in agents],
+                               lambda observations: None)
         random_steps = sum(name == "random" for name, _ in log)
         assert [name for name, _ in log[:2 * random_steps]] == ["random", "expert"] * random_steps
         assert all(name == "expert" for name, _ in log[2 * random_steps:])

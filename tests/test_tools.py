@@ -1,5 +1,6 @@
 """The report tools under tools/ run as their READMEs say."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,19 +11,23 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import line_coverage  # noqa: E402
 
+from minivla.config import EnvConfig, ModelConfig, TrainConfig  # noqa: E402
 
-def test_src_counts_prints_the_five_counts_as_one_json_line():
+
+def test_src_counts_prints_the_six_counts_as_one_json_line():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "src_counts.py")],
                          capture_output=True, text=True, check=True).stdout
     (line,) = out.splitlines()
     counts = json.loads(line)
     assert list(counts) == ["lines", "executable_lines", "parameters", "defaults",
-                            "defined_names"]
+                            "defined_names", "config_fields"]
     modules = sorted(line_coverage.PACKAGE.glob("*.py"))
     assert counts["executable_lines"] == sum(len(line_coverage.executable_lines(p))
                                              for p in modules)
     assert counts["lines"] == sum(len(p.read_text().splitlines()) for p in modules)
     assert 0 < counts["defaults"] < counts["parameters"]
+    assert counts["config_fields"] == sum(
+        len(dataclasses.fields(section)) for section in (ModelConfig, TrainConfig, EnvConfig))
 
 
 def test_frame_counts_prints_one_json_line_of_the_workloads_named():

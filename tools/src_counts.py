@@ -7,6 +7,8 @@
                        *args and **kwargs included
     defaults           those parameters that have a default
     defined_names      def, async def and class statements
+    config_fields      the fields a run may set: those of config.ModelConfig,
+                       TrainConfig and EnvConfig
 
 A report, not a gate. Run from any directory:
 
@@ -26,11 +28,12 @@ from line_coverage import PACKAGE, executable_lines  # noqa: E402
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONFIG_SECTIONS = ("ModelConfig", "TrainConfig", "EnvConfig")  # RunConfig only nests them
 
 
 def counts() -> dict[str, int]:
     total = dict.fromkeys(("lines", "executable_lines", "parameters", "defaults",
-                           "defined_names"), 0)
+                           "defined_names", "config_fields"), 0)
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         total["lines"] += len(source.splitlines())
@@ -43,6 +46,9 @@ def counts() -> dict[str, int]:
                 total["parameters"] += (len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
                                         + (a.vararg is not None) + (a.kwarg is not None))
                 total["defaults"] += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+            if (path.name == "config.py" and isinstance(node, ast.ClassDef)
+                    and node.name in CONFIG_SECTIONS):
+                total["config_fields"] += sum(isinstance(s, ast.AnnAssign) for s in node.body)
     return total
 
 

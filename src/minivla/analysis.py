@@ -9,20 +9,21 @@ seeds: shared vs separate resamplers (initialized identically), and
 narrow vs wide depth-normalization ranges (plus the quantized
 pixel-change sensitivity counts). run_chain_eval evaluates one agent or
 a tuple of agents over one frozen encoder: every chain of every agent
-runs with an agent of its own, and the chains are stepped together in
-lockstep rounds. A round paints the states of its pixel-reading chains
-in one sim.render_observation call (sim.lockstep); then, before any
-agent of the round acts, one pol.act_round call, the one step path of a
-pol.PolicyAgent, encodes the round's new frames together and steps the
-round's PolicyAgents with one policy_core call per group that shares a
-ParamSet and an instruction length, a leading chain axis in that call;
-each chain's actions stay bitwise those of evaluating it alone, where
-each act is a round of one. Other agents (expert, random) act on their
-own. Each harness evaluates its two arms with one such call after
-training, the resampler harness also at initialization; the arms'
-ParamSets differ, so they never share a policy_core call, but within a
-chain an arm reuses the tokens of each frame the other arm encodes in
-the same round.
+runs with an agent of its own, which holds the chain's frame memo,
+round tokens and LSTM state over the same Model, and the chains are
+stepped together in lockstep rounds. A round paints the states of its
+pixel-reading chains in one sim.render_observation call (sim.lockstep);
+then, before any agent of the round acts, one pol.act_round call, the
+one step path of a pol.PolicyAgent, encodes the round's new frames
+together and steps the round's PolicyAgents with one policy_core call
+per group that shares a ParamSet and an instruction length, a leading
+chain axis in that call; each chain's actions stay bitwise those of
+evaluating it alone, where each act is a round of one. Other agents
+(expert, random) act on their own. Each harness evaluates its two arms
+with one such call after training, the resampler harness also at
+initialization; the arms' ParamSets differ, so they never share a
+policy_core call, but within a chain an arm reuses the tokens of each
+frame the other arm encodes in the same round.
 """
 
 from __future__ import annotations
@@ -98,8 +99,9 @@ def run_chain_eval(agent, n_chains: int, palette: str, seed: int,
     agents, which get one such list each. The pol.PolicyAgents among them
     must have the same frozen encoder (pol.same_frozen_encoder), else
     this raises ContractError before any chain is sampled. Every chain of
-    every agent runs with an agent of its own, agent.for_chain(), so a
-    policy agent's chain has its own frame memo and LSTM state. The
+    every agent runs with an agent of its own, agent.for_chain(): a
+    policy agent's chain shares its Model, parameters and all, and has
+    its own frame memo, round tokens and LSTM state. The
     chains run in waves of CHAINS_PER_WAVE, all runs of a wave stepped in
     lockstep (sim.lockstep), which paints each round's frames in one
     sim.render_observation call. Before each round's acts, one

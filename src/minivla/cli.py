@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--variant", choices=sim.VARIANTS, default=None)
     e.add_argument("--enrich", action="store_true")
     e.add_argument("--label", default="ours")
-    e.add_argument("--train-label", default="ABC")
+    e.add_argument("--train-label", default="")
     e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("ablate", help="paired-variant studies")

@@ -7,25 +7,26 @@ the whole encoder runs as plain numpy; the trainable resampler is where
 the autodiff tape starts.
 
 vit_encode_pair runs it on chains of groups of four camera slots of T
-steps, each group against its model's memo: one chain of one group for
-a rollout step (T = 1) or a whole dataset, and for a round of chains
-stepped in lockstep one chain per evaluated chain, one group per arm
-(T = 1). It alone decides reuse, writes the memos, forms batches and
-starts threads. A memo keeps, per camera slot, the last frame its model
-encoded there, with its tokens. A frame byte-equal to the previous frame
-of its slot reuses that frame's tokens; at a call's first step, the
-previous frame is the slot's entry in the group's memo or, failing
-that, the first-step frame of an earlier group of the same chain, whose
-entry the later group's memo then adopts. That is exact because tokens
-depend only on the frame and the frozen weights, which every model of a
-call shares. The other frames are encoded in batches of up to
-FRAMES_PER_JOB frames of one camera, across slots, groups and chains,
-since a camera's RGB and depth frames share its positional rows; every
-frame's tokens are bitwise those of encoding it alone. Only a call with
-at least 2 * FRAMES_PER_JOB new frames uses helper threads, so a single
-step stays on the calling thread while a round of several chains does
-not; kept_helpers keeps the threads over many calls and ends them with
-its block. A failed call leaves every memo as it was.
+steps, each group against a memo: one chain of one group for a whole
+dataset, against a memo that lasts for that call, and for a lockstep
+round one chain per evaluated chain, one group per arm (T = 1), each
+against the memo of the policy agent that steps it. It alone decides
+reuse, writes the memos, forms batches and starts threads. A memo keeps,
+per camera slot, the last frame encoded there, with its tokens. A frame
+byte-equal to the previous frame of its slot reuses that frame's tokens;
+at a call's first step, the previous frame is the slot's entry in the
+group's memo or, failing that, the first-step frame of an earlier group
+of the same chain, whose entry the later group's memo then adopts. That
+is exact because tokens depend only on the frame and the frozen
+weights, which every group of a call shares. The other frames are
+encoded in batches of up to FRAMES_PER_JOB frames of one camera, across
+slots, groups and chains, since a camera's RGB and depth frames share
+its positional rows; every frame's tokens are bitwise those of encoding
+it alone. Only a call with at least 2 * FRAMES_PER_JOB new frames uses
+helper threads, so a single step stays on the calling thread while a
+round of several chains does not; kept_helpers keeps the threads over
+many calls and ends them with its block. A failed call leaves every
+memo as it was.
 
 The resampler holds K learnable latent query tokens and compresses an
 N-token sequence to K tokens via single-head scaled dot-product

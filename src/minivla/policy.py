@@ -37,19 +37,21 @@ The frozen encode is one enc.vit_encode_pair call over all four camera
 slots, for a round of rollout steps (encode_round, T = 1) and a
 teacher-forced trajectory (encode_trajectory) alike, which decides
 reuse, batching and threads. This module checks and preprocesses the
-frames and supplies the model's memo, one entry per slot, so reuse
-spans steps and trajectories. Each Model has a memo of its own: a chain
-evaluation gives every chain its own Model over the same parameters
+frames and supplies the memos, one entry per slot, against which that
+call reuses tokens. A Model is its parameters, depth statistics and
+stage groups; what a run changes lives on the run. A chain's memo,
+round tokens and LSTM state live on its PolicyAgent: a chain evaluation
+gives every chain an agent of its own over the same Model
 (PolicyAgent.for_chain), and encode_round encodes one lockstep round of
-those models in one call, grouped by chain and checking and
-preprocessing each frame once; each model's next encode_observation
-takes its tokens from that call, its only source. Within a chain, a
-model's step reuses the tokens of a frame another model of the chain
-encodes in the same call. A memo stays valid because the frozen
-weights never change once a model is built; the depth slots hold
-preprocessed frames, so the depth statistics are part of what it
-compares, and models that differ only in them share the RGB slots
-exactly.
+those agents in one call, grouped by chain and checking and
+preprocessing each frame once; each agent's next encode_observation
+takes its tokens from that call, its only source. Within a chain, an
+agent's step reuses the tokens of a frame another agent of the chain
+encodes in the same call. A trajectory encode's memo lasts for that
+call. A memo stays valid because the frozen weights never change once a
+model is built; the depth slots hold preprocessed frames, so the depth
+statistics are part of what it compares, and agents whose models differ
+only in them share the RGB slots exactly.
 
 Relative pose output is tanh-squashed and scaled to the environment's
 per-step clip bound, sim.STEP_CLIP; the gripper logit binarizes at
@@ -95,19 +97,15 @@ class Model:
     frozen table) as arrays, which load_checkpoint writes in place;
     resampler["rgb"] and ["depth"] (one dict unless cfg.sep_resampler),
     decoder[l], lstm[i] = (wx, wh, b) and pose_head, gripper_head =
-    (w1, b1, w2, b2) as Tensors, whose data FlatLayout may rebind."""
+    (w1, b1, w2, b2) as Tensors, whose data FlatLayout may rebind. It
+    holds no run state: every chain's frame memo, round tokens and LSTM
+    state live on its PolicyAgent, so any number of agents share one
+    Model."""
 
     def __init__(self, cfg: ModelConfig, params: ParamSet, depth_stats: dp.DepthStats):
         self.cfg = cfg
         self.params = params
         self.depth_stats = depth_stats
-        # The frozen-encoder memo (see enc.vit_encode_pair); its tokens stay
-        # valid because the frozen weights are never changed after
-        # init_model or load_checkpoint sets them.
-        self._frame_memo: enc.FrameMemo = {}
-        # The observation object encode_round encoded for this model's next
-        # step, with its tokens, until encode_observation takes them.
-        self._ready: tuple[sim.Observation, tuple[Array, Array]] | None = None
 
         def group(prefix: str) -> dict[str, Tensor]:
             return {name[len(prefix):]: t for name, t in params.items()
@@ -264,15 +262,15 @@ def _camera_frames(model: Model, obs: sim.Observation) -> tuple[Array, Array, Ar
     return np.asarray(obs.rgb_static), np.asarray(obs.rgb_gripper), depth_a, depth_b
 
 
-def encode_observation(model: Model, obs: sim.Observation) -> tuple[Array, Array]:
+def encode_observation(agent: "PolicyAgent", obs: sim.Observation) -> tuple[Array, Array]:
     """Frozen token sequences (X_rgb, X_depth), each (2N, d) float64, of
-    one policy step: the tokens encode_round left for this observation
-    object, which this takes. Every step is encoded in a round
-    (act_round), so a model with no round tokens for obs raises
+    one policy step: the tokens encode_round left on the agent for this
+    observation object, which this takes. Every step is encoded in a
+    round (act_round), so an agent with no round tokens for obs raises
     ContractError; encode_trajectory encodes steps outside one."""
-    ready, model._ready = model._ready, None
+    ready, agent._ready = agent._ready, None
     if ready is None or ready[0] is not obs:
-        raise ContractError("no round encoded this observation for this model")
+        raise ContractError("no round encoded this observation for this agent")
     return ready[1]
 
 
@@ -281,38 +279,39 @@ def encode_trajectory(model: Model, observations) -> tuple[Array, Array]:
 
     Every frame is checked before any is encoded. Then one
     enc.vit_encode_pair call encodes all T steps of the four camera slots
-    against the model's memo, and a failed call leaves the memo as it
-    was; its (T, 4N, d) tokens split into the RGB and depth halves.
+    against a memo that lasts for this call, so only frames repeated
+    within it reuse tokens; its (T, 4N, d) tokens split into the RGB and
+    depth halves.
     """
     steps = [_camera_frames(model, obs) for obs in observations]
     slots = [[frames[s] for frames in steps] for s in range(4)]
     with _stage("encoder"):
-        (tokens,) = enc.vit_encode_pair([[(model._frame_memo, slots)]],
-                                        model.vit, model.cfg.patch)
+        (tokens,) = enc.vit_encode_pair([[({}, slots)]], model.vit, model.cfg.patch)
     half = tokens.shape[1] // 2
     return tokens[:, :half], tokens[:, half:]
 
 
-def encode_round(chains: list[list[tuple[Model, sim.Observation]]]) -> None:
+def encode_round(chains: list[list[tuple["PolicyAgent", sim.Observation]]]) -> None:
     """Encode one lockstep round: chains holds, per evaluated chain, the
-    (model, observation) pairs of the models that step in it, each one
-    step of its model; the models' frozen encoders are all equal (see
+    (agent, observation) pairs of the agents that step in it, each one
+    step of its agent; the agents' frozen encoders are all equal (see
     same_frozen_encoder). Every frame is checked and preprocessed once,
     then one enc.vit_encode_pair call, with one chain per chain and one
-    group per model, encodes the round's new frames; each model's next
+    group per agent against the agent's memo, encodes the round's new
+    frames; a failed call leaves every memo as it was. Each agent's next
     encode_observation of that observation object returns its tokens.
     """
-    groups = [[(model._frame_memo, [[f] for f in _camera_frames(model, obs)])
-               for model, obs in chain] for chain in chains]
+    groups = [[(agent._frame_memo, [[f] for f in _camera_frames(agent.model, obs)])
+               for agent, obs in chain] for chain in chains]
     steps = [step for chain in chains for step in chain]
     if not steps:
         return
-    first = steps[0][0]
+    first = steps[0][0].model
     with _stage("encoder"):
         tokens = enc.vit_encode_pair(groups, first.vit, first.cfg.patch)
-    for (model, obs), x in zip(steps, tokens):
+    for (agent, obs), x in zip(steps, tokens):
         half = x.shape[1] // 2
-        model._ready = (obs, (x[0, :half], x[0, half:]))
+        agent._ready = (obs, (x[0, :half], x[0, half:]))
 
 
 # --- the policy over a trajectory ------------------------------------------------
@@ -369,7 +368,7 @@ def act_round(chains: list[list[tuple["PolicyAgent", sim.Observation]]]) -> None
     token count. Each agent's next act on that observation returns the
     action computed here.
     """
-    encode_round([[(agent.model, obs) for agent, obs in chain] for chain in chains])
+    encode_round(chains)
     groups: dict[tuple[int, int], list[tuple[PolicyAgent, sim.Observation]]] = {}
     for chain in chains:
         for agent, obs in chain:
@@ -383,10 +382,10 @@ def step_agents(steps: list[tuple["PolicyAgent", sim.Observation]]) -> None:
     """One policy step of each agent, as one policy_core call with a
     leading chain axis: the agents' models share one ParamSet and their
     instructions have one token count. Each agent's tokens are those its
-    round's encode_round left (encode_observation); each agent keeps its
-    action (gripper binarized) and next LSTM state for its act on obs."""
+    round's encode_round left on it (encode_observation); each agent keeps
+    its action (gripper binarized) and next LSTM state for its act on obs."""
     model = steps[0][0].model
-    x_rgb, x_depth = zip(*(encode_observation(agent.model, obs) for agent, obs in steps))
+    x_rgb, x_depth = zip(*(encode_observation(agent, obs) for agent, obs in steps))
     instr = np.stack([agent._instruction[1] for agent, _ in steps])
     hidden = [tuple(map(np.stack, zip(*layer)))
               for layer in zip(*(agent._hidden for agent, _ in steps))]
@@ -402,8 +401,10 @@ def step_agents(steps: list[tuple["PolicyAgent", sim.Observation]]) -> None:
 class PolicyAgent:
     """Pixels-only rollout adapter around a Model (no world-state access).
 
-    Its LSTM state and the task's instruction embedding are its own. It
-    steps only through act_round (see act).
+    The run state of its chain is its own: the frame memo, the tokens its
+    round left, its LSTM state and the task's instruction embedding. The
+    Model holds only parameters, so agents share it. It steps only
+    through act_round (see act).
     """
 
     reads_pixels = True
@@ -411,17 +412,22 @@ class PolicyAgent:
     def __init__(self, model: Model):
         self.model = model
         self._hidden = reset_hidden(model)
+        # The frozen-encoder memo (see enc.vit_encode_pair); its tokens stay
+        # valid because the frozen weights are never changed after
+        # init_model or load_checkpoint sets them.
+        self._frame_memo: enc.FrameMemo = {}
+        # The observation object encode_round encoded for this agent's next
+        # step, with its tokens, until encode_observation takes them.
+        self._ready: tuple[sim.Observation, tuple[Array, Array]] | None = None
         # (text, its (M, d) embedding), resolved once per task.
         self._instruction: tuple[str | None, Array | None] = (None, None)
         # (observation, action, next LSTM state) from act_round, until act.
         self._next: tuple[sim.Observation, sim.Action, list] | None = None
 
     def for_chain(self) -> "PolicyAgent":
-        """An agent for one chain of an evaluation: a Model over the same
-        parameters and depth statistics, with a memo and LSTM state of its
-        own."""
-        model = self.model
-        return PolicyAgent(Model(model.cfg, model.params, model.depth_stats))
+        """An agent for one chain of an evaluation: the same Model, with a
+        memo, round tokens and LSTM state of its own."""
+        return PolicyAgent(self.model)
 
     def reset(self):
         self._hidden = reset_hidden(self.model)

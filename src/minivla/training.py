@@ -188,7 +188,8 @@ def encode_dataset(model: pol.Model, dataset: list[sim.Trajectory]):
     Per trajectory: (instruction, (X_rgb, X_depth) each (T, 2N, d),
     expert actions). Instructions are resolved first, so bad text fails
     before any encode; then one encode_trajectory call, whose memo carries
-    across trajectories as across steps, is sliced per trajectory. Models
+    across trajectories as across steps and lasts for this call, is
+    sliced per trajectory; nothing is left on the model. Models
     with equal frozen_checksum, depth statistics and depth_input encode a
     dataset identically and may share the result.
     """

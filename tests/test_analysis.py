@@ -510,7 +510,7 @@ def test_harness_evaluates_both_arms_with_one_paired_call(monkeypatch, harness):
         return real_eval(agent, n_chains, *args, **kwargs)
 
     def grouping(chains):
-        rounds[-1].append([[model.params for model, _ in chain] for chain in chains])
+        rounds[-1].append([[agent.model.params for agent, _ in chain] for chain in chains])
         real_round(chains)
 
     monkeypatch.setattr(an, "run_chain_eval", recording)
@@ -613,6 +613,41 @@ class TestRoundGroups:
         want = sorted((id(a.model.params), *group) for a in arms for group in per_params)
         assert len(calls) == GROUPED_HORIZON
         assert all(sorted(round_calls) == want for round_calls in calls)
+
+
+def test_chains_of_one_agent_share_its_model_and_keep_their_own_run_state(monkeypatch):
+    agent = pol.PolicyAgent(policy_model())
+    assert agent.for_chain().model is agent.model
+    # A Model is its parameters, depth statistics and stage groups only.
+    assert set(vars(agent.model)) == {"cfg", "params", "depth_stats", "vit", "embed",
+                                      "resampler", "decoder", "lstm", "pose_head",
+                                      "gripper_head"}
+    rounds = []  # per step_agents call: per chain agent, (it, its memo, round tokens)
+    real = pol.step_agents
+
+    def recording(steps):
+        rounds.append([(a, a._frame_memo, a._ready[1]) for a, _ in steps])
+        real(steps)
+
+    monkeypatch.setattr(pol, "step_agents", recording)
+    n_chains, horizon = 2, 4
+    together = acted(lambda: an.run_chain_eval(agent, n_chains, "D", 11, families=["lift"],
+                                               horizon=horizon))
+    first, second = rounds[0]  # both chains lift, so one step_agents call a round
+    assert first[0] is not second[0] and first[0].model is second[0].model is agent.model
+    assert first[1] is not second[1]
+    assert not any(first[1][s] is entry for s, entry in second[1].items())
+    assert not any(np.shares_memory(x, y) for x in first[2] for y in second[2])
+    alone, solos = [], []
+    for i in range(n_chains):
+        chain = sim.sample_chain(11 + i, "D", families=["lift"])
+        solos.append(agent.for_chain())
+        alone += acted(lambda: run_chain(solos[-1], chain, max_steps_per_task=horizon))
+    assert len(together) == n_chains and all(together)
+    assert together == alone
+    for chain_agent, solo in zip((first[0], second[0]), solos):  # the last LSTM states
+        assert ([(h.tobytes(), c.tobytes()) for h, c in chain_agent._hidden]
+                == [(h.tobytes(), c.tobytes()) for h, c in solo._hidden])
 
 
 class TestDepthExtremesAblation:

@@ -105,7 +105,7 @@ def test_two_evals_into_one_out_are_told_apart_by_their_run(run_dir):
     persist.save_checkpoint(model, run_dir / "model.rfpx")
     runs = [["--chains", "2", "--horizon", "2", "--seed", "1"],
             ["--chains", "1", "--horizon", "3", "--seed", "7", "--palette", "A",
-             "--families", "lift,press"]]
+             "--families", "lift,press", "--train-label", "A"]]
     for flags in runs:
         assert cli.dispatch(["eval", "--checkpoint", "model.rfpx", "--out", "eval",
                              *flags]) == 0
@@ -120,9 +120,9 @@ def test_two_evals_into_one_out_are_told_apart_by_their_run(run_dir):
               "families": ["lift", "press"]}
     assert [row["run"] for row in rows] == [first, second]
     assert [{k: v for k, v in row.items() if k != "run"} for row in rows] == [
-        {"model": "ours", "train": "ABC", "test": palette, "enriched": False,
+        {"model": "ours", "train": train, "test": palette, "enriched": False,
          "rates": row["rates"], "avg": row["avg"], "n_chains": n}
-        for row, palette, n in zip(rows, "DA", (2, 1))]
+        for row, train, palette, n in zip(rows, ("", "A"), "DA", (2, 1))]
     assert [(c["chain_id"], c["seed"], c["run"]) for c in chains] == [
         (0, 1, first), (1, 2, first), (0, 7, second)]
 

@@ -1,9 +1,13 @@
 """Repository layout: Python code lives in the package, its tests, its tools
 and its benchmark. A diagnostic arm is a config value or a command option
 of the package, not a script beside it that re-builds the pipeline by
-hand."""
+hand. The claim ledger, REPRODUCTION.md, names only code and tests that
+exist."""
 
+import ast
+import importlib
 import os
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +29,21 @@ def test_python_files_lie_under_the_code_directories():
     stray = sorted(str(p.relative_to(ROOT)) for p in _python_files(ROOT)
                    if p.relative_to(ROOT).parts[0] not in CODE_DIRS)
     assert stray == []
+
+
+def test_the_claim_ledger_names_only_code_and_tests_that_exist():
+    ledger = (ROOT / "REPRODUCTION.md").read_text()
+    names = re.findall(r"`(minivla(?:\.\w+)+)`", ledger)
+    tests = re.findall(r"`(tests/\w+\.py)((?:::\w+)*)`", ledger)
+    assert names and tests
+    for name in names:
+        module, *attrs = name.split(".")[1:]
+        found = importlib.import_module(f"minivla.{module}")
+        for attr in attrs:
+            assert hasattr(found, attr), name
+            found = getattr(found, attr)
+    for path, nodes in tests:
+        tree = ast.parse((ROOT / path).read_text())
+        defined = {n.name for n in ast.walk(tree)
+                   if isinstance(n, (ast.ClassDef, ast.FunctionDef))}
+        assert set(nodes.split("::")[1:]) <= defined, path + nodes

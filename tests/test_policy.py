@@ -293,7 +293,8 @@ def assert_rows_encoded_alone(model, encoded, observations):
 
 
 class TestFrameMemo:
-    """Frozen tokens are reused for frames byte-equal to their slot's last one."""
+    """Frozen tokens are reused for frames byte-equal to their slot's last
+    one; a chain's memo lives on its PolicyAgent."""
 
     @staticmethod
     def rollout_model(**overrides):
@@ -333,101 +334,95 @@ class TestFrameMemo:
         assert len(encodes) < 4 * len(observations)
         assert_rows_encoded_alone(model, encoded, observations)
 
-    def test_each_model_has_its_own_memo(self, rng, encodes):
-        first, second = tiny_model(seed=0), tiny_model(seed=1)
-        obs = synthetic_obs(rng)
-        pol.encode_trajectory(first, [obs])
-        pol.encode_trajectory(first, [obs])
-        assert len(encodes) == 4
-        got = pol.encode_trajectory(second, [obs])  # other frozen weights
-        assert len(encodes) == 8
-        assert_rows_encoded_alone(second, got, [obs])
-
     def test_a_shared_memo_reuses_the_frame_another_model_encoded(self, rng, encodes):
-        # Two models that step in one chain of a round: the second encodes
+        # Two agents that step in one chain of a round: the second encodes
         # nothing and adopts the first's entries.
-        first, second = tiny_model(), tiny_model()
+        first, second = pol.PolicyAgent(tiny_model()), pol.PolicyAgent(tiny_model())
         obs = synthetic_obs(rng)
         pol.encode_round([[(first, obs), (second, obs)]])
         got_first = pol.encode_observation(first, obs)
         got_second = pol.encode_observation(second, obs)
-        assert len(encodes) == 4  # the second model encoded nothing
+        assert len(encodes) == 4  # the second agent encoded nothing
         assert [x.tobytes() for x in got_first] == [x.tobytes() for x in got_second]
-        assert_rows_encoded_alone(second, tuple(x[None] for x in got_second), [obs])
+        assert_rows_encoded_alone(second.model, tuple(x[None] for x in got_second), [obs])
         assert first._frame_memo.keys() == second._frame_memo.keys() == {0, 1, 2, 3}
         for slot, entry in first._frame_memo.items():  # the same arrays, not copies
             assert second._frame_memo[slot] is entry
 
     def test_a_step_takes_the_tokens_its_round_left_once(self, rng, encodes):
         # encode_observation encodes nothing: its one source is the tokens
-        # encode_round left for that observation object, which it takes.
-        model = tiny_model()
+        # encode_round left on the agent for that observation object, which
+        # it takes.
+        agent = pol.PolicyAgent(tiny_model())
         obs = synthetic_obs(rng)
         with pytest.raises(ContractError, match="no round encoded this observation"):
-            pol.encode_observation(model, obs)
-        pol.encode_round([[(model, obs)]])
+            pol.encode_observation(agent, obs)
+        pol.encode_round([[(agent, obs)]])
         with pytest.raises(ContractError, match="no round encoded this observation"):
-            pol.encode_observation(model, copy_obs(obs))  # equal frames, another object
-        pol.encode_round([[(model, obs)]])
-        got = pol.encode_observation(model, obs)
+            pol.encode_observation(agent, copy_obs(obs))  # equal frames, another object
+        pol.encode_round([[(agent, obs)]])
+        got = pol.encode_observation(agent, obs)
         with pytest.raises(ContractError, match="no round encoded this observation"):
-            pol.encode_observation(model, obs)  # already taken
+            pol.encode_observation(agent, obs)  # already taken
         assert len(encodes) == 4
-        assert_rows_encoded_alone(model, tuple(x[None] for x in got), [obs])
+        assert_rows_encoded_alone(agent.model, tuple(x[None] for x in got), [obs])
 
     def test_sharing_models_whose_frames_differ_each_reuse_their_own(self, rng, encodes):
-        # Lockstepped models that have diverged: each repeats its own last
+        # Lockstepped arms that have diverged: each repeats its own last
         # frames, which the other's memo does not hold. One memo entry per
         # slot for both would encode every step again.
-        first, second = tiny_model(), tiny_model()
+        first, second = pol.PolicyAgent(tiny_model()), pol.PolicyAgent(tiny_model())
         obs_first, obs_second = synthetic_obs(rng), synthetic_obs(rng)
         for _ in range(3):
             pol.encode_round([[(first, obs_first), (second, obs_second)]])
         got = pol.encode_observation(second, obs_second)
         assert len(encodes) == 8
-        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs_second])
+        assert_rows_encoded_alone(second.model, tuple(x[None] for x in got), [obs_second])
 
     def test_models_that_differ_in_depth_stats_share_the_rgb_slots(self, rng, encodes):
-        first = tiny_model()
-        second = pol.init_model(first.cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3))
+        model = tiny_model()
+        first = pol.PolicyAgent(model)
+        second = pol.PolicyAgent(pol.init_model(model.cfg, dp.DepthStats(0.0, 2.0, 0.5, 0.3)))
         obs = synthetic_obs(rng)
         pol.encode_round([[(first, obs), (second, obs)]])
         got = pol.encode_observation(second, obs)
-        assert sorted(encodes) == [0, 0, 0, 1, 1, 1]  # RGB once, depth once per model
-        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+        assert sorted(encodes) == [0, 0, 0, 1, 1, 1]  # RGB once, depth once per arm
+        assert_rows_encoded_alone(second.model, tuple(x[None] for x in got), [obs])
+        assert [second._frame_memo[s] is first._frame_memo[s] for s in range(4)] == [
+            True, True, False, False]
 
     def test_sharing_across_different_frozen_weights_is_refused(self, encodes):
-        # Models share frames only within an evaluation's chains, and an
+        # Agents share frames only within an evaluation's chains, and an
         # evaluation whose models' frozen encoders differ does not start.
         first, second, other = tiny_model(seed=0), tiny_model(seed=0), tiny_model(seed=1)
-        models = (first, second, other)
         assert pol.same_frozen_encoder(first, second)
         assert not pol.same_frozen_encoder(first, other)
         assert not pol.same_frozen_encoder(other, second)
+        agents = tuple(pol.PolicyAgent(m) for m in (first, second, other))
         with pytest.raises(ContractError, match="different frozen encoders"):
-            an.run_chain_eval(tuple(pol.PolicyAgent(m) for m in models), 1, "D", 0,
-                              horizon=4)
-        assert encodes == [] and all(m._frame_memo == {} for m in models)
+            an.run_chain_eval(agents, 1, "D", 0, horizon=4)
+        assert encodes == [] and all(a._frame_memo == {} for a in agents)
 
     def test_models_of_other_chains_share_nothing(self, rng, encodes):
-        first, second = tiny_model(), tiny_model()
+        first, second = pol.PolicyAgent(tiny_model()), pol.PolicyAgent(tiny_model())
         obs = synthetic_obs(rng)
         pol.encode_round([[(first, obs)], [(second, obs)]])
         got = pol.encode_observation(second, obs)
         assert len(encodes) == 8
-        assert_rows_encoded_alone(second, tuple(x[None] for x in got), [obs])
+        assert_rows_encoded_alone(second.model, tuple(x[None] for x in got), [obs])
         assert all(second._frame_memo[s] is not entry
                    for s, entry in first._frame_memo.items())
 
-    def test_constant_depth_is_encoded_once_per_model(self, rng, encodes):
+    def test_constant_depth_is_encoded_once_per_agent(self, rng, encodes):
         model = tiny_model(depth_input="constant")
         n_steps = 5
         for agent in (pol.PolicyAgent(model), pol.PolicyAgent(model)):
             agent.begin_task(None, "lift the red block")
             for _ in range(n_steps):
                 agent.act(synthetic_obs(rng), "lift the red block")
-        # Every RGB frame is new; the two flat depth frames are encoded once.
-        assert len(encodes) == 2 * 2 * n_steps + 2
+        # Every RGB frame is new; each agent encodes the two flat depth
+        # frames once.
+        assert len(encodes) == 2 * 2 * n_steps + 2 * 2
 
 
 def copy_obs(obs: sim.Observation) -> sim.Observation:
@@ -452,9 +447,17 @@ def varied_observations(rng, n_fresh: int = 8) -> list[sim.Observation]:
             *fresh[2:], o1, *fresh[2:4], fresh[-1]]
 
 
-def memo_state(model) -> dict:
+def memo_state(agent) -> dict:
     return {slot: (frame.dtype, frame.shape, frame.tobytes(), tokens.tobytes())
-            for slot, (frame, tokens) in model._frame_memo.items()}
+            for slot, (frame, tokens) in agent._frame_memo.items()}
+
+
+def step_by_step(observations) -> None:
+    """Encode each observation in a round of its own, one agent's step at a
+    time, against the agent's memo: the serial reference for reuse."""
+    agent = pol.PolicyAgent(tiny_model())
+    for obs in observations:
+        pol.encode_round([[(agent, obs)]])
 
 
 def trajectories(observations, *cuts) -> list[sim.Trajectory]:
@@ -470,31 +473,37 @@ class TestParallelTrajectoryEncode:
     its frames encoded alone."""
 
     def test_trajectory_equals_steps_encoded_alone(self, rng, encodes):
-        model, serial = tiny_model(), tiny_model()
+        model = tiny_model()
         observations = varied_observations(rng)
-        # The second call starts with a repeat of the first call's last step,
-        # so it reuses tokens that the memos hold from before it.
-        first = pol.encode_trajectory(model, observations[:9])
-        second = pol.encode_trajectory(model, observations[9:])
-        encoded = tuple(np.concatenate(pair) for pair in zip(first, second))
+        encoded = pol.encode_trajectory(model, observations)
         parallel_encodes = len(encodes)
         del encodes[:]
-        for obs in observations:
-            pol.encode_trajectory(serial, [obs])
+        step_by_step(observations)
         assert parallel_encodes == len(encodes) < 4 * len(observations)
         assert_rows_encoded_alone(model, encoded, observations)
 
     def test_dataset_equals_steps_encoded_alone(self, rng, encodes):
-        model, serial = tiny_model(), tiny_model()
+        model = tiny_model()
         observations = varied_observations(rng)
         encoded = tr.encode_dataset(model, trajectories(observations, 7))
         parallel_encodes = len(encodes)
         del encodes[:]
-        for obs in observations:
-            pol.encode_trajectory(serial, [obs])
+        step_by_step(observations)
         assert parallel_encodes == len(encodes)
         steps = tuple(np.concatenate(xs) for xs in zip(*(x for _, x, _ in encoded)))
         assert_rows_encoded_alone(model, steps, observations)
+
+    def test_two_dataset_encodes_are_equal_and_encode_alike(self, rng, encodes):
+        # A dataset encode's memo lasts for that call: the second encode of
+        # a dataset on one model starts from nothing, as the first did.
+        model = tiny_model()
+        dataset = trajectories(varied_observations(rng), 7)
+        first = tr.encode_dataset(model, dataset)
+        first_encodes = len(encodes)
+        second = tr.encode_dataset(model, dataset)
+        assert 0 < first_encodes == len(encodes) - first_encodes
+        for (_, a, _), (_, b, _) in zip(first, second, strict=True):
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_dataset_is_one_encode_call(self, rng, monkeypatch):
         model, per_trajectory = tiny_model(), tiny_model()
@@ -509,17 +518,17 @@ class TestParallelTrajectoryEncode:
             return real(groups, *args, **kwargs)
 
         monkeypatch.setattr(enc, "vit_encode_pair", counting)
+        held = {key: id(value) for key, value in vars(model).items()}
         encoded = tr.encode_dataset(model, dataset)
         # One chain of one group: all four camera slots at once.
         assert calls == [[[[len(observations)] * 4]]]
-        assert model._frame_memo.keys() == {0, 1, 2, 3}
+        assert {key: id(value) for key, value in vars(model).items()} == held
         for (instr, tokens, actions), traj in zip(encoded, dataset, strict=True):
             expect = pol.encode_trajectory(per_trajectory, [obs for obs, _ in traj.steps])
             assert [x.tobytes() for x in tokens] == [x.tobytes() for x in expect]
             assert [x.shape for x in tokens] == [x.shape for x in expect]
             assert instr.tobytes() == per_trajectory.instruction(traj.instruction).tobytes()
             assert all(a is b for a, (_, b) in zip(actions, traj.steps, strict=True))
-        assert memo_state(model) == memo_state(per_trajectory)
 
     def test_bad_instruction_fails_before_any_encode(self, rng, encodes):
         dataset = trajectories([synthetic_obs(rng) for _ in range(4)], 2)
@@ -530,26 +539,31 @@ class TestParallelTrajectoryEncode:
 
     def test_no_steps_give_empty_tokens_and_keep_the_memos(self, rng):
         model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng)])
-        memos = memo_state(model)
         encoded = pol.encode_trajectory(model, [])
         n_tokens = 2 * (8 // 4) ** 2
         assert [x.shape for x in encoded] == [(0, n_tokens, 16)] * 2
-        assert memo_state(model) == memos
+        agent = pol.PolicyAgent(model)
+        pol.encode_round([[(agent, synthetic_obs(rng))]])
+        memos, ready = memo_state(agent), agent._ready
+        pol.encode_round([[]])  # a round in which no agent steps
+        assert memo_state(agent) == memos and agent._ready is ready
 
     def test_memos_end_as_after_a_serial_pass(self, rng):
-        model, serial = tiny_model(), tiny_model()
+        agent = pol.PolicyAgent(tiny_model())
         observations = varied_observations(rng)
-        x_rgb, x_depth = pol.encode_trajectory(model, observations)
         for obs in observations:
-            pol.encode_trajectory(serial, [obs])
-        assert memo_state(model) == memo_state(serial)
-        for frame, tokens in model._frame_memo.values():  # copies, not views
-            assert not any(np.shares_memory(frame, getattr(obs, plane))
-                           for obs in observations
-                           for plane in ("rgb_static", "rgb_gripper"))
-            assert not np.shares_memory(tokens, x_rgb)
-            assert not np.shares_memory(tokens, x_depth)
+            pol.encode_round([[(agent, obs)]])
+            x_rgb, x_depth = pol.encode_observation(agent, obs)
+            for frame, tokens in agent._frame_memo.values():  # copies, not views
+                assert not any(np.shares_memory(frame, getattr(obs, plane))
+                               for plane in ("rgb_static", "rgb_gripper"))
+                assert not np.shares_memory(tokens, x_rgb)
+                assert not np.shares_memory(tokens, x_depth)
+        # The pass ends holding the last step's frames and tokens, as a
+        # round of that step alone leaves them.
+        last = pol.PolicyAgent(tiny_model())
+        pol.encode_round([[(last, observations[-1])]])
+        assert memo_state(agent) == memo_state(last)
 
     @pytest.mark.skipif(enc.usable_cpus() < 2, reason="needs two CPUs")
     def test_encodes_run_on_several_threads(self, rng, monkeypatch):
@@ -604,10 +618,10 @@ class TestParallelTrajectoryEncode:
         # 2 * FRAMES_PER_JOB new frames: one batch per camera, so one helper.
         pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(2)])
         assert pools == [1]
-        # A round of three chain models: 12 new frames in batches of 4 and 2
+        # A round of three chain agents: 12 new frames in batches of 4 and 2
         # per camera, so three helpers.
-        models = [tiny_model() for _ in range(3)]
-        pol.encode_round([[(m, synthetic_obs(rng))] for m in models])
+        agents = [pol.PolicyAgent(model) for _ in range(3)]
+        pol.encode_round([[(a, synthetic_obs(rng))] for a in agents])
         assert pools == [1, 3]
 
     @needs_proc
@@ -649,8 +663,9 @@ class TestParallelTrajectoryEncode:
         if where == "helper" and enc.usable_cpus() < 2:
             pytest.skip("needs two CPUs for a helper thread")
         model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng)])
-        memos = memo_state(model)
+        agents = [pol.PolicyAgent(model) for _ in range(8)]  # one per chain
+        pol.encode_round([[(a, synthetic_obs(rng))] for a in agents])
+        memos, readies = [memo_state(a) for a in agents], [a._ready for a in agents]
         caller = threading.get_ident()
         helper_started = threading.Event()
         cropped = []
@@ -670,17 +685,19 @@ class TestParallelTrajectoryEncode:
         monkeypatch.setattr(enc, "vit_encode_image", cropping)
         before = thread_count()
         with pytest.raises(DimensionError, match="not divisible by patch") as err:
-            pol.encode_trajectory(model, [synthetic_obs(rng) for _ in range(8)])
+            pol.encode_round([[(a, synthetic_obs(rng))] for a in agents])
         assert type(err.value) is DimensionError and cropped
         assert thread_count() == before
-        assert memo_state(model) == memos  # a failed call changes no memo
+        # A failed round changes no agent's memo or round tokens.
+        assert [memo_state(a) for a in agents] == memos
+        assert all(a._ready is ready for a, ready in zip(agents, readies))
 
     def test_failed_call_keeps_every_slot_entry(self, rng, monkeypatch):
         # The static camera's slots are encoded before the gripper camera's
         # batch fails; their memo entries must stay as they were too.
-        model = tiny_model()
-        pol.encode_trajectory(model, [synthetic_obs(rng)])
-        memos = memo_state(model)
+        agent = pol.PolicyAgent(tiny_model())
+        pol.encode_round([[(agent, synthetic_obs(rng))]])
+        memos = memo_state(agent)
         assert memos.keys() == {0, 1, 2, 3}
         real = enc.vit_encode_image
         batches = []
@@ -693,9 +710,9 @@ class TestParallelTrajectoryEncode:
 
         monkeypatch.setattr(enc, "vit_encode_image", failing_on_gripper)
         with pytest.raises(DimensionError, match="gripper frame rejected"):
-            pol.encode_trajectory(model, [synthetic_obs(rng)])
+            pol.encode_round([[(agent, synthetic_obs(rng))]])
         assert batches == [(0, 2)]  # RGB static and depth static in one batch
-        assert memo_state(model) == memos
+        assert memo_state(agent) == memos
 
     @pytest.mark.parametrize("plane,shape", [("rgb_gripper", (8, 8, 4)),
                                              ("depth_static", (8, 8, 1))])

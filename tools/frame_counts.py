@@ -7,7 +7,9 @@ encoders.vit_encode_image wrapped to count their calls and the states or
 frames each is given. It prints {workload: {"frames_encoded": ...,
 "paint_calls": ..., "states_painted": ...}}, keys sorted. The wrappers
 live only in this process; BLAS is pinned to one thread, as
-perfbench/run.py pins it. A report, not a gate. Run from any directory:
+perfbench/run.py pins it. The tool only reports; CI's step fails when
+train's count is not 571, which BLAS does not change. Run from any
+directory:
 
     python tools/frame_counts.py [train] [rollout] [ablate]
 """
